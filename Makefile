@@ -1,13 +1,13 @@
 # Developer entry points. `make` (or `make check`) is the full gate:
 # build + vet + tests + the race detector over every package + the
-# server smoke test (boot, load, graceful drain) + the recovery smoke
-# test (kill -9 mid-load, restart, verify).
+# smoke tests (serve, recover, admin, failover) + the benchmark
+# harness's own tests and a quick pass of the benchmark itself.
 
 GO ?= go
 
-.PHONY: check build test race vet conformance bench-smoke smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-serve bench-matrix bench-native docs-check cross
+.PHONY: check build test race vet conformance bench-smoke smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness bench-matrix bench-native docs-check cross
 
-check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover
+check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover bench-harness
 
 build:
 	$(GO) build ./...
@@ -62,11 +62,12 @@ smoke-failover:
 fuzz-smoke:
 	sh scripts/fuzz_smoke.sh
 
-# Serving benchmark: 5s mixed Zipf load against a 1M-key server,
-# sequential (window=1) and pipelined (window=16) at equal connection
-# count; writes both reports to BENCH_serve.json.
-bench-serve:
-	sh scripts/bench_serve.sh BENCH_serve.json
+# The repo's benchmark (BENCHMARK.json, bench/): the harness's unit
+# tests, then every workload at a tenth of its length — same metric
+# names and output checks as a full run, numbers not for comparison.
+bench-harness:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh -smoke
 
 # Benchmark matrix: every named loadgen scenario against every
 # storage backend; writes the grid of reports to BENCH_matrix.json.

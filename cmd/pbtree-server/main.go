@@ -2,10 +2,12 @@
 // the length-prefixed wire protocol of internal/serve (GET / MGET /
 // SCAN / PUT / DEL / STATS; normative spec in PROTOCOL.md).
 // Connections that negotiate protocol v2 at connect are full-duplex
-// pipelines: up to -window requests per connection execute
-// concurrently and responses return in completion order. Admission is
-// per op class (-read-tokens / -write-tokens / -scan-row-tokens), so
-// overload rejects expensive scans before cheap point ops.
+// pipelines: the requests one read delivers (up to -window) are a
+// burst whose GETs and MGETs are answered together on the spot, writes
+// and scans run on a worker pool, and responses return in completion
+// order. Admission is per op class (-read-tokens / -write-tokens /
+// -scan-row-tokens), so overload rejects expensive scans before cheap
+// point ops.
 //
 // Usage:
 //
@@ -90,17 +92,13 @@ func main() {
 		hwPf       = flag.Bool("hw-prefetch", false, "issue real CPU prefetch instructions on node visits (pbtree backend)")
 		branchless = flag.Bool("branchless", false, "branchless data-parallel intra-node search (pbtree backend)")
 		gapped     = flag.Bool("gapped", false, "gapped leaf slot arrays with occupancy bitmaps (pbtree backend)")
-		window     = flag.Int("window", 0, "max concurrent requests per pipelined (v2) connection (0 = 32)")
-		dataPlane  = flag.String("data-plane", "pool", "execution model for pipelined requests: pool|goroutine")
-		poolSize   = flag.Int("pool", 0, "worker count of the pool data plane (0 = max(16, 4x GOMAXPROCS))")
+		window     = flag.Int("window", 0, "pipeline depth per v2 connection: requests per read burst and on the worker pool (0 = 32)")
+		poolSize   = flag.Int("pool", 0, "workers executing the requests that can block: writes, scans (0 = max(16, 4x GOMAXPROCS))")
 		cursorTmo  = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s, <0 = never)")
-		readTok    = flag.Int("read-tokens", 0, "admission budget for GET/MGET (0 = 4x shards)")
+		readTok    = flag.Int("read-tokens", 0, "admission budget for GET/MGET (0 = max(4x shards, window x max(2, GOMAXPROCS)))")
 		writeTok   = flag.Int("write-tokens", 0, "admission budget for PUT/DEL (0 = 2x shards)")
 		scanTok    = flag.Int("scan-row-tokens", 0, "admission budget for concurrent SCAN rows (0 = 64k)")
 		queue      = flag.Int("queue", 0, "per-shard mutation queue length (0 = 1024)")
-		batch      = flag.Bool("batch", true, "merge concurrent GETs into group searches")
-		group      = flag.Int("group", 16, "max lookups per merged group search")
-		linger     = flag.Duration("linger", 50*time.Microsecond, "how long a group waits for stragglers")
 		drain      = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
 		dataDir    = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		fsync      = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
@@ -129,9 +127,6 @@ func main() {
 	fail := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
-	}
-	if *dataPlane != pbtree.DataPlanePool && *dataPlane != pbtree.DataPlaneGoroutine {
-		fail("data plane", fmt.Errorf("unknown -data-plane %q (want pool or goroutine)", *dataPlane))
 	}
 
 	metrics := pbtree.NewMetrics()
@@ -233,7 +228,6 @@ func main() {
 	scfg := pbtree.ServerConfig{
 		Addr:          *addr,
 		Window:        *window,
-		DataPlane:     *dataPlane,
 		PoolSize:      *poolSize,
 		CursorTimeout: *cursorTmo,
 		Admission: pbtree.AdmissionConfig{
@@ -241,8 +235,6 @@ func main() {
 			WriteTokens:   *writeTok,
 			ScanRowTokens: *scanTok,
 		},
-		Batch:     *batch,
-		Batcher:   serve.BatcherConfig{MaxGroup: *group, Linger: *linger},
 		Metrics:   metrics,
 		Lifecycle: lc,
 	}
@@ -281,7 +273,7 @@ func main() {
 
 	logger.Info("serving",
 		"keys", st.Len(), "addr", srv.Addr().String(), "shards", st.Shards(),
-		"backend", *be, "width", *width, "batch", *batch, "stages", lc.Enabled)
+		"backend", *be, "width", *width, "stages", lc.Enabled)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

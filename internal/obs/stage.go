@@ -7,7 +7,7 @@ package obs
 // simulator side does that in cycles (Collector, the per-level stall
 // tables); this file does it one layer up, in wall-clock nanoseconds,
 // for the serving pipeline: every request carries a Span that is
-// stamped at fixed pipeline stages (decode, admission, batcher wait,
+// stamped at fixed pipeline stages (decode, admission,
 // shard-queue wait, WAL append, WAL fsync, backend apply, ...), and
 // the per-stage deltas feed per-stage × per-op-class Histograms in
 // Metrics. The instrumentation is allocation-free past the pooled
@@ -42,11 +42,6 @@ const (
 	// with the lock-free budgets this measures CAS contention).
 	StageAdmission
 
-	// StageBatchWait is the cross-request GET batcher: rendezvous with
-	// the shard gatherer, the linger window, and the group search
-	// itself, up to the reply.
-	StageBatchWait
-
 	// StageQueueWait is the time a mutation sat in its shard's
 	// mutation queue before the shard writer picked it up.
 	StageQueueWait
@@ -65,13 +60,13 @@ const (
 	// store call here — see Span.StoreStagesNS).
 	StageApply
 
-	// StageExec is read-path execution outside the batcher: direct
-	// snapshot lookups, MGET group searches, scans and merges.
+	// StageExec is read-path execution: snapshot lookups, the group
+	// search of a burst's GETs and MGETs, scans and merges.
 	StageExec
 
-	// StageRespQueue is the wait in the response-writer queue of a
-	// pipelined (protocol v2) connection: from request completion to
-	// the writer goroutine picking the response up.
+	// StageRespQueue is the wait of a pool-executed request for its
+	// pipelined (protocol v2) connection's writer lock: from request
+	// completion to its turn to write.
 	StageRespQueue
 
 	// StageWrite is response encoding plus the connection write (and
@@ -92,7 +87,7 @@ const (
 
 // stageNames are the metric label values, in Stage order.
 var stageNames = [NumStages]string{
-	"read", "decode", "admission", "batch_wait", "queue_wait",
+	"read", "decode", "admission", "queue_wait",
 	"wal_append", "wal_fsync", "apply", "exec", "resp_queue",
 	"write", "other",
 }
@@ -161,8 +156,12 @@ func (s *Span) Begin(now int64) {
 
 // Mark attributes the time since the previous mark (or Begin) to st
 // and advances the clock. Single-goroutine use only — the owning
-// goroutine's sequential stage boundaries.
+// goroutine's sequential stage boundaries. A nil span (lifecycle
+// tracing off) marks nothing, so call sites need no guard.
 func (s *Span) Mark(st Stage) {
+	if s == nil {
+		return
+	}
 	now := Nanotime()
 	atomic.AddInt64(&s.stages[st], now-s.last)
 	s.last = now

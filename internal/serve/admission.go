@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +16,10 @@ import (
 // the class that is actually saturated (DESIGN.md §10, PROTOCOL.md §6).
 type AdmissionConfig struct {
 	// ReadTokens bounds concurrently executing GET/MGET requests; each
-	// holds one token. Zero selects 4x the store's shard count or 2x
-	// the server's pipeline window, whichever is larger — a default
-	// sized only to the shard count would reject moderate pipelined
-	// load on small machines.
+	// holds one token from admission until its burst's search is done.
+	// Zero selects 4x the store's shard count or one pipeline window per
+	// core (at least two), whichever is larger: every core can have a
+	// full burst in hand without a healthy server refusing reads.
 	ReadTokens int
 
 	// WriteTokens bounds concurrently executing PUT/DEL requests; each
@@ -44,7 +45,7 @@ type AdmissionConfig struct {
 // server's pipeline window, and its base retry hint.
 func (c AdmissionConfig) withDefaults(shards, window int, baseRetry time.Duration) AdmissionConfig {
 	if c.ReadTokens <= 0 {
-		c.ReadTokens = max(4*shards, 2*window)
+		c.ReadTokens = max(4*shards, window*max(2, runtime.GOMAXPROCS(0)))
 	}
 	if c.WriteTokens <= 0 {
 		c.WriteTokens = max(2*shards, window)
@@ -143,26 +144,40 @@ func cost(req *Request) int64 {
 	return 1
 }
 
+// grant is the tokens one admitted request holds until release; the
+// zero grant (ops outside every class: STATS, HELLO, SCANCLOSE) holds
+// none.
+type grant struct {
+	class obs.AdmissionClass
+	n     int64
+}
+
 // admit takes the request's tokens or reports the saturated class's
-// retry hint. The returned release func is non-nil iff ok; ops outside
-// every class (STATS, HELLO) admit for free.
-func (a *admission) admit(req *Request) (release func(), retryAfter time.Duration, ok bool) {
+// retry hint.
+func (a *admission) admit(req *Request) (g grant, retryAfter time.Duration, ok bool) {
 	class, metered := opClass(req.Op)
 	if !metered {
-		return func() {}, 0, true
+		return grant{}, 0, true
 	}
-	n := cost(req)
+	g = grant{class: class, n: cost(req)}
 	b := &a.budgets[class]
-	if !b.tryAcquire(n) {
+	if !b.tryAcquire(g.n) {
 		b.rejects.Add(1)
 		a.metrics.AdmissionReject(class)
-		return nil, a.retryAfter[class], false
+		return grant{}, a.retryAfter[class], false
 	}
-	a.metrics.AdmissionAcquire(class, n)
-	return func() {
-		b.release(n)
-		a.metrics.AdmissionRelease(class, n)
-	}, 0, true
+	a.metrics.AdmissionAcquire(class, g.n)
+	return g, 0, true
+}
+
+// release returns a grant's tokens. Grants of one class add, so a
+// burst of admitted reads is released as one grant.
+func (a *admission) release(g grant) {
+	if g.n == 0 {
+		return
+	}
+	a.budgets[g.class].release(g.n)
+	a.metrics.AdmissionRelease(g.class, g.n)
 }
 
 // BudgetStats is the STATS view of one admission class.

@@ -1,0 +1,82 @@
+package serve
+
+import (
+	"math/rand"
+	"testing"
+
+	"pbtree/internal/core"
+	"pbtree/internal/workload"
+)
+
+// The allocation counts of the read path, kept on record (-benchmem):
+// Store.MGet as the facade calls it and over reused scratch as the
+// server's bursts do, and a GET over loopback with one request
+// outstanding and with sixteen. The loopback numbers include the
+// client's own allocations (its Call, request and decoded response).
+
+const benchKeys = 1 << 18
+
+func benchStore(b *testing.B) *Store {
+	b.Helper()
+	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(benchKeys))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(st.Close)
+	return st
+}
+
+func BenchmarkStoreMGet(b *testing.B) {
+	st := benchStore(b)
+	r := rand.New(rand.NewSource(1))
+	keys := make([]core.Key, 16)
+	for i := range keys {
+		keys[i] = workload.ExistingKey(r, benchKeys)
+	}
+	out := make([]Lookup, len(keys))
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.MGet(keys, out)
+		}
+	})
+	b.Run("scratch", func(b *testing.B) {
+		var sc mgetScratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.mget(keys, out, &sc)
+		}
+	})
+}
+
+// benchServerGet keeps depth GETs outstanding on one connection.
+func benchServerGet(b *testing.B, depth int) {
+	st := benchStore(b)
+	srv := NewServer(st, ServerConfig{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(2e9)
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	r := rand.New(rand.NewSource(1))
+	done := make(chan *Call, depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent, recv := 0, 0; recv < b.N; {
+		for ; sent < b.N && sent-recv < depth; sent++ {
+			cl.Go(&Request{Op: OpGet, Keys: []core.Key{workload.ExistingKey(r, benchKeys)}}, done)
+		}
+		call := <-done
+		recv++
+		if call.Err != nil || call.Resp.Status != StatusOK {
+			b.Fatalf("GET answered %+v, %v", call.Resp, call.Err)
+		}
+	}
+}
+
+func BenchmarkServerGetSeq(b *testing.B)         { benchServerGet(b, 1) }
+func BenchmarkServerGetPipelined16(b *testing.B) { benchServerGet(b, 16) }

@@ -1,0 +1,269 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"pbtree/internal/core"
+	"pbtree/internal/obs"
+)
+
+// dialRaw opens a TCP connection and upgrades it to protocol v2 by
+// hand, so a test controls exactly which frames share one write.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	hello, _ := AppendRequest(nil, &Request{Op: OpHello, MaxVersion: ProtoV2})
+	if err := WriteFrame(c, hello); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := ReadFrame(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := DecodeResponse(frame); err != nil || rs.Version != ProtoV2 {
+		t.Fatalf("HELLO answered %+v, %v", rs, err)
+	}
+	return c
+}
+
+// appendFrame appends one framed v2 request to buf.
+func appendFrame(t *testing.T, buf []byte, id uint32, req *Request) []byte {
+	t.Helper()
+	payload, err := AppendRequestV2(nil, id, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(appendU32(buf, uint32(len(payload))), payload...)
+}
+
+// readResponses reads n v2 response frames and returns them by ID,
+// failing on an ID answered twice.
+func readResponses(t *testing.T, r io.Reader, n int) map[uint32]*Response {
+	t.Helper()
+	got := make(map[uint32]*Response, n)
+	var frame []byte
+	for len(got) < n {
+		var err error
+		if frame, err = ReadFrame(r, frame); err != nil {
+			t.Fatalf("after %d of %d responses: %v", len(got), n, err)
+		}
+		id, rs, err := DecodeResponseV2(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[id] != nil {
+			t.Fatalf("request %d answered twice", id)
+		}
+		got[id] = rs
+	}
+	return got
+}
+
+// TestBurstMixedOps sends 40 GETs, 2 MGETs, a PUT and a SCAN in one
+// TCP write to a server whose window is smaller than the burst: every
+// ID must be answered exactly once, with its own payload, whichever
+// goroutine executed it.
+func TestBurstMixedOps(t *testing.T) {
+	const n = 5000
+	_, addr := startServer(t, n, ServerConfig{Window: 8})
+	c := dialRaw(t, addr)
+
+	var buf []byte
+	reqs := map[uint32]*Request{}
+	add := func(req *Request) {
+		id := uint32(len(reqs) + 1)
+		reqs[id] = req
+		buf = appendFrame(t, buf, id, req)
+	}
+	for i := 0; i < 40; i++ {
+		k := core.Key(8 * (1 + 97*i%n))
+		if i%10 == 9 {
+			k = 3 // a miss
+		}
+		add(&Request{Op: OpGet, Keys: []core.Key{k}})
+		switch i {
+		case 5, 30:
+			add(&Request{Op: OpMGet, Keys: []core.Key{8, 3, core.Key(8 * n), 16, 8}})
+		case 12:
+			add(&Request{Op: OpPut, Pairs: []core.Pair{{Key: 8*n + 8, TID: 77}}})
+		case 20:
+			add(&Request{Op: OpScan, Start: 16, End: 80, Limit: 100})
+		}
+	}
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	got := readResponses(t, c, len(reqs))
+	for id, req := range reqs {
+		rs := got[id]
+		if rs == nil {
+			t.Fatalf("request %d (%s) never answered", id, req.Op)
+		}
+		switch req.Op {
+		case OpGet:
+			if k := req.Keys[0]; k == 3 {
+				if rs.Status != StatusNotFound {
+					t.Fatalf("GET miss answered %+v", rs)
+				}
+			} else if rs.Status != StatusOK || len(rs.Lookups) != 1 || rs.Lookups[0].TID != core.TID(k/8) {
+				t.Fatalf("GET %d answered %+v", k, rs)
+			}
+		case OpMGet:
+			want := []Lookup{{1, true}, {0, false}, {n, true}, {2, true}, {1, true}}
+			if rs.Status != StatusOK || len(rs.Lookups) != len(want) {
+				t.Fatalf("MGET answered %+v", rs)
+			}
+			for i := range want {
+				if rs.Lookups[i] != want[i] {
+					t.Fatalf("MGET lookup %d = %+v, want %+v", i, rs.Lookups[i], want[i])
+				}
+			}
+		case OpPut:
+			if rs.Status != StatusOK {
+				t.Fatalf("PUT answered %+v", rs)
+			}
+		case OpScan:
+			if rs.Status != StatusOK || len(rs.Pairs) != 9 || rs.Pairs[0].Key != 16 || rs.Pairs[8].Key != 80 {
+				t.Fatalf("SCAN answered %+v", rs)
+			}
+		}
+	}
+}
+
+// TestBurstAdmissionPerRequest pins that a burst is admitted request
+// by request: with four read tokens, a burst of ten GETs answers four
+// and refuses six, and the tokens are back once it is answered.
+func TestBurstAdmissionPerRequest(t *testing.T) {
+	metrics := obs.NewMetrics()
+	_, addr := startServer(t, 100, ServerConfig{
+		Admission: AdmissionConfig{ReadTokens: 4},
+		Metrics:   metrics,
+	})
+	c := dialRaw(t, addr)
+	var buf []byte
+	for id := uint32(1); id <= 10; id++ {
+		buf = appendFrame(t, buf, id, &Request{Op: OpGet, Keys: []core.Key{core.Key(8 * id)}})
+	}
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	got := readResponses(t, c, 10)
+	for id := uint32(1); id <= 10; id++ {
+		rs := got[id]
+		if id <= 4 {
+			if rs.Status != StatusOK || rs.Lookups[0].TID != core.TID(id) {
+				t.Fatalf("GET %d answered %+v, want tid %d", id, rs, id)
+			}
+		} else if rs.Status != StatusRetry || rs.RetryAfterMS == 0 {
+			t.Fatalf("GET %d answered %+v, want StatusRetry with a hint", id, rs)
+		}
+	}
+	if s := metrics.Admission(obs.AdmRead); s.InUse != 0 || s.Rejects != 6 {
+		t.Fatalf("read budget after the burst: %+v, want 0 in use and 6 rejects", s)
+	}
+}
+
+// TestBurstDeadline drives the burst path with an arrival time in the
+// past: the expired read answers StatusDeadline and gives its token
+// back, the one without a deadline is still served.
+func TestBurstDeadline(t *testing.T) {
+	srv, _ := startServer(t, 100, ServerConfig{})
+	var out bytes.Buffer
+	pc := newPconn(srv, &out, 1, nil)
+	arrived := time.Now().Add(-time.Second)
+	for id, req := range []*Request{
+		{Op: OpGet, Keys: []core.Key{8}, DeadlineMS: 5},
+		{Op: OpGet, Keys: []core.Key{16}},
+	} {
+		frame, _ := AppendRequestV2(nil, uint32(id), req)
+		if !pc.dispatch(frame, arrived, obs.Nanotime(), 0) {
+			t.Fatal("well-formed frame reported fatal")
+		}
+	}
+	pc.runReads(arrived)
+	pc.mu.Lock()
+	pc.unlock()
+	got := readResponses(t, &out, 2)
+	if got[0].Status != StatusDeadline {
+		t.Fatalf("expired GET answered %+v", got[0])
+	}
+	if got[1].Status != StatusOK || got[1].Lookups[0].TID != 2 {
+		t.Fatalf("GET without a deadline answered %+v", got[1])
+	}
+	if st := srv.Stats(); st.Expired != 1 || st.Budgets["read"].InUse != 0 {
+		t.Fatalf("expired = %d, read tokens in use = %d; want 1, 0", st.Expired, st.Budgets["read"].InUse)
+	}
+}
+
+// TestFrameReader covers the cases the burst loop leans on: frames in
+// hand are returned without touching the connection, a partial frame
+// is not, and a frame larger than the buffer is read whole.
+func TestFrameReader(t *testing.T) {
+	frame := func(n int, fill byte) []byte {
+		return append(appendU32(nil, uint32(n)), bytes.Repeat([]byte{fill}, n)...)
+	}
+	big := frame(100, 'c')
+	in := append(append(frame(3, 'a'), frame(5, 'b')...), big...)
+	// 16 is bufio's minimum size: the two small frames arrive in the
+	// first read, the third does not fit the buffer at all.
+	fr := frameReader{br: bufio.NewReaderSize(bytes.NewReader(in), 16)}
+	for i, want := range []struct {
+		block bool
+		n     int
+	}{{true, 3}, {false, 5}, {false, -1}, {true, 100}, {false, -1}} {
+		got, err := fr.next(want.block)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if want.n < 0 {
+			if got != nil {
+				t.Fatalf("step %d: non-blocking read returned %d bytes, want none", i, len(got))
+			}
+			continue
+		}
+		if len(got) != want.n {
+			t.Fatalf("step %d: frame of %d bytes, want %d", i, len(got), want.n)
+		}
+	}
+	if _, err := fr.next(true); err == nil {
+		t.Fatal("read past the end succeeded")
+	}
+	over := frameReader{br: bufio.NewReader(bytes.NewReader(appendU32(nil, MaxFrame+1)))}
+	if _, err := over.next(true); err == nil {
+		t.Fatal("oversized frame accepted")
+	}
+}
+
+// deadConn is a connection that accepts no bytes.
+type deadConn struct {
+	net.Conn
+	deadline time.Time
+	closed   bool
+}
+
+func (c *deadConn) SetWriteDeadline(t time.Time) error { c.deadline = t; return nil }
+func (c *deadConn) Write([]byte) (int, error)          { return 0, io.ErrClosedPipe }
+func (c *deadConn) Close() error                       { c.closed = true; return nil }
+
+// TestStallWriter pins what keeps a peer that stopped reading from
+// pinning pool workers: every write carries a deadline, and a failed
+// one closes the connection so its read loop ends too.
+func TestStallWriter(t *testing.T) {
+	c := &deadConn{}
+	if _, err := (stallWriter{c}).Write([]byte("x")); err == nil {
+		t.Fatal("write to a dead connection succeeded")
+	}
+	if !c.closed || time.Until(c.deadline) <= 0 || time.Until(c.deadline) > writeStall {
+		t.Fatalf("closed = %v, deadline in %v; want closed with a deadline within %v", c.closed, time.Until(c.deadline), writeStall)
+	}
+}

@@ -11,11 +11,10 @@
 //     with an atomic.Pointer swap, so every read runs against an
 //     immutable snapshot (copy-on-write publication, single-writer /
 //     many-reader).
-//   - Batcher collects concurrent point lookups into per-shard groups
-//     and executes them with core.Tree.SearchBatch, the group-
-//     pipelined search whose node fetches overlap in memory — the
-//     serving-layer generalization of the paper's whole-node prefetch
-//     (measured in the simulated `mget` experiment of internal/exp).
+//   - Store.MGet groups a batch of keys by shard and runs each group
+//     through core.Tree.SearchBatch, the group-pipelined search whose
+//     node fetches overlap in memory (the simulated `mget` experiment
+//     of internal/exp); the server feeds it the reads of one burst.
 //   - DurableStore layers per-shard write-ahead logs and checkpoints
 //     (wal.go, durable.go) under the Store so a crash loses nothing
 //     that was acknowledged.
@@ -23,11 +22,12 @@
 //     protocol specified in PROTOCOL.md (GET / MGET / SCAN / PUT /
 //     DEL / STATS / HELLO). A HELLO exchange upgrades a connection to
 //     protocol version 2, under which the connection is a full-duplex
-//     pipeline: every frame carries a request ID, the server reads
-//     ahead and executes up to ServerConfig.Window requests of one
-//     connection concurrently, and responses are written in
-//     completion order, not arrival order. Version-1 clients never
-//     send HELLO and keep the original one-request-at-a-time loop.
+//     pipeline: every frame carries a request ID, the requests one
+//     read delivers are a burst whose GETs and MGETs the connection's
+//     read goroutine answers together while writes and scans run on a
+//     worker pool, and responses are written in completion order, not
+//     arrival order. Version-1 clients never send HELLO and keep the
+//     original one-request-at-a-time loop.
 //   - Admission control is per op class rather than a flat in-flight
 //     cap: reads (GET/MGET), writes (PUT/DEL) and scans draw from
 //     separate token budgets, with SCAN charged by its requested row

@@ -4,7 +4,7 @@ package serve
 //
 // When ServerConfig.Lifecycle.Enabled is set, every request carries a
 // pooled obs.Span that is stamped at the fixed pipeline stages (frame
-// read, decode, admission, batcher wait, shard-queue wait, WAL
+// read, decode, admission, shard-queue wait, WAL
 // append, WAL fsync, backend apply, read execution, response-writer
 // queue, connection write). The deltas feed three sinks:
 //
@@ -126,10 +126,11 @@ func newLifecycle(cfg LifecycleConfig, m *obs.Metrics) *lifecycle {
 // nextConn hands out connection sequence numbers (trace timeline IDs).
 func (lc *lifecycle) nextConn() uint64 { return lc.conns.Add(1) }
 
-// span takes a reset span from the pool and starts its clock.
-func (lc *lifecycle) span(conn uint64) *obs.Span {
+// span takes a reset span from the pool and starts its clock at
+// startNS (an obs.Nanotime value).
+func (lc *lifecycle) span(conn uint64, startNS int64) *obs.Span {
 	sp := lc.pool.Get().(*obs.Span)
-	sp.Begin(obs.Nanotime())
+	sp.Begin(startNS)
 	sp.Conn = conn
 	return sp
 }
@@ -144,10 +145,12 @@ func (lc *lifecycle) drop(sp *obs.Span) {
 	lc.pool.Put(sp)
 }
 
-// finish finalizes a span, feeds the histograms, and runs the sampled
-// sinks (slow log, Chrome trace). Spans whose Op is still OpNone
-// (STATS, HELLO, rejected or expired requests) are dropped unobserved
-// so completed-request attribution stays clean.
+// finish closes the span of a request whose response has just been
+// written: it stamps the write stage, finalizes the span, feeds the
+// histograms, and runs the sampled sinks (slow log, Chrome trace).
+// Spans whose Op is still OpNone (STATS, HELLO, rejected or expired
+// requests) are dropped unobserved so completed-request attribution
+// stays clean.
 func (lc *lifecycle) finish(sp *obs.Span) {
 	if lc == nil || sp == nil {
 		return
@@ -156,6 +159,7 @@ func (lc *lifecycle) finish(sp *obs.Span) {
 		lc.pool.Put(sp)
 		return
 	}
+	sp.Mark(obs.StageWrite)
 	total := sp.Finalize()
 	lc.metrics.ObserveSpan(sp, total)
 	if lc.slowNS > 0 && total >= lc.slowNS && lc.allowSlow() {

@@ -57,20 +57,32 @@ func driveMix(t *testing.T, addr string) {
 	}
 }
 
+// waitSpans waits until n spans of op are in the histograms: a span is
+// closed after its response is flushed, so the last answers a client
+// has seen may not have been observed yet.
+func waitSpans(t *testing.T, metrics *obs.Metrics, op core.OpKind, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); metrics.StageTotalSnapshot(op).Count < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v spans = %d, want >= %d", op, metrics.StageTotalSnapshot(op).Count, n)
+		}
+	}
+}
+
 func TestLifecycleStageHistograms(t *testing.T) {
 	_, addr, metrics := startTracedServer(t, 5000, LifecycleConfig{})
 	driveMix(t, addr)
+	waitSpans(t, metrics, core.OpDelete, 1) // driveMix's last request
 
-	// Reads attribute exec (or batch_wait) time; writes must carry the
+	// Every read attributes exec time; writes must carry the
 	// writer-stamped durability-path stages even without a WAL
 	// (queue_wait and apply always, wal_* only when durable).
-	if s := metrics.StageTotalSnapshot(core.OpSearch); s.Count < 20 {
-		t.Fatalf("search totals = %d, want >= 20", s.Count)
+	tot := metrics.StageTotalSnapshot(core.OpSearch)
+	if tot.Count < 20 {
+		t.Fatalf("search totals = %d, want >= 20", tot.Count)
 	}
-	exec := metrics.StageSnapshot(core.OpSearch, obs.StageExec).Count +
-		metrics.StageSnapshot(core.OpSearch, obs.StageBatchWait).Count
-	if exec == 0 {
-		t.Fatal("no exec/batch_wait samples for search")
+	if exec := metrics.StageSnapshot(core.OpSearch, obs.StageExec).Count; exec != tot.Count {
+		t.Fatalf("search exec count %d != total count %d", exec, tot.Count)
 	}
 	for _, st := range []obs.Stage{obs.StageQueueWait, obs.StageApply} {
 		if s := metrics.StageSnapshot(core.OpInsert, st); s.Count == 0 {
@@ -114,11 +126,15 @@ func TestLifecyclePipelinedAndStats(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	waitSpans(t, metrics, core.OpSearch, 100)
 
-	// The pipelined path stamps resp_queue and write on the writer
-	// goroutine.
-	if s := metrics.StageSnapshot(core.OpSearch, obs.StageRespQueue); s.Count < 100 {
-		t.Fatalf("resp_queue = %d, want >= 100", s.Count)
+	// Pipelined reads run to completion on the read goroutine: every
+	// one has an exec stage, and none waits for a writer's turn.
+	if s := metrics.StageSnapshot(core.OpSearch, obs.StageExec); s.Count < 100 {
+		t.Fatalf("exec = %d, want >= 100", s.Count)
+	}
+	if s := metrics.StageSnapshot(core.OpSearch, obs.StageRespQueue); s.Count != 0 {
+		t.Fatalf("resp_queue = %d on inline reads, want 0", s.Count)
 	}
 
 	// STATS carries the attribution tables, both over the wire and via
@@ -127,8 +143,15 @@ func TestLifecyclePipelinedAndStats(t *testing.T) {
 	if stats.Stages == nil || stats.StageTotals == nil {
 		t.Fatal("stage maps must never be nil")
 	}
-	if _, ok := stats.Stages["search"]["write"]; !ok {
-		t.Fatalf("search/write missing from STATS stages: %+v", stats.Stages)
+	for _, st := range []string{"exec", "write"} {
+		if _, ok := stats.Stages["search"][st]; !ok {
+			t.Fatalf("search/%s missing from STATS stages: %+v", st, stats.Stages)
+		}
+	}
+	for st := range stats.Stages["search"] {
+		if strings.Contains(st, "wait") || st == "resp_queue" {
+			t.Fatalf("search/%s in STATS stages: reads wait for no batch, queue or writer", st)
+		}
 	}
 	if stats.StageTotals["search"].Count < 100 {
 		t.Fatalf("search total count = %d", stats.StageTotals["search"].Count)

@@ -1,14 +1,13 @@
 package serve
 
-// The pool data plane (DESIGN.md §15). Instead of spawning a
-// goroutine per in-flight request — conns x Window goroutines, most
-// of them parked on admission under load — every pipelined connection
-// submits its decoded requests to one server-wide bounded worker
-// pool. Execution concurrency is then a constant the operator sizes
-// (ServerConfig.PoolSize), per-connection fairness still comes from
-// the Window slots, and the pool queue is the explicit backpressure
-// point: when every worker is busy and the queue is full, read loops
-// block in submit and stop decoding ahead.
+// The worker pool (DESIGN.md §15). Requests that can block for
+// milliseconds — PUT, DEL, the scans, REPLICATE — leave their
+// connection's read goroutine for one server-wide bounded pool, so
+// execution concurrency is a constant the operator sizes
+// (ServerConfig.PoolSize) instead of conns x Window goroutines.
+// Per-connection fairness comes from the Window slots, and the pool
+// queue is the explicit backpressure point: when every worker is busy
+// and the queue is full, read loops block in submit and stop reading.
 
 import (
 	"sync"
@@ -17,21 +16,16 @@ import (
 	"pbtree/internal/obs"
 )
 
-// poolTask is one decoded request on its way through the worker pool,
-// carrying everything a worker needs to execute it and deliver the
-// completion to the owning connection's writer.
+// poolTask is one decoded request on its way through the worker pool.
 type poolTask struct {
-	s       *Server
-	id      uint32       // v2 request ID
-	req     *Request     // decoded request
-	arrived time.Time    // frame arrival, for deadline checks
-	sp      *obs.Span    // lifecycle span (nil when tracing is off)
-	cs      *connCursors // owning connection's cursor set
-	out     chan<- completed
-	slot    chan struct{} // owning connection's read-ahead slot to release
+	pc      *pconn    // owning connection: writer, cursor set, slot to release
+	id      uint32    // v2 request ID
+	req     *Request  // decoded request
+	arrived time.Time // frame arrival, for deadline checks
+	sp      *obs.Span // lifecycle span (nil when tracing is off)
 }
 
-// workerPool is the shared bounded executor of the pool data plane.
+// workerPool is the shared bounded executor.
 type workerPool struct {
 	tasks   chan poolTask
 	wg      sync.WaitGroup
@@ -61,16 +55,15 @@ func (p *workerPool) submit(t poolTask) {
 	p.tasks <- t
 }
 
-// worker executes tasks until the pool closes. The completion send
-// can always make progress: the connection's writer drains its
-// channel until closed even after a write error, and the read loop
-// reclaims every slot before closing it.
+// worker executes tasks until the pool closes. Completing a task may
+// flush to the connection, which waits on its peer for at most
+// writeStall; after a failed write later responses are dropped.
 func (p *workerPool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
 		p.metrics.PoolStart()
-		t.out <- completed{t.id, t.s.handle(t.req, t.arrived, t.sp, t.cs), t.sp}
-		<-t.slot
+		t.pc.complete(t.id, t.pc.s.handle(t.req, t.arrived, t.sp, t.pc.cs), t.sp)
+		<-t.pc.slots
 		p.metrics.PoolDone()
 	}
 }

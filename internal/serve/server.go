@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -21,10 +22,6 @@ type ServerConfig struct {
 	// free port (see Server.Addr).
 	Addr string
 
-	// MaxInflight is the legacy flat in-flight bound; it now seeds
-	// Admission.ReadTokens when that is zero. Prefer Admission.
-	MaxInflight int
-
 	// Admission sets the per-op-class token budgets; a request whose
 	// class budget is exhausted is rejected with StatusRetry and the
 	// class's retry-after hint instead of queueing without bound.
@@ -34,23 +31,17 @@ type ServerConfig struct {
 	// Admission default from. Zero selects 5ms.
 	RetryAfter time.Duration
 
-	// Window is how many requests one protocol-v2 connection may have
-	// executing concurrently: the server reads ahead up to this many
-	// frames and writes responses as they complete, in any order. Zero
-	// selects 32. Version-1 connections always run one at a time.
+	// Window is the pipeline depth of one protocol-v2 connection: the
+	// server takes up to this many requests per read burst and keeps up
+	// to this many blocking requests (writes, scans) on the worker pool,
+	// answering in completion order. Zero selects 32. Version-1
+	// connections always run one at a time.
 	Window int
 
-	// DataPlane selects the execution model for pipelined connections:
-	// DataPlanePool (the default) executes requests on a shared bounded
-	// worker pool sized by PoolSize, so execution concurrency is a
-	// server-wide constant instead of conns x Window goroutines;
-	// DataPlaneGoroutine is the legacy model that spawns one goroutine
-	// per in-flight request. Both planes share the wire protocol,
-	// admission, and writer coalescing (DESIGN.md §15).
-	DataPlane string
-
-	// PoolSize is the worker count of the pool data plane. Zero selects
-	// max(16, 4 x GOMAXPROCS). Ignored by the goroutine plane.
+	// PoolSize is the worker count of the shared pool that executes the
+	// requests that can block (PUT, DEL, the scans, REPLICATE, STATS);
+	// GET and MGET run on their connection's read goroutine instead
+	// (DESIGN.md §8). Zero selects max(16, 4 x GOMAXPROCS).
 	PoolSize int
 
 	// CursorTimeout reclaims streaming-scan cursors (PROTOCOL.md §10)
@@ -60,14 +51,6 @@ type ServerConfig struct {
 	// the reaper (cursors then live until closed or their connection
 	// ends).
 	CursorTimeout time.Duration
-
-	// Batch enables the cross-request Batcher for GET requests, so
-	// concurrent point lookups from different connections merge into
-	// group searches.
-	Batch bool
-
-	// Batcher tunes the gatherers when Batch is set.
-	Batcher BatcherConfig
 
 	// Metrics, when non-nil, records per-operation wall-clock
 	// latencies (GET/MGET as OpSearch, SCAN as OpScan, PUT as
@@ -104,11 +87,10 @@ type Server struct {
 	st  *Store
 	cfg ServerConfig
 
-	ln      net.Listener
-	batcher *Batcher
-	adm     *admission
-	lc      *lifecycle  // nil when lifecycle tracing is disabled
-	pool    *workerPool // nil when DataPlane is DataPlaneGoroutine
+	ln   net.Listener
+	adm  *admission
+	lc   *lifecycle // nil when lifecycle tracing is disabled
+	pool *workerPool
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -137,17 +119,6 @@ type Server struct {
 // numOps sizes the per-op counter table (ops 1..OpScanClose).
 const numOps = int(OpScanClose) + 1
 
-// The data-plane models of ServerConfig.DataPlane.
-const (
-	// DataPlanePool executes pipelined requests on a shared bounded
-	// worker pool (pool.go).
-	DataPlanePool = "pool"
-
-	// DataPlaneGoroutine spawns one goroutine per in-flight request —
-	// the pre-pool model, kept for head-to-head benchmarks.
-	DataPlaneGoroutine = "goroutine"
-)
-
 // ServerStats is the JSON payload of a STATS response.
 type ServerStats struct {
 	UptimeMS  int64                  `json:"uptime_ms"`       // ms since the server started
@@ -158,12 +129,10 @@ type ServerStats struct {
 	Conns     int                    `json:"conns"`           // currently open connections
 	Pipelined uint64                 `json:"pipelined_conns"` // connections ever upgraded to protocol v2
 	Window    int                    `json:"window"`          // per-connection pipeline depth
-	DataPlane string                 `json:"data_plane"`      // execution model: "pool" or "goroutine"
-	PoolSize  int                    `json:"pool_size"`       // pool workers (0 on the goroutine plane)
+	PoolSize  int                    `json:"pool_size"`       // workers executing blocking requests
 	Cursors   CursorStats            `json:"cursors"`         // streaming-scan cursor occupancy
 	Budgets   map[string]BudgetStats `json:"budgets"`         // admission occupancy per class
 	Store     StoreStats             `json:"store"`           // per-shard store counters
-	BatchGets bool                   `json:"batch_gets"`      // whether GETs ride the Batcher
 
 	// Stages and StageTotals carry the request-lifecycle attribution
 	// when lifecycle tracing is enabled (empty maps otherwise, never
@@ -192,16 +161,6 @@ func NewServer(st *Store, cfg ServerConfig) *Server {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	if cfg.Admission.ReadTokens <= 0 && cfg.MaxInflight > 0 {
-		cfg.Admission.ReadTokens = cfg.MaxInflight
-	}
-	switch cfg.DataPlane {
-	case "":
-		cfg.DataPlane = DataPlanePool
-	case DataPlanePool, DataPlaneGoroutine:
-	default:
-		panic(fmt.Sprintf("serve: unknown data plane %q", cfg.DataPlane))
-	}
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = max(16, 4*runtime.GOMAXPROCS(0))
 	}
@@ -228,12 +187,7 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = time.Now()
-	if s.cfg.Batch {
-		s.batcher = NewBatcher(s.st, s.cfg.Batcher)
-	}
-	if s.cfg.DataPlane == DataPlanePool {
-		s.pool = newWorkerPool(s.cfg.PoolSize, s.cfg.Metrics)
-	}
+	s.pool = newWorkerPool(s.cfg.PoolSize, s.cfg.Metrics)
 	if s.cfg.CursorTimeout > 0 {
 		s.reaperStop = make(chan struct{})
 		s.wg.Add(1)
@@ -304,12 +258,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		<-done
 		err = errors.Join(err, fmt.Errorf("serve: shutdown forced after %v", timeout))
 	}
-	if s.pool != nil {
-		s.pool.close()
-	}
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
+	s.pool.close()
 	err = errors.Join(err, s.lc.closeTrace())
 	return err
 }
@@ -347,15 +296,13 @@ func (s *Server) serveConn(c net.Conn) {
 		arrived := time.Now()
 		var sp *obs.Span
 		if s.lc != nil {
-			sp = s.lc.span(connID)
+			sp = s.lc.span(connID, obs.Nanotime())
 			// Frame-read time includes client think time and is kept
 			// out of the server-side total (stage.go).
 			sp.Add(obs.StageRead, sp.StartNS()-readStart)
 		}
 		req, err := DecodeRequest(frame)
-		if sp != nil {
-			sp.Mark(obs.StageDecode)
-		}
+		sp.Mark(obs.StageDecode)
 		var resp *Response
 		switch {
 		case err != nil:
@@ -391,162 +338,290 @@ func (s *Server) serveConn(c net.Conn) {
 			s.lc.drop(sp)
 			return
 		}
-		if sp != nil {
-			sp.Mark(obs.StageWrite)
-			s.lc.finish(sp)
-		}
+		s.lc.finish(sp)
 	}
 }
 
-// completed is one finished request on its way to a connection's
-// writer goroutine: the response, the v2 request ID it answers, and
-// the request's lifecycle span.
-type completed struct {
-	id   uint32
-	resp *Response
-	sp   *obs.Span
+// connBufSize is the fixed size of a pipelined connection's read and
+// write buffers: what one read(2) delivers is a burst, and a burst's
+// responses leave in one write(2).
+const connBufSize = 8 << 10
+
+// maxGroupKeys bounds the keys of one group search, and with it the
+// scratch a connection keeps between bursts; a larger MGET runs alone.
+const maxGroupKeys = 4096
+
+// writeStall is how long a peer may accept no response bytes before its
+// connection is dropped. Responses are flushed by whichever goroutine
+// finished them, so a peer that stops reading must not pin pool workers.
+const writeStall = 10 * time.Second
+
+// stallWriter is a connection whose every write(2) is bounded by
+// writeStall; a failed write closes it, which also ends its read loop.
+type stallWriter struct{ c net.Conn }
+
+func (w stallWriter) Write(p []byte) (int, error) {
+	w.c.SetWriteDeadline(time.Now().Add(writeStall))
+	n, err := w.c.Write(p)
+	if err != nil {
+		w.c.Close()
+	}
+	return n, err
 }
 
-// connWriter serializes one connection's response frames. Responses
-// buffer through bw and flush only when no further completion is
-// waiting, so consecutive responses coalesce into one write syscall
-// under load (the flush cost lands on the request that triggered it).
-// On a write error it drains out until closed so producers never
-// block against a dead connection.
-func (s *Server) connWriter(c net.Conn, out <-chan completed, writerDone chan<- struct{}) {
-	defer close(writerDone)
-	bw := bufio.NewWriter(c)
-	var buf []byte
-	for d := range out {
-		if d.sp != nil {
-			d.sp.Mark(obs.StageRespQueue)
+// pconn is one protocol-v2 connection. Its read goroutine answers GET
+// and MGET itself, everything that can block goes to the worker pool,
+// and both complete through the mutex-guarded writer.
+type pconn struct {
+	s      *Server
+	cs     *connCursors
+	connID uint64
+
+	// Read-goroutine state: the admitted reads of the burst in hand,
+	// waiting for one group search, and the scratch they reuse.
+	reads   []burstRead
+	keys    []core.Key // the reads' keys, concatenated in request order
+	lookups []Lookup   // aligned with keys
+	scratch mgetScratch
+
+	// slots bounds this connection's requests on the worker pool.
+	slots chan struct{}
+
+	mu      sync.Mutex // guards bw, enc, dead
+	bw      *bufio.Writer
+	enc     []byte       // response encoding scratch
+	dead    bool         // a write failed: responses are dropped from here on
+	waiting atomic.Int32 // pool completions queued on mu
+}
+
+func newPconn(s *Server, w io.Writer, connID uint64, cs *connCursors) *pconn {
+	return &pconn{
+		s: s, cs: cs, connID: connID,
+		slots: make(chan struct{}, s.cfg.Window),
+		bw:    bufio.NewWriterSize(w, connBufSize),
+	}
+}
+
+// burstRead is one admitted GET or MGET awaiting its burst's search.
+type burstRead struct {
+	id    uint32
+	nkeys int
+	get   bool // GET: a miss is StatusNotFound, not a lookup
+	sp    *obs.Span
+}
+
+// write appends one response frame to the connection's buffer. Callers
+// hold pc.mu.
+func (pc *pconn) write(id uint32, resp *Response) {
+	if pc.dead {
+		return
+	}
+	payload, err := AppendResponseV2(pc.enc[:0], id, resp)
+	if err != nil { // response exceeded wire bounds; report instead
+		payload, _ = AppendResponseV2(pc.enc[:0], id, &Response{Status: StatusErr, Err: err.Error()})
+	}
+	pc.enc = payload
+	pc.dead = WriteFrame(pc.bw, payload) != nil
+}
+
+// unlock ends a writer's turn: it flushes unless a pool completion is
+// already queued on the lock, whose own unlock then flushes for both —
+// so responses that finish together share one write(2), and nothing
+// buffered is ever left without a flusher.
+func (pc *pconn) unlock() {
+	if pc.waiting.Load() == 0 && !pc.dead && pc.bw.Buffered() > 0 {
+		pc.dead = pc.bw.Flush() != nil
+	}
+	pc.mu.Unlock()
+}
+
+// complete answers a request executed on the worker pool.
+func (pc *pconn) complete(id uint32, resp *Response, sp *obs.Span) {
+	pc.waiting.Add(1)
+	pc.mu.Lock()
+	pc.waiting.Add(-1)
+	sp.Mark(obs.StageRespQueue)
+	pc.write(id, resp)
+	pc.unlock()
+	pc.s.lc.finish(sp)
+}
+
+// reply answers a request from the read goroutine without executing
+// it (malformed, HELLO, refused, expired). The burst's end flushes.
+func (pc *pconn) reply(id uint32, resp *Response) {
+	pc.mu.Lock()
+	pc.write(id, resp)
+	pc.mu.Unlock()
+}
+
+// dispatch routes one frame of a burst: reads queue for the burst's
+// group search, blocking ops go to the pool. It reports false on a
+// frame too short to answer, which is connection-fatal (PROTOCOL.md §5).
+func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64) bool {
+	s := pc.s
+	if len(frame) < 4 {
+		return false
+	}
+	id, req, err := DecodeRequestV2(frame)
+	if err != nil {
+		s.badReqs.Add(1)
+		pc.reply(id, &Response{Status: StatusErr, Err: err.Error()})
+		return true
+	}
+	if req.Op == OpHello { // renegotiation is not allowed mid-stream
+		s.ops[OpHello].Add(1)
+		pc.reply(id, &Response{Status: StatusOK, Version: ProtoV2, Window: uint32(s.cfg.Window)})
+		return true
+	}
+	var sp *obs.Span
+	if s.lc != nil {
+		// Every span of a burst starts when the burst arrived, so the
+		// time a request spent behind the ones decoded before it counts.
+		sp = s.lc.span(pc.connID, startNS)
+		sp.Req = id
+		sp.Add(obs.StageRead, readNS)
+		sp.Mark(obs.StageDecode)
+	}
+	if req.Op != OpGet && req.Op != OpMGet {
+		// The slot wait and the pool's queue are attributed to the
+		// admission stage by handle's first Mark. Reads already in hand
+		// are answered before waiting for a slot, not after.
+		select {
+		case pc.slots <- struct{}{}:
+		default:
+			pc.runReads(arrived)
+			pc.slots <- struct{}{}
 		}
-		payload, err := AppendResponseV2(buf[:0], d.id, d.resp)
-		if err != nil { // response exceeded wire bounds; report instead
-			payload, _ = AppendResponseV2(buf[:0], d.id, &Response{Status: StatusErr, Err: err.Error()})
+		s.pool.submit(poolTask{pc: pc, id: id, req: req, arrived: arrived, sp: sp})
+		return true
+	}
+	if _, resp := s.begin(req, arrived, sp); resp != nil {
+		pc.reply(id, resp)
+		s.lc.drop(sp)
+		return true
+	}
+	if len(pc.reads) > 0 && len(pc.keys)+len(req.Keys) > maxGroupKeys {
+		pc.runReads(arrived)
+	}
+	pc.reads = append(pc.reads, burstRead{id: id, nkeys: len(req.Keys), get: req.Op == OpGet, sp: sp})
+	pc.keys = append(pc.keys, req.Keys...)
+	return true
+}
+
+// runReads executes the queued reads as one pass over the store — keys
+// grouped by shard, one snapshot and one group search per shard — and
+// buffers their responses. Each read held one token since begin.
+func (pc *pconn) runReads(arrived time.Time) {
+	if len(pc.reads) == 0 {
+		return
+	}
+	s := pc.s
+	pc.lookups = grow(pc.lookups, len(pc.keys))
+	s.st.mget(pc.keys, pc.lookups, &pc.scratch)
+	s.adm.release(grant{class: obs.AdmRead, n: int64(len(pc.reads))})
+	took := time.Since(arrived)
+	pc.mu.Lock()
+	off := 0
+	for _, r := range pc.reads {
+		r.sp.Mark(obs.StageExec)
+		resp := Response{Status: StatusOK, Lookups: pc.lookups[off : off+r.nkeys]}
+		if r.get && !resp.Lookups[0].Found {
+			resp = Response{Status: StatusNotFound}
 		}
-		buf = payload
-		if err := WriteFrame(bw, payload); err != nil {
-			s.lc.drop(d.sp)
-			for d := range out {
-				s.lc.drop(d.sp)
-			}
-			return
-		}
-		if len(out) == 0 {
-			if err := bw.Flush(); err != nil {
-				s.lc.drop(d.sp)
-				for d := range out {
-					s.lc.drop(d.sp)
-				}
-				return
-			}
-		}
-		if d.sp != nil {
-			d.sp.Mark(obs.StageWrite)
-			s.lc.finish(d.sp)
+		off += r.nkeys
+		pc.write(r.id, &resp)
+	}
+	pc.unlock()
+	for _, r := range pc.reads {
+		s.lc.finish(r.sp)
+		if s.cfg.Metrics != nil {
+			s.cfg.Metrics.Observe(core.OpSearch, took)
 		}
 	}
-	bw.Flush()
+	pc.reads, pc.keys = pc.reads[:0], pc.keys[:0]
+	if cap(pc.lookups) > maxGroupKeys { // one oversized MGET must not size the connection for good
+		pc.keys, pc.lookups, pc.scratch = nil, nil, mgetScratch{}
+	}
 }
 
-// servePipelined runs the protocol-v2 loop: read ahead up to Window
-// frames, execute them concurrently, and write responses in completion
-// order — a slow SCAN no longer blocks the GETs queued behind it. A
-// dedicated writer goroutine serializes the response frames
-// (connWriter); execution runs on the shared worker pool or, on the
-// goroutine plane, one goroutine per in-flight request (DESIGN.md §15).
+// servePipelined runs the protocol-v2 loop one burst at a time: block
+// for a frame, take every further frame the same read delivered (up to
+// Window), answer the burst's reads with one group search on this
+// goroutine, flush once, and only then block again. No wait is added to
+// find more work: a lone GET costs one read(2), one write(2) and no
+// goroutine hand-off; a deep pipeline is grouped by its own depth.
 func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
-	out := make(chan completed, s.cfg.Window)
-	writerDone := make(chan struct{})
-	go s.connWriter(c, out, writerDone)
-
-	// slots bounds this connection's read-ahead: at most Window
-	// requests in flight at once, whichever plane executes them.
-	slots := make(chan struct{}, s.cfg.Window)
-	var in []byte
-	for {
-		var readStart int64
-		if s.lc != nil {
-			readStart = obs.Nanotime()
-		}
-		frame, err := ReadFrame(c, in)
+	pc := newPconn(s, stallWriter{c}, connID, cs)
+	fr := frameReader{br: bufio.NewReaderSize(c, connBufSize)}
+	for ok := true; ok; {
+		waitStart := obs.Nanotime()
+		frame, err := fr.next(true)
 		if err != nil {
-			break // EOF, peer reset, or shutdown read deadline
+			break // EOF, peer reset, oversized frame, or shutdown read deadline
 		}
-		in = frame
-		arrived := time.Now()
-		if len(frame) < 4 {
-			break // no ID to answer with: connection-fatal (PROTOCOL.md §5)
+		arrived, startNS := time.Now(), obs.Nanotime()
+		// Frame-read time includes client think time and is kept out of
+		// the server-side total (stage.go); the burst's first request
+		// carries it.
+		readNS := startNS - waitStart
+		for n := 1; frame != nil; n++ {
+			ok = pc.dispatch(frame, arrived, startNS, readNS)
+			if !ok || n == s.cfg.Window {
+				break
+			}
+			readNS = 0
+			frame, err = fr.next(false)
+			ok = err == nil
 		}
-		id, req, err := DecodeRequestV2(frame)
-		if err != nil {
-			s.badReqs.Add(1)
-			out <- completed{id, &Response{Status: StatusErr, Err: err.Error()}, nil}
-			continue
-		}
-		if req.Op == OpHello { // renegotiation is not allowed mid-stream
-			s.ops[OpHello].Add(1)
-			out <- completed{id, &Response{Status: StatusOK, Version: ProtoV2, Window: uint32(s.cfg.Window)}, nil}
-			continue
-		}
-		var sp *obs.Span
-		if s.lc != nil {
-			sp = s.lc.span(connID)
-			sp.Req = id
-			sp.Add(obs.StageRead, sp.StartNS()-readStart)
-			sp.Mark(obs.StageDecode)
-		}
-		// Decode already copied the frame, so the read buffer is free
-		// to reuse; the slot wait (and, on the pool plane, the queue
-		// wait for a worker) is attributed to the admission stage by
-		// handle's first Mark.
-		slots <- struct{}{}
-		if s.pool != nil {
-			s.pool.submit(poolTask{s: s, id: id, req: req, arrived: arrived, sp: sp, cs: cs, out: out, slot: slots})
-		} else {
-			go func(id uint32, req *Request, arrived time.Time, sp *obs.Span) {
-				out <- completed{id, s.handle(req, arrived, sp, cs), sp}
-				<-slots
-			}(id, req, arrived, sp)
-		}
+		pc.runReads(arrived)
+		pc.mu.Lock() // replies buffered since the last flush, if any, leave now
+		pc.unlock()
 	}
-	// Reclaim every slot: this blocks until all in-flight requests of
-	// this connection have completed and released theirs, whichever
-	// plane ran them — only then is out safe to close.
+	// Reclaim every slot: this blocks until the pool has answered all
+	// of this connection's requests, so nothing writes to c after the
+	// caller closes it.
 	for i := 0; i < s.cfg.Window; i++ {
-		slots <- struct{}{}
+		pc.slots <- struct{}{}
 	}
-	close(out)
-	<-writerDone
 }
 
-// handle admits and executes one decoded request. sp may be nil
-// (lifecycle tracing off); rejected and expired requests leave the
-// span's Op at OpNone so it is dropped unobserved. cs is the owning
-// connection's streaming-scan cursor set.
-func (s *Server) handle(req *Request, arrived time.Time, sp *obs.Span, cs *connCursors) *Response {
-	// Admission: take the class's tokens or reject with its retry hint.
-	release, retryAfter, ok := s.adm.admit(req)
-	if sp != nil {
-		sp.Mark(obs.StageAdmission)
-	}
+// begin is the gate every request passes before it executes, on
+// either path: admission tokens, deadline, the op counter and the
+// span's op class. A non-nil response (StatusRetry, StatusDeadline)
+// ends the request there with no tokens held; such a request leaves
+// the span's Op at OpNone so it is dropped unobserved. sp may be nil
+// (lifecycle tracing off).
+func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *Response) {
+	g, retryAfter, ok := s.adm.admit(req)
+	sp.Mark(obs.StageAdmission)
 	if !ok {
 		s.rejected.Add(1)
-		return &Response{Status: StatusRetry, RetryAfterMS: uint32(retryAfter / time.Millisecond)}
+		return g, &Response{Status: StatusRetry, RetryAfterMS: uint32(retryAfter / time.Millisecond)}
 	}
-	defer release()
 	// Deadline: don't burn work on an answer the client has abandoned.
 	if req.DeadlineMS != 0 && time.Since(arrived) > time.Duration(req.DeadlineMS)*time.Millisecond {
+		s.adm.release(g)
 		s.expired.Add(1)
-		return &Response{Status: StatusDeadline}
+		return grant{}, &Response{Status: StatusDeadline}
 	}
 	s.ops[req.Op].Add(1)
-	if s.cfg.Metrics != nil && req.Op != OpReplicate {
-		defer s.cfg.Metrics.Time(metricOpOf(req.Op))()
-	}
 	if sp != nil && req.Op != OpStats && req.Op != OpReplicate {
 		sp.Op = metricOpOf(req.Op)
+	}
+	return g, nil
+}
+
+// handle admits and executes one decoded request, holding its tokens
+// until the response is ready. cs is the owning connection's
+// streaming-scan cursor set.
+func (s *Server) handle(req *Request, arrived time.Time, sp *obs.Span, cs *connCursors) *Response {
+	g, resp := s.begin(req, arrived, sp)
+	if resp != nil {
+		return resp
+	}
+	defer s.adm.release(g)
+	if s.cfg.Metrics != nil && req.Op != OpReplicate {
+		defer s.cfg.Metrics.Time(metricOpOf(req.Op))()
 	}
 	return s.execute(req, sp, cs)
 }
@@ -568,51 +643,34 @@ func metricOpOf(op Op) core.OpKind {
 }
 
 // execute runs a decoded, admitted request against the store. Read
-// ops mark StageBatchWait/StageExec themselves; write ops are stamped
+// ops mark StageExec themselves; write ops are stamped
 // by the shard writers (queue_wait, wal_append, wal_fsync, apply) via
 // the span handed into the store, so execute only advances the clock
 // past the blocking call with Touch.
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
 	case OpGet:
-		var l Lookup
-		if s.batcher != nil {
-			l = s.batcher.Get(req.Keys[0])
-			if sp != nil {
-				sp.Mark(obs.StageBatchWait)
-			}
-		} else {
-			tid, ok := s.st.Get(req.Keys[0])
-			l = Lookup{TID: tid, Found: ok}
-			if sp != nil {
-				sp.Mark(obs.StageExec)
-			}
-		}
-		if !l.Found {
+		tid, ok := s.st.Get(req.Keys[0])
+		sp.Mark(obs.StageExec)
+		if !ok {
 			return &Response{Status: StatusNotFound}
 		}
-		return &Response{Status: StatusOK, Lookups: []Lookup{l}}
+		return &Response{Status: StatusOK, Lookups: []Lookup{{TID: tid, Found: true}}}
 	case OpMGet:
 		out := make([]Lookup, len(req.Keys))
 		s.st.MGet(req.Keys, out)
-		if sp != nil {
-			sp.Mark(obs.StageExec)
-		}
+		sp.Mark(obs.StageExec)
 		return &Response{Status: StatusOK, Lookups: out}
 	case OpScan:
 		pairs := s.st.Scan(req.Start, req.End, int(req.Limit))
 		if pairs == nil {
 			pairs = []core.Pair{}
 		}
-		if sp != nil {
-			sp.Mark(obs.StageExec)
-		}
+		sp.Mark(obs.StageExec)
 		return &Response{Status: StatusOK, Pairs: pairs}
 	case OpScanOpen, OpScanNext, OpScanClose:
 		resp := s.executeScan(req, cs)
-		if sp != nil {
-			sp.Mark(obs.StageExec)
-		}
+		sp.Mark(obs.StageExec)
 		return resp
 	case OpPut:
 		var callStart, stamped0 int64
@@ -660,7 +718,7 @@ func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response 
 		}
 		return &Response{Status: StatusOK}
 	case OpStats:
-		blob, err := json.Marshal(s.statsLocked())
+		blob, err := json.Marshal(s.Stats())
 		if err != nil {
 			return &Response{Status: StatusErr, Err: err.Error()}
 		}
@@ -696,13 +754,10 @@ func (s *Server) writeResult(err error) *Response {
 	}
 }
 
-// Stats assembles the same payload a STATS request returns — the
-// admin plane's /statsz endpoint and in-process monitors use it
-// without a wire round trip.
-func (s *Server) Stats() ServerStats { return s.statsLocked() }
-
-// statsLocked assembles the STATS payload.
-func (s *Server) statsLocked() ServerStats {
+// Stats assembles the payload a STATS request returns — the admin
+// plane's /statsz endpoint and in-process monitors use it without a
+// wire round trip.
+func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	nconns := len(s.conns)
 	s.mu.Unlock()
@@ -711,10 +766,6 @@ func (s *Server) statsLocked() ServerStats {
 		if n := s.ops[op].Load(); n > 0 {
 			ops[op.String()] = n
 		}
-	}
-	poolSize := 0
-	if s.cfg.DataPlane == DataPlanePool {
-		poolSize = s.cfg.PoolSize
 	}
 	return ServerStats{
 		UptimeMS:    time.Since(s.started).Milliseconds(),
@@ -725,12 +776,10 @@ func (s *Server) statsLocked() ServerStats {
 		Conns:       nconns,
 		Pipelined:   s.pipeline.Load(),
 		Window:      s.cfg.Window,
-		DataPlane:   s.cfg.DataPlane,
-		PoolSize:    poolSize,
+		PoolSize:    s.cfg.PoolSize,
 		Cursors:     s.cursorStats(),
 		Budgets:     s.adm.stats(),
 		Store:       s.st.Stats(),
-		BatchGets:   s.batcher != nil,
 		Stages:      s.stageStats(),
 		StageTotals: s.stageTotalStats(),
 	}

@@ -867,47 +867,91 @@ func (st *Store) Get(k core.Key) (core.TID, bool) {
 // group is a software-pipelined group search). Results line up with
 // keys; out must be at least len(keys) long.
 func (st *Store) MGet(keys []core.Key, out []Lookup) {
+	st.mget(keys, out, new(mgetScratch))
+}
+
+// mgetScratch is the working memory of one mget pass. A caller on a
+// hot path (the server's read bursts) keeps one and reuses it, so a
+// pass allocates nothing once the slices have grown to its batch size.
+type mgetScratch struct {
+	shard []int32    // owning shard of keys[i]
+	next  []int      // per shard: where its next key lands in keys/idx
+	keys  []core.Key // the batch permuted shard-major
+	idx   []int32    // idx[j] is the position in the caller's batch of keys[j]
+	tids  []core.TID
+	found []bool
+}
+
+// grow returns s resliced to n elements, reallocating only when the
+// capacity is short. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// mget is MGet over caller-owned scratch. A batch that lands on one
+// shard (always, on a one-shard store) is searched in place; a mixed
+// batch is partitioned shard-major with a counting sort.
+func (st *Store) mget(keys []core.Key, out []Lookup, sc *mgetScratch) {
 	if len(out) < len(keys) {
 		panic("serve: MGet result slice shorter than keys")
 	}
-	if len(keys) == 0 {
+	n := len(keys)
+	if n == 0 {
 		return
 	}
-	// Group key indexes by shard. The common case (batch smaller than
-	// shard count) stays allocation-light.
-	groups := make(map[int][]int, len(st.shards))
+	sc.tids, sc.found = grow(sc.tids, n), grow(sc.found, n)
+	sc.shard, sc.next = grow(sc.shard, n), grow(sc.next, len(st.shards)+1)
+	clear(sc.next)
 	for i, k := range keys {
 		s := st.ShardOf(k)
-		groups[s] = append(groups[s], i)
+		sc.shard[i] = int32(s)
+		sc.next[s+1]++
 	}
-	var gkeys []core.Key
-	var gtids []core.TID
-	var gfound []bool
-	for sidx, idxs := range groups {
-		sh := st.shards[sidx]
-		sh.waitReady()
-		s := sh.be.Snapshot()
-		if len(idxs) == 1 {
-			i := idxs[0]
-			tid, ok := s.Get(keys[i])
-			out[i] = Lookup{TID: tid, Found: ok}
-		} else {
-			gkeys = gkeys[:0]
-			for _, i := range idxs {
-				gkeys = append(gkeys, keys[i])
-			}
-			if cap(gtids) < len(idxs) {
-				gtids = make([]core.TID, len(idxs))
-				gfound = make([]bool, len(idxs))
-			}
-			gtids, gfound = gtids[:len(idxs)], gfound[:len(idxs)]
-			s.GetBatch(gkeys, gtids, gfound)
-			for j, i := range idxs {
-				out[i] = Lookup{TID: gtids[j], Found: gfound[j]}
-			}
+	if first := int(sc.shard[0]); sc.next[first+1] == n {
+		st.shards[first].getBatch(keys, sc.tids, sc.found)
+		for i := range keys {
+			out[i] = Lookup{TID: sc.tids[i], Found: sc.found[i]}
 		}
-		s.Release()
+		return
 	}
+	// next[s+1] holds shard s's count; a prefix sum turns next[s] into
+	// the start of its group, and placing its keys advances next[s] to
+	// the group's end, which is where shard s+1 starts.
+	for s := 1; s < len(sc.next); s++ {
+		sc.next[s] += sc.next[s-1]
+	}
+	sc.keys, sc.idx = grow(sc.keys, n), grow(sc.idx, n)
+	for i, k := range keys {
+		j := sc.next[sc.shard[i]]
+		sc.next[sc.shard[i]]++
+		sc.keys[j], sc.idx[j] = k, int32(i)
+	}
+	lo := 0
+	for s, sh := range st.shards {
+		hi := sc.next[s]
+		if hi > lo {
+			sh.getBatch(sc.keys[lo:hi], sc.tids[lo:hi], sc.found[lo:hi])
+		}
+		lo = hi
+	}
+	for j, i := range sc.idx {
+		out[i] = Lookup{TID: sc.tids[j], Found: sc.found[j]}
+	}
+}
+
+// getBatch looks keys up against one snapshot of the shard.
+func (sh *shard) getBatch(keys []core.Key, tids []core.TID, found []bool) {
+	sh.waitReady()
+	s := sh.be.Snapshot()
+	if len(keys) == 1 {
+		tids[0], found[0] = s.Get(keys[0])
+	} else {
+		s.GetBatch(keys, tids, found)
+	}
+	s.Release()
 }
 
 // Scan returns up to limit pairs with keys in [start, end], in key

@@ -230,3 +230,33 @@ func TestMergeRuns(t *testing.T) {
 		t.Fatalf("empty merge = %v", got)
 	}
 }
+
+// TestStoreMGetPaths drives mget down each of its paths over one
+// reused scratch — a one-shard store, a batch that happens to land on
+// one shard, a mixed batch with duplicates and misses, then a smaller
+// batch over the grown scratch — and checks every result against Get.
+func TestStoreMGetPaths(t *testing.T) {
+	const n = 4000
+	for _, shards := range []int{1, 3} {
+		st := openTest(t, n, shards)
+		var oneShard, mixed []core.Key
+		for k := core.Key(8); len(oneShard) < 20; k += 8 {
+			if st.ShardOf(k) == st.ShardOf(8) {
+				oneShard = append(oneShard, k)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			mixed = append(mixed, core.Key(8*(1+i*37%n)), core.Key(8*i+3), core.Key(8*(1+i%5)))
+		}
+		var sc mgetScratch
+		for _, keys := range [][]core.Key{oneShard, mixed, mixed[:7], oneShard[:1], nil} {
+			out := make([]Lookup, len(keys))
+			st.mget(keys, out, &sc)
+			for i, k := range keys {
+				if tid, ok := st.Get(k); out[i] != (Lookup{TID: tid, Found: ok}) {
+					t.Fatalf("%d shards, batch of %d: key %d = %+v, Get = (%d, %v)", shards, len(keys), k, out[i], tid, ok)
+				}
+			}
+		}
+	}
+}

@@ -334,34 +334,8 @@ func TestStreamScanTokenOccupancy(t *testing.T) {
 	}
 }
 
-// TestDataPlaneGoroutine runs the end-to-end ops on the legacy
-// goroutine plane, keeping the -data-plane=goroutine path honest.
-func TestDataPlaneGoroutine(t *testing.T) {
-	const n = 3000
-	srv, addr := startServer(t, n, ServerConfig{DataPlane: DataPlaneGoroutine, Window: 8})
-	if srv.pool != nil {
-		t.Fatal("goroutine plane built a worker pool")
-	}
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.Timeout = 5 * time.Second
-	if tid, ok, err := cl.Get(8); err != nil || !ok || tid != 1 {
-		t.Fatalf("Get(8) = (%d, %v, %v)", tid, ok, err)
-	}
-	if err := cl.Put(core.Pair{Key: 3, TID: 7}); err != nil {
-		t.Fatal(err)
-	}
-	rows := collectStream(t, cl, 0, core.Key(8*n), 100)
-	if len(rows) != n+1 {
-		t.Fatalf("stream on goroutine plane returned %d rows, want %d", len(rows), n+1)
-	}
-}
-
-// TestPoolPlaneStats pins the STATS surface of the pool plane: the
-// data_plane/pool_size fields and the cursor table are reported.
+// TestPoolPlaneStats pins the STATS surface of the worker pool: the
+// pool_size field and the cursor table are reported.
 func TestPoolPlaneStats(t *testing.T) {
 	const n = 100
 	srv, addr := startServer(t, n, ServerConfig{PoolSize: 7})
@@ -375,8 +349,8 @@ func TestPoolPlaneStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := srv.Stats()
-	if ss.DataPlane != DataPlanePool || ss.PoolSize != 7 {
-		t.Fatalf("stats data plane = %q/%d, want %q/7", ss.DataPlane, ss.PoolSize, DataPlanePool)
+	if ss.PoolSize != 7 {
+		t.Fatalf("stats pool size = %d, want 7", ss.PoolSize)
 	}
 	if ss.Cursors.MaxConn != maxConnCursors {
 		t.Fatalf("stats cursor cap = %d, want %d", ss.Cursors.MaxConn, maxConnCursors)

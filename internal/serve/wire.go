@@ -30,6 +30,7 @@ package serve
 // is what makes connections full-duplex pipelines.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -1000,4 +1001,49 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// frameReader takes request frames off a connection through one
+// fixed-size buffer, so a single read(2) can deliver many frames and a
+// caller can ask for the ones already in hand without waiting.
+type frameReader struct {
+	br   *bufio.Reader
+	skip int // bytes of the previously returned frame still in br
+}
+
+// next returns the payload of the next frame; the slice is valid until
+// the following call. With block unset it returns nil, nil unless a
+// whole frame is already buffered — it never touches the connection. A
+// frame larger than the buffer is never whole in it, so it is only
+// ever returned by a blocking call (into memory of its own).
+func (f *frameReader) next(block bool) ([]byte, error) {
+	f.br.Discard(f.skip) // cannot fail: skip bytes are buffered
+	f.skip = 0
+	if !block && f.br.Buffered() < 4 {
+		return nil, nil
+	}
+	hdr, err := f.br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n32 := binary.LittleEndian.Uint32(hdr)
+	if n32 > MaxFrame {
+		return nil, fmt.Errorf("serve: frame of %d bytes exceeds %d", n32, MaxFrame)
+	}
+	n := int(n32)
+	if !block && f.br.Buffered() < 4+n {
+		return nil, nil
+	}
+	if 4+n <= f.br.Size() {
+		p, err := f.br.Peek(4 + n)
+		if err != nil {
+			return nil, err
+		}
+		f.skip = 4 + n
+		return p[4:], nil
+	}
+	f.br.Discard(4)
+	buf := make([]byte, n)
+	_, err = io.ReadFull(f.br, buf)
+	return buf, err
 }

@@ -358,9 +358,6 @@ type (
 	// ServerStats is the JSON payload of a STATS request.
 	ServerStats = serve.ServerStats
 
-	// BatcherConfig tunes the server's cross-request lookup batching.
-	BatcherConfig = serve.BatcherConfig
-
 	// AdmissionConfig sets the server's per-op-class admission token
 	// budgets (GET/MGET and PUT/DEL hold one token each, SCANs hold
 	// one per requested row), so overload rejects expensive work first.
@@ -537,17 +534,6 @@ const (
 	// ServeOpScanClose releases a streaming-scan cursor and the
 	// snapshots it pins.
 	ServeOpScanClose = serve.OpScanClose
-)
-
-// Server data-plane models (ServerConfig.DataPlane, DESIGN.md §15).
-const (
-	// DataPlanePool executes pipelined requests on a shared bounded
-	// worker pool — the default plane.
-	DataPlanePool = serve.DataPlanePool
-
-	// DataPlaneGoroutine spawns one goroutine per in-flight request —
-	// the legacy plane, kept for head-to-head benchmarks.
-	DataPlaneGoroutine = serve.DataPlaneGoroutine
 )
 
 // Wire-protocol response statuses (PROTOCOL.md §2.2).

@@ -64,7 +64,7 @@ for family in pbtree_op_latency_seconds pbtree_stage_latency_seconds \
     grep -q "$family" "$tmp/metrics" \
         || { echo "smoke-admin: /metrics missing $family"; head -40 "$tmp/metrics"; exit 1; }
 done
-grep -q 'stage="wal_fsync"\|stage="exec"\|stage="batch_wait"' "$tmp/metrics" \
+grep -q 'stage="wal_fsync"\|stage="exec"' "$tmp/metrics" \
     || { echo "smoke-admin: no per-stage samples in /metrics"; exit 1; }
 grep -q '"server_stages"' "$tmp/statsz" \
     || { echo "smoke-admin: /statsz missing server_stages"; head -20 "$tmp/statsz"; exit 1; }
