@@ -1,13 +1,15 @@
-# Developer entry points. `make` (or `make check`) is the full gate:
-# build + vet + tests + the race detector over every package + the
-# smoke tests (serve, recover, admin, failover) + the benchmark
-# harness's own tests and a quick pass of the benchmark itself.
+# Developer entry points. `make` (or `make check`) is the full gate,
+# and all CI runs: build + vet + tests + the race detector over every
+# package + the smoke tests (serve, recover, admin, failover) + the
+# benchmark harness's own tests and a quick pass of the benchmark
+# itself + a short fuzz of every Fuzz target + the documentation gate +
+# the cross-compile matrix.
 
 GO ?= go
 
-.PHONY: check build test race vet conformance bench-smoke smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness bench-matrix bench-native docs-check cross
+.PHONY: check build test race vet conformance bench-smoke smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness docs-check cross
 
-check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover bench-harness
+check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover bench-harness fuzz-smoke docs-check cross
 
 build:
 	$(GO) build ./...
@@ -68,20 +70,6 @@ fuzz-smoke:
 bench-harness:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh -smoke
-
-# Benchmark matrix: every named loadgen scenario against every
-# storage backend; writes the grid of reports to BENCH_matrix.json.
-# Tunable via KEYS/DURATION/CONNS/WINDOW env vars (CI runs a short
-# pass).
-bench-matrix:
-	sh scripts/bench_matrix.sh BENCH_matrix.json
-
-# Native prefetch matrix: the oltp-point scenario across hardware
-# prefetch x branchless search (server + loadgen), plus pbench's
-# in-process wall-clock report; writes BENCH_native.json. Tunable via
-# KEYS/DURATION/CONNS/WINDOW/SCALE env vars.
-bench-native:
-	sh scripts/bench_native.sh BENCH_native.json
 
 # Documentation gate: gofmt + vet + the godoc coverage test over
 # internal/serve + the PROTOCOL.md byte-for-byte conformance test.

@@ -6,12 +6,6 @@
 //
 //	pbtree-loadgen -addr 127.0.0.1:7070 -conns 8 -duration 10s \
 //	    -skew zipf -get 70 -mget 15 -scan 5 -put 10
-//	pbtree-loadgen -addr 127.0.0.1:7070 -scenario write-burst
-//
-// -scenario selects a named workload preset (oltp-point, olap-scan,
-// olap-stream, write-burst, hot-key-storm, mixed-tenant) and
-// overrides the mix/skew/scanrows flags with the preset's values; the
-// resolved config is echoed in the report.
 //
 // -stream N gives N percent of draws to a full streaming scan: the
 // worker opens a cursor (SCANOPEN), pulls -stream-rows rows in
@@ -23,9 +17,8 @@
 // round-robin across -addr and the replicas (the mix must be
 // read-only), measuring a replica set's aggregate read throughput.
 //
-// -window N keeps N calls outstanding per connection over the
-// pipelined v2 protocol (closed loop: total concurrency is
-// conns x window); -window 1 is the classic one-round-trip-at-a-time
+// -window N keeps N calls outstanding per connection (closed loop:
+// total concurrency is conns x window); -window 1 is the classic one-round-trip-at-a-time
 // loop. The report records the window and per-class reject counts.
 //
 // When the server runs with lifecycle tracing (-stages), the report's
@@ -88,7 +81,6 @@ func main() {
 		window      = flag.Int("window", 1, "outstanding calls per connection (pipelined when > 1)")
 		duration    = flag.Duration("duration", 2*time.Second, "run length")
 		keys        = flag.Int("keys", 1_000_000, "key-space size (match the server's -keys)")
-		scen        = flag.String("scenario", "", "named workload preset (overrides the mix/skew flags): oltp-point|olap-scan|olap-stream|write-burst|hot-key-storm|mixed-tenant")
 		getPct      = flag.Int("get", 0, "GET percent of the mix")
 		mgetPct     = flag.Int("mget", 0, "MGET percent of the mix")
 		scanPct     = flag.Int("scan", 0, "SCAN percent of the mix")
@@ -116,7 +108,6 @@ func main() {
 	rep, err := pbtree.RunLoadgen(pbtree.LoadgenConfig{
 		Addr:        *addr,
 		Replicas:    reps,
-		Scenario:    *scen,
 		Conns:       *conns,
 		Window:      *window,
 		Duration:    *duration,

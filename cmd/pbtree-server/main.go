@@ -1,8 +1,8 @@
 // Command pbtree-server serves a sharded pB+-Tree store over TCP with
 // the length-prefixed wire protocol of internal/serve (GET / MGET /
 // SCAN / PUT / DEL / STATS; normative spec in PROTOCOL.md).
-// Connections that negotiate protocol v2 at connect are full-duplex
-// pipelines: the requests one read delivers (up to -window) are a
+// Connections are full-duplex pipelines (every frame carries a request
+// ID): the requests one read delivers (up to -window) are a
 // burst whose GETs and MGETs are answered together on the spot, writes
 // and scans run on a worker pool, and responses return in completion
 // order. Admission is per op class (-read-tokens / -write-tokens /
@@ -92,7 +92,7 @@ func main() {
 		hwPf       = flag.Bool("hw-prefetch", false, "issue real CPU prefetch instructions on node visits (pbtree backend)")
 		branchless = flag.Bool("branchless", false, "branchless data-parallel intra-node search (pbtree backend)")
 		gapped     = flag.Bool("gapped", false, "gapped leaf slot arrays with occupancy bitmaps (pbtree backend)")
-		window     = flag.Int("window", 0, "pipeline depth per v2 connection: requests per read burst and on the worker pool (0 = 32)")
+		window     = flag.Int("window", 0, "pipeline depth per connection: requests per read burst and on the worker pool (0 = 32)")
 		poolSize   = flag.Int("pool", 0, "workers executing the requests that can block: writes, scans (0 = max(16, 4x GOMAXPROCS))")
 		cursorTmo  = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s, <0 = never)")
 		readTok    = flag.Int("read-tokens", 0, "admission budget for GET/MGET (0 = max(4x shards, window x max(2, GOMAXPROCS)))")

@@ -65,8 +65,8 @@ const (
 	StageExec
 
 	// StageRespQueue is the wait of a pool-executed request for its
-	// pipelined (protocol v2) connection's writer lock: from request
-	// completion to its turn to write.
+	// connection's writer lock: from request completion to its turn to
+	// write.
 	StageRespQueue
 
 	// StageWrite is response encoding plus the connection write (and
@@ -134,7 +134,7 @@ type Span struct {
 	// trace timeline ID.
 	Conn uint64
 
-	// Req is the wire request ID (0 on protocol v1).
+	// Req is the wire request ID.
 	Req uint32
 
 	start  int64

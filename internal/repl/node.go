@@ -1,6 +1,6 @@
 // Package repl is the log-shipping replication subsystem (DESIGN.md
 // §13): read replicas that follow a primary by pulling its WAL over
-// the REPLICATE op class of protocol v2, and epoch-fenced failover
+// the REPLICATE op class of the wire protocol, and epoch-fenced failover
 // that promotes a follower without ever letting two primaries
 // acknowledge the same write.
 //
@@ -69,8 +69,8 @@ type Transport interface {
 	Close() error
 }
 
-// clientTransport is the default Transport: a pipelined protocol-v2
-// client connection.
+// clientTransport is the default Transport: a pipelined client
+// connection.
 type clientTransport struct{ c *serve.Client }
 
 func (t *clientTransport) Do(req *serve.Request) (*serve.Response, error) { return t.c.Do(req) }

@@ -79,7 +79,7 @@ func openStore(t *testing.T, backendName string, fs *storage.MemFS, replica bool
 }
 
 // localTransport drives a handler function directly — the in-process
-// stand-in for a protocol-v2 connection — applying a FaultPlan to
+// stand-in for a client connection — applying a FaultPlan to
 // every exchange.
 type localTransport struct {
 	h    func(*serve.ReplReq) *serve.Response
@@ -218,9 +218,11 @@ func TestReplicationCatchUp(t *testing.T) {
 				return f.st.Len() == p.st.Len() && caughtUp(p.st, f.st)
 			})
 			sameDump(t, p.st, f.st)
-			if got := f.node.cfg.Metrics.Replication().SnapshotsInstalled; got == 0 {
-				t.Fatalf("seed must arrive via checkpoint install; installed=%d", got)
-			}
+			// The seed must have arrived via checkpoint install; the
+			// counter is bumped after the content becomes visible.
+			waitFor(t, 5*time.Second, "the checkpoint install to be counted", func() bool {
+				return f.node.cfg.Metrics.Replication().SnapshotsInstalled > 0
+			})
 
 			// Phase 2: live writes stream through the WAL path,
 			// including deletes and overwrites.

@@ -1,6 +1,6 @@
 // Package backendtest is the conformance suite every storage backend
 // must pass. It drives a serve.Store configured for the backend under
-// test through the three properties the serving layer relies on but
+// test through the properties the serving layer relies on but
 // cannot itself guarantee:
 //
 //   - Atomicity: a multi-key batch becomes visible in one step — no
@@ -8,6 +8,9 @@
 //   - Snapshot consistency: a scan taken while a writer overwrites
 //     every key sees exactly one write generation, never a mix, even
 //     while the backend flushes and compacts underneath it.
+//   - Scan equivalence: a one-shot Scan and a cursor drained in
+//     chunks of any size return the same rows, the model's, at any
+//     shard count.
 //   - Crash recovery: after a power cut at any byte-granular disk
 //     prefix, reopening recovers exactly the contents after some
 //     number j of acknowledged mutations, with j covering every
@@ -20,6 +23,7 @@
 package backendtest
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -41,6 +45,7 @@ func Run(t *testing.T, backendName string) {
 	t.Run("SnapshotConsistency", func(t *testing.T) { testSnapshotConsistency(t, backendName) })
 	t.Run("ExactCount", func(t *testing.T) { testExactCount(t, backendName) })
 	t.Run("CrashRecovery", func(t *testing.T) { testCrashRecovery(t, backendName) })
+	t.Run("ScanEquivalence", func(t *testing.T) { testScanEquivalence(t, backendName) })
 }
 
 func openStore(t *testing.T, backendName string, durable *serve.DurableConfig) *serve.Store {
@@ -213,6 +218,62 @@ func testExactCount(t *testing.T, backendName string) {
 		t.Fatal(err)
 	}
 	check("after compact")
+}
+
+// testScanEquivalence is the seeded property behind the single scan
+// path: for random start, end, limit and chunk, at 1, 2 and 5 shards,
+// Store.Scan equals the first limit rows of the concatenated
+// Next(chunk) stream, and both equal the model's rows.
+func testScanEquivalence(t *testing.T, backendName string) {
+	const keySpace = 6000
+	for _, shards := range []int{1, 2, 5} {
+		r := rand.New(rand.NewSource(int64(shards)))
+		st, err := serve.Open(serve.StoreConfig{Shards: shards, Backend: backendName, LSM: tinyLSM}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[core.Key]core.TID{}
+		for i := 0; i < 3000; i++ {
+			k := core.Key(r.Intn(keySpace))
+			if r.Intn(4) == 0 {
+				st.Delete(k)
+				delete(model, k)
+			} else if err := st.Put(k, core.TID(i)); err != nil {
+				t.Fatal(err)
+			} else {
+				model[k] = core.TID(i)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			start := core.Key(r.Intn(keySpace))
+			end := start + core.Key(r.Intn(keySpace/(1+r.Intn(8))))
+			limit, chunk := 1+r.Intn(2500), 1+r.Intn(1500)
+			var want []core.Pair
+			for k := start; k <= end && len(want) < limit; k++ {
+				if tid, ok := model[k]; ok {
+					want = append(want, core.Pair{Key: k, TID: tid})
+				}
+			}
+			scan := st.Scan(start, end, limit)
+			cur, err := st.OpenCursor(start, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stream []core.Pair
+			for done := false; !done && len(stream) < limit; {
+				var rows []core.Pair
+				rows, done = cur.Next(chunk)
+				stream = append(stream, rows...)
+			}
+			cur.Close()
+			stream = stream[:min(limit, len(stream))]
+			if !pairListsEqual(scan, want) || !pairListsEqual(stream, want) {
+				t.Fatalf("%d shards, [%d, %d] limit %d chunk %d: Scan %d rows, stream %d rows, model %d",
+					shards, start, end, limit, chunk, len(scan), len(stream), len(want))
+			}
+		}
+		st.Close()
+	}
 }
 
 // testCrashRecovery is the acked-prefix property at byte granularity:

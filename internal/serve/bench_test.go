@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,9 +11,12 @@ import (
 
 // The allocation counts of the read path, kept on record (-benchmem):
 // Store.MGet as the facade calls it and over reused scratch as the
-// server's bursts do, and a GET over loopback with one request
-// outstanding and with sixteen. The loopback numbers include the
-// client's own allocations (its Call, request and decoded response).
+// server's bursts do, a GET over loopback with one request outstanding
+// and with sixteen (the loopback numbers include the client's own
+// allocations: its Call, request and decoded response), and the two
+// uses of the one scan path — a 100-row Store.Scan, which the
+// first-fill rule keeps at the cost of the merge it replaced, and a
+// 2000-row stream in chunks of 256 that stops early.
 
 const benchKeys = 1 << 18
 
@@ -80,3 +84,31 @@ func benchServerGet(b *testing.B, depth int) {
 
 func BenchmarkServerGetSeq(b *testing.B)         { benchServerGet(b, 1) }
 func BenchmarkServerGetPipelined16(b *testing.B) { benchServerGet(b, 16) }
+
+func BenchmarkStoreScan100(b *testing.B) {
+	st := benchStore(b)
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if rows := st.Scan(workload.ExistingKey(r, benchKeys/2), math.MaxUint32, 100); len(rows) != 100 {
+			b.Fatalf("scan returned %d rows", len(rows))
+		}
+	}
+}
+
+func BenchmarkStoreCursor2000x256(b *testing.B) {
+	st := benchStore(b)
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cur, err := st.OpenCursor(workload.ExistingKey(r, benchKeys/2), math.MaxUint32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for got := 0; got < 2000; {
+			rows, _ := cur.Next(min(256, 2000-got))
+			got += len(rows)
+		}
+		cur.Close()
+	}
+}

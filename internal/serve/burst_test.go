@@ -12,8 +12,8 @@ import (
 	"pbtree/internal/obs"
 )
 
-// dialRaw opens a TCP connection and upgrades it to protocol v2 by
-// hand, so a test controls exactly which frames share one write.
+// dialRaw opens a bare TCP connection, so a test controls exactly which
+// frames share one write.
 func dialRaw(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
@@ -22,31 +22,20 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	}
 	t.Cleanup(func() { c.Close() })
 	c.SetDeadline(time.Now().Add(10 * time.Second))
-	hello, _ := AppendRequest(nil, &Request{Op: OpHello, MaxVersion: ProtoV2})
-	if err := WriteFrame(c, hello); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := ReadFrame(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs, err := DecodeResponse(frame); err != nil || rs.Version != ProtoV2 {
-		t.Fatalf("HELLO answered %+v, %v", rs, err)
-	}
 	return c
 }
 
-// appendFrame appends one framed v2 request to buf.
+// appendFrame appends one framed request to buf.
 func appendFrame(t *testing.T, buf []byte, id uint32, req *Request) []byte {
 	t.Helper()
-	payload, err := AppendRequestV2(nil, id, req)
+	payload, err := AppendRequest(nil, id, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return append(appendU32(buf, uint32(len(payload))), payload...)
 }
 
-// readResponses reads n v2 response frames and returns them by ID,
+// readResponses reads n response frames and returns them by ID,
 // failing on an ID answered twice.
 func readResponses(t *testing.T, r io.Reader, n int) map[uint32]*Response {
 	t.Helper()
@@ -57,7 +46,7 @@ func readResponses(t *testing.T, r io.Reader, n int) map[uint32]*Response {
 		if frame, err = ReadFrame(r, frame); err != nil {
 			t.Fatalf("after %d of %d responses: %v", len(got), n, err)
 		}
-		id, rs, err := DecodeResponseV2(frame)
+		id, rs, err := DecodeResponse(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +174,7 @@ func TestBurstDeadline(t *testing.T) {
 		{Op: OpGet, Keys: []core.Key{8}, DeadlineMS: 5},
 		{Op: OpGet, Keys: []core.Key{16}},
 	} {
-		frame, _ := AppendRequestV2(nil, uint32(id), req)
+		frame, _ := AppendRequest(nil, uint32(id), req)
 		if !pc.dispatch(frame, arrived, obs.Nanotime(), 0) {
 			t.Fatal("well-formed frame reported fatal")
 		}

@@ -42,7 +42,7 @@ type Call struct {
 	Err  error      // transport or decode error
 	Done chan *Call // receives the call itself on completion
 
-	id uint32 // wire request ID (version 2)
+	id uint32 // wire request ID
 }
 
 // finish delivers the call; a full Done channel drops the notification
@@ -54,111 +54,65 @@ func (c *Call) finish() {
 	}
 }
 
-// Client is a wire-protocol client over one TCP connection. Dial
-// negotiates protocol version 2 when the server supports it, which
-// makes the connection a full-duplex pipeline: any number of
-// goroutines may issue calls concurrently (Go, or the synchronous
-// wrappers), the client tags each with a request ID, and a reader
-// goroutine matches responses — which the server may send in any order
-// — back to their callers. Against a version-1 server the same API
-// works but calls serialize on the connection, one round trip at a
-// time.
+// Client is a wire-protocol client over one TCP connection, which is a
+// full-duplex pipeline: any number of goroutines may issue calls
+// concurrently (Go, or the synchronous wrappers), the client tags each
+// with a request ID, and a reader goroutine matches responses — which
+// the server may send in any order — back to their callers.
 type Client struct {
 	// Timeout, when nonzero, bounds each call: it is sent as the
 	// request deadline and bounds the local wait for the response.
 	Timeout time.Duration
 
-	version int    // negotiated protocol version
-	window  uint32 // server's per-connection pipeline depth (v2)
+	window uint32 // server's per-connection pipeline depth
 
 	conn net.Conn
-	br   *bufio.Reader
+	br   *bufio.Reader // owned by readLoop
 
-	// v1 state: one round trip at a time under mu.
-	mu  sync.Mutex
-	out []byte
-	in  []byte
-	bw  *bufio.Writer
-
-	// v2 state: concurrent senders under sendMu, reader goroutine
-	// completing pending calls.
+	// Concurrent senders serialize on sendMu; readLoop completes the
+	// pending calls.
 	sendMu  sync.Mutex
+	out     []byte
+	bw      *bufio.Writer
 	nextID  atomic.Uint32
 	pending sync.Map // uint32 -> *Call
 	failed  atomic.Pointer[error]
 	closed  atomic.Bool
 }
 
-// Dial connects to a server and negotiates the highest protocol
-// version both sides speak (PROTOCOL.md §3): it sends a HELLO and
-// upgrades to the pipelined version 2 on an acknowledging server. A
-// pre-v2 server answers the unknown HELLO op with StatusErr, which
-// Dial treats as a version-1 connection — so a new client works
-// against an old server.
+// handshakeTimeout bounds Dial's HELLO exchange, so a peer that accepts
+// the connection and never answers cannot hang it.
+var handshakeTimeout = 10 * time.Second
+
+// Dial connects to a server and checks with a HELLO that it speaks this
+// protocol (PROTOCOL.md §3), learning its pipeline window.
 func Dial(addr string) (*Client, error) {
-	return dial(addr, ProtoV2)
-}
-
-// DialV1 connects without negotiating: the connection speaks protocol
-// version 1 (one request, one response, in order), byte-compatible
-// with pre-pipelining servers and useful for compatibility tests.
-func DialV1(addr string) (*Client, error) {
-	return dial(addr, ProtoV1)
-}
-
-func dial(addr string, maxVersion uint8) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		version: ProtoV1,
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriter(conn),
+	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	go c.readLoop()
+	// HELLO is an ordinary call; the connection deadline fails it, and
+	// with it the read loop, if no answer comes.
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	rs, err := c.call(&Request{Op: OpHello, MaxVersion: ProtoVersion})
+	if err == nil {
+		err = statusErr(rs)
 	}
-	if maxVersion >= ProtoV2 {
-		if err := c.negotiate(maxVersion); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	if err == nil && rs.Version != ProtoVersion {
+		err = fmt.Errorf("serve: server speaks protocol version %d, want %d", rs.Version, ProtoVersion)
 	}
-	if c.version >= ProtoV2 {
-		go c.readLoop()
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
+	conn.SetDeadline(time.Time{})
+	c.window = rs.Window
 	return c, nil
 }
 
-// negotiate runs the HELLO exchange on a fresh connection, bounded by
-// a fixed handshake deadline so a dead server cannot hang Dial.
-func (c *Client) negotiate(maxVersion uint8) error {
-	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
-	defer c.conn.SetDeadline(time.Time{})
-	rs, err := c.roundTrip(&Request{Op: OpHello, MaxVersion: maxVersion})
-	if err != nil {
-		return err
-	}
-	switch rs.Status {
-	case StatusOK:
-		if rs.Version >= ProtoV2 {
-			c.version = int(rs.Version)
-			c.window = rs.Window
-		}
-		return nil
-	case StatusErr:
-		// A pre-v2 server rejects the unknown op but keeps the
-		// connection; fall back to version 1.
-		return nil
-	default:
-		return fmt.Errorf("serve: HELLO answered with status %d", rs.Status)
-	}
-}
-
-// Version reports the negotiated protocol version.
-func (c *Client) Version() int { return c.version }
-
-// Window reports the server's per-connection pipeline depth (0 on a
-// version-1 connection).
+// Window reports the server's per-connection pipeline depth.
 func (c *Client) Window() uint32 { return c.window }
 
 // Close closes the connection; in-flight calls fail with
@@ -168,53 +122,14 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends one request and decodes the response frame
-// (version-1 framing, serialized on the connection).
-func (c *Client) roundTrip(req *Request) (*Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Timeout > 0 {
-		req.DeadlineMS = uint32(c.Timeout / time.Millisecond)
-		if err := c.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
-			return nil, err
-		}
-	}
-	payload, err := AppendRequest(c.out[:0], req)
-	if err != nil {
-		return nil, err
-	}
-	c.out = payload
-	if err := WriteFrame(c.bw, payload); err != nil {
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	frame, err := ReadFrame(c.br, c.in)
-	if err != nil {
-		return nil, err
-	}
-	c.in = frame
-	return DecodeResponse(frame)
-}
-
 // Go issues req asynchronously and returns its Call; the call is
 // delivered on done (a fresh one-buffered channel when nil) once the
-// response arrives or the transport fails. On a version-1 connection
-// the call still completes asynchronously but serializes with every
-// other call on the connection.
+// response arrives or the transport fails.
 func (c *Client) Go(req *Request, done chan *Call) *Call {
 	if done == nil {
 		done = make(chan *Call, 1)
 	}
 	call := &Call{Req: req, Done: done}
-	if c.version < ProtoV2 {
-		go func() {
-			call.Resp, call.Err = c.roundTrip(req)
-			call.finish()
-		}()
-		return call
-	}
 	if err := c.broken(); err != nil {
 		call.Err = err
 		call.finish()
@@ -227,7 +142,7 @@ func (c *Client) Go(req *Request, done chan *Call) *Call {
 	call.id = id
 	c.pending.Store(id, call)
 	c.sendMu.Lock()
-	payload, err := AppendRequestV2(c.out[:0], id, req)
+	payload, err := AppendRequest(c.out[:0], id, req)
 	if err == nil {
 		c.out = payload
 		if c.Timeout > 0 {
@@ -258,7 +173,7 @@ func (c *Client) broken() error {
 	return nil
 }
 
-// readLoop is the version-2 response dispatcher: it matches response
+// readLoop is the response dispatcher: it matches response
 // IDs to pending calls for as long as the connection lives, then fails
 // whatever is left.
 func (c *Client) readLoop() {
@@ -271,7 +186,7 @@ func (c *Client) readLoop() {
 			break
 		}
 		buf = frame
-		id, rs, derr := DecodeResponseV2(frame)
+		id, rs, derr := DecodeResponse(frame)
 		if derr != nil {
 			err = derr
 			break
@@ -299,12 +214,8 @@ func (c *Client) readLoop() {
 	})
 }
 
-// call runs one request synchronously over whichever protocol version
-// the connection negotiated.
+// call runs one request synchronously.
 func (c *Client) call(req *Request) (*Response, error) {
-	if c.version < ProtoV2 {
-		return c.roundTrip(req)
-	}
 	call := c.Go(req, nil)
 	if c.Timeout <= 0 {
 		<-call.Done
@@ -485,7 +396,9 @@ var ErrCursorGone = errors.New("serve: scan cursor gone")
 // [start, end], pulls chunks of chunkRows, calls yield for each, and
 // closes the cursor (also on error or when yield returns false). It
 // retries chunk-level StatusRetry rejections after the server's hint,
-// so a stream survives transient scan-budget exhaustion.
+// so a stream survives transient scan-budget exhaustion; with a Timeout
+// set, a chunk refused for longer than that returns the *RetryError (a
+// chunk costing more than the whole scan budget is refused every time).
 func (c *Client) StreamScan(start, end core.Key, chunkRows int, yield func(rows []core.Pair) bool) error {
 	cur, err := c.ScanOpen(start, end)
 	if err != nil {
@@ -497,16 +410,23 @@ func (c *Client) StreamScan(start, end core.Key, chunkRows int, yield func(rows 
 			c.ScanClose(cur)
 		}
 	}()
+	var refused time.Time // when the chunk in hand was first refused
 	for {
 		rows, done, err := c.ScanNext(cur, chunkRows)
 		var retry *RetryError
 		if errors.As(err, &retry) {
-			time.Sleep(retry.After)
-			continue
+			if refused.IsZero() {
+				refused = time.Now()
+			}
+			if c.Timeout <= 0 || time.Since(refused)+retry.After <= c.Timeout {
+				time.Sleep(retry.After)
+				continue
+			}
 		}
 		if err != nil {
 			return err
 		}
+		refused = time.Time{}
 		if len(rows) > 0 && !yield(rows) {
 			return c.closeOnce(cur, &closed)
 		}

@@ -20,23 +20,21 @@
 //     that was acknowledged.
 //   - Server is a TCP front end speaking the length-prefixed binary
 //     protocol specified in PROTOCOL.md (GET / MGET / SCAN / PUT /
-//     DEL / STATS / HELLO). A HELLO exchange upgrades a connection to
-//     protocol version 2, under which the connection is a full-duplex
-//     pipeline: every frame carries a request ID, the requests one
-//     read delivers are a burst whose GETs and MGETs the connection's
-//     read goroutine answers together while writes and scans run on a
-//     worker pool, and responses are written in completion order, not
-//     arrival order. Version-1 clients never send HELLO and keep the
-//     original one-request-at-a-time loop.
+//     DEL / STATS / HELLO, and the streaming SCANOPEN / SCANNEXT /
+//     SCANCLOSE). A connection is a full-duplex pipeline: every frame
+//     carries a request ID, the requests one read delivers are a burst
+//     whose GETs and MGETs the connection's read goroutine answers
+//     together while writes and scans run on a worker pool, and
+//     responses are written in completion order, not arrival order.
 //   - Admission control is per op class rather than a flat in-flight
 //     cap: reads (GET/MGET), writes (PUT/DEL) and scans draw from
 //     separate token budgets, with SCAN charged by its requested row
 //     limit. Overload therefore rejects expensive work first, and the
 //     StatusRetry hint tells the client which class is saturated
 //     (AdmissionConfig; occupancy is exported via obs.Metrics).
-//   - Client mirrors the server: Dial negotiates version 2 and
-//     multiplexes concurrent calls over one connection (Client.Go is
-//     the async form); DialV1 pins the legacy protocol.
+//   - Client mirrors the server: it multiplexes concurrent calls over
+//     one connection by request ID (Client.Go is the async form); Dial
+//     opens with a HELLO to learn the server's window.
 //   - Loadgen drives configurable read/write/scan mixes with uniform,
 //     Zipfian or hot-set key skew (internal/workload) across
 //     Conns × Window concurrent streams and reports throughput and

@@ -112,9 +112,6 @@ func TestLifecyclePipelinedAndStats(t *testing.T) {
 	}
 	defer cl.Close()
 	cl.Timeout = 5 * time.Second
-	if cl.Version() != ProtoV2 {
-		t.Fatalf("client on protocol %d, want 2", cl.Version())
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

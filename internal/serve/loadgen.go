@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,12 +28,6 @@ type LoadgenConfig struct {
 
 	// Conns is the number of concurrent connections. Zero selects 4.
 	Conns int `json:"conns"`
-
-	// Scenario selects a named workload preset (see ScenarioNames).
-	// Non-empty overrides the op mix, skew and scan-limit fields below
-	// with the scenario's values; the report echoes the resolved
-	// config. Empty keeps the explicit fields.
-	Scenario string `json:"scenario,omitempty"`
 
 	// Window is how many calls each connection keeps outstanding
 	// (closed-loop, via the pipelined client): total concurrency is
@@ -97,73 +90,8 @@ type LoadgenConfig struct {
 	Timeout time.Duration `json:"timeout_ns"`
 }
 
-// scenario is one named workload preset. Zero-valued fields fall
-// through to the regular defaulting, so presets only pin what defines
-// them.
-type scenario struct {
-	get, mget, scan, stream, put, del int
-	skew                              string
-	scanLimit                         int
-	streamRows, streamChunk           int
-	hotFrac, hotProb                  float64
-}
-
-// scenarios are the named workloads of the benchmark matrix. Each is
-// a caricature of one serving regime, chosen to separate the backends:
-// point reads on a skewed working set, scan-heavy analytics, a pure
-// ingest burst, a single-row firestorm, and a mixed tenant.
-var scenarios = map[string]scenario{
-	// OLTP point lookups: read-mostly, Zipf-skewed single-key traffic.
-	"oltp-point": {get: 90, mget: 5, put: 5, skew: "zipf"},
-	// Analytics: long scans dominate, uniform starts, deep row limits.
-	"olap-scan": {get: 10, mget: 20, scan: 70, skew: "uniform", scanLimit: 500},
-	// Ingest: nothing but writes — the LSM's home turf.
-	"write-burst": {put: 100, skew: "uniform"},
-	// A tiny hot set takes nearly all traffic, reads racing overwrites.
-	"hot-key-storm": {get: 95, put: 5, skew: "hotset", hotFrac: 0.001, hotProb: 0.99},
-	// A realistic multi-tenant blend with every op class represented.
-	"mixed-tenant": {get: 50, mget: 15, scan: 10, put: 20, del: 5, skew: "zipf"},
-	// Analytics over streaming cursors: big ranges pulled chunk by
-	// chunk (SCANOPEN/SCANNEXT), point reads riding alongside — the
-	// workload the per-chunk admission contract exists for.
-	"olap-stream": {get: 20, mget: 10, stream: 70, skew: "uniform", streamRows: 10_000, streamChunk: 256},
-}
-
-// ScenarioNames lists the named workload presets, sorted.
-func ScenarioNames() []string {
-	names := make([]string, 0, len(scenarios))
-	for n := range scenarios {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // withDefaults resolves the zero values.
 func (c LoadgenConfig) withDefaults() (LoadgenConfig, error) {
-	if c.Scenario != "" {
-		s, ok := scenarios[c.Scenario]
-		if !ok {
-			return c, fmt.Errorf("serve: unknown scenario %q (want one of %v)", c.Scenario, ScenarioNames())
-		}
-		c.GetPct, c.MGetPct, c.ScanPct, c.StreamPct, c.PutPct, c.DelPct = s.get, s.mget, s.scan, s.stream, s.put, s.del
-		c.Skew = s.skew
-		if s.scanLimit != 0 {
-			c.ScanLimit = s.scanLimit
-		}
-		if s.streamRows != 0 {
-			c.StreamRows = s.streamRows
-		}
-		if s.streamChunk != 0 {
-			c.StreamChunk = s.streamChunk
-		}
-		if s.hotFrac != 0 {
-			c.HotFrac = s.hotFrac
-		}
-		if s.hotProb != 0 {
-			c.HotProb = s.hotProb
-		}
-	}
 	if c.Conns == 0 {
 		c.Conns = 4
 	}

@@ -153,48 +153,6 @@ func mustIndent(t *testing.T, blob []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestLoadgenScenarios pins the named-preset behavior: each scenario
-// resolves to a valid config with its defining mix, the preset
-// overrides explicit mix fields, the scenario name is echoed in the
-// report config, and unknown names are a setup error.
-func TestLoadgenScenarios(t *testing.T) {
-	for _, name := range ScenarioNames() {
-		cfg, err := LoadgenConfig{Scenario: name, GetPct: 33}.withDefaults()
-		if err != nil {
-			t.Fatalf("scenario %s: %v", name, err)
-		}
-		if cfg.Scenario != name {
-			t.Errorf("scenario %s: name not echoed in resolved config", name)
-		}
-		if sum := cfg.GetPct + cfg.MGetPct + cfg.ScanPct + cfg.StreamPct + cfg.PutPct + cfg.DelPct; sum != 100 {
-			t.Errorf("scenario %s: mix sums to %d", name, sum)
-		}
-		blob, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back LoadgenConfig
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back, cfg) {
-			t.Errorf("scenario %s: config did not round-trip:\n got %+v\nwant %+v", name, back, cfg)
-		}
-	}
-	if cfg, _ := (LoadgenConfig{Scenario: "write-burst", GetPct: 90}).withDefaults(); cfg.PutPct != 100 || cfg.GetPct != 0 {
-		t.Errorf("write-burst did not override the explicit mix: %+v", cfg)
-	}
-	if cfg, _ := (LoadgenConfig{Scenario: "hot-key-storm"}).withDefaults(); cfg.Skew != "hotset" || cfg.HotFrac != 0.001 || cfg.HotProb != 0.99 {
-		t.Errorf("hot-key-storm skew not applied: %+v", cfg)
-	}
-	if cfg, _ := (LoadgenConfig{Scenario: "olap-scan"}).withDefaults(); cfg.ScanLimit != 500 {
-		t.Errorf("olap-scan scan limit not applied: %+v", cfg)
-	}
-	if _, err := (LoadgenConfig{Scenario: "no-such-load"}).withDefaults(); err == nil {
-		t.Error("unknown scenario accepted")
-	}
-}
-
 // TestLoadgenReplicaSetReadOnly pins the replica fan-out contract: a
 // run spreading connections across replicas must use a read-only mix
 // (a replica rejects writes), and a read-only one resolves fine.
@@ -212,9 +170,8 @@ func TestLoadgenReplicaSetReadOnly(t *testing.T) {
 	}
 }
 
-// TestOpReportPercentiles pins the new tail percentiles: they must
-// survive a JSON round trip by name so BENCH_matrix.json keeps p90
-// and p999 per op class.
+// TestOpReportPercentiles pins the tail percentiles: they must
+// survive a JSON round trip by name, p90 and p999 per op class.
 func TestOpReportPercentiles(t *testing.T) {
 	rep := LoadgenReport{PerOp: map[string]OpReport{
 		"search": {Count: 9, P50US: 1, P90US: 2, P99US: 3, P999US: 4},

@@ -3,6 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,80 +14,88 @@ import (
 	"pbtree/internal/obs"
 )
 
-func TestHelloNegotiation(t *testing.T) {
+// TestHello pins HELLO as a version check on the one protocol: Dial
+// learns the window from it, it is answered under its ID wherever it
+// appears, a peer that speaks less is refused in-band, and a legacy
+// un-ID'd opener loses its connection and nothing else.
+func TestHello(t *testing.T) {
 	_, addr := startServer(t, 100, ServerConfig{Window: 7})
 
-	// Dial negotiates up to v2 and learns the server window.
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Version() != ProtoV2 || cl.Window() != 7 {
-		t.Fatalf("negotiated (v%d, window %d), want (v2, 7)", cl.Version(), cl.Window())
+	if cl.Window() != 7 {
+		t.Fatalf("Dial learned window %d, want 7", cl.Window())
 	}
 	if tid, ok, err := cl.Get(8); err != nil || !ok || tid != 1 {
-		t.Fatalf("v2 Get(8) = (%d, %v, %v)", tid, ok, err)
+		t.Fatalf("Get(8) = (%d, %v, %v)", tid, ok, err)
 	}
 
-	// DialV1 skips the handshake and stays on v1.
-	v1, err := DialV1(addr)
-	if err != nil {
+	// Mid-stream, behind a GET in the same write: answered under its ID.
+	c := dialRaw(t, addr)
+	buf := appendFrame(t, nil, 1, &Request{Op: OpGet, Keys: []core.Key{8}})
+	buf = appendFrame(t, buf, 42, &Request{Op: OpHello, MaxVersion: ProtoVersion})
+	// A peer that speaks only version 1 (the encoder refuses to say so).
+	old := appendFrame(t, nil, 43, &Request{Op: OpHello, MaxVersion: ProtoVersion})
+	old[len(old)-1] = 1
+	buf = append(buf, old...)
+	if _, err := c.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	if v1.Version() != ProtoV1 {
-		t.Fatalf("DialV1 negotiated v%d", v1.Version())
+	got := readResponses(t, c, 3)
+	if rs := got[42]; rs == nil || rs.Status != StatusOK || rs.Version != ProtoVersion || rs.Window != 7 {
+		t.Fatalf("mid-stream HELLO answered %+v, want OK version %d window 7", rs, ProtoVersion)
 	}
-	if tid, ok, err := v1.Get(8); err != nil || !ok || tid != 1 {
-		t.Fatalf("v1 Get(8) = (%d, %v, %v)", tid, ok, err)
+	if rs := got[43]; rs == nil || rs.Status != StatusErr {
+		t.Fatalf("HELLO max_version 1 answered %+v, want ERR", rs)
+	}
+	if _, err := c.Write(appendFrame(t, nil, 44, &Request{Op: OpGet, Keys: []core.Key{16}})); err != nil {
+		t.Fatal(err)
+	}
+	if rs := readResponses(t, c, 1)[44]; rs == nil || rs.Status != StatusOK || rs.Lookups[0].TID != 2 {
+		t.Fatalf("GET after the refused HELLO answered %+v", rs)
 	}
 
-	// A HELLO after traffic already flowed on a v1 connection is
-	// answered with version 1: no mid-stream renegotiation.
-	rs, err := v1.roundTrip(&Request{Op: OpHello, MaxVersion: ProtoV2})
-	if err != nil {
+	// A legacy opener has no ID to be answered under: the connection is
+	// closed, and the server goes on serving others.
+	legacy := dialRaw(t, addr)
+	if err := WriteFrame(legacy, []byte{byte(OpHello), 2}); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Status != StatusOK || rs.Version != ProtoV1 {
-		t.Fatalf("late HELLO answered %+v, want OK v1", rs)
+	if frame, err := ReadFrame(legacy, nil); err != io.EOF {
+		t.Fatalf("legacy opener answered (%x, %v), want the connection closed", frame, err)
 	}
+	cl2, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial after a legacy opener: %v", err)
+	}
+	cl2.Close()
 }
 
-// TestV1ClientAgainstV2Server pins backward compatibility: a client
-// that never heard of HELLO or request IDs runs the full op suite
-// against a pipelining server.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	const n = 1000
-	_, addr := startServer(t, n, ServerConfig{})
-	cl, err := DialV1(addr)
+// TestDialHandshakeDeadline: a peer that accepts and never answers
+// fails Dial at the handshake deadline and leaves no read loop behind.
+func TestDialHandshakeDeadline(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 50 * time.Millisecond
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	cl.Timeout = 5 * time.Second
-
-	if tid, ok, err := cl.Get(16); err != nil || !ok || tid != 2 {
-		t.Fatalf("Get(16) = (%d, %v, %v)", tid, ok, err)
+	defer ln.Close()
+	start := time.Now()
+	cl, err := Dial(ln.Addr().String())
+	if err == nil {
+		cl.Close()
+		t.Fatal("Dial against a silent peer succeeded")
 	}
-	if ls, err := cl.MGet([]core.Key{8, 3}); err != nil || !ls[0].Found || ls[1].Found {
-		t.Fatalf("MGet = %+v, %v", ls, err)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Dial gave up after %v, handshake deadline is %v", took, handshakeTimeout)
 	}
-	if err := cl.Put(core.Pair{Key: 8 * (n + 1), TID: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if tid, ok, _ := cl.Get(8 * (n + 1)); !ok || tid != 9 {
-		t.Fatalf("read-your-write = (%d, %v)", tid, ok)
-	}
-	if err := cl.Del(8 * (n + 1)); err != nil {
-		t.Fatal(err)
-	}
-	if pairs, err := cl.Scan(8, 80, 100); err != nil || len(pairs) != 10 {
-		t.Fatalf("Scan = %d pairs, %v", len(pairs), err)
-	}
-	if _, err := cl.Stats(); err != nil {
-		t.Fatal(err)
-	}
+	waitGoroutines(t, baseline)
 }
 
 // TestPipelinedOutOfOrder drives one connection with many concurrent
@@ -101,9 +112,6 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	}
 	defer cl.Close()
 	cl.Timeout = 10 * time.Second
-	if cl.Version() != ProtoV2 {
-		t.Fatalf("negotiated v%d", cl.Version())
-	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 12; w++ {

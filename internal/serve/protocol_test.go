@@ -28,116 +28,108 @@ func TestProtocolSpecFrames(t *testing.T) {
 		}
 		return append(appendU32(nil, uint32(len(payload))), payload...)
 	}
-	req := func(r *Request) []byte {
-		return frame(AppendRequest(nil, r))
+	req := func(id uint32, r *Request) []byte {
+		return frame(AppendRequest(nil, id, r))
 	}
-	resp := func(rs *Response) []byte {
-		return frame(AppendResponse(nil, rs))
+	resp := func(id uint32, rs *Response) []byte {
+		return frame(AppendResponse(nil, id, rs))
 	}
 
 	want := map[string][]byte{
-		"v1-get-request": req(&Request{Op: OpGet, Keys: []core.Key{8}}),
-		"v1-get-ok-response": resp(&Response{
-			Status:  StatusOK,
-			Lookups: []Lookup{{TID: 1, Found: true}},
+		"hello-request": req(1, &Request{Op: OpHello, MaxVersion: 2}),
+		"hello-ok-response": resp(1, &Response{
+			Status: StatusOK, Version: 2, Window: 32,
 		}),
-		"v1-notfound-response": resp(&Response{Status: StatusNotFound}),
-		"v1-mget-request": req(&Request{
+		"mget-request": req(2, &Request{
 			Op: OpMGet, DeadlineMS: 250, Keys: []core.Key{8, 24},
 		}),
-		"v1-scan-request": req(&Request{
+		"scan-request": req(3, &Request{
 			Op: OpScan, Start: 16, End: 80, Limit: 100,
 		}),
-		"v1-scan-ok-response": resp(&Response{
+		"scan-ok-response": resp(3, &Response{
 			Status: StatusOK,
 			Pairs:  []core.Pair{{Key: 16, TID: 2}, {Key: 24, TID: 3}},
 		}),
-		"v1-put-request": req(&Request{
+		"put-request": req(4, &Request{
 			Op: OpPut, Pairs: []core.Pair{{Key: 8, TID: 1}},
 		}),
-		"v1-empty-ok-response": resp(&Response{Status: StatusOK}),
-		"v1-retry-response":    resp(&Response{Status: StatusRetry, RetryAfterMS: 20}),
-		"v1-err-response":      resp(&Response{Status: StatusErr, Err: "bad frame"}),
-		"hello-request":        req(&Request{Op: OpHello, MaxVersion: 2}),
-		"hello-ok-response": resp(&Response{
-			Status: StatusOK, Version: 2, Window: 32,
-		}),
-		"v2-get-request": frame(AppendRequestV2(nil, 7,
-			&Request{Op: OpGet, Keys: []core.Key{8}})),
-		"v2-get-ok-response": frame(AppendResponseV2(nil, 7, &Response{
+		"empty-ok-response": resp(4, &Response{Status: StatusOK}),
+		"retry-response":    resp(5, &Response{Status: StatusRetry, RetryAfterMS: 20}),
+		"err-response":      resp(6, &Response{Status: StatusErr, Err: "bad frame"}),
+		"get-request":       req(7, &Request{Op: OpGet, Keys: []core.Key{8}}),
+		"get-ok-response": resp(7, &Response{
 			Status:  StatusOK,
 			Lookups: []Lookup{{TID: 1, Found: true}},
-		})),
-		"v2-deadline-response": frame(AppendResponseV2(nil, 9,
-			&Response{Status: StatusDeadline})),
-		"v2-repl-status-request": frame(AppendRequestV2(nil, 11, &Request{
+		}),
+		"notfound-response": resp(8, &Response{Status: StatusNotFound}),
+		"deadline-response": resp(9, &Response{Status: StatusDeadline}),
+		"repl-status-request": req(11, &Request{
 			Op: OpReplicate, Repl: &ReplReq{Kind: ReplStatus},
-		})),
-		"v2-repl-status-ok-response": frame(AppendResponseV2(nil, 11, &Response{
+		}),
+		"repl-status-ok-response": resp(11, &Response{
 			Status: StatusOK,
 			Repl: &ReplResp{
 				Kind: ReplStatus, Epoch: 3, Role: RoleReplica,
 				ShardLSNs: []uint64{42, 7},
 			},
-		})),
-		"v2-repl-fetch-request": frame(AppendRequestV2(nil, 12, &Request{
+		}),
+		"repl-fetch-request": req(12, &Request{
 			Op: OpReplicate, Repl: &ReplReq{
 				Kind: ReplFetch, Epoch: 3, Shard: 1,
 				After: 42, Applied: 42, Max: 1048576,
 			},
-		})),
-		"v2-repl-fetch-ok-response": frame(AppendResponseV2(nil, 12, &Response{
+		}),
+		"repl-fetch-ok-response": resp(12, &Response{
 			Status: StatusOK,
 			Repl: &ReplResp{
 				Kind: ReplFetch, Epoch: 3, PrimaryLSN: 44, Count: 2,
 				Records: []byte{0xde, 0xad, 0xbe, 0xef},
 			},
-		})),
-		"v2-repl-snapfetch-request": frame(AppendRequestV2(nil, 13, &Request{
+		}),
+		"repl-snapfetch-request": req(13, &Request{
 			Op: OpReplicate, Repl: &ReplReq{
 				Kind: ReplSnapFetch, Epoch: 3, Shard: 1,
 				SnapLSN: 40, Offset: 0, Max: 1048576,
 			},
-		})),
-		"v2-repl-snap-ok-response": frame(AppendResponseV2(nil, 13, &Response{
+		}),
+		"repl-snap-ok-response": resp(13, &Response{
 			Status: StatusOK,
 			Repl: &ReplResp{
 				Kind: ReplSnap, Epoch: 3, SnapLSN: 40, SnapSize: 4,
 				Offset: 0, Done: true, Chunk: []byte{0xca, 0xfe, 0xf0, 0x0d},
 			},
-		})),
-		"v2-repl-fence-request": frame(AppendRequestV2(nil, 14, &Request{
+		}),
+		"repl-fence-request": req(14, &Request{
 			Op: OpReplicate, Repl: &ReplReq{Kind: ReplFence, Epoch: 4},
-		})),
-		"v2-repl-fence-ok-response": frame(AppendResponseV2(nil, 14, &Response{
+		}),
+		"repl-fence-ok-response": resp(14, &Response{
 			Status: StatusOK,
 			Repl:   &ReplResp{Kind: ReplFence, Epoch: 4},
-		})),
-		"v2-repl-fenced-response": frame(AppendResponseV2(nil, 15, &Response{
+		}),
+		"repl-fenced-response": resp(15, &Response{
 			Status: StatusFenced, FencedEpoch: 4,
-		})),
-		"v2-scanopen-request": frame(AppendRequestV2(nil, 21, &Request{
+		}),
+		"scanopen-request": req(21, &Request{
 			Op: OpScanOpen, Start: 16, End: 4096,
-		})),
-		"v2-scanopen-ok-response": frame(AppendResponseV2(nil, 21, &Response{
+		}),
+		"scanopen-ok-response": resp(21, &Response{
 			Status: StatusOK, Cursor: 1,
-		})),
-		"v2-scannext-request": frame(AppendRequestV2(nil, 22, &Request{
+		}),
+		"scannext-request": req(22, &Request{
 			Op: OpScanNext, Cursor: 1, Max: 2,
-		})),
-		"v2-scannext-ok-response": frame(AppendResponseV2(nil, 22, &Response{
+		}),
+		"scannext-ok-response": resp(22, &Response{
 			Status: StatusOK, ScanChunk: true,
 			Pairs: []core.Pair{{Key: 16, TID: 2}, {Key: 24, TID: 3}},
-		})),
-		"v2-scannext-done-response": frame(AppendResponseV2(nil, 23, &Response{
+		}),
+		"scannext-done-response": resp(23, &Response{
 			Status: StatusOK, ScanChunk: true, ScanDone: true,
 			Pairs: []core.Pair{{Key: 32, TID: 4}},
-		})),
-		"v2-scanclose-request": frame(AppendRequestV2(nil, 24, &Request{
+		}),
+		"scanclose-request": req(24, &Request{
 			Op: OpScanClose, Cursor: 1,
-		})),
-		"v2-scanclose-ok-response": frame(AppendResponseV2(nil, 24,
-			&Response{Status: StatusOK})),
+		}),
+		"scanclose-ok-response": resp(24, &Response{Status: StatusOK}),
 	}
 
 	for name, wantBytes := range want {
@@ -157,20 +149,13 @@ func TestProtocolSpecFrames(t *testing.T) {
 		}
 	}
 
-	// Every spec frame must also be acceptable to the decoder: the
-	// payload round-trips through Decode{Request,Response}[V2].
+	// Every spec frame must also be acceptable to the decoder.
 	for name, f := range spec {
-		payload := f[4:]
 		var err error
-		switch {
-		case strings.HasSuffix(name, "-request") && strings.HasPrefix(name, "v2-"):
-			_, _, err = DecodeRequestV2(payload)
-		case strings.HasSuffix(name, "-request"):
-			_, err = DecodeRequest(payload)
-		case strings.HasPrefix(name, "v2-"):
-			_, _, err = DecodeResponseV2(payload)
-		default:
-			_, err = DecodeResponse(payload)
+		if strings.HasSuffix(name, "-request") {
+			_, _, err = DecodeRequest(f[4:])
+		} else {
+			_, _, err = DecodeResponse(f[4:])
 		}
 		if err != nil {
 			t.Errorf("spec frame %q does not decode: %v", name, err)

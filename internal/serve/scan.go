@@ -1,12 +1,11 @@
 package serve
 
-// Streaming-scan cursors (PROTOCOL.md §10, DESIGN.md §15). A
+// Scan cursors (PROTOCOL.md §10, DESIGN.md §15): the one scan path. A
 // StoreCursor pins one refcounted snapshot per shard at open and
 // serves the merged key range in bounded chunks, so a scan of any
-// size holds admission tokens only while a chunk executes. The pinned
-// snapshots are exactly the isolation a monolithic SCAN gets — each
-// shard's view is frozen at open — paid for with snapshot lifetime
-// instead of row tokens.
+// size holds admission tokens only while a chunk executes. Store.Scan
+// is a cursor drained once; both see each shard's view frozen at open,
+// paid for with snapshot lifetime instead of row tokens.
 
 import (
 	"fmt"
@@ -19,14 +18,16 @@ import (
 
 // cursorRefill is how many rows a shard run is refilled with at a
 // time. Larger than the common chunk size so most SCANNEXTs are
-// served from buffered rows without touching the backend.
+// served from buffered rows without touching the backend. A run's
+// first fill is capped at the rows its first chunk asked for, so a
+// short scan reads what it returns and not shards x cursorRefill.
 const cursorRefill = 1024
 
 // cursorRun is one shard's slice of the merged stream: a buffered run
 // plus the key to resume the shard's backend scan from.
 type cursorRun struct {
 	snap backend.Snapshot
-	buf  []core.Pair // undelivered rows, sorted
+	buf  []core.Pair // undelivered rows, sorted; nil until the first fill
 	pos  int         // next undelivered row in buf
 	next core.Key    // resume key for the next backend refill
 	done bool        // the shard has no rows left in [next, end]
@@ -60,14 +61,18 @@ func (st *Store) OpenCursor(start, end core.Key) (*StoreCursor, error) {
 	return c, nil
 }
 
-// refill loads the next batch of rows for run i. Keys are unique per
-// shard, so resuming from lastKey+1 never duplicates or skips a row.
-func (c *StoreCursor) refill(i int) {
+// refill loads the next batch of rows for run i once its buffer is
+// used up; first sizes a run's first batch. Keys are unique per shard,
+// so resuming from lastKey+1 never duplicates or skips a row.
+func (c *StoreCursor) refill(i, first int) {
 	r := &c.runs[i]
 	if r.done || r.pos < len(r.buf) {
 		return
 	}
-	want := max(cursorRefill, 1)
+	want := cursorRefill
+	if r.buf == nil {
+		want = min(first, cursorRefill)
+	}
 	r.buf = r.snap.Scan(r.next, c.end, want)
 	r.pos = 0
 	if len(r.buf) < want {
@@ -83,6 +88,33 @@ func (c *StoreCursor) refill(i int) {
 	r.next = last + 1
 }
 
+// take merges up to maxRows rows off the shard runs, in key order.
+// Shard counts are small, so a linear heap-free merge is simplest and
+// fast enough. Callers hold c.mu or own the cursor.
+func (c *StoreCursor) take(maxRows int) []core.Pair {
+	rows := make([]core.Pair, 0, min(maxRows, cursorRefill))
+	for len(rows) < maxRows {
+		var best *cursorRun
+		for i := range c.runs {
+			r := &c.runs[i]
+			if r.pos == len(r.buf) {
+				if c.refill(i, maxRows); r.pos == len(r.buf) {
+					continue
+				}
+			}
+			if best == nil || r.buf[r.pos].Key < best.buf[best.pos].Key {
+				best = r
+			}
+		}
+		if best == nil {
+			break
+		}
+		rows = append(rows, best.buf[best.pos])
+		best.pos++
+	}
+	return rows
+}
+
 // Next returns up to max rows in key order, and whether the scan is
 // exhausted. After done is reported the cursor holds no buffered rows
 // but still pins its snapshots until Close.
@@ -92,33 +124,39 @@ func (c *StoreCursor) Next(maxRows int) (rows []core.Pair, done bool) {
 	if !c.open || maxRows <= 0 {
 		return nil, true
 	}
-	rows = make([]core.Pair, 0, min(maxRows, cursorRefill))
-	for len(rows) < maxRows {
-		best := -1
-		for i := range c.runs {
-			c.refill(i)
-			r := &c.runs[i]
-			if r.pos >= len(r.buf) {
-				continue
-			}
-			if best == -1 || r.buf[r.pos].Key < c.runs[best].buf[c.runs[best].pos].Key {
-				best = i
-			}
-		}
-		if best == -1 {
-			return rows, true
-		}
-		rows = append(rows, c.runs[best].buf[c.runs[best].pos])
-		c.runs[best].pos++
-	}
-	// The chunk filled; the scan is done only if nothing is left.
+	rows = c.take(maxRows)
+	// The scan is done only if nothing is left: a run used up exactly
+	// at the chunk's end has to be read further to tell.
 	for i := range c.runs {
-		c.refill(i)
+		c.refill(i, cursorRefill)
 		if c.runs[i].pos < len(c.runs[i].buf) {
 			return rows, false
 		}
 	}
 	return rows, true
+}
+
+// Scan returns up to limit pairs with keys in [start, end], in key
+// order and per-shard snapshot-consistent: a cursor drained once. It
+// does without Next's exhaustion probe, whose answer nobody reads and
+// which costs a cursorRefill read whenever a run is used up exactly at
+// the limit (always, on one shard).
+func (st *Store) Scan(start, end core.Key, limit int) []core.Pair {
+	if limit <= 0 {
+		return nil
+	}
+	c, err := st.OpenCursor(start, end)
+	if err != nil {
+		return nil
+	}
+	defer c.Close()
+	return c.take(limit)
+}
+
+// Dump returns every pair of the store in key order — a consistent
+// per-shard dump, merged. Intended for tests and offline persistence.
+func (st *Store) Dump() []core.Pair {
+	return st.Scan(0, math.MaxUint32, math.MaxInt)
 }
 
 // Close releases every pinned snapshot. Safe to call more than once;

@@ -31,11 +31,10 @@ type ServerConfig struct {
 	// Admission default from. Zero selects 5ms.
 	RetryAfter time.Duration
 
-	// Window is the pipeline depth of one protocol-v2 connection: the
-	// server takes up to this many requests per read burst and keeps up
-	// to this many blocking requests (writes, scans) on the worker pool,
-	// answering in completion order. Zero selects 32. Version-1
-	// connections always run one at a time.
+	// Window is the pipeline depth of one connection: the server takes
+	// up to this many requests per read burst and keeps up to this many
+	// blocking requests (writes, scans) on the worker pool, answering in
+	// completion order. Zero selects 32.
 	Window int
 
 	// PoolSize is the worker count of the shared pool that executes the
@@ -113,7 +112,6 @@ type Server struct {
 	rejected atomic.Uint64
 	expired  atomic.Uint64
 	badReqs  atomic.Uint64
-	pipeline atomic.Uint64 // connections upgraded to protocol v2
 }
 
 // numOps sizes the per-op counter table (ops 1..OpScanClose).
@@ -121,18 +119,17 @@ const numOps = int(OpScanClose) + 1
 
 // ServerStats is the JSON payload of a STATS response.
 type ServerStats struct {
-	UptimeMS  int64                  `json:"uptime_ms"`       // ms since the server started
-	Ops       map[string]uint64      `json:"ops"`             // completed requests per op name
-	Rejected  uint64                 `json:"rejected"`        // admission rejections (all classes)
-	Expired   uint64                 `json:"expired"`         // requests whose deadline passed before execution
-	BadReqs   uint64                 `json:"bad_requests"`    // malformed frames answered StatusErr
-	Conns     int                    `json:"conns"`           // currently open connections
-	Pipelined uint64                 `json:"pipelined_conns"` // connections ever upgraded to protocol v2
-	Window    int                    `json:"window"`          // per-connection pipeline depth
-	PoolSize  int                    `json:"pool_size"`       // workers executing blocking requests
-	Cursors   CursorStats            `json:"cursors"`         // streaming-scan cursor occupancy
-	Budgets   map[string]BudgetStats `json:"budgets"`         // admission occupancy per class
-	Store     StoreStats             `json:"store"`           // per-shard store counters
+	UptimeMS int64                  `json:"uptime_ms"`    // ms since the server started
+	Ops      map[string]uint64      `json:"ops"`          // completed requests per op name
+	Rejected uint64                 `json:"rejected"`     // admission rejections (all classes)
+	Expired  uint64                 `json:"expired"`      // requests whose deadline passed before execution
+	BadReqs  uint64                 `json:"bad_requests"` // malformed frames answered StatusErr
+	Conns    int                    `json:"conns"`        // currently open connections
+	Window   int                    `json:"window"`       // per-connection pipeline depth
+	PoolSize int                    `json:"pool_size"`    // workers executing blocking requests
+	Cursors  CursorStats            `json:"cursors"`      // streaming-scan cursor occupancy
+	Budgets  map[string]BudgetStats `json:"budgets"`      // admission occupancy per class
+	Store    StoreStats             `json:"store"`        // per-shard store counters
 
 	// Stages and StageTotals carry the request-lifecycle attribution
 	// when lifecycle tracing is enabled (empty maps otherwise, never
@@ -263,10 +260,9 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	return err
 }
 
-// serveConn runs the request loop of one connection. It starts in
-// protocol v1 (one request, one response, in order); a HELLO as the
-// first request negotiating version >= 2 hands the connection to
-// servePipelined (PROTOCOL.md §3).
+// serveConn owns one connection from accept to close: it registers
+// the connection's streaming-scan cursor set, runs the request loop,
+// and releases whatever the connection still holds.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -277,73 +273,15 @@ func (s *Server) serveConn(c net.Conn) {
 	}()
 	cs := s.registerCursors()
 	defer s.releaseCursors(cs)
-	var in, out []byte
 	var connID uint64
 	if s.lc != nil {
 		connID = s.lc.nextConn()
 	}
-	first := true
-	for {
-		var readStart int64
-		if s.lc != nil {
-			readStart = obs.Nanotime()
-		}
-		frame, err := ReadFrame(c, in)
-		if err != nil {
-			return // EOF, peer reset, or shutdown read deadline
-		}
-		in = frame
-		arrived := time.Now()
-		var sp *obs.Span
-		if s.lc != nil {
-			sp = s.lc.span(connID, obs.Nanotime())
-			// Frame-read time includes client think time and is kept
-			// out of the server-side total (stage.go).
-			sp.Add(obs.StageRead, sp.StartNS()-readStart)
-		}
-		req, err := DecodeRequest(frame)
-		sp.Mark(obs.StageDecode)
-		var resp *Response
-		switch {
-		case err != nil:
-			s.badReqs.Add(1)
-			resp = &Response{Status: StatusErr, Err: err.Error()}
-		case req.Op == OpHello:
-			s.ops[OpHello].Add(1)
-			if first && req.MaxVersion >= ProtoV2 {
-				// Upgrade: ack version 2, then switch framing.
-				s.lc.drop(sp)
-				ack := &Response{Status: StatusOK, Version: ProtoV2, Window: uint32(s.cfg.Window)}
-				payload, _ := AppendResponse(out[:0], ack)
-				if err := WriteFrame(c, payload); err != nil {
-					return
-				}
-				s.pipeline.Add(1)
-				s.servePipelined(c, connID, cs)
-				return
-			}
-			// A v1-only peer, or a HELLO after traffic already flowed:
-			// stay on (or renegotiate down to) version 1.
-			resp = &Response{Status: StatusOK, Version: ProtoV1, Window: 1}
-		default:
-			resp = s.handle(req, arrived, sp, cs)
-		}
-		first = false
-		payload, err := AppendResponse(out[:0], resp)
-		if err != nil { // response exceeded wire bounds; report instead
-			payload, _ = AppendResponse(out[:0], &Response{Status: StatusErr, Err: err.Error()})
-		}
-		out = payload
-		if err := WriteFrame(c, payload); err != nil {
-			s.lc.drop(sp)
-			return
-		}
-		s.lc.finish(sp)
-	}
+	s.servePipelined(c, connID, cs)
 }
 
-// connBufSize is the fixed size of a pipelined connection's read and
-// write buffers: what one read(2) delivers is a burst, and a burst's
+// connBufSize is the fixed size of a connection's read and write
+// buffers: what one read(2) delivers is a burst, and a burst's
 // responses leave in one write(2).
 const connBufSize = 8 << 10
 
@@ -369,9 +307,9 @@ func (w stallWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// pconn is one protocol-v2 connection. Its read goroutine answers GET
-// and MGET itself, everything that can block goes to the worker pool,
-// and both complete through the mutex-guarded writer.
+// pconn is one connection. Its read goroutine answers GET and MGET
+// itself, everything that can block goes to the worker pool, and both
+// complete through the mutex-guarded writer.
 type pconn struct {
 	s      *Server
 	cs     *connCursors
@@ -416,9 +354,9 @@ func (pc *pconn) write(id uint32, resp *Response) {
 	if pc.dead {
 		return
 	}
-	payload, err := AppendResponseV2(pc.enc[:0], id, resp)
+	payload, err := AppendResponse(pc.enc[:0], id, resp)
 	if err != nil { // response exceeded wire bounds; report instead
-		payload, _ = AppendResponseV2(pc.enc[:0], id, &Response{Status: StatusErr, Err: err.Error()})
+		payload, _ = AppendResponse(pc.enc[:0], id, &Response{Status: StatusErr, Err: err.Error()})
 	}
 	pc.enc = payload
 	pc.dead = WriteFrame(pc.bw, payload) != nil
@@ -462,15 +400,15 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 	if len(frame) < 4 {
 		return false
 	}
-	id, req, err := DecodeRequestV2(frame)
+	id, req, err := DecodeRequest(frame)
 	if err != nil {
 		s.badReqs.Add(1)
 		pc.reply(id, &Response{Status: StatusErr, Err: err.Error()})
 		return true
 	}
-	if req.Op == OpHello { // renegotiation is not allowed mid-stream
+	if req.Op == OpHello { // a version check, wherever it appears
 		s.ops[OpHello].Add(1)
-		pc.reply(id, &Response{Status: StatusOK, Version: ProtoV2, Window: uint32(s.cfg.Window)})
+		pc.reply(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: uint32(s.cfg.Window)})
 		return true
 	}
 	var sp *obs.Span
@@ -544,7 +482,7 @@ func (pc *pconn) runReads(arrived time.Time) {
 	}
 }
 
-// servePipelined runs the protocol-v2 loop one burst at a time: block
+// servePipelined runs the request loop one burst at a time: block
 // for a frame, take every further frame the same read delivered (up to
 // Window), answer the burst's reads with one group search on this
 // goroutine, flush once, and only then block again. No wait is added to
@@ -642,25 +580,14 @@ func metricOpOf(op Op) core.OpKind {
 	}
 }
 
-// execute runs a decoded, admitted request against the store. Read
-// ops mark StageExec themselves; write ops are stamped
-// by the shard writers (queue_wait, wal_append, wal_fsync, apply) via
-// the span handed into the store, so execute only advances the clock
-// past the blocking call with Touch.
+// execute runs a decoded, admitted request against the store on a
+// pool worker; GET and MGET never come here (dispatch answers them
+// through runReads). The scans mark StageExec themselves; write ops are
+// stamped by the shard writers (queue_wait, wal_append, wal_fsync,
+// apply) via the span handed into the store, so execute only advances
+// the clock past the blocking call with Touch.
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
-	case OpGet:
-		tid, ok := s.st.Get(req.Keys[0])
-		sp.Mark(obs.StageExec)
-		if !ok {
-			return &Response{Status: StatusNotFound}
-		}
-		return &Response{Status: StatusOK, Lookups: []Lookup{{TID: tid, Found: true}}}
-	case OpMGet:
-		out := make([]Lookup, len(req.Keys))
-		s.st.MGet(req.Keys, out)
-		sp.Mark(obs.StageExec)
-		return &Response{Status: StatusOK, Lookups: out}
 	case OpScan:
 		pairs := s.st.Scan(req.Start, req.End, int(req.Limit))
 		if pairs == nil {
@@ -774,7 +701,6 @@ func (s *Server) Stats() ServerStats {
 		Expired:     s.expired.Load(),
 		BadReqs:     s.badReqs.Load(),
 		Conns:       nconns,
-		Pipelined:   s.pipeline.Load(),
 		Window:      s.cfg.Window,
 		PoolSize:    s.cfg.PoolSize,
 		Cursors:     s.cursorStats(),

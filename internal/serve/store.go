@@ -954,60 +954,6 @@ func (sh *shard) getBatch(keys []core.Key, tids []core.TID, found []bool) {
 	s.Release()
 }
 
-// Scan returns up to limit pairs with keys in [start, end], in key
-// order. Each shard is scanned against one snapshot and the per-shard
-// runs are merged; the result is per-shard snapshot-consistent.
-func (st *Store) Scan(start, end core.Key, limit int) []core.Pair {
-	if limit <= 0 {
-		return nil
-	}
-	runs := make([][]core.Pair, 0, len(st.shards))
-	for _, sh := range st.shards {
-		sh.waitReady()
-		s := sh.be.Snapshot()
-		run := s.Scan(start, end, limit)
-		s.Release()
-		if len(run) > 0 {
-			runs = append(runs, run)
-		}
-	}
-	return mergeRuns(runs, limit)
-}
-
-// mergeRuns k-way merges sorted per-shard runs, keeping the first
-// limit pairs. Shard counts are small, so a linear heap-free merge is
-// simplest and fast enough.
-func mergeRuns(runs [][]core.Pair, limit int) []core.Pair {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		if len(runs[0]) > limit {
-			return runs[0][:limit]
-		}
-		return runs[0]
-	}
-	out := make([]core.Pair, 0, limit)
-	pos := make([]int, len(runs))
-	for len(out) < limit {
-		best := -1
-		for i, r := range runs {
-			if pos[i] >= len(r) {
-				continue
-			}
-			if best == -1 || r[pos[i]].Key < runs[best][pos[best]].Key {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		out = append(out, runs[best][pos[best]])
-		pos[best]++
-	}
-	return out
-}
-
 // ShardStats is a point-in-time view of one shard.
 type ShardStats struct {
 	Backend    string `json:"backend"`               // storage engine name
@@ -1141,22 +1087,6 @@ func (st *Store) Len() int {
 		s.Release()
 	}
 	return n
-}
-
-// Dump appends every pair of the store in key order — a consistent
-// per-shard dump, merged. Intended for tests and offline persistence.
-func (st *Store) Dump() []core.Pair {
-	runs := make([][]core.Pair, 0, len(st.shards))
-	total := 0
-	for _, sh := range st.shards {
-		sh.waitReady()
-		s := sh.be.Snapshot()
-		run := s.AppendPairs(make([]core.Pair, 0, s.Count()))
-		s.Release()
-		total += len(run)
-		runs = append(runs, run)
-	}
-	return mergeRuns(runs, total)
 }
 
 // Close drains every shard's queue (pending writes are applied and

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"pbtree/internal/backend"
 	"pbtree/internal/core"
 	"pbtree/internal/memsys"
 	"pbtree/internal/workload"
@@ -206,28 +209,112 @@ func TestStoreBackpressure(t *testing.T) {
 	}
 }
 
+// fakeSnap is a backend.Snapshot over a sorted slice that records the
+// row limit of every Scan it is asked for.
+type fakeSnap struct {
+	backend.Snapshot
+	rows []core.Pair
+	asks []int
+}
+
+func (f *fakeSnap) Scan(start, end core.Key, limit int) []core.Pair {
+	f.asks = append(f.asks, limit)
+	var out []core.Pair
+	for _, p := range f.rows {
+		if p.Key >= start && p.Key <= end && len(out) < limit {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func (f *fakeSnap) Release() {}
+
+// fakeCursor builds a StoreCursor over [0, MaxUint32] with one fake
+// shard per run of keys.
+func fakeCursor(runs ...[]int) (*StoreCursor, []*fakeSnap) {
+	c := &StoreCursor{end: math.MaxUint32, runs: make([]cursorRun, len(runs)), open: true}
+	snaps := make([]*fakeSnap, len(runs))
+	for i, ks := range runs {
+		snaps[i] = &fakeSnap{}
+		for _, k := range ks {
+			snaps[i].rows = append(snaps[i].rows, core.Pair{Key: core.Key(k), TID: core.TID(k)})
+		}
+		c.runs[i].snap = snaps[i]
+	}
+	return c, snaps
+}
+
+// TestMergeRuns covers the one k-way merge (StoreCursor.take, under
+// Next): no runs, one run longer than the limit, interleaved runs, a
+// limit hit mid-run — and the first-fill rule that keeps a short scan
+// from reading shards x cursorRefill rows.
 func TestMergeRuns(t *testing.T) {
-	p := func(ks ...int) []core.Pair {
-		out := make([]core.Pair, len(ks))
-		for i, k := range ks {
-			out[i] = core.Pair{Key: core.Key(k), TID: core.TID(k)}
+	keysOf := func(rows []core.Pair) []int {
+		out := make([]int, len(rows))
+		for i, p := range rows {
+			out[i] = int(p.Key)
 		}
 		return out
 	}
-	got := mergeRuns([][]core.Pair{p(1, 4, 7), p(2, 5), p(3, 6, 8, 9)}, 100)
-	for i, pr := range got {
-		if int(pr.Key) != i+1 {
-			t.Fatalf("merge[%d] = %d", i, pr.Key)
+	seq := func(from, step, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from + i*step
+		}
+		return out
+	}
+
+	c, _ := fakeCursor()
+	if rows, done := c.Next(5); len(rows) != 0 || !done {
+		t.Fatalf("no runs: %v, done %v", rows, done)
+	}
+
+	c, _ = fakeCursor([]int{1, 2, 3, 4, 5})
+	if rows, done := c.Next(3); !reflect.DeepEqual(keysOf(rows), []int{1, 2, 3}) || done {
+		t.Fatalf("one run longer than the limit: %v, done %v", rows, done)
+	}
+	if rows, done := c.Next(3); !reflect.DeepEqual(keysOf(rows), []int{4, 5}) || !done {
+		t.Fatalf("rest of the run: %v, done %v", rows, done)
+	}
+
+	c, _ = fakeCursor([]int{1, 4, 7}, []int{2, 5}, []int{3, 6, 8, 9})
+	if rows, done := c.Next(100); !reflect.DeepEqual(keysOf(rows), seq(1, 1, 9)) || !done {
+		t.Fatalf("interleaved runs: %v, done %v", rows, done)
+	}
+
+	c, _ = fakeCursor([]int{1, 2}, []int{3})
+	if rows, done := c.Next(2); !reflect.DeepEqual(keysOf(rows), []int{1, 2}) || done {
+		t.Fatalf("limit hit mid-merge: %v, done %v", rows, done)
+	}
+
+	// One chunk of 100 over three long shards: each is asked for at
+	// most the 100 rows the chunk can use, never for cursorRefill.
+	c, snaps := fakeCursor(seq(1, 3, 2000), seq(2, 3, 2000), seq(3, 3, 2000))
+	if rows, done := c.Next(100); !reflect.DeepEqual(keysOf(rows), seq(1, 1, 100)) || done {
+		t.Fatalf("first chunk: %d rows, done %v", len(rows), done)
+	}
+	for i, s := range snaps {
+		if len(s.asks) != 1 || s.asks[0] > 100 {
+			t.Fatalf("shard %d was asked for %v rows by a 100-row chunk", i, s.asks)
 		}
 	}
-	if len(got) != 9 {
-		t.Fatalf("merge length %d", len(got))
+	// Later fills are cursorRefill, and the stream stays gapless.
+	var got []int
+	for done := false; !done; {
+		var rows []core.Pair
+		rows, done = c.Next(256)
+		got = append(got, keysOf(rows)...)
 	}
-	if got := mergeRuns([][]core.Pair{p(1, 2), p(3)}, 2); len(got) != 2 {
-		t.Fatalf("limited merge length %d", len(got))
+	if !reflect.DeepEqual(got, seq(101, 1, 5900)) {
+		t.Fatalf("rest of the stream: %d rows, first %v", len(got), got[:min(3, len(got))])
 	}
-	if got := mergeRuns(nil, 5); got != nil {
-		t.Fatalf("empty merge = %v", got)
+	for i, s := range snaps {
+		for _, ask := range s.asks[1:] {
+			if ask != cursorRefill {
+				t.Fatalf("shard %d refill asked for %d rows, want %d", i, ask, cursorRefill)
+			}
+		}
 	}
 }
 

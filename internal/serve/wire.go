@@ -8,26 +8,27 @@ package serve
 // attacker-chosen count is how servers die (see the fuzz harnesses in
 // wire_test.go).
 //
-// PROTOCOL.md is the normative byte-by-byte specification of both
-// protocol versions, with example frames that protocol_test.go checks
-// against this codec byte for byte. The short form:
+// PROTOCOL.md is the normative byte-by-byte specification, with
+// example frames that protocol_test.go checks against this codec byte
+// for byte. The short form:
 //
-// Version 1 request payload:
+// Request payload:
 //
+//	id        uint32  chosen by the client, echoed by the server
 //	op        uint8   (Get=1 MGet=2 Scan=3 Put=4 Del=5 Stats=6 Hello=7
 //	                   Replicate=8 ScanOpen=9 ScanNext=10 ScanClose=11)
 //	deadline  uint32  per-request deadline in ms, 0 = none
 //	...               op-specific fields, below
 //
-// Version 1 response payload:
+// Response payload:
 //
-//	status    uint8   (OK=0 NotFound=1 Retry=2 Err=3 Deadline=4)
+//	id        uint32  the request being answered
+//	status    uint8   (OK=0 NotFound=1 Retry=2 Err=3 Deadline=4 Fenced=5)
 //	...               status/op-specific fields, below
 //
-// Version 2 (negotiated with a HELLO exchange at connect, see
-// AppendRequestV2) prefixes both payloads with a uint32 request ID
-// chosen by the client; the server may answer IDs in any order, which
-// is what makes connections full-duplex pipelines.
+// IDs must be unique among the requests outstanding on one connection;
+// the server may answer them in any order, which is what makes
+// connections full-duplex pipelines.
 
 import (
 	"bufio"
@@ -49,7 +50,7 @@ const (
 	OpPut   Op = 4
 	OpDel   Op = 5
 	OpStats Op = 6
-	OpHello Op = 7 // version negotiation; must be the first request on a connection
+	OpHello Op = 7 // version check; Dial sends it first to learn the server's window
 
 	// OpReplicate is the replication control class: a follower pulls
 	// WAL records (and, when too far behind, checkpoint chunks) from
@@ -69,13 +70,10 @@ const (
 	OpScanClose Op = 11
 )
 
-// Protocol versions. A connection starts in ProtoV1; a HELLO exchange
-// upgrades it to ProtoV2 (request IDs, pipelining) when both sides
-// support it. PROTOCOL.md §3 specifies the negotiation.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-)
+// ProtoVersion is the one protocol version: every frame carries a
+// request ID. A HELLO from a peer that speaks less is refused
+// (PROTOCOL.md §3).
+const ProtoVersion = 2
 
 // String names an op for metrics and errors.
 func (o Op) String() string {
@@ -248,7 +246,7 @@ type Request struct {
 	Limit      uint32      // Scan
 	Cursor     uint64      // ScanNext, ScanClose: cursor being driven (never 0)
 	Max        uint32      // ScanNext: row budget for this chunk, in [1, MaxScanChunk]
-	MaxVersion uint8       // Hello: highest protocol version the client speaks (>= 1)
+	MaxVersion uint8       // Hello: highest protocol version the client speaks (>= ProtoVersion)
 	Repl       *ReplReq    // Replicate
 }
 
@@ -263,7 +261,7 @@ type Response struct {
 	Cursor       uint64      // ScanOpen: the cursor the server registered (never 0)
 	ScanChunk    bool        // ScanNext: Pairs is one streaming chunk ('N' tag, not 'P')
 	ScanDone     bool        // ScanNext: the scan is exhausted; the cursor is already closed
-	Version      uint8       // Hello: negotiated protocol version (>= 1)
+	Version      uint8       // Hello: the protocol version the server speaks
 	Window       uint32      // Hello: per-connection pipeline depth the server executes
 	Repl         *ReplResp   // Replicate (StatusOK)
 	FencedEpoch  uint64      // StatusFenced: highest epoch the responder has seen
@@ -279,8 +277,10 @@ func appendU64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
-// AppendRequest appends the encoded payload of r (without framing).
-func AppendRequest(dst []byte, r *Request) ([]byte, error) {
+// AppendRequest appends the encoded payload of r (without framing)
+// under request ID id.
+func AppendRequest(dst []byte, id uint32, r *Request) ([]byte, error) {
+	dst = appendU32(dst, id)
 	dst = append(dst, byte(r.Op))
 	dst = appendU32(dst, r.DeadlineMS)
 	switch r.Op {
@@ -332,8 +332,8 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 		dst = appendU64(dst, r.Cursor)
 	case OpStats:
 	case OpHello:
-		if r.MaxVersion < 1 {
-			return nil, fmt.Errorf("serve: HELLO with max version %d < 1", r.MaxVersion)
+		if r.MaxVersion < ProtoVersion {
+			return nil, fmt.Errorf("serve: HELLO with max version %d < %d", r.MaxVersion, ProtoVersion)
 		}
 		dst = append(dst, r.MaxVersion)
 	case OpReplicate:
@@ -458,9 +458,22 @@ func (rd *reader) done() error {
 	return nil
 }
 
-// DecodeRequest parses a request payload produced by AppendRequest.
-func DecodeRequest(payload []byte) (*Request, error) {
+// DecodeRequest parses a request payload produced by AppendRequest. A
+// payload too short to carry the ID cannot be answered at all; one with
+// a malformed body returns the ID alongside the error so the fault can
+// be reported in-band (PROTOCOL.md §5).
+func DecodeRequest(payload []byte) (uint32, *Request, error) {
 	rd := &reader{b: payload}
+	id, err := rd.u32()
+	if err != nil {
+		return 0, nil, err
+	}
+	r, err := decodeRequestBody(rd)
+	return id, r, err
+}
+
+// decodeRequestBody parses what follows the request ID.
+func decodeRequestBody(rd *reader) (*Request, error) {
 	op, err := rd.u8()
 	if err != nil {
 		return nil, err
@@ -546,8 +559,8 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		if r.MaxVersion, err = rd.u8(); err != nil {
 			return nil, err
 		}
-		if r.MaxVersion < 1 {
-			return nil, fmt.Errorf("serve: HELLO with max version %d < 1", r.MaxVersion)
+		if r.MaxVersion < ProtoVersion {
+			return nil, fmt.Errorf("serve: HELLO with max version %d < %d", r.MaxVersion, ProtoVersion)
 		}
 	case OpReplicate:
 		if r.Repl, err = decodeReplReq(rd); err != nil {
@@ -609,8 +622,10 @@ func decodeReplReq(rd *reader) (*ReplReq, error) {
 	return rq, nil
 }
 
-// AppendResponse appends the encoded payload of rs (without framing).
-func AppendResponse(dst []byte, rs *Response) ([]byte, error) {
+// AppendResponse appends the encoded payload of rs (without framing),
+// answering request ID id.
+func AppendResponse(dst []byte, id uint32, rs *Response) ([]byte, error) {
+	dst = appendU32(dst, id)
 	dst = append(dst, byte(rs.Status))
 	switch rs.Status {
 	case StatusRetry:
@@ -737,9 +752,20 @@ func appendReplResp(dst []byte, rp *ReplResp) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResponse parses a response payload produced by AppendResponse.
-func DecodeResponse(payload []byte) (*Response, error) {
+// DecodeResponse parses a response payload produced by AppendResponse
+// into the ID it answers and the response.
+func DecodeResponse(payload []byte) (uint32, *Response, error) {
 	rd := &reader{b: payload}
+	id, err := rd.u32()
+	if err != nil {
+		return 0, nil, err
+	}
+	rs, err := decodeResponseBody(rd)
+	return id, rs, err
+}
+
+// decodeResponseBody parses what follows the request ID.
+func decodeResponseBody(rd *reader) (*Response, error) {
 	st, err := rd.u8()
 	if err != nil {
 		return nil, err
@@ -927,45 +953,6 @@ func decodeReplResp(rd *reader) (*ReplResp, error) {
 		return nil, fmt.Errorf("serve: unknown REPLICATE kind %d", k)
 	}
 	return rp, nil
-}
-
-// AppendRequestV2 appends the version-2 encoding of r: the uint32
-// request ID followed by the version-1 payload. IDs are chosen by the
-// client, echoed verbatim by the server, and must be unique among the
-// requests outstanding on one connection (PROTOCOL.md §4).
-func AppendRequestV2(dst []byte, id uint32, r *Request) ([]byte, error) {
-	return AppendRequest(appendU32(dst, id), r)
-}
-
-// DecodeRequestV2 parses a version-2 request payload into its ID and
-// request. A payload too short to carry the ID is connection-fatal
-// (the server cannot even answer with a correlated error); a payload
-// with a well-formed ID but a malformed body returns the ID alongside
-// the error so the fault can be reported in-band.
-func DecodeRequestV2(payload []byte) (uint32, *Request, error) {
-	if len(payload) < 4 {
-		return 0, nil, io.ErrUnexpectedEOF
-	}
-	id := binary.LittleEndian.Uint32(payload)
-	r, err := DecodeRequest(payload[4:])
-	return id, r, err
-}
-
-// AppendResponseV2 appends the version-2 encoding of rs: the uint32
-// request ID being answered followed by the version-1 payload.
-func AppendResponseV2(dst []byte, id uint32, rs *Response) ([]byte, error) {
-	return AppendResponse(appendU32(dst, id), rs)
-}
-
-// DecodeResponseV2 parses a version-2 response payload into the ID it
-// answers and the response.
-func DecodeResponseV2(payload []byte) (uint32, *Response, error) {
-	if len(payload) < 4 {
-		return 0, nil, io.ErrUnexpectedEOF
-	}
-	id := binary.LittleEndian.Uint32(payload)
-	rs, err := DecodeResponse(payload[4:])
-	return id, rs, err
 }
 
 // WriteFrame writes one length-prefixed frame.

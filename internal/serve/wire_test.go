@@ -9,16 +9,17 @@ import (
 	"pbtree/internal/core"
 )
 
-// roundTripReq encodes and re-decodes a request.
-func roundTripReq(t *testing.T, r *Request) *Request {
+// recodeReq encodes and re-decodes a request under an ID, which must
+// come back unchanged.
+func recodeReq(t *testing.T, id uint32, r *Request) *Request {
 	t.Helper()
-	payload, err := AppendRequest(nil, r)
+	payload, err := AppendRequest(nil, id, r)
 	if err != nil {
 		t.Fatalf("encode %+v: %v", r, err)
 	}
-	got, err := DecodeRequest(payload)
-	if err != nil {
-		t.Fatalf("decode %+v: %v", r, err)
+	gotID, got, err := DecodeRequest(payload)
+	if err != nil || gotID != id {
+		t.Fatalf("decode %+v: id %d (sent %d), %v", r, gotID, id, err)
 	}
 	return got
 }
@@ -32,29 +33,37 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		{Op: OpPut, Pairs: []core.Pair{{Key: 1, TID: 2}, {Key: 3, TID: 4}}},
 		{Op: OpStats},
 	}
-	for _, r := range reqs {
-		if got := roundTripReq(t, r); !reflect.DeepEqual(got, r) {
+	for i, r := range reqs {
+		if got := recodeReq(t, uint32(i)<<28|7, r); !reflect.DeepEqual(got, r) {
 			t.Fatalf("round trip changed %+v to %+v", r, got)
 		}
 	}
 	// Encoder bounds.
-	if _, err := AppendRequest(nil, &Request{Op: OpGet}); err == nil {
+	if _, err := AppendRequest(nil, 1, &Request{Op: OpGet}); err == nil {
 		t.Fatal("GET with no key encoded")
 	}
-	if _, err := AppendRequest(nil, &Request{Op: OpScan, Limit: MaxScanRows + 1}); err == nil {
+	if _, err := AppendRequest(nil, 1, &Request{Op: OpScan, Limit: MaxScanRows + 1}); err == nil {
 		t.Fatal("oversized SCAN limit encoded")
 	}
-	if _, err := AppendRequest(nil, &Request{Op: Op(200)}); err == nil {
+	if _, err := AppendRequest(nil, 1, &Request{Op: OpHello, MaxVersion: 1}); err == nil {
+		t.Fatal("HELLO below the protocol version encoded")
+	}
+	if _, err := AppendRequest(nil, 1, &Request{Op: Op(200)}); err == nil {
 		t.Fatal("unknown op encoded")
 	}
-	// Decoder bounds: truncation and trailing garbage are errors.
-	full, _ := AppendRequest(nil, &Request{Op: OpMGet, Keys: []core.Key{1, 2, 3}})
+	// Decoder bounds: truncation and trailing garbage are errors, and a
+	// cut behind the ID still reports it.
+	full, _ := AppendRequest(nil, 9, &Request{Op: OpMGet, Keys: []core.Key{1, 2, 3}})
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeRequest(full[:cut]); err == nil {
+		id, _, err := DecodeRequest(full[:cut])
+		if err == nil {
 			t.Fatalf("truncated request at %d decoded", cut)
 		}
+		if cut >= 4 && id != 9 {
+			t.Fatalf("truncated request at %d lost its ID: %d", cut, id)
+		}
 	}
-	if _, err := DecodeRequest(append(full, 0)); err == nil {
+	if _, _, err := DecodeRequest(append(full, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -70,26 +79,24 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		{Status: StatusErr, Err: "boom"},
 		{Status: StatusDeadline},
 	}
-	for _, rs := range resps {
-		payload, err := AppendResponse(nil, rs)
+	for i, rs := range resps {
+		id := uint32(i)<<28 | 7
+		payload, err := AppendResponse(nil, id, rs)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", rs, err)
 		}
-		got, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", rs, err)
+		gotID, got, err := DecodeResponse(payload)
+		if err != nil || gotID != id {
+			t.Fatalf("decode %+v: id %d (sent %d), %v", rs, gotID, id, err)
 		}
 		if !reflect.DeepEqual(got, rs) {
 			t.Fatalf("round trip changed %+v to %+v", rs, got)
 		}
 		for cut := 0; cut < len(payload); cut++ {
-			if _, err := DecodeResponse(payload[:cut]); err == nil && cut > 0 {
+			if _, _, err := DecodeResponse(payload[:cut]); err == nil {
 				t.Fatalf("truncated response %+v at %d decoded", rs, cut)
 			}
 		}
-	}
-	if _, err := DecodeResponse(nil); err == nil {
-		t.Fatal("empty response decoded")
 	}
 }
 
@@ -121,74 +128,86 @@ func TestWireFrames(t *testing.T) {
 }
 
 // FuzzWireRequest: any byte string either fails to decode or decodes
-// to a request that re-encodes and re-decodes identically. Decoding
-// must never panic or allocate past the wire bounds.
+// to an ID and a request that re-encode and re-decode identically.
+// Decoding must never panic or allocate past the wire bounds; a payload
+// shorter than the ID always errors.
 func FuzzWireRequest(f *testing.F) {
-	seed := func(r *Request) {
-		payload, err := AppendRequest(nil, r)
+	seed := func(id uint32, r *Request) {
+		payload, err := AppendRequest(nil, id, r)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)
 	}
-	seed(&Request{Op: OpGet, Keys: []core.Key{1}})
-	seed(&Request{Op: OpMGet, Keys: []core.Key{1, 2, 3}})
-	seed(&Request{Op: OpScan, Start: 1, End: 2, Limit: 3})
-	seed(&Request{Op: OpPut, Pairs: []core.Pair{{Key: 1, TID: 2}}})
-	seed(&Request{Op: OpDel, Keys: []core.Key{4}})
-	seed(&Request{Op: OpStats})
+	seed(1, &Request{Op: OpGet, Keys: []core.Key{1}})
+	seed(2, &Request{Op: OpMGet, Keys: []core.Key{1, 2, 3}})
+	seed(3, &Request{Op: OpScan, Start: 1, End: 2, Limit: 3})
+	seed(4, &Request{Op: OpPut, Pairs: []core.Pair{{Key: 1, TID: 2}}})
+	seed(5, &Request{Op: OpDel, Keys: []core.Key{4}})
+	seed(1<<31, &Request{Op: OpStats})
+	seed(7, &Request{Op: OpHello, MaxVersion: ProtoVersion})
+	seed(8, &Request{Op: OpScanNext, Cursor: 1, Max: 256})
 	f.Add([]byte{})
-	f.Add([]byte{2, 0, 0, 0, 0, 255, 255, 255, 255}) // MGET, lying count
+	f.Add([]byte{7, 2})                                          // a legacy un-ID'd opener
+	f.Add([]byte{9, 0, 0, 0, 2, 0, 0, 0, 0, 255, 255, 255, 255}) // MGET, lying count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(data)
+		id, req, err := DecodeRequest(data)
+		if len(data) < 4 && err == nil {
+			t.Fatalf("payload of %d bytes decoded without an ID", len(data))
+		}
 		if err != nil {
 			return
 		}
-		re, err := AppendRequest(nil, req)
+		re, err := AppendRequest(nil, id, req)
 		if err != nil {
 			t.Fatalf("decoded request %+v does not re-encode: %v", req, err)
 		}
-		again, err := DecodeRequest(re)
+		againID, again, err := DecodeRequest(re)
 		if err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(req, again) {
-			t.Fatalf("unstable round trip: %+v vs %+v", req, again)
+		if againID != id || !reflect.DeepEqual(req, again) {
+			t.Fatalf("unstable round trip: %d %+v vs %d %+v", id, req, againID, again)
 		}
 	})
 }
 
 // FuzzWireResponse: same contract for the response codec.
 func FuzzWireResponse(f *testing.F) {
-	seed := func(rs *Response) {
-		payload, err := AppendResponse(nil, rs)
+	seed := func(id uint32, rs *Response) {
+		payload, err := AppendResponse(nil, id, rs)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)
 	}
-	seed(&Response{Status: StatusOK, Lookups: []Lookup{{TID: 1, Found: true}}})
-	seed(&Response{Status: StatusOK, Pairs: []core.Pair{{Key: 1, TID: 2}}})
-	seed(&Response{Status: StatusOK, Stats: []byte("{}")})
-	seed(&Response{Status: StatusOK})
-	seed(&Response{Status: StatusRetry, RetryAfterMS: 5})
-	seed(&Response{Status: StatusErr, Err: "x"})
-	f.Add([]byte{0, 'S', 255, 255, 255, 255}) // stats tag, lying length
+	seed(1, &Response{Status: StatusOK, Lookups: []Lookup{{TID: 1, Found: true}}})
+	seed(2, &Response{Status: StatusOK, Pairs: []core.Pair{{Key: 1, TID: 2}}})
+	seed(3, &Response{Status: StatusOK, Stats: []byte("{}")})
+	seed(4, &Response{Status: StatusOK})
+	seed(5, &Response{Status: StatusRetry, RetryAfterMS: 5})
+	seed(1<<31, &Response{Status: StatusErr, Err: "x"})
+	seed(7, &Response{Status: StatusOK, Version: ProtoVersion, Window: 32})
+	f.Add([]byte{0, 'S', 255})                            // shorter than the ID
+	f.Add([]byte{9, 0, 0, 0, 0, 'S', 255, 255, 255, 255}) // stats tag, lying length
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, err := DecodeResponse(data)
+		id, rs, err := DecodeResponse(data)
+		if len(data) < 4 && err == nil {
+			t.Fatalf("payload of %d bytes decoded without an ID", len(data))
+		}
 		if err != nil {
 			return
 		}
-		re, err := AppendResponse(nil, rs)
+		re, err := AppendResponse(nil, id, rs)
 		if err != nil {
 			t.Fatalf("decoded response %+v does not re-encode: %v", rs, err)
 		}
-		again, err := DecodeResponse(re)
+		againID, again, err := DecodeResponse(re)
 		if err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(rs, again) {
-			t.Fatalf("unstable round trip: %+v vs %+v", rs, again)
+		if againID != id || !reflect.DeepEqual(rs, again) {
+			t.Fatalf("unstable round trip: %d %+v vs %d %+v", id, rs, againID, again)
 		}
 	})
 }

@@ -366,9 +366,8 @@ type (
 	// BudgetStats is the STATS view of one admission class.
 	BudgetStats = serve.BudgetStats
 
-	// ServeClient is a wire-protocol client; connections negotiated to
-	// protocol v2 pipeline concurrent calls over one socket
-	// (PROTOCOL.md).
+	// ServeClient is a wire-protocol client; it pipelines concurrent
+	// calls over one socket (PROTOCOL.md).
 	ServeClient = serve.Client
 
 	// ServeCall is one in-flight asynchronous client call
@@ -432,7 +431,7 @@ type (
 	LSMConfig = lsm.Config
 )
 
-// Replication layer (internal/repl): WAL shipping over protocol v2,
+// Replication layer (internal/repl): WAL shipping over the wire protocol,
 // read replicas with bounded staleness, and epoch-fenced failover
 // (DESIGN.md §13).
 type (
@@ -476,10 +475,6 @@ const (
 	// runs with bloom filters and size-tiered compaction.
 	BackendLSM = serve.BackendLSM
 )
-
-// ScenarioNames lists the loadgen's named workload presets
-// (LoadgenConfig.Scenario).
-func ScenarioNames() []string { return serve.ScenarioNames() }
 
 // NewAdminMux builds the admin-plane HTTP handler for a running
 // server: /metrics (Prometheus), /healthz, /statsz, /debug/vars and
@@ -593,16 +588,10 @@ func NewServer(st *Store, cfg ServerConfig) *Server {
 	return serve.NewServer(st, cfg)
 }
 
-// DialServer connects a wire-protocol client to a serving address,
-// negotiating the pipelined protocol v2 when the server supports it.
+// DialServer connects a wire-protocol client to a serving address;
+// the connection is a pipeline any number of goroutines may share.
 func DialServer(addr string) (*ServeClient, error) {
 	return serve.Dial(addr)
-}
-
-// DialServerV1 connects without negotiating, speaking protocol v1
-// (one request per round trip) — the compatibility escape hatch.
-func DialServerV1(addr string) (*ServeClient, error) {
-	return serve.DialV1(addr)
 }
 
 // RunLoadgen drives a configured read/write/scan mix against a
