@@ -49,7 +49,6 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "workload random seed")
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		jsonOut    = flag.Bool("json", false, "emit results as JSON on stdout instead of text tables")
-		native     = flag.Bool("native", false, "also run the wall-clock native benchmark (hardware prefetch x branchless search)")
 		tracePath  = flag.String("trace", "", "write a Chrome trace of all memory events to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -93,13 +92,11 @@ func run() int {
 	}
 
 	var ids []string
-	switch *figs {
-	case "all":
+	if *figs == "all" {
 		for _, e := range exp.Experiments() {
 			ids = append(ids, e.ID)
 		}
-	case "none", "": // e.g. pbench -fig none -native
-	default:
+	} else {
 		for _, id := range strings.Split(*figs, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
@@ -125,22 +122,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "[%s: %.1fs wall]\n", id, res.WallSeconds)
 		}
 		rs.Results = append(rs.Results, res)
-	}
-
-	if *native {
-		start := time.Now()
-		rep, err := exp.RunNative(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pbench: native benchmark failed: %v\n", err)
-			failed = append(failed, "native")
-		} else {
-			rs.Native = &rep
-			if !*jsonOut {
-				tb := rep.Table()
-				tb.Fprint(os.Stdout)
-			}
-			fmt.Fprintf(os.Stderr, "[native: %.1fs wall]\n", time.Since(start).Seconds())
-		}
 	}
 
 	if *jsonOut {

@@ -80,40 +80,37 @@ func parseLevel(s string) (slog.Level, error) {
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
-		admin      = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /statsz, /debug/pprof (empty = disabled)")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
-		keys       = flag.Int("keys", 1_000_000, "preload N sequential keys")
-		shards     = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
-		be         = flag.String("backend", "pbtree", "storage backend per shard: pbtree|lsm")
-		flushKey   = flag.Int("lsm-flush-keys", 0, "lsm: memtable keys per flushed run (0 = 4096)")
-		maxRuns    = flag.Int("lsm-max-runs", 0, "lsm: runs tolerated before compaction (0 = 8)")
-		width      = flag.Int("width", 8, "tree node width in cache lines")
-		hwPf       = flag.Bool("hw-prefetch", false, "issue real CPU prefetch instructions on node visits (pbtree backend)")
-		branchless = flag.Bool("branchless", false, "branchless data-parallel intra-node search (pbtree backend)")
-		gapped     = flag.Bool("gapped", false, "gapped leaf slot arrays with occupancy bitmaps (pbtree backend)")
-		window     = flag.Int("window", 0, "pipeline depth per connection: requests per read burst and on the worker pool (0 = 32)")
-		poolSize   = flag.Int("pool", 0, "workers executing the requests that can block: writes, scans (0 = max(16, 4x GOMAXPROCS))")
-		cursorTmo  = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s, <0 = never)")
-		readTok    = flag.Int("read-tokens", 0, "admission budget for GET/MGET (0 = max(4x shards, window x max(2, GOMAXPROCS)))")
-		writeTok   = flag.Int("write-tokens", 0, "admission budget for PUT/DEL (0 = 2x shards)")
-		scanTok    = flag.Int("scan-row-tokens", 0, "admission budget for concurrent SCAN rows (0 = 64k)")
-		queue      = flag.Int("queue", 0, "per-shard mutation queue length (0 = 1024)")
-		drain      = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
-		dataDir    = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
-		fsync      = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
-		fsyncInt   = flag.Duration("fsync-interval", 10*time.Millisecond, "sync period for -fsync interval")
-		ckptEvry   = flag.Int("checkpoint-every", 4096, "WAL records per shard between checkpoints")
-		walKeep    = flag.Int("wal-retain", 0, "superseded WAL segments retained per shard for follower catch-up")
-		replicaOf  = flag.String("replica-of", "", "primary serving address to follow (makes this node a read replica; requires -data-dir)")
-		epochFlag  = flag.Uint64("epoch", 0, "minimum replication epoch to run at (0 = whatever the MANIFEST records)")
-		replSync   = flag.Bool("repl-sync", false, "synchronous replication: acknowledge writes only after a follower ack")
-		replPoll   = flag.Duration("repl-poll", 50*time.Millisecond, "follower poll interval once caught up")
-		syncTmo    = flag.Duration("repl-sync-timeout", 2*time.Second, "how long a synchronous write waits for a follower ack")
-		stages     = flag.Bool("stages", true, "per-stage request-lifecycle histograms")
-		slowLog    = flag.Duration("slow-log", 0, "log requests slower than this with their stage breakdown (0 = off)")
-		slowRate   = flag.Int("slow-log-rate", 10, "max slow-request log lines per second")
-		lcTrace    = flag.String("lifecycle-trace", "", "write a Chrome trace of traced requests to this file")
+		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
+		admin     = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /statsz, /debug/pprof (empty = disabled)")
+		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
+		keys      = flag.Int("keys", 1_000_000, "preload N sequential keys")
+		shards    = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
+		be        = flag.String("backend", "pbtree", "storage backend per shard: pbtree|lsm")
+		flushKey  = flag.Int("lsm-flush-keys", 0, "lsm: memtable keys per flushed run (0 = 4096)")
+		maxRuns   = flag.Int("lsm-max-runs", 0, "lsm: runs tolerated before compaction (0 = 8)")
+		width     = flag.Int("width", 8, "tree node width in cache lines")
+		window    = flag.Int("window", 0, "pipeline depth per connection: requests per read burst and on the worker pool (0 = 32)")
+		poolSize  = flag.Int("pool", 0, "workers executing the requests that can block: writes, scans (0 = max(16, 4x GOMAXPROCS))")
+		cursorTmo = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s, <0 = never)")
+		readTok   = flag.Int("read-tokens", 0, "admission budget for GET/MGET (0 = max(4x shards, window x max(2, GOMAXPROCS)))")
+		writeTok  = flag.Int("write-tokens", 0, "admission budget for PUT/DEL (0 = 2x shards)")
+		scanTok   = flag.Int("scan-row-tokens", 0, "admission budget for concurrent SCAN rows (0 = 64k)")
+		queue     = flag.Int("queue", 0, "per-shard mutation queue length (0 = 1024)")
+		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
+		dataDir   = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
+		fsync     = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
+		fsyncInt  = flag.Duration("fsync-interval", 10*time.Millisecond, "sync period for -fsync interval")
+		ckptEvry  = flag.Int("checkpoint-every", 4096, "WAL records per shard between checkpoints")
+		walKeep   = flag.Int("wal-retain", 0, "superseded WAL segments retained per shard for follower catch-up")
+		replicaOf = flag.String("replica-of", "", "primary serving address to follow (makes this node a read replica; requires -data-dir)")
+		epochFlag = flag.Uint64("epoch", 0, "minimum replication epoch to run at (0 = whatever the MANIFEST records)")
+		replSync  = flag.Bool("repl-sync", false, "synchronous replication: acknowledge writes only after a follower ack")
+		replPoll  = flag.Duration("repl-poll", 50*time.Millisecond, "follower poll interval once caught up")
+		syncTmo   = flag.Duration("repl-sync-timeout", 2*time.Second, "how long a synchronous write waits for a follower ack")
+		stages    = flag.Bool("stages", true, "per-stage request-lifecycle histograms")
+		slowLog   = flag.Duration("slow-log", 0, "log requests slower than this with their stage breakdown (0 = off)")
+		slowRate  = flag.Int("slow-log-rate", 10, "max slow-request log lines per second")
+		lcTrace   = flag.String("lifecycle-trace", "", "write a Chrome trace of traced requests to this file")
 	)
 	flag.Parse()
 
@@ -135,16 +132,10 @@ func main() {
 		Backend:  *be,
 		LSM:      pbtree.LSMConfig{FlushKeys: *flushKey, MaxRuns: *maxRuns},
 		QueueLen: *queue,
-		Tree: pbtree.Config{
-			Width:            *width,
-			Prefetch:         *width > 1 || *hwPf,
-			HardwarePrefetch: *hwPf,
-			BranchlessSearch: *branchless,
-			GappedLeaves:     *gapped,
-		},
-		Metrics: metrics,
-		Replica: *replicaOf != "",
-		Epoch:   *epochFlag,
+		Tree:     pbtree.Config{Width: *width, Prefetch: *width > 1},
+		Metrics:  metrics,
+		Replica:  *replicaOf != "",
+		Epoch:    *epochFlag,
 	}
 	if *dataDir != "" {
 		policy, err := serve.ParseFsyncPolicy(*fsync)

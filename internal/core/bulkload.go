@@ -89,12 +89,11 @@ func (t *Tree) buildLeaves(pairs []Pair, fill float64) []*node {
 			end = len(pairs)
 		}
 		n := t.newLeaf()
-		sk, st := t.scratchLeaf(end - start)
 		for i, p := range pairs[start:end] {
-			sk[i] = p.Key
-			st[i] = p.TID
+			n.keys[i] = p.Key
+			n.tids[i] = p.TID
 		}
-		t.layOutLeaf(n, sk, st)
+		n.nkeys = end - start
 		t.chargeLeafWrite(n, 0, n.nkeys)
 		if len(leaves) > 0 {
 			prev := leaves[len(leaves)-1]

@@ -20,18 +20,10 @@ func (t *Tree) Delete(key Key) bool {
 	t.count--
 	i := ub - 1
 	if leaf.nkeys > 1 {
-		if leaf.occ != nil {
-			t.gappedLeafRemoveAt(leaf, i)
-		} else {
-			t.leafRemoveAt(leaf, i)
-		}
+		t.leafRemoveAt(leaf, i)
 		return true
 	}
 	leaf.nkeys = 0
-	if leaf.occ != nil {
-		clear(leaf.occ)
-		leaf.nslots = 0
-	}
 	t.mem.Access(leaf.addr)
 	t.fixEmpty(leaf, len(t.path)-1)
 	return true
@@ -127,13 +119,12 @@ func (t *Tree) redistributeFromRight(parent *node, ci int, n, rs *node) {
 	t.stats.Redistributions++
 	t.pfNode(rs) // prefetch the sibling (2.1)
 	if n.leaf {
-		// Extract rs's live entries and lay both leaves back out
-		// (identical to the direct copies for packed leaves; gapped
-		// leaves are re-gapped).
 		q := (rs.nkeys + 1) / 2
-		sk, st := t.extractLeaf(rs)
-		t.layOutLeaf(n, sk[:q], st[:q])
-		t.layOutLeaf(rs, sk[q:], st[q:])
+		n.nkeys = copy(n.keys, rs.keys[:q])
+		copy(n.tids, rs.tids[:q])
+		copy(rs.keys, rs.keys[q:rs.nkeys])
+		copy(rs.tids, rs.tids[q:rs.nkeys])
+		rs.nkeys -= q
 		parent.keys[ci] = rs.keys[0]
 		t.chargeLeafWriteCost(n, 0, q)
 		t.chargeLeafWriteCost(rs, 0, rs.nkeys)
@@ -167,9 +158,9 @@ func (t *Tree) redistributeFromLeft(parent *node, ci int, n, ls *node) {
 	if n.leaf {
 		q := (ls.nkeys + 1) / 2
 		start := ls.nkeys - q
-		sk, st := t.extractLeaf(ls)
-		t.layOutLeaf(n, sk[start:], st[start:])
-		t.layOutLeaf(ls, sk[:start], st[:start])
+		n.nkeys = copy(n.keys, ls.keys[start:ls.nkeys])
+		copy(n.tids, ls.tids[start:ls.nkeys])
+		ls.nkeys = start
 		parent.keys[ci-1] = n.keys[0]
 		t.chargeLeafWriteCost(n, 0, q)
 	} else {
@@ -201,10 +192,9 @@ func (t *Tree) redistributeFromLeft(parent *node, ci int, n, ls *node) {
 func (t *Tree) mergeRightInto(n, rs *node, sep Key) {
 	t.pfNode(rs)
 	if n.leaf {
-		// rs holds a single live entry; extract-and-relayout finds it
-		// even when its slot array starts with gaps.
-		sk, st := t.extractLeaf(rs)
-		t.layOutLeaf(n, sk, st)
+		// rs holds a single entry.
+		n.keys[0], n.tids[0] = rs.keys[0], rs.tids[0]
+		n.nkeys = 1
 		n.next = rs.next
 		t.chargeLeafWriteCost(n, 0, 1)
 		t.mem.Access(t.leafLay.nextAddr(n.addr))

@@ -36,10 +36,8 @@ func (t *Tree) fracPos(key Key) float64 {
 	})
 	ub, _ := t.searchKeys(leaf, key)
 	frac := 0.0
-	if ext := slotExtent(leaf); ext > 0 {
-		// ub and the extent are both slot positions in a gapped leaf,
-		// entry positions in a packed one.
-		frac = float64(ub) / float64(ext)
+	if leaf.nkeys > 0 {
+		frac = float64(ub) / float64(leaf.nkeys)
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		p := path[i]

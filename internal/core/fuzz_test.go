@@ -112,3 +112,96 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTreeOps drives one fuzzer-chosen insert/delete/search sequence
+// through a native tree, its simulated twin and a map oracle at once.
+// The two trees run different code — branchless search and real
+// prefetches against the paper's probe-per-key search on simulated
+// addresses — so every result must agree op by op, both must keep
+// their structural invariants as the ops run, and both must hold the
+// oracle's contents at the end.
+func FuzzTreeOps(f *testing.F) {
+	mk := func(ops ...byte) []byte { return ops }
+	f.Add(mk(), uint8(8), true)
+	f.Add(mk(0, 10, 0, 0, 20, 0, 0, 15, 0, 1, 10, 0, 2, 15, 0), uint8(8), false)
+	f.Add(mk(0, 255, 255, 0, 0, 0, 1, 255, 255, 2, 0, 0), uint8(1), true)
+	seq := make([]byte, 0, 300)
+	for i := byte(1); i <= 50; i++ {
+		seq = append(seq, 0, i, 0) // fifty ascending inserts
+	}
+	for i := byte(1); i <= 50; i += 2 {
+		seq = append(seq, 1, i, 0) // delete every other
+	}
+	f.Add(seq, uint8(2), true)
+
+	f.Fuzz(func(t *testing.T, ops []byte, width uint8, external bool) {
+		if width == 0 || width > 16 {
+			return
+		}
+		if len(ops) > 3*4096 {
+			ops = ops[:3*4096] // bound invariant-check cost
+		}
+		cfg := Config{Width: int(width), Prefetch: true, JumpArray: JumpInternal}
+		if external {
+			cfg.JumpArray = JumpExternal
+		}
+		cfg.Mem = memsys.DefaultNative()
+		nat, err := New(cfg)
+		if err != nil {
+			return
+		}
+		cfg.Mem = memsys.Default()
+		sim := MustNew(cfg)
+		check := func(i int) {
+			for _, tr := range []*Tree{nat, sim} {
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("op %d (native=%v): %v", i, tr.native, err)
+				}
+			}
+		}
+		oracle := map[Key]TID{}
+		for i := 0; i+3 <= len(ops); i += 3 {
+			raw := binary.LittleEndian.Uint16(ops[i+1 : i+3])
+			key := Key(raw)
+			if raw == 0xFFFF {
+				key = MaxKey // exercise the sentinel
+			}
+			want, had := oracle[key]
+			switch ops[i] % 3 {
+			case 0:
+				tid := TID(raw) + 1
+				if a, b := nat.Insert(key, tid), sim.Insert(key, tid); a == had || b == had {
+					t.Fatalf("op %d: Insert(%d) added native=%v simulated=%v, oracle had=%v", i, key, a, b, had)
+				}
+				oracle[key] = tid
+			case 1:
+				if a, b := nat.Delete(key), sim.Delete(key); a != had || b != had {
+					t.Fatalf("op %d: Delete(%d) native=%v simulated=%v, oracle had=%v", i, key, a, b, had)
+				}
+				delete(oracle, key)
+			case 2:
+				for _, tr := range []*Tree{nat, sim} {
+					if got, ok := tr.Search(key); ok != had || got != want {
+						t.Fatalf("op %d: Search(%d) = %d,%v (native=%v), want %d,%v", i, key, got, ok, tr.native, want, had)
+					}
+				}
+			}
+			if i%(16*3) == 0 {
+				check(i)
+			}
+		}
+		check(len(ops))
+		got, twin := nat.AppendPairs(nil), sim.AppendPairs(nil)
+		if len(got) != len(oracle) || len(twin) != len(oracle) {
+			t.Fatalf("native has %d pairs, simulated %d, oracle %d", len(got), len(twin), len(oracle))
+		}
+		for i, p := range got {
+			if i > 0 && p.Key <= got[i-1].Key {
+				t.Fatalf("AppendPairs out of order at %d", i)
+			}
+			if p != twin[i] || oracle[p.Key] != p.TID {
+				t.Fatalf("pair %d: native %+v, simulated %+v, oracle tid %d", i, p, twin[i], oracle[p.Key])
+			}
+		}
+	})
+}

@@ -18,6 +18,10 @@ package core
 // effect; internal/serve uses SearchBatch on the native model to serve
 // batched MGET lookups off one tree snapshot.
 
+// searchBatchStack is the largest group whose cursor SearchBatch keeps
+// in a fixed stack array; larger groups allocate one slice.
+const searchBatchStack = 64
+
 // SearchBatch looks up keys[i] for every i, advancing all searches
 // through the tree level-by-level as one software-pipelined group. It
 // stores the results in tids[i] and found[i], which must both be at
@@ -44,7 +48,14 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 	// The group cursor: nodes[i] is the node search i visits next.
 	// All cursors sit at the same level throughout, since every leaf
 	// of a B+-Tree is at the same depth.
-	nodes := make([]*node, len(keys))
+	// Groups of up to searchBatchStack keys — every MGET group and
+	// single-GET burst the store issues — keep the cursor on the stack.
+	var stack [searchBatchStack]*node
+	nodes := stack[:]
+	if len(keys) > len(stack) {
+		nodes = make([]*node, len(keys))
+	}
+	nodes = nodes[:len(keys)]
 	for i := range nodes {
 		nodes[i] = t.root
 		t.mem.Compute(t.cost.Op)

@@ -1,12 +1,22 @@
 package core
 
-import "unsafe"
+import (
+	"unsafe"
 
-// Hardware-prefetch plumbing: with Config.HardwarePrefetch, the
-// tree's prefetch charges carry the *real* virtual addresses of a
-// node's backing arrays instead of its simulated address, and the
-// native model (in hardware mode, see memsys.EnableHardwarePrefetch)
-// turns each one into an actual PREFETCHT0 / PRFM instruction.
+	"pbtree/internal/memsys"
+)
+
+// Prefetch dispatch. Every prefetch the tree issues goes through one
+// of the pf* helpers below, and each does the same two things:
+//
+//   - it charges the memory model with the *simulated* address of what
+//     is being prefetched — the Model interface never sees a real
+//     address, so a Hierarchy models the paper's prefetch exactly and a
+//     counted Native model counts the same events as its simulated twin;
+//   - on a native tree (t.native, set once by New from the type of
+//     Config.Mem) it first issues real prefetch instructions
+//     (PREFETCHT0 / PRFM, memsys.HardwarePrefetch) for the *real*
+//     backing arrays. A simulated tree never does.
 //
 // A node's real memory is not one contiguous block: the Go struct
 // holds separate keys and tids/children slices. The paper's
@@ -14,58 +24,43 @@ import "unsafe"
 // search touches only the key array until the final child/tupleID
 // read — so a node visit prefetches the key array and the pointer
 // array, each as one range.
-//
-// The simulated Access charges are untouched: on the native model
-// they are no-ops (or counters), and the counted model therefore
-// reports the same event counts whether hardware mode is on or off.
 
-// keysBase returns the real address of n.keys[0] (0 for an empty
-// slice, which the prefetch path never produces: every node's key
-// slice is allocated at capacity).
-func keysBase(n *node) uint64 {
-	if len(n.keys) == 0 {
-		return 0
-	}
-	return uint64(uintptr(unsafe.Pointer(&n.keys[0])))
+// Real element sizes of the backing arrays (keys and tupleIDs happen
+// to match the simulated fieldSize; Go pointers do not).
+const (
+	realKeyBytes  = int(unsafe.Sizeof(Key(0)))
+	realTIDBytes  = int(unsafe.Sizeof(TID(0)))
+	realPtrBytes  = int(unsafe.Sizeof((*node)(nil)))
+	realPairBytes = int(unsafe.Sizeof(Pair{}))
+)
+
+// hwPrefetch issues one real prefetch instruction per hardware line of
+// the bytes at p (none when bytes is 0, e.g. for an empty slice).
+func hwPrefetch(p unsafe.Pointer, bytes int) {
+	memsys.HardwarePrefetchRange(uintptr(p), bytes)
 }
 
-// hwPrefetchNode issues real prefetches for the node's backing
-// arrays: the full key array, plus the tupleID array (leaf) or child
-// pointer array (non-leaf).
-func (t *Tree) hwPrefetchNode(n *node) {
-	if len(n.keys) > 0 {
-		t.mem.PrefetchRange(keysBase(n), len(n.keys)*int(unsafe.Sizeof(Key(0))))
-	}
-	if n.leaf {
-		if len(n.tids) > 0 {
-			t.mem.PrefetchRange(uint64(uintptr(unsafe.Pointer(&n.tids[0]))), len(n.tids)*int(unsafe.Sizeof(TID(0))))
-		}
-	} else if len(n.children) > 0 {
-		t.mem.PrefetchRange(uint64(uintptr(unsafe.Pointer(&n.children[0]))), len(n.children)*int(unsafe.Sizeof((*node)(nil))))
-	}
-}
-
-// pfNode prefetches all lines of a node: the real backing arrays in
-// hardware mode, the simulated node region otherwise. It is the
-// mode dispatch behind every whole-node prefetch in the tree.
+// pfNode prefetches all lines of a node: the full key array plus the
+// tupleID (leaf) or child pointer (non-leaf) array on a native tree,
+// the simulated node region on the model.
 func (t *Tree) pfNode(n *node) {
-	if t.hw {
-		t.hwPrefetchNode(n)
-		return
+	if t.native {
+		hwPrefetch(unsafe.Pointer(unsafe.SliceData(n.keys)), len(n.keys)*realKeyBytes)
+		if n.leaf {
+			hwPrefetch(unsafe.Pointer(unsafe.SliceData(n.tids)), len(n.tids)*realTIDBytes)
+		} else {
+			hwPrefetch(unsafe.Pointer(unsafe.SliceData(n.children)), len(n.children)*realPtrBytes)
+		}
 	}
 	t.mem.PrefetchRange(n.addr, t.lay(n).size)
 }
 
-// pfHint prefetches the jump-pointer chunk lines a leaf's hint
-// points at: the chunk header and the hinted slot, or in hardware
-// mode the real slot entry (the Go chunk has no separate header
-// line).
+// pfHint prefetches the jump-pointer chunk lines a leaf's hint points
+// at: the chunk header and the hinted slot (the Go chunk has no
+// separate header line, so the real prefetch is the slot entry).
 func (t *Tree) pfHint(h hintPos) {
-	if t.hw {
-		if h.slot >= 0 && h.slot < len(h.chunk.slots) {
-			t.mem.Prefetch(uint64(uintptr(unsafe.Pointer(&h.chunk.slots[h.slot]))))
-		}
-		return
+	if t.native && h.slot >= 0 && h.slot < len(h.chunk.slots) {
+		memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&h.chunk.slots[h.slot])))
 	}
 	t.mem.Prefetch(h.chunk.addr)
 	t.mem.Prefetch(h.chunk.slotAddr(h.slot))
@@ -73,59 +68,29 @@ func (t *Tree) pfHint(h hintPos) {
 
 // pfLeafHint prefetches the line holding a leaf's hint field.
 func (t *Tree) pfLeafHint(leaf *node) {
-	if t.hw {
-		t.mem.Prefetch(uint64(uintptr(unsafe.Pointer(&leaf.hint))))
-		return
+	if t.native {
+		memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&leaf.hint)))
 	}
 	t.mem.Prefetch(t.leafLay.hintAddr(leaf.addr))
 }
 
-// bufBase returns the real base address of a TID return buffer.
-func bufBase(buf []TID) uintptr {
-	if len(buf) == 0 {
-		return 0
+// pfChunk prefetches all lines of an external jump-pointer array
+// chunk.
+func (t *Tree) pfChunk(ck *chunk) {
+	if t.native {
+		hwPrefetch(unsafe.Pointer(unsafe.SliceData(ck.slots)), len(ck.slots)*realPtrBytes)
 	}
-	return uintptr(unsafe.Pointer(&buf[0]))
-}
-
-// pairBufBase returns the real base address of a Pair return buffer.
-func pairBufBase(buf []Pair) uintptr {
-	if len(buf) == 0 {
-		return 0
-	}
-	return uintptr(unsafe.Pointer(&buf[0]))
+	t.mem.PrefetchRange(ck.addr, t.chunkBytes())
 }
 
 // pfBuf prefetches sz bytes at offset off of the scanner's return
-// buffer: the caller's real buffer in hardware mode (clamped to its
-// length), the simulated region otherwise. Simulated offsets map
-// one-to-one onto the real buffer — both are packed 4-byte TIDs or
-// 8-byte Pairs.
+// buffer. Simulated offsets map one-to-one onto the caller's real
+// buffer — both are packed 4-byte TIDs or 8-byte Pairs — so a native
+// tree prefetches the same window of the real one, clamped to its
+// length.
 func (s *Scanner) pfBuf(off, sz int) {
-	t := s.t
-	if t.hw {
-		if s.bufReal == 0 {
-			return
-		}
-		if off+sz > s.bufRealBytes {
-			sz = s.bufRealBytes - off
-		}
-		if sz > 0 {
-			t.mem.PrefetchRange(uint64(s.bufReal)+uint64(off), sz)
-		}
-		return
+	if s.t.native {
+		memsys.HardwarePrefetchRange(s.bufReal+uintptr(off), min(sz, s.bufRealBytes-off))
 	}
-	t.mem.PrefetchRange(s.bufAddr+uint64(off), sz)
-}
-
-// pfChunk prefetches all lines of an external jump-pointer array
-// chunk (its real slot array in hardware mode).
-func (t *Tree) pfChunk(ck *chunk) {
-	if t.hw {
-		if len(ck.slots) > 0 {
-			t.mem.PrefetchRange(uint64(uintptr(unsafe.Pointer(&ck.slots[0]))), len(ck.slots)*int(unsafe.Sizeof((*node)(nil))))
-		}
-		return
-	}
-	t.mem.PrefetchRange(ck.addr, t.chunkBytes())
+	s.t.mem.PrefetchRange(s.bufAddr+uint64(off), sz)
 }

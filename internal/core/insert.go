@@ -27,12 +27,9 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 	splitsBefore := t.stats.LeafSplits + t.stats.NonLeafSplits
 	nlSplitsBefore := t.stats.NonLeafSplits
 
-	switch {
-	case t.full(leaf):
+	if t.full(leaf) {
 		t.splitLeaf(leaf, ub, key, tid)
-	case leaf.occ != nil:
-		t.gappedLeafInsertAt(leaf, ub, key, tid)
-	default:
+	} else {
 		t.leafInsertAt(leaf, ub, key, tid)
 	}
 
@@ -71,13 +68,11 @@ func (t *Tree) splitLeaf(n *node, pos int, key Key, tid TID) {
 		t.pfHint(n.hint)
 	}
 
-	// A full gapped leaf has no gaps left, so its slot array is
-	// packed and pos is an ordinary entry rank either way.
 	total := n.nkeys + 1
 	half := total / 2 // pairs staying in n
 
-	// Assemble the combined order in scratch space, then lay the two
-	// halves back out (re-gapping them in gapped mode).
+	// Assemble the combined order in scratch space, then copy the two
+	// halves back out.
 	sk, st := t.scratchLeaf(total)
 	copy(sk, n.keys[:pos])
 	copy(st, n.tids[:pos])
@@ -86,8 +81,10 @@ func (t *Tree) splitLeaf(n *node, pos int, key Key, tid TID) {
 	copy(sk[pos+1:], n.keys[pos:n.nkeys])
 	copy(st[pos+1:], n.tids[pos:n.nkeys])
 
-	t.layOutLeaf(n, sk[:half], st[:half])
-	t.layOutLeaf(right, sk[half:], st[half:])
+	n.nkeys = copy(n.keys, sk[:half])
+	copy(n.tids, st[:half])
+	right.nkeys = copy(right.keys, sk[half:])
+	copy(right.tids, st[half:])
 
 	right.next = n.next
 	n.next = right

@@ -31,7 +31,7 @@ func (t *Tree) CheckInvariants() error {
 	}
 	for j := 1; j < len(leaves); j++ {
 		if leaves[j-1].nkeys > 0 && leaves[j].nkeys > 0 &&
-			lastKey(leaves[j-1]) >= leaves[j].keys[0] {
+			leaves[j-1].keys[leaves[j-1].nkeys-1] >= leaves[j].keys[0] {
 			return fmt.Errorf("leaf %d not key-ordered before leaf %d", j-1, j)
 		}
 	}
@@ -60,24 +60,16 @@ func (t *Tree) checkNode(n *node, depth int, lo, hi *Key, leaves *[]*node, count
 	if n.nkeys > lay.maxKeys {
 		return fmt.Errorf("node with %d keys exceeds capacity %d", n.nkeys, lay.maxKeys)
 	}
-	if n.leaf && n.occ != nil {
-		if err := t.checkGappedLeaf(n); err != nil {
-			return fmt.Errorf("depth %d: %w", depth, err)
-		}
-	} else {
-		for i := 1; i < n.nkeys; i++ {
-			if n.keys[i-1] >= n.keys[i] {
-				return fmt.Errorf("unsorted keys at depth %d", depth)
-			}
+	for i := 1; i < n.nkeys; i++ {
+		if n.keys[i-1] >= n.keys[i] {
+			return fmt.Errorf("unsorted keys at depth %d", depth)
 		}
 	}
 	if n.nkeys > 0 {
-		// keys[0] is the smallest live key in every layout (a gapped
-		// leaf's gap slots duplicate their right neighbor).
 		if lo != nil && n.keys[0] < *lo {
 			return fmt.Errorf("key below lower bound at depth %d", depth)
 		}
-		if hi != nil && lastKey(n) >= *hi {
+		if hi != nil && n.keys[n.nkeys-1] >= *hi {
 			return fmt.Errorf("key above upper bound at depth %d", depth)
 		}
 	}

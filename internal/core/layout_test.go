@@ -154,9 +154,12 @@ func newTestTree(tb testing.TB, cfg Config) *Tree {
 }
 
 // testVariants are the tree configurations exercised by the
-// correctness tests.
+// correctness tests: every layout on the simulated hierarchy (the
+// paper's search, modeled prefetches) and again on the native model
+// (branchless search, real prefetch instructions). Each Config gets a
+// private model.
 func testVariants() []Config {
-	return []Config{
+	layouts := []Config{
 		{Width: 1},                 // plain B+
 		{Width: 1, Prefetch: true}, // degenerate p1
 		{Width: 2, Prefetch: true},
@@ -168,12 +171,16 @@ func testVariants() []Config {
 		{Width: 2, Prefetch: true, JumpArray: JumpExternal, ChunkLines: 1},
 		{Width: 2, Prefetch: true, JumpArray: JumpInternal},
 		{Width: 8}, // wide without prefetch (the Figure 2(b) ablation)
-		// Intra-node search and leaf-layout variants (PR 9).
-		{Width: 8, Prefetch: true, BranchlessSearch: true},
-		{Width: 8, Prefetch: true, GappedLeaves: true},
-		{Width: 8, Prefetch: true, BranchlessSearch: true, GappedLeaves: true},
-		{Width: 1, BranchlessSearch: true, GappedLeaves: true},
-		{Width: 8, Prefetch: true, JumpArray: JumpExternal, BranchlessSearch: true, GappedLeaves: true},
-		{Width: 8, Prefetch: true, JumpArray: JumpInternal, GappedLeaves: true},
+		{Width: 8, Prefetch: true, Ablation: Ablation{NoBufferPrefetch: true}},
 	}
+	out := make([]Config, 0, 2*len(layouts))
+	for _, cfg := range layouts {
+		cfg.Mem = memsys.Default()
+		out = append(out, cfg)
+	}
+	for _, cfg := range layouts {
+		cfg.Mem = memsys.DefaultNative()
+		out = append(out, cfg)
+	}
+	return out
 }

@@ -27,16 +27,6 @@ type node struct {
 	// array (JumpExternal only). The chunk is always correct; the slot
 	// index is a hint that may be stale.
 	hint hintPos
-
-	// Gapped-leaf state (Config.GappedLeaves, leaves only; see
-	// gapped.go). occ is the slot occupancy bitmap — nil means the
-	// node is packed (entries in slots [0, nkeys)). For a gapped
-	// leaf, nkeys counts occupied slots, nslots is one past the last
-	// occupied slot, and gap slots below nslots duplicate the key of
-	// their nearest occupied right neighbor so the slot array stays
-	// sorted.
-	occ    []uint64
-	nslots int
 }
 
 // hintPos locates (approximately) a leaf's jump pointer.
@@ -57,19 +47,14 @@ func (t *Tree) lay(n *node) layout {
 	}
 }
 
-// newLeaf allocates a leaf node with a fresh simulated address (and,
-// in gapped mode, an occupancy bitmap).
+// newLeaf allocates a leaf node with a fresh simulated address.
 func (t *Tree) newLeaf() *node {
-	n := &node{
+	return &node{
 		addr: t.space.Alloc(t.leafLay.size),
 		leaf: true,
 		keys: make([]Key, t.leafLay.maxKeys),
 		tids: make([]TID, t.leafLay.maxKeys),
 	}
-	if t.cfg.GappedLeaves {
-		n.occ = make([]uint64, (t.leafLay.maxKeys+63)/64)
-	}
-	return n
 }
 
 // newNonLeaf allocates a non-leaf node. bottom marks parents of

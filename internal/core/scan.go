@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // MaxKey is the largest possible key, usable as an open scan bound.
 const MaxKey = Key(^Key(0))
 
@@ -42,8 +44,8 @@ type Scanner struct {
 	// buffer area accordingly").
 	bufPF int
 	// Real base address and size of the caller's buffer for the
-	// current Next/NextPairs call (hardware-prefetch mode only;
-	// simulated offsets map one-to-one onto it).
+	// current Next/NextPairs call (native trees only; simulated
+	// offsets map one-to-one onto it).
 	bufReal      uintptr
 	bufRealBytes int
 }
@@ -86,7 +88,7 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 	s.leaf, s.idx = leaf, idx
 
 	// The starting position may be one past the last key of this leaf.
-	if idx >= slotExtent(leaf) {
+	if idx >= leaf.nkeys {
 		s.advanceLeafNoPrefetch()
 	}
 	if s.leaf == nil {
@@ -249,8 +251,8 @@ func (s *Scanner) Next(buf []TID) int {
 		s.bufBytes = len(buf) * fieldSize
 		s.bufAddr = t.space.Alloc(s.bufBytes)
 	}
-	if t.hw {
-		s.bufReal, s.bufRealBytes = bufBase(buf), len(buf)*fieldSize
+	if t.native {
+		s.bufReal, s.bufRealBytes = uintptr(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*realTIDBytes
 	}
 	// Prime the buffer prefetch k leaves ahead of the writer, mirroring
 	// the startup range prefetch of the leaves themselves ("we will
@@ -279,11 +281,7 @@ func (s *Scanner) Next(buf []TID) int {
 	for {
 		leaf := s.leaf
 		lay := t.leafLay
-		for s.idx < slotExtent(leaf) {
-			if !slotOccupied(leaf, s.idx) {
-				s.idx++ // skip gap slots (gapped leaves)
-				continue
-			}
+		for s.idx < leaf.nkeys {
 			// The boundary check touches the key line; its comparison
 			// is part of the per-tuple Copy cost (the paper's copy
 			// loop is count-driven, not a per-key binary search).
@@ -369,8 +367,8 @@ func (s *Scanner) NextPairs(buf []Pair) int {
 		s.bufBytes = len(buf) * 2 * fieldSize
 		s.bufAddr = t.space.Alloc(s.bufBytes)
 	}
-	if t.hw {
-		s.bufReal, s.bufRealBytes = pairBufBase(buf), len(buf)*2*fieldSize
+	if t.native {
+		s.bufReal, s.bufRealBytes = uintptr(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*realPairBytes
 	}
 	s.bufPF = 0
 	if t.cfg.Prefetch && !s.noPrefetch && !t.cfg.Ablation.NoBufferPrefetch {
@@ -392,11 +390,7 @@ func (s *Scanner) NextPairs(buf []Pair) int {
 	for {
 		leaf := s.leaf
 		lay := t.leafLay
-		for s.idx < slotExtent(leaf) {
-			if !slotOccupied(leaf, s.idx) {
-				s.idx++ // skip gap slots (gapped leaves)
-				continue
-			}
+		for s.idx < leaf.nkeys {
 			t.mem.Access(lay.keyAddr(leaf.addr, s.idx))
 			if leaf.keys[s.idx] > s.end {
 				s.done = true

@@ -13,17 +13,14 @@ func (t *Tree) visit(n *node) {
 
 // searchKeys finds key within n. It returns the number of entries
 // <= key (the upper bound), and whether an exact match exists: on a
-// hit, ub-1 is the position of the match. For a gapped leaf the
-// positions are slot indices; the same contract holds because gap
-// slots duplicate their right neighbor. The search itself is either
-// the classic probe-per-key binary search or, with BranchlessSearch,
-// an unrolled data-parallel pass over the key array.
+// hit, ub-1 is the position of the match. A simulated tree runs the
+// paper's probe-per-key binary search, charging each probe; a native
+// tree runs an unrolled data-parallel pass over the key array (BS-tree
+// style), which has no mispredictions to pay and reads the array
+// strictly left to right — the lines pfNode has just asked for.
 func (t *Tree) searchKeys(n *node, key Key) (ub int, found bool) {
-	if n.occ != nil {
-		return t.searchKeysGapped(n, key)
-	}
-	if t.cfg.BranchlessSearch {
-		lb := t.lowerBoundBranchless(n, key, n.nkeys)
+	if t.native {
+		lb := t.lowerBoundBranchless(n, key)
 		if lb < n.nkeys && n.keys[lb] == key {
 			return lb + 1, true
 		}
@@ -47,22 +44,22 @@ func (t *Tree) searchKeys(n *node, key Key) (ub int, found bool) {
 	return lo, false
 }
 
-// lowerBoundBranchless returns the first position in [0, limit)
-// whose key is >= key (limit if none) without a single
+// lowerBoundBranchless returns the first position in [0, n.nkeys)
+// whose key is >= key (n.nkeys if none) without a single
 // data-dependent branch: the count of keys < key is accumulated with
 // unrolled 8-wide compare-and-add blocks, each comparison a
 // subtract-and-shift. The pass reads the key array strictly
-// left-to-right, so it costs one ranged access plus one compare
-// charge per block rather than a probe per key.
-func (t *Tree) lowerBoundBranchless(n *node, key Key, limit int) int {
-	if limit <= 0 {
+// left-to-right, so it is charged as one ranged access plus one
+// compare per (full or partial) block rather than a probe per key.
+func (t *Tree) lowerBoundBranchless(n *node, key Key) int {
+	keys := n.keys[:n.nkeys]
+	if len(keys) == 0 {
 		return 0
 	}
-	t.mem.AccessRange(t.lay(n).keyAddr(n.addr, 0), limit*fieldSize)
 	k := uint64(key)
 	lb, i := 0, 0
-	for ; i+8 <= limit; i += 8 {
-		s := n.keys[i : i+8 : i+8]
+	for ; i+8 <= len(keys); i += 8 {
+		s := keys[i : i+8 : i+8]
 		lb += int((uint64(s[0])-k)>>63) +
 			int((uint64(s[1])-k)>>63) +
 			int((uint64(s[2])-k)>>63) +
@@ -71,14 +68,12 @@ func (t *Tree) lowerBoundBranchless(n *node, key Key, limit int) int {
 			int((uint64(s[5])-k)>>63) +
 			int((uint64(s[6])-k)>>63) +
 			int((uint64(s[7])-k)>>63)
-		t.mem.Compute(t.cost.Compare)
 	}
-	for ; i < limit; i++ {
-		lb += int((uint64(n.keys[i]) - k) >> 63)
+	for ; i < len(keys); i++ {
+		lb += int((uint64(keys[i]) - k) >> 63)
 	}
-	if i > 0 && i&7 != 0 {
-		t.mem.Compute(t.cost.Compare) // the partial tail block
-	}
+	t.mem.AccessRange(t.lay(n).keyAddr(n.addr, 0), len(keys)*fieldSize)
+	t.mem.Compute(t.cost.Compare * uint64((len(keys)+7)/8))
 	return lb
 }
 

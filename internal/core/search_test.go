@@ -1,0 +1,112 @@
+package core
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"pbtree/internal/memsys"
+)
+
+// TestLowerBoundBranchlessMatchesSort cross-checks the unrolled
+// branchless lower bound against sort.Search on hand-built nodes of
+// every occupancy from empty through the widest node layout,
+// including duplicate-heavy key sets and the 0 / MaxKey sentinels.
+func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
+	tr := MustNew(Config{Width: 16, Prefetch: true, Mem: memsys.DefaultNative()})
+	maxW := tr.LeafCapacity()
+	r := rand.New(rand.NewSource(41))
+
+	for width := 0; width <= maxW; width++ {
+		for trial := 0; trial < 25; trial++ {
+			keys := make([]Key, maxW)
+			for i := 0; i < width; i++ {
+				switch r.Intn(10) {
+				case 0:
+					keys[i] = 0
+				case 1:
+					keys[i] = MaxKey
+				case 2, 3, 4: // force runs of duplicates
+					keys[i] = Key(r.Intn(4) * 1000)
+				default:
+					keys[i] = Key(r.Uint32())
+				}
+			}
+			sort.Slice(keys[:width], func(i, j int) bool { return keys[i] < keys[j] })
+			n := &node{leaf: true, nkeys: width, keys: keys}
+
+			probes := []Key{0, 1, MaxKey, MaxKey - 1, Key(r.Uint32())}
+			for i := 0; i < width; i++ {
+				probes = append(probes, keys[i], keys[i]-1, keys[i]+1)
+			}
+			for _, p := range probes {
+				got := tr.lowerBoundBranchless(n, p)
+				want := sort.Search(width, func(i int) bool { return keys[i] >= p })
+				if got != want {
+					t.Fatalf("width %d: lowerBoundBranchless(%d) = %d, want %d (keys %v)",
+						width, p, got, want, keys[:width])
+				}
+			}
+		}
+	}
+}
+
+// searchOracle verifies one searchKeys result against the leaf's
+// entries: a hit must return the matching position, a miss a valid
+// lower bound.
+func searchOracle(t *testing.T, tr *Tree, n *node, key Key) {
+	t.Helper()
+	ub, found := tr.searchKeys(n, key)
+	keys := n.keys[:n.nkeys]
+	lb := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
+	inLeaf := lb < len(keys) && keys[lb] == key
+	if found != inLeaf {
+		t.Fatalf("%s: searchKeys(%d) found=%v, leaf holds it: %v", tr.Name(), key, found, inLeaf)
+	}
+	if found {
+		lb++ // on a hit ub-1 is the match
+	}
+	if ub != lb {
+		t.Fatalf("%s: searchKeys(%d) = %d,%v, want %d (keys %v)", tr.Name(), key, ub, found, lb, keys)
+	}
+}
+
+// TestSearchKeysPropertyAllLayouts drives randomized insert/delete
+// churn through every node width on both memory models — the
+// simulated tree's probe-per-key binary search and the native tree's
+// branchless pass — then probes searchKeys on every leaf: present
+// keys, their neighbors, the sentinels and the empty tree.
+func TestSearchKeysPropertyAllLayouts(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	for _, width := range []int{1, 2, 4, 8, 16} {
+		for _, mem := range []memsys.Model{memsys.Default(), memsys.DefaultNative()} {
+			tr := MustNew(Config{Width: width, Prefetch: true, Mem: mem})
+
+			// Empty tree: the root leaf has no entries.
+			for _, p := range []Key{0, 7, MaxKey} {
+				searchOracle(t, tr, tr.root, p)
+			}
+
+			for op := 0; op < 3000; op++ {
+				k := Key(r.Intn(600)) * 3 // dense space: collisions and deletes
+				if r.Intn(3) == 0 {
+					tr.Delete(k)
+				} else {
+					tr.Insert(k, TID(k+1))
+				}
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("w=%d native=%v: %v", width, tr.native, err)
+			}
+			for n := tr.leftmostLeaf(); n != nil; n = n.next {
+				probes := []Key{0, MaxKey}
+				for _, k := range n.keys[:n.nkeys] {
+					probes = append(probes, k, k-1, k+1)
+				}
+				for _, p := range probes {
+					searchOracle(t, tr, n, p)
+				}
+			}
+		}
+	}
+}

@@ -51,10 +51,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	// Stream the pairs in key order off the leaf chain.
 	buf := make([]uint32, 0, 2*512)
 	for n := t.leftmostLeaf(); n != nil; n = n.next {
-		for i := 0; i < slotExtent(n); i++ {
-			if !slotOccupied(n, i) {
-				continue
-			}
+		for i := 0; i < n.nkeys; i++ {
 			buf = append(buf, uint32(n.keys[i]), uint32(n.tids[i]))
 			if len(buf) == cap(buf) {
 				if err := binary.Write(cw, binary.LittleEndian, buf); err != nil {

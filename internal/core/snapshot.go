@@ -12,7 +12,9 @@ package core
 // capacity (e.g. make([]Pair, 0, t.Len())) to avoid reallocation.
 func (t *Tree) AppendPairs(dst []Pair) []Pair {
 	for n := t.leftmostLeaf(); n != nil; n = n.next {
-		dst = appendLeafPairs(dst, n)
+		for i := 0; i < n.nkeys; i++ {
+			dst = append(dst, Pair{Key: n.keys[i], TID: n.tids[i]})
+		}
 	}
 	return dst
 }

@@ -36,10 +36,13 @@ type Tree struct {
 	cost  CostModel
 	trc   Tracer // optional op-context tracer, nil when disabled
 
-	// hw mirrors cfg.HardwarePrefetch: prefetch charges carry real
-	// backing-array addresses and the native model issues real
-	// prefetch instructions for them (hwprefetch.go).
-	hw bool
+	// native records, once, that the model is a *memsys.Native. It is
+	// the only thing that selects a code path: a native tree searches
+	// nodes branchlessly (search.go) and issues real prefetch
+	// instructions for its real backing arrays (hwprefetch.go); a
+	// simulated tree runs the paper's probe-per-key binary search and
+	// only ever charges simulated addresses.
+	native bool
 
 	leafLay, nlLay, bottomLay layout
 
@@ -90,12 +93,8 @@ func New(cfg Config) (*Tree, error) {
 		space: space,
 		cost:  cfg.Cost,
 		trc:   cfg.Trace,
-		hw:    cfg.HardwarePrefetch,
 	}
-	if cfg.HardwarePrefetch {
-		// Validated by withDefaults: the model is a *memsys.Native.
-		cfg.Mem.(*memsys.Native).EnableHardwarePrefetch()
-	}
+	_, t.native = cfg.Mem.(*memsys.Native)
 	t.leafLay, t.nlLay, t.bottomLay = layoutsFor(cfg, mc.LineSize)
 	if cfg.JumpArray == JumpExternal {
 		// A chunk is ChunkLines lines: two header pointers (next,

@@ -12,11 +12,13 @@
 // prefetch the leaf that is PrefetchDist nodes ahead, defeating the
 // pointer-chasing problem.
 //
-// All memory behaviour is simulated: the tree charges its key
-// comparisons, copies and memory references to a memsys.Hierarchy, and
-// the experiment harness reads execution time off the simulated cycle
-// clock. The data itself lives in ordinary Go values, so the trees are
-// also fully functional indexes.
+// On a memsys.Hierarchy all memory behaviour is simulated: the tree
+// charges its key comparisons, copies and memory references to the
+// hierarchy, and the experiment harness reads execution time off the
+// simulated cycle clock. The data itself lives in ordinary Go values,
+// so the trees are also fully functional indexes; on a memsys.Native
+// model the same code runs at hardware speed with real prefetch
+// instructions (see Config.Mem).
 package core
 
 import (
@@ -103,34 +105,6 @@ type Config struct {
 	// searching it, and within-leaf prefetching during scans.
 	Prefetch bool
 
-	// HardwarePrefetch makes every node prefetch issue real CPU
-	// prefetch instructions (PREFETCHT0 / PRFM PLDL1KEEP) against the
-	// node's actual backing arrays, instead of charging simulated
-	// addresses. It requires Prefetch and a *memsys.Native model: the
-	// simulated Hierarchy models its own prefetches and must never
-	// see real addresses. On builds without a prefetch stub (see
-	// memsys.HaveHardwarePrefetch) the instructions compile to
-	// no-ops; the configuration is still accepted.
-	HardwarePrefetch bool
-
-	// BranchlessSearch replaces the probe-per-key binary intra-node
-	// search with a data-parallel linear pass: an unrolled 8-wide
-	// compare-and-accumulate over the node's key array (BS-tree
-	// style). Every comparison is branch-free, so the search runs at
-	// full issue width with no mispredictions, and it touches the key
-	// array strictly left-to-right — the access pattern hardware
-	// prefetchers and HardwarePrefetch both like.
-	BranchlessSearch bool
-
-	// GappedLeaves stores leaf entries in a gapped slot array with an
-	// occupancy bitmap: splits interleave empty slots between
-	// entries, and inserts absorb into the nearest gap instead of
-	// shifting half the leaf. Gap slots duplicate the key of their
-	// nearest occupied right neighbor, keeping the slot array sorted
-	// so both the binary and the branchless search work unchanged.
-	// Non-leaf nodes stay packed.
-	GappedLeaves bool
-
 	// JumpArray selects the across-leaf scan prefetching structure.
 	// It requires Prefetch.
 	JumpArray JumpArrayKind
@@ -144,10 +118,17 @@ type Config struct {
 	// jump-pointer array chunk. Zero selects 8, the paper's choice.
 	ChunkLines int
 
-	// Mem is the memory model the tree charges its work to: a
-	// *memsys.Hierarchy for cycle-accurate simulation, or a
-	// *memsys.Native to run at real wall-clock speed. Nil selects a
-	// fresh memsys.Default() simulated hierarchy.
+	// Mem is the memory model the tree charges its work to, and the
+	// one thing that selects its code path. On a *memsys.Hierarchy the
+	// tree is the paper's: probe-per-key binary search inside a node,
+	// every prefetch a modeled one, cycle-accurate. On a
+	// *memsys.Native it runs at real wall-clock speed: the same
+	// prefetches (where Prefetch asks for them) are also issued as
+	// real CPU instructions against the nodes' backing arrays, and the
+	// intra-node search is an unrolled branch-free pass over the key
+	// array. Both return the same answers and build the same
+	// structure. Nil selects a fresh memsys.Default() simulated
+	// hierarchy.
 	Mem memsys.Model
 
 	// Space is the simulated address space nodes are allocated from.
@@ -207,14 +188,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.JumpArray != JumpNone && !c.Prefetch {
 		return c, fmt.Errorf("core: jump-pointer arrays require Prefetch")
-	}
-	if c.HardwarePrefetch {
-		if !c.Prefetch {
-			return c, fmt.Errorf("core: HardwarePrefetch requires Prefetch")
-		}
-		if _, ok := c.Mem.(*memsys.Native); !ok {
-			return c, fmt.Errorf("core: HardwarePrefetch requires a *memsys.Native model (the simulated hierarchy must never see real addresses)")
-		}
 	}
 	mc := c.Mem.Config()
 	if c.PrefetchDist == 0 {

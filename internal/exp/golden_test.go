@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"pbtree/internal/core"
+	"pbtree/internal/memsys"
 )
 
 // goldenFastSubset is the set of experiments cheap enough to regenerate
@@ -60,13 +63,14 @@ func TestGoldenFiguresScale01(t *testing.T) {
 	}
 }
 
-// TestGoldenUnaffectedByHardwarePrefetch pins the PR-9 separation: the
-// hardware prefetch stubs are compiled into this test binary, and this
-// test actively exercises them (a native run with HardwarePrefetch
-// trees issuing real PREFETCHT0/PRFM where the build has a stub) in
-// between two regenerations of a simulated figure. Both regenerations
-// must be byte-identical to each other and to the committed golden —
-// real prefetch instructions are invisible to the simulated hierarchy.
+// TestGoldenUnaffectedByHardwarePrefetch pins the separation of the
+// two paths: the hardware prefetch stubs are compiled into this test
+// binary, and this test actively exercises them (native trees
+// bulkloading, searching and scanning, issuing real PREFETCHT0/PRFM
+// where the build has a stub) in between two regenerations of a
+// simulated figure. Both regenerations must be byte-identical to each
+// other and to the committed golden — real prefetch instructions are
+// invisible to the simulated hierarchy.
 func TestGoldenUnaffectedByHardwarePrefetch(t *testing.T) {
 	golden, err := os.ReadFile("../../results_scale0.1.txt")
 	if err != nil {
@@ -85,8 +89,23 @@ func TestGoldenUnaffectedByHardwarePrefetch(t *testing.T) {
 	}
 
 	before := render()
-	if _, err := RunNative(Options{Scale: 0.001, Seed: 1}); err != nil {
-		t.Fatal(err)
+	pairs := make([]core.Pair, 10000)
+	for i := range pairs {
+		pairs[i] = core.Pair{Key: core.Key(2 * i), TID: core.TID(i)}
+	}
+	for _, jump := range []core.JumpArrayKind{core.JumpNone, core.JumpExternal, core.JumpInternal} {
+		tr := core.MustNew(core.Config{Width: 8, Prefetch: true, JumpArray: jump, Mem: memsys.DefaultNative()})
+		if err := tr.Bulkload(pairs, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs {
+			if tid, ok := tr.Search(p.Key); !ok || tid != p.TID {
+				t.Fatalf("%s: native Search(%d) = %d,%v", tr.Name(), p.Key, tid, ok)
+			}
+		}
+		if n := tr.Scan(0, len(pairs)); n != len(pairs) {
+			t.Fatalf("%s: native scan returned %d rows, want %d", tr.Name(), n, len(pairs))
+		}
 	}
 	after := render()
 

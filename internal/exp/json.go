@@ -22,10 +22,6 @@ type RunSet struct {
 	Scale   float64  `json:"scale"`
 	Seed    int64    `json:"seed"`
 	Results []Result `json:"results"`
-	// Native carries the optional wall-clock report of pbench -native.
-	// It is omitted when nil so documents without one — including the
-	// pinned goldens — are byte-identical to the pre-native format.
-	Native *NativeReport `json:"native,omitempty"`
 }
 
 // WriteJSON writes the run set as indented JSON.

@@ -33,66 +33,3 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, rs)
 	}
 }
-
-// TestJSONNativeRoundTrip checks both halves of the pbench -native
-// contract: a RunSet without a native report encodes byte-identically
-// to the pre-native format (so pinned goldens cannot shift), and one
-// with a report survives the encode/decode round trip.
-func TestJSONNativeRoundTrip(t *testing.T) {
-	rs := RunSet{Scale: 0.01, Seed: 7}
-
-	var without bytes.Buffer
-	if err := rs.WriteJSON(&without); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(without.Bytes(), []byte("native")) {
-		t.Errorf("nil native report leaked into JSON:\n%s", without.Bytes())
-	}
-
-	rs.Native = &NativeReport{
-		GOARCH: "amd64", GOOS: "linux", HardwareStub: true,
-		Keys: 1000, Ops: 200, Width: 8,
-		Variants: []NativeVariant{
-			{Name: "base", NsPerOp: 120.5, PrefetchesPerOp: 3.25},
-			{Name: "hw-prefetch", HardwarePrefetch: true, NsPerOp: 101.25,
-				PrefetchesPerOp: 3.25, DeltaVsBasePct: -16},
-		},
-	}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, rs) {
-		t.Errorf("native round trip diverged:\n got %+v\nwant %+v", got, rs)
-	}
-}
-
-// TestRunNativeSmall runs the native benchmark at a tiny scale and
-// sanity-checks the report: four variants, positive timings, and
-// prefetches issued only by the prefetching tree configurations.
-func TestRunNativeSmall(t *testing.T) {
-	rep, err := RunNative(Options{Scale: 0.001, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Variants) != 4 {
-		t.Fatalf("got %d variants, want 4", len(rep.Variants))
-	}
-	if rep.Variants[0].Name != "base" || rep.Variants[0].DeltaVsBasePct != 0 {
-		t.Errorf("baseline variant malformed: %+v", rep.Variants[0])
-	}
-	for _, v := range rep.Variants {
-		if v.NsPerOp <= 0 {
-			t.Errorf("%s: ns/op = %v, want > 0", v.Name, v.NsPerOp)
-		}
-		// Width 8 with Prefetch on always charges prefetch slots; the
-		// counted model records them in software and hardware mode alike.
-		if v.PrefetchesPerOp <= 0 {
-			t.Errorf("%s: prefetches/op = %v, want > 0", v.Name, v.PrefetchesPerOp)
-		}
-	}
-}

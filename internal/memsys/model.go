@@ -15,7 +15,9 @@ import "sync/atomic"
 //
 // Index code holds a Model, never a concrete *Hierarchy, so switching
 // an index between paper reproduction and native serving is a
-// one-argument change.
+// one-argument change. Every address passed through this interface is
+// a simulated one (from an AddressSpace); real addresses only ever go
+// to HardwarePrefetch/HardwarePrefetchRange.
 type Model interface {
 	// Compute charges c busy cycles of instruction work.
 	Compute(c uint64)
@@ -84,15 +86,18 @@ type NativeStats struct {
 // The configuration still matters: indexes derive their node layouts
 // from the line size, so a tree built on a Native model with the
 // default configuration has the same shape as its simulated twin.
+//
+// A Native model has no mode: every field but the counters is set by
+// its constructor and never written again, so one model may be
+// shared by any number of trees and goroutines. It is also what an
+// index looks at to pick its code path — a tree whose model is a
+// *Native searches branchlessly and issues real prefetch instructions
+// (HardwarePrefetch), a tree on a *Hierarchy runs the paper's
+// algorithm against simulated addresses.
 type Native struct {
 	cfg      Config
 	lineMask uint64
 	counted  bool
-
-	// hw makes Prefetch/PrefetchRange issue real prefetch
-	// instructions for the given (then real) addresses. See
-	// EnableHardwarePrefetch.
-	hw bool
 
 	accesses   atomic.Uint64
 	prefetches atomic.Uint64
@@ -101,12 +106,7 @@ type Native struct {
 
 // NewNative creates a zero-cost native model with the given
 // configuration. Like New, it panics on an invalid configuration.
-func NewNative(cfg Config) *Native {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Native{cfg: cfg, lineMask: ^uint64(cfg.LineSize - 1)}
-}
+func NewNative(cfg Config) *Native { return newNative(cfg, false) }
 
 // DefaultNative creates a zero-cost native model with DefaultConfig.
 func DefaultNative() *Native { return NewNative(DefaultConfig()) }
@@ -114,10 +114,13 @@ func DefaultNative() *Native { return NewNative(DefaultConfig()) }
 // NewNativeCounted creates a native model that additionally maintains
 // atomic event counters (see NativeStats). Counting costs one atomic
 // add per charge; leave it off on hot serving paths.
-func NewNativeCounted(cfg Config) *Native {
-	n := NewNative(cfg)
-	n.counted = true
-	return n
+func NewNativeCounted(cfg Config) *Native { return newNative(cfg, true) }
+
+func newNative(cfg Config, counted bool) *Native {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	return &Native{cfg: cfg, lineMask: ^uint64(cfg.LineSize - 1), counted: counted}
 }
 
 // Counted reports whether the model maintains event counters.
@@ -144,13 +147,11 @@ func (n *Native) Access(addr uint64) {
 	}
 }
 
-// Prefetch issues a real prefetch instruction for addr in hardware
-// mode, and records it on counted models. Outside hardware mode it is
-// a no-op (or a bare counter increment).
+// Prefetch records a prefetch (counted models only). Like every
+// Model method it is handed a simulated address and never touches it:
+// an index on a native model issues its real prefetch instructions
+// itself, through HardwarePrefetch/HardwarePrefetchRange.
 func (n *Native) Prefetch(addr uint64) {
-	if n.hw {
-		prefetchT0(uintptr(addr))
-	}
 	if n.counted {
 		n.prefetches.Add(1)
 	}
@@ -164,17 +165,10 @@ func (n *Native) AccessRange(addr uint64, size int) {
 	}
 }
 
-// PrefetchRange issues one real prefetch instruction per overlapped
-// hardware (64-byte) line in hardware mode, and records one prefetch
-// per configured line on counted models.
+// PrefetchRange records one prefetch per overlapped line (counted
+// models only).
 func (n *Native) PrefetchRange(addr uint64, size int) {
-	if size <= 0 {
-		return
-	}
-	if n.hw {
-		HardwarePrefetchRange(uintptr(addr), size)
-	}
-	if n.counted {
+	if n.counted && size > 0 {
 		n.prefetches.Add(rangeLines(addr, size, n.lineMask, n.cfg.LineSize))
 	}
 }

@@ -2,10 +2,13 @@ package memsys
 
 // Hardware prefetch: tiny go:noescape assembly stubs (PREFETCHT0 on
 // amd64, PRFM PLDL1KEEP on arm64; see prefetch_*.s) that turn the
-// paper's software prefetches into real instructions on the native
-// model. The simulated Hierarchy never calls them — its Prefetch
-// models a prefetch; the Native model's Prefetch, once hardware mode
-// is enabled, *is* one.
+// paper's software prefetches into real instructions. Indexes on a
+// Native model call the two functions below directly with the real
+// addresses of their backing arrays; no Model method ever does — the
+// Hierarchy's Prefetch models a prefetch of a simulated address, the
+// Native model's only counts one. Which implementation a build gets
+// (assembly, or the no-op stubs of prefetch_generic.go on other
+// architectures and under -tags purego) is decided at compile time.
 //
 // A prefetch instruction is a non-binding hint to the memory system:
 // it never faults, so the stubs are safe on any address, mapped or
@@ -34,28 +37,4 @@ func HardwarePrefetchRange(addr uintptr, size int) {
 	first := addr &^ (hwLineSize - 1)
 	last := (addr + uintptr(size) - 1) &^ (hwLineSize - 1)
 	prefetchLines(first, int((last-first)/hwLineSize)+1)
-}
-
-// EnableHardwarePrefetch switches the native model into hardware
-// mode: Prefetch and PrefetchRange issue real prefetch instructions
-// for the addresses they are given (which must then be real virtual
-// addresses, not simulated ones). Counting, when enabled, is
-// unaffected — a counted hardware model both issues and counts.
-//
-// Hardware mode is a no-op on builds without a stub (see
-// HaveHardwarePrefetch); enabling it is still allowed so callers can
-// configure unconditionally and read HaveHardwarePrefetch for
-// reporting.
-func (n *Native) EnableHardwarePrefetch() { n.hw = true }
-
-// HardwarePrefetchEnabled reports whether the model is in hardware
-// prefetch mode.
-func (n *Native) HardwarePrefetchEnabled() bool { return n.hw }
-
-// NewNativeHW creates a zero-cost native model with hardware prefetch
-// mode enabled.
-func NewNativeHW(cfg Config) *Native {
-	n := NewNative(cfg)
-	n.EnableHardwarePrefetch()
-	return n
 }

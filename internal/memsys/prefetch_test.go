@@ -8,8 +8,8 @@ import (
 // TestHardwarePrefetchExecutes drives the asm stubs over real memory,
 // unmapped-looking addresses and zero: a prefetch is a non-binding
 // hint, so every call must simply return. This is the whole behavioral
-// contract of the stubs — effects on timing are measured by the native
-// benchmarks, not asserted here.
+// contract of the stubs — effects on timing are measured by the benchmark's
+// embedded/* and tree_* metrics, not asserted here.
 func TestHardwarePrefetchExecutes(t *testing.T) {
 	buf := make([]byte, 4096)
 	HardwarePrefetch(uintptr(unsafe.Pointer(&buf[0])))
@@ -19,38 +19,4 @@ func TestHardwarePrefetchExecutes(t *testing.T) {
 	HardwarePrefetch(^uintptr(0) - 4096)
 	HardwarePrefetchRange(uintptr(unsafe.Pointer(&buf[0])), 0)  // empty
 	HardwarePrefetchRange(uintptr(unsafe.Pointer(&buf[0])), -1) // negative
-}
-
-// TestNativeHardwareMode checks the hardware-mode plumbing: the flag,
-// the constructor, and that a counted hardware model still counts the
-// same number of events as a counted software model.
-func TestNativeHardwareMode(t *testing.T) {
-	n := NewNativeCounted(DefaultConfig())
-	if n.HardwarePrefetchEnabled() {
-		t.Fatal("hardware mode on by default")
-	}
-	n.EnableHardwarePrefetch()
-	if !n.HardwarePrefetchEnabled() {
-		t.Fatal("EnableHardwarePrefetch did not stick")
-	}
-	if !NewNativeHW(DefaultConfig()).HardwarePrefetchEnabled() {
-		t.Fatal("NewNativeHW not in hardware mode")
-	}
-
-	// Same charge sequence on a hardware and a software counted model
-	// must produce identical counters: hardware mode changes what a
-	// prefetch does, never what is counted.
-	sw := NewNativeCounted(DefaultConfig())
-	buf := make([]byte, 1024)
-	base := uint64(uintptr(unsafe.Pointer(&buf[0])))
-	for _, m := range []*Native{n, sw} {
-		m.Prefetch(base)
-		m.PrefetchRange(base, len(buf))
-		m.PrefetchRange(base, 0)
-		m.Access(base)
-		m.Compute(7)
-	}
-	if hwS, swS := n.NativeStats(), sw.NativeStats(); hwS != swS {
-		t.Fatalf("counter divergence: hw %+v, sw %+v", hwS, swS)
-	}
 }

@@ -190,3 +190,154 @@ func TestStoreConcurrentChurn(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// TestStoreReadsDuringRebuild reads through every path — Get, MGet,
+// Scan and a cursor held open across writes — while the shard writers
+// rebuild their trees: Compact builds a fresh tree, and a PutBatch
+// that finds the spare tree still pinned by a cursor abandons it for a
+// CloneFrozen copy. Both construct trees (core.New) on a writer
+// goroutine against the one memory model all shards and all readers
+// share, so construction must write nothing to it; it once flipped a
+// mode bit there. The assertions are the race detector plus a model:
+// a stable key always answers its preloaded value, a rewritten key
+// answers a round no older than the last acknowledged write before the
+// read began and no newer than the last one issued when it ended.
+func TestStoreReadsDuringRebuild(t *testing.T) {
+	const (
+		n      = 4_000
+		rounds = 40
+		hotGap = 16 // every 16th key is rewritten each round
+	)
+	st := openTest(t, n, 2)
+	hot := func(k core.Key) bool { return (k/8)%hotGap == 0 }
+	batch := make([]core.Pair, 0, n/hotGap)
+	for i := hotGap; i <= n; i += hotGap {
+		batch = append(batch, core.Pair{Key: core.Key(8 * i)})
+	}
+	write := func(round int) {
+		for i := range batch {
+			batch[i].TID = core.TID(round)
+		}
+		for {
+			err := st.PutBatch(batch)
+			if err == nil {
+				return
+			}
+			if err != ErrOverloaded {
+				t.Errorf("PutBatch: %v", err)
+				return
+			}
+		}
+	}
+	write(0) // level the hot keys before readers start
+
+	var issued, acked atomic.Int64
+	// check validates one answer read between lo := acked.Load() and
+	// the call, reporting what is wrong with it.
+	check := func(what string, p core.Pair, found bool, lo int64) bool {
+		switch {
+		case !found:
+			t.Errorf("%s lost key %d", what, p.Key)
+		case p.Key%8 != 0 || p.Key == 0 || p.Key > 8*n:
+			t.Errorf("%s returned key %d, which was never stored", what, p.Key)
+		case !hot(p.Key) && uint32(p.TID) != uint32(p.Key)/8:
+			t.Errorf("%s: stable key %d = %d, want %d", what, p.Key, p.TID, p.Key/8)
+		case hot(p.Key) && (int64(p.TID) < lo || int64(p.TID) > issued.Load()):
+			t.Errorf("%s: key %d = round %d, outside [%d acked, %d issued]", what, p.Key, p.TID, lo, issued.Load())
+		default:
+			return true
+		}
+		return false
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(x uint64) {
+			defer wg.Done()
+			keys := make([]core.Key, 16)
+			out := make([]Lookup, len(keys))
+			for !stop.Load() {
+				for i := range keys {
+					x = x*6364136223846793005 + 1442695040888963407
+					keys[i] = core.Key(8 * (1 + x>>33%n))
+				}
+				lo := acked.Load()
+				tid, ok := st.Get(keys[0])
+				if !check("Get", core.Pair{Key: keys[0], TID: tid}, ok, lo) {
+					return
+				}
+				lo = acked.Load()
+				st.MGet(keys, out)
+				for i, l := range out {
+					if !check("MGet", core.Pair{Key: keys[i], TID: l.TID}, l.Found, lo) {
+						return
+					}
+				}
+				lo = acked.Load()
+				rows := st.Scan(keys[1], keys[1]+8*200, 100)
+				for i, p := range rows {
+					if !check("Scan", p, true, lo) {
+						return
+					}
+					if i > 0 && rows[i-1].Key >= p.Key {
+						t.Errorf("Scan out of order: %+v after %+v", p, rows[i-1])
+						return
+					}
+				}
+			}
+		}(uint64(r + 1))
+	}
+	// The cursor reader pins one snapshot per shard across several
+	// writes, which is what forces the abandon-and-clone rebuild.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			lo := acked.Load()
+			c, err := st.OpenCursor(8, 8*n)
+			if err != nil {
+				t.Errorf("OpenCursor: %v", err)
+				return
+			}
+			seen, last := 0, core.Key(0)
+			for done := false; !done; {
+				var rows []core.Pair
+				rows, done = c.Next(500)
+				for _, p := range rows {
+					if !check("cursor", p, true, lo) || p.Key <= last {
+						t.Errorf("cursor row %+v after key %d", p, last)
+						c.Close()
+						return
+					}
+					last = p.Key
+				}
+				seen += len(rows)
+			}
+			c.Close()
+			if seen != n {
+				t.Errorf("cursor saw %d rows, want %d", seen, n)
+				return
+			}
+		}
+	}()
+
+	for round := 1; round <= rounds; round++ {
+		issued.Store(int64(round))
+		write(round)
+		acked.Store(int64(round))
+		if round%2 == 0 {
+			if err := st.Compact(); err != nil {
+				t.Errorf("Compact: %v", err)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for _, p := range batch {
+		if tid, ok := st.Get(p.Key); !ok || tid != rounds {
+			t.Fatalf("hot key %d = (%d, %v) at the end, want (%d, true)", p.Key, tid, ok, rounds)
+		}
+	}
+}

@@ -53,10 +53,12 @@ type StoreConfig struct {
 	Backend string
 
 	// Tree is the per-shard tree configuration (pbtree backend). Mem
-	// must be nil (a shared zero-cost native model is created) or a
-	// concurrency-safe model (*memsys.Native); Trace must be nil,
-	// since tracers are single-threaded. The zero value serves on
-	// p8B+-Trees, the paper's sweet spot.
+	// must be nil (one zero-cost native model, shared by every shard,
+	// is created) or a concurrency-safe model (*memsys.Native); Trace
+	// must be nil, since tracers are single-threaded. Serving trees
+	// are therefore always native trees: they search branchlessly and
+	// issue real prefetch instructions, with nothing to switch on. The
+	// zero value serves on p8B+-Trees, the paper's sweet spot.
 	Tree core.Config
 
 	// LSM is the per-shard engine configuration for BackendLSM. The

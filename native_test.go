@@ -7,7 +7,9 @@ package pbtree_test
 // claims; BenchmarkNativeConcurrentSearch reports real ns/op.
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -72,6 +74,67 @@ func TestNativeMatchesSimulated(t *testing.T) {
 			}
 			if got, want := native.Scan(2, 1000), sim.Scan(2, 1000); got != want {
 				t.Fatalf("Scan: native %d != simulated %d", got, want)
+			}
+
+			// Churn both trees with the same seeded inserts and
+			// deletes (splits, redistributions, node removals), then
+			// compare every read path: group search, a pair scan and
+			// range estimation.
+			r := rand.New(rand.NewSource(19))
+			for i := 0; i < 4*n; i++ {
+				k := pbtree.Key(r.Intn(3 * n))
+				if r.Intn(3) == 0 {
+					if a, b := native.Delete(k), sim.Delete(k); a != b {
+						t.Fatalf("Delete(%d): native %v != simulated %v", k, a, b)
+					}
+				} else if a, b := native.Insert(k, pbtree.TID(i)), sim.Insert(k, pbtree.TID(i)); a != b {
+					t.Fatalf("Insert(%d): native %v != simulated %v", k, a, b)
+				}
+			}
+			for _, tr := range []*pbtree.Tree{native, sim} {
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			keys := make([]pbtree.Key, 100) // above SearchBatch's stack cursor too
+			ntids, stids := make([]pbtree.TID, len(keys)), make([]pbtree.TID, len(keys))
+			nfound, sfound := make([]bool, len(keys)), make([]bool, len(keys))
+			for _, group := range []int{1, 16, 64, len(keys)} {
+				for i := range keys[:group] {
+					keys[i] = pbtree.Key(r.Intn(3*n + 2))
+				}
+				native.SearchBatch(keys[:group], ntids, nfound)
+				sim.SearchBatch(keys[:group], stids, sfound)
+				for i, k := range keys[:group] {
+					tid, ok := sim.Search(k)
+					if ntids[i] != tid || nfound[i] != ok || stids[i] != tid || sfound[i] != ok {
+						t.Fatalf("SearchBatch(%d keys)[%d]=%d: native (%d, %v), simulated (%d, %v), Search (%d, %v)",
+							group, i, k, ntids[i], nfound[i], stids[i], sfound[i], tid, ok)
+					}
+				}
+			}
+			nbuf, sbuf := make([]pbtree.Pair, 97), make([]pbtree.Pair, 97)
+			ns, ss := native.NewScan(100, pbtree.Key(2*n)), sim.NewScan(100, pbtree.Key(2*n))
+			rows := 0
+			for {
+				got, want := ns.NextPairs(nbuf), ss.NextPairs(sbuf)
+				if got != want || !slices.Equal(nbuf[:got], sbuf[:want]) {
+					t.Fatalf("NextPairs after %d rows: native %d rows != simulated %d rows, or contents differ", rows, got, want)
+				}
+				if got == 0 {
+					break
+				}
+				rows += got
+			}
+			if rows == 0 {
+				t.Fatal("pair scan returned nothing")
+			}
+			for i := 0; i < 200; i++ {
+				lo := pbtree.Key(r.Intn(3 * n))
+				hi := lo + pbtree.Key(r.Intn(n))
+				if got, want := native.EstimateRange(lo, hi), sim.EstimateRange(lo, hi); got != want {
+					t.Fatalf("EstimateRange(%d, %d): native %d != simulated %d", lo, hi, got, want)
+				}
 			}
 		})
 	}

@@ -248,10 +248,11 @@ func NewHierarchy(cfg MemConfig) *Hierarchy { return memsys.New(cfg) }
 // DefaultHierarchy creates a hierarchy with DefaultMemConfig.
 func DefaultHierarchy() *Hierarchy { return memsys.Default() }
 
-// NewNative creates a zero-cost native memory model: the same index
-// code runs at real hardware speed, with every simulated charge a
-// no-op. Safe for concurrent use; pair it with a frozen (post-
-// bulkload) tree to serve concurrent readers.
+// NewNative creates a zero-cost native memory model: the index runs
+// at real hardware speed, with every simulated charge a no-op, real
+// prefetch instructions and a branchless intra-node search. Safe for
+// concurrent use; pair it with a frozen (post-bulkload) tree to serve
+// concurrent readers.
 func NewNative(cfg MemConfig) *Native { return memsys.NewNative(cfg) }
 
 // DefaultNative creates a native model with DefaultMemConfig (the
@@ -262,15 +263,11 @@ func DefaultNative() *Native { return memsys.DefaultNative() }
 // atomic event counters (accesses, prefetches, compute cycles).
 func NewNativeCounted(cfg MemConfig) *Native { return memsys.NewNativeCounted(cfg) }
 
-// NewNativeHW creates a native model in hardware prefetch mode: index
-// prefetches issue real CPU prefetch instructions (see
-// HaveHardwarePrefetch). Config.HardwarePrefetch enables the same mode
-// through tree construction.
-func NewNativeHW(cfg MemConfig) *Native { return memsys.NewNativeHW(cfg) }
-
 // HaveHardwarePrefetch reports whether this build issues real CPU
 // prefetch instructions (PREFETCHT0 on amd64, PRFM PLDL1KEEP on
 // arm64; other ports and -tags purego builds compile them to no-ops).
+// A tree on a Native model always issues them where Config.Prefetch
+// asks for a prefetch; a tree on a Hierarchy never does.
 const HaveHardwarePrefetch = memsys.HaveHardwarePrefetch
 
 // DefaultCostModel returns the calibrated instruction cost model.
