@@ -42,8 +42,9 @@ smoke-recover:
 	BACKEND=lsm sh scripts/smoke_recover.sh
 
 # Admin-plane smoke test: start pbtree-server with -admin, scrape
-# /healthz, /metrics (asserting the per-stage and per-shard families),
-# /statsz and /debug/vars while load is running.
+# /healthz, /metrics (asserting the per-stage and per-shard families
+# and one family from each group of the counter table) and /statsz
+# while load is running.
 smoke-admin:
 	sh scripts/smoke_admin.sh
 
@@ -68,7 +69,8 @@ bench-harness:
 	bash bench/run.sh -smoke
 
 # Documentation gate: gofmt + vet + the godoc coverage test over
-# internal/serve + the PROTOCOL.md byte-for-byte conformance test.
+# internal/serve + the PROTOCOL.md byte-for-byte conformance test + the
+# metric-family test (README.md and DESIGN.md against /metrics).
 docs-check:
 	sh scripts/docs_check.sh
 

@@ -21,11 +21,6 @@
 // total concurrency is conns x window); -window 1 is the classic one-round-trip-at-a-time
 // loop. The report records the window and per-class reject counts.
 //
-// When the server runs with lifecycle tracing (-stages), the report's
-// server_stages section attributes the run's server-side time to
-// pipeline stages (STATS deltas), and -stage-table renders the
-// attribution as a table on stderr (stdout stays pure JSON).
-//
 // The exit status is nonzero if the run completed zero operations or
 // saw hard (non-backpressure) errors, so smoke tests can gate on it.
 package main
@@ -33,43 +28,13 @@ package main
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"pbtree"
 )
-
-// printStageTable renders the server-side stage attribution on w, one
-// block per op class, stages sorted by their share of the total.
-func printStageTable(w *os.File, rep *pbtree.LoadgenReport) {
-	ops := make([]string, 0, len(rep.ServerStages))
-	for op := range rep.ServerStages {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		tot := rep.ServerStageTotals[op]
-		fmt.Fprintf(w, "%s: server-side mean %.1fus over %d requests\n",
-			op, tot.MeanUS, tot.Count)
-		stages := rep.ServerStages[op]
-		names := make([]string, 0, len(stages))
-		for st := range stages {
-			names = append(names, st)
-		}
-		sort.Slice(names, func(i, j int) bool {
-			return stages[names[i]].Share > stages[names[j]].Share
-		})
-		for _, st := range names {
-			d := stages[st]
-			fmt.Fprintf(w, "  %-10s %6.1f%%  mean %8.1fus  total %9.1fms\n",
-				st, 100*d.Share, d.MeanUS, d.TotalMS)
-		}
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -97,7 +62,6 @@ func main() {
 		hotProb     = flag.Float64("hot-prob", 0.9, "hot traffic share (skew=hotset)")
 		seed        = flag.Int64("seed", 1, "base RNG seed (conn i uses seed+i)")
 		timeout     = flag.Duration("timeout", time.Second, "per-request deadline")
-		stageTab    = flag.Bool("stage-table", false, "print the server stage-attribution table on stderr")
 	)
 	flag.Parse()
 
@@ -136,9 +100,6 @@ func main() {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
-	}
-	if *stageTab && len(rep.ServerStages) > 0 {
-		printStageTable(os.Stderr, rep)
 	}
 	if rep.Ops == 0 {
 		log.Fatal("zero operations completed")

@@ -5,9 +5,8 @@
 // ID): the requests one read delivers (up to -window) are a
 // burst whose GETs and MGETs are answered together on the spot, writes
 // and scans run on a worker pool, and responses return in completion
-// order. Admission is per op class (-read-tokens / -write-tokens /
-// -scan-row-tokens), so overload rejects expensive scans before cheap
-// point ops.
+// order. Admission is per op class, so overload rejects expensive
+// scans before cheap point ops.
 //
 // Usage:
 //
@@ -26,12 +25,12 @@
 // /metrics (Prometheus text format: per-op and per-stage latency
 // histograms, admission and durability counters, per-shard gauges),
 // /healthz (503 until every shard has recovered), /statsz (the STATS
-// payload as JSON), /debug/vars (expvar) and /debug/pprof. -stages
-// keeps the per-stage request-lifecycle histograms on (near-zero
-// cost); -slow-log logs any request slower than the given threshold
-// with its full stage breakdown, rate-limited to -slow-log-rate lines
-// per second; -lifecycle-trace streams every traced request to a
-// Chrome trace file (load at ui.perfetto.dev).
+// payload as JSON, read from the same cells as /metrics) and
+// /debug/pprof. -stages keeps the per-stage request-lifecycle
+// histograms on (near-zero cost); -slow-log logs any request slower
+// than the given threshold with its full stage breakdown, at most ten
+// lines per second; -lifecycle-trace streams every traced request to
+// a Chrome trace file (load at ui.perfetto.dev).
 //
 // The store is preloaded with the standard workload key space (keys
 // 8, 16, ..., 8*N with TID = key/8) so a load generator can start
@@ -86,16 +85,9 @@ func main() {
 		keys      = flag.Int("keys", 1_000_000, "preload N sequential keys")
 		shards    = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
 		be        = flag.String("backend", "pbtree", "storage backend per shard: pbtree|lsm")
-		flushKey  = flag.Int("lsm-flush-keys", 0, "lsm: memtable keys per flushed run (0 = 4096)")
-		maxRuns   = flag.Int("lsm-max-runs", 0, "lsm: runs tolerated before compaction (0 = 8)")
 		width     = flag.Int("width", 8, "tree node width in cache lines")
 		window    = flag.Int("window", 0, "pipeline depth per connection: requests per read burst and on the worker pool (0 = 32)")
-		poolSize  = flag.Int("pool", 0, "workers executing the requests that can block: writes, scans (0 = max(16, 4x GOMAXPROCS))")
 		cursorTmo = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s, <0 = never)")
-		readTok   = flag.Int("read-tokens", 0, "admission budget for GET/MGET (0 = max(4x shards, window x max(2, GOMAXPROCS)))")
-		writeTok  = flag.Int("write-tokens", 0, "admission budget for PUT/DEL (0 = 2x shards)")
-		scanTok   = flag.Int("scan-row-tokens", 0, "admission budget for concurrent SCAN rows (0 = 64k)")
-		queue     = flag.Int("queue", 0, "per-shard mutation queue length (0 = 1024)")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
 		dataDir   = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
@@ -109,7 +101,6 @@ func main() {
 		syncTmo   = flag.Duration("repl-sync-timeout", 2*time.Second, "how long a synchronous write waits for a follower ack")
 		stages    = flag.Bool("stages", true, "per-stage request-lifecycle histograms")
 		slowLog   = flag.Duration("slow-log", 0, "log requests slower than this with their stage breakdown (0 = off)")
-		slowRate  = flag.Int("slow-log-rate", 10, "max slow-request log lines per second")
 		lcTrace   = flag.String("lifecycle-trace", "", "write a Chrome trace of traced requests to this file")
 	)
 	flag.Parse()
@@ -128,14 +119,12 @@ func main() {
 
 	metrics := pbtree.NewMetrics()
 	cfg := pbtree.StoreConfig{
-		Shards:   *shards,
-		Backend:  *be,
-		LSM:      pbtree.LSMConfig{FlushKeys: *flushKey, MaxRuns: *maxRuns},
-		QueueLen: *queue,
-		Tree:     pbtree.Config{Width: *width, Prefetch: *width > 1},
-		Metrics:  metrics,
-		Replica:  *replicaOf != "",
-		Epoch:    *epochFlag,
+		Shards:  *shards,
+		Backend: *be,
+		Tree:    pbtree.Config{Width: *width, Prefetch: *width > 1},
+		Metrics: metrics,
+		Replica: *replicaOf != "",
+		Epoch:   *epochFlag,
 	}
 	if *dataDir != "" {
 		policy, err := serve.ParseFsyncPolicy(*fsync)
@@ -170,7 +159,6 @@ func main() {
 			"checkpoint_lsn", rs.CheckpointLSN, "replayed", rs.Replayed,
 			"torn_bytes", rs.TornBytes, "took", rs.Duration.Round(time.Millisecond).String())
 	}
-	metrics.PublishExpvar("pbtree")
 
 	// The replication node serves FETCH on a primary (and installs the
 	// sync gate with -repl-sync); with -replica-of it pulls the
@@ -205,7 +193,6 @@ func main() {
 	lc := pbtree.LifecycleConfig{
 		Enabled:       *stages || *slowLog > 0 || *lcTrace != "",
 		SlowThreshold: *slowLog,
-		SlowPerSec:    *slowRate,
 		Log:           logger,
 	}
 	var traceFile *os.File
@@ -219,15 +206,9 @@ func main() {
 	scfg := pbtree.ServerConfig{
 		Addr:          *addr,
 		Window:        *window,
-		PoolSize:      *poolSize,
 		CursorTimeout: *cursorTmo,
-		Admission: pbtree.AdmissionConfig{
-			ReadTokens:    *readTok,
-			WriteTokens:   *writeTok,
-			ScanRowTokens: *scanTok,
-		},
-		Metrics:   metrics,
-		Lifecycle: lc,
+		Metrics:       metrics,
+		Lifecycle:     lc,
 	}
 	if replNode != nil {
 		scfg.Repl = replNode

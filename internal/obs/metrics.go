@@ -1,46 +1,73 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math/bits"
 	"net/http"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"pbtree/internal/core"
 )
 
-// numBuckets covers latencies from 1 ns to ~34 s in powers of two;
-// slower observations land in the last bucket.
-const numBuckets = 36
+// Histogram buckets are log-linear: latencies below 2^subBits ns have
+// a bucket each, and every power of two from there up is cut into
+// 2^subBits equal sub-buckets, so a bucket is never wider than 1/16 of
+// its lower bound. The top bucket absorbs everything from ~34 s up.
+const (
+	subBits    = 4
+	subBuckets = 1 << subBits
+	maxExp     = 35 // observations of 2^maxExp ns and more land in the last bucket
+	numBuckets = subBuckets * (maxExp - subBits + 1)
+)
 
-// Histogram is a lock-free latency histogram with power-of-two
+// Histogram is a lock-free latency histogram with log-linear
 // nanosecond buckets. Observe is safe for any number of concurrent
-// goroutines and costs three atomic adds — cheap enough to leave on in
-// a serving hot path (see BenchmarkMetricsObserve).
+// goroutines and costs two atomic adds (plus, the first time a
+// latency falls outside the span seen so far, a compare-and-swap) —
+// cheap enough to leave on in a serving hot path (see
+// BenchmarkMetricsObserve).
 type Histogram struct {
-	count   atomic.Uint64
-	sumNS   atomic.Uint64
-	buckets [numBuckets]atomic.Uint64
+	sumNS atomic.Uint64
+	// buckets[numBuckets-low : high] holds every observation. Both
+	// ends only grow, from the empty zero value, so a reader scans the
+	// few cache lines a latency distribution occupies and not all
+	// numBuckets: STATS snapshots the whole lifecycle grid per call.
+	low, high atomic.Int32
+	buckets   [numBuckets]atomic.Uint64
 }
 
-// bucketOf returns the bucket index of a latency: bucket b holds
-// observations in [2^(b-1), 2^b) ns.
-func bucketOf(ns uint64) int {
-	b := bits.Len64(ns)
-	if b >= numBuckets {
-		b = numBuckets - 1
+// raise lifts a to at least v.
+func raise(a *atomic.Int32, v int) {
+	for old := a.Load(); int(old) < v && !a.CompareAndSwap(old, int32(v)); old = a.Load() {
 	}
-	return b
 }
 
-// bucketUpperNS is the exclusive upper bound of bucket b in
-// nanoseconds.
-func bucketUpperNS(b int) uint64 { return uint64(1) << b }
+// bucketOf returns the bucket index of a latency.
+func bucketOf(ns uint64) int {
+	if ns < subBuckets {
+		return int(ns)
+	}
+	shift := bits.Len64(ns) - 1 - subBits // the sub-bucket width is 2^shift
+	if shift > maxExp-1-subBits {
+		return numBuckets - 1
+	}
+	return shift*subBuckets + int(ns>>shift)
+}
+
+// bucketBoundsNS returns bucket b's inclusive lower and exclusive upper
+// bound in nanoseconds.
+func bucketBoundsNS(b int) (lo, hi uint64) {
+	if b < subBuckets {
+		return uint64(b), uint64(b) + 1
+	}
+	shift := b/subBuckets - 1
+	lo = uint64(subBuckets+b%subBuckets) << shift
+	return lo, lo + 1<<shift
+}
 
 // Observe records one latency.
 func (h *Histogram) Observe(d time.Duration) {
@@ -48,29 +75,37 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > 0 {
 		ns = uint64(d)
 	}
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
+	b := bucketOf(ns)
+	h.buckets[b].Add(1)
 	h.sumNS.Add(ns)
+	raise(&h.low, numBuckets-b)
+	raise(&h.high, b+1)
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram.
 type HistogramSnapshot struct {
-	Count   uint64
+	Count   uint64 // the sum of Buckets
 	SumNS   uint64
 	Buckets [numBuckets]uint64
 }
 
-// Snapshot copies the counters. Buckets filled concurrently with the
-// copy may be split across Count and Buckets by at most the in-flight
-// observations — fine for monitoring.
+// Snapshot copies the histogram. Count is the sum of the copied
+// buckets, so a snapshot taken under load is always a well-formed
+// ladder; SumNS may lead or trail it by the in-flight observations.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	s.SumNS = h.sumNS.Load()
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
+	h.snapshot(&s)
 	return s
+}
+
+// snapshot is Snapshot into a caller's buffer: a reader of many
+// histograms reuses one.
+func (h *Histogram) snapshot(s *HistogramSnapshot) {
+	*s = HistogramSnapshot{SumNS: h.sumNS.Load()}
+	for i, end := numBuckets-int(h.low.Load()), int(h.high.Load()); i < end; i++ {
+		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
+	}
 }
 
 // Mean reports the mean observed latency.
@@ -81,8 +116,8 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return time.Duration(s.SumNS / s.Count)
 }
 
-// Quantile reports the q-quantile (0 <= q <= 1) as the upper bound of
-// the bucket that contains it — a conservative estimate within 2x.
+// Quantile reports the q-quantile (0 <= q <= 1) as the midpoint of the
+// bucket that contains it: exact below 16 ns, within ±3.2 % above.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -95,383 +130,227 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	for b, n := range s.Buckets {
 		seen += n
 		if seen > rank {
-			return time.Duration(bucketUpperNS(b))
+			lo, hi := bucketBoundsNS(b)
+			return time.Duration(lo + (hi-lo)/2)
 		}
 	}
-	return time.Duration(bucketUpperNS(numBuckets - 1))
+	return 0 // unreachable: Count is the sum of Buckets
+}
+
+// Counter identifies one cell of the registry: a counter or a gauge,
+// declared by its row of counterDefs and nowhere else. STATS, /statsz
+// and /metrics all read the cell the serving path writes.
+type Counter int
+
+// The registry's cells, in exposition order; counterDefs says what
+// each one counts.
+const (
+	// One row per wire op in wire-op order: the cell of serve.Op o is
+	// ReqGet + Counter(o-1).
+	ReqGet Counter = iota
+	ReqMGet
+	ReqScan
+	ReqPut
+	ReqDel
+	ReqStats
+	ReqHello
+	ReqReplicate
+	ReqScanOpen
+	ReqScanNext
+	ReqScanClose
+
+	Rejected
+	Expired
+	BadRequests
+
+	// Admission budgets, three rows each in the serving layer's class
+	// order: the cell of class c is AdmCapacityRead + Counter(c), and
+	// so on.
+	AdmCapacityRead
+	AdmCapacityWrite
+	AdmCapacityScan
+	AdmInUseRead
+	AdmInUseWrite
+	AdmInUseScan
+	AdmRejectsRead
+	AdmRejectsWrite
+	AdmRejectsScan
+
+	PoolBusy
+	PoolQueue
+	PoolTasks
+
+	CursorsOpen
+	CursorsOpened
+	CursorTimeouts
+
+	WALAppends
+	WALBytes
+	Fsyncs
+	Checkpoints
+	CheckpointErrors
+	WALReplayed
+	Recoveries
+	RecoveryMS
+
+	ReplShippedRecords
+	ReplShippedBytes
+	ReplAppliedRecords
+	ReplSnapshotsShipped
+	ReplSnapshotsInstalled
+	ReplFencedRejects
+
+	numCounters
+)
+
+// counterDef is one row of the metric table.
+type counterDef struct {
+	name  string // Prometheus family; counters end in _total
+	help  string // HELP text, on the first row of a family
+	gauge bool   // TYPE gauge instead of counter
+	label string // fixed label of a multi-row family, e.g. `class="read"`
+}
+
+// counterDefs declares every counter and gauge of the registry once.
+// Rows of one labelled family are adjacent.
+var counterDefs = [numCounters]counterDef{
+	ReqGet:       {name: "pbtree_requests_total", help: "Requests past the admission gate, by wire op.", label: `op="get"`},
+	ReqMGet:      {name: "pbtree_requests_total", label: `op="mget"`},
+	ReqScan:      {name: "pbtree_requests_total", label: `op="scan"`},
+	ReqPut:       {name: "pbtree_requests_total", label: `op="put"`},
+	ReqDel:       {name: "pbtree_requests_total", label: `op="del"`},
+	ReqStats:     {name: "pbtree_requests_total", label: `op="stats"`},
+	ReqHello:     {name: "pbtree_requests_total", label: `op="hello"`},
+	ReqReplicate: {name: "pbtree_requests_total", label: `op="replicate"`},
+	ReqScanOpen:  {name: "pbtree_requests_total", label: `op="scanopen"`},
+	ReqScanNext:  {name: "pbtree_requests_total", label: `op="scannext"`},
+	ReqScanClose: {name: "pbtree_requests_total", label: `op="scanclose"`},
+
+	Rejected:    {name: "pbtree_rejected_total", help: "Requests answered with a retry hint (admission budget, cursor cap or shard queue full)."},
+	Expired:     {name: "pbtree_expired_total", help: "Requests whose deadline passed before execution."},
+	BadRequests: {name: "pbtree_bad_requests_total", help: "Malformed request frames."},
+
+	AdmCapacityRead:  {name: "pbtree_admission_capacity", help: "Configured admission token budget.", gauge: true, label: `class="read"`},
+	AdmCapacityWrite: {name: "pbtree_admission_capacity", gauge: true, label: `class="write"`},
+	AdmCapacityScan:  {name: "pbtree_admission_capacity", gauge: true, label: `class="scan"`},
+	AdmInUseRead:     {name: "pbtree_admission_tokens_in_use", help: "Admission tokens currently held.", gauge: true, label: `class="read"`},
+	AdmInUseWrite:    {name: "pbtree_admission_tokens_in_use", gauge: true, label: `class="write"`},
+	AdmInUseScan:     {name: "pbtree_admission_tokens_in_use", gauge: true, label: `class="scan"`},
+	AdmRejectsRead:   {name: "pbtree_admission_rejects_total", help: "Requests rejected by the admission budget.", label: `class="read"`},
+	AdmRejectsWrite:  {name: "pbtree_admission_rejects_total", label: `class="write"`},
+	AdmRejectsScan:   {name: "pbtree_admission_rejects_total", label: `class="scan"`},
+
+	PoolBusy:  {name: "pbtree_pool_workers_busy", help: "Worker-pool workers executing a request.", gauge: true},
+	PoolQueue: {name: "pbtree_pool_queue_depth", help: "Worker-pool tasks waiting for a worker.", gauge: true},
+	PoolTasks: {name: "pbtree_pool_tasks_total", help: "Worker-pool tasks executed."},
+
+	CursorsOpen:    {name: "pbtree_scan_cursors_open", help: "Streaming-scan cursors currently open.", gauge: true},
+	CursorsOpened:  {name: "pbtree_scan_cursors_opened_total", help: "Streaming-scan cursors ever opened."},
+	CursorTimeouts: {name: "pbtree_scan_cursor_timeouts_total", help: "Streaming-scan cursors reclaimed idle."},
+
+	WALAppends:       {name: "pbtree_wal_appends_total", help: "WAL group commits written."},
+	WALBytes:         {name: "pbtree_wal_bytes_total", help: "WAL bytes written."},
+	Fsyncs:           {name: "pbtree_fsyncs_total", help: "WAL and checkpoint fsyncs."},
+	Checkpoints:      {name: "pbtree_checkpoints_total", help: "Checkpoints completed."},
+	CheckpointErrors: {name: "pbtree_checkpoint_errors_total", help: "Checkpoint attempts that failed."},
+	WALReplayed:      {name: "pbtree_wal_replayed_records_total", help: "WAL records replayed during recovery."},
+	Recoveries:       {name: "pbtree_recoveries_total", help: "Shard recoveries completed."},
+	RecoveryMS:       {name: "pbtree_recovery_ms_total", help: "Total wall-clock milliseconds spent recovering."},
+
+	ReplShippedRecords:     {name: "pbtree_repl_shipped_records_total", help: "WAL records served to replication followers."},
+	ReplShippedBytes:       {name: "pbtree_repl_shipped_bytes_total", help: "WAL bytes served to replication followers."},
+	ReplAppliedRecords:     {name: "pbtree_repl_applied_records_total", help: "Shipped WAL records durably applied locally."},
+	ReplSnapshotsShipped:   {name: "pbtree_repl_snapshots_shipped_total", help: "Checkpoint streams fully served to followers."},
+	ReplSnapshotsInstalled: {name: "pbtree_repl_snapshots_installed_total", help: "Checkpoint streams installed locally."},
+	ReplFencedRejects:      {name: "pbtree_repl_fenced_rejects_total", help: "Replication requests and appends rejected by the epoch fence."},
 }
 
 // metricOps are the operations Metrics tracks, in exposition order.
 var metricOps = []core.OpKind{core.OpSearch, core.OpInsert, core.OpDelete, core.OpScan}
 
-// Metrics is the native-path serving metrics registry: one latency
-// histogram (which doubles as a throughput counter) per index
-// operation, plus the durability counters of the WAL + checkpoint
-// layer. All methods are safe for concurrent use and nil-receiver
-// safe, so instrumented code paths need no guards. It complements the
+// Metrics is the native-path serving metrics registry: the cells of
+// counterDefs, one latency histogram (which doubles as a throughput
+// counter) per index operation, and the request-lifecycle grid of
+// stage.go. Every method is safe for concurrent use and for a nil
+// receiver — a nil registry records nothing and reads as empty — so
+// instrumented code paths need no guards. It complements the
 // simulator-side Collector: the simulator explains cycles, Metrics
 // watches real wall-clock serving.
 type Metrics struct {
-	hists       [core.NumOps]Histogram
-	stages      [core.NumOps][NumStages]Histogram
-	stageTotals [core.NumOps]Histogram
-	dur         durabilityCounters
-	adm         admissionCounters
-	repl        replicationCounters
-	srv         serveCounters
-	publishOnce sync.Once
-}
-
-// serveCounters tracks the serving data plane: worker-pool occupancy
-// and streaming-scan cursor lifetime (DESIGN.md §15).
-type serveCounters struct {
-	poolBusy       atomic.Int64  // workers executing a request right now
-	poolQueue      atomic.Int64  // tasks submitted but not yet picked up
-	poolTasks      atomic.Uint64 // tasks executed since start
-	cursorsOpen    atomic.Int64  // streaming-scan cursors currently open
-	cursorsOpened  atomic.Uint64 // cursors ever opened
-	cursorTimeouts atomic.Uint64 // cursors reclaimed by the idle reaper
-}
-
-// ServeSnapshot is a point-in-time copy of the serving data-plane
-// counters.
-type ServeSnapshot struct {
-	PoolBusy       int64  `json:"pool_busy"`       // workers executing right now
-	PoolQueue      int64  `json:"pool_queue"`      // tasks waiting for a worker
-	PoolTasks      uint64 `json:"pool_tasks"`      // tasks executed since start
-	CursorsOpen    int64  `json:"cursors_open"`    // streaming-scan cursors open
-	CursorsOpened  uint64 `json:"cursors_opened"`  // cursors ever opened
-	CursorTimeouts uint64 `json:"cursor_timeouts"` // cursors reclaimed idle
-}
-
-// PoolEnqueue records one task entering the worker-pool queue.
-func (m *Metrics) PoolEnqueue() {
-	if m == nil {
-		return
-	}
-	m.srv.poolQueue.Add(1)
-}
-
-// PoolStart records one task leaving the queue and starting to
-// execute.
-func (m *Metrics) PoolStart() {
-	if m == nil {
-		return
-	}
-	m.srv.poolQueue.Add(-1)
-	m.srv.poolBusy.Add(1)
-	m.srv.poolTasks.Add(1)
-}
-
-// PoolDone records one task finishing execution.
-func (m *Metrics) PoolDone() {
-	if m == nil {
-		return
-	}
-	m.srv.poolBusy.Add(-1)
-}
-
-// CursorOpened records one streaming-scan cursor opening.
-func (m *Metrics) CursorOpened() {
-	if m == nil {
-		return
-	}
-	m.srv.cursorsOpen.Add(1)
-	m.srv.cursorsOpened.Add(1)
-}
-
-// CursorClosed records one streaming-scan cursor closing (client
-// close, exhaustion, connection teardown, or reaper timeout).
-func (m *Metrics) CursorClosed() {
-	if m == nil {
-		return
-	}
-	m.srv.cursorsOpen.Add(-1)
-}
-
-// CursorTimedOut records one cursor reclaimed by the idle reaper (the
-// reaper also calls CursorClosed for it).
-func (m *Metrics) CursorTimedOut() {
-	if m == nil {
-		return
-	}
-	m.srv.cursorTimeouts.Add(1)
-}
-
-// Serve snapshots the serving data-plane counters.
-func (m *Metrics) Serve() ServeSnapshot {
-	if m == nil {
-		return ServeSnapshot{}
-	}
-	return ServeSnapshot{
-		PoolBusy:       m.srv.poolBusy.Load(),
-		PoolQueue:      m.srv.poolQueue.Load(),
-		PoolTasks:      m.srv.poolTasks.Load(),
-		CursorsOpen:    m.srv.cursorsOpen.Load(),
-		CursorsOpened:  m.srv.cursorsOpened.Load(),
-		CursorTimeouts: m.srv.cursorTimeouts.Load(),
-	}
-}
-
-// AdmissionClass indexes the serving layer's per-op-class admission
-// budgets (DESIGN.md §10): cheap point ops and mutations each hold one
-// token while executing, scans hold one token per requested row, so
-// overload rejects expensive work first.
-type AdmissionClass int
-
-// The admission classes, in exposition order.
-const (
-	AdmRead  AdmissionClass = iota // GET / MGET point lookups
-	AdmWrite                       // PUT / DEL mutations
-	AdmScan                        // SCAN, metered in rows
-
-	// NumAdmissionClasses is the number of admission classes.
-	NumAdmissionClasses
-)
-
-// String names an admission class for metric labels.
-func (c AdmissionClass) String() string {
-	switch c {
-	case AdmRead:
-		return "read"
-	case AdmWrite:
-		return "write"
-	case AdmScan:
-		return "scan"
-	}
-	return "unknown"
-}
-
-// admissionClasses lists the classes in exposition order.
-var admissionClasses = []AdmissionClass{AdmRead, AdmWrite, AdmScan}
-
-// admissionCounters tracks token budget occupancy per class.
-type admissionCounters struct {
-	capacity [NumAdmissionClasses]atomic.Int64
-	inUse    [NumAdmissionClasses]atomic.Int64
-	rejects  [NumAdmissionClasses]atomic.Uint64
-}
-
-// AdmissionSnapshot is a point-in-time copy of one admission class.
-type AdmissionSnapshot struct {
-	Capacity int64  `json:"capacity"` // configured token budget
-	InUse    int64  `json:"in_use"`   // tokens currently held
-	Rejects  uint64 `json:"rejects"`  // requests turned away with retry
-}
-
-// AdmissionCapacity records the configured token budget of a class.
-func (m *Metrics) AdmissionCapacity(c AdmissionClass, capacity int64) {
-	if m == nil {
-		return
-	}
-	m.adm.capacity[c].Store(capacity)
-}
-
-// AdmissionAcquire records n tokens entering use in a class.
-func (m *Metrics) AdmissionAcquire(c AdmissionClass, n int64) {
-	if m == nil {
-		return
-	}
-	m.adm.inUse[c].Add(n)
-}
-
-// AdmissionRelease records n tokens leaving use in a class.
-func (m *Metrics) AdmissionRelease(c AdmissionClass, n int64) {
-	if m == nil {
-		return
-	}
-	m.adm.inUse[c].Add(-n)
-}
-
-// AdmissionReject records one rejected request in a class.
-func (m *Metrics) AdmissionReject(c AdmissionClass) {
-	if m == nil {
-		return
-	}
-	m.adm.rejects[c].Add(1)
-}
-
-// Admission snapshots one admission class.
-func (m *Metrics) Admission(c AdmissionClass) AdmissionSnapshot {
-	if m == nil {
-		return AdmissionSnapshot{}
-	}
-	return AdmissionSnapshot{
-		Capacity: m.adm.capacity[c].Load(),
-		InUse:    m.adm.inUse[c].Load(),
-		Rejects:  m.adm.rejects[c].Load(),
-	}
-}
-
-// durabilityCounters tracks the WAL + checkpoint layer (DESIGN.md §9).
-type durabilityCounters struct {
-	walAppends    atomic.Uint64
-	walBytes      atomic.Uint64
-	fsyncs        atomic.Uint64
-	checkpoints   atomic.Uint64
-	checkpointErr atomic.Uint64
-	replayed      atomic.Uint64
-	recoveries    atomic.Uint64
-	recoveryNS    atomic.Uint64
-}
-
-// DurabilitySnapshot is a point-in-time copy of the durability
-// counters.
-type DurabilitySnapshot struct {
-	WALAppends      uint64 `json:"wal_appends"` // group commits written
-	WALBytes        uint64 `json:"wal_bytes"`
-	Fsyncs          uint64 `json:"fsyncs"`
-	Checkpoints     uint64 `json:"checkpoints"`
-	CheckpointErrs  uint64 `json:"checkpoint_errors"`
-	ReplayedRecords uint64 `json:"replayed_records"` // WAL records replayed at recovery
-	Recoveries      uint64 `json:"recoveries"`       // shard recoveries completed
-	RecoveryMS      uint64 `json:"recovery_ms"`      // total wall time recovering
-}
-
-// WALAppend records one WAL group commit of n bytes.
-func (m *Metrics) WALAppend(n int) {
-	if m == nil {
-		return
-	}
-	m.dur.walAppends.Add(1)
-	m.dur.walBytes.Add(uint64(n))
-}
-
-// Fsync records one WAL or checkpoint fsync.
-func (m *Metrics) Fsync() {
-	if m == nil {
-		return
-	}
-	m.dur.fsyncs.Add(1)
-}
-
-// Checkpoint records one checkpoint attempt.
-func (m *Metrics) Checkpoint(err error) {
-	if m == nil {
-		return
-	}
-	if err != nil {
-		m.dur.checkpointErr.Add(1)
-		return
-	}
-	m.dur.checkpoints.Add(1)
-}
-
-// Recovery records one completed shard recovery.
-func (m *Metrics) Recovery(d time.Duration, replayed uint64) {
-	if m == nil {
-		return
-	}
-	m.dur.recoveries.Add(1)
-	m.dur.recoveryNS.Add(uint64(d))
-	m.dur.replayed.Add(replayed)
-}
-
-// Durability snapshots the durability counters.
-func (m *Metrics) Durability() DurabilitySnapshot {
-	if m == nil {
-		return DurabilitySnapshot{}
-	}
-	return DurabilitySnapshot{
-		WALAppends:      m.dur.walAppends.Load(),
-		WALBytes:        m.dur.walBytes.Load(),
-		Fsyncs:          m.dur.fsyncs.Load(),
-		Checkpoints:     m.dur.checkpoints.Load(),
-		CheckpointErrs:  m.dur.checkpointErr.Load(),
-		ReplayedRecords: m.dur.replayed.Load(),
-		Recoveries:      m.dur.recoveries.Load(),
-		RecoveryMS:      m.dur.recoveryNS.Load() / 1e6,
-	}
-}
-
-// replicationCounters tracks the log-shipping subsystem (DESIGN.md
-// §13): what a primary ships, what a follower applies, and how often
-// fencing fires.
-type replicationCounters struct {
-	shippedRecords     atomic.Uint64
-	shippedBytes       atomic.Uint64
-	appliedRecords     atomic.Uint64
-	snapshotsShipped   atomic.Uint64
-	snapshotsInstalled atomic.Uint64
-	fencedRejects      atomic.Uint64
-}
-
-// ReplicationSnapshot is a point-in-time copy of the replication
-// counters.
-type ReplicationSnapshot struct {
-	ShippedRecords     uint64 `json:"shipped_records"`     // WAL records served to followers
-	ShippedBytes       uint64 `json:"shipped_bytes"`       // WAL bytes served to followers
-	AppliedRecords     uint64 `json:"applied_records"`     // shipped records durably applied locally
-	SnapshotsShipped   uint64 `json:"snapshots_shipped"`   // checkpoint streams fully served
-	SnapshotsInstalled uint64 `json:"snapshots_installed"` // checkpoint streams installed locally
-	FencedRejects      uint64 `json:"fenced_rejects"`      // requests/appends rejected by epoch check
-}
-
-// ReplShip records WAL records served to a follower.
-func (m *Metrics) ReplShip(records uint64, bytes int) {
-	if m == nil {
-		return
-	}
-	m.repl.shippedRecords.Add(records)
-	m.repl.shippedBytes.Add(uint64(bytes))
-}
-
-// ReplApply records shipped WAL records durably applied on a follower.
-func (m *Metrics) ReplApply(records uint64) {
-	if m == nil {
-		return
-	}
-	m.repl.appliedRecords.Add(records)
-}
-
-// ReplSnapshotShipped records one checkpoint stream fully served to a
-// follower.
-func (m *Metrics) ReplSnapshotShipped() {
-	if m == nil {
-		return
-	}
-	m.repl.snapshotsShipped.Add(1)
-}
-
-// ReplSnapshotInstalled records one checkpoint stream installed on a
-// follower.
-func (m *Metrics) ReplSnapshotInstalled() {
-	if m == nil {
-		return
-	}
-	m.repl.snapshotsInstalled.Add(1)
-}
-
-// ReplFencedReject records one replication request or local append
-// rejected by the epoch fencing check.
-func (m *Metrics) ReplFencedReject() {
-	if m == nil {
-		return
-	}
-	m.repl.fencedRejects.Add(1)
-}
-
-// Replication snapshots the replication counters.
-func (m *Metrics) Replication() ReplicationSnapshot {
-	if m == nil {
-		return ReplicationSnapshot{}
-	}
-	return ReplicationSnapshot{
-		ShippedRecords:     m.repl.shippedRecords.Load(),
-		ShippedBytes:       m.repl.shippedBytes.Load(),
-		AppliedRecords:     m.repl.appliedRecords.Load(),
-		SnapshotsShipped:   m.repl.snapshotsShipped.Load(),
-		SnapshotsInstalled: m.repl.snapshotsInstalled.Load(),
-		FencedRejects:      m.repl.fencedRejects.Load(),
-	}
+	cells  [numCounters]atomic.Int64
+	hists  [core.NumOps]Histogram
+	stages [core.NumOps][NumStages + 1]Histogram // column StageTotal is the op's end-to-end latency
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
+// Add adds n to a cell.
+func (m *Metrics) Add(c Counter, n int64) {
+	if m != nil {
+		m.cells[c].Add(n)
+	}
+}
+
+// Set stores a gauge's value.
+func (m *Metrics) Set(c Counter, v int64) {
+	if m != nil {
+		m.cells[c].Store(v)
+	}
+}
+
+// Load reads a cell.
+func (m *Metrics) Load(c Counter) int64 {
+	if m == nil {
+		return 0
+	}
+	return m.cells[c].Load()
+}
+
+// Cell exposes a cell for callers that need more than Add — the
+// admission budget's compare-and-swap runs on the gauge /metrics
+// prints. A nil registry hands out a detached cell.
+func (m *Metrics) Cell(c Counter) *atomic.Int64 {
+	if m == nil {
+		return new(atomic.Int64)
+	}
+	return &m.cells[c]
+}
+
+// Checkpoint records one checkpoint attempt.
+func (m *Metrics) Checkpoint(err error) {
+	if err != nil {
+		m.Add(CheckpointErrors, 1)
+		return
+	}
+	m.Add(Checkpoints, 1)
+}
+
+// Values reads every cell whose family starts with prefix, keyed by
+// the family name without the prefix and the _total suffix (rows of a
+// labelled family carry their label: `capacity{class="read"}`). The
+// replication prefix yields the counters object of /replz.
+func (m *Metrics) Values(prefix string) map[string]int64 {
+	out := make(map[string]int64)
+	for c, def := range counterDefs {
+		key, ok := strings.CutPrefix(def.name, prefix)
+		if !ok {
+			continue
+		}
+		key = strings.TrimSuffix(key, "_total")
+		if def.label != "" {
+			key += "{" + def.label + "}"
+		}
+		out[key] = m.Load(Counter(c))
+	}
+	return out
+}
+
 // Observe records one operation latency.
 func (m *Metrics) Observe(op core.OpKind, d time.Duration) {
-	m.hists[op].Observe(d)
+	if m != nil {
+		m.hists[op].Observe(d)
+	}
 }
 
 // Time starts timing an operation; the returned func records the
@@ -485,176 +364,120 @@ func (m *Metrics) Time(op core.OpKind) func() {
 
 // Snapshot returns the histogram of one operation.
 func (m *Metrics) Snapshot(op core.OpKind) HistogramSnapshot {
+	if m == nil {
+		return HistogramSnapshot{}
+	}
 	return m.hists[op].Snapshot()
 }
 
-// writeHistogram writes one histogram series (bucket ladder + sum +
-// count) under the given label set. The ladder is compact: only
-// buckets that received observations are printed (cumulative counts
-// stay monotone, and the +Inf bucket always closes the ladder).
-func writeHistogram(w io.Writer, name, labels string, s HistogramSnapshot) error {
-	var cum uint64
-	for b := 0; b < numBuckets; b++ {
-		cum += s.Buckets[b]
-		if s.Buckets[b] == 0 {
-			continue
+// Sample is one sample line of a metric family: an optional fixed
+// label set (`shard="0"`) and the value.
+type Sample struct {
+	Labels string
+	Value  float64
+}
+
+// WriteFamily writes one metric family in the Prometheus text format:
+// its HELP and TYPE header, then its samples. Every counter and gauge
+// line of /metrics is produced here — the registry's table, the
+// store's shard gauges and the replication node's lag gauges.
+func WriteFamily(w io.Writer, name, help, typ string, samples ...Sample) error {
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ); err != nil {
+		return err
+	}
+	for _, s := range samples {
+		labels := ""
+		if s.Labels != "" {
+			labels = "{" + s.Labels + "}"
 		}
-		le := strconv.FormatFloat(float64(bucketUpperNS(b))/1e9, 'g', -1, 64)
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, labels, le, cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, strconv.FormatFloat(s.Value, 'f', -1, 64)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, s.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(s.SumNS)/1e9); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
+	return nil
+}
+
+// writeHistograms writes one histogram family: its header, then each
+// series the callback yields (bucket ladder + sum + count under the
+// given label set). A ladder is compact: only buckets that received
+// observations are printed (cumulative counts stay monotone, and the
+// +Inf bucket always closes the ladder).
+func writeHistograms(w io.Writer, name, help string, each func(series func(labels string, s *HistogramSnapshot))) error {
+	err := WriteFamily(w, name, help, "histogram")
+	each(func(labels string, s *HistogramSnapshot) {
+		var cum uint64
+		for b, n := range s.Buckets {
+			if n == 0 || err != nil {
+				continue
+			}
+			cum += n
+			_, hi := bucketBoundsNS(b)
+			le := strconv.FormatFloat(float64(hi)/1e9, 'g', -1, 64)
+			_, err = fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, labels, le, cum)
+		}
+		if err == nil {
+			_, err = fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n%s_sum{%s} %g\n%s_count{%s} %d\n",
+				name, labels, s.Count, name, labels, float64(s.SumNS)/1e9, name, labels, s.Count)
+		}
+	})
 	return err
 }
 
 // WritePrometheus writes the registry in the Prometheus text
-// exposition format (version 0.0.4).
+// exposition format (version 0.0.4): the per-op histograms, the
+// lifecycle grid, then one loop over counterDefs.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	var snaps [core.NumOps]HistogramSnapshot
+	err := writeHistograms(w, "pbtree_op_latency_seconds", "Index operation latency.", func(series func(string, *HistogramSnapshot)) {
+		for _, op := range metricOps {
+			snaps[op] = m.Snapshot(op)
+			series(fmt.Sprintf("op=%q", op), &snaps[op])
+		}
+	})
+	// Only (op, stage) pairs that received observations are printed — a
+	// GET never emits WAL-stage samples — but the HELP/TYPE headers
+	// always are, so scrapers can discover the families on an idle
+	// server.
+	if err == nil {
+		err = writeHistograms(w, "pbtree_stage_latency_seconds", "Per-request latency attributed to one serving pipeline stage.", func(series func(string, *HistogramSnapshot)) {
+			m.WalkStages(func(op core.OpKind, st Stage, s *HistogramSnapshot) {
+				if st != StageTotal {
+					series(fmt.Sprintf("op=%q,stage=%q", op, st), s)
+				}
+			})
+		})
+	}
+	if err == nil {
+		err = writeHistograms(w, "pbtree_request_latency_seconds", "End-to-end server-side request latency (frame decoded through response written).", func(series func(string, *HistogramSnapshot)) {
+			m.WalkStages(func(op core.OpKind, st Stage, s *HistogramSnapshot) {
+				if st == StageTotal {
+					series(fmt.Sprintf("op=%q", op), s)
+				}
+			})
+		})
+	}
+	if err != nil {
+		return err
+	}
+
+	samples := make([]Sample, 0, len(metricOps))
 	for _, op := range metricOps {
-		snaps[op] = m.hists[op].Snapshot()
+		samples = append(samples, Sample{fmt.Sprintf("op=%q", op), float64(snaps[op].Count)})
 	}
-
-	if _, err := fmt.Fprint(w,
-		"# HELP pbtree_op_latency_seconds Index operation latency.\n"+
-			"# TYPE pbtree_op_latency_seconds histogram\n"); err != nil {
+	if err := WriteFamily(w, "pbtree_ops_total", "Index operations served.", "counter", samples...); err != nil {
 		return err
 	}
-	for _, op := range metricOps {
-		if err := writeHistogram(w, "pbtree_op_latency_seconds",
-			fmt.Sprintf("op=%q", op), snaps[op]); err != nil {
-			return err
-		}
-	}
 
-	// Request-lifecycle stage attribution (stage.go). Only (op, stage)
-	// pairs that received observations are printed — a GET never emits
-	// WAL-stage samples — but the HELP/TYPE headers always are, so
-	// scrapers can discover the families on an idle server.
-	if _, err := fmt.Fprint(w,
-		"# HELP pbtree_stage_latency_seconds Per-request latency attributed to one serving pipeline stage.\n"+
-			"# TYPE pbtree_stage_latency_seconds histogram\n"); err != nil {
-		return err
-	}
-	for _, op := range stageOps {
-		for st := Stage(0); st < NumStages; st++ {
-			s := m.stages[op][st].Snapshot()
-			if s.Count == 0 {
-				continue
-			}
-			if err := writeHistogram(w, "pbtree_stage_latency_seconds",
-				fmt.Sprintf("op=%q,stage=%q", op, st), s); err != nil {
-				return err
-			}
+	for c := 0; c < len(counterDefs); {
+		def, typ := counterDefs[c], "counter"
+		if def.gauge {
+			typ = "gauge"
 		}
-	}
-	if _, err := fmt.Fprint(w,
-		"# HELP pbtree_request_latency_seconds End-to-end server-side request latency (frame decoded through response written).\n"+
-			"# TYPE pbtree_request_latency_seconds histogram\n"); err != nil {
-		return err
-	}
-	for _, op := range stageOps {
-		s := m.stageTotals[op].Snapshot()
-		if s.Count == 0 {
-			continue
+		samples = samples[:0]
+		for ; c < len(counterDefs) && counterDefs[c].name == def.name; c++ {
+			samples = append(samples, Sample{counterDefs[c].label, float64(m.Load(Counter(c)))})
 		}
-		if err := writeHistogram(w, "pbtree_request_latency_seconds",
-			fmt.Sprintf("op=%q", op), s); err != nil {
-			return err
-		}
-	}
-
-	if _, err := fmt.Fprint(w,
-		"# HELP pbtree_ops_total Index operations served.\n"+
-			"# TYPE pbtree_ops_total counter\n"); err != nil {
-		return err
-	}
-	for _, op := range metricOps {
-		if _, err := fmt.Fprintf(w, "pbtree_ops_total{op=%q} %d\n", op, snaps[op].Count); err != nil {
-			return err
-		}
-	}
-
-	for _, g := range []struct {
-		name, help, typ string
-		v               func(AdmissionClass) any
-	}{
-		{"pbtree_admission_capacity", "Configured admission token budget.", "gauge",
-			func(c AdmissionClass) any { return m.Admission(c).Capacity }},
-		{"pbtree_admission_tokens_in_use", "Admission tokens currently held.", "gauge",
-			func(c AdmissionClass) any { return m.Admission(c).InUse }},
-		{"pbtree_admission_rejects_total", "Requests rejected by the admission budget.", "counter",
-			func(c AdmissionClass) any { return m.Admission(c).Rejects }},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", g.name, g.help, g.name, g.typ); err != nil {
-			return err
-		}
-		for _, c := range admissionClasses {
-			if _, err := fmt.Fprintf(w, "%s{class=%q} %d\n", g.name, c, g.v(c)); err != nil {
-				return err
-			}
-		}
-	}
-
-	d := m.Durability()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"pbtree_wal_appends_total", "WAL group commits written.", d.WALAppends},
-		{"pbtree_wal_bytes_total", "WAL bytes written.", d.WALBytes},
-		{"pbtree_fsyncs_total", "WAL and checkpoint fsyncs.", d.Fsyncs},
-		{"pbtree_checkpoints_total", "Checkpoints completed.", d.Checkpoints},
-		{"pbtree_checkpoint_errors_total", "Checkpoint attempts that failed.", d.CheckpointErrs},
-		{"pbtree_wal_replayed_records_total", "WAL records replayed during recovery.", d.ReplayedRecords},
-		{"pbtree_recoveries_total", "Shard recoveries completed.", d.Recoveries},
-		{"pbtree_recovery_ms_total", "Total wall-clock milliseconds spent recovering.", d.RecoveryMS},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.v); err != nil {
-			return err
-		}
-	}
-
-	sv := m.Serve()
-	for _, c := range []struct {
-		name, help, typ string
-		v               int64
-	}{
-		{"pbtree_pool_workers_busy", "Worker-pool workers executing a request.", "gauge", sv.PoolBusy},
-		{"pbtree_pool_queue_depth", "Worker-pool tasks waiting for a worker.", "gauge", sv.PoolQueue},
-		{"pbtree_pool_tasks_total", "Worker-pool tasks executed.", "counter", int64(sv.PoolTasks)},
-		{"pbtree_scan_cursors_open", "Streaming-scan cursors currently open.", "gauge", sv.CursorsOpen},
-		{"pbtree_scan_cursors_opened_total", "Streaming-scan cursors ever opened.", "counter", int64(sv.CursorsOpened)},
-		{"pbtree_scan_cursor_timeouts_total", "Streaming-scan cursors reclaimed idle.", "counter", int64(sv.CursorTimeouts)},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			c.name, c.help, c.name, c.typ, c.name, c.v); err != nil {
-			return err
-		}
-	}
-
-	r := m.Replication()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"pbtree_repl_shipped_records_total", "WAL records served to replication followers.", r.ShippedRecords},
-		{"pbtree_repl_shipped_bytes_total", "WAL bytes served to replication followers.", r.ShippedBytes},
-		{"pbtree_repl_applied_records_total", "Shipped WAL records durably applied locally.", r.AppliedRecords},
-		{"pbtree_repl_snapshots_shipped_total", "Checkpoint streams fully served to followers.", r.SnapshotsShipped},
-		{"pbtree_repl_snapshots_installed_total", "Checkpoint streams installed locally.", r.SnapshotsInstalled},
-		{"pbtree_repl_fenced_rejects_total", "Replication requests and appends rejected by the epoch fence.", r.FencedRejects},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.v); err != nil {
+		if err := WriteFamily(w, def.name, def.help, typ, samples...); err != nil {
 			return err
 		}
 	}
@@ -667,67 +490,5 @@ func (m *Metrics) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = m.WritePrometheus(w)
-	})
-}
-
-// expvarSnapshot is the JSON shape published by PublishExpvar.
-type expvarSnapshot struct {
-	Count  uint64 `json:"count"`
-	MeanNS uint64 `json:"mean_ns"`
-	P50NS  uint64 `json:"p50_ns"`
-	P99NS  uint64 `json:"p99_ns"`
-	SumNS  uint64 `json:"sum_ns"`
-}
-
-// expvarOf summarizes one histogram snapshot for the expvar payload.
-func expvarOf(s HistogramSnapshot) expvarSnapshot {
-	return expvarSnapshot{
-		Count:  s.Count,
-		MeanNS: uint64(s.Mean()),
-		P50NS:  uint64(s.Quantile(0.5)),
-		P99NS:  uint64(s.Quantile(0.99)),
-		SumNS:  s.SumNS,
-	}
-}
-
-// PublishExpvar registers the registry under the given expvar name
-// (e.g. "pbtree"), exposing per-op count/mean/p50/p99 via the standard
-// /debug/vars endpoint. Safe to call more than once on the same
-// Metrics; the name must be unique per process, as usual for expvar.
-func (m *Metrics) PublishExpvar(name string) {
-	m.publishOnce.Do(func() {
-		expvar.Publish(name, expvar.Func(func() any {
-			out := map[string]any{}
-			for _, op := range metricOps {
-				out[op.String()] = expvarOf(m.Snapshot(op))
-			}
-			adm := map[string]AdmissionSnapshot{}
-			for _, c := range admissionClasses {
-				adm[c.String()] = m.Admission(c)
-			}
-			out["admission"] = adm
-			out["durability"] = m.Durability()
-			out["replication"] = m.Replication()
-			out["serve"] = m.Serve()
-			stages := map[string]map[string]expvarSnapshot{}
-			for _, op := range stageOps {
-				perOp := map[string]expvarSnapshot{}
-				for st := Stage(0); st < NumStages; st++ {
-					s := m.stages[op][st].Snapshot()
-					if s.Count == 0 {
-						continue
-					}
-					perOp[st.String()] = expvarOf(s)
-				}
-				if t := m.stageTotals[op].Snapshot(); t.Count > 0 {
-					perOp["total"] = expvarOf(t)
-				}
-				if len(perOp) > 0 {
-					stages[op.String()] = perOp
-				}
-			}
-			out["stages"] = stages
-			return out
-		}))
 	})
 }

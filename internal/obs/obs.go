@@ -9,7 +9,7 @@
 //   - TraceWriter dumps the same joined stream as a Chrome-trace
 //     JSON file (load it at chrome://tracing or ui.perfetto.dev).
 //   - Metrics is the native-path serving side: lock-free per-operation
-//     latency histograms and throughput counters with expvar and
+//     latency histograms and one table of counters and gauges, with
 //     Prometheus text exposition.
 //
 // Everything here is observation only: probes and tracers charge

@@ -83,6 +83,12 @@ const (
 
 	// NumStages is the number of lifecycle stages, for dense tables.
 	NumStages
+
+	// StageTotal is not a stage a span can be stamped with: it is the
+	// column of the registry's lifecycle grid that holds an op class's
+	// end-to-end server-side latency (request frame decoded through
+	// response written), and what WalkStages reports it as.
+	StageTotal = NumStages
 )
 
 // stageNames are the metric label values, in Stage order.
@@ -98,15 +104,6 @@ func (s Stage) String() string {
 		return "unknown"
 	}
 	return stageNames[s]
-}
-
-// Stages lists every lifecycle stage in pipeline order.
-func Stages() []Stage {
-	out := make([]Stage, NumStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
 }
 
 // spanBase anchors Nanotime: time.Since reads only the monotonic
@@ -217,12 +214,8 @@ func (s *Span) Finalize() int64 {
 	return total
 }
 
-// stageOps are the operation classes with lifecycle histograms, in
-// exposition order (identical to metricOps).
-var stageOps = metricOps
-
-// ObserveSpan feeds a finalized span into the per-stage histograms
-// and the op's end-to-end server-side total histogram. Stages with no
+// ObserveSpan feeds a finalized span into the lifecycle grid: its
+// per-stage histograms and the op's end-to-end column. Stages with no
 // accumulated time are skipped, so a GET never touches the WAL
 // histograms. total is Finalize's return value.
 func (m *Metrics) ObserveSpan(sp *Span, total int64) {
@@ -234,31 +227,24 @@ func (m *Metrics) ObserveSpan(sp *Span, total int64) {
 			m.stages[sp.Op][st].Observe(time.Duration(ns))
 		}
 	}
-	m.stageTotals[sp.Op].Observe(time.Duration(total))
+	m.stages[sp.Op][StageTotal].Observe(time.Duration(total))
 }
 
-// ObserveStage records one stage latency directly (tests and offline
-// tools; the serving path uses ObserveSpan).
-func (m *Metrics) ObserveStage(op core.OpKind, st Stage, d time.Duration) {
+// WalkStages calls fn for every histogram of the lifecycle grid that
+// has observations, op class by op class in exposition order, each
+// op's stages in pipeline order and then its StageTotal. It is the one
+// reader of the grid: STATS and /metrics both walk it. The snapshot is
+// a buffer the walk reuses; fn must not keep it.
+func (m *Metrics) WalkStages(fn func(op core.OpKind, st Stage, s *HistogramSnapshot)) {
 	if m == nil {
 		return
 	}
-	m.stages[op][st].Observe(d)
-}
-
-// StageSnapshot copies one (op, stage) histogram.
-func (m *Metrics) StageSnapshot(op core.OpKind, st Stage) HistogramSnapshot {
-	if m == nil {
-		return HistogramSnapshot{}
+	var s HistogramSnapshot
+	for _, op := range metricOps {
+		for st := Stage(0); st <= StageTotal; st++ {
+			if m.stages[op][st].snapshot(&s); s.Count > 0 {
+				fn(op, st, &s)
+			}
+		}
 	}
-	return m.stages[op][st].Snapshot()
-}
-
-// StageTotalSnapshot copies one op's end-to-end server-side latency
-// histogram (request frame decoded through response written).
-func (m *Metrics) StageTotalSnapshot(op core.OpKind) HistogramSnapshot {
-	if m == nil {
-		return HistogramSnapshot{}
-	}
-	return m.stageTotals[op].Snapshot()
 }

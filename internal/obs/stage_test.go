@@ -20,11 +20,11 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 	// A single observation: every quantile lands in its bucket.
 	var h Histogram
-	h.Observe(100 * time.Nanosecond) // bucket upper bound 128ns
+	h.Observe(100 * time.Nanosecond) // bucket [100, 104) ns
 	s := h.Snapshot()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := s.Quantile(q); got != 128*time.Nanosecond {
-			t.Errorf("single-sample Quantile(%v) = %v, want 128ns", q, got)
+		if got := s.Quantile(q); got != 102*time.Nanosecond {
+			t.Errorf("single-sample Quantile(%v) = %v, want the 102ns midpoint", q, got)
 		}
 	}
 
@@ -34,24 +34,24 @@ func TestQuantileEdgeCases(t *testing.T) {
 	h2.Observe(1 * time.Nanosecond)
 	h2.Observe(time.Second)
 	s2 := h2.Snapshot()
-	if got := s2.Quantile(0); got != 2*time.Nanosecond {
-		t.Errorf("Quantile(0) = %v, want the 2ns bucket bound", got)
+	if got := s2.Quantile(0); got != time.Nanosecond {
+		t.Errorf("Quantile(0) = %v, want 1ns (exact below 16ns)", got)
 	}
-	if got := s2.Quantile(1); got < time.Second {
-		t.Errorf("Quantile(1) = %v, want >= 1s", got)
+	if got := s2.Quantile(1); got < 968*time.Millisecond || got > 1032*time.Millisecond {
+		t.Errorf("Quantile(1) = %v, want 1s within 3.2%%", got)
 	}
 
 	// Observations beyond the last bucket bound clamp to the overflow
-	// bucket; the quantile answers its (finite) upper bound rather
-	// than losing the sample.
+	// bucket; the quantile answers its (finite) midpoint rather than
+	// losing the sample.
 	var h3 Histogram
 	h3.Observe(time.Duration(1) << 62)
 	s3 := h3.Snapshot()
 	if s3.Count != 1 {
 		t.Fatalf("overflow sample not counted: %+v", s3)
 	}
-	if got := s3.Quantile(0.5); got != time.Duration(bucketUpperNS(numBuckets-1)) {
-		t.Errorf("overflow Quantile(0.5) = %v, want last bucket bound", got)
+	if lo, hi := bucketBoundsNS(numBuckets - 1); s3.Quantile(0.5) != time.Duration(lo+(hi-lo)/2) {
+		t.Errorf("overflow Quantile(0.5) = %v, want the last bucket's midpoint", s3.Quantile(0.5))
 	}
 }
 
@@ -114,8 +114,8 @@ func TestObserveSpanSkipsOpNone(t *testing.T) {
 	sp.Begin(Nanotime())
 	sp.Mark(StageDecode)
 	m.ObserveSpan(&sp, sp.Finalize()) // Op is OpNone: must not observe
-	for _, op := range stageOps {
-		if s := m.StageTotalSnapshot(op); s.Count != 0 {
+	for _, op := range metricOps {
+		if s := m.stages[op][StageTotal].Snapshot(); s.Count != 0 {
 			t.Fatalf("OpNone span observed under %v", op)
 		}
 	}
@@ -125,21 +125,21 @@ func TestObserveSpanSkipsOpNone(t *testing.T) {
 	sp.Mark(StageDecode)
 	sp.Mark(StageExec)
 	m.ObserveSpan(&sp, sp.Finalize())
-	if s := m.StageTotalSnapshot(core.OpSearch); s.Count != 1 {
+	if s := m.stages[core.OpSearch][StageTotal].Snapshot(); s.Count != 1 {
 		t.Fatalf("span not observed: %+v", s)
 	}
-	if s := m.StageSnapshot(core.OpSearch, StageExec); s.Count != 1 {
+	if s := m.stages[core.OpSearch][StageExec].Snapshot(); s.Count != 1 {
 		t.Fatalf("exec stage not observed: %+v", s)
 	}
 	// Stages the span never touched stay empty (sparse exposition).
-	if s := m.StageSnapshot(core.OpSearch, StageWALFsync); s.Count != 0 {
+	if s := m.stages[core.OpSearch][StageWALFsync].Snapshot(); s.Count != 0 {
 		t.Fatalf("untouched stage observed: %+v", s)
 	}
 }
 
 func TestStageNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, st := range Stages() {
+	for st := Stage(0); st < NumStages; st++ {
 		name := st.String()
 		if name == "" || name == "unknown" {
 			t.Errorf("stage %d has no label", st)
@@ -160,9 +160,9 @@ func TestStageNames(t *testing.T) {
 // ladder at the sample count.
 func TestStagePrometheusConformance(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveStage(core.OpInsert, StageWALFsync, 300*time.Microsecond)
-	m.ObserveStage(core.OpInsert, StageWALFsync, 2*time.Millisecond)
-	m.ObserveStage(core.OpSearch, StageExec, 5*time.Microsecond)
+	m.stages[core.OpInsert][StageWALFsync].Observe(300 * time.Microsecond)
+	m.stages[core.OpInsert][StageWALFsync].Observe(2 * time.Millisecond)
+	m.stages[core.OpSearch][StageExec].Observe(5 * time.Microsecond)
 	var sp Span
 	sp.Begin(Nanotime())
 	sp.Op = core.OpSearch

@@ -8,6 +8,7 @@ package repl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,13 +38,13 @@ type ShardStatus struct {
 
 // Status is the /replz JSON document.
 type Status struct {
-	Role     string                  `json:"role"`                // "primary", "replica" or "fenced"
-	Epoch    uint64                  `json:"epoch"`               // the store's replication epoch
-	FencedBy uint64                  `json:"fenced_by,omitempty"` // highest rival epoch observed
-	Primary  string                  `json:"primary,omitempty"`   // the primary followed (follower only)
-	Sync     bool                    `json:"sync"`                // synchronous replication enabled
-	Shards   []ShardStatus           `json:"shards"`              // per-shard positions
-	Counters obs.ReplicationSnapshot `json:"counters"`            // lifetime replication counters
+	Role     string           `json:"role"`                // "primary", "replica" or "fenced"
+	Epoch    uint64           `json:"epoch"`               // the store's replication epoch
+	FencedBy uint64           `json:"fenced_by,omitempty"` // highest rival epoch observed
+	Primary  string           `json:"primary,omitempty"`   // the primary followed (follower only)
+	Sync     bool             `json:"sync"`                // synchronous replication enabled
+	Shards   []ShardStatus    `json:"shards"`              // per-shard positions
+	Counters map[string]int64 `json:"counters"`            // lifetime replication counters (the registry's pbtree_repl_* cells)
 }
 
 // Status reports the node's replication state: role, epoch, per-shard
@@ -55,7 +56,7 @@ func (n *Node) Status() Status {
 		FencedBy: n.st.FencedBy(),
 		Primary:  n.cfg.Primary,
 		Sync:     n.cfg.Sync,
-		Counters: n.cfg.Metrics.Replication(),
+		Counters: n.cfg.Metrics.Values("pbtree_repl_"),
 	}
 	applied := n.st.AppliedLSNs()
 	s.Shards = make([]ShardStatus, len(applied))
@@ -97,35 +98,16 @@ func (n *Node) Lag() []uint64 {
 // counters obs.Metrics.WritePrometheus already exports.
 func (n *Node) WriteMetrics(w io.Writer) error {
 	s := n.Status()
-	if _, err := fmt.Fprintf(w,
-		"# HELP pbtree_repl_epoch Replication epoch (monotone fencing token).\n# TYPE pbtree_repl_epoch gauge\npbtree_repl_epoch %d\n",
-		s.Epoch); err != nil {
-		return err
-	}
-	role := 0
-	switch s.Role {
-	case "primary":
-		role = 1
-	case "replica":
-		role = 2
-	case "fenced":
-		role = 3
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP pbtree_repl_role Replication role (1=primary, 2=replica, 3=fenced).\n# TYPE pbtree_repl_role gauge\npbtree_repl_role %d\n",
-		role); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP pbtree_repl_lag_records Replication lag per shard in WAL records.\n# TYPE pbtree_repl_lag_records gauge\n"); err != nil {
-		return err
-	}
+	role := map[string]float64{"primary": 1, "replica": 2, "fenced": 3}[s.Role]
+	lag := make([]obs.Sample, len(s.Shards))
 	for i, sh := range s.Shards {
-		if _, err := fmt.Fprintf(w, "pbtree_repl_lag_records{shard=\"%d\"} %d\n", i, sh.Lag); err != nil {
-			return err
-		}
+		lag[i] = obs.Sample{Labels: fmt.Sprintf("shard=\"%d\"", i), Value: float64(sh.Lag)}
 	}
-	return nil
+	return errors.Join(
+		obs.WriteFamily(w, "pbtree_repl_epoch", "Replication epoch (monotone fencing token).", "gauge", obs.Sample{Value: float64(s.Epoch)}),
+		obs.WriteFamily(w, "pbtree_repl_role", "Replication role (1=primary, 2=replica, 3=fenced).", "gauge", obs.Sample{Value: role}),
+		obs.WriteFamily(w, "pbtree_repl_lag_records", "Replication lag per shard in WAL records.", "gauge", lag...),
+	)
 }
 
 // Mount registers the replication endpoints on an admin mux:

@@ -328,7 +328,7 @@ func (n *Node) HandleReplicate(r *serve.ReplReq) *serve.Response {
 		if r.Epoch > high {
 			high = r.Epoch
 		}
-		n.cfg.Metrics.ReplFencedReject()
+		n.cfg.Metrics.Add(obs.ReplFencedRejects, 1)
 		return &serve.Response{Status: serve.StatusFenced, FencedEpoch: high}
 	}
 
@@ -376,7 +376,8 @@ func (n *Node) handleFetch(r *serve.ReplReq) *serve.Response {
 	if err != nil {
 		return errResp("repl: shard %d WAL tail: %v", shard, err)
 	}
-	n.cfg.Metrics.ReplShip(count, len(frames))
+	n.cfg.Metrics.Add(obs.ReplShippedRecords, int64(count))
+	n.cfg.Metrics.Add(obs.ReplShippedBytes, int64(len(frames)))
 	return okResp(&serve.ReplResp{
 		Kind:       serve.ReplFetch,
 		Epoch:      n.st.Epoch(),
@@ -410,7 +411,7 @@ func (n *Node) handleSnapFetch(r *serve.ReplReq) *serve.Response {
 	}
 	done := end == size
 	if done {
-		n.cfg.Metrics.ReplSnapshotShipped()
+		n.cfg.Metrics.Add(obs.ReplSnapshotsShipped, 1)
 	}
 	return okResp(&serve.ReplResp{
 		Kind:     serve.ReplSnap,
@@ -629,7 +630,7 @@ func (n *Node) syncShardOnce(shard int) (progress bool, err error) {
 			}
 			return false, err
 		}
-		n.cfg.Metrics.ReplApply(uint64(rp.Count))
+		n.cfg.Metrics.Add(obs.ReplAppliedRecords, int64(rp.Count))
 		return true, nil
 	case serve.ReplSnap:
 		// Cursor retired: switch to checkpoint shipping. No immediate
@@ -692,7 +693,7 @@ func (n *Node) snapshotSync(shard int, tr Transport, first *serve.ReplResp) erro
 				return err
 			}
 			n.lastInstalled[shard].Store(snapLSN + 1)
-			n.cfg.Metrics.ReplSnapshotInstalled()
+			n.cfg.Metrics.Add(obs.ReplSnapshotsInstalled, 1)
 			n.logf("repl: shard %d installed checkpoint at LSN %d", shard, snapLSN)
 			return nil
 		}

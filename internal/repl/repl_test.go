@@ -221,7 +221,7 @@ func TestReplicationCatchUp(t *testing.T) {
 			// The seed must have arrived via checkpoint install; the
 			// counter is bumped after the content becomes visible.
 			waitFor(t, 5*time.Second, "the checkpoint install to be counted", func() bool {
-				return f.node.cfg.Metrics.Replication().SnapshotsInstalled > 0
+				return f.node.cfg.Metrics.Load(obs.ReplSnapshotsInstalled) > 0
 			})
 
 			// Phase 2: live writes stream through the WAL path,
@@ -252,7 +252,7 @@ func TestReplicationCatchUp(t *testing.T) {
 				waitFor(t, 5*time.Second, "trickle catch-up", func() bool { return caughtUp(p.st, f.st) })
 			}
 			sameDump(t, p.st, f.st)
-			if got := f.node.cfg.Metrics.Replication().AppliedRecords; got == 0 {
+			if got := f.node.cfg.Metrics.Load(obs.ReplAppliedRecords); got == 0 {
 				t.Fatalf("live writes must arrive via WAL shipping; applied=%d", got)
 			}
 

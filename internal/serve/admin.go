@@ -1,14 +1,12 @@
 package serve
 
 // The admin HTTP plane (DESIGN.md §12). The serving protocol is a
-// custom binary framing with no HTTP listener, so since the wire
-// split the Prometheus/expvar/pprof surfaces had nothing to mount on.
-// NewAdminMux restores them on a separate address (pbtree-server
-// -admin): operational endpoints only, never the data path.
+// custom binary framing with no HTTP listener, so the Prometheus and
+// pprof surfaces mount on a separate address (pbtree-server -admin):
+// operational endpoints only, never the data path.
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -18,14 +16,13 @@ import (
 
 // NewAdminMux builds the admin-plane HTTP handler:
 //
-//	/metrics     Prometheus text exposition — op/stage/admission/
-//	             durability families from the shared obs.Metrics plus
+//	/metrics     Prometheus text exposition — the server's registry
+//	             (obs.Metrics: histograms plus the counter table) and
 //	             the store's per-shard gauges
 //	/healthz     200 once every shard has published its first snapshot,
 //	             503 while any shard is still recovering
-//	/statsz      the STATS payload as JSON (same shape as the wire op)
-//	/debug/vars  expvar (includes the registry from
-//	             obs.Metrics.PublishExpvar)
+//	/statsz      the STATS payload as JSON (same shape as the wire op,
+//	             read from the same cells as /metrics)
 //	/debug/pprof the standard runtime profiles
 //
 // srv may be nil (store-only deployments lose /statsz, answered 404).
@@ -75,7 +72,6 @@ func NewAdminMux(srv *Server, st *Store, extra ...func(io.Writer) error) *http.S
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(srv.Stats())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

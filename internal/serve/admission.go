@@ -65,28 +65,47 @@ func (c AdmissionConfig) withDefaults(shards, window int, baseRetry time.Duratio
 	return c
 }
 
+// admClass indexes the per-op-class admission budgets (DESIGN.md §10):
+// cheap point ops and mutations each hold one token while executing,
+// scans hold one token per requested row, so overload rejects
+// expensive work first. The registry's three-row admission families
+// are in this order: the cell of class c is base + obs.Counter(c).
+type admClass int
+
+// The admission classes.
+const (
+	admRead  admClass = iota // GET / MGET point lookups
+	admWrite                 // PUT / DEL mutations
+	admScan                  // SCAN, metered in rows
+	numAdmClasses
+)
+
+// admClassNames are the classes' keys in STATS and loadgen reports.
+var admClassNames = [numAdmClasses]string{"read", "write", "scan"}
+
 // opClass maps a wire op onto its admission class; control-plane ops
 // (STATS, HELLO, SCANCLOSE) return false and bypass admission
 // entirely. SCANCLOSE is deliberately unmetered: releasing resources
 // must never be turned away by an exhausted budget, or an overloaded
 // server could wedge itself holding cursors it refuses to let go.
-func opClass(op Op) (obs.AdmissionClass, bool) {
+func opClass(op Op) (admClass, bool) {
 	switch op {
 	case OpGet, OpMGet:
-		return obs.AdmRead, true
+		return admRead, true
 	case OpPut, OpDel:
-		return obs.AdmWrite, true
+		return admWrite, true
 	case OpScan, OpScanOpen, OpScanNext:
-		return obs.AdmScan, true
+		return admScan, true
 	}
 	return 0, false
 }
 
-// tokenBudget is one class's lock-free token pool.
+// tokenBudget is one class's lock-free token pool. The tokens in use
+// live in the registry's gauge for the class, so /metrics prints the
+// very cell the compare-and-swap runs on.
 type tokenBudget struct {
 	capacity int64
-	used     atomic.Int64
-	rejects  atomic.Uint64
+	used     *atomic.Int64
 }
 
 // tryAcquire takes n tokens if they fit the budget.
@@ -102,27 +121,22 @@ func (b *tokenBudget) tryAcquire(n int64) bool {
 	}
 }
 
-// release returns n tokens.
-func (b *tokenBudget) release(n int64) { b.used.Add(-n) }
-
 // admission is the server's per-class admission controller.
 type admission struct {
-	budgets    [obs.NumAdmissionClasses]tokenBudget
-	retryAfter [obs.NumAdmissionClasses]time.Duration
+	budgets    [numAdmClasses]tokenBudget
+	retryAfter [numAdmClasses]time.Duration
 	metrics    *obs.Metrics
 }
 
 // newAdmission builds the controller from a resolved config.
 func newAdmission(cfg AdmissionConfig, metrics *obs.Metrics) *admission {
 	a := &admission{metrics: metrics}
-	a.budgets[obs.AdmRead].capacity = int64(cfg.ReadTokens)
-	a.budgets[obs.AdmWrite].capacity = int64(cfg.WriteTokens)
-	a.budgets[obs.AdmScan].capacity = int64(cfg.ScanRowTokens)
-	a.retryAfter[obs.AdmRead] = cfg.RetryAfterRead
-	a.retryAfter[obs.AdmWrite] = cfg.RetryAfterWrite
-	a.retryAfter[obs.AdmScan] = cfg.RetryAfterScan
-	for _, c := range []obs.AdmissionClass{obs.AdmRead, obs.AdmWrite, obs.AdmScan} {
-		metrics.AdmissionCapacity(c, a.budgets[c].capacity)
+	a.retryAfter[admRead] = cfg.RetryAfterRead
+	a.retryAfter[admWrite] = cfg.RetryAfterWrite
+	a.retryAfter[admScan] = cfg.RetryAfterScan
+	for c, capacity := range [numAdmClasses]int{cfg.ReadTokens, cfg.WriteTokens, cfg.ScanRowTokens} {
+		a.budgets[c] = tokenBudget{capacity: int64(capacity), used: metrics.Cell(obs.AdmInUseRead + obs.Counter(c))}
+		metrics.Set(obs.AdmCapacityRead+obs.Counter(c), int64(capacity))
 	}
 	return a
 }
@@ -148,7 +162,7 @@ func cost(req *Request) int64 {
 // zero grant (ops outside every class: STATS, HELLO, SCANCLOSE) holds
 // none.
 type grant struct {
-	class obs.AdmissionClass
+	class admClass
 	n     int64
 }
 
@@ -160,24 +174,19 @@ func (a *admission) admit(req *Request) (g grant, retryAfter time.Duration, ok b
 		return grant{}, 0, true
 	}
 	g = grant{class: class, n: cost(req)}
-	b := &a.budgets[class]
-	if !b.tryAcquire(g.n) {
-		b.rejects.Add(1)
-		a.metrics.AdmissionReject(class)
+	if !a.budgets[class].tryAcquire(g.n) {
+		a.metrics.Add(obs.AdmRejectsRead+obs.Counter(class), 1)
 		return grant{}, a.retryAfter[class], false
 	}
-	a.metrics.AdmissionAcquire(class, g.n)
 	return g, 0, true
 }
 
 // release returns a grant's tokens. Grants of one class add, so a
 // burst of admitted reads is released as one grant.
 func (a *admission) release(g grant) {
-	if g.n == 0 {
-		return
+	if g.n != 0 {
+		a.budgets[g.class].used.Add(-g.n)
 	}
-	a.budgets[g.class].release(g.n)
-	a.metrics.AdmissionRelease(g.class, g.n)
 }
 
 // BudgetStats is the STATS view of one admission class.
@@ -189,12 +198,12 @@ type BudgetStats struct {
 
 // stats snapshots every class for the STATS payload.
 func (a *admission) stats() map[string]BudgetStats {
-	out := make(map[string]BudgetStats, int(obs.NumAdmissionClasses))
-	for _, c := range []obs.AdmissionClass{obs.AdmRead, obs.AdmWrite, obs.AdmScan} {
-		out[c.String()] = BudgetStats{
+	out := make(map[string]BudgetStats, numAdmClasses)
+	for c, name := range admClassNames {
+		out[name] = BudgetStats{
 			Capacity: a.budgets[c].capacity,
 			InUse:    a.budgets[c].used.Load(),
-			Rejected: a.budgets[c].rejects.Load(),
+			Rejected: uint64(a.metrics.Load(obs.AdmRejectsRead + obs.Counter(c))),
 		}
 	}
 	return out

@@ -157,8 +157,8 @@ func TestBurstAdmissionPerRequest(t *testing.T) {
 			t.Fatalf("GET %d answered %+v, want StatusRetry with a hint", id, rs)
 		}
 	}
-	if s := metrics.Admission(obs.AdmRead); s.InUse != 0 || s.Rejects != 6 {
-		t.Fatalf("read budget after the burst: %+v, want 0 in use and 6 rejects", s)
+	if inUse, rejects := metrics.Load(obs.AdmInUseRead), metrics.Load(obs.AdmRejectsRead); inUse != 0 || rejects != 6 {
+		t.Fatalf("read budget after the burst: %d in use, %d rejects, want 0 and 6", inUse, rejects)
 	}
 }
 

@@ -108,8 +108,8 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d version %d < pre-close %d", i, s.Version, preVer.Shards[i].Version)
 		}
 	}
-	d := metrics.Durability()
-	if d.Recoveries != 4 || d.ReplayedRecords != 3 || d.WALAppends == 0 || d.Fsyncs == 0 || d.Checkpoints == 0 {
+	d := metrics.Values("pbtree_")
+	if d["recoveries"] != 4 || d["wal_replayed_records"] != 3 || d["wal_appends"] == 0 || d["fsyncs"] == 0 || d["checkpoints"] == 0 {
 		t.Fatalf("durability counters off: %+v", d)
 	}
 }

@@ -9,8 +9,8 @@ package serve
 // queue, connection write). The deltas feed three sinks:
 //
 //   - per-stage × per-op-class histograms in the shared obs.Metrics
-//     (Prometheus via the admin endpoint, expvar, and the STATS
-//     payload) — always on while lifecycle tracing is enabled;
+//     (Prometheus via the admin endpoint, and the STATS payload) —
+//     always on while lifecycle tracing is enabled;
 //   - a sampled slow-request log: requests whose server-side total
 //     crosses SlowThreshold are logged through log/slog with the full
 //     stage breakdown, rate-limited to SlowPerSec lines per second;

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -57,14 +59,25 @@ func driveMix(t *testing.T, addr string) {
 	}
 }
 
+// stageSnapshot copies one histogram of the registry's lifecycle grid
+// (empty when it has no observations).
+func stageSnapshot(m *obs.Metrics, op core.OpKind, st obs.Stage) (out obs.HistogramSnapshot) {
+	m.WalkStages(func(o core.OpKind, s obs.Stage, h *obs.HistogramSnapshot) {
+		if o == op && s == st {
+			out = *h
+		}
+	})
+	return out
+}
+
 // waitSpans waits until n spans of op are in the histograms: a span is
 // closed after its response is flushed, so the last answers a client
 // has seen may not have been observed yet.
 func waitSpans(t *testing.T, metrics *obs.Metrics, op core.OpKind, n uint64) {
 	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); metrics.StageTotalSnapshot(op).Count < n; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(2 * time.Second); stageSnapshot(metrics, op, obs.StageTotal).Count < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%v spans = %d, want >= %d", op, metrics.StageTotalSnapshot(op).Count, n)
+			t.Fatalf("%v spans = %d, want >= %d", op, stageSnapshot(metrics, op, obs.StageTotal).Count, n)
 		}
 	}
 }
@@ -77,28 +90,28 @@ func TestLifecycleStageHistograms(t *testing.T) {
 	// Every read attributes exec time; writes must carry the
 	// writer-stamped durability-path stages even without a WAL
 	// (queue_wait and apply always, wal_* only when durable).
-	tot := metrics.StageTotalSnapshot(core.OpSearch)
+	tot := stageSnapshot(metrics, core.OpSearch, obs.StageTotal)
 	if tot.Count < 20 {
 		t.Fatalf("search totals = %d, want >= 20", tot.Count)
 	}
-	if exec := metrics.StageSnapshot(core.OpSearch, obs.StageExec).Count; exec != tot.Count {
+	if exec := stageSnapshot(metrics, core.OpSearch, obs.StageExec).Count; exec != tot.Count {
 		t.Fatalf("search exec count %d != total count %d", exec, tot.Count)
 	}
 	for _, st := range []obs.Stage{obs.StageQueueWait, obs.StageApply} {
-		if s := metrics.StageSnapshot(core.OpInsert, st); s.Count == 0 {
+		if s := stageSnapshot(metrics, core.OpInsert, st); s.Count == 0 {
 			t.Fatalf("no %v samples for insert", st)
 		}
 	}
-	if s := metrics.StageSnapshot(core.OpInsert, obs.StageWALFsync); s.Count != 0 {
+	if s := stageSnapshot(metrics, core.OpInsert, obs.StageWALFsync); s.Count != 0 {
 		t.Fatalf("wal_fsync observed on a non-durable store: %+v", s)
 	}
 	// Every request marks decode and write.
 	for _, op := range []core.OpKind{core.OpSearch, core.OpInsert, core.OpDelete, core.OpScan} {
-		tot := metrics.StageTotalSnapshot(op)
+		tot := stageSnapshot(metrics, op, obs.StageTotal)
 		if tot.Count == 0 {
 			t.Fatalf("no totals for %v", op)
 		}
-		if s := metrics.StageSnapshot(op, obs.StageWrite); s.Count != tot.Count {
+		if s := stageSnapshot(metrics, op, obs.StageWrite); s.Count != tot.Count {
 			t.Fatalf("%v: write count %d != total count %d", op, s.Count, tot.Count)
 		}
 	}
@@ -127,10 +140,10 @@ func TestLifecyclePipelinedAndStats(t *testing.T) {
 
 	// Pipelined reads run to completion on the read goroutine: every
 	// one has an exec stage, and none waits for a writer's turn.
-	if s := metrics.StageSnapshot(core.OpSearch, obs.StageExec); s.Count < 100 {
+	if s := stageSnapshot(metrics, core.OpSearch, obs.StageExec); s.Count < 100 {
 		t.Fatalf("exec = %d, want >= 100", s.Count)
 	}
-	if s := metrics.StageSnapshot(core.OpSearch, obs.StageRespQueue); s.Count != 0 {
+	if s := stageSnapshot(metrics, core.OpSearch, obs.StageRespQueue); s.Count != 0 {
 		t.Fatalf("resp_queue = %d on inline reads, want 0", s.Count)
 	}
 
@@ -243,18 +256,12 @@ func TestLifecycleChromeTrace(t *testing.T) {
 	}
 }
 
-// TestAdminEndpoints is the regression test for the orphaned
-// PublishExpvar surface: with the admin mux mounted, /metrics,
-// /healthz, /statsz and /debug/vars must all answer, and /metrics
-// must include the per-stage and per-shard families.
-func TestAdminEndpoints(t *testing.T) {
-	srv, addr, metrics := startTracedServer(t, 5000, LifecycleConfig{})
-	driveMix(t, addr)
-	metrics.PublishExpvar("pbtree_admin_test")
-
+// adminGet mounts the admin mux of a running server and returns a
+// fetcher of its endpoints.
+func adminGet(t *testing.T, srv *Server) func(path string) (int, string) {
 	ts := httptest.NewServer(NewAdminMux(srv, srv.st))
-	defer ts.Close()
-	get := func(path string) (int, string) {
+	t.Cleanup(ts.Close)
+	return func(path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -267,6 +274,15 @@ func TestAdminEndpoints(t *testing.T) {
 		}
 		return resp.StatusCode, string(b)
 	}
+}
+
+// TestAdminEndpoints mounts the admin mux: /metrics, /healthz and
+// /statsz must all answer, and /metrics must include the per-stage and
+// per-shard families.
+func TestAdminEndpoints(t *testing.T) {
+	srv, addr, _ := startTracedServer(t, 5000, LifecycleConfig{})
+	driveMix(t, addr)
+	get := adminGet(t, srv)
 
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
@@ -283,6 +299,8 @@ func TestAdminEndpoints(t *testing.T) {
 		`pbtree_shard_ready{shard="0"} 1`,
 		"pbtree_shard_snapshot_age_seconds",
 		"pbtree_shard_wal_backlog_records",
+		"pbtree_shard_keys",
+		`pbtree_requests_total{op="put"} 5`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -299,11 +317,89 @@ func TestAdminEndpoints(t *testing.T) {
 	if len(ss.Stages) == 0 {
 		t.Fatal("/statsz has no stage attribution")
 	}
-	if code, body := get("/debug/vars"); code != http.StatusOK || !strings.Contains(body, "pbtree_admin_test") {
-		t.Fatalf("/debug/vars = %d, expvar registry missing", code)
-	}
 	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline = %d", code)
+	}
+}
+
+// TestStatszAgreesWithMetrics scripts the events that used to be
+// counted twice — once in the server's own atomics for STATS, once in
+// the registry for /metrics: a cursor opened and reaped idle, a scan
+// refused by its budget, a cursor cap hit. Both views now read one
+// cell, so they must agree to the unit.
+func TestStatszAgreesWithMetrics(t *testing.T) {
+	srv, addr := startServer(t, 1000, ServerConfig{
+		CursorTimeout: 20 * time.Millisecond,
+		Admission:     AdmissionConfig{ScanRowTokens: 50},
+	})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Timeout = 5 * time.Second
+	if _, err := cl.Scan(8, 8000, 51); !errors.As(err, new(*RetryError)) {
+		t.Fatalf("over-budget scan: %v, want a retry", err)
+	}
+	for i := 0; i <= maxConnCursors; i++ { // the last one hits the per-connection cap
+		if _, err := cl.ScanOpen(0, 8000); err != nil && i < maxConnCursors {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Cursors.Open != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("reaper never reclaimed the idle cursors")
+		}
+	}
+
+	get := adminGet(t, srv)
+	_, statsz := get("/statsz")
+	_, metrics := get("/metrics")
+	var ss ServerStats
+	if err := json.Unmarshal([]byte(statsz), &ss); err != nil {
+		t.Fatal(err)
+	}
+	if ss.Cursors.Opened != maxConnCursors || ss.Cursors.Timeouts != maxConnCursors ||
+		ss.Budgets["scan"].Rejected != 1 || ss.Rejected != 2 {
+		t.Fatalf("/statsz after the script: cursors %+v, scan budget %+v, rejected %d", ss.Cursors, ss.Budgets["scan"], ss.Rejected)
+	}
+	for sample, want := range map[string]uint64{
+		"pbtree_scan_cursors_opened_total":             ss.Cursors.Opened,
+		"pbtree_scan_cursor_timeouts_total":            ss.Cursors.Timeouts,
+		"pbtree_scan_cursors_open":                     uint64(ss.Cursors.Open),
+		`pbtree_admission_rejects_total{class="scan"}`: ss.Budgets["scan"].Rejected,
+		`pbtree_admission_capacity{class="scan"}`:      uint64(ss.Budgets["scan"].Capacity),
+		"pbtree_rejected_total":                        ss.Rejected,
+		"pbtree_expired_total":                         ss.Expired,
+		"pbtree_bad_requests_total":                    ss.BadReqs,
+		`pbtree_requests_total{op="scanopen"}`:         ss.Ops["scanopen"],
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", sample, want); !strings.Contains(metrics, line) {
+			t.Errorf("/metrics lacks %q, the value /statsz reports", strings.TrimSpace(line))
+		}
+	}
+}
+
+// TestRegistryRowOrder pins the two places the serving layer reaches a
+// registry cell by arithmetic: a wire op's request counter and an
+// admission class's budget cells must land on the table row whose
+// label names them.
+func TestRegistryRowOrder(t *testing.T) {
+	m := obs.NewMetrics()
+	for op := OpGet; op <= OpScanClose; op++ {
+		m.Add(reqCounter(op), int64(op))
+	}
+	reqs := m.Values("pbtree_requests")
+	for op := OpGet; op <= OpScanClose; op++ {
+		if got := reqs[fmt.Sprintf("{op=%q}", op)]; got != int64(op) || len(reqs) != int(OpScanClose) {
+			t.Errorf("request row of %v holds %d (of %d rows), want %d", op, got, len(reqs), op)
+		}
+	}
+	newAdmission(AdmissionConfig{ReadTokens: 1, WriteTokens: 2, ScanRowTokens: 3}, m)
+	for c, name := range admClassNames {
+		if got := m.Values("pbtree_admission_capacity")[fmt.Sprintf("{class=%q}", name)]; got != int64(c)+1 {
+			t.Errorf("capacity row of class %s holds %d, want %d", name, got, c+1)
+		}
 	}
 }
 
@@ -315,7 +411,7 @@ func TestLifecycleDisabledIsInert(t *testing.T) {
 	srv, addr := startServer(t, 1000, ServerConfig{Metrics: metrics})
 	driveMix(t, addr)
 	for _, op := range []core.OpKind{core.OpSearch, core.OpInsert} {
-		if s := metrics.StageTotalSnapshot(op); s.Count != 0 {
+		if s := stageSnapshot(metrics, op, obs.StageTotal); s.Count != 0 {
 			t.Fatalf("stages observed while disabled: %v %+v", op, s)
 		}
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -195,85 +194,6 @@ type LoadgenReport struct {
 	Errors          uint64              `json:"errors"`           // hard (non-backpressure) failures
 	NotFound        uint64              `json:"not_found"`        // GETs answered StatusNotFound
 	PerOp           map[string]OpReport `json:"per_op"`           // latency breakdown per op name
-
-	// ServerStages attributes the run's server-side time to pipeline
-	// stages: STATS is snapshotted before and after the run and the
-	// per-(op, stage) deltas are reported (DESIGN.md §12). Keyed by op
-	// name then stage name. Both tables are always present and
-	// non-nil (empty when the server runs without lifecycle tracing),
-	// preserving the byte-for-byte report reproducibility guarantee.
-	ServerStages map[string]map[string]StageDelta `json:"server_stages"`
-
-	// ServerStageTotals carries each op's server-side end-to-end delta
-	// over the run — the denominator of every stage's Share.
-	ServerStageTotals map[string]StageDelta `json:"server_stage_totals"`
-}
-
-// StageDelta is the before/after difference of one lifecycle
-// histogram over a loadgen run.
-type StageDelta struct {
-	Count   uint64  `json:"count"`    // samples in the window
-	MeanUS  float64 `json:"mean_us"`  // mean latency over the window
-	TotalMS float64 `json:"total_ms"` // summed time over the window
-	// Share is this stage's fraction of the op's server-side total
-	// time (0 for the "read" stage, which includes client think time
-	// and is excluded from the server-side total).
-	Share float64 `json:"share"`
-}
-
-// stageDeltas subtracts two STATS snapshots into the report's
-// attribution tables. Percentile fields cannot be differenced, so the
-// deltas carry counts, sums and derived means only.
-func stageDeltas(before, after ServerStats) (map[string]map[string]StageDelta, map[string]StageDelta) {
-	stages := make(map[string]map[string]StageDelta)
-	totals := make(map[string]StageDelta)
-	deltaOf := func(b, a StageStats) (StageDelta, bool) {
-		if a.Count <= b.Count {
-			return StageDelta{}, false
-		}
-		n := a.Count - b.Count
-		sum := a.SumNS - b.SumNS
-		return StageDelta{
-			Count:   n,
-			MeanUS:  float64(sum) / float64(n) / 1e3,
-			TotalMS: float64(sum) / 1e6,
-		}, true
-	}
-	for op, at := range after.StageTotals {
-		if d, ok := deltaOf(before.StageTotals[op], at); ok {
-			totals[op] = d
-		}
-	}
-	for op, table := range after.Stages {
-		for st, at := range table {
-			d, ok := deltaOf(before.Stages[op][st], at)
-			if !ok {
-				continue
-			}
-			if tot := totals[op]; tot.TotalMS > 0 && st != "read" {
-				d.Share = d.TotalMS / tot.TotalMS
-			}
-			if stages[op] == nil {
-				stages[op] = make(map[string]StageDelta)
-			}
-			stages[op][st] = d
-		}
-	}
-	return stages, totals
-}
-
-// fetchServerStats pulls and decodes one STATS snapshot; failures
-// degrade to a zero snapshot (the attribution tables stay empty).
-func fetchServerStats(cl *Client) (ServerStats, bool) {
-	blob, err := cl.Stats()
-	if err != nil {
-		return ServerStats{}, false
-	}
-	var ss ServerStats
-	if err := json.Unmarshal(blob, &ss); err != nil {
-		return ServerStats{}, false
-	}
-	return ss, true
 }
 
 // RunLoadgen drives the configured mix against a running server and
@@ -310,7 +230,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 		ops        atomic.Uint64
 		rows       atomic.Uint64
 		rejected   atomic.Uint64
-		rejByClass [obs.NumAdmissionClasses]atomic.Uint64
+		rejByClass [numAdmClasses]atomic.Uint64
 		expired    atomic.Uint64
 		errs       atomic.Uint64
 		notFound   atomic.Uint64
@@ -328,8 +248,6 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 		streams[w] = s
 	}
 
-	statsBefore, statsOK := fetchServerStats(clients[0])
-
 	deadline := time.Now().Add(cfg.Duration)
 	var wg sync.WaitGroup
 	// Window workers share each connection: the pipelined client keeps
@@ -346,7 +264,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 					dice := r.Intn(100)
 					var (
 						op    core.OpKind
-						class = obs.AdmRead
+						class = admRead
 						n     uint64
 						err   error
 						found = true
@@ -363,7 +281,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						}
 						_, err = cl.MGet(keys)
 					case dice < cfg.GetPct+cfg.MGetPct+cfg.ScanPct:
-						op, class = core.OpScan, obs.AdmScan
+						op, class = core.OpScan, admScan
 						startKey := stream.Next()
 						var pairs []core.Pair
 						pairs, err = cl.Scan(startKey, startKey+core.Key(8*cfg.ScanLimit), cfg.ScanLimit)
@@ -373,18 +291,18 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						// covers open → every chunk → close, rows counts what
 						// the chunks actually returned (keys are 8 apart, so
 						// the range sizes the target row count).
-						op, class = core.OpScan, obs.AdmScan
+						op, class = core.OpScan, admScan
 						startKey := stream.Next()
 						err = cl.StreamScan(startKey, startKey+core.Key(8*cfg.StreamRows), cfg.StreamChunk, func(rows []core.Pair) bool {
 							n += uint64(len(rows))
 							return true
 						})
 					case dice < cfg.GetPct+cfg.MGetPct+cfg.ScanPct+cfg.StreamPct+cfg.PutPct:
-						op, class, n = core.OpInsert, obs.AdmWrite, 1
+						op, class, n = core.OpInsert, admWrite, 1
 						k := stream.Next()
 						err = cl.Put(core.Pair{Key: k, TID: core.TID(k)})
 					default:
-						op, class, n = core.OpDelete, obs.AdmWrite, 1
+						op, class, n = core.OpDelete, admWrite, 1
 						// Delete then restore, so the key space stays stable
 						// across long runs.
 						k := stream.Next()
@@ -418,27 +336,20 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 	wg.Wait()
 
 	rep := &LoadgenReport{
-		Config:            cfg,
-		DurationMS:        cfg.Duration.Milliseconds(),
-		Concurrency:       cfg.Conns * cfg.Window,
-		Ops:               ops.Load(),
-		Rows:              rows.Load(),
-		Rejected:          rejected.Load(),
-		RejectedByClass:   map[string]uint64{},
-		Deadline:          expired.Load(),
-		Errors:            errs.Load(),
-		NotFound:          notFound.Load(),
-		PerOp:             map[string]OpReport{},
-		ServerStages:      map[string]map[string]StageDelta{},
-		ServerStageTotals: map[string]StageDelta{},
+		Config:          cfg,
+		DurationMS:      cfg.Duration.Milliseconds(),
+		Concurrency:     cfg.Conns * cfg.Window,
+		Ops:             ops.Load(),
+		Rows:            rows.Load(),
+		Rejected:        rejected.Load(),
+		RejectedByClass: map[string]uint64{},
+		Deadline:        expired.Load(),
+		Errors:          errs.Load(),
+		NotFound:        notFound.Load(),
+		PerOp:           map[string]OpReport{},
 	}
-	if statsOK {
-		if statsAfter, ok := fetchServerStats(clients[0]); ok {
-			rep.ServerStages, rep.ServerStageTotals = stageDeltas(statsBefore, statsAfter)
-		}
-	}
-	for c := obs.AdmissionClass(0); c < obs.NumAdmissionClasses; c++ {
-		rep.RejectedByClass[c.String()] = rejByClass[c].Load()
+	for c, name := range admClassNames {
+		rep.RejectedByClass[name] = rejByClass[c].Load()
 	}
 	rep.Throughput = float64(rep.Ops) / cfg.Duration.Seconds()
 	for _, op := range []core.OpKind{core.OpSearch, core.OpScan, core.OpInsert, core.OpDelete} {

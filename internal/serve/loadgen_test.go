@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -88,12 +86,6 @@ func TestLoadgenReportRoundTrip(t *testing.T) {
 		RejectedByClass: map[string]uint64{
 			"read": 1, "write": 1, "scan": 3,
 		},
-		ServerStages: map[string]map[string]StageDelta{
-			"insert": {"wal_fsync": {Count: 7, MeanUS: 250, TotalMS: 1.75, Share: 0.6}},
-		},
-		ServerStageTotals: map[string]StageDelta{
-			"insert": {Count: 7, MeanUS: 400, TotalMS: 2.8},
-		},
 	}
 	blob, err := json.Marshal(&rep)
 	if err != nil {
@@ -109,48 +101,15 @@ func TestLoadgenReportRoundTrip(t *testing.T) {
 	if back.RejectedByClass["scan"] != 3 || back.RejectedByClass["read"] != 1 {
 		t.Fatalf("per-class rejects did not round-trip: %+v", back.RejectedByClass)
 	}
-	if d := back.ServerStages["insert"]["wal_fsync"]; d.Count != 7 || d.Share != 0.6 {
-		t.Fatalf("stage attribution did not round-trip: %+v", d)
-	}
-	if back.ServerStageTotals["insert"].MeanUS != 400 {
-		t.Fatalf("stage totals did not round-trip: %+v", back.ServerStageTotals)
-	}
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"concurrency", "rejected_by_class", "server_stages", "server_stage_totals"} {
+	for _, field := range []string{"concurrency", "rejected_by_class"} {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("report is missing %q", field)
 		}
 	}
-
-	// The no-omitempty guarantee (PR 4) extends to the stage tables:
-	// a report from an untraced server still names them, as empty
-	// objects rather than null, so report schemas never vary by server
-	// configuration.
-	empty, err := json.Marshal(&LoadgenReport{
-		ServerStages:      map[string]map[string]StageDelta{},
-		ServerStageTotals: map[string]StageDelta{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"server_stages": {}`, `"server_stage_totals": {}`} {
-		if !strings.Contains(string(mustIndent(t, empty)), want) {
-			t.Errorf("empty report missing %s", want)
-		}
-	}
-}
-
-// mustIndent pretty-prints JSON for substring assertions.
-func mustIndent(t *testing.T, blob []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, blob, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestLoadgenReplicaSetReadOnly pins the replica fan-out contract: a

@@ -237,11 +237,11 @@ func TestAdmissionBudgets(t *testing.T) {
 
 	// The rejection is attributed to the scan class in metrics and in
 	// the server's own STATS budgets.
-	if s := metrics.Admission(obs.AdmScan); s.Rejects == 0 || s.Capacity != 50 {
-		t.Fatalf("scan admission snapshot %+v", s)
+	if rejects, capacity := metrics.Load(obs.AdmRejectsScan), metrics.Load(obs.AdmCapacityScan); rejects == 0 || capacity != 50 {
+		t.Fatalf("scan admission cells: %d rejects, capacity %d", rejects, capacity)
 	}
-	if s := metrics.Admission(obs.AdmRead); s.Rejects != 0 {
-		t.Fatalf("read class charged a scan rejection: %+v", s)
+	if rejects := metrics.Load(obs.AdmRejectsRead); rejects != 0 {
+		t.Fatalf("read class charged a scan rejection: %d", rejects)
 	}
 	var ss ServerStats
 	if err := getStats(cl, &ss); err != nil {
@@ -283,9 +283,9 @@ func TestAdmissionTokensDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range []obs.AdmissionClass{obs.AdmRead, obs.AdmScan} {
-		if s := metrics.Admission(c); s.InUse != 0 {
-			t.Fatalf("%v tokens leaked: %+v", c, s)
+	for _, c := range []obs.Counter{obs.AdmInUseRead, obs.AdmInUseScan} {
+		if inUse := metrics.Load(c); inUse != 0 {
+			t.Fatalf("admission cell %d leaked %d tokens", c, inUse)
 		}
 	}
 }

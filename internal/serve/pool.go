@@ -51,7 +51,7 @@ func newWorkerPool(size int, metrics *obs.Metrics) *workerPool {
 // block is the backpressure that stops a connection's read loop from
 // decoding further ahead.
 func (p *workerPool) submit(t poolTask) {
-	p.metrics.PoolEnqueue()
+	p.metrics.Add(obs.PoolQueue, 1)
 	p.tasks <- t
 }
 
@@ -61,10 +61,12 @@ func (p *workerPool) submit(t poolTask) {
 func (p *workerPool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
-		p.metrics.PoolStart()
+		p.metrics.Add(obs.PoolQueue, -1)
+		p.metrics.Add(obs.PoolBusy, 1)
+		p.metrics.Add(obs.PoolTasks, 1)
 		t.pc.complete(t.id, t.pc.s.handle(t.req, t.arrived, t.sp, t.pc.cs), t.sp)
 		<-t.pc.slots
-		p.metrics.PoolDone()
+		p.metrics.Add(obs.PoolBusy, -1)
 	}
 }
 

@@ -62,8 +62,7 @@ func (s *Server) releaseCursors(cs *connCursors) {
 	cs.mu.Unlock()
 	for _, c := range cursors {
 		c.sc.Close()
-		s.cursorsOpen.Add(-1)
-		s.cfg.Metrics.CursorClosed()
+		s.cfg.Metrics.Add(obs.CursorsOpen, -1)
 	}
 }
 
@@ -132,10 +131,8 @@ func (s *Server) reapCursors() {
 			cs.mu.Unlock()
 			for _, c := range idle {
 				c.sc.Close()
-				s.cursorsOpen.Add(-1)
-				s.cursorTimeouts.Add(1)
-				s.cfg.Metrics.CursorTimedOut()
-				s.cfg.Metrics.CursorClosed()
+				s.cfg.Metrics.Add(obs.CursorsOpen, -1)
+				s.cfg.Metrics.Add(obs.CursorTimeouts, 1)
 			}
 		}
 	}
@@ -157,9 +154,9 @@ func (s *Server) cursorStats() CursorStats {
 		idle = s.cfg.CursorTimeout.Milliseconds()
 	}
 	return CursorStats{
-		Open:     s.cursorsOpen.Load(),
-		Opened:   s.cursorsOpened.Load(),
-		Timeouts: s.cursorTimeouts.Load(),
+		Open:     s.cfg.Metrics.Load(obs.CursorsOpen),
+		Opened:   uint64(s.cfg.Metrics.Load(obs.CursorsOpened)),
+		Timeouts: uint64(s.cfg.Metrics.Load(obs.CursorTimeouts)),
 		MaxConn:  maxConnCursors,
 		IdleMS:   idle,
 	}
@@ -182,13 +179,12 @@ func (s *Server) executeScan(req *Request, cs *connCursors) *Response {
 		id := cs.open(c)
 		if id == 0 {
 			sc.Close()
-			s.rejected.Add(1)
+			s.cfg.Metrics.Add(obs.Rejected, 1)
 			retry := s.cfg.Admission.RetryAfterScan
 			return &Response{Status: StatusRetry, RetryAfterMS: uint32(retry / time.Millisecond)}
 		}
-		s.cursorsOpen.Add(1)
-		s.cursorsOpened.Add(1)
-		s.cfg.Metrics.CursorOpened()
+		s.cfg.Metrics.Add(obs.CursorsOpen, 1)
+		s.cfg.Metrics.Add(obs.CursorsOpened, 1)
 		return &Response{Status: StatusOK, Cursor: id}
 	case OpScanNext:
 		c := cs.get(req.Cursor)
@@ -205,8 +201,7 @@ func (s *Server) executeScan(req *Request, cs *connCursors) *Response {
 			// client never needs a SCANCLOSE round trip.
 			if cs.take(req.Cursor) != nil {
 				c.sc.Close()
-				s.cursorsOpen.Add(-1)
-				s.cfg.Metrics.CursorClosed()
+				s.cfg.Metrics.Add(obs.CursorsOpen, -1)
 			}
 		}
 		return &Response{Status: StatusOK, ScanChunk: true, ScanDone: done, Pairs: rows}
@@ -216,8 +211,7 @@ func (s *Server) executeScan(req *Request, cs *connCursors) *Response {
 			return &Response{Status: StatusNotFound}
 		}
 		c.sc.Close()
-		s.cursorsOpen.Add(-1)
-		s.cfg.Metrics.CursorClosed()
+		s.cfg.Metrics.Add(obs.CursorsOpen, -1)
 		return &Response{Status: StatusOK}
 	}
 	return &Response{Status: StatusErr, Err: "serve: not a streaming-scan op"}

@@ -51,9 +51,12 @@ type ServerConfig struct {
 	// ends).
 	CursorTimeout time.Duration
 
-	// Metrics, when non-nil, records per-operation wall-clock
-	// latencies (GET/MGET as OpSearch, SCAN as OpScan, PUT as
-	// OpInsert, DEL as OpDelete) and admission budget occupancy.
+	// Metrics is the registry the server records into: per-operation
+	// wall-clock latencies (GET/MGET as OpSearch, SCAN as OpScan, PUT
+	// as OpInsert, DEL as OpDelete), the lifecycle grid and every
+	// serving counter — STATS and /metrics read the same cells. Nil
+	// selects a private registry; share one with StoreConfig.Metrics
+	// to see the durability counters beside them.
 	Metrics *obs.Metrics
 
 	// Lifecycle configures request-lifecycle stage tracing: per-stage
@@ -97,25 +100,16 @@ type Server struct {
 
 	// Streaming-scan cursor bookkeeping: every connection's cursor set
 	// registers here so the reaper can walk them (scansrv.go).
-	curMu          sync.Mutex
-	curSets        map[*connCursors]struct{}
-	reaperStop     chan struct{}
-	cursorsOpen    atomic.Int64
-	cursorsOpened  atomic.Uint64
-	cursorTimeouts atomic.Uint64
+	curMu      sync.Mutex
+	curSets    map[*connCursors]struct{}
+	reaperStop chan struct{}
 
 	wg      sync.WaitGroup
 	started time.Time
-
-	// Serving counters, exposed via STATS.
-	ops      [numOps]atomic.Uint64 // indexed by Op
-	rejected atomic.Uint64
-	expired  atomic.Uint64
-	badReqs  atomic.Uint64
 }
 
-// numOps sizes the per-op counter table (ops 1..OpScanClose).
-const numOps = int(OpScanClose) + 1
+// reqCounter is the registry cell counting requests of one wire op.
+func reqCounter(op Op) obs.Counter { return obs.ReqGet + obs.Counter(op-OpGet) }
 
 // ServerStats is the JSON payload of a STATS response.
 type ServerStats struct {
@@ -133,8 +127,8 @@ type ServerStats struct {
 
 	// Stages and StageTotals carry the request-lifecycle attribution
 	// when lifecycle tracing is enabled (empty maps otherwise, never
-	// null — loadgen round-trips the payload). Stages is keyed by op
-	// class then stage name.
+	// null, so the payload's shape does not depend on configuration).
+	// Stages is keyed by op class then stage name.
 	Stages map[string]map[string]StageStats `json:"server_stages"`
 
 	// StageTotals holds each op class's end-to-end server-side latency
@@ -146,8 +140,8 @@ type ServerStats struct {
 type StageStats struct {
 	Count uint64 `json:"count"`  // samples observed
 	SumNS int64  `json:"sum_ns"` // accumulated nanoseconds across samples
-	P50NS int64  `json:"p50_ns"` // median latency (bucket upper bound)
-	P99NS int64  `json:"p99_ns"` // p99 latency (bucket upper bound)
+	P50NS int64  `json:"p50_ns"` // median latency (bucket midpoint)
+	P99NS int64  `json:"p99_ns"` // p99 latency (bucket midpoint)
 }
 
 // NewServer wraps a store; call Start to begin listening.
@@ -163,6 +157,9 @@ func NewServer(st *Store, cfg ServerConfig) *Server {
 	}
 	if cfg.CursorTimeout == 0 {
 		cfg.CursorTimeout = 30 * time.Second
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewMetrics()
 	}
 	cfg.Admission = cfg.Admission.withDefaults(st.Shards(), cfg.Window, cfg.RetryAfter)
 	s := &Server{
@@ -402,12 +399,12 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 	}
 	id, req, err := DecodeRequest(frame)
 	if err != nil {
-		s.badReqs.Add(1)
+		s.cfg.Metrics.Add(obs.BadRequests, 1)
 		pc.reply(id, &Response{Status: StatusErr, Err: err.Error()})
 		return true
 	}
 	if req.Op == OpHello { // a version check, wherever it appears
-		s.ops[OpHello].Add(1)
+		s.cfg.Metrics.Add(obs.ReqHello, 1)
 		pc.reply(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: uint32(s.cfg.Window)})
 		return true
 	}
@@ -456,7 +453,7 @@ func (pc *pconn) runReads(arrived time.Time) {
 	s := pc.s
 	pc.lookups = grow(pc.lookups, len(pc.keys))
 	s.st.mget(pc.keys, pc.lookups, &pc.scratch)
-	s.adm.release(grant{class: obs.AdmRead, n: int64(len(pc.reads))})
+	s.adm.release(grant{class: admRead, n: int64(len(pc.reads))})
 	took := time.Since(arrived)
 	pc.mu.Lock()
 	off := 0
@@ -472,9 +469,7 @@ func (pc *pconn) runReads(arrived time.Time) {
 	pc.unlock()
 	for _, r := range pc.reads {
 		s.lc.finish(r.sp)
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.Observe(core.OpSearch, took)
-		}
+		s.cfg.Metrics.Observe(core.OpSearch, took)
 	}
 	pc.reads, pc.keys = pc.reads[:0], pc.keys[:0]
 	if cap(pc.lookups) > maxGroupKeys { // one oversized MGET must not size the connection for good
@@ -533,16 +528,16 @@ func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *R
 	g, retryAfter, ok := s.adm.admit(req)
 	sp.Mark(obs.StageAdmission)
 	if !ok {
-		s.rejected.Add(1)
+		s.cfg.Metrics.Add(obs.Rejected, 1)
 		return g, &Response{Status: StatusRetry, RetryAfterMS: uint32(retryAfter / time.Millisecond)}
 	}
 	// Deadline: don't burn work on an answer the client has abandoned.
 	if req.DeadlineMS != 0 && time.Since(arrived) > time.Duration(req.DeadlineMS)*time.Millisecond {
 		s.adm.release(g)
-		s.expired.Add(1)
+		s.cfg.Metrics.Add(obs.Expired, 1)
 		return grant{}, &Response{Status: StatusDeadline}
 	}
-	s.ops[req.Op].Add(1)
+	s.cfg.Metrics.Add(reqCounter(req.Op), 1)
 	if sp != nil && req.Op != OpStats && req.Op != OpReplicate {
 		sp.Op = metricOpOf(req.Op)
 	}
@@ -558,7 +553,7 @@ func (s *Server) handle(req *Request, arrived time.Time, sp *obs.Span, cs *connC
 		return resp
 	}
 	defer s.adm.release(g)
-	if s.cfg.Metrics != nil && req.Op != OpReplicate {
+	if req.Op != OpReplicate {
 		defer s.cfg.Metrics.Time(metricOpOf(req.Op))()
 	}
 	return s.execute(req, sp, cs)
@@ -670,7 +665,7 @@ func (s *Server) writeResult(err error) *Response {
 	case err == nil:
 		return nil
 	case errors.Is(err, ErrOverloaded):
-		s.rejected.Add(1)
+		s.cfg.Metrics.Add(obs.Rejected, 1)
 		retry := s.cfg.Admission.RetryAfterWrite
 		if retry <= 0 {
 			retry = s.cfg.RetryAfter
@@ -688,77 +683,44 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	nconns := len(s.conns)
 	s.mu.Unlock()
-	ops := make(map[string]uint64, numOps)
+	m := s.cfg.Metrics
+	ops := make(map[string]uint64)
 	for op := OpGet; op <= OpScanClose; op++ {
-		if n := s.ops[op].Load(); n > 0 {
-			ops[op.String()] = n
+		if n := m.Load(reqCounter(op)); n > 0 {
+			ops[op.String()] = uint64(n)
 		}
 	}
+	stages := make(map[string]map[string]StageStats)
+	totals := make(map[string]StageStats)
+	m.WalkStages(func(op core.OpKind, st obs.Stage, h *obs.HistogramSnapshot) {
+		stats := StageStats{
+			Count: h.Count,
+			SumNS: int64(h.SumNS),
+			P50NS: int64(h.Quantile(0.50)),
+			P99NS: int64(h.Quantile(0.99)),
+		}
+		if st == obs.StageTotal {
+			totals[op.String()] = stats
+			return
+		}
+		if stages[op.String()] == nil {
+			stages[op.String()] = make(map[string]StageStats)
+		}
+		stages[op.String()][st.String()] = stats
+	})
 	return ServerStats{
 		UptimeMS:    time.Since(s.started).Milliseconds(),
 		Ops:         ops,
-		Rejected:    s.rejected.Load(),
-		Expired:     s.expired.Load(),
-		BadReqs:     s.badReqs.Load(),
+		Rejected:    uint64(m.Load(obs.Rejected)),
+		Expired:     uint64(m.Load(obs.Expired)),
+		BadReqs:     uint64(m.Load(obs.BadRequests)),
 		Conns:       nconns,
 		Window:      s.cfg.Window,
 		PoolSize:    s.cfg.PoolSize,
 		Cursors:     s.cursorStats(),
 		Budgets:     s.adm.stats(),
 		Store:       s.st.Stats(),
-		Stages:      s.stageStats(),
-		StageTotals: s.stageTotalStats(),
+		Stages:      stages,
+		StageTotals: totals,
 	}
-}
-
-// stageStatsOf condenses one lifecycle histogram snapshot.
-func stageStatsOf(h obs.HistogramSnapshot) StageStats {
-	return StageStats{
-		Count: h.Count,
-		SumNS: int64(h.SumNS),
-		P50NS: int64(h.Quantile(0.50)),
-		P99NS: int64(h.Quantile(0.99)),
-	}
-}
-
-// stageStats collects the per-stage attribution tables for STATS.
-// Always non-nil: the loadgen report round-trips the payload and the
-// reproducibility guarantee forbids fields that vanish when empty.
-func (s *Server) stageStats() map[string]map[string]StageStats {
-	out := make(map[string]map[string]StageStats)
-	if s.cfg.Metrics == nil {
-		return out
-	}
-	for _, op := range []core.OpKind{core.OpSearch, core.OpInsert, core.OpDelete, core.OpScan} {
-		var table map[string]StageStats
-		for _, st := range obs.Stages() {
-			snap := s.cfg.Metrics.StageSnapshot(op, st)
-			if snap.Count == 0 {
-				continue
-			}
-			if table == nil {
-				table = make(map[string]StageStats)
-			}
-			table[st.String()] = stageStatsOf(snap)
-		}
-		if table != nil {
-			out[op.String()] = table
-		}
-	}
-	return out
-}
-
-// stageTotalStats collects each op class's end-to-end server-side
-// latency histogram for STATS. Always non-nil.
-func (s *Server) stageTotalStats() map[string]StageStats {
-	out := make(map[string]StageStats)
-	if s.cfg.Metrics == nil {
-		return out
-	}
-	for _, op := range []core.OpKind{core.OpSearch, core.OpInsert, core.OpDelete, core.OpScan} {
-		if snap := s.cfg.Metrics.StageTotalSnapshot(op); snap.Count > 0 {
-			out[op.String()] = stageStatsOf(snap)
-		}
-	}
-	return out
 }

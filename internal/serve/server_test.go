@@ -235,11 +235,6 @@ func TestLoadgenAgainstServer(t *testing.T) {
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("report not JSON-marshalable: %v", err)
 	}
-	// Without lifecycle tracing the attribution tables are empty but
-	// present (never nil).
-	if rep.ServerStages == nil || rep.ServerStageTotals == nil {
-		t.Fatal("stage tables must be non-nil")
-	}
 	// Bad skew is a setup error.
 	if _, err := RunLoadgen(LoadgenConfig{Addr: addr, Skew: "nope", Duration: time.Millisecond}); err == nil {
 		t.Fatal("unknown skew accepted")
@@ -247,13 +242,11 @@ func TestLoadgenAgainstServer(t *testing.T) {
 }
 
 // TestLoadgenStageAttribution runs loadgen against a lifecycle-traced
-// server and checks the report's STATS-delta attribution: the named
-// stages must cover at least 90% of each op's server-side time (the
-// acceptance bar for the instrumentation being complete).
+// server and checks the attribution STATS reports for the run: the
+// named stages must cover at least 90% of each op's server-side time
+// (the acceptance bar for the instrumentation being complete).
 func TestLoadgenStageAttribution(t *testing.T) {
-	metrics := obs.NewMetrics()
-	_, addr := startServer(t, 10_000, ServerConfig{
-		Metrics:   metrics,
+	srv, addr := startServer(t, 10_000, ServerConfig{
 		Lifecycle: LifecycleConfig{Enabled: true},
 	})
 	rep, err := RunLoadgen(LoadgenConfig{
@@ -270,26 +263,24 @@ func TestLoadgenStageAttribution(t *testing.T) {
 	if rep.Ops == 0 || rep.Errors != 0 {
 		t.Fatalf("bad run: %+v", rep)
 	}
-	if len(rep.ServerStages) == 0 || len(rep.ServerStageTotals) == 0 {
-		t.Fatalf("no stage attribution: %+v", rep.ServerStages)
+	stats := srv.Stats()
+	if len(stats.Stages) == 0 || len(stats.StageTotals) == 0 {
+		t.Fatalf("no stage attribution: %+v", stats.Stages)
 	}
-	for op, tot := range rep.ServerStageTotals {
-		if tot.Count == 0 {
-			continue
-		}
-		var named float64
-		for st, d := range rep.ServerStages[op] {
-			if st == "read" || st == "other" {
-				continue
+	for op, tot := range stats.StageTotals {
+		var named int64
+		for st, d := range stats.Stages[op] {
+			if st != "read" && st != "other" {
+				named += d.SumNS
 			}
-			named += d.TotalMS
 		}
-		if named < 0.90*(tot.TotalMS-rep.ServerStages[op]["other"].TotalMS) {
-			t.Errorf("%s: named stages cover %.1fms of %.1fms total", op, named, tot.TotalMS)
+		other := stats.Stages[op]["other"].SumNS
+		if float64(named) < 0.90*float64(tot.SumNS-other) {
+			t.Errorf("%s: named stages cover %dns of %dns total", op, named, tot.SumNS)
 		}
-		if other := rep.ServerStages[op]["other"]; other.TotalMS > 0.10*tot.TotalMS {
+		if float64(other) > 0.10*float64(tot.SumNS) {
 			t.Errorf("%s: unattributed remainder is %.0f%% of the total (want < 10%%)",
-				op, 100*other.TotalMS/tot.TotalMS)
+				op, 100*float64(other)/float64(tot.SumNS))
 		}
 	}
 }

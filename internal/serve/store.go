@@ -464,7 +464,9 @@ func (st *Store) recoverAndPublish(sh *shard) error {
 	stats.Duration = time.Since(start)
 	sh.wal, sh.lsn, sh.version, sh.recovered = w, stats.LastLSN, stats.LastLSN+1, stats
 	sh.applied.Store(stats.LastLSN)
-	st.cfg.Metrics.Recovery(stats.Duration, stats.Replayed)
+	st.cfg.Metrics.Add(obs.Recoveries, 1)
+	st.cfg.Metrics.Add(obs.RecoveryMS, stats.Duration.Round(time.Millisecond).Milliseconds())
+	st.cfg.Metrics.Add(obs.WALReplayed, int64(stats.Replayed))
 	return nil
 }
 
@@ -1063,17 +1065,14 @@ func (st *Store) WriteMetrics(w io.Writer) error {
 		}})
 	}
 	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name); err != nil {
-			return err
-		}
+		var samples []obs.Sample
 		for i, sh := range st.shards {
-			v, ok := g.value(sh, sh.isReady.Load())
-			if !ok {
-				continue
+			if v, ok := g.value(sh, sh.isReady.Load()); ok {
+				samples = append(samples, obs.Sample{Labels: fmt.Sprintf("shard=\"%d\"", i), Value: v})
 			}
-			if _, err := fmt.Fprintf(w, "%s{shard=\"%d\"} %g\n", g.name, i, v); err != nil {
-				return err
-			}
+		}
+		if err := obs.WriteFamily(w, g.name, g.help, "gauge", samples...); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -316,7 +316,7 @@ func TestStreamScanTokenOccupancy(t *testing.T) {
 		total += len(rows)
 		// The scan budget can never hold more than this chunk's tokens
 		// (no other scan traffic exists in this test).
-		if inUse := metrics.Admission(obs.AdmScan).InUse; inUse > 256 {
+		if inUse := metrics.Load(obs.AdmInUseScan); inUse > 256 {
 			t.Errorf("scan tokens in use = %d mid-stream, want <= 256", inUse)
 			return false
 		}

@@ -238,7 +238,8 @@ func (w *walWriter) commit() error {
 	if err != nil {
 		return err
 	}
-	w.metrics.WALAppend(n)
+	w.metrics.Add(obs.WALAppends, 1)
+	w.metrics.Add(obs.WALBytes, int64(n))
 	switch w.policy {
 	case FsyncAlways:
 		return w.sync()
@@ -259,7 +260,7 @@ func (w *walWriter) sync() error {
 		return err
 	}
 	w.syncNS += obs.Nanotime() - start
-	w.metrics.Fsync()
+	w.metrics.Add(obs.Fsyncs, 1)
 	return nil
 }
 

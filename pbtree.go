@@ -3,7 +3,9 @@
 // Performance through Prefetching" (Shimin Chen, Phillip B. Gibbons,
 // Todd C. Mowry; SIGMOD 2001).
 //
-// The package re-exports three layers:
+// The package re-exports the names its users reference — the
+// benchmark harness, the commands, the examples and the root tests —
+// from five layers:
 //
 //   - A simulated memory hierarchy (Hierarchy) modelling two cache
 //     levels, a pipelined main memory and software prefetch, with the
@@ -16,10 +18,9 @@
 //     support bulkload, search, insertion, lazy deletion and
 //     (segmented) range scans, and are fully functional indexes.
 //   - The CSB+-Tree baseline (CSBTree) with bulkload and search.
-//   - An observability layer: memory-event probes and operation
-//     tracers (Collector, TraceWriter) that explain simulated runs
-//     without perturbing them, and serving metrics (Metrics) for the
-//     native model.
+//   - An observability layer: the attribution Collector that explains
+//     simulated runs without perturbing them, and the serving metrics
+//     registry (Metrics) for the native model.
 //   - A serving layer (Store, Server): pB+-Trees hash-partitioned
 //     across single-writer shards with lock-free snapshot reads,
 //     batched group lookups (Tree.SearchBatch), and a TCP front end
@@ -46,15 +47,12 @@ import (
 
 	"pbtree/internal/core"
 	"pbtree/internal/csbtree"
-	"pbtree/internal/csstree"
 	"pbtree/internal/heap"
-	"pbtree/internal/lsm"
 	"pbtree/internal/memsys"
 	"pbtree/internal/obs"
 	"pbtree/internal/query"
 	"pbtree/internal/repl"
 	"pbtree/internal/serve"
-	"pbtree/internal/ttree"
 )
 
 // Core index types.
@@ -67,36 +65,22 @@ type (
 	Pair = core.Pair
 	// Tree is a (prefetching) B+-Tree over a simulated hierarchy.
 	Tree = core.Tree
-	// Scanner is a resumable segmented range scan over a Tree.
-	Scanner = core.Scanner
 	// Config selects the tree variant (width, prefetching, jump-pointer
 	// arrays, cost model, memory hierarchy).
 	Config = core.Config
-	// CostModel gives instruction costs in cycles.
-	CostModel = core.CostModel
 	// UpdateStats counts structural events (splits, redistributions...).
 	UpdateStats = core.UpdateStats
 	// JumpArrayKind selects the range-scan prefetch structure.
 	JumpArrayKind = core.JumpArrayKind
 )
 
-// Baseline index types: the structures the paper compares against or
-// situates itself among.
+// The baseline index the paper compares against.
 type (
 	// CSBTree is a Cache-Sensitive B+-Tree (bulkload, search, and —
 	// as an extension beyond the paper — insertion/lazy deletion).
 	CSBTree = csbtree.Tree
 	// CSBConfig configures a CSBTree.
 	CSBConfig = csbtree.Config
-	// CSSTree is a read-only Cache-Sensitive Search Tree.
-	CSSTree = csstree.Tree
-	// CSSConfig configures a CSSTree.
-	CSSConfig = csstree.Config
-	// TTree is a Lehman-Carey T-Tree (the pre-cache-era main-memory
-	// index, kept as a historical baseline).
-	TTree = ttree.Tree
-	// TTreeConfig configures a TTree.
-	TTreeConfig = ttree.Config
 )
 
 // Memory model types. Every index charges its work to a Model: the
@@ -112,8 +96,6 @@ type (
 	// Native is the zero-cost native model: charges are no-ops (or
 	// atomic counters), and all methods are concurrency-safe.
 	Native = memsys.Native
-	// NativeStats are the optional event counters of a counted Native.
-	NativeStats = memsys.NativeStats
 	// MemConfig describes a memory system (line size, caches, latencies).
 	MemConfig = memsys.Config
 	// MemStats is a snapshot of busy/stall cycles and miss counters.
@@ -123,68 +105,31 @@ type (
 	AddressSpace = memsys.AddressSpace
 )
 
-// Observability types. A Probe observes the hierarchy's memory-event
-// stream and a Tracer the tree's operation context; both are strictly
+// Observability types. A Collector observes the hierarchy's
+// memory-event stream and the tree's operation context; it is strictly
 // observation-only — simulated cycle counts are byte-identical with
-// and without them attached. Metrics is the native-model counterpart:
+// and without it attached. Metrics is the native-model counterpart:
 // wall-clock serving metrics.
 type (
-	// Probe receives one MemEvent per memory-hierarchy event.
-	Probe = memsys.Probe
-	// Probes fans one event stream out to several probes.
-	Probes = memsys.Probes
-	// MemEvent is a single memory-hierarchy event (hit, miss,
-	// prefetch, stall interval).
-	MemEvent = memsys.Event
-	// MemEventKind discriminates MemEvents.
-	MemEventKind = memsys.EventKind
-	// Tracer receives the operation context (op kind, tree level,
-	// node kind) a tree announces as it works.
-	Tracer = core.Tracer
-	// Tracers fans the context stream out to several tracers.
-	Tracers = core.Tracers
 	// OpKind is an index operation (search, insert, delete, scan).
 	OpKind = core.OpKind
-	// NodeKind is the kind of node being visited.
-	NodeKind = core.NodeKind
 	// Collector aggregates events into per-op, per-level, per-kind
-	// miss and stall tables. Attach as both Probe and Tracer.
+	// miss and stall tables. Attach as both probe and tracer.
 	Collector = obs.Collector
-	// AttrRow is one attributed row of a Collector report.
-	AttrRow = obs.Row
-	// TraceWriter dumps the event stream as a Chrome trace. Attach as
-	// both Probe and Tracer.
-	TraceWriter = obs.TraceWriter
-	// Metrics holds lock-free per-operation latency histograms and
-	// throughput counters for native-model serving, with expvar and
-	// Prometheus exposition.
+	// Metrics is the serving metrics registry: lock-free per-operation
+	// latency histograms and one table of counters and gauges, read by
+	// STATS, /statsz and the Prometheus exposition alike.
 	Metrics = obs.Metrics
-	// HistogramSnapshot is a point-in-time latency histogram copy.
-	HistogramSnapshot = obs.HistogramSnapshot
 )
 
-// Memory event kinds.
-const (
-	EvL1Hit         = memsys.EvL1Hit
-	EvL2Hit         = memsys.EvL2Hit
-	EvMemMiss       = memsys.EvMemMiss
-	EvPrefetchHit   = memsys.EvPrefetchHit
-	EvPrefetchIssue = memsys.EvPrefetchIssue
-)
-
-// Index operation kinds.
+// Index operation kinds the examples time.
 const (
 	OpSearch = core.OpSearch
-	OpInsert = core.OpInsert
-	OpDelete = core.OpDelete
 	OpScan   = core.OpScan
 )
 
 // NewCollector creates an empty attribution collector.
 func NewCollector() *Collector { return obs.NewCollector() }
-
-// NewTraceWriter starts a Chrome trace on w; Close it to finish.
-func NewTraceWriter(w io.Writer) *TraceWriter { return obs.NewTraceWriter(w) }
 
 // NewMetrics creates an empty native serving-metrics registry.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
@@ -195,8 +140,6 @@ type (
 	HeapTable = heap.Table
 	// QueryOptions controls the adaptive range-selection operators.
 	QueryOptions = query.Options
-	// Ablation disables individual design choices for ablation runs.
-	Ablation = core.Ablation
 )
 
 // Jump-pointer array kinds.
@@ -219,23 +162,8 @@ func New(cfg Config) (*Tree, error) { return core.New(cfg) }
 // MustNew is New but panics on error.
 func MustNew(cfg Config) *Tree { return core.MustNew(cfg) }
 
-// NewCSB creates a CSB+-Tree baseline.
-func NewCSB(cfg CSBConfig) (*CSBTree, error) { return csbtree.New(cfg) }
-
-// MustNewCSB is NewCSB but panics on error.
+// MustNewCSB creates a CSB+-Tree baseline; it panics on a bad config.
 func MustNewCSB(cfg CSBConfig) *CSBTree { return csbtree.MustNew(cfg) }
-
-// NewCSS creates a read-only CSS-Tree baseline.
-func NewCSS(cfg CSSConfig) (*CSSTree, error) { return csstree.New(cfg) }
-
-// MustNewCSS is NewCSS but panics on error.
-func MustNewCSS(cfg CSSConfig) *CSSTree { return csstree.MustNew(cfg) }
-
-// NewTTree creates a T-Tree baseline.
-func NewTTree(cfg TTreeConfig) (*TTree, error) { return ttree.New(cfg) }
-
-// MustNewTTree is NewTTree but panics on error.
-func MustNewTTree(cfg TTreeConfig) *TTree { return ttree.MustNew(cfg) }
 
 // DefaultMemConfig returns the paper's Compaq ES40-based machine
 // parameters (64 B lines, 64 KB 2-way L1, 2 MB direct-mapped L2,
@@ -248,30 +176,9 @@ func NewHierarchy(cfg MemConfig) *Hierarchy { return memsys.New(cfg) }
 // DefaultHierarchy creates a hierarchy with DefaultMemConfig.
 func DefaultHierarchy() *Hierarchy { return memsys.Default() }
 
-// NewNative creates a zero-cost native memory model: the index runs
-// at real hardware speed, with every simulated charge a no-op, real
-// prefetch instructions and a branchless intra-node search. Safe for
-// concurrent use; pair it with a frozen (post-bulkload) tree to serve
-// concurrent readers.
-func NewNative(cfg MemConfig) *Native { return memsys.NewNative(cfg) }
-
 // DefaultNative creates a native model with DefaultMemConfig (the
 // node layouts match the simulated defaults).
 func DefaultNative() *Native { return memsys.DefaultNative() }
-
-// NewNativeCounted creates a native model that additionally keeps
-// atomic event counters (accesses, prefetches, compute cycles).
-func NewNativeCounted(cfg MemConfig) *Native { return memsys.NewNativeCounted(cfg) }
-
-// HaveHardwarePrefetch reports whether this build issues real CPU
-// prefetch instructions (PREFETCHT0 on amd64, PRFM PLDL1KEEP on
-// arm64; other ports and -tags purego builds compile them to no-ops).
-// A tree on a Native model always issues them where Config.Prefetch
-// asks for a prefetch; a tree on a Hierarchy never does.
-const HaveHardwarePrefetch = memsys.HaveHardwarePrefetch
-
-// DefaultCostModel returns the calibrated instruction cost model.
-func DefaultCostModel() CostModel { return core.DefaultCostModel() }
 
 // LoadTree reconstructs a tree serialized with Tree.WriteTo,
 // bulkloading it at the given fill factor onto mem — a *Hierarchy for
@@ -294,13 +201,8 @@ func NewAddressSpace(lineSize int) *AddressSpace {
 	return memsys.NewAddressSpace(lineSize)
 }
 
-// NewHeap creates a heap file of tupleSize-byte tuples charged to the
-// given memory model and address space.
-func NewHeap(mem Model, space *AddressSpace, tupleSize int) (*HeapTable, error) {
-	return heap.New(mem, space, tupleSize)
-}
-
-// MustNewHeap is NewHeap but panics on error.
+// MustNewHeap creates a heap file of tupleSize-byte tuples charged to
+// the given memory model and address space; it panics on a bad size.
 func MustNewHeap(mem Model, space *AddressSpace, tupleSize int) *HeapTable {
 	return heap.MustNew(mem, space, tupleSize)
 }
@@ -340,9 +242,6 @@ type (
 	// StoreConfig configures a Store.
 	StoreConfig = serve.StoreConfig
 
-	// StoreStats is a point-in-time view of a Store's shards.
-	StoreStats = serve.StoreStats
-
 	// Lookup is one point-lookup result of a batched read.
 	Lookup = serve.Lookup
 
@@ -351,17 +250,6 @@ type (
 
 	// ServerConfig configures a Server.
 	ServerConfig = serve.ServerConfig
-
-	// ServerStats is the JSON payload of a STATS request.
-	ServerStats = serve.ServerStats
-
-	// AdmissionConfig sets the server's per-op-class admission token
-	// budgets (GET/MGET and PUT/DEL hold one token each, SCANs hold
-	// one per requested row), so overload rejects expensive work first.
-	AdmissionConfig = serve.AdmissionConfig
-
-	// BudgetStats is the STATS view of one admission class.
-	BudgetStats = serve.BudgetStats
 
 	// ServeClient is a wire-protocol client; it pipelines concurrent
 	// calls over one socket (PROTOCOL.md).
@@ -397,35 +285,12 @@ type (
 	// optional Chrome trace (DESIGN.md §12).
 	LifecycleConfig = serve.LifecycleConfig
 
-	// StageStats summarizes one lifecycle-stage histogram inside
-	// ServerStats.
-	StageStats = serve.StageStats
-
-	// StageDelta is one stage's before/after attribution delta in a
-	// LoadgenReport.
-	StageDelta = serve.StageDelta
-
-	// Stage identifies one serving-pipeline stage of the
-	// request-lifecycle clock.
-	Stage = obs.Stage
-
 	// DurableConfig enables per-shard WAL + checkpoint persistence for
 	// a Store (DESIGN.md §9).
 	DurableConfig = serve.DurableConfig
 
 	// FsyncPolicy selects when the WAL is fsynced.
 	FsyncPolicy = serve.FsyncPolicy
-
-	// RecoveryStats describes one shard's recovery-on-open.
-	RecoveryStats = serve.RecoveryStats
-
-	// ServeFS is the filesystem surface of the durability layer; the
-	// default is the OS, and serve.NewMemFS gives a deterministic
-	// fault-injecting one for tests.
-	ServeFS = serve.FS
-
-	// LSMConfig tunes the LSM storage backend (StoreConfig.LSM).
-	LSMConfig = lsm.Config
 )
 
 // Replication layer (internal/repl): WAL shipping over the wire protocol,
@@ -439,9 +304,6 @@ type (
 
 	// ReplConfig configures a ReplNode.
 	ReplConfig = repl.Config
-
-	// ReplStatus is the /replz JSON document of a ReplNode.
-	ReplStatus = repl.Status
 
 	// ReplicaSet is a client over one primary and its read replicas:
 	// reads fan out across healthy replicas under a bounded-staleness
@@ -461,29 +323,21 @@ func NewReplNode(cfg ReplConfig) (*ReplNode, error) { return repl.New(cfg) }
 // ReplicaSetConfig.MaxLagRecords, writes go to the primary.
 func DialReplicaSet(cfg ReplicaSetConfig) (*ReplicaSet, error) { return repl.DialReplicaSet(cfg) }
 
-// Storage backend names (StoreConfig.Backend). The backend is part of
-// a durable store's on-disk identity (DESIGN.md §11).
-const (
-	// BackendPBTree is the default engine: full-tree snapshot
-	// ping-pong with prefetched pB+-Tree reads.
-	BackendPBTree = serve.BackendPBTree
-
-	// BackendLSM is the write-optimized engine: memtable + sorted
-	// runs with bloom filters and size-tiered compaction.
-	BackendLSM = serve.BackendLSM
-)
+// BackendLSM names the write-optimized storage engine
+// (StoreConfig.Backend): memtable + sorted runs with bloom filters and
+// size-tiered compaction. The default engine, "pbtree", serves reads
+// from full-tree snapshots. The backend is part of a durable store's
+// on-disk identity (DESIGN.md §11).
+const BackendLSM = serve.BackendLSM
 
 // NewAdminMux builds the admin-plane HTTP handler for a running
-// server: /metrics (Prometheus), /healthz, /statsz, /debug/vars and
-// /debug/pprof (DESIGN.md §12). Mount it on its own listener, away
+// server: /metrics (Prometheus), /healthz, /statsz and /debug/pprof
+// (DESIGN.md §12). Mount it on its own listener, away
 // from the data path. extra writers are appended to the /metrics
 // exposition (e.g. ReplNode.WriteMetrics).
 func NewAdminMux(srv *Server, st *Store, extra ...func(io.Writer) error) *http.ServeMux {
 	return serve.NewAdminMux(srv, st, extra...)
 }
-
-// Stages lists the request-lifecycle pipeline stages in order.
-func Stages() []Stage { return obs.Stages() }
 
 // Wire-protocol operations (PROTOCOL.md §2.1). Prefixed Serve to
 // stay clear of the tracer's index-operation kinds (OpSearch, OpScan,
@@ -552,17 +406,10 @@ const (
 	StatusFenced = serve.StatusFenced
 )
 
-// WAL fsync policies.
-const (
-	// FsyncAlways syncs before every acknowledgement.
-	FsyncAlways = serve.FsyncAlways
-
-	// FsyncEvery syncs at most once per configured interval.
-	FsyncEvery = serve.FsyncEvery
-
-	// FsyncNever leaves syncing to the OS and segment rotation.
-	FsyncNever = serve.FsyncNever
-)
+// FsyncAlways is the WAL fsync policy that syncs before every
+// acknowledgement (DurableConfig.Fsync; the commands parse the others
+// by name).
+const FsyncAlways = serve.FsyncAlways
 
 // Serving-layer errors.
 var (

@@ -9,6 +9,9 @@
 #     carries a doc comment.
 #   - TestProtocolSpec*: PROTOCOL.md's example frames match the codec
 #     byte for byte and its size-limit table matches the constants.
+#   - TestMetricFamiliesDocumented: every pbtree_* metric family
+#     README.md or DESIGN.md names is in /metrics, and every family in
+#     /metrics is in DESIGN.md's metric reference.
 set -eu
 
 unformatted=$(gofmt -l .)
@@ -20,4 +23,5 @@ fi
 
 go vet ./...
 go test ./internal/serve -run 'TestExportedSymbolsDocumented|TestProtocolSpec' -count=1
+go test ./internal/repl -run 'TestMetricFamiliesDocumented' -count=1
 echo "docs-check: OK"

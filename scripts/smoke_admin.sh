@@ -2,9 +2,9 @@
 # Admin-plane smoke test: boot pbtree-server with -admin, drive a short
 # mixed load, and assert the operational endpoints answer while the
 # data path is busy: /healthz says ok, /metrics carries the per-op,
-# per-stage and per-shard families, /statsz returns the STATS JSON and
-# /debug/vars exposes the expvar registry (the PublishExpvar surface
-# that had no listener before the admin plane existed).
+# per-stage and per-shard families plus one family from each group of
+# the registry's counter table, and /statsz returns the STATS JSON with
+# the budgets and cursors it reads from the same cells.
 set -eu
 
 tmp=$(mktemp -d)
@@ -56,11 +56,12 @@ load=$!
 sleep 1
 fetch /metrics >"$tmp/metrics" || { echo "smoke-admin: /metrics failed under load"; exit 1; }
 fetch /statsz >"$tmp/statsz" || { echo "smoke-admin: /statsz failed under load"; exit 1; }
-fetch /debug/vars >"$tmp/vars" || { echo "smoke-admin: /debug/vars failed under load"; exit 1; }
 wait "$load" || { echo "smoke-admin: loadgen failed"; exit 1; }
 
 for family in pbtree_op_latency_seconds pbtree_stage_latency_seconds \
-    pbtree_request_latency_seconds pbtree_shard_queue_depth pbtree_shard_ready; do
+    pbtree_request_latency_seconds pbtree_shard_queue_depth pbtree_shard_ready \
+    pbtree_wal_appends_total pbtree_admission_tokens_in_use \
+    pbtree_scan_cursors_open pbtree_repl_shipped_records_total; do
     grep -q "$family" "$tmp/metrics" \
         || { echo "smoke-admin: /metrics missing $family"; head -40 "$tmp/metrics"; exit 1; }
 done
@@ -68,8 +69,10 @@ grep -q 'stage="wal_fsync"\|stage="exec"' "$tmp/metrics" \
     || { echo "smoke-admin: no per-stage samples in /metrics"; exit 1; }
 grep -q '"server_stages"' "$tmp/statsz" \
     || { echo "smoke-admin: /statsz missing server_stages"; head -20 "$tmp/statsz"; exit 1; }
-grep -q '"pbtree"' "$tmp/vars" \
-    || { echo "smoke-admin: expvar registry not published"; exit 1; }
+for key in '"budgets"' '"cursors"'; do
+    grep -q "$key" "$tmp/statsz" \
+        || { echo "smoke-admin: /statsz missing $key"; head -20 "$tmp/statsz"; exit 1; }
+done
 
 kill -TERM "$srv"
 wait "$srv" || { echo "smoke-admin: server exited nonzero:"; cat "$tmp/server.log"; exit 1; }
@@ -77,4 +80,4 @@ srv=
 grep -q "drained cleanly" "$tmp/server.log" \
     || { echo "smoke-admin: no clean drain:"; cat "$tmp/server.log"; exit 1; }
 
-echo "smoke-admin: OK (healthz, metrics with stage families, statsz, expvar, clean drain)"
+echo "smoke-admin: OK (healthz, metrics with stage and table families, statsz, clean drain)"
