@@ -81,10 +81,15 @@ docs-check:
 # store, not behind a flag — so the purego test run is the proof that
 # a build whose stubs are no-ops still returns the same answers: the
 # memsys contract, and all of internal/core's native-vs-simulated
-# differential tests, with no prefetch instruction in the binary.
+# differential tests, with no prefetch instruction in the binary — and,
+# since a node is a block of a []uint32 arena, the proof that the arena
+# needs no assembly either. Block offsets are int arithmetic on u32 node
+# ids, and 386 is the one target whose int is 32 bits, so vetting
+# internal/core there catches a constant that overflows it.
 cross:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./internal/core/
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego ./internal/memsys/ ./internal/core/

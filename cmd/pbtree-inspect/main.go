@@ -89,6 +89,8 @@ func main() {
 		cfg := t.Config()
 		fmt.Printf("%s: %d pairs, %d levels, width %d, jump-pointer array %s\n",
 			t.Name(), t.Len(), t.Height(), cfg.Width, cfg.JumpArray)
+		// SpaceUsed is simulated bytes on this simulated hierarchy; on a
+		// native model it is the real ones (a node is one real block).
 		fmt.Printf("leaf capacity %d, max fanout %d, %.1f MB simulated, structural check ok\n",
 			t.LeafCapacity(), t.MaxFanout(), float64(t.SpaceUsed())/(1<<20))
 		if *probe > 0 {

@@ -27,6 +27,8 @@ func main() {
 	if err := t.Bulkload(pairs, 0.9); err != nil {
 		panic(err)
 	}
+	// SpaceUsed is simulated bytes here; with Mem: pbtree.DefaultNative()
+	// it is the tree's real heap footprint (a node is one real block).
 	fmt.Printf("%s: %d keys, %d levels, %.1f MB simulated\n",
 		t.Name(), t.Len(), t.Height(), float64(t.SpaceUsed())/(1<<20))
 

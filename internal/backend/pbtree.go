@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"path"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -64,28 +65,26 @@ func (s *pbSnapshot) GetBatch(keys []core.Key, tids []core.TID, found []bool) {
 	s.tree.SearchBatch(keys, tids, found)
 }
 
+// Scan copies straight into the slice it returns: one allocation for a
+// result of up to 1024 rows, doubling only past that.
 func (s *pbSnapshot) Scan(start, end core.Key, limit int) []core.Pair {
 	if limit <= 0 {
 		return nil
 	}
-	bufLen := limit
-	if bufLen > 1024 {
-		bufLen = 1024
-	}
-	buf := make([]core.Pair, bufLen)
 	sc := s.tree.NewScan(start, end)
-	var run []core.Pair
-	for len(run) < limit {
-		n := sc.NextPairs(buf)
-		if n == 0 {
-			break
+	run := make([]core.Pair, min(limit, 1024))
+	n := 0
+	for {
+		got := sc.NextPairs(run[n:])
+		n += got
+		if got == 0 || n == limit {
+			return run[:n]
 		}
-		if need := limit - len(run); n > need {
-			n = need
+		if n == len(run) {
+			run = slices.Grow(run, min(limit-n, n))
+			run = run[:min(limit, cap(run))]
 		}
-		run = append(run, buf[:n]...)
 	}
-	return run
 }
 
 func (s *pbSnapshot) AppendPairs(dst []core.Pair) []core.Pair { return s.tree.AppendPairs(dst) }

@@ -20,47 +20,63 @@ func (t *Tree) Bulkload(pairs []Pair, fill float64) error {
 		}
 	}
 
-	// Reset all structure. Simulated addresses are not recycled.
+	// Reset all structure and size the arena up front: the leaves,
+	// then every non-leaf level until a single node remains, so the
+	// whole tree is one allocation. Simulated addresses are not
+	// recycled.
 	t.jpHead = nil
-	t.firstBottom = nil
+	t.chunks = nil
+	t.firstBottom = 0
 	t.stats = UpdateStats{}
 	t.count = len(pairs)
+	t.height = 1
+
+	per := fillCount(t.leafLay.maxKeys, fill)
+	nLeaves := max(1, (len(pairs)+per-1)/per)
+	var levels [][]int // children per node of each non-leaf level, bottom-up
+	blocks := nLeaves
+	for n := nLeaves; n > 1; n = len(levels[len(levels)-1]) {
+		lay := &t.nlLay
+		if len(levels) == 0 {
+			lay = &t.bottomLay
+		}
+		counts := groupCounts(n, fillCount(lay.maxKeys, fill)+1, lay.maxKeys+1)
+		levels = append(levels, counts)
+		blocks += len(counts)
+	}
+	t.resetArena(blocks)
 
 	if len(pairs) == 0 {
-		t.root = t.newLeaf()
-		t.height = 1
+		t.root = t.newNode(leafFlag)
 		if t.cfg.JumpArray == JumpExternal {
-			t.jpBulkload([]*node{t.root}, fill)
+			t.jpBulkload(t.root, 1, fill)
 		}
 		return nil
 	}
 
-	leaves := t.buildLeaves(pairs, fill)
+	// A fresh arena hands out consecutive ids, so a level is an id
+	// range: first is its leftmost node.
+	first := t.buildLeaves(pairs, per)
 	if t.cfg.JumpArray == JumpExternal {
-		t.jpBulkload(leaves, fill)
+		t.jpBulkload(first, nLeaves, fill)
 	}
-
-	// Build non-leaf levels bottom-up until a single node remains.
-	level := leaves
-	mins := make([]Key, len(leaves))
-	for i, n := range leaves {
-		mins[i] = n.keys[0]
+	mins := make([]Key, nLeaves)
+	for i := range mins {
+		mins[i] = pairs[i*per].Key
 	}
-	t.height = 1
-	bottom := true
-	for len(level) > 1 {
-		level, mins = t.buildNonLeafLevel(level, mins, fill, bottom)
-		if bottom && t.cfg.JumpArray == JumpInternal {
-			t.firstBottom = level[0]
-			for i := 0; i+1 < len(level); i++ {
-				level[i].next = level[i+1]
-				t.mem.Access(t.bottomLay.nextAddr(level[i].addr))
+	for i, counts := range levels {
+		first, mins = t.buildNonLeafLevel(first, counts, mins, i == 0), mins[:len(counts)]
+		if i == 0 && t.cfg.JumpArray == JumpInternal {
+			t.firstBottom = first
+			for id := first; id+1 < first+nodeID(len(counts)); id++ {
+				n := t.view(id)
+				t.setNext(n, id+1)
+				t.mem.Access(t.bottomLay.nextAddr(t.addr(n)))
 			}
 		}
-		bottom = false
 		t.height++
 	}
-	t.root = level[0]
+	t.root = first
 	return nil
 }
 
@@ -77,62 +93,57 @@ func fillCount(capacity int, fill float64) int {
 	return n
 }
 
-// buildLeaves lays the pairs into a linked list of leaves, charging
-// the writes to the simulated hierarchy.
-func (t *Tree) buildLeaves(pairs []Pair, fill float64) []*node {
-	per := fillCount(t.leafLay.maxKeys, fill)
-	nLeaves := (len(pairs) + per - 1) / per
-	leaves := make([]*node, 0, nLeaves)
+// buildLeaves lays the pairs into a linked list of leaves of per pairs
+// each, charging the writes to the simulated hierarchy, and returns
+// the first leaf.
+func (t *Tree) buildLeaves(pairs []Pair, per int) nodeID {
+	first := t.high + 1
+	var prev node
 	for start := 0; start < len(pairs); start += per {
-		end := start + per
-		if end > len(pairs) {
-			end = len(pairs)
+		chunk := pairs[start:min(start+per, len(pairs))]
+		n := t.view(t.newNode(leafFlag))
+		keys, tids := t.keys(n), t.ptrs(n)
+		for i, p := range chunk {
+			keys[i], tids[i] = uint32(p.Key), uint32(p.TID)
 		}
-		n := t.newLeaf()
-		for i, p := range pairs[start:end] {
-			n.keys[i] = p.Key
-			n.tids[i] = p.TID
+		n.setCount(len(chunk))
+		t.chargeLeafWrite(n, 0, len(chunk))
+		if start > 0 {
+			t.setNext(prev, n.id)
+			t.mem.Access(t.leafLay.nextAddr(t.addr(prev)))
 		}
-		n.nkeys = end - start
-		t.chargeLeafWrite(n, 0, n.nkeys)
-		if len(leaves) > 0 {
-			prev := leaves[len(leaves)-1]
-			prev.next = n
-			t.mem.Access(t.leafLay.nextAddr(prev.addr))
-		}
-		leaves = append(leaves, n)
+		prev = n
 	}
-	return leaves
+	return first
 }
 
-// buildNonLeafLevel groups children into non-leaf nodes at the given
-// fill and returns the new level with its per-node minimum keys.
-func (t *Tree) buildNonLeafLevel(children []*node, mins []Key, fill float64, bottom bool) ([]*node, []Key) {
-	lay := t.nlLay
+// buildNonLeafLevel groups the children first, first+1, ... into
+// non-leaf nodes of counts[i] children each and returns the new
+// level's first node. mins holds the children's minimum keys and is
+// overwritten, in place, with the new level's.
+func (t *Tree) buildNonLeafLevel(child nodeID, counts []int, mins []Key, bottom bool) nodeID {
+	var flags uint32
 	if bottom {
-		lay = t.bottomLay
+		flags = bottomFlag
 	}
-	per := fillCount(lay.maxKeys, fill) + 1 // children per node
-	counts := groupCounts(len(children), per, lay.maxKeys+1)
-	level := make([]*node, 0, len(counts))
-	newMins := make([]Key, 0, len(counts))
+	first := t.high + 1
 	start := 0
-	for _, cnt := range counts {
-		end := start + cnt
-		n := t.newNonLeaf(bottom)
-		for i := start; i < end; i++ {
-			n.children[i-start] = children[i]
-			if i > start {
-				n.keys[i-start-1] = mins[i]
+	for j, cnt := range counts {
+		n := t.view(t.newNode(flags))
+		keys, children := t.keys(n), t.ptrs(n)
+		for i := 0; i < cnt; i++ {
+			children[i] = uint32(child)
+			child++
+			if i > 0 {
+				keys[i-1] = uint32(mins[start+i])
 			}
 		}
-		n.nkeys = end - start - 1
-		t.chargeNonLeafWrite(n, 0, n.nkeys)
-		level = append(level, n)
-		newMins = append(newMins, mins[start])
-		start = end
+		n.setCount(cnt - 1)
+		t.chargeNonLeafWrite(n, 0, cnt-1)
+		mins[j] = mins[start]
+		start += cnt
 	}
-	return level, newMins
+	return first
 }
 
 // groupCounts splits n children into groups of per (capped by cap),
@@ -166,23 +177,23 @@ func groupCounts(n, per, cap int) []int {
 
 // chargeLeafWrite charges the simulated accesses and copy cycles for
 // writing entries [from, to) of a leaf (keys, tids and keynum).
-func (t *Tree) chargeLeafWrite(n *node, from, to int) {
+func (t *Tree) chargeLeafWrite(n node, from, to int) {
 	if to > from {
-		t.mem.AccessRange(t.leafLay.keyAddr(n.addr, from), (to-from)*fieldSize)
-		t.mem.AccessRange(t.leafLay.ptrAddr(n.addr, from), (to-from)*fieldSize)
+		t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
+		t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), from), (to-from)*fieldSize)
 		t.mem.Compute(t.cost.Move * uint64(2*(to-from)))
 	}
-	t.mem.Access(n.addr) // keynum
+	t.mem.Access(t.addr(n)) // keynum
 }
 
 // chargeNonLeafWrite charges writing keys [from, to) and children
 // [from, to+1) of a non-leaf node.
-func (t *Tree) chargeNonLeafWrite(n *node, from, to int) {
+func (t *Tree) chargeNonLeafWrite(n node, from, to int) {
 	lay := t.lay(n)
 	if to > from {
-		t.mem.AccessRange(lay.keyAddr(n.addr, from), (to-from)*fieldSize)
+		t.mem.AccessRange(lay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
 		t.mem.Compute(t.cost.Move * uint64(2*(to-from)+1))
 	}
-	t.mem.AccessRange(lay.ptrAddr(n.addr, from), (to-from+1)*fieldSize)
-	t.mem.Access(n.addr)
+	t.mem.AccessRange(lay.ptrAddr(t.addr(n), from), (to-from+1)*fieldSize)
+	t.mem.Access(t.addr(n))
 }

@@ -70,10 +70,10 @@ func TestBulkloadFillFactors(t *testing.T) {
 			}
 			want := fillCount(tr.LeafCapacity(), fill)
 			// All leaves except the last hold exactly the fill count.
-			n := tr.leftmostLeaf()
-			for ; n.next != nil; n = n.next {
-				if n.nkeys != want {
-					t.Fatalf("%s fill %v: leaf has %d keys, want %d", tr.Name(), fill, n.nkeys, want)
+			ls := leafViews(tr)
+			for _, n := range ls[:len(ls)-1] {
+				if n.count() != want {
+					t.Fatalf("%s fill %v: leaf has %d keys, want %d", tr.Name(), fill, n.count(), want)
 				}
 			}
 			for _, p := range pairs {

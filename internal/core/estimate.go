@@ -29,19 +29,18 @@ func (t *Tree) EstimateRange(start, end Key) int {
 // estimation stays safe for concurrent native-mode readers.
 func (t *Tree) fracPos(key Key) float64 {
 	t.mem.Compute(t.cost.Op)
-	var stack [24]pathEntry // deeper than any realistic tree
+	var stack [24]struct{ idx, fanout int } // deeper than any realistic tree
 	path := stack[:0]
-	leaf := t.walk(key, func(n *node, idx int) {
-		path = append(path, pathEntry{n: n, idx: idx})
+	leaf, addr := t.walk(key, func(n node, idx int) {
+		path = append(path, struct{ idx, fanout int }{idx, n.count() + 1})
 	})
-	ub, _ := t.searchKeys(leaf, key)
+	ub, _ := t.searchKeys(leaf, addr, key)
 	frac := 0.0
-	if leaf.nkeys > 0 {
-		frac = float64(ub) / float64(leaf.nkeys)
+	if leaf.count() > 0 {
+		frac = float64(ub) / float64(leaf.count())
 	}
 	for i := len(path) - 1; i >= 0; i-- {
-		p := path[i]
-		frac = (float64(p.idx) + frac) / float64(p.n.nkeys+1)
+		frac = (float64(path[i].idx) + frac) / float64(path[i].fanout)
 	}
 	return frac
 }

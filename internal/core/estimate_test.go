@@ -111,7 +111,7 @@ func TestAblationKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := packed.jpHead
-	if ck.slots[0] == nil || ck.slots[1] == nil {
+	if ck.slots[0] == 0 || ck.slots[1] == 0 {
 		t.Error("PackChunks should fill slots contiguously")
 	}
 	if err := packed.CheckInvariants(); err != nil {
@@ -140,8 +140,8 @@ func TestAblationKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := 0
-	for n := exact.leftmostLeaf(); n != nil; n = n.next {
-		if n.hint.chunk.slots[n.hint.slot] != n {
+	for _, n := range leafViews(exact) {
+		if h := exact.hint(n); h.chunk.slots[h.slot] != n.id {
 			stale++
 		}
 	}
@@ -183,7 +183,7 @@ func TestSharedAddressSpace(t *testing.T) {
 	a.Insert(1, 1)
 	b.Insert(2, 2)
 	// Different trees in a shared space must not alias addresses.
-	if a.root.addr == b.root.addr {
+	if a.addr(a.view(a.root)) == b.addr(b.view(b.root)) {
 		t.Fatal("shared space handed out overlapping node addresses")
 	}
 }

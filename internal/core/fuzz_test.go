@@ -44,6 +44,9 @@ func FuzzLoad(f *testing.F) {
 	huge := append([]byte{}, trunc[:24]...)
 	binary.LittleEndian.PutUint64(huge[16:], 1<<40)
 	f.Add(huge)
+	// The widest node the format admits and nothing in it: one 256 KB
+	// block (TestLoadWidestEmptyTreeIsBounded pins the allocation).
+	f.Add(wideEmptyStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Load(bytes.NewReader(data), memsys.DefaultNative(), 1.0)
@@ -133,6 +136,17 @@ func FuzzTreeOps(f *testing.F) {
 		seq = append(seq, 1, i, 0) // delete every other
 	}
 	f.Add(seq, uint8(2), true)
+	// Delete a four-level tree down to a lone leaf and refill it, on
+	// both jump-array kinds: every block is recycled, the root
+	// collapses and regrows.
+	cycle := make([]byte, 0, 3*450)
+	for _, op := range []byte{0, 1, 0} {
+		for i := byte(1); i <= 150; i++ {
+			cycle = append(cycle, op, i*37, i) // scattered, distinct keys
+		}
+	}
+	f.Add(cycle, uint8(1), true)
+	f.Add(cycle, uint8(1), false)
 
 	f.Fuzz(func(t *testing.T, ops []byte, width uint8, external bool) {
 		if width == 0 || width > 16 {
@@ -186,7 +200,8 @@ func FuzzTreeOps(f *testing.F) {
 					}
 				}
 			}
-			if i%(16*3) == 0 {
+			// Every op while that is cheap, else every sixteenth.
+			if i%(16*3) == 0 || len(ops) <= 3*512 {
 				check(i)
 			}
 		}

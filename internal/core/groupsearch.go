@@ -50,10 +50,10 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 	// of a B+-Tree is at the same depth.
 	// Groups of up to searchBatchStack keys — every MGET group and
 	// single-GET burst the store issues — keep the cursor on the stack.
-	var stack [searchBatchStack]*node
+	var stack [searchBatchStack]nodeID
 	nodes := stack[:]
 	if len(keys) > len(stack) {
-		nodes = make([]*node, len(keys))
+		nodes = make([]nodeID, len(keys))
 	}
 	nodes = nodes[:len(keys)]
 	for i := range nodes {
@@ -66,37 +66,41 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 		// (every member starts at the root) cost only the prefetch
 		// issue cycles: the memory system coalesces in-flight lines.
 		if t.cfg.Prefetch {
-			for _, n := range nodes {
-				t.traceNode(level, kindOf(n))
-				t.pfNode(n)
+			for _, id := range nodes {
+				t.traceNode(level, t.kindAt(level))
+				t.pfNode(t.locate(id))
 			}
 		}
-		if nodes[0].leaf {
+		if level == t.height-1 {
 			break
 		}
 		// Search phase: binary-search each node and step its cursor
 		// down to the chosen child.
-		for i, n := range nodes {
-			t.traceNode(level, kindOf(n))
-			t.mem.Access(n.addr) // keynum
+		for i, id := range nodes {
+			n := t.view(id)
+			addr := t.addr(n)
+			t.traceNode(level, n.kind)
+			t.mem.Access(addr) // keynum
 			t.mem.Compute(t.cost.Visit)
-			idx, _ := t.searchKeys(n, keys[i])
-			t.mem.Access(t.lay(n).ptrAddr(n.addr, idx))
-			nodes[i] = n.children[idx]
+			idx, _ := t.searchKeys(n, addr, keys[i])
+			t.mem.Access(t.lay(n).ptrAddr(addr, idx))
+			nodes[i] = nodeID(t.ptrs(n)[idx])
 		}
 	}
 	// Leaf phase.
-	for i, n := range nodes {
+	for i, id := range nodes {
+		n := t.view(id)
+		addr := t.addr(n)
 		t.traceNode(t.height-1, KindLeaf)
-		t.mem.Access(n.addr)
+		t.mem.Access(addr)
 		t.mem.Compute(t.cost.Visit)
-		ub, ok := t.searchKeys(n, keys[i])
+		ub, ok := t.searchKeys(n, addr, keys[i])
 		found[i] = ok
 		if !ok {
 			tids[i] = 0
 			continue
 		}
-		t.mem.Access(t.leafLay.ptrAddr(n.addr, ub-1))
-		tids[i] = n.tids[ub-1]
+		t.mem.Access(t.leafLay.ptrAddr(addr, ub-1))
+		tids[i] = TID(t.ptrs(n)[ub-1])
 	}
 }

@@ -16,43 +16,27 @@ import (
 //   - on a native tree (t.native, set once by New from the type of
 //     Config.Mem) it first issues real prefetch instructions
 //     (PREFETCHT0 / PRFM, memsys.HardwarePrefetch) for the *real*
-//     backing arrays. A simulated tree never does.
+//     blocks and buffers. A simulated tree never does.
 //
-// A node's real memory is not one contiguous block: the Go struct
-// holds separate keys and tids/children slices. The paper's
-// keys-before-pointers layout insight carries over directly — a
-// search touches only the key array until the final child/tupleID
-// read — so a node visit prefetches the key array and the pointer
-// array, each as one range.
+// A node's real memory is its block: one contiguous, pointer-free run
+// of Width lines, so a node visit is one prefetch range in both
+// memories.
 
-// Real element sizes of the backing arrays (keys and tupleIDs happen
-// to match the simulated fieldSize; Go pointers do not).
+// Real element sizes of a scan's return buffer (they happen to match
+// the simulated ones: a tupleID is one field, a Pair two).
 const (
-	realKeyBytes  = int(unsafe.Sizeof(Key(0)))
 	realTIDBytes  = int(unsafe.Sizeof(TID(0)))
-	realPtrBytes  = int(unsafe.Sizeof((*node)(nil)))
 	realPairBytes = int(unsafe.Sizeof(Pair{}))
 )
 
-// hwPrefetch issues one real prefetch instruction per hardware line of
-// the bytes at p (none when bytes is 0, e.g. for an empty slice).
-func hwPrefetch(p unsafe.Pointer, bytes int) {
-	memsys.HardwarePrefetchRange(uintptr(p), bytes)
-}
-
-// pfNode prefetches all lines of a node: the full key array plus the
-// tupleID (leaf) or child pointer (non-leaf) array on a native tree,
-// the simulated node region on the model.
-func (t *Tree) pfNode(n *node) {
+// pfNode prefetches all lines of a node: its block on a native tree,
+// the simulated node region on the model. A located node is enough: it
+// reads none of the block.
+func (t *Tree) pfNode(n node) {
 	if t.native {
-		hwPrefetch(unsafe.Pointer(unsafe.SliceData(n.keys)), len(n.keys)*realKeyBytes)
-		if n.leaf {
-			hwPrefetch(unsafe.Pointer(unsafe.SliceData(n.tids)), len(n.tids)*realTIDBytes)
-		} else {
-			hwPrefetch(unsafe.Pointer(unsafe.SliceData(n.children)), len(n.children)*realPtrBytes)
-		}
+		memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(n.w))), len(n.w)*fieldSize)
 	}
-	t.mem.PrefetchRange(n.addr, t.lay(n).size)
+	t.mem.PrefetchRange(t.addr(n), t.leafLay.size)
 }
 
 // pfHint prefetches the jump-pointer chunk lines a leaf's hint points
@@ -67,18 +51,18 @@ func (t *Tree) pfHint(h hintPos) {
 }
 
 // pfLeafHint prefetches the line holding a leaf's hint field.
-func (t *Tree) pfLeafHint(leaf *node) {
+func (t *Tree) pfLeafHint(leaf node) {
 	if t.native {
-		memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&leaf.hint)))
+		memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&leaf.w[t.leafLay.hintOff/fieldSize])))
 	}
-	t.mem.Prefetch(t.leafLay.hintAddr(leaf.addr))
+	t.mem.Prefetch(t.leafLay.hintAddr(t.addr(leaf)))
 }
 
 // pfChunk prefetches all lines of an external jump-pointer array
 // chunk.
 func (t *Tree) pfChunk(ck *chunk) {
 	if t.native {
-		hwPrefetch(unsafe.Pointer(unsafe.SliceData(ck.slots)), len(ck.slots)*realPtrBytes)
+		memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(ck.slots))), len(ck.slots)*fieldSize)
 	}
 	t.mem.PrefetchRange(ck.addr, t.chunkBytes())
 }

@@ -17,9 +17,9 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 	leaf, ub, found := t.findLeaf(key)
 	if found {
 		i := ub - 1
-		t.mem.Access(t.leafLay.ptrAddr(leaf.addr, i))
+		t.mem.Access(t.leafLay.ptrAddr(t.addr(leaf), i))
 		t.mem.Compute(t.cost.Copy)
-		leaf.tids[i] = tid
+		t.ptrs(leaf)[i] = uint32(tid)
 		return false
 	}
 	t.stats.Inserts++
@@ -28,7 +28,7 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 	nlSplitsBefore := t.stats.NonLeafSplits
 
 	if t.full(leaf) {
-		t.splitLeaf(leaf, ub, key, tid)
+		t.splitLeaf(leaf.id, ub, key, tid)
 	} else {
 		t.leafInsertAt(leaf, ub, key, tid)
 	}
@@ -43,199 +43,194 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 }
 
 // leafInsertAt inserts the pair at position pos of a non-full leaf.
-func (t *Tree) leafInsertAt(n *node, pos int, key Key, tid TID) {
-	moved := n.nkeys - pos
-	copy(n.keys[pos+1:n.nkeys+1], n.keys[pos:n.nkeys])
-	copy(n.tids[pos+1:n.nkeys+1], n.tids[pos:n.nkeys])
-	n.keys[pos] = key
-	n.tids[pos] = tid
-	n.nkeys++
-	t.mem.AccessRange(t.leafLay.keyAddr(n.addr, pos), (moved+1)*fieldSize)
-	t.mem.AccessRange(t.leafLay.ptrAddr(n.addr, pos), (moved+1)*fieldSize)
-	t.mem.Access(n.addr)
+func (t *Tree) leafInsertAt(n node, pos int, key Key, tid TID) {
+	keys, tids, cnt := t.keys(n), t.ptrs(n), n.count()
+	moved := cnt - pos
+	copy(keys[pos+1:cnt+1], keys[pos:cnt])
+	copy(tids[pos+1:cnt+1], tids[pos:cnt])
+	keys[pos] = uint32(key)
+	tids[pos] = uint32(tid)
+	n.setCount(cnt + 1)
+	t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), pos), (moved+1)*fieldSize)
+	t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), pos), (moved+1)*fieldSize)
+	t.mem.Access(t.addr(n))
 	t.mem.Compute(t.cost.Move * uint64(2*moved+2))
 }
 
-// splitLeaf splits a full leaf around the insertion of (key, tid) at
-// position pos and pushes the separator up the recorded path.
-func (t *Tree) splitLeaf(n *node, pos int, key Key, tid TID) {
+// splitLeaf splits the full leaf id around the insertion of
+// (key, tid) at position pos and pushes the separator up the recorded
+// path. Like every split it allocates before it takes a view.
+func (t *Tree) splitLeaf(id nodeID, pos int, key Key, tid TID) {
 	t.stats.LeafSplits++
-	right := t.newLeaf()
+	right := t.view(t.newNode(leafFlag))
+	n := t.view(id)
 	t.pfNode(right)
 	if t.cfg.JumpArray == JumpExternal {
 		// Prefetch the jump-pointer chunk lines the hint points at, so
 		// the fetch overlaps the key redistribution below.
-		t.pfHint(n.hint)
+		t.pfHint(t.hint(n))
 	}
 
-	total := n.nkeys + 1
+	keys, tids, cnt := t.keys(n), t.ptrs(n), n.count()
+	total := cnt + 1
 	half := total / 2 // pairs staying in n
 
 	// Assemble the combined order in scratch space, then copy the two
 	// halves back out.
-	sk, st := t.scratchLeaf(total)
-	copy(sk, n.keys[:pos])
-	copy(st, n.tids[:pos])
-	sk[pos] = key
-	st[pos] = tid
-	copy(sk[pos+1:], n.keys[pos:n.nkeys])
-	copy(st[pos+1:], n.tids[pos:n.nkeys])
+	sk, st := t.scratch(total)
+	copy(sk, keys[:pos])
+	copy(st, tids[:pos])
+	sk[pos] = uint32(key)
+	st[pos] = uint32(tid)
+	copy(sk[pos+1:], keys[pos:cnt])
+	copy(st[pos+1:], tids[pos:cnt])
 
-	n.nkeys = copy(n.keys, sk[:half])
-	copy(n.tids, st[:half])
-	right.nkeys = copy(right.keys, sk[half:])
-	copy(right.tids, st[half:])
+	n.setCount(copy(keys, sk[:half]))
+	copy(tids, st[:half])
+	right.setCount(copy(t.keys(right), sk[half:total]))
+	copy(t.ptrs(right), st[half:total])
 
-	right.next = n.next
-	n.next = right
-	t.mem.Access(t.leafLay.nextAddr(n.addr))
-	t.mem.Access(t.leafLay.nextAddr(right.addr))
+	t.setNext(right, t.next(n))
+	t.setNext(n, right.id)
+	t.mem.Access(t.leafLay.nextAddr(t.addr(n)))
+	t.mem.Access(t.leafLay.nextAddr(t.addr(right)))
 
 	// Charge the data movement: the whole right half is written, and
 	// the left half shifted from pos onward (if the new pair landed
 	// there).
-	t.chargeLeafWriteCost(right, 0, right.nkeys)
+	t.chargeLeafWriteCost(right, 0, right.count())
 	if pos < half {
 		t.chargeLeafWriteCost(n, pos, half)
 	}
-	t.mem.Access(n.addr)
+	t.mem.Access(t.addr(n))
 
 	if t.cfg.JumpArray == JumpExternal {
 		t.jpInsertAfter(n, right)
 	}
-	t.insertIntoParent(right.keys[0], right)
+	t.insertIntoParent(Key(t.keys(right)[0]), right.id)
 }
 
 // chargeLeafWriteCost charges writing entries [from, to) of a leaf.
-func (t *Tree) chargeLeafWriteCost(n *node, from, to int) {
+func (t *Tree) chargeLeafWriteCost(n node, from, to int) {
 	if to <= from {
 		return
 	}
-	t.mem.AccessRange(t.leafLay.keyAddr(n.addr, from), (to-from)*fieldSize)
-	t.mem.AccessRange(t.leafLay.ptrAddr(n.addr, from), (to-from)*fieldSize)
+	t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
+	t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), from), (to-from)*fieldSize)
 	t.mem.Compute(t.cost.Move * uint64(2*(to-from)))
 }
 
 // insertIntoParent inserts (sep, right) above the node that just
 // split, walking the descent path upward and splitting further as
 // needed.
-func (t *Tree) insertIntoParent(sep Key, right *node) {
+func (t *Tree) insertIntoParent(sep Key, right nodeID) {
 	for level := len(t.path) - 1; ; level-- {
 		if level < 0 {
 			t.growRoot(sep, right)
 			return
 		}
 		p := t.path[level]
-		t.traceNode(level, kindOf(p.n))
-		if !t.full(p.n) {
-			t.nonLeafInsertAt(p.n, p.idx, sep, right)
+		n := t.view(p.id)
+		t.traceNode(level, n.kind)
+		if !t.full(n) {
+			t.nonLeafInsertAt(n, p.idx, sep, right)
 			return
 		}
-		sep, right = t.splitNonLeaf(p.n, p.idx, sep, right)
+		sep, right = t.splitNonLeaf(p.id, p.idx, sep, right)
 	}
 }
 
 // growRoot replaces the root with a new node over {old root, right}.
-func (t *Tree) growRoot(sep Key, right *node) {
-	old := t.root
-	newRoot := t.newNonLeaf(old.leaf)
-	t.traceNode(0, kindOf(newRoot))
-	t.pfNode(newRoot)
-	newRoot.keys[0] = sep
-	newRoot.children[0] = old
-	newRoot.children[1] = right
-	newRoot.nkeys = 1
-	t.chargeNonLeafWrite(newRoot, 0, 1)
-	t.root = newRoot
+func (t *Tree) growRoot(sep Key, right nodeID) {
+	var flags uint32
+	if t.height == 1 {
+		flags = bottomFlag
+	}
+	r := t.view(t.newNode(flags))
+	t.traceNode(0, r.kind)
+	t.pfNode(r)
+	t.keys(r)[0] = uint32(sep)
+	t.ptrs(r)[0] = uint32(t.root)
+	t.ptrs(r)[1] = uint32(right)
+	r.setCount(1)
+	t.chargeNonLeafWrite(r, 0, 1)
+	t.root = r.id
 	t.height++
-	if newRoot.bottom && t.cfg.JumpArray == JumpInternal {
-		t.firstBottom = newRoot
+	if r.bottom() && t.cfg.JumpArray == JumpInternal {
+		t.firstBottom = r.id
 	}
 }
 
 // nonLeafInsertAt inserts separator sep at key position idx and child
 // right at position idx+1 of a non-full non-leaf node.
-func (t *Tree) nonLeafInsertAt(n *node, idx int, sep Key, right *node) {
-	moved := n.nkeys - idx
-	copy(n.keys[idx+1:n.nkeys+1], n.keys[idx:n.nkeys])
-	copy(n.children[idx+2:n.nkeys+2], n.children[idx+1:n.nkeys+1])
-	n.keys[idx] = sep
-	n.children[idx+1] = right
-	n.nkeys++
-	lay := t.lay(n)
-	t.mem.AccessRange(lay.keyAddr(n.addr, idx), (moved+1)*fieldSize)
-	t.mem.AccessRange(lay.ptrAddr(n.addr, idx+1), (moved+1)*fieldSize)
-	t.mem.Access(n.addr)
+func (t *Tree) nonLeafInsertAt(n node, idx int, sep Key, right nodeID) {
+	keys, children, cnt := t.keys(n), t.ptrs(n), n.count()
+	moved := cnt - idx
+	copy(keys[idx+1:cnt+1], keys[idx:cnt])
+	copy(children[idx+2:cnt+2], children[idx+1:cnt+1])
+	keys[idx] = uint32(sep)
+	children[idx+1] = uint32(right)
+	n.setCount(cnt + 1)
+	t.mem.AccessRange(t.lay(n).keyAddr(t.addr(n), idx), (moved+1)*fieldSize)
+	t.mem.AccessRange(t.lay(n).ptrAddr(t.addr(n), idx+1), (moved+1)*fieldSize)
+	t.mem.Access(t.addr(n))
 	t.mem.Compute(t.cost.Move * uint64(2*moved+2))
 }
 
-// splitNonLeaf splits a full non-leaf node around the insertion of
-// (sep, right) at key position idx. It returns the promoted separator
-// and the new right sibling.
-func (t *Tree) splitNonLeaf(n *node, idx int, sep Key, right *node) (Key, *node) {
+// splitNonLeaf splits the full non-leaf node id around the insertion
+// of (sep, right) at key position idx. It returns the promoted
+// separator and the new right sibling.
+func (t *Tree) splitNonLeaf(id nodeID, idx int, sep Key, right nodeID) (Key, nodeID) {
 	t.stats.NonLeafSplits++
+	nn := t.view(t.newNode(t.locate(id).w[0] & bottomFlag))
+	n := t.view(id)
 	lay := t.lay(n)
-	nn := t.newNonLeaf(n.bottom)
 	t.pfNode(nn)
 
-	total := n.nkeys + 1 // keys including the new separator
-	sk, sc := t.scratchNonLeaf(total)
-	copy(sk, n.keys[:idx])
-	sk[idx] = sep
-	copy(sk[idx+1:], n.keys[idx:n.nkeys])
-	copy(sc, n.children[:idx+1])
-	sc[idx+1] = right
-	copy(sc[idx+2:], n.children[idx+1:n.nkeys+1])
+	keys, children, cnt := t.keys(n), t.ptrs(n), n.count()
+	total := cnt + 1 // keys including the new separator
+	sk, sc := t.scratch(total)
+	copy(sk, keys[:idx])
+	sk[idx] = uint32(sep)
+	copy(sk[idx+1:], keys[idx:cnt])
+	copy(sc, children[:idx+1])
+	sc[idx+1] = uint32(right)
+	copy(sc[idx+2:], children[idx+1:cnt+1])
 
 	mid := total / 2
-	promoted := sk[mid]
+	promoted := Key(sk[mid])
 
-	copy(n.keys, sk[:mid])
-	copy(n.children, sc[:mid+1])
-	for i := mid + 1; i < len(n.children); i++ {
-		n.children[i] = nil // drop stale child pointers
-	}
-	n.nkeys = mid
+	copy(keys, sk[:mid])
+	copy(children, sc[:mid+1])
+	n.setCount(mid)
 
-	copy(nn.keys, sk[mid+1:])
-	copy(nn.children, sc[mid+1:total+1])
-	nn.nkeys = total - mid - 1
+	copy(t.keys(nn), sk[mid+1:total])
+	copy(t.ptrs(nn), sc[mid+1:total+1])
+	nn.setCount(total - mid - 1)
 
-	if n.bottom && t.cfg.JumpArray == JumpInternal {
-		nn.next = n.next
-		n.next = nn
-		t.mem.Access(t.bottomLay.nextAddr(n.addr))
-		t.mem.Access(t.bottomLay.nextAddr(nn.addr))
+	if n.bottom() && t.cfg.JumpArray == JumpInternal {
+		t.setNext(nn, t.next(n))
+		t.setNext(n, nn.id)
+		t.mem.Access(t.bottomLay.nextAddr(t.addr(n)))
+		t.mem.Access(t.bottomLay.nextAddr(t.addr(nn)))
 	}
 
-	t.chargeNonLeafWrite(nn, 0, nn.nkeys)
+	t.chargeNonLeafWrite(nn, 0, nn.count())
 	if idx < mid {
-		t.mem.AccessRange(lay.keyAddr(n.addr, idx), (mid-idx)*fieldSize)
-		t.mem.AccessRange(lay.ptrAddr(n.addr, idx+1), (mid-idx)*fieldSize)
+		t.mem.AccessRange(lay.keyAddr(t.addr(n), idx), (mid-idx)*fieldSize)
+		t.mem.AccessRange(lay.ptrAddr(t.addr(n), idx+1), (mid-idx)*fieldSize)
 		t.mem.Compute(t.cost.Move * uint64(2*(mid-idx)))
 	}
-	t.mem.Access(n.addr)
-	return promoted, nn
+	t.mem.Access(t.addr(n))
+	return promoted, nn.id
 }
 
-// scratchLeaf returns scratch key/tid slices of length n.
-func (t *Tree) scratchLeaf(n int) ([]Key, []TID) {
-	if cap(t.skeys) < n {
-		t.skeys = make([]Key, n)
-		t.stids = make([]TID, n)
+// scratch returns scratch word slices for n keys and n+1 child ids (or
+// n tupleIDs).
+func (t *Tree) scratch(n int) (keys, ptrs []uint32) {
+	if cap(t.skeys) < n+1 {
+		t.skeys = make([]uint32, n+1)
+		t.sptrs = make([]uint32, n+1)
 	}
-	return t.skeys[:n], t.stids[:n]
-}
-
-// scratchNonLeaf returns scratch key/child slices for n keys and n+1
-// children.
-func (t *Tree) scratchNonLeaf(n int) ([]Key, []*node) {
-	if cap(t.skeys) < n {
-		t.skeys = make([]Key, n)
-		t.stids = make([]TID, n)
-	}
-	if cap(t.schildren) < n+1 {
-		t.schildren = make([]*node, n+1)
-	}
-	return t.skeys[:n], t.schildren[:n+1]
+	return t.skeys[:n], t.sptrs[:n+1]
 }

@@ -6,22 +6,39 @@ import "fmt"
 // its jump-pointer array. It walks plain Go memory and charges nothing
 // to the simulated hierarchy, so tests can call it freely.
 func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
+	if t.root == 0 {
 		return fmt.Errorf("nil root")
 	}
-	var leaves []*node
+	var leaves []nodeID
 	count := 0
-	if err := t.checkNode(t.root, 1, nil, nil, &leaves, &count); err != nil {
+	// seen is the block accounting: every carved id must turn up
+	// exactly once, under the root or on the free list.
+	seen := make([]bool, t.high+1)
+	if err := t.checkNode(t.root, 1, nil, nil, &leaves, &count, seen); err != nil {
 		return err
 	}
 	if count != t.count {
 		return fmt.Errorf("count %d, tree reports %d", count, t.count)
 	}
+	for id := t.free; id != 0; id = nodeID(t.locate(id).w[1]) {
+		if id > t.high || seen[id] {
+			return fmt.Errorf("free list holds block %d, past the high-water mark %d or already seen", id, t.high)
+		}
+		if t.locate(id).w[0] != freeFlag {
+			return fmt.Errorf("block %d on the free list is not marked free", id)
+		}
+		seen[id] = true
+	}
+	for id := nodeID(1); id <= t.high; id++ {
+		if !seen[id] {
+			return fmt.Errorf("block %d is neither reachable nor free", id)
+		}
+	}
 
 	// The leaf chain must visit exactly the in-order leaves.
 	i := 0
-	for n := t.leftmostLeaf(); n != nil; n = n.next {
-		if i >= len(leaves) || leaves[i] != n {
+	for id := t.leftmostLeaf(); id != 0; id = t.next(t.view(id)) {
+		if i >= len(leaves) || leaves[i] != id {
 			return fmt.Errorf("leaf chain diverges from tree order at leaf %d", i)
 		}
 		i++
@@ -30,8 +47,8 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("leaf chain has %d leaves, tree has %d", i, len(leaves))
 	}
 	for j := 1; j < len(leaves); j++ {
-		if leaves[j-1].nkeys > 0 && leaves[j].nkeys > 0 &&
-			leaves[j-1].keys[leaves[j-1].nkeys-1] >= leaves[j].keys[0] {
+		a, b := t.view(leaves[j-1]), t.view(leaves[j])
+		if a.count() > 0 && b.count() > 0 && t.keys(a)[a.count()-1] >= t.keys(b)[0] {
 			return fmt.Errorf("leaf %d not key-ordered before leaf %d", j-1, j)
 		}
 	}
@@ -49,106 +66,100 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-// checkNode recursively validates the subtree under n at the given
+// checkNode recursively validates the subtree under id at the given
 // depth, with optional lower (inclusive) and upper (exclusive) key
-// bounds, appending leaves in order and accumulating the pair count.
-func (t *Tree) checkNode(n *node, depth int, lo, hi *Key, leaves *[]*node, count *int) error {
-	lay := t.lay(n)
-	if n != t.root && n.nkeys < 1 {
-		return fmt.Errorf("non-root node with %d keys at depth %d", n.nkeys, depth)
+// bounds, appending leaves in order, accumulating the pair count and
+// marking every block it reaches in seen.
+func (t *Tree) checkNode(id nodeID, depth int, lo, hi *uint32, leaves *[]nodeID, count *int, seen []bool) error {
+	if id == 0 || id > t.high {
+		return fmt.Errorf("child id %d at depth %d outside the arena's 1..%d", id, depth, t.high)
 	}
-	if n.nkeys > lay.maxKeys {
-		return fmt.Errorf("node with %d keys exceeds capacity %d", n.nkeys, lay.maxKeys)
+	if seen[id] {
+		return fmt.Errorf("block %d reachable twice", id)
 	}
-	for i := 1; i < n.nkeys; i++ {
-		if n.keys[i-1] >= n.keys[i] {
+	seen[id] = true
+	n := t.view(id)
+	if n.w[0]&freeFlag != 0 {
+		return fmt.Errorf("reachable block %d is marked free", id)
+	}
+	// The header's role bits must agree with the level.
+	if n.leaf() != (depth == t.height) || n.bottom() != (depth == t.height-1) {
+		return fmt.Errorf("block %d at depth %d of %d has leaf=%v bottom=%v", id, depth, t.height, n.leaf(), n.bottom())
+	}
+	keys := t.keys(n)
+	cnt := n.count()
+	if id != t.root && cnt < 1 {
+		return fmt.Errorf("non-root node with %d keys at depth %d", cnt, depth)
+	}
+	if cnt > t.lay(n).maxKeys {
+		return fmt.Errorf("node with %d keys exceeds capacity %d", cnt, t.lay(n).maxKeys)
+	}
+	for i := 1; i < cnt; i++ {
+		if keys[i-1] >= keys[i] {
 			return fmt.Errorf("unsorted keys at depth %d", depth)
 		}
 	}
-	if n.nkeys > 0 {
-		if lo != nil && n.keys[0] < *lo {
+	if cnt > 0 {
+		if lo != nil && keys[0] < *lo {
 			return fmt.Errorf("key below lower bound at depth %d", depth)
 		}
-		if hi != nil && n.keys[n.nkeys-1] >= *hi {
+		if hi != nil && keys[cnt-1] >= *hi {
 			return fmt.Errorf("key above upper bound at depth %d", depth)
 		}
 	}
-
-	if n.leaf {
-		if depth != t.height {
-			return fmt.Errorf("leaf at depth %d, height is %d", depth, t.height)
-		}
-		if n.bottom {
-			return fmt.Errorf("leaf marked bottom")
-		}
-		*leaves = append(*leaves, n)
-		*count += n.nkeys
+	if n.leaf() {
+		*leaves = append(*leaves, id)
+		*count += cnt
 		return nil
 	}
-
-	childrenAreLeaves := n.children[0].leaf
-	if n.bottom != childrenAreLeaves {
-		return fmt.Errorf("bottom flag %v but children leaf=%v", n.bottom, childrenAreLeaves)
-	}
-	for i := 0; i <= n.nkeys; i++ {
-		c := n.children[i]
-		if c == nil {
-			return fmt.Errorf("nil child %d of %d at depth %d", i, n.nkeys, depth)
-		}
-		if c.leaf != childrenAreLeaves {
-			return fmt.Errorf("mixed child kinds at depth %d", depth)
-		}
+	for i, c := range t.ptrs(n)[:cnt+1] {
 		clo, chi := lo, hi
 		if i > 0 {
-			clo = &n.keys[i-1]
+			clo = &keys[i-1]
 		}
-		if i < n.nkeys {
-			chi = &n.keys[i]
-		}
-		if err := t.checkNode(c, depth+1, clo, chi, leaves, count); err != nil {
-			return err
+		if i < cnt {
+			chi = &keys[i]
 		}
 		// Separators are bounds, not necessarily present keys: lazy
 		// deletion may remove the key a separator was copied from. The
 		// lo/hi checks above enforce everything that search requires.
-	}
-	for i := n.nkeys + 1; i < len(n.children); i++ {
-		if n.children[i] != nil {
-			return fmt.Errorf("stale child pointer at slot %d", i)
+		if err := t.checkNode(nodeID(c), depth+1, clo, chi, leaves, count, seen); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // leftmostLeaf returns the first leaf in key order.
-func (t *Tree) leftmostLeaf() *node {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+func (t *Tree) leftmostLeaf() nodeID {
+	n := t.view(t.root)
+	for !n.leaf() {
+		n = t.view(nodeID(t.ptrs(n)[0]))
 	}
-	return n
+	return n.id
 }
 
 // checkInternalJPA validates the bottom non-leaf chain.
 func (t *Tree) checkInternalJPA() error {
-	var bottoms []*node
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
+	var bottoms []nodeID
+	var walk func(id nodeID)
+	walk = func(id nodeID) {
+		n := t.view(id)
+		if n.leaf() {
 			return
 		}
-		if n.bottom {
-			bottoms = append(bottoms, n)
+		if n.bottom() {
+			bottoms = append(bottoms, id)
 			return
 		}
-		for i := 0; i <= n.nkeys; i++ {
-			walk(n.children[i])
+		for _, c := range t.ptrs(n)[:n.count()+1] {
+			walk(nodeID(c))
 		}
 	}
 	walk(t.root)
 
 	if len(bottoms) == 0 {
-		if t.firstBottom != nil {
+		if t.firstBottom != 0 {
 			return fmt.Errorf("firstBottom set but no bottom nodes exist")
 		}
 		return nil
@@ -157,8 +168,8 @@ func (t *Tree) checkInternalJPA() error {
 		return fmt.Errorf("firstBottom does not point at the leftmost bottom node")
 	}
 	i := 0
-	for n := t.firstBottom; n != nil; n = n.next {
-		if i >= len(bottoms) || bottoms[i] != n {
+	for id := t.firstBottom; id != 0; id = t.next(t.view(id)) {
+		if i >= len(bottoms) || bottoms[i] != id {
 			return fmt.Errorf("bottom chain diverges at node %d", i)
 		}
 		i++
@@ -171,7 +182,7 @@ func (t *Tree) checkInternalJPA() error {
 
 // checkExternalJPA validates the chunked jump-pointer array against
 // the in-order leaves.
-func (t *Tree) checkExternalJPA(leaves []*node) error {
+func (t *Tree) checkExternalJPA(leaves []nodeID) error {
 	if t.jpHead == nil {
 		return fmt.Errorf("no jump-pointer array head")
 	}
@@ -182,18 +193,20 @@ func (t *Tree) checkExternalJPA(leaves []*node) error {
 			return fmt.Errorf("chunk prev link broken")
 		}
 		occupied := 0
-		for slot, leaf := range ck.slots {
-			if leaf == nil {
+		if t.chunks[ck.idx] != ck {
+			return fmt.Errorf("chunk %d is not at its index in the chunk table", ck.idx)
+		}
+		for _, leaf := range ck.slots {
+			if leaf == 0 {
 				continue
 			}
 			occupied++
 			if i >= len(leaves) || leaves[i] != leaf {
 				return fmt.Errorf("jump pointer %d out of order", i)
 			}
-			if leaf.hint.chunk != ck {
+			if t.hint(t.view(leaf)).chunk != ck {
 				return fmt.Errorf("leaf %d hint points at the wrong chunk", i)
 			}
-			_ = slot
 			i++
 		}
 		if occupied != ck.n {

@@ -12,11 +12,12 @@ package core
 const chunkHeaderFields = 2
 
 // chunk is one piece of the external jump-pointer array. slots[i] is
-// nil for an empty slot; occupied slots appear in leaf key order.
+// 0 for an empty slot; occupied slots appear in leaf key order.
 type chunk struct {
 	addr       uint64
+	idx        uint32 // position in Tree.chunks, what a leaf's hint stores
 	next, prev *chunk
-	slots      []*node
+	slots      []nodeID
 	n          int // occupied slots
 }
 
@@ -32,32 +33,34 @@ func (t *Tree) chunkBytes() int {
 
 // newChunk allocates an empty chunk.
 func (t *Tree) newChunk() *chunk {
-	return &chunk{
+	ck := &chunk{
 		addr:  t.space.Alloc(t.chunkBytes()),
-		slots: make([]*node, t.jpCap),
+		idx:   uint32(len(t.chunks)),
+		slots: make([]nodeID, t.jpCap),
 	}
+	t.chunks = append(t.chunks, ck)
+	return ck
 }
 
-// jpBulkload builds the jump-pointer array over the given leaves,
-// filling each chunk to the bulkload factor with the empty slots
-// evenly interleaved.
-func (t *Tree) jpBulkload(leaves []*node, fill float64) {
+// jpBulkload builds the jump-pointer array over the n leaves first,
+// first+1, ... (a bulkload's leaves have consecutive ids), filling
+// each chunk to the bulkload factor with the empty slots evenly
+// interleaved.
+func (t *Tree) jpBulkload(first nodeID, n int, fill float64) {
 	occ := fillCount(t.jpCap, fill)
 	var tail *chunk
-	for start := 0; start < len(leaves); start += occ {
-		end := start + occ
-		if end > len(leaves) {
-			end = len(leaves)
-		}
+	for start := 0; start < n; start += occ {
+		end := min(start+occ, n)
 		ck := t.newChunk()
 		t.mem.AccessRange(ck.addr, t.chunkBytes())
 		for j := start; j < end; j++ {
 			// Spread the occupied slots across the chunk so every
 			// insertion finds a nearby empty slot.
 			slot := t.jpSlotFor(j-start, occ)
-			ck.slots[slot] = leaves[j]
-			leaves[j].hint = hintPos{chunk: ck, slot: slot}
-			t.mem.Access(t.leafLay.hintAddr(leaves[j].addr))
+			leaf := t.view(first + nodeID(j))
+			ck.slots[slot] = leaf.id
+			t.setHint(leaf, ck, slot)
+			t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
 		}
 		ck.n = end - start
 		if tail == nil {
@@ -78,29 +81,29 @@ func (t *Tree) jpBulkload(leaves []*node, fill float64) {
 // jpLocate follows leaf's hint to its precise slot, searching outward
 // within the chunk when the hint is stale, and repairs the hint (for
 // free: the leaf is cached after the search that preceded this call).
-func (t *Tree) jpLocate(leaf *node) (*chunk, int) {
-	h := leaf.hint
+func (t *Tree) jpLocate(leaf node) (*chunk, int) {
+	h := t.hint(leaf)
 	ck := h.chunk
-	t.mem.Access(t.leafLay.hintAddr(leaf.addr))
+	t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
 	t.traceNode(LevelNone, KindChunk)
 	t.mem.Access(ck.addr)
 	t.mem.Access(ck.slotAddr(h.slot))
-	if ck.slots[h.slot] == leaf {
+	if ck.slots[h.slot] == leaf.id {
 		return ck, h.slot
 	}
 	t.stats.HintRepairs++
 	for d := 1; d < len(ck.slots); d++ {
 		if i := h.slot + d; i < len(ck.slots) {
 			t.mem.Access(ck.slotAddr(i))
-			if ck.slots[i] == leaf {
-				leaf.hint.slot = i
+			if ck.slots[i] == leaf.id {
+				t.setHint(leaf, ck, i)
 				return ck, i
 			}
 		}
 		if i := h.slot - d; i >= 0 {
 			t.mem.Access(ck.slotAddr(i))
-			if ck.slots[i] == leaf {
-				leaf.hint.slot = i
+			if ck.slots[i] == leaf.id {
+				t.setHint(leaf, ck, i)
 				return ck, i
 			}
 		}
@@ -111,7 +114,7 @@ func (t *Tree) jpLocate(leaf *node) (*chunk, int) {
 // jpInsertAfter inserts newLeaf's jump pointer immediately after
 // left's, shifting pointers toward the nearest empty slot, or
 // splitting the chunk when it is full (section 3.4, Insertion).
-func (t *Tree) jpInsertAfter(left, newLeaf *node) {
+func (t *Tree) jpInsertAfter(left, newLeaf node) {
 	ck, p := t.jpLocate(left)
 	t.stats.JumpPointerInserts++
 
@@ -120,14 +123,14 @@ func (t *Tree) jpInsertAfter(left, newLeaf *node) {
 	for d := 1; d < len(ck.slots); d++ {
 		if i := p + d; i < len(ck.slots) {
 			t.mem.Access(ck.slotAddr(i))
-			if ck.slots[i] == nil {
+			if ck.slots[i] == 0 {
 				empty = i
 				break
 			}
 		}
 		if i := p - d; i >= 0 {
 			t.mem.Access(ck.slotAddr(i))
-			if ck.slots[i] == nil {
+			if ck.slots[i] == 0 {
 				empty = i
 				break
 			}
@@ -139,11 +142,11 @@ func (t *Tree) jpInsertAfter(left, newLeaf *node) {
 		// Shift (p, empty) one slot right; newLeaf lands at p+1.
 		moved := empty - p - 1
 		copy(ck.slots[p+2:empty+1], ck.slots[p+1:empty])
-		ck.slots[p+1] = newLeaf
-		newLeaf.hint = hintPos{chunk: ck, slot: p + 1}
+		ck.slots[p+1] = newLeaf.id
+		t.setHint(newLeaf, ck, p+1)
 		ck.n++
 		t.mem.AccessRange(ck.slotAddr(p+1), (moved+1)*fieldSize)
-		t.mem.Access(t.leafLay.hintAddr(newLeaf.addr))
+		t.mem.Access(t.leafLay.hintAddr(t.addr(newLeaf)))
 		t.mem.Compute(t.cost.Move * uint64(moved+1))
 		if t.cfg.Ablation.ExactHints {
 			t.jpRehint(ck, p+2, empty+1)
@@ -153,18 +156,18 @@ func (t *Tree) jpInsertAfter(left, newLeaf *node) {
 		// hints of the moved leaves are NOT updated — they are hints.
 		moved := p - empty
 		copy(ck.slots[empty:p], ck.slots[empty+1:p+1])
-		ck.slots[p] = newLeaf
-		newLeaf.hint = hintPos{chunk: ck, slot: p}
-		left.hint.slot = p - 1 // left is cached: free update
+		ck.slots[p] = newLeaf.id
+		t.setHint(newLeaf, ck, p)
+		t.setHint(left, ck, p-1) // left is cached: free update
 		ck.n++
 		t.mem.AccessRange(ck.slotAddr(empty), (moved+1)*fieldSize)
-		t.mem.Access(t.leafLay.hintAddr(newLeaf.addr))
+		t.mem.Access(t.leafLay.hintAddr(t.addr(newLeaf)))
 		t.mem.Compute(t.cost.Move * uint64(moved+1))
 		if t.cfg.Ablation.ExactHints {
 			t.jpRehint(ck, empty, p)
 		}
 	default:
-		t.jpSplitChunk(ck, p, newLeaf)
+		t.jpSplitChunk(ck, p, newLeaf.id)
 	}
 }
 
@@ -172,21 +175,19 @@ func (t *Tree) jpInsertAfter(left, newLeaf *node) {
 // after slot p, redistributing the pointers evenly (with evenly
 // interleaved empty slots) across the two chunks and updating the
 // hints of every moved leaf.
-func (t *Tree) jpSplitChunk(ck *chunk, p int, newLeaf *node) {
+func (t *Tree) jpSplitChunk(ck *chunk, p int, newLeaf nodeID) {
 	t.stats.ChunkSplits++
 	nc := t.newChunk()
 	t.pfChunk(nc)
 
 	// Combined pointer order: slots[0..p], newLeaf, slots[p+1..].
-	combined := make([]*node, 0, ck.n+1)
+	combined := make([]nodeID, 0, ck.n+1)
 	combined = append(combined, ck.slots[:p+1]...)
 	combined = append(combined, newLeaf)
 	combined = append(combined, ck.slots[p+1:]...)
 
 	half := (len(combined) + 1) / 2
-	for i := range ck.slots {
-		ck.slots[i] = nil
-	}
+	clear(ck.slots)
 	t.jpFill(ck, combined[:half])
 	t.jpFill(nc, combined[half:])
 
@@ -205,16 +206,17 @@ func (t *Tree) jpSplitChunk(ck *chunk, p int, newLeaf *node) {
 // interleaved and updates (and charges) each leaf's hint. The hint
 // lines are prefetched first so the writes overlap instead of paying
 // one full miss per leaf.
-func (t *Tree) jpFill(ck *chunk, leaves []*node) {
+func (t *Tree) jpFill(ck *chunk, leaves []nodeID) {
 	ck.n = len(leaves)
-	for _, leaf := range leaves {
-		t.pfLeafHint(leaf)
+	for _, id := range leaves {
+		t.pfLeafHint(t.locate(id))
 	}
-	for j, leaf := range leaves {
+	for j, id := range leaves {
 		slot := t.jpSlotFor(j, len(leaves))
-		ck.slots[slot] = leaf
-		leaf.hint = hintPos{chunk: ck, slot: slot}
-		t.mem.Access(t.leafLay.hintAddr(leaf.addr))
+		leaf := t.locate(id)
+		ck.slots[slot] = id
+		t.setHint(leaf, ck, slot)
+		t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
 	}
 	t.mem.AccessRange(ck.addr, t.chunkBytes())
 	t.mem.Compute(t.cost.Move * uint64(len(leaves)))
@@ -235,9 +237,10 @@ func (t *Tree) jpSlotFor(j, occ int) int {
 // hints-are-hints design avoids (ExactHints ablation only).
 func (t *Tree) jpRehint(ck *chunk, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if leaf := ck.slots[i]; leaf != nil {
-			leaf.hint = hintPos{chunk: ck, slot: i}
-			t.mem.Access(t.leafLay.hintAddr(leaf.addr))
+		if id := ck.slots[i]; id != 0 {
+			leaf := t.locate(id)
+			t.setHint(leaf, ck, i)
+			t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
 		}
 	}
 }
@@ -245,16 +248,17 @@ func (t *Tree) jpRehint(ck *chunk, lo, hi int) {
 // jpRemove deletes leaf's jump pointer: the slot is nulled, or the
 // chunk removed from the list when this was its last pointer
 // (section 3.4, Deletion).
-func (t *Tree) jpRemove(leaf *node) {
+func (t *Tree) jpRemove(leaf node) {
 	ck, p := t.jpLocate(leaf)
 	t.stats.JumpPointerRemovals++
 	if ck.n >= 2 {
-		ck.slots[p] = nil
+		ck.slots[p] = 0
 		ck.n--
 		t.mem.Access(ck.slotAddr(p))
 		return
 	}
 	t.stats.ChunkRemoves++
+	t.chunks[ck.idx] = nil
 	if ck.prev != nil {
 		ck.prev.next = ck.next
 		t.mem.Access(ck.prev.addr)

@@ -23,10 +23,10 @@ func TestJPBulkloadEvenDistribution(t *testing.T) {
 	for ck := tr.jpHead; ck != nil; ck = ck.next {
 		prevOccupied := false
 		for _, s := range ck.slots {
-			if s != nil && prevOccupied {
+			if s != 0 && prevOccupied {
 				t.Fatal("occupied slots not interleaved with empties at fill 0.5")
 			}
-			prevOccupied = s != nil
+			prevOccupied = s != 0
 		}
 	}
 }
@@ -36,8 +36,8 @@ func TestJPHintsExactAfterBulkload(t *testing.T) {
 	if err := tr.Bulkload(sortedPairs(62*20), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	for n := tr.leftmostLeaf(); n != nil; n = n.next {
-		if n.hint.chunk.slots[n.hint.slot] != n {
+	for _, n := range leafViews(tr) {
+		if h := tr.hint(n); h.chunk.slots[h.slot] != n.id {
 			t.Fatal("hint not exact immediately after bulkload")
 		}
 	}
@@ -58,12 +58,12 @@ func TestJPHintsAreHints(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for n := tr.leftmostLeaf(); n != nil; n = n.next {
+	for _, n := range leafViews(tr) {
 		ck, slot := tr.jpLocate(n)
-		if ck.slots[slot] != n {
+		if ck.slots[slot] != n.id {
 			t.Fatal("jpLocate returned wrong slot")
 		}
-		if n.hint.slot != slot || n.hint.chunk != ck {
+		if h := tr.hint(n); h.slot != slot || h.chunk != ck {
 			t.Fatal("jpLocate did not repair the hint")
 		}
 	}
@@ -131,18 +131,17 @@ func TestJPDeletionLeavesHoles(t *testing.T) {
 		ck   *chunk
 		slot int
 	}
-	positions := map[*node]pos{}
-	for n := tr.leftmostLeaf(); n != nil; n = n.next {
-		positions[n] = pos{n.hint.chunk, n.hint.slot}
-	}
-	// Delete all keys of every second leaf.
+	positions := map[nodeID]pos{}
 	var victims []Key
-	i := 0
-	for n := tr.leftmostLeaf(); n != nil; n = n.next {
+	for i, n := range leafViews(tr) {
+		h := tr.hint(n)
+		positions[n.id] = pos{h.chunk, h.slot}
+		// Delete all keys of every second leaf.
 		if i%2 == 1 {
-			victims = append(victims, n.keys[:n.nkeys]...)
+			for _, k := range tr.keys(n)[:n.count()] {
+				victims = append(victims, Key(k))
+			}
 		}
-		i++
 	}
 	for _, k := range victims {
 		tr.Delete(k)
@@ -151,12 +150,8 @@ func TestJPDeletionLeavesHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Surviving leaves' jump pointers must not have moved.
-	for n := tr.leftmostLeaf(); n != nil; n = n.next {
-		p, ok := positions[n]
-		if !ok {
-			continue
-		}
-		if p.ck.slots[p.slot] != n {
+	for _, n := range leafViews(tr) {
+		if p := positions[n.id]; p.ck.slots[p.slot] != n.id {
 			t.Fatal("deletion moved a surviving jump pointer")
 		}
 	}

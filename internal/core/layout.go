@@ -1,9 +1,12 @@
 package core
 
 // layout describes the physical layout of one node role (leaf,
-// non-leaf, or bottom non-leaf) for a given node width. The simulated
-// byte offsets drive which cache lines each field access touches; the
-// counts reproduce the node capacities of section 4.1.2 of the paper:
+// non-leaf, or bottom non-leaf) for a given node width. One table
+// serves both memories: a byte offset added to a node's simulated
+// address decides which cache lines the model sees touched, and the
+// same offset divided by fieldSize is the word of the node's real
+// block (node.go) that holds the field. The counts reproduce the node
+// capacities of section 4.1.2 of the paper:
 //
 //	w=1 non-leaf: keynum + 7 keys + 8 childptrs            (64 B)
 //	w=1 leaf:     keynum + 7 keys + 7 tupleIDs + next      (64 B)
@@ -18,6 +21,7 @@ package core
 type layout struct {
 	size    int // node size in bytes (width * line size)
 	maxKeys int // capacity in keys
+	maxPtrs int // capacity in child ids (maxKeys+1) or tupleIDs (maxKeys)
 	keyOff  int // byte offset of keys[0]
 	ptrOff  int // byte offset of childptr[0] (non-leaf) or tid[0] (leaf)
 	nextOff int // byte offset of the next pointer, or -1
@@ -35,6 +39,7 @@ func layoutsFor(cfg Config, lineSize int) (leaf, nonLeaf, bottom layout) {
 	nonLeaf = layout{
 		size:    size,
 		maxKeys: wm - 1,
+		maxPtrs: wm,
 		keyOff:  fieldSize,
 		ptrOff:  fieldSize * wm,
 		nextOff: -1,
@@ -47,6 +52,7 @@ func layoutsFor(cfg Config, lineSize int) (leaf, nonLeaf, bottom layout) {
 	bottom = nonLeaf
 	if cfg.JumpArray == JumpInternal {
 		bottom.maxKeys = wm - 2
+		bottom.maxPtrs = wm - 1
 		bottom.ptrOff = fieldSize * (wm - 1)
 		bottom.nextOff = size - fieldSize
 	}
@@ -63,6 +69,7 @@ func layoutsFor(cfg Config, lineSize int) (leaf, nonLeaf, bottom layout) {
 	leaf = layout{
 		size:    size,
 		maxKeys: leafKeys,
+		maxPtrs: leafKeys,
 		keyOff:  keyOff,
 		ptrOff:  keyOff + fieldSize*leafKeys,
 		nextOff: size - fieldSize,

@@ -67,6 +67,41 @@ func TestLayoutCountsMatchPaper(t *testing.T) {
 	}
 }
 
+// TestBlockWordMap pins the word of a real block each field lands in
+// (byte offset / fieldSize) — the table in DESIGN.md §5.
+func TestBlockWordMap(t *testing.T) {
+	type words struct{ keys, ptrs, next, hint int }
+	at := func(l layout) words {
+		return words{l.keyOff / fieldSize, l.ptrOff / fieldSize, l.nextOff / fieldSize, l.hintOff / fieldSize}
+	}
+	cases := []struct {
+		cfg                    Config
+		leaf, nl, bottom       words
+		leafPtrs, nlPtrs       int
+		bottomKeys, bottomPtrs int
+	}{
+		{Config{Width: 1}, words{1, 8, 15, 0}, words{1, 8, 0, 0}, words{1, 8, 0, 0}, 7, 8, 7, 8},
+		{Config{Width: 8, Prefetch: true}, words{1, 64, 127, 0}, words{1, 64, 0, 0}, words{1, 64, 0, 0}, 63, 64, 63, 64},
+		{Config{Width: 8, Prefetch: true, JumpArray: JumpExternal}, words{2, 64, 127, 1}, words{1, 64, 0, 0}, words{1, 64, 0, 0}, 62, 64, 63, 64},
+		{Config{Width: 8, Prefetch: true, JumpArray: JumpInternal}, words{1, 64, 127, 0}, words{1, 64, 0, 0}, words{1, 63, 127, 0}, 63, 64, 62, 63},
+	}
+	for _, c := range cases {
+		cfg, err := c.cfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, nl, bottom := layoutsFor(cfg, 64)
+		if at(leaf) != c.leaf || at(nl) != c.nl || at(bottom) != c.bottom {
+			t.Errorf("%s: words leaf %+v non-leaf %+v bottom %+v, want %+v %+v %+v",
+				cfg.name(), at(leaf), at(nl), at(bottom), c.leaf, c.nl, c.bottom)
+		}
+		if leaf.maxPtrs != c.leafPtrs || nl.maxPtrs != c.nlPtrs || bottom.maxKeys != c.bottomKeys || bottom.maxPtrs != c.bottomPtrs {
+			t.Errorf("%s: leaf holds %d tupleIDs, non-leaf %d children, bottom %d keys + %d children",
+				cfg.name(), leaf.maxPtrs, nl.maxPtrs, bottom.maxKeys, bottom.maxPtrs)
+		}
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	cfg, err := Config{Width: 8, Prefetch: true, JumpArray: JumpExternal}.withDefaults()
 	if err != nil {

@@ -1,77 +1,198 @@
 package core
 
-// node is a B+-Tree node. The Go struct holds the data; addr is the
-// node's simulated address, which determines its cache behaviour. A
-// node is exactly one of: a leaf (leaf == true), a bottom non-leaf
-// (parent of leaves), or an upper non-leaf.
+// A node is one block: Width cache lines of 4-byte words laid out as
+// the paper draws it (layout.go) — header, keys, child ids or
+// tupleIDs, next last. Blocks live in the tree's arena, pointer-free
+// []uint32 slabs, and are named by nodeID, never by Go pointer: a
+// descent is one dependent load per level, a node is one prefetch
+// range, and the GC neither scans nor marks a tree.
+
+// nodeID names a block: ids count from 1 in carving order, 0 is nil.
+type nodeID uint32
+
+// Word 0 of a block: the key count, with the node's role in the top
+// bits. A block on the free list has only freeFlag set and links the
+// next free block through word 1.
+const (
+	leafFlag   = 1 << 31
+	bottomFlag = 1 << 30 // non-leaf whose children are leaves
+	freeFlag   = 1 << 29
+	countMask  = freeFlag - 1
+)
+
+// slabBytes caps one slab (a slab holds at least one block, however
+// wide): a growing tree never asks for more than this at once.
+const slabBytes = 1 << 20
+
+// node is a view of one block: where it is and, once its header has
+// been read, what it is. Views are values, never stored in the tree
+// (four words, which the compiler keeps in registers); one stays valid
+// until the next newNode, which may move the slab it points into.
 type node struct {
-	addr   uint64
-	leaf   bool
-	bottom bool // non-leaf whose children are leaves
-	nkeys  int
-
-	keys []Key
-
-	// Non-leaf only. children[i] covers keys k with
-	// keys[i-1] <= k < keys[i] (children has nkeys+1 valid entries).
-	children []*node
-
-	// Leaf only. tids[i] belongs to keys[i].
-	tids []TID
-
-	// next links leaves in key order; for bottom non-leaf nodes it is
-	// the internal jump-pointer array link (JumpInternal only).
-	next *node
-
-	// hint is the leaf's back-pointer into the external jump-pointer
-	// array (JumpExternal only). The chunk is always correct; the slot
-	// index is a hint that may be stale.
-	hint hintPos
+	w    []uint32 // the block
+	id   nodeID
+	kind NodeKind // KindOther until resolved (see locate)
 }
 
-// hintPos locates (approximately) a leaf's jump pointer.
+func (n node) count() int     { return int(n.w[0] & countMask) }
+func (n node) setCount(k int) { n.w[0] = n.w[0]&^countMask | uint32(k) }
+func (n node) leaf() bool     { return n.kind == KindLeaf }
+func (n node) bottom() bool   { return n.kind == KindBottom }
+
+// lay returns the node's layout.
+func (t *Tree) lay(n node) *layout {
+	switch n.kind {
+	case KindLeaf:
+		return &t.leafLay
+	case KindBottom:
+		return &t.bottomLay
+	default:
+		return &t.nlLay
+	}
+}
+
+// addr returns the node's simulated address. A native model never
+// inspects one, only counts lines, so any line-aligned value does and
+// a native tree reads no side table.
+func (t *Tree) addr(n node) uint64 {
+	if t.native {
+		return uint64(n.id) * uint64(t.leafLay.size)
+	}
+	return t.addrs[n.id]
+}
+
+// keys returns the node's key words, full capacity.
+func (t *Tree) keys(n node) []uint32 {
+	l := t.lay(n)
+	o := l.keyOff / fieldSize
+	return n.w[o : o+l.maxKeys : o+l.maxKeys]
+}
+
+// ptrs returns the words after the keys, full capacity: child ids in a
+// non-leaf (ptrs[i] covers keys k with keys[i-1] <= k < keys[i];
+// count+1 are valid), tupleIDs in a leaf (ptrs[i] belongs to keys[i]).
+func (t *Tree) ptrs(n node) []uint32 {
+	l := t.lay(n)
+	o := l.ptrOff / fieldSize
+	return n.w[o : o+l.maxPtrs : o+l.maxPtrs]
+}
+
+// next is the sibling link of a leaf or a JumpInternal bottom node.
+func (t *Tree) next(n node) nodeID       { return nodeID(n.w[t.lay(n).nextOff/fieldSize]) }
+func (t *Tree) setNext(n node, x nodeID) { n.w[t.lay(n).nextOff/fieldSize] = uint32(x) }
+
+// full reports whether the node has no room for another key.
+func (t *Tree) full(n node) bool { return n.count() == t.lay(n).maxKeys }
+
+// hintPos locates (approximately) a leaf's jump pointer: the chunk is
+// always correct, the slot index is a hint that may be stale.
 type hintPos struct {
 	chunk *chunk
 	slot  int
 }
 
-// lay returns the node's layout.
-func (t *Tree) lay(n *node) layout {
+// hint decodes a leaf's back-pointer into the external jump-pointer
+// array (JumpExternal only). The hint field holds the chunk's index in
+// t.chunks; the slot index sits in the word the p^w_e leaf leaves
+// spare before next, which the model never charges — to it the hint is
+// the paper's single field.
+func (t *Tree) hint(leaf node) hintPos {
+	return hintPos{t.chunks[leaf.w[t.leafLay.hintOff/fieldSize]], int(leaf.w[len(leaf.w)-2])}
+}
+
+func (t *Tree) setHint(leaf node, ck *chunk, slot int) {
+	leaf.w[t.leafLay.hintOff/fieldSize], leaf.w[len(leaf.w)-2] = ck.idx, uint32(slot)
+}
+
+// locate finds a block without reading it, so the caller can prefetch
+// it before the header load that resolve adds.
+func (t *Tree) locate(id nodeID) node {
+	i := uint32(id - 1)
+	off := int(i&t.slabMask) * t.blockWords
+	return node{id: id, w: t.slabs[i>>t.slabShift][off : off+t.blockWords : off+t.blockWords]}
+}
+
+// view resolves a node: its block plus the kind its header declares.
+func (t *Tree) view(id nodeID) node { return resolve(t.locate(id)) }
+
+// resolve reads a located block's header.
+func resolve(n node) node {
 	switch {
-	case n.leaf:
-		return t.leafLay
-	case n.bottom:
-		return t.bottomLay
+	case n.w[0]&leafFlag != 0:
+		n.kind = KindLeaf
+	case n.w[0]&bottomFlag != 0:
+		n.kind = KindBottom
 	default:
-		return t.nlLay
+		n.kind = KindNonLeaf
 	}
+	return n
 }
 
-// newLeaf allocates a leaf node with a fresh simulated address.
-func (t *Tree) newLeaf() *node {
-	return &node{
-		addr: t.space.Alloc(t.leafLay.size),
-		leaf: true,
-		keys: make([]Key, t.leafLay.maxKeys),
-		tids: make([]TID, t.leafLay.maxKeys),
+// newNode allocates a zeroed block with the given role flags, from the
+// free list if it can. All but the last slab are full; the last one
+// doubles (from one block) until the tree is a slab big, after which
+// slabs are made whole. Doubling moves the last slab, so views taken
+// before a newNode are stale: split code allocates first.
+//
+// Every node takes a fresh simulated address, recycled block or not
+// (simulated addresses are never reused); only a simulated tree keeps
+// it, in a side table a native tree does not have. A native tree
+// charges its address space once per carved block, which keeps
+// SpaceUsed the real byte count.
+func (t *Tree) newNode(flags uint32) nodeID {
+	id := t.free
+	fresh := id == 0
+	if !fresh {
+		w := t.locate(id).w
+		t.free = nodeID(w[1])
+		clear(w)
+	} else {
+		per := int(t.slabMask) + 1
+		s, off := int(t.high)>>t.slabShift, int(uint32(t.high)&t.slabMask)
+		if s == len(t.slabs) {
+			t.slabs = append(t.slabs, nil)
+		}
+		if off*t.blockWords == len(t.slabs[s]) {
+			grown := make([]uint32, min(per, max(1, 2*off, int(t.high)))*t.blockWords)
+			copy(grown, t.slabs[s])
+			t.slabs[s] = grown
+		}
+		t.high++
+		id = t.high
 	}
+	switch {
+	case !t.native && fresh:
+		t.addrs = append(t.addrs, t.space.Alloc(t.leafLay.size))
+	case !t.native:
+		t.addrs[id] = t.space.Alloc(t.leafLay.size)
+	case fresh:
+		t.space.Alloc(t.leafLay.size)
+	}
+	t.locate(id).w[0] = flags
+	return id
 }
 
-// newNonLeaf allocates a non-leaf node. bottom marks parents of
-// leaves, which have a reduced layout when an internal jump-pointer
-// array is in use.
-func (t *Tree) newNonLeaf(bottom bool) *node {
-	l := t.nlLay
-	if bottom {
-		l = t.bottomLay
-	}
-	return &node{
-		addr:     t.space.Alloc(l.size),
-		bottom:   bottom,
-		keys:     make([]Key, l.maxKeys),
-		children: make([]*node, l.maxKeys+1),
-	}
+// freeNode puts a node no longer reachable from the root on the free
+// list.
+func (t *Tree) freeNode(id nodeID) {
+	w := t.locate(id).w
+	w[0], w[1] = freeFlag, uint32(t.free)
+	t.free = id
 }
 
-// full reports whether the node has no room for another key.
-func (t *Tree) full(n *node) bool { return n.nkeys == t.lay(n).maxKeys }
+// resetArena drops every block and reserves exactly the given number,
+// a slab at a time (slab-sized allocations fit the holes an earlier
+// tree or the bulkload's input left in the heap, where one tree-sized
+// allocation only grows it), so a bulkload of known size neither grows
+// a slab nor leaves one half empty. addrs[0] belongs to the nil id.
+func (t *Tree) resetArena(blocks int) {
+	per := int(t.slabMask) + 1
+	t.slabs = make([][]uint32, 0, (blocks+per-1)/per)
+	if !t.native {
+		t.addrs = make([]uint64, 1, blocks+1)
+	}
+	for ; blocks > 0; blocks -= per {
+		t.slabs = append(t.slabs, make([]uint32, min(blocks, per)*t.blockWords))
+	}
+	t.high, t.free = 0, 0
+}

@@ -16,7 +16,7 @@ const MaxKey = Key(^Key(0))
 // (sections 3.3-3.5).
 type Scanner struct {
 	t    *Tree
-	leaf *node
+	leaf nodeID // 0 once the chain is exhausted
 	idx  int
 	end  Key
 	done bool
@@ -26,8 +26,9 @@ type Scanner struct {
 	ck    *chunk
 	ckIdx int
 
-	// Internal jump-pointer array cursor.
-	bn    *node
+	// Internal jump-pointer array cursor (bn is 0 when the root is a
+	// leaf).
+	bn    nodeID
 	bnIdx int
 
 	cursorDone bool
@@ -75,23 +76,24 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 	// Record the bottom-level descent step in the scanner itself (not
 	// t.path) so concurrent native-mode scans never write shared tree
 	// state; it seeds the internal jump-pointer cursor below.
-	var rec func(n *node, idx int)
+	var rec func(n node, idx int)
 	if t.cfg.JumpArray == JumpInternal {
-		rec = func(n *node, idx int) { s.bn, s.bnIdx = n, idx }
+		rec = func(n node, idx int) { s.bn, s.bnIdx = n.id, idx }
 	}
-	leaf := t.walk(start, rec)
-	ub, found := t.searchKeys(leaf, start)
+	leaf, addr := t.walk(start, rec)
+	ub, found := t.searchKeys(leaf, addr, start)
 	idx := ub
 	if found {
 		idx = ub - 1
 	}
-	s.leaf, s.idx = leaf, idx
+	s.leaf, s.idx = leaf.id, idx
 
 	// The starting position may be one past the last key of this leaf.
-	if idx >= leaf.nkeys {
-		s.advanceLeafNoPrefetch()
+	if idx >= leaf.count() {
+		t.mem.Access(t.leafLay.nextAddr(addr))
+		s.leaf, s.idx = t.next(leaf), 0
 	}
-	if s.leaf == nil {
+	if s.leaf == 0 {
 		s.done = true
 		return s
 	}
@@ -108,20 +110,12 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 	return s
 }
 
-// advanceLeafNoPrefetch steps to the next leaf without the prefetch
-// cursor (used only for the initial positioning edge case).
-func (s *Scanner) advanceLeafNoPrefetch() {
-	s.t.mem.Access(s.t.leafLay.nextAddr(s.leaf.addr))
-	s.leaf = s.leaf.next
-	s.idx = 0
-}
-
 // startupExternal performs the startup phase of section 3.3: locate
 // the starting leaf in the jump-pointer array, prefetch the current
 // and next chunks, and range-prefetch the first k leaves.
 func (s *Scanner) startupExternal() {
 	t := s.t
-	s.ck, s.ckIdx = t.jpLocate(s.leaf)
+	s.ck, s.ckIdx = t.jpLocate(t.view(s.leaf))
 	t.traceNode(LevelNone, KindChunk)
 	t.pfChunk(s.ck)
 	if s.ck.next != nil {
@@ -160,7 +154,7 @@ func (s *Scanner) prefetchNextExternal() {
 			continue
 		}
 		t.mem.Access(ck.slotAddr(i))
-		if ck.slots[i] != nil {
+		if ck.slots[i] != 0 {
 			break
 		}
 		i++
@@ -176,12 +170,12 @@ func (s *Scanner) prefetchNextExternal() {
 // needed (section 3.5).
 func (s *Scanner) startupInternal() {
 	t := s.t
-	if s.bn == nil {
+	if s.bn == 0 {
 		return // the root is a leaf: nothing to prefetch across
 	}
 	t.traceNode(t.height-2, KindBottom)
-	if s.bn.next != nil {
-		t.pfNode(s.bn.next)
+	if next := t.next(t.view(s.bn)); next != 0 {
+		t.pfNode(t.locate(next))
 	}
 	for i := 1; i < t.cfg.PrefetchDist; i++ {
 		s.prefetchNextInternal()
@@ -191,35 +185,35 @@ func (s *Scanner) startupInternal() {
 // prefetchNextInternal advances the internal cursor one child and
 // range-prefetches that leaf.
 func (s *Scanner) prefetchNextInternal() {
-	if s.cursorDone || s.bn == nil {
+	if s.cursorDone || s.bn == 0 {
 		return
 	}
 	t := s.t
 	t.traceNode(t.height-2, KindBottom)
 	i := s.bnIdx + 1
-	bn := s.bn
-	if i > bn.nkeys {
-		if bn.next == nil {
+	bn := t.view(s.bn)
+	if i > bn.count() {
+		if t.next(bn) == 0 {
 			s.cursorDone = true
 			return
 		}
-		bn = bn.next
+		bn = t.view(t.next(bn))
 		i = 0
-		if bn.next != nil {
-			t.pfNode(bn.next)
+		if t.next(bn) != 0 {
+			t.pfNode(t.locate(t.next(bn)))
 		}
 	}
-	s.bn, s.bnIdx = bn, i
-	t.mem.Access(t.bottomLay.ptrAddr(bn.addr, i))
-	s.rangePrefetchLeaf(bn.children[i])
+	s.bn, s.bnIdx = bn.id, i
+	t.mem.Access(t.bottomLay.ptrAddr(t.addr(bn), i))
+	s.rangePrefetchLeaf(nodeID(t.ptrs(bn)[i]))
 }
 
 // rangePrefetchLeaf prefetches all lines of a leaf plus the return
 // buffer area it will be copied into.
-func (s *Scanner) rangePrefetchLeaf(leaf *node) {
+func (s *Scanner) rangePrefetchLeaf(leaf nodeID) {
 	t := s.t
 	t.traceNode(t.height-1, KindLeaf)
-	t.pfNode(leaf)
+	t.pfNode(t.locate(leaf))
 	if s.bufBytes > 0 && !t.cfg.Ablation.NoBufferPrefetch {
 		n := t.leafLay.maxKeys * fieldSize
 		if s.bufPF+n > s.bufBytes {
@@ -278,47 +272,57 @@ func (s *Scanner) Next(buf []TID) int {
 	// all of it is attributed to the leaf level.
 	t.traceNode(t.height-1, KindLeaf)
 	written := 0
+	lay := &t.leafLay
+	leaf := t.view(s.leaf)
 	for {
-		leaf := s.leaf
-		lay := t.leafLay
-		for s.idx < leaf.nkeys {
+		keys := t.keys(leaf)[:leaf.count()]
+		tids := t.ptrs(leaf)[:len(keys)]
+		addr := t.addr(leaf)
+		for s.idx < len(keys) {
 			// The boundary check touches the key line; its comparison
 			// is part of the per-tuple Copy cost (the paper's copy
 			// loop is count-driven, not a per-key binary search).
-			t.mem.Access(lay.keyAddr(leaf.addr, s.idx))
-			if leaf.keys[s.idx] > s.end {
+			t.mem.Access(lay.keyAddr(addr, s.idx))
+			if Key(keys[s.idx]) > s.end {
 				s.done = true
 				return written
 			}
 			if written == len(buf) {
 				return written
 			}
-			t.mem.Access(lay.ptrAddr(leaf.addr, s.idx))
+			t.mem.Access(lay.ptrAddr(addr, s.idx))
 			t.mem.Access(s.bufAddr + uint64(written*fieldSize))
 			t.mem.Compute(t.cost.Copy)
-			buf[written] = leaf.tids[s.idx]
+			buf[written] = TID(tids[s.idx])
 			written++
 			s.idx++
 		}
-		// Advance to the next leaf, keeping the prefetch cursor k
-		// nodes ahead.
-		t.mem.Access(lay.nextAddr(leaf.addr))
-		if !s.noPrefetch {
-			switch t.cfg.JumpArray {
-			case JumpExternal:
-				s.prefetchNextExternal()
-			case JumpInternal:
-				s.prefetchNextInternal()
-			}
-		}
-		s.leaf = leaf.next
-		s.idx = 0
-		if s.leaf == nil {
-			s.done = true
+		if leaf = s.advanceLeaf(leaf, addr, written); s.done {
 			return written
 		}
-		s.visitLeafForScan(s.leaf, written)
 	}
+}
+
+// advanceLeaf steps a scan off the end of leaf to the next one,
+// keeping the prefetch cursor k nodes ahead, and marks the scan done
+// when the chain ends.
+func (s *Scanner) advanceLeaf(leaf node, addr uint64, written int) node {
+	t := s.t
+	t.mem.Access(t.leafLay.nextAddr(addr))
+	if !s.noPrefetch {
+		switch t.cfg.JumpArray {
+		case JumpExternal:
+			s.prefetchNextExternal()
+		case JumpInternal:
+			s.prefetchNextInternal()
+		}
+	}
+	s.leaf, s.idx = t.next(leaf), 0
+	if s.leaf == 0 {
+		s.done = true
+		return leaf
+	}
+	return s.visitLeafForScan(s.leaf, written)
 }
 
 // visitLeafForScan models arriving at a leaf mid-scan: with
@@ -326,8 +330,10 @@ func (s *Scanner) Next(buf []TID) int {
 // its return-buffer area are prefetched here (they could not be
 // prefetched earlier); with a jump-pointer array they were prefetched
 // k nodes ago and this is free beyond the keynum read.
-func (s *Scanner) visitLeafForScan(n *node, written int) {
+func (s *Scanner) visitLeafForScan(id nodeID, written int) node {
 	t := s.t
+	n := t.locate(id)
+	addr := t.addr(n)
 	t.traceNode(t.height-1, KindLeaf)
 	if t.cfg.Prefetch && !s.noPrefetch && t.cfg.JumpArray == JumpNone {
 		t.pfNode(n)
@@ -344,8 +350,9 @@ func (s *Scanner) visitLeafForScan(n *node, written int) {
 			}
 		}
 	}
-	t.mem.Access(n.addr)
+	t.mem.Access(addr)
 	t.mem.Compute(t.cost.Visit)
+	return resolve(n)
 }
 
 // NextPairs is Next, but copies <key, tupleID> pairs instead of bare
@@ -387,41 +394,31 @@ func (s *Scanner) NextPairs(buf []Pair) int {
 
 	t.traceNode(t.height-1, KindLeaf)
 	written := 0
+	lay := &t.leafLay
+	leaf := t.view(s.leaf)
 	for {
-		leaf := s.leaf
-		lay := t.leafLay
-		for s.idx < leaf.nkeys {
-			t.mem.Access(lay.keyAddr(leaf.addr, s.idx))
-			if leaf.keys[s.idx] > s.end {
+		keys := t.keys(leaf)[:leaf.count()]
+		tids := t.ptrs(leaf)[:len(keys)]
+		addr := t.addr(leaf)
+		for s.idx < len(keys) {
+			t.mem.Access(lay.keyAddr(addr, s.idx))
+			if Key(keys[s.idx]) > s.end {
 				s.done = true
 				return written
 			}
 			if written == len(buf) {
 				return written
 			}
-			t.mem.Access(lay.ptrAddr(leaf.addr, s.idx))
+			t.mem.Access(lay.ptrAddr(addr, s.idx))
 			t.mem.Access(s.bufAddr + uint64(written*2*fieldSize))
 			t.mem.Compute(t.cost.Copy)
-			buf[written] = Pair{Key: leaf.keys[s.idx], TID: leaf.tids[s.idx]}
+			buf[written] = Pair{Key: Key(keys[s.idx]), TID: TID(tids[s.idx])}
 			written++
 			s.idx++
 		}
-		t.mem.Access(lay.nextAddr(leaf.addr))
-		if !s.noPrefetch {
-			switch t.cfg.JumpArray {
-			case JumpExternal:
-				s.prefetchNextExternal()
-			case JumpInternal:
-				s.prefetchNextInternal()
-			}
-		}
-		s.leaf = leaf.next
-		s.idx = 0
-		if s.leaf == nil {
-			s.done = true
+		if leaf = s.advanceLeaf(leaf, addr, written); s.done {
 			return written
 		}
-		s.visitLeafForScan(s.leaf, written)
 	}
 }
 

@@ -2,37 +2,44 @@ package core
 
 // visit models arriving at a node: if prefetching is enabled, all
 // lines of the node are prefetched (section 2.1), then the keynum
-// field is read. The per-node visit overhead is charged here.
-func (t *Tree) visit(n *node) {
+// field is read. The per-node visit overhead is charged here. The
+// block is prefetched before its first word is loaded, so the header
+// read already overlaps the other lines.
+func (t *Tree) visit(id nodeID) (node, uint64) {
+	n := t.locate(id)
 	if t.cfg.Prefetch {
 		t.pfNode(n)
 	}
-	t.mem.Access(n.addr) // keynum
+	addr := t.addr(n)
+	t.mem.Access(addr) // keynum
 	t.mem.Compute(t.cost.Visit)
+	return resolve(n), addr
 }
 
-// searchKeys finds key within n. It returns the number of entries
-// <= key (the upper bound), and whether an exact match exists: on a
-// hit, ub-1 is the position of the match. A simulated tree runs the
-// paper's probe-per-key binary search, charging each probe; a native
-// tree runs an unrolled data-parallel pass over the key array (BS-tree
-// style), which has no mispredictions to pay and reads the array
-// strictly left to right — the lines pfNode has just asked for.
-func (t *Tree) searchKeys(n *node, key Key) (ub int, found bool) {
+// searchKeys finds key within n, whose simulated address is addr. It
+// returns the number of entries <= key (the upper bound), and whether
+// an exact match exists: on a hit, ub-1 is the position of the match.
+// A simulated tree runs the paper's probe-per-key binary search,
+// charging each probe; a native tree runs an unrolled data-parallel
+// pass over the key array (BS-tree style), which has no mispredictions
+// to pay and reads the array strictly left to right — the lines pfNode
+// has just asked for.
+func (t *Tree) searchKeys(n node, addr uint64, key Key) (ub int, found bool) {
+	keys := t.keys(n)[:n.count()]
+	keyAddr := t.lay(n).keyAddr(addr, 0)
 	if t.native {
-		lb := t.lowerBoundBranchless(n, key)
-		if lb < n.nkeys && n.keys[lb] == key {
+		lb := t.lowerBoundBranchless(keys, keyAddr, key)
+		if lb < len(keys) && Key(keys[lb]) == key {
 			return lb + 1, true
 		}
 		return lb, false
 	}
-	lay := t.lay(n)
-	lo, hi := 0, n.nkeys // invariant: keys[:lo] <= key < keys[hi:]
+	lo, hi := 0, len(keys) // invariant: keys[:lo] <= key < keys[hi:]
 	for lo < hi {
 		mid := (lo + hi) / 2
-		t.mem.Access(lay.keyAddr(n.addr, mid))
+		t.mem.Access(keyAddr + uint64(mid*fieldSize))
 		t.mem.Compute(t.cost.Compare)
-		switch k := n.keys[mid]; {
+		switch k := Key(keys[mid]); {
 		case k == key:
 			return mid + 1, true
 		case k < key:
@@ -44,15 +51,15 @@ func (t *Tree) searchKeys(n *node, key Key) (ub int, found bool) {
 	return lo, false
 }
 
-// lowerBoundBranchless returns the first position in [0, n.nkeys)
-// whose key is >= key (n.nkeys if none) without a single
-// data-dependent branch: the count of keys < key is accumulated with
-// unrolled 8-wide compare-and-add blocks, each comparison a
-// subtract-and-shift. The pass reads the key array strictly
-// left-to-right, so it is charged as one ranged access plus one
-// compare per (full or partial) block rather than a probe per key.
-func (t *Tree) lowerBoundBranchless(n *node, key Key) int {
-	keys := n.keys[:n.nkeys]
+// lowerBoundBranchless returns the first position in keys, a node's
+// occupied key words at simulated address keyAddr, whose key is >= key
+// (len(keys) if none) without a single data-dependent branch: the
+// count of keys < key is accumulated with unrolled 8-wide
+// compare-and-add blocks, each comparison a subtract-and-shift. The
+// pass reads the key array strictly left-to-right, so it is charged as
+// one ranged access plus one compare per (full or partial) block
+// rather than a probe per key.
+func (t *Tree) lowerBoundBranchless(keys []uint32, keyAddr uint64, key Key) int {
 	if len(keys) == 0 {
 		return 0
 	}
@@ -72,7 +79,7 @@ func (t *Tree) lowerBoundBranchless(n *node, key Key) int {
 	for ; i < len(keys); i++ {
 		lb += int((uint64(keys[i]) - k) >> 63)
 	}
-	t.mem.AccessRange(t.lay(n).keyAddr(n.addr, 0), len(keys)*fieldSize)
+	t.mem.AccessRange(keyAddr, len(keys)*fieldSize)
 	t.mem.Compute(t.cost.Compare * uint64((len(keys)+7)/8))
 	return lb
 }
@@ -82,32 +89,32 @@ func (t *Tree) lowerBoundBranchless(n *node, key Key) int {
 // It is the shared descent of every operation; read-only operations
 // pass a rec that records into caller-owned state (or nil), keeping
 // them free of writes to shared tree scratch so a frozen tree supports
-// concurrent readers on a native memory model.
-func (t *Tree) walk(key Key, rec func(n *node, idx int)) *node {
-	n := t.root
-	for level := 0; !n.leaf; level++ {
-		t.traceNode(level, kindOf(n))
-		t.visit(n)
-		idx, _ := t.searchKeys(n, key)
-		t.mem.Access(t.lay(n).ptrAddr(n.addr, idx))
+// concurrent readers on a native memory model. It returns the leaf and
+// its simulated address.
+func (t *Tree) walk(key Key, rec func(n node, idx int)) (node, uint64) {
+	id := t.root
+	for level := 0; level < t.height-1; level++ {
+		t.traceNode(level, t.kindAt(level))
+		n, addr := t.visit(id)
+		idx, _ := t.searchKeys(n, addr, key)
+		t.mem.Access(t.lay(n).ptrAddr(addr, idx))
 		if rec != nil {
 			rec(n, idx)
 		}
-		n = n.children[idx]
+		id = nodeID(t.ptrs(n)[idx])
 	}
 	t.traceNode(t.height-1, KindLeaf)
-	t.visit(n)
-	return n
+	return t.visit(id)
 }
 
 // descend walks from the root to the leaf that owns key, recording the
 // path (node and chosen child index per non-leaf level) in t.path.
 // It returns the leaf. Mutating operations only: the shared path
 // scratch makes it unsafe for concurrent readers.
-func (t *Tree) descend(key Key) *node {
+func (t *Tree) descend(key Key) (node, uint64) {
 	t.path = t.path[:0]
-	return t.walk(key, func(n *node, idx int) {
-		t.path = append(t.path, pathEntry{n: n, idx: idx})
+	return t.walk(key, func(n node, idx int) {
+		t.path = append(t.path, pathEntry{id: n.id, idx: idx})
 	})
 }
 
@@ -118,22 +125,22 @@ func (t *Tree) Search(key Key) (TID, bool) {
 		defer t.trc.EndOp(OpSearch)
 	}
 	t.mem.Compute(t.cost.Op)
-	n := t.walk(key, nil)
-	ub, found := t.searchKeys(n, key)
+	n, addr := t.walk(key, nil)
+	ub, found := t.searchKeys(n, addr, key)
 	if !found {
 		return 0, false
 	}
 	i := ub - 1
-	t.mem.Access(t.leafLay.ptrAddr(n.addr, i))
-	return n.tids[i], true
+	t.mem.Access(t.leafLay.ptrAddr(addr, i))
+	return TID(t.ptrs(n)[i]), true
 }
 
 // findLeaf returns the leaf that owns key together with the position
 // of key within it (insertion position if absent). It is the shared
 // first phase of Insert and Delete; it records the descent in t.path
 // for the structural updates that may follow.
-func (t *Tree) findLeaf(key Key) (n *node, ub int, found bool) {
-	n = t.descend(key)
-	ub, found = t.searchKeys(n, key)
+func (t *Tree) findLeaf(key Key) (n node, ub int, found bool) {
+	n, addr := t.descend(key)
+	ub, found = t.searchKeys(n, addr, key)
 	return n, ub, found
 }

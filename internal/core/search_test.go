@@ -19,29 +19,30 @@ func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
 
 	for width := 0; width <= maxW; width++ {
 		for trial := 0; trial < 25; trial++ {
-			keys := make([]Key, maxW)
+			n := tr.view(tr.root) // the tree's lone leaf, filled by hand
+			keys := tr.keys(n)
 			for i := 0; i < width; i++ {
 				switch r.Intn(10) {
 				case 0:
 					keys[i] = 0
 				case 1:
-					keys[i] = MaxKey
+					keys[i] = uint32(MaxKey)
 				case 2, 3, 4: // force runs of duplicates
-					keys[i] = Key(r.Intn(4) * 1000)
+					keys[i] = uint32(r.Intn(4) * 1000)
 				default:
-					keys[i] = Key(r.Uint32())
+					keys[i] = r.Uint32()
 				}
 			}
 			sort.Slice(keys[:width], func(i, j int) bool { return keys[i] < keys[j] })
-			n := &node{leaf: true, nkeys: width, keys: keys}
+			n.setCount(width)
 
 			probes := []Key{0, 1, MaxKey, MaxKey - 1, Key(r.Uint32())}
 			for i := 0; i < width; i++ {
-				probes = append(probes, keys[i], keys[i]-1, keys[i]+1)
+				probes = append(probes, Key(keys[i]), Key(keys[i]-1), Key(keys[i]+1))
 			}
 			for _, p := range probes {
-				got := tr.lowerBoundBranchless(n, p)
-				want := sort.Search(width, func(i int) bool { return keys[i] >= p })
+				got := tr.lowerBoundBranchless(keys[:width], 0, p)
+				want := sort.Search(width, func(i int) bool { return Key(keys[i]) >= p })
 				if got != want {
 					t.Fatalf("width %d: lowerBoundBranchless(%d) = %d, want %d (keys %v)",
 						width, p, got, want, keys[:width])
@@ -54,12 +55,12 @@ func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
 // searchOracle verifies one searchKeys result against the leaf's
 // entries: a hit must return the matching position, a miss a valid
 // lower bound.
-func searchOracle(t *testing.T, tr *Tree, n *node, key Key) {
+func searchOracle(t *testing.T, tr *Tree, n node, key Key) {
 	t.Helper()
-	ub, found := tr.searchKeys(n, key)
-	keys := n.keys[:n.nkeys]
-	lb := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
-	inLeaf := lb < len(keys) && keys[lb] == key
+	ub, found := tr.searchKeys(n, tr.addr(n), key)
+	keys := tr.keys(n)[:n.count()]
+	lb := sort.Search(len(keys), func(i int) bool { return Key(keys[i]) >= key })
+	inLeaf := lb < len(keys) && Key(keys[lb]) == key
 	if found != inLeaf {
 		t.Fatalf("%s: searchKeys(%d) found=%v, leaf holds it: %v", tr.Name(), key, found, inLeaf)
 	}
@@ -84,7 +85,7 @@ func TestSearchKeysPropertyAllLayouts(t *testing.T) {
 
 			// Empty tree: the root leaf has no entries.
 			for _, p := range []Key{0, 7, MaxKey} {
-				searchOracle(t, tr, tr.root, p)
+				searchOracle(t, tr, tr.view(tr.root), p)
 			}
 
 			for op := 0; op < 3000; op++ {
@@ -98,10 +99,10 @@ func TestSearchKeysPropertyAllLayouts(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatalf("w=%d native=%v: %v", width, tr.native, err)
 			}
-			for n := tr.leftmostLeaf(); n != nil; n = n.next {
+			for _, n := range leafViews(tr) {
 				probes := []Key{0, MaxKey}
-				for _, k := range n.keys[:n.nkeys] {
-					probes = append(probes, k, k-1, k+1)
+				for _, k := range tr.keys(n)[:n.count()] {
+					probes = append(probes, Key(k), Key(k-1), Key(k+1))
 				}
 				for _, p := range probes {
 					searchOracle(t, tr, n, p)

@@ -50,9 +50,11 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	}
 	// Stream the pairs in key order off the leaf chain.
 	buf := make([]uint32, 0, 2*512)
-	for n := t.leftmostLeaf(); n != nil; n = n.next {
-		for i := 0; i < n.nkeys; i++ {
-			buf = append(buf, uint32(n.keys[i]), uint32(n.tids[i]))
+	for id := t.leftmostLeaf(); id != 0; {
+		n := t.view(id)
+		tids := t.ptrs(n)
+		for i, k := range t.keys(n)[:n.count()] {
+			buf = append(buf, k, tids[i])
 			if len(buf) == cap(buf) {
 				if err := binary.Write(cw, binary.LittleEndian, buf); err != nil {
 					return cw.n, err
@@ -60,6 +62,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 				buf = buf[:0]
 			}
 		}
+		id = t.next(n)
 	}
 	if len(buf) > 0 {
 		if err := binary.Write(cw, binary.LittleEndian, buf); err != nil {
@@ -127,13 +130,11 @@ func Load(r io.Reader, mem memsys.Model, fill float64) (*Tree, error) {
 	// Stream the pairs in bounded chunks: memory stays proportional to
 	// what the reader actually delivers, so a huge Count in a truncated
 	// stream fails with an error instead of exhausting memory.
-	pairs := make([]Pair, 0, min(h.Count, loadChunkPairs))
-	raw := make([]uint32, 0, 2*loadChunkPairs)
+	chunk := min(h.Count, loadChunkPairs)
+	pairs := make([]Pair, 0, chunk)
+	raw := make([]uint32, 0, 2*chunk)
 	for remaining := h.Count; remaining > 0; {
-		n := uint64(loadChunkPairs)
-		if remaining < n {
-			n = remaining
-		}
+		n := min(remaining, chunk)
 		raw = raw[:2*n]
 		if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
 			return nil, fmt.Errorf("core: reading %d pairs: %w", h.Count, err)

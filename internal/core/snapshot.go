@@ -11,10 +11,13 @@ package core
 // key order and returns the extended slice. Pass a slice with spare
 // capacity (e.g. make([]Pair, 0, t.Len())) to avoid reallocation.
 func (t *Tree) AppendPairs(dst []Pair) []Pair {
-	for n := t.leftmostLeaf(); n != nil; n = n.next {
-		for i := 0; i < n.nkeys; i++ {
-			dst = append(dst, Pair{Key: n.keys[i], TID: n.tids[i]})
+	for id := t.leftmostLeaf(); id != 0; {
+		n := t.view(id)
+		tids := t.ptrs(n)
+		for i, k := range t.keys(n)[:n.count()] {
+			dst = append(dst, Pair{Key: Key(k), TID: TID(tids[i])})
 		}
+		id = t.next(n)
 	}
 	return dst
 }

@@ -135,32 +135,21 @@ func (ts Tracers) Node(level int, kind NodeKind) {
 	}
 }
 
-// kindOf classifies a node for attribution.
-func kindOf(n *node) NodeKind {
-	switch {
-	case n.leaf:
+// kindAt classifies a node a descent has not read yet: every leaf is
+// at the same depth, so the level alone decides the kind.
+func (t *Tree) kindAt(level int) NodeKind {
+	switch t.height - 1 - level {
+	case 0:
 		return KindLeaf
-	case n.bottom:
+	case 1:
 		return KindBottom
 	default:
 		return KindNonLeaf
 	}
 }
 
-// beginOp/endOp/traceNode are the nil-guarded notification helpers the
-// operation code calls.
-func (t *Tree) beginOp(op OpKind) {
-	if t.trc != nil {
-		t.trc.BeginOp(op)
-	}
-}
-
-func (t *Tree) endOp(op OpKind) {
-	if t.trc != nil {
-		t.trc.EndOp(op)
-	}
-}
-
+// traceNode is the nil-guarded notification helper the operation code
+// calls.
 func (t *Tree) traceNode(level int, kind NodeKind) {
 	if t.trc != nil {
 		t.trc.Node(level, kind)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"pbtree/internal/memsys"
 )
 
@@ -39,39 +41,51 @@ type Tree struct {
 	// native records, once, that the model is a *memsys.Native. It is
 	// the only thing that selects a code path: a native tree searches
 	// nodes branchlessly (search.go) and issues real prefetch
-	// instructions for its real backing arrays (hwprefetch.go); a
-	// simulated tree runs the paper's probe-per-key binary search and
-	// only ever charges simulated addresses.
+	// instructions for its real blocks (hwprefetch.go); a simulated
+	// tree runs the paper's probe-per-key binary search and only ever
+	// charges simulated addresses.
 	native bool
 
 	leafLay, nlLay, bottomLay layout
 
-	root   *node
+	// The node arena (node.go): fixed-size blocks in pointer-free
+	// slabs, named by id. addrs[id] is a node's simulated address,
+	// kept by a simulated tree only.
+	blockWords int        // uint32 words per block
+	slabShift  uint       // a full slab holds 1<<slabShift blocks
+	slabMask   uint32     // 1<<slabShift - 1
+	slabs      [][]uint32 // all but the last are full
+	high       nodeID     // blocks carved so far: ids 1..high exist
+	free       nodeID     // head of the free list
+	addrs      []uint64
+
+	root   nodeID
 	height int // levels, counting the leaf level; 1 for a lone leaf
 	count  int // number of <key,tid> pairs
 
-	// External jump-pointer array (JumpExternal only).
+	// External jump-pointer array (JumpExternal only). Chunks stay Go
+	// objects; a leaf's hint names its chunk by index in chunks.
 	jpHead *chunk
 	jpCap  int // pointer slots per chunk
+	chunks []*chunk
 
 	// firstBottom is the head of the internal jump-pointer array
 	// (JumpInternal only): the leftmost bottom non-leaf node.
-	firstBottom *node
+	firstBottom nodeID
 
 	stats UpdateStats
 
 	// path is a scratch buffer for the root-to-leaf descent; the
 	// s-prefixed slices are scratch space for node splits.
-	path      []pathEntry
-	skeys     []Key
-	stids     []TID
-	schildren []*node
+	path  []pathEntry
+	skeys []uint32
+	sptrs []uint32
 }
 
-// pathEntry records one step of a root-to-leaf descent: node n was
-// left through children[idx].
+// pathEntry records one step of a root-to-leaf descent: node id was
+// left through its child idx (an id, not a view: splits allocate).
 type pathEntry struct {
-	n   *node
+	id  nodeID
 	idx int
 }
 
@@ -101,10 +115,14 @@ func New(cfg Config) (*Tree, error) {
 		// prev) followed by leaf-pointer slots.
 		t.jpCap = (cfg.ChunkLines*mc.LineSize)/fieldSize - 2
 	}
-	t.root = t.newLeaf()
+	t.blockWords = t.leafLay.size / fieldSize
+	t.slabShift = uint(bits.Len(uint(max(1, slabBytes/t.leafLay.size)))) - 1
+	t.slabMask = 1<<t.slabShift - 1
+	t.resetArena(1)
+	t.root = t.newNode(leafFlag)
 	t.height = 1
 	if cfg.JumpArray == JumpExternal {
-		t.jpBulkload([]*node{t.root}, 1)
+		t.jpBulkload(t.root, 1, 1)
 	}
 	return t, nil
 }
@@ -142,8 +160,10 @@ func (t *Tree) UpdateStats() UpdateStats { return t.stats }
 // ResetUpdateStats zeroes the structural counters.
 func (t *Tree) ResetUpdateStats() { t.stats = UpdateStats{} }
 
-// SpaceUsed reports the simulated bytes allocated for nodes and
-// jump-pointer array chunks.
+// SpaceUsed reports the bytes allocated for nodes and jump-pointer
+// array chunks. On a simulated tree they are simulated bytes; on a
+// native tree they are the real ones — a node is one block of exactly
+// the simulated size, counted once however often it is recycled.
 func (t *Tree) SpaceUsed() uint64 { return t.space.Used() }
 
 // LeafCapacity reports the maximum number of pairs per leaf node.

@@ -15,7 +15,8 @@
 // On a memsys.Hierarchy all memory behaviour is simulated: the tree
 // charges its key comparisons, copies and memory references to the
 // hierarchy, and the experiment harness reads execution time off the
-// simulated cycle clock. The data itself lives in ordinary Go values,
+// simulated cycle clock. The data itself lives in real memory — every
+// node one block of Width lines in a pointer-free arena (node.go) —
 // so the trees are also fully functional indexes; on a memsys.Native
 // model the same code runs at hardware speed with real prefetch
 // instructions (see Config.Mem).
@@ -124,7 +125,7 @@ type Config struct {
 	// every prefetch a modeled one, cycle-accurate. On a
 	// *memsys.Native it runs at real wall-clock speed: the same
 	// prefetches (where Prefetch asks for them) are also issued as
-	// real CPU instructions against the nodes' backing arrays, and the
+	// real CPU instructions against the nodes' blocks, and the
 	// intra-node search is an unrolled branch-free pass over the key
 	// array. Both return the same answers and build the same
 	// structure. Nil selects a fresh memsys.Default() simulated

@@ -4,7 +4,7 @@ package memsys
 // amd64, PRFM PLDL1KEEP on arm64; see prefetch_*.s) that turn the
 // paper's software prefetches into real instructions. Indexes on a
 // Native model call the two functions below directly with the real
-// addresses of their backing arrays; no Model method ever does — the
+// addresses of their nodes and buffers; no Model method ever does — the
 // Hierarchy's Prefetch models a prefetch of a simulated address, the
 // Native model's only counts one. Which implementation a build gets
 // (assembly, or the no-op stubs of prefetch_generic.go on other
