@@ -3,13 +3,13 @@
 # package + the smoke tests (serve, recover, admin, failover) + the
 # benchmark harness's own tests and a quick pass of the benchmark
 # itself + a short fuzz of every Fuzz target + the documentation gate +
-# the cross-compile matrix.
+# the charge gate + the cross-compile matrix.
 
 GO ?= go
 
-.PHONY: check build test race vet conformance smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness docs-check cross
+.PHONY: check build test race vet conformance smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness docs-check charge-gate cross
 
-check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover bench-harness fuzz-smoke docs-check cross
+check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover bench-harness fuzz-smoke docs-check charge-gate cross
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,14 @@ bench-harness:
 # metric-family test (README.md and DESIGN.md against /metrics).
 docs-check:
 	sh scripts/docs_check.sh
+
+# Charge gate: a native tree charges no memory model. Fails if a
+# non-test file of internal/core other than charge.go calls a model
+# verb directly, or if the compiler stops inlining one of the five
+# charge helpers — the two ways the serving tree starts paying the
+# simulator's dispatch again without any test noticing.
+charge-gate:
+	GO=$(GO) sh scripts/charge_gate.sh
 
 # Cross-compile matrix: the hardware prefetch stubs must assemble on
 # both asm targets and the module must still build where no stub

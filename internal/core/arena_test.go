@@ -143,12 +143,12 @@ func TestArenaRecyclesBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tr.high != high {
-			t.Errorf("native=%v: refill carved %d blocks, the first fill %d", tr.native, tr.high, high)
+			t.Errorf("native=%v: refill carved %d blocks, the first fill %d", tr.sim == nil, tr.high, high)
 		}
-		if tr.native && tr.SpaceUsed() != used {
+		if tr.sim == nil && tr.SpaceUsed() != used {
 			t.Errorf("native SpaceUsed moved %d -> %d over a delete/refill cycle", used, tr.SpaceUsed())
 		}
-		if !tr.native && tr.SpaceUsed() <= used {
+		if tr.sim != nil && tr.SpaceUsed() <= used {
 			t.Errorf("simulated addresses were recycled: SpaceUsed %d -> %d", used, tr.SpaceUsed())
 		}
 	}
@@ -210,6 +210,24 @@ func TestArenaAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.SearchBatch(keys, tids, found) }); n != 0 {
 		t.Errorf("SearchBatch(16) allocates %v times", n)
+	}
+	// A scan step copies into the caller's buffer and nothing else,
+	// whether the run ends on a full buffer or on the end key.
+	sc, rows := tr.NewScan(pairs[0].Key, MaxKey), make([]Pair, 100)
+	if n := testing.AllocsPerRun(100, func() { sc.NextPairs(rows) }); n != 0 {
+		t.Errorf("NextPairs(100) allocates %v times", n)
+	}
+	bounded := make([]*Scanner, 0, 101)
+	for i := range cap(bounded) {
+		bounded = append(bounded, tr.NewScan(pairs[i*1000].Key, pairs[i*1000+30].Key))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if got := bounded[0].NextPairs(rows); got != 31 {
+			t.Fatalf("bounded scan returned %d rows, want 31", got)
+		}
+		bounded = bounded[1:]
+	}); n != 0 {
+		t.Errorf("NextPairs up to an end key allocates %v times", n)
 	}
 	limit := float64(len(tr.slabs) + 4*tr.Height())
 	if n := testing.AllocsPerRun(3, func() {

@@ -71,7 +71,7 @@ func (t *Tree) Bulkload(pairs []Pair, fill float64) error {
 			for id := first; id+1 < first+nodeID(len(counts)); id++ {
 				n := t.view(id)
 				t.setNext(n, id+1)
-				t.mem.Access(t.bottomLay.nextAddr(t.addr(n)))
+				t.access(t.bottomLay.nextAddr(t.addr(n)))
 			}
 		}
 		t.height++
@@ -110,7 +110,7 @@ func (t *Tree) buildLeaves(pairs []Pair, per int) nodeID {
 		t.chargeLeafWrite(n, 0, len(chunk))
 		if start > 0 {
 			t.setNext(prev, n.id)
-			t.mem.Access(t.leafLay.nextAddr(t.addr(prev)))
+			t.access(t.leafLay.nextAddr(t.addr(prev)))
 		}
 		prev = n
 	}
@@ -179,11 +179,11 @@ func groupCounts(n, per, cap int) []int {
 // writing entries [from, to) of a leaf (keys, tids and keynum).
 func (t *Tree) chargeLeafWrite(n node, from, to int) {
 	if to > from {
-		t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
-		t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), from), (to-from)*fieldSize)
-		t.mem.Compute(t.cost.Move * uint64(2*(to-from)))
+		t.accessRange(t.leafLay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
+		t.accessRange(t.leafLay.ptrAddr(t.addr(n), from), (to-from)*fieldSize)
+		t.compute(t.cost.Move * uint64(2*(to-from)))
 	}
-	t.mem.Access(t.addr(n)) // keynum
+	t.access(t.addr(n)) // keynum
 }
 
 // chargeNonLeafWrite charges writing keys [from, to) and children
@@ -191,9 +191,9 @@ func (t *Tree) chargeLeafWrite(n node, from, to int) {
 func (t *Tree) chargeNonLeafWrite(n node, from, to int) {
 	lay := t.lay(n)
 	if to > from {
-		t.mem.AccessRange(lay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
-		t.mem.Compute(t.cost.Move * uint64(2*(to-from)+1))
+		t.accessRange(lay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
+		t.compute(t.cost.Move * uint64(2*(to-from)+1))
 	}
-	t.mem.AccessRange(lay.ptrAddr(t.addr(n), from), (to-from+1)*fieldSize)
-	t.mem.Access(t.addr(n))
+	t.accessRange(lay.ptrAddr(t.addr(n), from), (to-from+1)*fieldSize)
+	t.access(t.addr(n))
 }

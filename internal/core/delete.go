@@ -11,7 +11,7 @@ func (t *Tree) Delete(key Key) bool {
 		t.trc.BeginOp(OpDelete)
 		defer t.trc.EndOp(OpDelete)
 	}
-	t.mem.Compute(t.cost.Op)
+	t.compute(t.cost.Op)
 	leaf, ub, found := t.findLeaf(key)
 	if !found {
 		return false
@@ -24,7 +24,7 @@ func (t *Tree) Delete(key Key) bool {
 		return true
 	}
 	leaf.setCount(0)
-	t.mem.Access(t.addr(leaf))
+	t.access(t.addr(leaf))
 	t.fixEmpty(leaf, len(t.path)-1)
 	return true
 }
@@ -37,11 +37,11 @@ func (t *Tree) leafRemoveAt(n node, i int) {
 	copy(tids[i:cnt-1], tids[i+1:cnt])
 	n.setCount(cnt - 1)
 	if moved > 0 {
-		t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), i), moved*fieldSize)
-		t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), i), moved*fieldSize)
+		t.accessRange(t.leafLay.keyAddr(t.addr(n), i), moved*fieldSize)
+		t.accessRange(t.leafLay.ptrAddr(t.addr(n), i), moved*fieldSize)
 	}
-	t.mem.Access(t.addr(n))
-	t.mem.Compute(t.cost.Move * uint64(2*moved))
+	t.access(t.addr(n))
+	t.compute(t.cost.Move * uint64(2*moved))
 }
 
 // fixEmpty restores the invariant that every non-root node holds at
@@ -109,7 +109,7 @@ func (t *Tree) collapseRoot() {
 		t.root = nodeID(t.ptrs(r)[0])
 		t.height--
 		nr := t.view(t.root)
-		t.mem.Access(t.lay(nr).ptrAddr(t.addr(nr), 0))
+		t.access(t.lay(nr).ptrAddr(t.addr(nr), 0))
 		if r.bottom() && t.cfg.JumpArray == JumpInternal {
 			t.firstBottom = 0
 		}
@@ -147,8 +147,8 @@ func (t *Tree) redistributeFromRight(parent node, ci int, n, rs node) {
 		t.chargeNonLeafWrite(n, 0, q)
 		t.chargeNonLeafWrite(rs, 0, rc-q)
 	}
-	t.mem.Access(t.lay(parent).keyAddr(t.addr(parent), ci))
-	t.mem.Compute(t.cost.Move)
+	t.access(t.lay(parent).keyAddr(t.addr(parent), ci))
+	t.compute(t.cost.Move)
 }
 
 // redistributeFromLeft refills empty node n with the last half of its
@@ -177,9 +177,9 @@ func (t *Tree) redistributeFromLeft(parent node, ci int, n, ls node) {
 		t.chargeNonLeafWrite(n, 0, q)
 	}
 	ls.setCount(start)
-	t.mem.Access(t.addr(ls))
-	t.mem.Access(t.lay(parent).keyAddr(t.addr(parent), ci-1))
-	t.mem.Compute(t.cost.Move)
+	t.access(t.addr(ls))
+	t.access(t.lay(parent).keyAddr(t.addr(parent), ci-1))
+	t.compute(t.cost.Move)
 }
 
 // mergeRightInto moves the single entry of rs into the empty node n
@@ -193,7 +193,7 @@ func (t *Tree) mergeRightInto(n, rs node, sep Key) {
 		n.setCount(1)
 		t.setNext(n, t.next(rs))
 		t.chargeLeafWriteCost(n, 0, 1)
-		t.mem.Access(t.leafLay.nextAddr(t.addr(n)))
+		t.access(t.leafLay.nextAddr(t.addr(n)))
 		if t.cfg.JumpArray == JumpExternal {
 			t.jpRemove(rs)
 		}
@@ -208,7 +208,7 @@ func (t *Tree) mergeRightInto(n, rs node, sep Key) {
 		n.setCount(rc + 1)
 		if n.bottom() && t.cfg.JumpArray == JumpInternal {
 			t.setNext(n, t.next(rs))
-			t.mem.Access(t.bottomLay.nextAddr(t.addr(n)))
+			t.access(t.bottomLay.nextAddr(t.addr(n)))
 		}
 		t.chargeNonLeafWrite(n, 0, rc+1)
 	}
@@ -218,7 +218,7 @@ func (t *Tree) mergeRightInto(n, rs node, sep Key) {
 // immediate left sibling under the same parent.
 func (t *Tree) unlinkNode(ls, n node) {
 	t.setNext(ls, t.next(n))
-	t.mem.Access(t.leafLay.nextAddr(t.addr(ls)))
+	t.access(t.leafLay.nextAddr(t.addr(ls)))
 	if t.cfg.JumpArray == JumpExternal {
 		t.jpRemove(n)
 	}
@@ -233,13 +233,13 @@ func (t *Tree) mergeIntoLeft(ls, n node, sep Key) {
 	t.keys(ls)[lc] = uint32(sep)
 	t.ptrs(ls)[lc+1] = t.ptrs(n)[0]
 	ls.setCount(lc + 1)
-	t.mem.Access(t.lay(ls).keyAddr(t.addr(ls), lc))
-	t.mem.Access(t.lay(ls).ptrAddr(t.addr(ls), lc+1))
-	t.mem.Access(t.addr(ls))
-	t.mem.Compute(t.cost.Move * 2)
+	t.access(t.lay(ls).keyAddr(t.addr(ls), lc))
+	t.access(t.lay(ls).ptrAddr(t.addr(ls), lc+1))
+	t.access(t.addr(ls))
+	t.compute(t.cost.Move * 2)
 	if ls.bottom() && t.cfg.JumpArray == JumpInternal {
 		t.setNext(ls, t.next(n))
-		t.mem.Access(t.bottomLay.nextAddr(t.addr(ls)))
+		t.access(t.bottomLay.nextAddr(t.addr(ls)))
 	}
 }
 
@@ -253,9 +253,9 @@ func (t *Tree) removeChildAt(parent node, j int) {
 	copy(children[j:cnt], children[j+1:cnt+1])
 	parent.setCount(cnt - 1)
 	if movedKeys > 0 {
-		t.mem.AccessRange(t.lay(parent).keyAddr(t.addr(parent), ki), movedKeys*fieldSize)
-		t.mem.AccessRange(t.lay(parent).ptrAddr(t.addr(parent), j), (movedKeys+1)*fieldSize)
-		t.mem.Compute(t.cost.Move * uint64(2*movedKeys+1))
+		t.accessRange(t.lay(parent).keyAddr(t.addr(parent), ki), movedKeys*fieldSize)
+		t.accessRange(t.lay(parent).ptrAddr(t.addr(parent), j), (movedKeys+1)*fieldSize)
+		t.compute(t.cost.Move * uint64(2*movedKeys+1))
 	}
-	t.mem.Access(t.addr(parent))
+	t.access(t.addr(parent))
 }

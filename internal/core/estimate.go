@@ -28,7 +28,7 @@ func (t *Tree) EstimateRange(start, end Key) int {
 // the last. The descent is recorded in a local buffer (not t.path) so
 // estimation stays safe for concurrent native-mode readers.
 func (t *Tree) fracPos(key Key) float64 {
-	t.mem.Compute(t.cost.Op)
+	t.compute(t.cost.Op)
 	var stack [24]struct{ idx, fanout int } // deeper than any realistic tree
 	path := stack[:0]
 	leaf, addr := t.walk(key, func(n node, idx int) {

@@ -58,7 +58,7 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 	nodes = nodes[:len(keys)]
 	for i := range nodes {
 		nodes[i] = t.root
-		t.mem.Compute(t.cost.Op)
+		t.compute(t.cost.Op)
 	}
 	for level := 0; ; level++ {
 		// Prefetch phase: issue every member's node prefetch before
@@ -80,10 +80,10 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 			n := t.view(id)
 			addr := t.addr(n)
 			t.traceNode(level, n.kind)
-			t.mem.Access(addr) // keynum
-			t.mem.Compute(t.cost.Visit)
+			t.access(addr) // keynum
+			t.compute(t.cost.Visit)
 			idx, _ := t.searchKeys(n, addr, keys[i])
-			t.mem.Access(t.lay(n).ptrAddr(addr, idx))
+			t.access(t.lay(n).ptrAddr(addr, idx))
 			nodes[i] = nodeID(t.ptrs(n)[idx])
 		}
 	}
@@ -92,15 +92,15 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 		n := t.view(id)
 		addr := t.addr(n)
 		t.traceNode(t.height-1, KindLeaf)
-		t.mem.Access(addr)
-		t.mem.Compute(t.cost.Visit)
+		t.access(addr)
+		t.compute(t.cost.Visit)
 		ub, ok := t.searchKeys(n, addr, keys[i])
 		found[i] = ok
 		if !ok {
 			tids[i] = 0
 			continue
 		}
-		t.mem.Access(t.leafLay.ptrAddr(addr, ub-1))
+		t.access(t.leafLay.ptrAddr(addr, ub-1))
 		tids[i] = TID(t.ptrs(n)[ub-1])
 	}
 }

@@ -13,12 +13,12 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 		t.trc.BeginOp(OpInsert)
 		defer t.trc.EndOp(OpInsert)
 	}
-	t.mem.Compute(t.cost.Op)
+	t.compute(t.cost.Op)
 	leaf, ub, found := t.findLeaf(key)
 	if found {
 		i := ub - 1
-		t.mem.Access(t.leafLay.ptrAddr(t.addr(leaf), i))
-		t.mem.Compute(t.cost.Copy)
+		t.access(t.leafLay.ptrAddr(t.addr(leaf), i))
+		t.compute(t.cost.Copy)
 		t.ptrs(leaf)[i] = uint32(tid)
 		return false
 	}
@@ -51,10 +51,10 @@ func (t *Tree) leafInsertAt(n node, pos int, key Key, tid TID) {
 	keys[pos] = uint32(key)
 	tids[pos] = uint32(tid)
 	n.setCount(cnt + 1)
-	t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), pos), (moved+1)*fieldSize)
-	t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), pos), (moved+1)*fieldSize)
-	t.mem.Access(t.addr(n))
-	t.mem.Compute(t.cost.Move * uint64(2*moved+2))
+	t.accessRange(t.leafLay.keyAddr(t.addr(n), pos), (moved+1)*fieldSize)
+	t.accessRange(t.leafLay.ptrAddr(t.addr(n), pos), (moved+1)*fieldSize)
+	t.access(t.addr(n))
+	t.compute(t.cost.Move * uint64(2*moved+2))
 }
 
 // splitLeaf splits the full leaf id around the insertion of
@@ -92,8 +92,8 @@ func (t *Tree) splitLeaf(id nodeID, pos int, key Key, tid TID) {
 
 	t.setNext(right, t.next(n))
 	t.setNext(n, right.id)
-	t.mem.Access(t.leafLay.nextAddr(t.addr(n)))
-	t.mem.Access(t.leafLay.nextAddr(t.addr(right)))
+	t.access(t.leafLay.nextAddr(t.addr(n)))
+	t.access(t.leafLay.nextAddr(t.addr(right)))
 
 	// Charge the data movement: the whole right half is written, and
 	// the left half shifted from pos onward (if the new pair landed
@@ -102,7 +102,7 @@ func (t *Tree) splitLeaf(id nodeID, pos int, key Key, tid TID) {
 	if pos < half {
 		t.chargeLeafWriteCost(n, pos, half)
 	}
-	t.mem.Access(t.addr(n))
+	t.access(t.addr(n))
 
 	if t.cfg.JumpArray == JumpExternal {
 		t.jpInsertAfter(n, right)
@@ -115,9 +115,9 @@ func (t *Tree) chargeLeafWriteCost(n node, from, to int) {
 	if to <= from {
 		return
 	}
-	t.mem.AccessRange(t.leafLay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
-	t.mem.AccessRange(t.leafLay.ptrAddr(t.addr(n), from), (to-from)*fieldSize)
-	t.mem.Compute(t.cost.Move * uint64(2*(to-from)))
+	t.accessRange(t.leafLay.keyAddr(t.addr(n), from), (to-from)*fieldSize)
+	t.accessRange(t.leafLay.ptrAddr(t.addr(n), from), (to-from)*fieldSize)
+	t.compute(t.cost.Move * uint64(2*(to-from)))
 }
 
 // insertIntoParent inserts (sep, right) above the node that just
@@ -171,10 +171,10 @@ func (t *Tree) nonLeafInsertAt(n node, idx int, sep Key, right nodeID) {
 	keys[idx] = uint32(sep)
 	children[idx+1] = uint32(right)
 	n.setCount(cnt + 1)
-	t.mem.AccessRange(t.lay(n).keyAddr(t.addr(n), idx), (moved+1)*fieldSize)
-	t.mem.AccessRange(t.lay(n).ptrAddr(t.addr(n), idx+1), (moved+1)*fieldSize)
-	t.mem.Access(t.addr(n))
-	t.mem.Compute(t.cost.Move * uint64(2*moved+2))
+	t.accessRange(t.lay(n).keyAddr(t.addr(n), idx), (moved+1)*fieldSize)
+	t.accessRange(t.lay(n).ptrAddr(t.addr(n), idx+1), (moved+1)*fieldSize)
+	t.access(t.addr(n))
+	t.compute(t.cost.Move * uint64(2*moved+2))
 }
 
 // splitNonLeaf splits the full non-leaf node id around the insertion
@@ -211,17 +211,17 @@ func (t *Tree) splitNonLeaf(id nodeID, idx int, sep Key, right nodeID) (Key, nod
 	if n.bottom() && t.cfg.JumpArray == JumpInternal {
 		t.setNext(nn, t.next(n))
 		t.setNext(n, nn.id)
-		t.mem.Access(t.bottomLay.nextAddr(t.addr(n)))
-		t.mem.Access(t.bottomLay.nextAddr(t.addr(nn)))
+		t.access(t.bottomLay.nextAddr(t.addr(n)))
+		t.access(t.bottomLay.nextAddr(t.addr(nn)))
 	}
 
 	t.chargeNonLeafWrite(nn, 0, nn.count())
 	if idx < mid {
-		t.mem.AccessRange(lay.keyAddr(t.addr(n), idx), (mid-idx)*fieldSize)
-		t.mem.AccessRange(lay.ptrAddr(t.addr(n), idx+1), (mid-idx)*fieldSize)
-		t.mem.Compute(t.cost.Move * uint64(2*(mid-idx)))
+		t.accessRange(lay.keyAddr(t.addr(n), idx), (mid-idx)*fieldSize)
+		t.accessRange(lay.ptrAddr(t.addr(n), idx+1), (mid-idx)*fieldSize)
+		t.compute(t.cost.Move * uint64(2*(mid-idx)))
 	}
-	t.mem.Access(t.addr(n))
+	t.access(t.addr(n))
 	return promoted, nn.id
 }
 

@@ -52,7 +52,7 @@ func (t *Tree) jpBulkload(first nodeID, n int, fill float64) {
 	for start := 0; start < n; start += occ {
 		end := min(start+occ, n)
 		ck := t.newChunk()
-		t.mem.AccessRange(ck.addr, t.chunkBytes())
+		t.accessRange(ck.addr, t.chunkBytes())
 		for j := start; j < end; j++ {
 			// Spread the occupied slots across the chunk so every
 			// insertion finds a nearby empty slot.
@@ -60,7 +60,7 @@ func (t *Tree) jpBulkload(first nodeID, n int, fill float64) {
 			leaf := t.view(first + nodeID(j))
 			ck.slots[slot] = leaf.id
 			t.setHint(leaf, ck, slot)
-			t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
+			t.access(t.leafLay.hintAddr(t.addr(leaf)))
 		}
 		ck.n = end - start
 		if tail == nil {
@@ -68,8 +68,8 @@ func (t *Tree) jpBulkload(first nodeID, n int, fill float64) {
 		} else {
 			tail.next = ck
 			ck.prev = tail
-			t.mem.Access(tail.addr)
-			t.mem.Access(ck.addr)
+			t.access(tail.addr)
+			t.access(ck.addr)
 		}
 		tail = ck
 	}
@@ -84,24 +84,24 @@ func (t *Tree) jpBulkload(first nodeID, n int, fill float64) {
 func (t *Tree) jpLocate(leaf node) (*chunk, int) {
 	h := t.hint(leaf)
 	ck := h.chunk
-	t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
+	t.access(t.leafLay.hintAddr(t.addr(leaf)))
 	t.traceNode(LevelNone, KindChunk)
-	t.mem.Access(ck.addr)
-	t.mem.Access(ck.slotAddr(h.slot))
+	t.access(ck.addr)
+	t.access(ck.slotAddr(h.slot))
 	if ck.slots[h.slot] == leaf.id {
 		return ck, h.slot
 	}
 	t.stats.HintRepairs++
 	for d := 1; d < len(ck.slots); d++ {
 		if i := h.slot + d; i < len(ck.slots) {
-			t.mem.Access(ck.slotAddr(i))
+			t.access(ck.slotAddr(i))
 			if ck.slots[i] == leaf.id {
 				t.setHint(leaf, ck, i)
 				return ck, i
 			}
 		}
 		if i := h.slot - d; i >= 0 {
-			t.mem.Access(ck.slotAddr(i))
+			t.access(ck.slotAddr(i))
 			if ck.slots[i] == leaf.id {
 				t.setHint(leaf, ck, i)
 				return ck, i
@@ -122,14 +122,14 @@ func (t *Tree) jpInsertAfter(left, newLeaf node) {
 	empty := -1
 	for d := 1; d < len(ck.slots); d++ {
 		if i := p + d; i < len(ck.slots) {
-			t.mem.Access(ck.slotAddr(i))
+			t.access(ck.slotAddr(i))
 			if ck.slots[i] == 0 {
 				empty = i
 				break
 			}
 		}
 		if i := p - d; i >= 0 {
-			t.mem.Access(ck.slotAddr(i))
+			t.access(ck.slotAddr(i))
 			if ck.slots[i] == 0 {
 				empty = i
 				break
@@ -145,9 +145,9 @@ func (t *Tree) jpInsertAfter(left, newLeaf node) {
 		ck.slots[p+1] = newLeaf.id
 		t.setHint(newLeaf, ck, p+1)
 		ck.n++
-		t.mem.AccessRange(ck.slotAddr(p+1), (moved+1)*fieldSize)
-		t.mem.Access(t.leafLay.hintAddr(t.addr(newLeaf)))
-		t.mem.Compute(t.cost.Move * uint64(moved+1))
+		t.accessRange(ck.slotAddr(p+1), (moved+1)*fieldSize)
+		t.access(t.leafLay.hintAddr(t.addr(newLeaf)))
+		t.compute(t.cost.Move * uint64(moved+1))
 		if t.cfg.Ablation.ExactHints {
 			t.jpRehint(ck, p+2, empty+1)
 		}
@@ -160,9 +160,9 @@ func (t *Tree) jpInsertAfter(left, newLeaf node) {
 		t.setHint(newLeaf, ck, p)
 		t.setHint(left, ck, p-1) // left is cached: free update
 		ck.n++
-		t.mem.AccessRange(ck.slotAddr(empty), (moved+1)*fieldSize)
-		t.mem.Access(t.leafLay.hintAddr(t.addr(newLeaf)))
-		t.mem.Compute(t.cost.Move * uint64(moved+1))
+		t.accessRange(ck.slotAddr(empty), (moved+1)*fieldSize)
+		t.access(t.leafLay.hintAddr(t.addr(newLeaf)))
+		t.compute(t.cost.Move * uint64(moved+1))
 		if t.cfg.Ablation.ExactHints {
 			t.jpRehint(ck, empty, p)
 		}
@@ -195,11 +195,11 @@ func (t *Tree) jpSplitChunk(ck *chunk, p int, newLeaf nodeID) {
 	nc.prev = ck
 	if ck.next != nil {
 		ck.next.prev = nc
-		t.mem.Access(ck.next.addr)
+		t.access(ck.next.addr)
 	}
 	ck.next = nc
-	t.mem.Access(ck.addr)
-	t.mem.Access(nc.addr)
+	t.access(ck.addr)
+	t.access(nc.addr)
 }
 
 // jpFill lays pointers into a chunk with empty slots evenly
@@ -216,10 +216,10 @@ func (t *Tree) jpFill(ck *chunk, leaves []nodeID) {
 		leaf := t.locate(id)
 		ck.slots[slot] = id
 		t.setHint(leaf, ck, slot)
-		t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
+		t.access(t.leafLay.hintAddr(t.addr(leaf)))
 	}
-	t.mem.AccessRange(ck.addr, t.chunkBytes())
-	t.mem.Compute(t.cost.Move * uint64(len(leaves)))
+	t.accessRange(ck.addr, t.chunkBytes())
+	t.compute(t.cost.Move * uint64(len(leaves)))
 }
 
 // jpSlotFor places occupied entry j of occ within a chunk: evenly
@@ -240,7 +240,7 @@ func (t *Tree) jpRehint(ck *chunk, lo, hi int) {
 		if id := ck.slots[i]; id != 0 {
 			leaf := t.locate(id)
 			t.setHint(leaf, ck, i)
-			t.mem.Access(t.leafLay.hintAddr(t.addr(leaf)))
+			t.access(t.leafLay.hintAddr(t.addr(leaf)))
 		}
 	}
 }
@@ -254,19 +254,19 @@ func (t *Tree) jpRemove(leaf node) {
 	if ck.n >= 2 {
 		ck.slots[p] = 0
 		ck.n--
-		t.mem.Access(ck.slotAddr(p))
+		t.access(ck.slotAddr(p))
 		return
 	}
 	t.stats.ChunkRemoves++
 	t.chunks[ck.idx] = nil
 	if ck.prev != nil {
 		ck.prev.next = ck.next
-		t.mem.Access(ck.prev.addr)
+		t.access(ck.prev.addr)
 	} else {
 		t.jpHead = ck.next
 	}
 	if ck.next != nil {
 		ck.next.prev = ck.prev
-		t.mem.Access(ck.next.addr)
+		t.access(ck.next.addr)
 	}
 }

@@ -51,12 +51,11 @@ func (t *Tree) lay(n node) *layout {
 	}
 }
 
-// addr returns the node's simulated address. A native model never
-// inspects one, only counts lines, so any line-aligned value does and
-// a native tree reads no side table.
+// addr returns the node's simulated address. A native tree has none —
+// nothing it does is charged anywhere — and reads no side table.
 func (t *Tree) addr(n node) uint64 {
-	if t.native {
-		return uint64(n.id) * uint64(t.leafLay.size)
+	if t.sim == nil {
+		return 0
 	}
 	return t.addrs[n.id]
 }
@@ -137,7 +136,7 @@ func resolve(n node) node {
 // Every node takes a fresh simulated address, recycled block or not
 // (simulated addresses are never reused); only a simulated tree keeps
 // it, in a side table a native tree does not have. A native tree
-// charges its address space once per carved block, which keeps
+// bumps its address space once per carved block, which keeps
 // SpaceUsed the real byte count.
 func (t *Tree) newNode(flags uint32) nodeID {
 	id := t.free
@@ -161,9 +160,9 @@ func (t *Tree) newNode(flags uint32) nodeID {
 		id = t.high
 	}
 	switch {
-	case !t.native && fresh:
+	case t.sim != nil && fresh:
 		t.addrs = append(t.addrs, t.space.Alloc(t.leafLay.size))
-	case !t.native:
+	case t.sim != nil:
 		t.addrs[id] = t.space.Alloc(t.leafLay.size)
 	case fresh:
 		t.space.Alloc(t.leafLay.size)
@@ -188,7 +187,7 @@ func (t *Tree) freeNode(id nodeID) {
 func (t *Tree) resetArena(blocks int) {
 	per := int(t.slabMask) + 1
 	t.slabs = make([][]uint32, 0, (blocks+per-1)/per)
-	if !t.native {
+	if t.sim != nil {
 		t.addrs = make([]uint64, 1, blocks+1)
 	}
 	for ; blocks > 0; blocks -= per {

@@ -1,6 +1,9 @@
 package core
 
-import "unsafe"
+import (
+	"sort"
+	"unsafe"
+)
 
 // MaxKey is the largest possible key, usable as an open scan bound.
 const MaxKey = Key(^Key(0))
@@ -71,7 +74,7 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 		t.trc.BeginOp(OpScan)
 		defer t.trc.EndOp(OpScan)
 	}
-	t.mem.Compute(t.cost.Op)
+	t.compute(t.cost.Op)
 	s := &Scanner{t: t, end: end, noPrefetch: noPrefetch}
 	// Record the bottom-level descent step in the scanner itself (not
 	// t.path) so concurrent native-mode scans never write shared tree
@@ -90,7 +93,7 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 
 	// The starting position may be one past the last key of this leaf.
 	if idx >= leaf.count() {
-		t.mem.Access(t.leafLay.nextAddr(addr))
+		t.access(t.leafLay.nextAddr(addr))
 		s.leaf, s.idx = t.next(leaf), 0
 	}
 	if s.leaf == 0 {
@@ -153,7 +156,7 @@ func (s *Scanner) prefetchNextExternal() {
 			}
 			continue
 		}
-		t.mem.Access(ck.slotAddr(i))
+		t.access(ck.slotAddr(i))
 		if ck.slots[i] != 0 {
 			break
 		}
@@ -204,7 +207,7 @@ func (s *Scanner) prefetchNextInternal() {
 		}
 	}
 	s.bn, s.bnIdx = bn.id, i
-	t.mem.Access(t.bottomLay.ptrAddr(t.addr(bn), i))
+	t.access(t.bottomLay.ptrAddr(t.addr(bn), i))
 	s.rangePrefetchLeaf(nodeID(t.ptrs(bn)[i]))
 }
 
@@ -234,19 +237,74 @@ func (s *Scanner) Next(buf []TID) int {
 	if s.done || len(buf) == 0 {
 		return 0
 	}
-	t := s.t
-	if t.trc != nil {
-		t.trc.BeginOp(OpScan)
-		defer t.trc.EndOp(OpScan)
+	if trc := s.t.trc; trc != nil {
+		trc.BeginOp(OpScan)
+		defer trc.EndOp(OpScan)
 	}
+	s.openBuffer(unsafe.Pointer(unsafe.SliceData(buf)), len(buf), tidBytes)
+	written := 0
+	for more := true; more; {
+		var tids []uint32
+		_, tids, more = s.leafRun(written, len(buf)-written, tidBytes)
+		dst := buf[written:][:len(tids)]
+		for i := range dst {
+			dst[i] = TID(tids[i])
+		}
+		written += len(tids)
+	}
+	return written
+}
 
-	// (Re)use the simulated return buffer region.
-	if s.bufBytes < len(buf)*fieldSize {
-		s.bufBytes = len(buf) * fieldSize
-		s.bufAddr = t.space.Alloc(s.bufBytes)
+// NextPairs is Next, but copies <key, tupleID> pairs instead of bare
+// tupleIDs — the serving layer merges per-shard scans by key and needs
+// both halves. The memory charges mirror Next's: key read, tupleID
+// read, one return-buffer write per pair (a Pair is one buffer slot;
+// the simulated buffer region sizes itself in pairs accordingly).
+func (s *Scanner) NextPairs(buf []Pair) int {
+	if s.done || len(buf) == 0 {
+		return 0
 	}
-	if t.native {
-		s.bufReal, s.bufRealBytes = uintptr(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*realTIDBytes
+	if trc := s.t.trc; trc != nil {
+		trc.BeginOp(OpScan)
+		defer trc.EndOp(OpScan)
+	}
+	s.openBuffer(unsafe.Pointer(unsafe.SliceData(buf)), len(buf), pairBytes)
+	written := 0
+	for more := true; more; {
+		var keys, tids []uint32
+		keys, tids, more = s.leafRun(written, len(buf)-written, pairBytes)
+		dst := buf[written:][:len(tids)]
+		keys = keys[:len(dst)]
+		for i := range dst {
+			dst[i] = Pair{Key: Key(keys[i]), TID: TID(tids[i])}
+		}
+		written += len(tids)
+	}
+	return written
+}
+
+// Size of one return-buffer slot, in both memories: the simulated
+// buffer region is packed fields exactly like the caller's real one,
+// so offsets into either map one-to-one onto the other.
+const (
+	tidBytes  = int(unsafe.Sizeof(TID(0)))
+	pairBytes = int(unsafe.Sizeof(Pair{}))
+)
+
+// openBuffer starts a Next/NextPairs call on a return buffer of the
+// given number of slot-byte rows at real address buf: a simulated
+// scanner (re)uses its simulated buffer region, a native one notes
+// where the real buffer is, and both prime the buffer prefetch.
+func (s *Scanner) openBuffer(buf unsafe.Pointer, rows, slot int) {
+	t, size := s.t, rows*slot
+	if s.bufBytes < size {
+		s.bufBytes = size
+		if t.sim != nil {
+			s.bufAddr = t.space.Alloc(size)
+		}
+	}
+	if t.sim == nil {
+		s.bufReal, s.bufRealBytes = uintptr(buf), size
 	}
 	// Prime the buffer prefetch k leaves ahead of the writer, mirroring
 	// the startup range prefetch of the leaves themselves ("we will
@@ -259,56 +317,69 @@ func (s *Scanner) Next(buf []TID) int {
 		if t.cfg.JumpArray != JumpNone {
 			leaves = t.cfg.PrefetchDist
 		}
-		ahead := leaves * t.leafLay.maxKeys * fieldSize
-		if ahead > len(buf)*fieldSize {
-			ahead = len(buf) * fieldSize
-		}
+		ahead := min(leaves*t.leafLay.maxKeys*fieldSize, size)
 		t.traceNode(LevelNone, KindBuffer)
 		s.pfBuf(0, ahead)
 		s.bufPF = ahead
 	}
-
 	// The copy loop interleaves leaf reads and return-buffer writes;
 	// all of it is attributed to the leaf level.
 	t.traceNode(t.height-1, KindLeaf)
-	written := 0
-	lay := &t.leafLay
+}
+
+// leafRun is one step of the copy loop, shared by Next and NextPairs:
+// it works out how many of the current leaf's remaining rows fit both
+// the end key and the room left in the buffer, moves the scan past
+// them — on to the next leaf if that used the leaf up, even when the
+// buffer is full, so a scan that ends on a leaf's last key is seen to
+// end — and returns their key and tupleID words for the caller to
+// copy, in a loop that calls nothing. more is false once the call is
+// over: the end key passed, the buffer full, or the chain exhausted.
+//
+// Only a simulated tree is charged, after the fact and all at once,
+// with the sequence the paper's count-driven copy loop issues row by
+// row: key line, tupleID line, buffer slot, Copy; then the key line of
+// the row the run stopped at, whose boundary check ends it. written is
+// the number of rows already in the buffer, slot their size.
+func (s *Scanner) leafRun(written, room, slot int) (keys, tids []uint32, more bool) {
+	t := s.t
 	leaf := t.view(s.leaf)
-	for {
-		keys := t.keys(leaf)[:leaf.count()]
-		tids := t.ptrs(leaf)[:len(keys)]
-		addr := t.addr(leaf)
-		for s.idx < len(keys) {
-			// The boundary check touches the key line; its comparison
-			// is part of the per-tuple Copy cost (the paper's copy
-			// loop is count-driven, not a per-key binary search).
-			t.mem.Access(lay.keyAddr(addr, s.idx))
-			if Key(keys[s.idx]) > s.end {
-				s.done = true
-				return written
-			}
-			if written == len(buf) {
-				return written
-			}
-			t.mem.Access(lay.ptrAddr(addr, s.idx))
-			t.mem.Access(s.bufAddr + uint64(written*fieldSize))
-			t.mem.Compute(t.cost.Copy)
-			buf[written] = TID(tids[s.idx])
-			written++
-			s.idx++
+	from, cnt := s.idx, leaf.count()
+	keys, tids = t.keys(leaf)[from:cnt], t.ptrs(leaf)[from:cnt]
+	n := min(len(keys), room)
+	if n > 0 && Key(keys[n-1]) > s.end {
+		n = sort.Search(n-1, func(i int) bool { return Key(keys[i]) > s.end })
+	}
+	s.idx = from + n
+	if t.sim != nil {
+		lay, addr := &t.leafLay, t.addr(leaf)
+		for i := from; i < s.idx; i++ {
+			t.access(lay.keyAddr(addr, i))
+			t.access(lay.ptrAddr(addr, i))
+			t.access(s.bufAddr + uint64((written+i-from)*slot))
+			t.compute(t.cost.Copy)
 		}
-		if leaf = s.advanceLeaf(leaf, addr, written); s.done {
-			return written
+		if s.idx < cnt {
+			t.access(lay.keyAddr(addr, s.idx))
 		}
 	}
+	if s.idx < cnt {
+		// Stopped inside the leaf: at a key past the end, or on a full
+		// buffer.
+		s.done = Key(keys[n]) > s.end
+		return keys[:n], tids[:n], false
+	}
+	s.advanceLeaf(leaf, (written+n)*slot)
+	return keys, tids, !s.done
 }
 
 // advanceLeaf steps a scan off the end of leaf to the next one,
 // keeping the prefetch cursor k nodes ahead, and marks the scan done
-// when the chain ends.
-func (s *Scanner) advanceLeaf(leaf node, addr uint64, written int) node {
+// when the chain ends. bufOff is the write offset in the return buffer,
+// in bytes.
+func (s *Scanner) advanceLeaf(leaf node, bufOff int) {
 	t := s.t
-	t.mem.Access(t.leafLay.nextAddr(addr))
+	t.access(t.leafLay.nextAddr(t.addr(leaf)))
 	if !s.noPrefetch {
 		switch t.cfg.JumpArray {
 		case JumpExternal:
@@ -320,26 +391,25 @@ func (s *Scanner) advanceLeaf(leaf node, addr uint64, written int) node {
 	s.leaf, s.idx = t.next(leaf), 0
 	if s.leaf == 0 {
 		s.done = true
-		return leaf
+		return
 	}
-	return s.visitLeafForScan(s.leaf, written)
+	s.visitLeafForScan(s.leaf, bufOff)
 }
 
 // visitLeafForScan models arriving at a leaf mid-scan: with
 // prefetching but no jump-pointer array, all of the leaf's lines plus
 // its return-buffer area are prefetched here (they could not be
 // prefetched earlier); with a jump-pointer array they were prefetched
-// k nodes ago and this is free beyond the keynum read.
-func (s *Scanner) visitLeafForScan(id nodeID, written int) node {
+// k nodes ago and this is free beyond the keynum read. off is the
+// write offset in the return buffer, in bytes.
+func (s *Scanner) visitLeafForScan(id nodeID, off int) {
 	t := s.t
 	n := t.locate(id)
-	addr := t.addr(n)
 	t.traceNode(t.height-1, KindLeaf)
 	if t.cfg.Prefetch && !s.noPrefetch && t.cfg.JumpArray == JumpNone {
 		t.pfNode(n)
 		if s.bufBytes > 0 && !t.cfg.Ablation.NoBufferPrefetch {
 			sz := t.leafLay.maxKeys * fieldSize
-			off := written * fieldSize
 			if off+sz > s.bufBytes {
 				sz = s.bufBytes - off
 			}
@@ -350,76 +420,8 @@ func (s *Scanner) visitLeafForScan(id nodeID, written int) node {
 			}
 		}
 	}
-	t.mem.Access(addr)
-	t.mem.Compute(t.cost.Visit)
-	return resolve(n)
-}
-
-// NextPairs is Next, but copies <key, tupleID> pairs instead of bare
-// tupleIDs — the serving layer merges per-shard scans by key and needs
-// both halves. The memory charges mirror Next's: key read, tupleID
-// read, one return-buffer write per pair (a Pair is one buffer slot;
-// the simulated buffer region sizes itself in pairs accordingly).
-func (s *Scanner) NextPairs(buf []Pair) int {
-	if s.done || len(buf) == 0 {
-		return 0
-	}
-	t := s.t
-	if t.trc != nil {
-		t.trc.BeginOp(OpScan)
-		defer t.trc.EndOp(OpScan)
-	}
-
-	if s.bufBytes < len(buf)*2*fieldSize {
-		s.bufBytes = len(buf) * 2 * fieldSize
-		s.bufAddr = t.space.Alloc(s.bufBytes)
-	}
-	if t.native {
-		s.bufReal, s.bufRealBytes = uintptr(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*realPairBytes
-	}
-	s.bufPF = 0
-	if t.cfg.Prefetch && !s.noPrefetch && !t.cfg.Ablation.NoBufferPrefetch {
-		leaves := 1
-		if t.cfg.JumpArray != JumpNone {
-			leaves = t.cfg.PrefetchDist
-		}
-		ahead := leaves * t.leafLay.maxKeys * fieldSize
-		if ahead > s.bufBytes {
-			ahead = s.bufBytes
-		}
-		t.traceNode(LevelNone, KindBuffer)
-		s.pfBuf(0, ahead)
-		s.bufPF = ahead
-	}
-
-	t.traceNode(t.height-1, KindLeaf)
-	written := 0
-	lay := &t.leafLay
-	leaf := t.view(s.leaf)
-	for {
-		keys := t.keys(leaf)[:leaf.count()]
-		tids := t.ptrs(leaf)[:len(keys)]
-		addr := t.addr(leaf)
-		for s.idx < len(keys) {
-			t.mem.Access(lay.keyAddr(addr, s.idx))
-			if Key(keys[s.idx]) > s.end {
-				s.done = true
-				return written
-			}
-			if written == len(buf) {
-				return written
-			}
-			t.mem.Access(lay.ptrAddr(addr, s.idx))
-			t.mem.Access(s.bufAddr + uint64(written*2*fieldSize))
-			t.mem.Compute(t.cost.Copy)
-			buf[written] = Pair{Key: Key(keys[s.idx]), TID: TID(tids[s.idx])}
-			written++
-			s.idx++
-		}
-		if leaf = s.advanceLeaf(leaf, addr, written); s.done {
-			return written
-		}
-	}
+	t.access(t.addr(n))
+	t.compute(t.cost.Visit)
 }
 
 // Scan is a convenience wrapper: it scans from start until either

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"pbtree/internal/memsys"
 )
 
 // collectScan drains a scanner with the given buffer size.
@@ -279,6 +283,134 @@ func TestNextPairsMatchesNext(t *testing.T) {
 			if i > 0 && p.Key <= got[i-1].Key {
 				t.Fatalf("%s: pair keys not strictly increasing at %d", tr.Name(), i)
 			}
+		}
+	}
+}
+
+// TestLeafRunTable drives the copy loop's one per-leaf step through
+// every way a run can end: start position in the leaf x buffer size
+// (one row, the rest of the leaf exactly, one more, three leaves) x
+// end key (inside the leaf, the leaf's last key, between two leaves,
+// MaxKey), for Next and NextPairs, on both models. Native rows =
+// simulated rows = the slice of the sorted input; resumed calls
+// concatenate to it; the two scanners agree on done after every call.
+func TestLeafRunTable(t *testing.T) {
+	for _, layout := range []Config{
+		{Width: 2, Prefetch: true},
+		{Width: 2, Prefetch: true, JumpArray: JumpExternal, ChunkLines: 1},
+		{Width: 2, Prefetch: true, JumpArray: JumpInternal},
+	} {
+		sim, nat := layout, layout
+		sim.Mem, nat.Mem = memsys.Default(), memsys.DefaultNative()
+		st, nt := newTestTree(t, sim), newTestTree(t, nat)
+		per := st.LeafCapacity()
+		pairs := sortedPairs(8 * per) // fill 1: leaf i is pairs[i*per : (i+1)*per]
+		for _, tr := range []*Tree{st, nt} {
+			if err := tr.Bulkload(pairs, 1.0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const leaf = 2
+		last := (leaf+1)*per - 1 // index of the leaf's last pair
+		for _, pos := range []int{0, 1, per / 2, per - 1} {
+			from := leaf*per + pos
+			rest := per - pos
+			ends := map[string]Key{
+				"inside the leaf":     pairs[(from+last)/2].Key,
+				"the leaf's last key": pairs[last].Key,
+				"between two leaves":  pairs[last].Key + 1,
+				"MaxKey":              MaxKey,
+			}
+			for endName, end := range ends {
+				to := len(pairs) // index one past the last qualifying pair
+				if end != MaxKey {
+					to = int(end) / 8 // keys are 8*(i+1): pairs[:end/8] are <= end
+				}
+				want := pairs[from:to]
+				for _, size := range []int{1, rest, rest + 1, 3 * per} {
+					name := fmt.Sprintf("%s pos %d end %s buf %d", st.Name(), pos, endName, size)
+
+					ss, ns := st.NewScan(pairs[from].Key, end), nt.NewScan(pairs[from].Key, end)
+					sbuf, nbuf := make([]TID, size), make([]TID, size)
+					var got []TID
+					for call := 0; ; call++ {
+						sn, nn := ss.Next(sbuf), ns.Next(nbuf)
+						if sn != nn || !slices.Equal(sbuf[:sn], nbuf[:nn]) {
+							t.Fatalf("%s: Next call %d: simulated %v, native %v", name, call, sbuf[:sn], nbuf[:nn])
+						}
+						if ss.done != ns.done {
+							t.Fatalf("%s: Next call %d: simulated done %v, native done %v", name, call, ss.done, ns.done)
+						}
+						if call == 0 && size == rest && to > last {
+							// A buffer filled exactly at the leaf's last key
+							// has looked at the next leaf before returning.
+							if wantDone := to == last+1; ss.done != wantDone {
+								t.Fatalf("%s: done %v after a full buffer at the leaf's last key, want %v", name, ss.done, wantDone)
+							}
+						}
+						if sn == 0 {
+							break
+						}
+						got = append(got, sbuf[:sn]...)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: Next returned %d rows, want %d", name, len(got), len(want))
+					}
+					for i, tid := range got {
+						if tid != want[i].TID {
+							t.Fatalf("%s: Next row %d is tid %d, want %d", name, i, tid, want[i].TID)
+						}
+					}
+
+					ss, ns = st.NewScan(pairs[from].Key, end), nt.NewScan(pairs[from].Key, end)
+					spb, npb := make([]Pair, size), make([]Pair, size)
+					var gotPairs []Pair
+					for call := 0; ; call++ {
+						sn, nn := ss.NextPairs(spb), ns.NextPairs(npb)
+						if sn != nn || !slices.Equal(spb[:sn], npb[:nn]) || ss.done != ns.done {
+							t.Fatalf("%s: NextPairs call %d: simulated %v done %v, native %v done %v", name, call, spb[:sn], ss.done, npb[:nn], ns.done)
+						}
+						if sn == 0 {
+							break
+						}
+						gotPairs = append(gotPairs, spb[:sn]...)
+					}
+					if !slices.Equal(gotPairs, want) {
+						t.Fatalf("%s: NextPairs returned %d rows, want %d (first %v)", name, len(gotPairs), len(want), gotPairs[:min(3, len(gotPairs))])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNativeScanLeavesSpaceUsedAlone: only a simulated scanner
+// reserves a return-buffer region from the tree's address space. A
+// native scan reads a tree and writes nothing — SpaceUsed stays the
+// real byte count and concurrent scans share no written line.
+func TestNativeScanLeavesSpaceUsedAlone(t *testing.T) {
+	pairs := sortedPairs(100_000)
+	for _, mem := range []memsys.Model{memsys.DefaultNative(), memsys.Default()} {
+		tr := newTestTree(t, Config{Width: 8, Prefetch: true, Mem: mem})
+		if err := tr.Bulkload(pairs, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		before := tr.SpaceUsed()
+		tids, prs := make([]TID, 100), make([]Pair, 100)
+		for i := 0; i < 1000; i++ {
+			start := pairs[(i*97)%(len(pairs)-100)].Key
+			if n := tr.NewScan(start, MaxKey).Next(tids); n != 100 {
+				t.Fatalf("Next returned %d rows", n)
+			}
+			if n := tr.NewScan(start, MaxKey).NextPairs(prs); n != 100 {
+				t.Fatalf("NextPairs returned %d rows", n)
+			}
+		}
+		after := tr.SpaceUsed()
+		if native := tr.sim == nil; native && after != before {
+			t.Errorf("2000 native scans grew SpaceUsed from %d to %d", before, after)
+		} else if !native && after == before {
+			t.Errorf("simulated scans reserved no return-buffer region (SpaceUsed %d)", before)
 		}
 	}
 }

@@ -11,8 +11,8 @@ func (t *Tree) visit(id nodeID) (node, uint64) {
 		t.pfNode(n)
 	}
 	addr := t.addr(n)
-	t.mem.Access(addr) // keynum
-	t.mem.Compute(t.cost.Visit)
+	t.access(addr) // keynum
+	t.compute(t.cost.Visit)
 	return resolve(n), addr
 }
 
@@ -22,23 +22,23 @@ func (t *Tree) visit(id nodeID) (node, uint64) {
 // A simulated tree runs the paper's probe-per-key binary search,
 // charging each probe; a native tree runs an unrolled data-parallel
 // pass over the key array (BS-tree style), which has no mispredictions
-// to pay and reads the array strictly left to right — the lines pfNode
-// has just asked for.
+// to pay, calls nothing, and reads the array strictly left to right —
+// the lines pfNode has just asked for.
 func (t *Tree) searchKeys(n node, addr uint64, key Key) (ub int, found bool) {
 	keys := t.keys(n)[:n.count()]
-	keyAddr := t.lay(n).keyAddr(addr, 0)
-	if t.native {
-		lb := t.lowerBoundBranchless(keys, keyAddr, key)
+	if t.sim == nil {
+		lb := lowerBoundBranchless(keys, key)
 		if lb < len(keys) && Key(keys[lb]) == key {
 			return lb + 1, true
 		}
 		return lb, false
 	}
+	keyAddr := t.lay(n).keyAddr(addr, 0)
 	lo, hi := 0, len(keys) // invariant: keys[:lo] <= key < keys[hi:]
 	for lo < hi {
 		mid := (lo + hi) / 2
-		t.mem.Access(keyAddr + uint64(mid*fieldSize))
-		t.mem.Compute(t.cost.Compare)
+		t.access(keyAddr + uint64(mid*fieldSize))
+		t.compute(t.cost.Compare)
 		switch k := Key(keys[mid]); {
 		case k == key:
 			return mid + 1, true
@@ -52,17 +52,12 @@ func (t *Tree) searchKeys(n node, addr uint64, key Key) (ub int, found bool) {
 }
 
 // lowerBoundBranchless returns the first position in keys, a node's
-// occupied key words at simulated address keyAddr, whose key is >= key
-// (len(keys) if none) without a single data-dependent branch: the
-// count of keys < key is accumulated with unrolled 8-wide
-// compare-and-add blocks, each comparison a subtract-and-shift. The
-// pass reads the key array strictly left-to-right, so it is charged as
-// one ranged access plus one compare per (full or partial) block
-// rather than a probe per key.
-func (t *Tree) lowerBoundBranchless(keys []uint32, keyAddr uint64, key Key) int {
-	if len(keys) == 0 {
-		return 0
-	}
+// occupied key words, whose key is >= key (len(keys) if none) without
+// a single data-dependent branch: the count of keys < key is
+// accumulated with unrolled 8-wide compare-and-add blocks, each
+// comparison a subtract-and-shift. Only a native tree runs it, so it
+// charges nothing.
+func lowerBoundBranchless(keys []uint32, key Key) int {
 	k := uint64(key)
 	lb, i := 0, 0
 	for ; i+8 <= len(keys); i += 8 {
@@ -79,8 +74,6 @@ func (t *Tree) lowerBoundBranchless(keys []uint32, keyAddr uint64, key Key) int 
 	for ; i < len(keys); i++ {
 		lb += int((uint64(keys[i]) - k) >> 63)
 	}
-	t.mem.AccessRange(keyAddr, len(keys)*fieldSize)
-	t.mem.Compute(t.cost.Compare * uint64((len(keys)+7)/8))
 	return lb
 }
 
@@ -97,7 +90,7 @@ func (t *Tree) walk(key Key, rec func(n node, idx int)) (node, uint64) {
 		t.traceNode(level, t.kindAt(level))
 		n, addr := t.visit(id)
 		idx, _ := t.searchKeys(n, addr, key)
-		t.mem.Access(t.lay(n).ptrAddr(addr, idx))
+		t.access(t.lay(n).ptrAddr(addr, idx))
 		if rec != nil {
 			rec(n, idx)
 		}
@@ -124,14 +117,14 @@ func (t *Tree) Search(key Key) (TID, bool) {
 		t.trc.BeginOp(OpSearch)
 		defer t.trc.EndOp(OpSearch)
 	}
-	t.mem.Compute(t.cost.Op)
+	t.compute(t.cost.Op)
 	n, addr := t.walk(key, nil)
 	ub, found := t.searchKeys(n, addr, key)
 	if !found {
 		return 0, false
 	}
 	i := ub - 1
-	t.mem.Access(t.leafLay.ptrAddr(addr, i))
+	t.access(t.leafLay.ptrAddr(addr, i))
 	return TID(t.ptrs(n)[i]), true
 }
 

@@ -41,7 +41,7 @@ func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
 				probes = append(probes, Key(keys[i]), Key(keys[i]-1), Key(keys[i]+1))
 			}
 			for _, p := range probes {
-				got := tr.lowerBoundBranchless(keys[:width], 0, p)
+				got := lowerBoundBranchless(keys[:width], p)
 				want := sort.Search(width, func(i int) bool { return Key(keys[i]) >= p })
 				if got != want {
 					t.Fatalf("width %d: lowerBoundBranchless(%d) = %d, want %d (keys %v)",
@@ -97,7 +97,7 @@ func TestSearchKeysPropertyAllLayouts(t *testing.T) {
 				}
 			}
 			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("w=%d native=%v: %v", width, tr.native, err)
+				t.Fatalf("w=%d native=%v: %v", width, tr.sim == nil, err)
 			}
 			for _, n := range leafViews(tr) {
 				probes := []Key{0, MaxKey}

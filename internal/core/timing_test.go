@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pbtree/internal/memsys"
@@ -257,5 +258,59 @@ func TestScanStallMostlyHidden(t *testing.T) {
 	}
 	if frac := float64(sb.Stall) / float64(sb.Total()); frac < 0.6 {
 		t.Errorf("B+ scan stall fraction %.2f too low (paper: ~0.84)", frac)
+	}
+}
+
+// The tree rung's own testing.B: the native tree the store's shards
+// are made of (eight-line nodes, prefetching, fill 0.8), at 8M keys —
+// well past the LLC, like the benchmark ladder's tree_* metrics — so a
+// tree change can be timed without the harness:
+//
+//	go test -run '^$' -bench 'Native(Scan|Insert)' -benchtime 200000x ./internal/core/
+const nativeBenchKeys = 8 << 20
+
+var nativeBench struct {
+	once sync.Once
+	tr   *Tree
+}
+
+func nativeBenchTree(b *testing.B) *Tree {
+	nativeBench.once.Do(func() {
+		tr := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
+		if err := tr.Bulkload(sortedPairs(nativeBenchKeys), 0.8); err != nil {
+			b.Fatal(err)
+		}
+		nativeBench.tr = tr
+	})
+	b.ResetTimer()
+	return nativeBench.tr
+}
+
+// benchNativeScan times rows-row scans from random keys, each a new
+// scanner copying pairs into one reused buffer, the way a backend
+// snapshot serves Store.Scan.
+func benchNativeScan(b *testing.B, rows int) {
+	r, buf := rand.New(rand.NewSource(1)), make([]Pair, rows)
+	tr := nativeBenchTree(b)
+	for i := 0; i < b.N; i++ {
+		start := Key(8 * (r.Intn(nativeBenchKeys-rows) + 1))
+		if got := tr.NewScan(start, MaxKey).NextPairs(buf); got != rows {
+			b.Fatalf("scan from %d returned %d rows", start, got)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+func BenchmarkNativeScan100(b *testing.B)  { benchNativeScan(b, 100) }
+func BenchmarkNativeScan2000(b *testing.B) { benchNativeScan(b, 2000) }
+
+// BenchmarkNativeInsert times inserts of new random keys (the gaps
+// sortedPairs leaves between multiples of eight); the tree is shared
+// with the scan benchmarks, which do not mind the extra keys.
+func BenchmarkNativeInsert(b *testing.B) {
+	r := rand.New(rand.NewSource(2))
+	tr := nativeBenchTree(b)
+	for i := 0; i < b.N; i++ {
+		tr.Insert(Key(8*(r.Intn(nativeBenchKeys)+1)+1+r.Intn(7)), 1)
 	}
 }

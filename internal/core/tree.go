@@ -24,27 +24,28 @@ type UpdateStats struct {
 	JumpPointerRemovals uint64 // leaf pointers removed from the jump-pointer array
 }
 
-// Tree is a B+-Tree variant over a memsys.Model. Mutating operations
-// (Insert, Delete, Bulkload) are never safe for concurrent use. A
-// frozen tree — one that is no longer being mutated, e.g. just
-// bulkloaded — supports any number of concurrent readers (Search,
-// NewScan/Next, EstimateRange) when its model is a *memsys.Native;
-// on a *memsys.Hierarchy even reads must stay single-threaded, since
-// every operation mutates the simulated cache state.
+// Tree is a B+-Tree variant, simulated or native as Config.Mem says.
+// Mutating operations (Insert, Delete, Bulkload) are never safe for
+// concurrent use. A frozen tree — one that is no longer being mutated,
+// e.g. just bulkloaded — supports any number of concurrent readers
+// (Search, NewScan/Next, EstimateRange) when it is native; on a
+// *memsys.Hierarchy even reads must stay single-threaded, since every
+// operation mutates the simulated cache state.
 type Tree struct {
 	cfg   Config
-	mem   memsys.Model
 	space *memsys.AddressSpace
 	cost  CostModel
 	trc   Tracer // optional op-context tracer, nil when disabled
 
-	// native records, once, that the model is a *memsys.Native. It is
-	// the only thing that selects a code path: a native tree searches
-	// nodes branchlessly (search.go) and issues real prefetch
-	// instructions for its real blocks (hwprefetch.go); a simulated
-	// tree runs the paper's probe-per-key binary search and only ever
-	// charges simulated addresses.
-	native bool
+	// sim is the simulator the tree charges (charge.go), set once by
+	// New when Config.Mem is a *memsys.Hierarchy. A native tree — one
+	// whose Config.Mem is a *memsys.Native — holds none, and sim == nil
+	// is the only thing that selects a code path: a native tree charges
+	// nothing, searches nodes branchlessly (search.go) and issues real
+	// prefetch instructions for its real blocks (hwprefetch.go); a
+	// simulated tree runs the paper's probe-per-key binary search and
+	// only ever charges simulated addresses.
+	sim *memsys.Hierarchy
 
 	leafLay, nlLay, bottomLay layout
 
@@ -103,12 +104,11 @@ func New(cfg Config) (*Tree, error) {
 	}
 	t := &Tree{
 		cfg:   cfg,
-		mem:   cfg.Mem,
 		space: space,
 		cost:  cfg.Cost,
 		trc:   cfg.Trace,
 	}
-	_, t.native = cfg.Mem.(*memsys.Native)
+	t.sim, _ = cfg.Mem.(*memsys.Hierarchy)
 	t.leafLay, t.nlLay, t.bottomLay = layoutsFor(cfg, mc.LineSize)
 	if cfg.JumpArray == JumpExternal {
 		// A chunk is ChunkLines lines: two header pointers (next,
@@ -144,8 +144,9 @@ func (t *Tree) Name() string { return t.cfg.name() }
 // Config returns the resolved configuration.
 func (t *Tree) Config() Config { return t.cfg }
 
-// Mem returns the memory model the tree charges to.
-func (t *Tree) Mem() memsys.Model { return t.mem }
+// Mem returns Config.Mem: the simulator a simulated tree charges, the
+// line-size carrier of a native one.
+func (t *Tree) Mem() memsys.Model { return t.cfg.Mem }
 
 // Height reports the number of levels in the tree, counting the leaf
 // level (Table 3 of the paper).

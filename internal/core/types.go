@@ -18,8 +18,8 @@
 // simulated cycle clock. The data itself lives in real memory — every
 // node one block of Width lines in a pointer-free arena (node.go) —
 // so the trees are also fully functional indexes; on a memsys.Native
-// model the same code runs at hardware speed with real prefetch
-// instructions (see Config.Mem).
+// model the same code charges nothing and runs at hardware speed with
+// real prefetch instructions (see Config.Mem).
 package core
 
 import (
@@ -119,17 +119,18 @@ type Config struct {
 	// jump-pointer array chunk. Zero selects 8, the paper's choice.
 	ChunkLines int
 
-	// Mem is the memory model the tree charges its work to, and the
-	// one thing that selects its code path. On a *memsys.Hierarchy the
-	// tree is the paper's: probe-per-key binary search inside a node,
-	// every prefetch a modeled one, cycle-accurate. On a
-	// *memsys.Native it runs at real wall-clock speed: the same
-	// prefetches (where Prefetch asks for them) are also issued as
-	// real CPU instructions against the nodes' blocks, and the
-	// intra-node search is an unrolled branch-free pass over the key
-	// array. Both return the same answers and build the same
-	// structure. Nil selects a fresh memsys.Default() simulated
-	// hierarchy.
+	// Mem selects the tree's code path and carries the line size its
+	// node layouts derive from; it must be one of the two models memsys
+	// has. On a *memsys.Hierarchy the tree is the paper's: it charges
+	// that hierarchy (through charge.go, the one place that does),
+	// probe-per-key binary search inside a node, every prefetch a
+	// modeled one, cycle-accurate. On a *memsys.Native it holds no model
+	// and charges nothing, running at real wall-clock speed: the same
+	// prefetches (where Prefetch asks for them) are issued as real CPU
+	// instructions against the nodes' blocks, and the intra-node search
+	// is an unrolled branch-free pass over the key array. Both return
+	// the same answers and build the same structure. Nil selects a
+	// fresh memsys.Default() simulated hierarchy.
 	Mem memsys.Model
 
 	// Space is the simulated address space nodes are allocated from.
@@ -183,6 +184,11 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if memsys.IsNil(c.Mem) {
 		c.Mem = memsys.Default()
+	}
+	switch c.Mem.(type) {
+	case *memsys.Hierarchy, *memsys.Native:
+	default:
+		return c, fmt.Errorf("core: Mem is a %T, want a *memsys.Hierarchy or a *memsys.Native", c.Mem)
 	}
 	if c.Cost == (CostModel{}) {
 		c.Cost = DefaultCostModel()

@@ -1,23 +1,22 @@
 package memsys
 
-import "sync/atomic"
-
 // Model is the memory-system interface index structures charge their
 // work to. Two implementations exist:
 //
 //   - Hierarchy, the cycle-accurate simulator behind every number in
 //     EXPERIMENTS.md. It is single-threaded by design: each simulation
 //     owns one Hierarchy.
-//   - Native, a near-no-op model that lets the same index code run at
-//     real wall-clock speed. All of its methods are safe for concurrent
-//     use, which is what makes concurrent reads on a frozen index
-//     possible.
+//   - Native, a no-op model that lets the same index code run at real
+//     wall-clock speed. It is immutable, which is what makes
+//     concurrent reads on a frozen index possible.
 //
-// Index code holds a Model, never a concrete *Hierarchy, so switching
-// an index between paper reproduction and native serving is a
-// one-argument change. Every address passed through this interface is
-// a simulated one (from an AddressSpace); real addresses only ever go
-// to HardwarePrefetch/HardwarePrefetchRange.
+// Indexes take a Model in their configuration, so switching an index
+// between paper reproduction and native serving is a one-argument
+// change (core.Tree resolves it once, at construction: a simulated
+// tree keeps the concrete *Hierarchy, a native tree keeps no model at
+// all). Every address passed through this interface is a simulated one
+// (from an AddressSpace); real addresses only ever go to
+// HardwarePrefetch/HardwarePrefetchRange.
 type Model interface {
 	// Compute charges c busy cycles of instruction work.
 	Compute(c uint64)
@@ -70,61 +69,37 @@ func IsNil(m Model) bool {
 	return false
 }
 
-// NativeStats are the optional event counters of a counted Native
-// model.
-type NativeStats struct {
-	Accesses      uint64 // demand line accesses
-	Prefetches    uint64 // prefetch instructions
-	ComputeCycles uint64 // charged instruction work
-}
-
-// Native is the zero-cost memory model: every charge is a no-op (or,
-// when counting is enabled, an atomic counter increment), so index
-// operations run at real hardware speed. Unlike Hierarchy, a Native
-// model is safe for concurrent use from any number of goroutines.
+// Native is the model of an index that runs at real hardware speed. It
+// charges nothing — its five charge methods are empty, and an index
+// that finds one (core.Tree) does not even call them: it holds no
+// model at all on its hot path. What is left is the two things an
+// index still asks of it:
 //
-// The configuration still matters: indexes derive their node layouts
-// from the line size, so a tree built on a Native model with the
-// default configuration has the same shape as its simulated twin.
+//   - it carries the configuration: indexes derive their node layouts
+//     from the line size, so a tree built on a Native model with the
+//     default configuration has the same shape as its simulated twin;
+//   - it selects the code path: a tree whose model is a *Native
+//     searches branchlessly and issues real prefetch instructions
+//     (HardwarePrefetch), a tree on a *Hierarchy runs the paper's
+//     algorithm against simulated addresses.
 //
-// A Native model has no mode: every field but the counters is set by
-// its constructor and never written again, so one model may be
-// shared by any number of trees and goroutines. It is also what an
-// index looks at to pick its code path — a tree whose model is a
-// *Native searches branchlessly and issues real prefetch instructions
-// (HardwarePrefetch), a tree on a *Hierarchy runs the paper's
-// algorithm against simulated addresses.
+// A Native model is immutable after its constructor returns, so one
+// may be shared by any number of trees and goroutines.
 type Native struct {
-	cfg      Config
-	lineMask uint64
-	counted  bool
-
-	accesses   atomic.Uint64
-	prefetches atomic.Uint64
-	compute    atomic.Uint64
+	cfg Config
 }
 
-// NewNative creates a zero-cost native model with the given
-// configuration. Like New, it panics on an invalid configuration.
-func NewNative(cfg Config) *Native { return newNative(cfg, false) }
-
-// DefaultNative creates a zero-cost native model with DefaultConfig.
-func DefaultNative() *Native { return NewNative(DefaultConfig()) }
-
-// NewNativeCounted creates a native model that additionally maintains
-// atomic event counters (see NativeStats). Counting costs one atomic
-// add per charge; leave it off on hot serving paths.
-func NewNativeCounted(cfg Config) *Native { return newNative(cfg, true) }
-
-func newNative(cfg Config, counted bool) *Native {
+// NewNative creates a native model with the given configuration. Like
+// New, it panics on an invalid configuration.
+func NewNative(cfg Config) *Native {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Native{cfg: cfg, lineMask: ^uint64(cfg.LineSize - 1), counted: counted}
+	return &Native{cfg: cfg}
 }
 
-// Counted reports whether the model maintains event counters.
-func (n *Native) Counted() bool { return n.counted }
+// DefaultNative creates a native model with DefaultConfig.
+func DefaultNative() *Native { return NewNative(DefaultConfig()) }
 
 // Config returns the configuration the model was built with.
 func (n *Native) Config() Config { return n.cfg }
@@ -133,81 +108,31 @@ func (n *Native) Config() Config { return n.cfg }
 // native-mode performance with wall-clock time (testing.B).
 func (n *Native) Now() uint64 { return 0 }
 
-// Compute charges c busy cycles (counted models only).
-func (n *Native) Compute(c uint64) {
-	if n.counted {
-		n.compute.Add(c)
-	}
-}
+// The five charges are no-ops. Like every Model method they are handed
+// simulated addresses and never touch them: an index on a native model
+// issues its real prefetch instructions itself, through
+// HardwarePrefetch/HardwarePrefetchRange.
 
-// Access records a demand access (counted models only).
-func (n *Native) Access(addr uint64) {
-	if n.counted {
-		n.accesses.Add(1)
-	}
-}
+// Compute does nothing.
+func (n *Native) Compute(c uint64) {}
 
-// Prefetch records a prefetch (counted models only). Like every
-// Model method it is handed a simulated address and never touches it:
-// an index on a native model issues its real prefetch instructions
-// itself, through HardwarePrefetch/HardwarePrefetchRange.
-func (n *Native) Prefetch(addr uint64) {
-	if n.counted {
-		n.prefetches.Add(1)
-	}
-}
+// Access does nothing.
+func (n *Native) Access(addr uint64) {}
 
-// AccessRange records one access per overlapped line (counted models
-// only).
-func (n *Native) AccessRange(addr uint64, size int) {
-	if n.counted && size > 0 {
-		n.accesses.Add(rangeLines(addr, size, n.lineMask, n.cfg.LineSize))
-	}
-}
+// Prefetch does nothing.
+func (n *Native) Prefetch(addr uint64) {}
 
-// PrefetchRange records one prefetch per overlapped line (counted
-// models only).
-func (n *Native) PrefetchRange(addr uint64, size int) {
-	if n.counted && size > 0 {
-		n.prefetches.Add(rangeLines(addr, size, n.lineMask, n.cfg.LineSize))
-	}
-}
+// AccessRange does nothing.
+func (n *Native) AccessRange(addr uint64, size int) {}
+
+// PrefetchRange does nothing.
+func (n *Native) PrefetchRange(addr uint64, size int) {}
 
 // FlushCaches is a no-op: the native model holds no cache state.
 func (n *Native) FlushCaches() {}
 
-// Stats maps the native counters onto the shared Stats shape: charged
-// work appears as Busy and prefetch counts as Prefetch; the simulator's
-// hit/miss breakdown has no native equivalent and stays zero.
-func (n *Native) Stats() Stats {
-	return Stats{Busy: n.compute.Load(), Prefetch: n.prefetches.Load()}
-}
+// Stats reports the zero Stats: nothing is counted.
+func (n *Native) Stats() Stats { return Stats{} }
 
-// NativeStats returns the full native counter set.
-func (n *Native) NativeStats() NativeStats {
-	return NativeStats{
-		Accesses:      n.accesses.Load(),
-		Prefetches:    n.prefetches.Load(),
-		ComputeCycles: n.compute.Load(),
-	}
-}
-
-// ResetStats zeroes the counters.
-func (n *Native) ResetStats() {
-	n.accesses.Store(0)
-	n.prefetches.Store(0)
-	n.compute.Store(0)
-}
-
-// rangeLines counts the cache lines overlapped by [addr, addr+size),
-// clamping a range whose end would wrap past the top of the address
-// space to the last representable line. size must be positive.
-func rangeLines(addr uint64, size int, lineMask uint64, lineSize int) uint64 {
-	first := addr & lineMask
-	end := addr + uint64(size) - 1
-	if end < addr {
-		end = ^uint64(0) // range wraps: clamp to the last line
-	}
-	last := end & lineMask
-	return (last-first)/uint64(lineSize) + 1
-}
+// ResetStats is a no-op.
+func (n *Native) ResetStats() {}

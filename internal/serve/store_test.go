@@ -210,11 +210,13 @@ func TestStoreBackpressure(t *testing.T) {
 }
 
 // fakeSnap is a backend.Snapshot over a sorted slice that records the
-// row limit of every Scan it is asked for.
+// row limit of every Scan it is asked for and counts the rows it
+// returned.
 type fakeSnap struct {
 	backend.Snapshot
 	rows []core.Pair
 	asks []int
+	read int
 }
 
 func (f *fakeSnap) Scan(start, end core.Key, limit int) []core.Pair {
@@ -225,6 +227,7 @@ func (f *fakeSnap) Scan(start, end core.Key, limit int) []core.Pair {
 			out = append(out, p)
 		}
 	}
+	f.read += len(out)
 	return out
 }
 
@@ -288,18 +291,19 @@ func TestMergeRuns(t *testing.T) {
 		t.Fatalf("limit hit mid-merge: %v, done %v", rows, done)
 	}
 
-	// One chunk of 100 over three long shards: each is asked for at
-	// most the 100 rows the chunk can use, never for cursorRefill.
+	// One chunk of 100 over three long shards: each is asked once, for
+	// its share of the chunk and a margin, never for cursorRefill.
 	c, snaps := fakeCursor(seq(1, 3, 2000), seq(2, 3, 2000), seq(3, 3, 2000))
 	if rows, done := c.Next(100); !reflect.DeepEqual(keysOf(rows), seq(1, 1, 100)) || done {
 		t.Fatalf("first chunk: %d rows, done %v", len(rows), done)
 	}
 	for i, s := range snaps {
-		if len(s.asks) != 1 || s.asks[0] > 100 {
+		if len(s.asks) != 1 || s.asks[0] != firstFill(100, 3) || s.asks[0] > 50 {
 			t.Fatalf("shard %d was asked for %v rows by a 100-row chunk", i, s.asks)
 		}
 	}
-	// Later fills are cursorRefill, and the stream stays gapless.
+	// Later fills double up to cursorRefill, and the stream stays
+	// gapless.
 	var got []int
 	for done := false; !done; {
 		var rows []core.Pair
@@ -310,9 +314,80 @@ func TestMergeRuns(t *testing.T) {
 		t.Fatalf("rest of the stream: %d rows, first %v", len(got), got[:min(3, len(got))])
 	}
 	for i, s := range snaps {
-		for _, ask := range s.asks[1:] {
-			if ask != cursorRefill {
-				t.Fatalf("shard %d refill asked for %d rows, want %d", i, ask, cursorRefill)
+		for j, ask := range s.asks[1:] {
+			if want := min(2*s.asks[j], cursorRefill); ask != want {
+				t.Fatalf("shard %d refill %d asked for %d rows, want %d (asks %v)", i, j+1, ask, want, s.asks)
+			}
+		}
+		if last := s.asks[len(s.asks)-1]; last != cursorRefill {
+			t.Fatalf("shard %d never reached %d-row refills: %v", i, cursorRefill, s.asks)
+		}
+	}
+}
+
+// TestCursorFirstFill is the over-read gate of a drained-once cursor
+// (Store.Scan's path): whatever the shard count and however the rows
+// fall across the shards, the result is the merged prefix, every shard
+// is asked at least once, and no shard reads more than twice what it
+// delivered plus its first fill.
+func TestCursorFirstFill(t *testing.T) {
+	const total = 600
+	layouts := map[string]func(shards int) [][]int{
+		"one shard holds all": func(shards int) [][]int {
+			runs := make([][]int, shards)
+			for k := 1; k <= total; k++ {
+				runs[shards-1] = append(runs[shards-1], k)
+			}
+			return runs
+		},
+		"even split": func(shards int) [][]int {
+			runs := make([][]int, shards)
+			for k := 1; k <= total; k++ {
+				runs[k%shards] = append(runs[k%shards], k)
+			}
+			return runs
+		},
+	}
+	for _, shards := range []int{1, 2, 8} {
+		for name, layout := range layouts {
+			for _, limit := range []int{1, 100, total + 50} {
+				runs := layout(shards)
+				owner := map[core.Key]int{}
+				for j, ks := range runs {
+					for _, k := range ks {
+						owner[core.Key(k)] = j
+					}
+				}
+				c, snaps := fakeCursor(runs...)
+				rows := c.take(limit)
+				want := min(limit, total)
+				if len(rows) != want {
+					t.Fatalf("%d shards, %s, limit %d: %d rows, want %d", shards, name, limit, len(rows), want)
+				}
+				delivered := make([]int, shards)
+				for i, p := range rows {
+					if int(p.Key) != i+1 {
+						t.Fatalf("%d shards, %s, limit %d: row %d is key %d", shards, name, limit, i, p.Key)
+					}
+					delivered[owner[p.Key]]++
+				}
+				read := 0
+				for j, s := range snaps {
+					first := firstFill(limit, shards)
+					if len(s.asks) == 0 || s.asks[0] != first {
+						t.Fatalf("%d shards, %s, limit %d: shard %d asks %v, want a first fill of %d", shards, name, limit, j, s.asks, first)
+					}
+					if s.read > 2*delivered[j]+first {
+						t.Errorf("%d shards, %s, limit %d: shard %d read %d rows to deliver %d (first fill %d)", shards, name, limit, j, s.read, delivered[j], first)
+					}
+					read += s.read
+				}
+				if shards == 1 && read != want {
+					t.Errorf("one shard, %s, limit %d: read %d rows to return %d", name, limit, read, want)
+				}
+				if name == "even split" && limit == 100 && read > 2*limit {
+					t.Errorf("%d shards, even split: read %d rows for a %d-row scan", shards, read, limit)
+				}
 			}
 		}
 	}

@@ -83,18 +83,18 @@ type (
 	CSBConfig = csbtree.Config
 )
 
-// Memory model types. Every index charges its work to a Model: the
-// simulated Hierarchy reproduces the paper's numbers cycle for cycle,
-// while the Native model is a near-no-op that runs the same index code
-// at real wall-clock speed and is safe for concurrent use.
+// Memory model types. Every index takes a Model: the simulated
+// Hierarchy reproduces the paper's numbers cycle for cycle, while the
+// Native model charges nothing, so the same index code runs at real
+// wall-clock speed and is safe for concurrent use.
 type (
 	// Model is the memory-system interface indexes charge to.
 	Model = memsys.Model
 	// Hierarchy is the cycle-accurate simulated two-level cache
 	// hierarchy (single-threaded; owns the simulated clock).
 	Hierarchy = memsys.Hierarchy
-	// Native is the zero-cost native model: charges are no-ops (or
-	// atomic counters), and all methods are concurrency-safe.
+	// Native is the native model: it charges nothing, carries the
+	// line size, and is immutable, so one may be shared freely.
 	Native = memsys.Native
 	// MemConfig describes a memory system (line size, caches, latencies).
 	MemConfig = memsys.Config

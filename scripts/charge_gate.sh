@@ -1,0 +1,27 @@
+#!/bin/sh
+# Charge gate: the two ways a native tree quietly starts paying for a
+# memory model again (DESIGN.md §6).
+#   - Only internal/core/charge.go may call a model verb on the tree's
+#     simulator; every other non-test file of the package goes through
+#     its five helpers, which do nothing on a native tree.
+#   - The compiler must report all five helpers as inlinable, or each
+#     of those call sites is a real call again.
+set -eu
+
+direct=$(grep -nE '\.(mem|sim)\.(Access|AccessRange|Compute|Prefetch|PrefetchRange)\(' internal/core/*.go |
+    grep -vE '^internal/core/(charge\.go|[a-z_]+_test\.go):' || true)
+if [ -n "$direct" ]; then
+    echo "charge-gate: model verbs called outside internal/core/charge.go:" >&2
+    echo "$direct" >&2
+    exit 1
+fi
+
+# (The go command replays a cached compile's diagnostics, so no -a.)
+inl=$(${GO:-go} build -gcflags=-m ./internal/core 2>&1 | grep -E 'charge\.go:[0-9]+:[0-9]+: can inline ' || true)
+for verb in compute access accessRange prefetch prefetchRange; do
+    if ! echo "$inl" | grep -q "can inline (\*Tree)\.$verb\$"; then
+        echo "charge-gate: (*Tree).$verb is no longer inlinable" >&2
+        exit 1
+    fi
+done
+echo "charge-gate: OK"
