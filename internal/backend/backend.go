@@ -1,7 +1,7 @@
 // Package backend defines the per-shard storage-engine interface of
 // the serving layer, plus the engine extracted from the original
-// store: the prefetch-optimized pB+-Tree with snapshot ping-pong
-// publication (PBTree). A write-optimized log-structured engine lives
+// store: the prefetch-optimized pB+-Tree, published as copy-on-write
+// versions of one tree (PBTree). A write-optimized log-structured engine lives
 // in internal/lsm and implements the same interface.
 //
 // Division of labor with internal/serve: the store owns hash
@@ -90,6 +90,23 @@ type Stats struct {
 
 	// Height is the published tree height (pbtree only).
 	Height int
+
+	// Blocks is the size of the tree's arena in node blocks, free and
+	// retired ones included (pbtree only).
+	Blocks int
+
+	// Copied counts, since start, the blocks copied so that published
+	// versions stayed intact (pbtree only).
+	Copied uint64
+
+	// Retired is the number of replaced blocks that wait for a reader
+	// of an older version before they can be reused (pbtree only).
+	Retired int
+
+	// PinnedSince is when the oldest superseded version a reader still
+	// holds was first found held, in Unix nanoseconds; 0 when none is
+	// (pbtree only).
+	PinnedSince int64
 
 	// Runs is the number of immutable sorted runs (lsm only).
 	Runs int

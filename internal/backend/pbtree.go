@@ -1,21 +1,24 @@
 package backend
 
 // PBTree is the read-optimized engine extracted from the original
-// store: the paper's prefetch-optimized pB+-Tree behind the classic
-// double-buffer publication scheme. Publishing a batch is O(batch),
-// not O(shard): the batch is applied to a writer-owned spare tree, the
-// spare is atomically published, and the previous tree is recycled
-// into the next spare once its readers drain. Durability is a full
-// tree snapshot per checkpoint (ckpt-<lsn16x>.pbt, tmp+fsync+rename).
+// store: the paper's prefetch-optimized pB+-Tree, published as
+// copy-on-write versions of one tree (core.Tree.Fork). A batch is
+// applied once, to a new version that copies only the blocks it
+// writes — the path of each key, a handful of 512-byte blocks — so
+// publishing is O(batch), never O(shard), whatever readers do; the
+// version before stays readable for as long as anyone holds it, and
+// holding it delays only the reuse of the blocks replaced since.
+// Durability is a full tree snapshot per checkpoint
+// (ckpt-<lsn16x>.pbt, tmp+fsync+rename).
 
 import (
 	"fmt"
 	"path"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"pbtree/internal/core"
 	"pbtree/internal/memsys"
@@ -42,21 +45,15 @@ func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// drainSpins bounds how many scheduler yields ApplyBatch spends
-// waiting for the previous snapshot's readers before giving the tree
-// up to them. Point reads drain in a handful of yields; anything still
-// pinned after this many is a long-lived reader (a streaming-scan
-// cursor) that may hold the snapshot for seconds.
-const drainSpins = 4096
-
-// pbSnapshot is one immutable published version. Readers acquire it
-// with a refcount so the writer knows when the previous tree can be
-// recycled.
+// pbSnapshot is one published version: a frozen tree, immutable from
+// header to leaves. Readers count themselves in and out so the writer
+// knows when the version's blocks may be reused; nothing waits on the
+// count.
 type pbSnapshot struct {
-	tree    *core.Tree
+	tree    core.Tree
 	version uint64
-	count   int
 	refs    atomic.Int64
+	since   int64 // writer-owned: when a superseded version was first found still held
 }
 
 func (s *pbSnapshot) Get(k core.Key) (core.TID, bool) { return s.tree.Search(k) }
@@ -91,20 +88,28 @@ func (s *pbSnapshot) AppendPairs(dst []core.Pair) []core.Pair { return s.tree.Ap
 
 func (s *pbSnapshot) Version() uint64 { return s.version }
 
-func (s *pbSnapshot) Count() int { return s.count }
+func (s *pbSnapshot) Count() int { return s.tree.Len() }
 
 func (s *pbSnapshot) Release() { s.refs.Add(-1) }
 
-// PBTree implements Backend on a pair of pB+-Trees (published +
-// spare). The zero value is not usable; construct with NewPBTree.
+// PBTree implements Backend on one pB+-Tree per shard and its
+// versions. The zero value is not usable; construct with NewPBTree.
 type PBTree struct {
 	tree core.Config
 	fill float64
 	fs   storage.FS // nil = non-durable
 	dir  string
 
-	snap  atomic.Pointer[pbSnapshot]
-	spare *core.Tree // writer-owned; equals the published contents
+	// snap is the newest version, which every new reader gets. held is
+	// writer-owned: the superseded versions a reader may still hold,
+	// oldest first — a point read's for microseconds, a cursor's until
+	// it closes.
+	snap atomic.Pointer[pbSnapshot]
+	held []*pbSnapshot
+
+	// What Stats reports of the arena, stored by the writer after each
+	// publication.
+	blocks, copied, retired, pinnedSince atomic.Int64
 
 	// Recovery-phase state, discarded at Seal.
 	rec  *core.Tree  // scratch replay tree (checkpoint + WAL tail)
@@ -119,16 +124,15 @@ func NewPBTree(tree core.Config, fill float64, fs storage.FS, dir string) *PBTre
 	return &PBTree{tree: tree, fill: fill, fs: fs, dir: dir}
 }
 
-// newTree bulkloads one tree with the engine's configuration.
-func (b *PBTree) newTree(pairs []core.Pair) (*core.Tree, error) {
-	t, err := core.New(b.tree)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Bulkload(pairs, b.fill); err != nil {
-		return nil, err
-	}
-	return t, nil
+// firstVersion returns the snapshot of the first version of a tree
+// nobody else has seen, which it lets go: every tree the engine serves
+// was made by Fork, so all of them scan, and are written, the same
+// way.
+func firstVersion(t *core.Tree, version uint64) *pbSnapshot {
+	s := &pbSnapshot{version: version}
+	t.ForkInto(&s.tree)
+	s.tree.Release(t)
+	return s
 }
 
 // listCkpts returns the checkpoint LSNs of the shard directory, newest
@@ -192,100 +196,95 @@ func (b *PBTree) Replay(w Write) error {
 		if err != nil {
 			return err
 		}
-		if err := t.Bulkload(nil, b.fill); err != nil {
-			return err
-		}
 		b.rec = t
 	}
 	applyWrite(b.rec, w)
 	return nil
 }
 
-// Seal implements Backend: bulkload the published and spare trees from
-// whatever recovery or Bootstrap produced, and publish the first
-// snapshot.
+// Seal implements Backend: bulkload the tree from whatever recovery or
+// Bootstrap produced, and publish its first version.
 func (b *PBTree) Seal(version uint64) error {
 	pairs := b.boot
 	if b.rec != nil {
 		pairs = b.rec.AppendPairs(make([]core.Pair, 0, b.rec.Len()))
 	}
 	b.rec, b.boot = nil, nil
-	pub, err := b.newTree(pairs)
+	t, err := core.New(b.tree)
 	if err != nil {
 		return err
 	}
-	spare, err := b.newTree(pairs)
-	if err != nil {
+	if err := t.Bulkload(pairs, b.fill); err != nil {
 		return err
 	}
-	b.spare = spare
-	snap := &pbSnapshot{tree: pub, version: version, count: pub.Len()}
-	b.snap.Store(snap)
+	b.publish(firstVersion(t, version))
 	return nil
 }
 
-// ApplyBatch implements Backend: apply to the spare, publish it, ack,
-// then recycle the previous tree into the next spare once its readers
-// drain. A Compact write rebuilds both trees at the configured fill
-// factor; a failed rebuild degrades to serving the uncompacted
-// contents and is reported through ack.
+// publish makes s the version new readers get.
+func (b *PBTree) publish(s *pbSnapshot) {
+	b.snap.Store(s)
+	b.blocks.Store(int64(s.tree.Blocks()))
+}
+
+// ApplyBatch implements Backend: fork the published version, apply the
+// batch to the fork, publish it, ack, and hand the blocks of every
+// superseded version nobody holds any more back to the arena. A
+// Compact write rebuilds the tree at the configured fill factor — the
+// one O(shard) step, which starts a new arena and leaves the old one
+// to the garbage collector with its last reader; a failed rebuild
+// degrades to serving the uncompacted version and is reported through
+// ack.
 func (b *PBTree) ApplyBatch(ws []Write, version, _ uint64, ack func(error)) error {
+	cur := b.snap.Load()
+	next := &pbSnapshot{version: version}
+	cur.tree.ForkInto(&next.tree)
 	compact := false
 	for _, w := range ws {
-		applyWrite(b.spare, w)
+		applyWrite(&next.tree, w)
 		compact = compact || w.Compact
 	}
+	b.copied.Add(int64(next.tree.Copied()))
 	var cloneErr error
 	if compact {
-		if nt, err := b.spare.CloneFrozen(b.fill); err == nil {
-			b.spare = nt
+		if nt, err := next.tree.CloneFrozen(b.fill); err == nil {
+			next = firstVersion(nt, version)
 		} else {
-			cloneErr = err // serve the uncompacted spare; report via ack
+			cloneErr = err // serve the uncompacted version; report via ack
 		}
 	}
-	old := b.snap.Load()
-	next := &pbSnapshot{tree: b.spare, version: version, count: b.spare.Len()}
-	b.snap.Store(next)
+	b.publish(next)
 	// Acks fire as soon as the write is visible to new readers.
 	ack(cloneErr)
-	// Recycle the previous tree once its readers drain, replaying the
-	// batch so it catches up to the published contents. The drain spin
-	// is bounded: a long-lived reader (a streaming-scan cursor pinning
-	// the snapshot for seconds) must not wedge the write path, so after
-	// drainSpins yields the applier abandons the old tree to its readers
-	// — the GC reclaims it when the last Release lands — and clones the
-	// published tree into a fresh spare instead.
-	drained := true
-	for spin := 0; old.refs.Load() != 0; spin++ {
-		if spin >= drainSpins {
-			drained = false
-			break
+
+	// A version is done with once it is superseded and its count is
+	// back to zero (Snapshot's revalidation keeps a late reader off it).
+	// Versions still held stay queued; only block reuse waits for them.
+	b.held = append(b.held, cur)
+	kept, oldest := b.held[:0], int64(0)
+	for _, s := range b.held {
+		if s.refs.Load() == 0 {
+			next.tree.Release(&s.tree)
+			continue
 		}
-		runtime.Gosched()
-	}
-	if !drained || compact {
-		if nt, err := b.spare.CloneFrozen(b.fill); err == nil {
-			b.spare = nt
-			return nil
+		if s.since == 0 {
+			s.since = time.Now().UnixNano()
 		}
-		// Clone failed: fall back to replaying onto the old tree, which
-		// means waiting out its readers after all — contents stay
-		// correct even if the occupancy rebuild failed.
-		for old.refs.Load() != 0 {
-			runtime.Gosched()
+		if kept = append(kept, s); oldest == 0 {
+			oldest = s.since
 		}
 	}
-	recycled := old.tree
-	for _, w := range ws {
-		applyWrite(recycled, w)
-	}
-	b.spare = recycled
+	clear(b.held[len(kept):])
+	b.held = kept
+	b.pinnedSince.Store(oldest)
+	b.retired.Store(int64(next.tree.Retired()))
 	return nil
 }
 
 // Snapshot implements Backend. The increment-then-revalidate dance
-// closes the race with the writer's drain check: a reader that loses
-// the race releases and retries on the newer snapshot.
+// closes the race with the writer's look at the count of a version it
+// has just superseded: a reader that loses the race releases and
+// retries on the newer version, without having touched the old one.
 func (b *PBTree) Snapshot() Snapshot {
 	for {
 		s := b.snap.Load()
@@ -305,7 +304,7 @@ func (b *PBTree) Checkpoint(lsn uint64) error {
 	if b.fs == nil {
 		return nil
 	}
-	tree := b.snap.Load().tree // immutable to this goroutine until the next batch
+	tree := &b.snap.Load().tree // a published version never changes
 	final := path.Join(b.dir, CheckpointName(lsn))
 	tmp := final + ".tmp"
 	f, err := b.fs.Create(tmp)
@@ -338,14 +337,19 @@ func (b *PBTree) Checkpoint(lsn uint64) error {
 	return nil
 }
 
-// Stats implements Backend.
+// Stats implements Backend. A published version's header never
+// changes, so any goroutine may read it.
 func (b *PBTree) Stats() Stats {
 	s := b.snap.Load()
 	return Stats{
-		Backend: "pbtree",
-		Version: s.version,
-		Count:   s.count,
-		Height:  s.tree.Height(),
+		Backend:     "pbtree",
+		Version:     s.version,
+		Count:       s.tree.Len(),
+		Height:      s.tree.Height(),
+		Blocks:      int(b.blocks.Load()),
+		Copied:      uint64(b.copied.Load()),
+		Retired:     int(b.retired.Load()),
+		PinnedSince: b.pinnedSince.Load(),
 	}
 }
 

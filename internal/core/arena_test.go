@@ -89,12 +89,12 @@ func TestArenaGrowth(t *testing.T) {
 		per := int(tr.slabMask) + 1
 		for i := 0; i < 3*per*tr.LeafCapacity()/2; i++ {
 			tr.Insert(Key(i*7919%1000003), TID(i))
-			if got := len(tr.slabs[0]) / tr.blockWords; tr.high <= nodeID(per) && got > 2*int(tr.high) {
-				t.Fatalf("first slab holds %d blocks for %d nodes", got, tr.high)
+			if got := len(tr.slabs[0]) / tr.blockWords; tr.ar.high <= nodeID(per) && got > 2*int(tr.ar.high) {
+				t.Fatalf("first slab holds %d blocks for %d nodes", got, tr.ar.high)
 			}
 		}
 		if len(tr.slabs) < 3 {
-			t.Fatalf("%d slabs after %d nodes, want the tree to span several", len(tr.slabs), tr.high)
+			t.Fatalf("%d slabs after %d nodes, want the tree to span several", len(tr.slabs), tr.ar.high)
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -102,8 +102,8 @@ func TestArenaGrowth(t *testing.T) {
 		if err := tr.Bulkload(sortedPairs(per*tr.LeafCapacity()+5), 1.0); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := uint64(len(tr.slabs[len(tr.slabs)-1])), uint64(int(tr.high)%per*tr.blockWords); got != want {
-			t.Fatalf("bulkload left a last slab of %d words for %d blocks, want %d", got, tr.high, want)
+		if got, want := uint64(len(tr.slabs[len(tr.slabs)-1])), uint64(int(tr.ar.high)%per*tr.blockWords); got != want {
+			t.Fatalf("bulkload left a last slab of %d words for %d blocks, want %d", got, tr.ar.high, want)
 		}
 		for i := 0; i < per*tr.LeafCapacity(); i++ {
 			tr.Insert(Key(8*i+3), TID(i))
@@ -128,7 +128,7 @@ func TestArenaRecyclesBlocks(t *testing.T) {
 			}
 		}
 		fill()
-		high, used := tr.high, tr.SpaceUsed()
+		high, used := tr.ar.high, tr.SpaceUsed()
 		for _, p := range pairs {
 			tr.Delete(p.Key)
 		}
@@ -142,8 +142,8 @@ func TestArenaRecyclesBlocks(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.high != high {
-			t.Errorf("native=%v: refill carved %d blocks, the first fill %d", tr.sim == nil, tr.high, high)
+		if tr.ar.high != high {
+			t.Errorf("native=%v: refill carved %d blocks, the first fill %d", tr.sim == nil, tr.ar.high, high)
 		}
 		if tr.sim == nil && tr.SpaceUsed() != used {
 			t.Errorf("native SpaceUsed moved %d -> %d over a delete/refill cycle", used, tr.SpaceUsed())
@@ -165,7 +165,7 @@ func TestCheckInvariantsBlockAccounting(t *testing.T) {
 		for _, p := range sortedPairs(40) { // free a few blocks
 			tr.Delete(p.Key)
 		}
-		if tr.free == 0 {
+		if tr.ar.free == 0 {
 			t.Fatal("deleting six leaves' worth of keys freed no block")
 		}
 		if err := tr.CheckInvariants(); err != nil {
@@ -179,7 +179,7 @@ func TestCheckInvariantsBlockAccounting(t *testing.T) {
 	}{
 		{"leaked block", "neither reachable nor free", func(tr *Tree) { tr.newNode(leafFlag); tr.newNode(leafFlag) }},
 		{"freed while reachable", "marked free", func(tr *Tree) { tr.freeNode(tr.leftmostLeaf()) }},
-		{"child past the high-water mark", "outside the arena", func(tr *Tree) { tr.ptrs(tr.view(tr.root))[0] = uint32(tr.high + 1) }},
+		{"child past the high-water mark", "outside the arena", func(tr *Tree) { tr.ptrs(tr.view(tr.root))[0] = uint32(tr.ar.high + 1) }},
 		{"shared child", "reachable twice", func(tr *Tree) { p := tr.ptrs(tr.view(tr.root)); p[1] = p[0] }},
 		{"wrong role bits", "leaf=", func(tr *Tree) { tr.locate(tr.leftmostLeaf()).w[0] &^= leafFlag }},
 	}
@@ -196,11 +196,27 @@ func TestCheckInvariantsBlockAccounting(t *testing.T) {
 // nothing, and a bulkload allocates its slabs plus a handful of
 // per-level slices — not three objects per node.
 func TestArenaAllocations(t *testing.T) {
-	tr := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
+	base := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
 	pairs := sortedPairs(1_000_000)
-	if err := tr.Bulkload(pairs, 0.8); err != nil {
+	if err := base.Bulkload(pairs, 0.8); err != nil {
 		t.Fatal(err)
 	}
+	for _, tr := range []*Tree{base, base.Fork()} {
+		testReadAllocations(t, tr, pairs)
+	}
+	limit := float64(len(base.slabs) + 4*base.Height())
+	if n := testing.AllocsPerRun(3, func() {
+		if err := base.Bulkload(pairs, 0.8); err != nil {
+			t.Fatal(err)
+		}
+	}); n > limit {
+		t.Errorf("a 1M-pair bulkload allocates %v times, want <= %v (%d slabs, height %d)", n, limit, len(base.slabs), base.Height())
+	}
+}
+
+// testReadAllocations is TestArenaAllocations' read half, run on a tree
+// made by New and on a forked one.
+func testReadAllocations(t *testing.T, tr *Tree, pairs []Pair) {
 	if n := testing.AllocsPerRun(100, func() { tr.Search(pairs[777].Key) }); n != 0 {
 		t.Errorf("Search allocates %v times", n)
 	}
@@ -217,6 +233,9 @@ func TestArenaAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sc.NextPairs(rows) }); n != 0 {
 		t.Errorf("NextPairs(100) allocates %v times", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { tr.NewScan(pairs[5000].Key, MaxKey).NextPairs(rows) }); n > 1 {
+		t.Errorf("NewScan allocates %v times, want the Scanner alone", n)
+	}
 	bounded := make([]*Scanner, 0, 101)
 	for i := range cap(bounded) {
 		bounded = append(bounded, tr.NewScan(pairs[i*1000].Key, pairs[i*1000+30].Key))
@@ -228,14 +247,6 @@ func TestArenaAllocations(t *testing.T) {
 		bounded = bounded[1:]
 	}); n != 0 {
 		t.Errorf("NextPairs up to an end key allocates %v times", n)
-	}
-	limit := float64(len(tr.slabs) + 4*tr.Height())
-	if n := testing.AllocsPerRun(3, func() {
-		if err := tr.Bulkload(pairs, 0.8); err != nil {
-			t.Fatal(err)
-		}
-	}); n > limit {
-		t.Errorf("a 1M-pair bulkload allocates %v times, want <= %v (%d slabs, height %d)", n, limit, len(tr.slabs), tr.Height())
 	}
 }
 

@@ -97,7 +97,7 @@ func fillCount(capacity int, fill float64) int {
 // each, charging the writes to the simulated hierarchy, and returns
 // the first leaf.
 func (t *Tree) buildLeaves(pairs []Pair, per int) nodeID {
-	first := t.high + 1
+	first := t.ar.high + 1
 	var prev node
 	for start := 0; start < len(pairs); start += per {
 		chunk := pairs[start:min(start+per, len(pairs))]
@@ -126,7 +126,7 @@ func (t *Tree) buildNonLeafLevel(child nodeID, counts []int, mins []Key, bottom 
 	if bottom {
 		flags = bottomFlag
 	}
-	first := t.high + 1
+	first := t.ar.high + 1
 	start := 0
 	for j, cnt := range counts {
 		n := t.view(t.newNode(flags))

@@ -16,6 +16,9 @@ func (t *Tree) Delete(key Key) bool {
 	if !found {
 		return false
 	}
+	if t.epoch != 0 {
+		leaf = t.ownPath(leaf.id)
+	}
 	t.stats.Deletes++
 	t.count--
 	i := ub - 1
@@ -47,8 +50,8 @@ func (t *Tree) leafRemoveAt(n node, i int) {
 // fixEmpty restores the invariant that every non-root node holds at
 // least one key, after node n (at descent-path depth level) was
 // emptied. It either refills n from a sibling or removes a node —
-// which goes on the free list — cascading upward when the parent
-// empties in turn.
+// which goes on the free list, or is retired if an older version can
+// reach it — cascading upward when the parent empties in turn.
 func (t *Tree) fixEmpty(n node, level int) {
 	for {
 		if level < 0 {
@@ -66,11 +69,19 @@ func (t *Tree) fixEmpty(n node, level int) {
 			ls = t.view(nodeID(t.ptrs(parent)[ci-1]))
 		}
 
+		// A forked tree owns the path, n included, but not n's
+		// siblings: the one about to be written is made its own first.
 		switch {
 		case rs.id != 0 && rs.count() >= 2:
+			if t.epoch != 0 {
+				rs, n, parent = t.ownSibling(parent, ci+1, n)
+			}
 			t.redistributeFromRight(parent, ci, n, rs)
 			return
 		case ls.id != 0 && ls.count() >= 2:
+			if t.epoch != 0 {
+				ls, n, parent = t.ownSibling(parent, ci-1, n)
+			}
 			t.redistributeFromLeft(parent, ci, n, ls)
 			return
 		case rs.id != 0:
@@ -82,10 +93,14 @@ func (t *Tree) fixEmpty(n node, level int) {
 			// The single-key left sibling absorbs n. An empty leaf has
 			// nothing to move, but an empty non-leaf still owns one
 			// child that must survive.
-			if n.leaf() {
-				t.unlinkNode(ls, n)
-			} else {
+			switch {
+			case !n.leaf():
+				if t.epoch != 0 {
+					ls, n, parent = t.ownSibling(parent, ci-1, n)
+				}
 				t.mergeIntoLeft(ls, n, Key(t.keys(parent)[ci-1]))
+			case t.epoch == 0:
+				t.unlinkNode(ls, n)
 			}
 			t.removeChildAt(parent, ci)
 			t.freeNode(n.id)

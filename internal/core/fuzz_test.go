@@ -117,7 +117,8 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 }
 
 // FuzzTreeOps drives one fuzzer-chosen insert/delete/search sequence
-// through a native tree, its simulated twin and a map oracle at once.
+// through a native tree, its simulated twin, a lineage of forked
+// versions (versionOracle) and a map oracle at once.
 // The two trees run different code — branchless search and real
 // prefetches against the paper's probe-per-key search on simulated
 // addresses — so every result must agree op by op, both must keep
@@ -147,6 +148,18 @@ func FuzzTreeOps(f *testing.F) {
 	}
 	f.Add(cycle, uint8(1), true)
 	f.Add(cycle, uint8(1), false)
+	// The same cycle with a version published after every op (the top
+	// bit) and, every fourth op, one released out of order (the next
+	// bit): insert and delete are 129 and 130 with the top bit, 192 and
+	// 193 with both.
+	versions := make([]byte, 0, 3*450)
+	for _, op := range [][2]byte{{129, 192}, {130, 193}, {129, 192}} {
+		for i := byte(1); i <= 150; i++ {
+			versions = append(versions, op[i%4/3], i*37, i)
+		}
+	}
+	f.Add(versions, uint8(1), true)
+	f.Add(versions, uint8(2), false)
 
 	f.Fuzz(func(t *testing.T, ops []byte, width uint8, external bool) {
 		if width == 0 || width > 16 {
@@ -166,7 +179,14 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		cfg.Mem = memsys.Default()
 		sim := MustNew(cfg)
+		// A third tree takes the same ops as a lineage of versions: the
+		// op byte's top bit publishes one, at most four stay live, the
+		// next bit releases one out of order.
+		vo := newVersionOracle(t, Config{Width: int(width), Prefetch: true}, nil)
 		check := func(i int) {
+			if i%(64*3) == 0 || len(ops) <= 3*512 { // five trees' worth of walks
+				vo.check(Key(i))
+			}
 			for _, tr := range []*Tree{nat, sim} {
 				if err := tr.CheckInvariants(); err != nil {
 					t.Fatalf("op %d (native=%v): %v", i, tr.sim == nil, err)
@@ -188,11 +208,13 @@ func FuzzTreeOps(f *testing.F) {
 					t.Fatalf("op %d: Insert(%d) added native=%v simulated=%v, oracle had=%v", i, key, a, b, had)
 				}
 				oracle[key] = tid
+				vo.insert(key, tid)
 			case 1:
 				if a, b := nat.Delete(key), sim.Delete(key); a != had || b != had {
 					t.Fatalf("op %d: Delete(%d) native=%v simulated=%v, oracle had=%v", i, key, a, b, had)
 				}
 				delete(oracle, key)
+				vo.delete(key)
 			case 2:
 				for _, tr := range []*Tree{nat, sim} {
 					if got, ok := tr.Search(key); ok != had || got != want {
@@ -201,7 +223,17 @@ func FuzzTreeOps(f *testing.F) {
 				}
 			}
 			// Every op while that is cheap, else every sixteenth.
-			if i%(16*3) == 0 || len(ops) <= 3*512 {
+			checked := i%(16*3) == 0 || len(ops) <= 3*512
+			if ops[i]&0x80 != 0 {
+				vo.publish()
+				switch {
+				case len(vo.kept) > 4:
+					vo.release(0, checked)
+				case len(vo.kept) > 2 && ops[i]&0x40 != 0:
+					vo.release(1, checked)
+				}
+			}
+			if checked {
 				check(i)
 			}
 		}

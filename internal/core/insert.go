@@ -15,6 +15,9 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 	}
 	t.compute(t.cost.Op)
 	leaf, ub, found := t.findLeaf(key)
+	if t.epoch != 0 {
+		leaf = t.ownPath(leaf.id)
+	}
 	if found {
 		i := ub - 1
 		t.access(t.leafLay.ptrAddr(t.addr(leaf), i))
@@ -90,10 +93,12 @@ func (t *Tree) splitLeaf(id nodeID, pos int, key Key, tid TID) {
 	right.setCount(copy(t.keys(right), sk[half:total]))
 	copy(t.ptrs(right), st[half:total])
 
-	t.setNext(right, t.next(n))
-	t.setNext(n, right.id)
-	t.access(t.leafLay.nextAddr(t.addr(n)))
-	t.access(t.leafLay.nextAddr(t.addr(right)))
+	if t.epoch == 0 {
+		t.setNext(right, t.next(n))
+		t.setNext(n, right.id)
+		t.access(t.leafLay.nextAddr(t.addr(n)))
+		t.access(t.leafLay.nextAddr(t.addr(right)))
+	}
 
 	// Charge the data movement: the whole right half is written, and
 	// the left half shifted from pos onward (if the new pair landed

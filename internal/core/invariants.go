@@ -4,47 +4,80 @@ import "fmt"
 
 // CheckInvariants verifies the structural invariants of the tree and
 // its jump-pointer array. It walks plain Go memory and charges nothing
-// to the simulated hierarchy, so tests can call it freely.
+// to the simulated hierarchy, so tests can call it freely. On a tree
+// that was never forked it also closes the block accounting: every
+// carved block is reachable or free. Versions share their arena, so
+// for them that sum takes every live version at once (the version
+// oracle of the tests does it, from the marks of checkVersion and
+// checkFree); the newest version is still held to its own part, a
+// frozen one to its structure.
 func (t *Tree) CheckInvariants() error {
-	if t.root == 0 {
-		return fmt.Errorf("nil root")
-	}
-	var leaves []nodeID
-	count := 0
-	// seen is the block accounting: every carved id must turn up
-	// exactly once, under the root or on the free list.
-	seen := make([]bool, t.high+1)
-	if err := t.checkNode(t.root, 1, nil, nil, &leaves, &count, seen); err != nil {
+	a := t.ar
+	seen := make([]bool, a.high+1)
+	if err := t.checkVersion(seen); err != nil || t.epoch != a.epoch {
 		return err
 	}
-	if count != t.count {
-		return fmt.Errorf("count %d, tree reports %d", count, t.count)
+	for _, id := range a.retired {
+		if seen[id] {
+			return fmt.Errorf("retired block %d is reachable from the writable version", id)
+		}
 	}
-	for id := t.free; id != 0; id = nodeID(t.locate(id).w[1]) {
-		if id > t.high || seen[id] {
-			return fmt.Errorf("free list holds block %d, past the high-water mark %d or already seen", id, t.high)
+	if err := t.checkFree(seen); err != nil || a.epoch != 0 {
+		return err
+	}
+	for id := nodeID(1); id <= a.high; id++ {
+		if !seen[id] {
+			return fmt.Errorf("block %d is neither reachable nor free", id)
+		}
+	}
+	return nil
+}
+
+// checkFree walks the free list, which only the newest version's slab
+// table is sure to cover: no block on it may be marked in seen, and it
+// marks each.
+func (t *Tree) checkFree(seen []bool) error {
+	a := t.ar
+	for id := a.free; id != 0; id = nodeID(t.locate(id).w[1]) {
+		if id > a.high || seen[id] {
+			return fmt.Errorf("free list holds block %d, past the high-water mark %d or already seen", id, a.high)
 		}
 		if t.locate(id).w[0] != freeFlag {
 			return fmt.Errorf("block %d on the free list is not marked free", id)
 		}
 		seen[id] = true
 	}
-	for id := nodeID(1); id <= t.high; id++ {
-		if !seen[id] {
-			return fmt.Errorf("block %d is neither reachable nor free", id)
-		}
+	return nil
+}
+
+// checkVersion checks what one version can be held to by itself,
+// marking in seen the blocks reachable from its root.
+func (t *Tree) checkVersion(seen []bool) error {
+	if t.root == 0 {
+		return fmt.Errorf("nil root")
+	}
+	var leaves []nodeID
+	count := 0
+	if err := t.checkNode(t.root, 1, nil, nil, &leaves, &count, seen); err != nil {
+		return err
+	}
+	if count != t.count {
+		return fmt.Errorf("count %d, tree reports %d", count, t.count)
 	}
 
-	// The leaf chain must visit exactly the in-order leaves.
-	i := 0
-	for id := t.leftmostLeaf(); id != 0; id = t.next(t.view(id)) {
-		if i >= len(leaves) || leaves[i] != id {
-			return fmt.Errorf("leaf chain diverges from tree order at leaf %d", i)
+	// The leaf chain must visit exactly the in-order leaves; a forked
+	// tree keeps none.
+	if t.epoch == 0 {
+		i := 0
+		for id := t.leftmostLeaf(); id != 0; id = t.next(t.view(id)) {
+			if i >= len(leaves) || leaves[i] != id {
+				return fmt.Errorf("leaf chain diverges from tree order at leaf %d", i)
+			}
+			i++
 		}
-		i++
-	}
-	if i != len(leaves) {
-		return fmt.Errorf("leaf chain has %d leaves, tree has %d", i, len(leaves))
+		if i != len(leaves) {
+			return fmt.Errorf("leaf chain has %d leaves, tree has %d", i, len(leaves))
+		}
 	}
 	for j := 1; j < len(leaves); j++ {
 		a, b := t.view(leaves[j-1]), t.view(leaves[j])
@@ -71,8 +104,8 @@ func (t *Tree) CheckInvariants() error {
 // bounds, appending leaves in order, accumulating the pair count and
 // marking every block it reaches in seen.
 func (t *Tree) checkNode(id nodeID, depth int, lo, hi *uint32, leaves *[]nodeID, count *int, seen []bool) error {
-	if id == 0 || id > t.high {
-		return fmt.Errorf("child id %d at depth %d outside the arena's 1..%d", id, depth, t.high)
+	if id == 0 || id > t.ar.high {
+		return fmt.Errorf("child id %d at depth %d outside the arena's 1..%d", id, depth, t.ar.high)
 	}
 	if seen[id] {
 		return fmt.Errorf("block %d reachable twice", id)

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // A node is one block: Width cache lines of 4-byte words laid out as
 // the paper draws it (layout.go) — header, keys, child ids or
 // tupleIDs, next last. Blocks live in the tree's arena, pointer-free
@@ -127,11 +129,42 @@ func resolve(n node) node {
 	return n
 }
 
-// newNode allocates a zeroed block with the given role flags, from the
-// free list if it can. All but the last slab are full; the last one
-// doubles (from one block) until the tree is a slab big, after which
-// slabs are made whole. Doubling moves the last slab, so views taken
-// before a newNode are stale: split code allocates first.
+// arena is what every version of one tree shares beside the slabs
+// themselves: how far they are carved, which blocks are free, and —
+// once the tree has been forked (version.go) — which version made each
+// block and which blocks wait for a reader of an older version. Only
+// the goroutine that owns the writable version touches it; a reader of
+// a frozen version reads that version's header and slab table and the
+// blocks reachable from its root, nothing else.
+type arena struct {
+	high nodeID // blocks carved so far: ids 1..high exist
+	free nodeID // head of the free list
+
+	// epoch numbers the writable version; 0 until the first Fork. born
+	// (nil until then) holds the low word of the epoch that allocated
+	// each block — a version may write the blocks it made and must copy
+	// any other first.
+	epoch uint64
+	born  []uint32
+
+	// live is the epochs of the frozen versions not yet released,
+	// ascending. retired queues the blocks a version replaced or
+	// emptied but did not make, oldest first, and marks cuts the queue
+	// by retiring epoch: a run rejoins the free list once no live
+	// version is older than the epoch that retired it.
+	live    []uint64
+	retired []nodeID
+	marks   []retireMark
+}
+
+// retireMark says the next n blocks of arena.retired were retired by
+// the version numbered epoch.
+type retireMark struct {
+	epoch uint64
+	n     int
+}
+
+// newNode allocates a zeroed block with the given role flags.
 //
 // Every node takes a fresh simulated address, recycled block or not
 // (simulated addresses are never reused); only a simulated tree keeps
@@ -139,25 +172,11 @@ func resolve(n node) node {
 // bumps its address space once per carved block, which keeps
 // SpaceUsed the real byte count.
 func (t *Tree) newNode(flags uint32) nodeID {
-	id := t.free
-	fresh := id == 0
+	high := t.ar.high
+	id := t.allocBlock()
+	w, fresh := t.locate(id).w, id > high
 	if !fresh {
-		w := t.locate(id).w
-		t.free = nodeID(w[1])
 		clear(w)
-	} else {
-		per := int(t.slabMask) + 1
-		s, off := int(t.high)>>t.slabShift, int(uint32(t.high)&t.slabMask)
-		if s == len(t.slabs) {
-			t.slabs = append(t.slabs, nil)
-		}
-		if off*t.blockWords == len(t.slabs[s]) {
-			grown := make([]uint32, min(per, max(1, 2*off, int(t.high)))*t.blockWords)
-			copy(grown, t.slabs[s])
-			t.slabs[s] = grown
-		}
-		t.high++
-		id = t.high
 	}
 	switch {
 	case t.sim != nil && fresh:
@@ -167,23 +186,74 @@ func (t *Tree) newNode(flags uint32) nodeID {
 	case fresh:
 		t.space.Alloc(t.leafLay.size)
 	}
-	t.locate(id).w[0] = flags
+	w[0] = flags
 	return id
 }
 
-// freeNode puts a node no longer reachable from the root on the free
-// list.
+// allocBlock takes a block off the free list if it can — its words are
+// whatever they were — and carves a zeroed one if not. All but the
+// last slab are full; the last one doubles (from one block) until the
+// tree is a slab big, after which slabs are made whole. Doubling moves
+// the last slab, so views taken before an allocation are stale: split
+// code allocates first. A frozen version keeps reading the slab table
+// and the last slab as they were when it was forked, so growth writes
+// neither: a new slab is appended past the length an older table has,
+// a doubled one goes into a copy of the table.
+func (t *Tree) allocBlock() nodeID {
+	a := t.ar
+	id := a.free
+	if id != 0 {
+		a.free = nodeID(t.locate(id).w[1])
+	} else {
+		per := int(t.slabMask) + 1
+		s, off := int(a.high)>>t.slabShift, int(uint32(a.high)&t.slabMask)
+		switch {
+		case s == len(t.slabs):
+			t.slabs = append(t.slabs, make([]uint32, min(per, max(1, int(a.high)))*t.blockWords))
+		case off*t.blockWords == len(t.slabs[s]):
+			grown := make([]uint32, min(per, max(2*off, int(a.high)))*t.blockWords)
+			copy(grown, t.slabs[s])
+			t.slabs = slices.Clone(t.slabs)
+			t.slabs[s] = grown
+		}
+		a.high++
+		id = a.high
+		if a.born != nil {
+			a.born = append(a.born, 0)
+		}
+	}
+	if a.born != nil {
+		a.born[id] = uint32(a.epoch)
+	}
+	return id
+}
+
+// freeNode takes a block that is no longer reachable from the root out
+// of the tree: onto the free list if this version made it (always, in
+// a tree that was never forked), onto the retire queue if an older
+// version can still reach it.
 func (t *Tree) freeNode(id nodeID) {
+	if t.epoch != 0 && !t.owns(id) {
+		t.retire(id)
+		return
+	}
+	t.recycle(id)
+}
+
+// recycle threads a block nothing reaches onto the free list.
+func (t *Tree) recycle(id nodeID) {
 	w := t.locate(id).w
-	w[0], w[1] = freeFlag, uint32(t.free)
-	t.free = id
+	w[0], w[1] = freeFlag, uint32(t.ar.free)
+	t.ar.free = id
 }
 
 // resetArena drops every block and reserves exactly the given number,
 // a slab at a time (slab-sized allocations fit the holes an earlier
 // tree or the bulkload's input left in the heap, where one tree-sized
 // allocation only grows it), so a bulkload of known size neither grows
-// a slab nor leaves one half empty. addrs[0] belongs to the nil id.
+// a slab nor leaves one half empty. The tree starts a lineage of its
+// own: versions of what it held before keep the old arena. addrs[0]
+// belongs to the nil id.
 func (t *Tree) resetArena(blocks int) {
 	per := int(t.slabMask) + 1
 	t.slabs = make([][]uint32, 0, (blocks+per-1)/per)
@@ -193,5 +263,5 @@ func (t *Tree) resetArena(blocks int) {
 	for ; blocks > 0; blocks -= per {
 		t.slabs = append(t.slabs, make([]uint32, min(blocks, per)*t.blockWords))
 	}
-	t.high, t.free = 0, 0
+	t.ar, t.epoch = &arena{}, 0
 }

@@ -34,6 +34,18 @@ type Scanner struct {
 	bn    nodeID
 	bnIdx int
 
+	// A forked tree has no sibling links (version.go): its scanner
+	// keeps the descent that found the first leaf, bottom non-leaf node
+	// last, and takes each next leaf from that node's child words —
+	// kids, with the separators between them in seps (nextLeaf). upBuf
+	// backs the path of any tree up to nine levels high, so a scan
+	// allocates nothing past the Scanner itself. pf is the last of kids
+	// that has been asked for.
+	up         []scanStep
+	upBuf      [8]scanStep
+	kids, seps []uint32
+	pf         int
+
 	cursorDone bool
 
 	// noPrefetch disables all scan prefetching for this scanner (the
@@ -80,10 +92,17 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 	// t.path) so concurrent native-mode scans never write shared tree
 	// state; it seeds the internal jump-pointer cursor below.
 	var rec func(n node, idx int)
-	if t.cfg.JumpArray == JumpInternal {
+	switch {
+	case t.epoch != 0:
+		s.up = s.upBuf[:0]
+		rec = func(n node, idx int) { s.up = append(s.up, scanStep{n.id, int32(idx)}) }
+	case t.cfg.JumpArray == JumpInternal:
 		rec = func(n node, idx int) { s.bn, s.bnIdx = n.id, idx }
 	}
 	leaf, addr := t.walk(start, rec)
+	if len(s.up) > 0 {
+		s.enter(t.view(s.up[len(s.up)-1].id))
+	}
 	ub, found := t.searchKeys(leaf, addr, start)
 	idx := ub
 	if found {
@@ -94,7 +113,7 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 	// The starting position may be one past the last key of this leaf.
 	if idx >= leaf.count() {
 		t.access(t.leafLay.nextAddr(addr))
-		s.leaf, s.idx = t.next(leaf), 0
+		s.leaf, s.idx = s.nextLeaf(leaf, 0), 0
 	}
 	if s.leaf == 0 {
 		s.done = true
@@ -322,6 +341,11 @@ func (s *Scanner) openBuffer(buf unsafe.Pointer, rows, slot int) {
 		s.pfBuf(0, ahead)
 		s.bufPF = ahead
 	}
+	if len(s.up) > 0 {
+		// A link-free scan asks for the next leaf now if this call
+		// will get to it.
+		s.pfAhead(int(s.up[len(s.up)-1].idx), rows-(t.view(s.leaf).count()-s.idx))
+	}
 	// The copy loop interleaves leaf reads and return-buffer writes;
 	// all of it is attributed to the leaf level.
 	t.traceNode(t.height-1, KindLeaf)
@@ -369,15 +393,15 @@ func (s *Scanner) leafRun(written, room, slot int) (keys, tids []uint32, more bo
 		s.done = Key(keys[n]) > s.end
 		return keys[:n], tids[:n], false
 	}
-	s.advanceLeaf(leaf, (written+n)*slot)
+	s.advanceLeaf(leaf, (written+n)*slot, room-n)
 	return keys, tids, !s.done
 }
 
 // advanceLeaf steps a scan off the end of leaf to the next one,
 // keeping the prefetch cursor k nodes ahead, and marks the scan done
 // when the chain ends. bufOff is the write offset in the return buffer,
-// in bytes.
-func (s *Scanner) advanceLeaf(leaf node, bufOff int) {
+// in bytes, room the rows it still has room for.
+func (s *Scanner) advanceLeaf(leaf node, bufOff, room int) {
 	t := s.t
 	t.access(t.leafLay.nextAddr(t.addr(leaf)))
 	if !s.noPrefetch {
@@ -388,12 +412,104 @@ func (s *Scanner) advanceLeaf(leaf node, bufOff int) {
 			s.prefetchNextInternal()
 		}
 	}
-	s.leaf, s.idx = t.next(leaf), 0
+	s.leaf, s.idx = s.nextLeaf(leaf, room), 0
 	if s.leaf == 0 {
 		s.done = true
 		return
 	}
 	s.visitLeafForScan(s.leaf, bufOff)
+}
+
+// scanStep is one level of a link-free scan's path: the child of node
+// id the scan is under.
+type scanStep struct {
+	id  nodeID
+	idx int32
+}
+
+// nextLeaf returns the leaf after leaf in key order, 0 at the end: its
+// sibling link, or in a forked tree the next child word of the bottom
+// non-leaf node the scan came through. room is the rows the current
+// call still has room for, which bounds what is prefetched past the
+// new leaf.
+func (s *Scanner) nextLeaf(leaf node, room int) nodeID {
+	t := s.t
+	if t.epoch == 0 {
+		return t.next(leaf)
+	}
+	if len(s.up) == 0 {
+		return 0 // the root is a leaf
+	}
+	e := &s.up[len(s.up)-1]
+	if e.idx++; int(e.idx) == len(s.kids) && !s.nextBottom() {
+		return 0
+	}
+	// The new leaf itself, unless it was asked for a leaf ago, and the
+	// one after it if the call will get that far: the new leaf is
+	// taken to be full, as the paper takes it — its header may still be
+	// on its way.
+	cur := int(e.idx)
+	if s.pf < cur {
+		s.pfAhead(cur-1, 1)
+	}
+	s.pfAhead(cur, room-t.leafLay.maxKeys)
+	return nodeID(s.kids[cur])
+}
+
+// pfAhead keeps a link-free scan's prefetches one leaf ahead of its
+// copy loop. The bottom non-leaf node's child words are the paper's
+// internal jump-pointer array (section 3.5): the one after cur names
+// the next leaf, which is asked for now, so that its miss overlaps the
+// copy of the current one — unless it has been asked for, the call
+// wants nothing of it (beyond is the rows it needs from leaves past
+// child cur), it begins past the end key (the separators say where:
+// section 4.3's rule for short ranges), or it hangs off the next
+// bottom node, a climb away — one exposed miss in about fifty leaves.
+// One leaf ahead is as far as it pays: a w=8 leaf is eight lines and a
+// core keeps about ten misses in flight, so a second leaf's lines only
+// queue behind the first's (BenchmarkNativeScan2000/churned is no
+// faster three leaves ahead, and a fresh tree, which the hardware's
+// streamer already feeds, is slower).
+func (s *Scanner) pfAhead(cur, beyond int) {
+	t := s.t
+	if beyond <= 0 || cur+1 >= len(s.kids) || s.pf > cur || !t.cfg.Prefetch || s.noPrefetch {
+		return
+	}
+	if cur >= 0 && Key(s.seps[cur]) > s.end {
+		return
+	}
+	s.pf = cur + 1
+	t.pfNode(t.locate(nodeID(s.kids[s.pf])))
+}
+
+// nextBottom moves a link-free scan whose bottom non-leaf node is used
+// up — about every fiftieth leaf of a w=8 tree — to the next one: up
+// the recorded path to the first node with a child to the right, and
+// down that child's leftmost edge, none of whose leaves has been asked
+// for. It reports false at the end of the tree.
+func (s *Scanner) nextBottom() bool {
+	t := s.t
+	l := len(s.up) - 2
+	for ; l >= 0 && int(s.up[l].idx) == t.view(s.up[l].id).count(); l-- {
+	}
+	if l < 0 {
+		return false
+	}
+	s.up[l].idx++
+	n := t.view(s.up[l].id)
+	for l++; l < len(s.up); l++ {
+		n = t.view(nodeID(t.ptrs(n)[s.up[l-1].idx]))
+		s.up[l] = scanStep{id: n.id}
+	}
+	s.enter(n)
+	s.pf = -1
+	return true
+}
+
+// enter makes bn the bottom non-leaf node a link-free scan reads its
+// leaves off.
+func (s *Scanner) enter(bn node) {
+	s.kids, s.seps = s.t.ptrs(bn)[:bn.count()+1], s.t.keys(bn)[:bn.count()]
 }
 
 // visitLeafForScan models arriving at a leaf mid-scan: with
@@ -407,7 +523,9 @@ func (s *Scanner) visitLeafForScan(id nodeID, off int) {
 	n := t.locate(id)
 	t.traceNode(t.height-1, KindLeaf)
 	if t.cfg.Prefetch && !s.noPrefetch && t.cfg.JumpArray == JumpNone {
-		t.pfNode(n)
+		if t.epoch == 0 { // nextLeaf has asked for a forked tree's leaf
+			t.pfNode(n)
+		}
 		if s.bufBytes > 0 && !t.cfg.Ablation.NoBufferPrefetch {
 			sz := t.leafLay.maxKeys * fieldSize
 			if off+sz > s.bufBytes {

@@ -295,7 +295,8 @@ func TestNextPairsMatchesNext(t *testing.T) {
 // simulated rows = the slice of the sorted input; resumed calls
 // concatenate to it; the two scanners agree on done after every call.
 func TestLeafRunTable(t *testing.T) {
-	for _, layout := range []Config{
+	for i, layout := range []Config{
+		{Width: 2, Prefetch: true},
 		{Width: 2, Prefetch: true},
 		{Width: 2, Prefetch: true, JumpArray: JumpExternal, ChunkLines: 1},
 		{Width: 2, Prefetch: true, JumpArray: JumpInternal},
@@ -311,6 +312,14 @@ func TestLeafRunTable(t *testing.T) {
 			}
 		}
 		const leaf = 2
+		if i == 0 {
+			// The first layout's native tree is a forked version whose
+			// scans go through copied, link-free leaves: the leaf the
+			// runs start in and the one after it are rewritten in place.
+			nt = nt.Fork()
+			nt.Insert(pairs[leaf*per].Key, pairs[leaf*per].TID)
+			nt.Insert(pairs[(leaf+1)*per].Key, pairs[(leaf+1)*per].TID)
+		}
 		last := (leaf+1)*per - 1 // index of the leaf's last pair
 		for _, pos := range []int{0, 1, per / 2, per - 1} {
 			from := leaf*per + pos

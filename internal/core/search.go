@@ -1,5 +1,11 @@
 package core
 
+import (
+	"unsafe"
+
+	"pbtree/internal/memsys"
+)
+
 // visit models arriving at a node: if prefetching is enabled, all
 // lines of the node are prefetched (section 2.1), then the keynum
 // field is read. The per-node visit overhead is charged here. The
@@ -108,6 +114,11 @@ func (t *Tree) descend(key Key) (node, uint64) {
 	t.path = t.path[:0]
 	return t.walk(key, func(n node, idx int) {
 		t.path = append(t.path, pathEntry{id: n.id, idx: idx})
+		if t.epoch != 0 {
+			// A forked tree asks who made the child before it writes it
+			// (version.go); the answer arrives with the child.
+			memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&t.ar.born[t.ptrs(n)[idx]])))
+		}
 	})
 }
 

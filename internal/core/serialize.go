@@ -48,21 +48,24 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
 		return cw.n, err
 	}
-	// Stream the pairs in key order off the leaf chain.
+	// Stream the pairs in key order.
 	buf := make([]uint32, 0, 2*512)
-	for id := t.leftmostLeaf(); id != 0; {
-		n := t.view(id)
+	var werr error
+	t.eachLeaf(t.root, func(n node) bool {
 		tids := t.ptrs(n)
 		for i, k := range t.keys(n)[:n.count()] {
 			buf = append(buf, k, tids[i])
 			if len(buf) == cap(buf) {
-				if err := binary.Write(cw, binary.LittleEndian, buf); err != nil {
-					return cw.n, err
+				if werr = binary.Write(cw, binary.LittleEndian, buf); werr != nil {
+					return false
 				}
 				buf = buf[:0]
 			}
 		}
-		id = t.next(n)
+		return true
+	})
+	if werr != nil {
+		return cw.n, werr
 	}
 	if len(buf) > 0 {
 		if err := binary.Write(cw, binary.LittleEndian, buf); err != nil {

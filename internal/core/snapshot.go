@@ -1,7 +1,8 @@
 package core
 
 // Snapshot hooks: the serving layer (internal/serve) publishes frozen
-// copies of a tree while a writer keeps mutating its own working copy.
+// versions of a tree (version.go) while a writer mutates their
+// successor, and rebuilds a shard's tree when asked to compact it.
 // AppendPairs, like WriteTo, charges nothing to the memory model — it
 // is maintenance plumbing, not a modeled index operation; CloneFrozen
 // charges its bulkload as usual (a no-op on the native model the
@@ -11,23 +12,22 @@ package core
 // key order and returns the extended slice. Pass a slice with spare
 // capacity (e.g. make([]Pair, 0, t.Len())) to avoid reallocation.
 func (t *Tree) AppendPairs(dst []Pair) []Pair {
-	for id := t.leftmostLeaf(); id != 0; {
-		n := t.view(id)
+	t.eachLeaf(t.root, func(n node) bool {
 		tids := t.ptrs(n)
 		for i, k := range t.keys(n)[:n.count()] {
 			dst = append(dst, Pair{Key: Key(k), TID: TID(tids[i])})
 		}
-		id = t.next(n)
-	}
+		return true
+	})
 	return dst
 }
 
 // CloneFrozen bulkloads a fresh tree with the same configuration and
-// the current contents at the given fill factor. The clone charges to
-// the same memory model but allocates from its own address space
-// (unless the original configuration pinned a shared one), so the
-// original can keep mutating while readers use the frozen clone — the
-// copy-on-write publication step of a serving snapshot.
+// the current contents at the given fill factor: the one O(tree)
+// rebuild, which restores the occupancy and the arena order that
+// updates wear down. The clone charges to the same memory model but
+// has its own arena and allocates from its own address space (unless
+// the original configuration pinned a shared one).
 func (t *Tree) CloneFrozen(fill float64) (*Tree, error) {
 	nt, err := New(t.cfg)
 	if err != nil {

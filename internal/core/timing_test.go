@@ -269,48 +269,98 @@ func TestScanStallMostlyHidden(t *testing.T) {
 //	go test -run '^$' -bench 'Native(Scan|Insert)' -benchtime 200000x ./internal/core/
 const nativeBenchKeys = 8 << 20
 
-var nativeBench struct {
+// The three trees of the native benchmarks, each bulkloaded on first
+// use: made by New (sibling links, written in place), forked (the tree
+// a shard serves: link-free scans, copy-on-write), and forked with
+// every leaf rewritten once in random order, a version each — what the
+// serving tree looks like after a while, its leaves wherever the free
+// list put their copies.
+const (
+	benchLinked = iota
+	benchForked
+	benchChurned
+)
+
+var benchTreeNames = [...]string{"linked", "forked", "churned"}
+
+var nativeBench [3]struct {
 	once sync.Once
 	tr   *Tree
 }
 
-func nativeBenchTree(b *testing.B) *Tree {
-	nativeBench.once.Do(func() {
+func nativeBenchTree(b *testing.B, kind int) *Tree {
+	nb := &nativeBench[kind]
+	nb.once.Do(func() {
+		pairs := sortedPairs(nativeBenchKeys)
 		tr := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
-		if err := tr.Bulkload(sortedPairs(nativeBenchKeys), 0.8); err != nil {
+		if err := tr.Bulkload(pairs, 0.8); err != nil {
 			b.Fatal(err)
 		}
-		nativeBench.tr = tr
+		if nb.tr = tr; kind != benchLinked {
+			nb.tr = tr.Fork()
+			nb.tr.Release(tr)
+		}
+		if kind == benchChurned {
+			per := fillCount(tr.LeafCapacity(), 0.8)
+			for _, leaf := range rand.New(rand.NewSource(3)).Perm(len(pairs) / per) {
+				prev := nb.tr
+				nb.tr = prev.Fork()
+				nb.tr.Insert(pairs[leaf*per].Key, pairs[leaf*per].TID)
+				nb.tr.Release(prev)
+			}
+		}
 	})
 	b.ResetTimer()
-	return nativeBench.tr
+	return nb.tr
 }
 
 // benchNativeScan times rows-row scans from random keys, each a new
 // scanner copying pairs into one reused buffer, the way a backend
-// snapshot serves Store.Scan.
+// snapshot serves Store.Scan: over the sibling links of a tree made by
+// New, and over the bottom non-leaf nodes of a forked one, fresh and
+// churned.
 func benchNativeScan(b *testing.B, rows int) {
-	r, buf := rand.New(rand.NewSource(1)), make([]Pair, rows)
-	tr := nativeBenchTree(b)
-	for i := 0; i < b.N; i++ {
-		start := Key(8 * (r.Intn(nativeBenchKeys-rows) + 1))
-		if got := tr.NewScan(start, MaxKey).NextPairs(buf); got != rows {
-			b.Fatalf("scan from %d returned %d rows", start, got)
-		}
+	for kind, name := range benchTreeNames {
+		b.Run(name, func(b *testing.B) {
+			r, buf := rand.New(rand.NewSource(1)), make([]Pair, rows)
+			tr := nativeBenchTree(b, kind)
+			for i := 0; i < b.N; i++ {
+				start := Key(8 * (r.Intn(nativeBenchKeys-rows) + 1))
+				if got := tr.NewScan(start, MaxKey).NextPairs(buf); got != rows {
+					b.Fatalf("scan from %d returned %d rows", start, got)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
 func BenchmarkNativeScan100(b *testing.B)  { benchNativeScan(b, 100) }
 func BenchmarkNativeScan2000(b *testing.B) { benchNativeScan(b, 2000) }
 
 // BenchmarkNativeInsert times inserts of new random keys (the gaps
-// sortedPairs leaves between multiples of eight); the tree is shared
-// with the scan benchmarks, which do not mind the extra keys.
+// sortedPairs leaves between multiples of eight) — in place, and the
+// way a shard applies a single-put batch: fork, insert into the copied
+// path, release the version before. The trees are shared with the scan
+// benchmarks, which do not mind the extra keys.
 func BenchmarkNativeInsert(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	tr := nativeBenchTree(b)
-	for i := 0; i < b.N; i++ {
-		tr.Insert(Key(8*(r.Intn(nativeBenchKeys)+1)+1+r.Intn(7)), 1)
-	}
+	key := func(r *rand.Rand) Key { return Key(8*(r.Intn(nativeBenchKeys)+1) + 1 + r.Intn(7)) }
+	b.Run("inplace", func(b *testing.B) {
+		r := rand.New(rand.NewSource(2))
+		tr := nativeBenchTree(b, benchLinked)
+		for i := 0; i < b.N; i++ {
+			tr.Insert(key(r), 1)
+		}
+	})
+	b.Run("forked", func(b *testing.B) {
+		r := rand.New(rand.NewSource(2))
+		tr := nativeBenchTree(b, benchForked)
+		for i := 0; i < b.N; i++ {
+			next := tr.Fork()
+			next.Insert(key(r), 1)
+			next.Release(tr)
+			tr = next
+		}
+		nativeBench[benchForked].tr = tr
+	})
 }

@@ -27,10 +27,12 @@ type UpdateStats struct {
 // Tree is a B+-Tree variant, simulated or native as Config.Mem says.
 // Mutating operations (Insert, Delete, Bulkload) are never safe for
 // concurrent use. A frozen tree — one that is no longer being mutated,
-// e.g. just bulkloaded — supports any number of concurrent readers
-// (Search, NewScan/Next, EstimateRange) when it is native; on a
-// *memsys.Hierarchy even reads must stay single-threaded, since every
-// operation mutates the simulated cache state.
+// e.g. just bulkloaded, or a version that has been forked — supports
+// any number of concurrent readers (Search, NewScan/Next,
+// EstimateRange, AppendPairs, WriteTo) when it is native, also while
+// its successor version is being written; on a *memsys.Hierarchy even
+// reads must stay single-threaded, since every operation mutates the
+// simulated cache state.
 type Tree struct {
 	cfg   Config
 	space *memsys.AddressSpace
@@ -50,15 +52,26 @@ type Tree struct {
 	leafLay, nlLay, bottomLay layout
 
 	// The node arena (node.go): fixed-size blocks in pointer-free
-	// slabs, named by id. addrs[id] is a node's simulated address,
-	// kept by a simulated tree only.
+	// slabs, named by id. slabs is this version's view of the slab
+	// table; ar is the allocation state every version of the tree
+	// shares. addrs[id] is a node's simulated address, kept by a
+	// simulated tree only.
 	blockWords int        // uint32 words per block
 	slabShift  uint       // a full slab holds 1<<slabShift blocks
 	slabMask   uint32     // 1<<slabShift - 1
 	slabs      [][]uint32 // all but the last are full
-	high       nodeID     // blocks carved so far: ids 1..high exist
-	free       nodeID     // head of the free list
+	ar         *arena
 	addrs      []uint64
+
+	// epoch is 0 in a tree made by New and the version number in one
+	// made by Fork (version.go). Being forked is the one thing that
+	// selects the copy-on-write paths: such a tree copies a block an
+	// older version can reach before writing it, retires what it
+	// replaces instead of freeing it, and neither keeps nor follows
+	// sibling links — its scans find the next leaf in the bottom
+	// non-leaf node. copied counts the blocks this version copied.
+	epoch  uint64
+	copied int
 
 	root   nodeID
 	height int // levels, counting the leaf level; 1 for a lone leaf

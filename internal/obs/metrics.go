@@ -184,6 +184,9 @@ const (
 	CursorsOpened
 	CursorTimeouts
 
+	SnapBlocksCopied
+	SnapRetiredBlocks
+
 	WALAppends
 	WALBytes
 	Fsyncs
@@ -247,6 +250,9 @@ var counterDefs = [numCounters]counterDef{
 	CursorsOpen:    {name: "pbtree_scan_cursors_open", help: "Streaming-scan cursors currently open.", gauge: true},
 	CursorsOpened:  {name: "pbtree_scan_cursors_opened_total", help: "Streaming-scan cursors ever opened."},
 	CursorTimeouts: {name: "pbtree_scan_cursor_timeouts_total", help: "Streaming-scan cursors reclaimed idle."},
+
+	SnapBlocksCopied:  {name: "pbtree_snapshot_blocks_copied_total", help: "Tree blocks copied so that published versions stayed intact (pbtree engine)."},
+	SnapRetiredBlocks: {name: "pbtree_snapshot_retired_blocks", help: "Replaced tree blocks waiting for a reader of an older version before reuse (pbtree engine).", gauge: true},
 
 	WALAppends:       {name: "pbtree_wal_appends_total", help: "WAL group commits written."},
 	WALBytes:         {name: "pbtree_wal_bytes_total", help: "WAL bytes written."},

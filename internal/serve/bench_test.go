@@ -112,3 +112,24 @@ func BenchmarkStoreCursor2000x256(b *testing.B) {
 		cur.Close()
 	}
 }
+
+// BenchmarkStorePut is the write side's number: one caller, two
+// shards, a million keys, every Put its own batch — a put's way
+// through the queue, the shard writer, one copy-on-write version of
+// the tree (fork, one insert into a copied path, publish) and back.
+func BenchmarkStorePut(b *testing.B) {
+	const keys = 1 << 20
+	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(keys))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Put(workload.ExistingKey(r, keys)+core.Key(1+r.Intn(7)), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

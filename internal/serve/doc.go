@@ -7,10 +7,12 @@
 //
 //   - Store hash-partitions keys across N independent pB+-Trees. Each
 //     shard has exactly one writer goroutine; reads never take a lock.
-//     Writers apply mutations to a private spare tree and publish it
-//     with an atomic.Pointer swap, so every read runs against an
-//     immutable snapshot (copy-on-write publication, single-writer /
-//     many-reader).
+//     The writer applies a batch to a new version of the shard's tree
+//     — a fork that copies only the blocks it writes — and publishes
+//     it with an atomic.Pointer swap, so every read runs against an
+//     immutable version (copy-on-write publication, single-writer /
+//     many-reader), and a version somebody still holds delays the
+//     reuse of the blocks replaced since and nothing else.
 //   - Store.MGet groups a batch of keys by shard and runs each group
 //     through core.Tree.SearchBatch, the group-pipelined search whose
 //     node fetches overlap in memory (the simulated `mget` experiment

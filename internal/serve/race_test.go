@@ -193,12 +193,11 @@ func TestStoreConcurrentChurn(t *testing.T) {
 
 // TestStoreReadsDuringRebuild reads through every path — Get, MGet,
 // Scan and a cursor held open across writes — while the shard writers
-// rebuild their trees: Compact builds a fresh tree, and a PutBatch
-// that finds the spare tree still pinned by a cursor abandons it for a
-// CloneFrozen copy. Both construct trees (core.New) on a writer
-// goroutine against the one memory model all shards and all readers
-// share, so construction must write nothing to it; it once flipped a
-// mode bit there. The assertions are the race detector plus a model:
+// publish versions and rebuild their trees: every other round a
+// Compact builds a fresh tree (core.New) on a writer goroutine against
+// the one memory model all shards and all readers share, so
+// construction must write nothing to it; it once flipped a mode bit
+// there. The assertions are the race detector plus a model:
 // a stable key always answers its preloaded value, a rewritten key
 // answers a round no older than the last acknowledged write before the
 // read began and no newer than the last one issued when it ended.
@@ -289,8 +288,9 @@ func TestStoreReadsDuringRebuild(t *testing.T) {
 			}
 		}(uint64(r + 1))
 	}
-	// The cursor reader pins one snapshot per shard across several
-	// writes, which is what forces the abandon-and-clone rebuild.
+	// The cursor reader pins one version per shard across several
+	// writes, which makes the writers retire blocks instead of reusing
+	// them.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

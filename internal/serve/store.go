@@ -28,8 +28,8 @@ var ErrClosed = errors.New("serve: store is closed")
 // -backend flag.
 const (
 	// BackendPBTree serves each shard from the paper's
-	// prefetch-optimized pB+-Tree behind double-buffered snapshots —
-	// the read-optimized engine, and the default.
+	// prefetch-optimized pB+-Tree, published as copy-on-write versions
+	// — the read-optimized engine, and the default.
 	BackendPBTree = "pbtree"
 
 	// BackendLSM serves each shard from a log-structured merge engine
@@ -57,8 +57,11 @@ type StoreConfig struct {
 	// is created) or a concurrency-safe model (*memsys.Native); Trace
 	// must be nil, since tracers are single-threaded. Serving trees
 	// are therefore always native trees: they search branchlessly and
-	// issue real prefetch instructions, with nothing to switch on. The
-	// zero value serves on p8B+-Trees, the paper's sweet spot.
+	// issue real prefetch instructions, with nothing to switch on.
+	// JumpArray must be JumpNone: a shard publishes copy-on-write
+	// versions of its tree, whose scans prefetch through the bottom
+	// non-leaf nodes and keep no jump-pointer array. The zero value
+	// serves on p8B+-Trees, the paper's sweet spot.
 	Tree core.Config
 
 	// LSM is the per-shard engine configuration for BackendLSM. The
@@ -137,6 +140,9 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	}
 	if c.Tree.Trace != nil {
 		return c, fmt.Errorf("serve: tree tracers are single-threaded; serving trees cannot carry one")
+	}
+	if c.Tree.JumpArray != core.JumpNone {
+		return c, fmt.Errorf("serve: a serving tree is published as copy-on-write versions, which keep no jump-pointer array (scans prefetch through the bottom non-leaf nodes instead)")
 	}
 	if _, bad := c.Tree.Mem.(*memsys.Hierarchy); bad {
 		return c, fmt.Errorf("serve: the simulated hierarchy is single-threaded; serve on a native model")
@@ -225,6 +231,18 @@ type shard struct {
 	walErr    error           // fail-stop: set on WAL append failure
 	ws        []backend.Write // per-batch scratch
 	recovered RecoveryStats
+	copied    uint64 // engine blocks copied and retired, as last
+	retired   int    // added to the metric cells
+
+	// The batch being applied, for ack — the callback the engine gets
+	// on every ApplyBatch, made once per shard: its mutations, whether
+	// any of them is traced, when the apply began and the LSN the batch
+	// reaches.
+	ack        func(error)
+	batch      []mutation
+	traced     bool
+	applyStart int64
+	batchLSN   uint64
 
 	durErr atomic.Pointer[string] // last durability error, for Stats
 
@@ -319,8 +337,17 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 	}
 	st := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 
-	// Partition the (sorted) pairs; each partition stays sorted.
+	// Partition the (sorted) pairs; each partition stays sorted. The
+	// seed is as large as a shard's tree, so a part is sized by a
+	// counting pass and allocated once, not grown.
+	sizes := make([]int, cfg.Shards)
+	for _, p := range pairs {
+		sizes[st.ShardOf(p.Key)]++
+	}
 	parts := make([][]core.Pair, cfg.Shards)
+	for i, n := range sizes {
+		parts[i] = make([]core.Pair, 0, n)
+	}
 	for _, p := range pairs {
 		s := st.ShardOf(p.Key)
 		parts[s] = append(parts[s], p)
@@ -345,6 +372,7 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 			drained: make(chan struct{}),
 			ready:   make(chan struct{}),
 		}
+		sh.ack = func(err error) { st.acked(sh, err) }
 		if cfg.Durable != nil {
 			// The writer goroutine recovers and publishes the first
 			// snapshot; this shard serves as soon as it is done.
@@ -356,6 +384,7 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 			if err := sh.be.Seal(1); err != nil {
 				return nil, err
 			}
+			parts[i] = nil // the tree holds it now
 			sh.version = 1
 			sh.markReady(nil)
 		}
@@ -647,36 +676,45 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 	if sh.wal == nil {
 		lsn = sh.version // non-durable: versions double as artifact labels
 	}
-	applyStart := obs.Nanotime()
-	err := sh.be.ApplyBatch(sh.ws, sh.version, lsn, func(ackErr error) {
-		sh.published.Add(1)
-		sh.lastPub.Store(obs.Nanotime())
-		if traced {
-			d := obs.Nanotime() - applyStart
-			for _, m := range batch {
-				if m.sp != nil {
-					m.sp.Add(obs.StageApply, d)
-				}
-			}
-		}
-		// Synchronous replication: hold the acknowledgement until a
-		// follower has durably applied through this batch's LSN. The
-		// write is already in the local WAL and published either way —
-		// a gate failure means "not acked", the same contract as a
-		// crash between commit and ack.
-		if ackErr == nil && sh.wal != nil {
-			if gp := st.gate.Load(); gp != nil {
-				ackErr = (*gp)(sh.idx, lsn)
-			}
-		}
-		ackAll(batch, ackErr)
-	})
+	sh.batch, sh.traced, sh.applyStart, sh.batchLSN = batch, traced, obs.Nanotime(), lsn
+	err := sh.be.ApplyBatch(sh.ws, sh.version, lsn, sh.ack)
+	bs := sh.be.Stats()
+	st.cfg.Metrics.Add(obs.SnapBlocksCopied, int64(bs.Copied-sh.copied))
+	st.cfg.Metrics.Add(obs.SnapRetiredBlocks, int64(bs.Retired-sh.retired))
+	sh.copied, sh.retired = bs.Copied, bs.Retired
 	if err != nil {
 		sh.setDurErr(err)
 	}
 	if sh.wal != nil && sh.wal.records >= uint64(st.cfg.Durable.CheckpointEvery) {
 		st.checkpoint(sh)
 	}
+}
+
+// acked runs inside the engine's ApplyBatch, as soon as the batch
+// noted in sh is visible to new readers: it stamps the apply stage and
+// answers every waiter.
+func (st *Store) acked(sh *shard, ackErr error) {
+	sh.published.Add(1)
+	sh.lastPub.Store(obs.Nanotime())
+	if sh.traced {
+		d := obs.Nanotime() - sh.applyStart
+		for _, m := range sh.batch {
+			if m.sp != nil {
+				m.sp.Add(obs.StageApply, d)
+			}
+		}
+	}
+	// Synchronous replication: hold the acknowledgement until a
+	// follower has durably applied through this batch's LSN. The
+	// write is already in the local WAL and published either way —
+	// a gate failure means "not acked", the same contract as a
+	// crash between commit and ack.
+	if ackErr == nil && sh.wal != nil {
+		if gp := st.gate.Load(); gp != nil {
+			ackErr = (*gp)(sh.idx, sh.batchLSN)
+		}
+	}
+	ackAll(sh.batch, ackErr)
 }
 
 // checkpoint asks the engine to make everything through the current
@@ -748,6 +786,31 @@ func (st *Store) writable() error {
 	return nil
 }
 
+// waiter is what a single-key write waits on: the completion channel
+// and the one-element slice its mutation carries, pooled together so a
+// Put allocates neither. The shard writer is done with the slice
+// before it sends on the channel.
+type waiter struct {
+	done chan error
+	pair [1]core.Pair
+	key  [1]core.Key
+}
+
+var waiters = sync.Pool{New: func() any { return &waiter{done: make(chan error, 1)} }}
+
+// write enqueues a single-key mutation built on w, counts it on the
+// shard's counter n once it is queued, and waits for the shard
+// writer's answer.
+func (st *Store) write(sh *shard, w *waiter, m mutation, n *atomic.Uint64) error {
+	defer waiters.Put(w)
+	m.done = w.done
+	if err := st.enqueue(sh, m); err != nil {
+		return err
+	}
+	n.Add(1)
+	return <-w.done
+}
+
 // put is Put with an optional lifecycle span for the shard writer to
 // stamp.
 func (st *Store) put(k core.Key, tid core.TID, sp *obs.Span) error {
@@ -755,12 +818,9 @@ func (st *Store) put(k core.Key, tid core.TID, sp *obs.Span) error {
 		return err
 	}
 	sh := st.shards[st.ShardOf(k)]
-	done := make(chan error, 1)
-	if err := st.enqueue(sh, mutation{puts: []core.Pair{{Key: k, TID: tid}}, done: done, sp: sp}); err != nil {
-		return err
-	}
-	sh.puts.Add(1)
-	return <-done
+	w := waiters.Get().(*waiter)
+	w.pair[0] = core.Pair{Key: k, TID: tid}
+	return st.write(sh, w, mutation{puts: w.pair[:], sp: sp}, &sh.puts)
 }
 
 // Delete removes one key (a no-op if absent), with Put's semantics.
@@ -775,12 +835,9 @@ func (st *Store) delete(k core.Key, sp *obs.Span) error {
 		return err
 	}
 	sh := st.shards[st.ShardOf(k)]
-	done := make(chan error, 1)
-	if err := st.enqueue(sh, mutation{dels: []core.Key{k}, done: done, sp: sp}); err != nil {
-		return err
-	}
-	sh.dels.Add(1)
-	return <-done
+	w := waiters.Get().(*waiter)
+	w.key[0] = k
+	return st.write(sh, w, mutation{dels: w.key[:], sp: sp}, &sh.dels)
 }
 
 // PutBatch applies all pairs as one atomic unit per shard: pairs that
@@ -968,6 +1025,9 @@ type ShardStats struct {
 	Deletes    uint64 `json:"deletes"`               // deletes applied since start
 	Published  uint64 `json:"published"`             // snapshot publications since start
 	Height     int    `json:"height"`                // tree height of the published snapshot (pbtree)
+	Blocks     int    `json:"blocks,omitempty"`      // node blocks in the tree's arena, free and retired included (pbtree)
+	Copied     uint64 `json:"copied,omitempty"`      // blocks copied to keep published versions intact, since start (pbtree)
+	Retired    int    `json:"retired,omitempty"`     // replaced blocks waiting for a reader of an older version (pbtree)
 	Runs       int    `json:"runs,omitempty"`        // immutable sorted runs (lsm)
 	MemKeys    int    `json:"mem_keys,omitempty"`    // memtable entries, tombstones included (lsm)
 	DurableErr string `json:"durable_err,omitempty"` // last WAL/checkpoint/recovery error
@@ -995,6 +1055,9 @@ func (st *Store) Stats() StoreStats {
 			Deletes:    sh.dels.Load(),
 			Published:  sh.published.Load(),
 			Height:     bs.Height,
+			Blocks:     bs.Blocks,
+			Copied:     bs.Copied,
+			Retired:    bs.Retired,
 			Runs:       bs.Runs,
 			MemKeys:    bs.MemKeys,
 		}
@@ -1054,6 +1117,16 @@ func (st *Store) WriteMetrics(w io.Writer) error {
 				return 0, false
 			}
 			return float64(sh.be.Stats().Count), true
+		}},
+		{"pbtree_shard_oldest_pin_seconds", "Seconds the oldest superseded tree version a reader still holds has been held, delaying the reuse of its blocks; 0 when none is (always, on the lsm engine).", func(sh *shard, ready bool) (float64, bool) {
+			if !ready {
+				return 0, false
+			}
+			since := sh.be.Stats().PinnedSince
+			if since == 0 {
+				return 0, true
+			}
+			return float64(time.Now().UnixNano()-since) / 1e9, true
 		}},
 	}
 	if st.cfg.Backend == BackendLSM {

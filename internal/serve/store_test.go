@@ -422,3 +422,28 @@ func TestStoreMGetPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestStorePutAllocates: a Put allocates once — the new version of the
+// shard's tree, in the shard writer — and nothing in the caller: the
+// completion channel and the one-element slice are pooled, the ack
+// callback is made once per shard.
+func TestStorePutAllocates(t *testing.T) {
+	st := openTest(t, 10_000, 2)
+	k := core.Key(8)
+	if n := testing.AllocsPerRun(200, func() {
+		k += 8
+		if err := st.Put(k, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Put allocates %v times, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		k -= 8
+		if err := st.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Delete allocates %v times, want <= 1", n)
+	}
+}

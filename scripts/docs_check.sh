@@ -12,7 +12,20 @@
 #   - TestMetricFamiliesDocumented: every pbtree_* metric family
 #     README.md or DESIGN.md names is in /metrics, and every family in
 #     /metrics is in DESIGN.md's metric reference.
+#   - No stale terms: the two-tree engine's vocabulary ("ping-pong",
+#     "drainSpins", "spare tree") appears only where history is kept
+#     (CHANGES.md, EXPERIMENTS.md, ROADMAP.md, ISSUE.md) — a shard has
+#     one tree, published as copy-on-write versions (DESIGN.md §16).
 set -eu
+
+stale=$(grep -rniE 'ping-pong|drainSpins|spare tree' --include='*.go' --include='*.md' --include='*.sh' \
+    --exclude=CHANGES.md --exclude=EXPERIMENTS.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    --exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench . || true)
+if [ -n "$stale" ]; then
+    echo "docs-check: the two-tree engine's terms are history only:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
