@@ -91,13 +91,15 @@ charge-gate:
 # memsys contract, and all of internal/core's native-vs-simulated
 # differential tests, with no prefetch instruction in the binary — and,
 # since a node is a block of a []uint32 arena, the proof that the arena
-# needs no assembly either. Block offsets are int arithmetic on u32 node
-# ids, and 386 is the one target whose int is 32 bits, so vetting
-# internal/core there catches a constant that overflows it.
+# needs no assembly either. The store's scans prefetch for a group
+# too, so the conformance suite runs there as well: both engines must
+# give the same answers through it. Block offsets are int arithmetic on
+# u32 node ids, and 386 is the one target whose int is 32 bits, so
+# vetting internal/core there catches a constant that overflows it.
 cross:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./internal/core/
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego ./internal/memsys/ ./internal/core/
+	$(GO) test -tags purego ./internal/memsys/ ./internal/core/ ./internal/serve/backendtest/

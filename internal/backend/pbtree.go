@@ -14,7 +14,6 @@ package backend
 import (
 	"fmt"
 	"path"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -62,27 +61,9 @@ func (s *pbSnapshot) GetBatch(keys []core.Key, tids []core.TID, found []bool) {
 	s.tree.SearchBatch(keys, tids, found)
 }
 
-// Scan copies straight into the slice it returns: one allocation for a
-// result of up to 1024 rows, doubling only past that.
-func (s *pbSnapshot) Scan(start, end core.Key, limit int) []core.Pair {
-	if limit <= 0 {
-		return nil
-	}
-	sc := s.tree.NewScan(start, end)
-	run := make([]core.Pair, min(limit, 1024))
-	n := 0
-	for {
-		got := sc.NextPairs(run[n:])
-		n += got
-		if got == 0 || n == limit {
-			return run[:n]
-		}
-		if n == len(run) {
-			run = slices.Grow(run, min(limit-n, n))
-			run = run[:min(limit, cap(run))]
-		}
-	}
-}
+// Run is the version's scanner; the version is never written, so its
+// child words stay valid for as long as the snapshot is pinned.
+func (s *pbSnapshot) Run(start, end core.Key) Run { return s.tree.NewScan(start, end) }
 
 func (s *pbSnapshot) AppendPairs(dst []core.Pair) []core.Pair { return s.tree.AppendPairs(dst) }
 

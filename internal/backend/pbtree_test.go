@@ -124,7 +124,8 @@ func TestPBTreePinnedSnapshot(t *testing.T) {
 	if pinned.Count() != n || pinned.Version() != 1 {
 		t.Fatalf("the held snapshot is version %d with %d keys", pinned.Version(), pinned.Count())
 	}
-	rows := pinned.Scan(0, core.MaxKey, n+1)
+	rows := make([]core.Pair, n+1)
+	rows = rows[:pinned.Run(0, core.MaxKey).NextPairs(rows)]
 	if len(rows) != n {
 		t.Fatalf("the held snapshot scans %d rows, want %d", len(rows), n)
 	}

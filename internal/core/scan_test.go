@@ -393,6 +393,70 @@ func TestLeafRunTable(t *testing.T) {
 	}
 }
 
+// TestOpenScansMatchesNewScan: one group open over native trees of
+// unequal height — empty, a single leaf, three and four levels — gives
+// every member, drained in chunks of any size, exactly the rows its own
+// NewScan does, and Done says when none are left; on fresh, forked and
+// churned trees.
+func TestOpenScansMatchesNewScan(t *testing.T) {
+	const top = 300_000
+	r := rand.New(rand.NewSource(29))
+	sets := map[string][]*Tree{}
+	for _, n := range []int{0, 20, 3_000, top} {
+		tr := newTestTree(t, Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
+		if err := tr.Bulkload(sortedPairs(n), 0.8); err != nil {
+			t.Fatal(err)
+		}
+		forked := tr.Fork()
+		churned := forked.Fork()
+		for i := 0; i < n/8+40; i++ {
+			if k := Key(r.Intn(8*n + 64)); r.Intn(3) == 0 {
+				churned.Delete(k)
+			} else {
+				churned.Insert(k, TID(k))
+			}
+		}
+		sets["fresh"] = append(sets["fresh"], tr)
+		sets["forked"] = append(sets["forked"], forked)
+		sets["churned"] = append(sets["churned"], churned)
+	}
+	drain := func(s *Scanner, chunk int) (rows []Pair) {
+		buf := make([]Pair, chunk)
+		for !s.Done() {
+			n := s.NextPairs(buf)
+			if n == 0 {
+				break
+			}
+			rows = append(rows, buf[:n]...)
+		}
+		if n := s.NextPairs(buf); n != 0 {
+			t.Fatalf("a scan that says it is done returned %d more rows", n)
+		}
+		return rows
+	}
+	for name, ts := range sets {
+		ss := make([]Scanner, len(ts))
+		for trial := 0; trial < 30; trial++ {
+			start := Key(r.Intn(8*top + 64))
+			end := start + Key(r.Intn(4000))
+			switch trial % 3 {
+			case 0:
+				end = MaxKey
+			case 1:
+				start, end = end+1, start
+			}
+			OpenScans(ss, ts, start, end)
+			for i, tr := range ts {
+				want := drain(tr.NewScan(start, end), 1<<16)
+				if got := drain(&ss[i], 1+r.Intn(300)); !slices.Equal(got, want) {
+					t.Fatalf("%s tree %d (height %d), [%d, %d]: the group open scanned %d rows, NewScan %d",
+						name, i, tr.Height(), start, end, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
 // TestNativeScanLeavesSpaceUsedAlone: only a simulated scanner
 // reserves a return-buffer region from the tree's address space. A
 // native scan reads a tree and writes nothing — SpaceUsed stays the

@@ -100,73 +100,107 @@ func (v *lsmView) GetBatch(keys []core.Key, tids []core.TID, found []bool) {
 // noKey is the merge sentinel: above any real (32-bit) key.
 const noKey = uint64(1) << 40
 
-// appendMerged appends the live pairs with keys in [start, end] to
-// dst, in key order, newest source winning per key, stopping at limit
-// pairs appended (limit < 0 = unlimited).
-func (v *lsmView) appendMerged(start, end core.Key, limit int, dst []core.Pair) []core.Pair {
-	if start > end || limit == 0 {
-		return dst
-	}
-	mem := memAppendRange(v.mem, start, end, nil)
-	mi := 0
-	pos := make([]int, len(v.runs))
-	his := make([]int, len(v.runs))
-	for i, r := range v.runs {
-		pos[i], his[i] = r.rangeOf(start, end)
-	}
-	taken := 0
-	for limit < 0 || taken < limit {
-		best := noKey
-		if mi < len(mem) {
-			best = uint64(mem[mi].key)
+// lsmRun is a resumable scan of one view over [start, end]: the k-way
+// merge of the memtable and every run, newest source winning per key
+// and tombstones shadowing, kept between fills. The memtable is walked
+// lazily — mem is an in-order walk's stack, the next entry on top — so
+// a fill reads what it returns, never the memtable's whole range. next
+// is the next live pair, resolved ahead so that Done is exact.
+type lsmRun struct {
+	v        *lsmView
+	end      core.Key
+	mem      []*memNode
+	pos, his []int // per run: the next entry in range, and the range's end
+	next     core.Pair
+	more     bool
+}
+
+// scan opens a run of the view over [start, end].
+func (v *lsmView) scan(start, end core.Key) *lsmRun {
+	r := &lsmRun{v: v, end: end, pos: make([]int, len(v.runs)), his: make([]int, len(v.runs))}
+	if start <= end {
+		for n := v.mem; n != nil; {
+			if n.key >= start {
+				r.mem = append(r.mem, n)
+				n = n.left
+			} else {
+				n = n.right
+			}
 		}
-		for i, r := range v.runs {
-			if pos[i] < his[i] && uint64(r.keys[pos[i]]) < best {
-				best = uint64(r.keys[pos[i]])
+		for i, rn := range v.runs {
+			r.pos[i], r.his[i] = rn.rangeOf(start, end)
+		}
+	}
+	r.advance()
+	return r
+}
+
+// advance resolves the next live pair into r.next, or clears r.more at
+// the end of the range.
+func (r *lsmRun) advance() {
+	for {
+		best := noKey
+		top := len(r.mem) - 1
+		if top >= 0 && r.mem[top].key <= r.end {
+			best = uint64(r.mem[top].key)
+		}
+		for i, rn := range r.v.runs {
+			if r.pos[i] < r.his[i] && uint64(rn.keys[r.pos[i]]) < best {
+				best = uint64(rn.keys[r.pos[i]])
 			}
 		}
 		if best == noKey {
-			break
+			r.more = false
+			return
 		}
 		k := core.Key(best)
 		var e memEntry
 		have := false
-		if mi < len(mem) && mem[mi].key == k {
-			e, have = mem[mi], true
-			mi++
+		if top >= 0 && r.mem[top].key == k {
+			n := r.mem[top]
+			e, have = memEntry{key: k, tid: n.tid, del: n.del}, true
+			r.mem = r.mem[:top]
+			for c := n.right; c != nil; c = c.left {
+				r.mem = append(r.mem, c)
+			}
 		}
-		for i, r := range v.runs {
-			if pos[i] < his[i] && r.keys[pos[i]] == k {
+		for i, rn := range r.v.runs {
+			if r.pos[i] < r.his[i] && rn.keys[r.pos[i]] == k {
 				if !have {
-					e, have = memEntry{key: k, tid: r.tids[pos[i]], del: r.tomb(pos[i])}, true
+					e, have = memEntry{key: k, tid: rn.tids[r.pos[i]], del: rn.tomb(r.pos[i])}, true
 				}
-				pos[i]++
+				r.pos[i]++
 			}
 		}
 		if !e.del {
-			dst = append(dst, core.Pair{Key: e.key, TID: e.tid})
-			taken++
+			r.next, r.more = core.Pair{Key: k, TID: e.tid}, true
+			return
 		}
 	}
-	return dst
 }
 
-// Scan implements backend.Snapshot: a k-way merge across the memtable
-// range and every run's range, newest wins, tombstones shadow.
-func (v *lsmView) Scan(start, end core.Key, limit int) []core.Pair {
-	if limit <= 0 {
-		return nil
+// NextPairs implements backend.Run.
+func (r *lsmRun) NextPairs(buf []core.Pair) int {
+	n := 0
+	for ; n < len(buf) && r.more; n++ {
+		buf[n] = r.next
+		r.advance()
 	}
-	capHint := limit
-	if capHint > 1024 {
-		capHint = 1024
-	}
-	return v.appendMerged(start, end, limit, make([]core.Pair, 0, capHint))
+	return n
 }
+
+// Done implements backend.Run, exactly.
+func (r *lsmRun) Done() bool { return !r.more }
+
+// Run implements backend.Snapshot.
+func (v *lsmView) Run(start, end core.Key) backend.Run { return v.scan(start, end) }
 
 // AppendPairs implements backend.Snapshot: the full-range merge.
 func (v *lsmView) AppendPairs(dst []core.Pair) []core.Pair {
-	return v.appendMerged(0, ^core.Key(0), -1, dst)
+	for r := v.scan(0, core.MaxKey); r.more; r.advance() {
+		dst = append(dst, r.next)
+	}
+	return dst
 }
 
 // Version implements backend.Snapshot.
@@ -336,8 +370,10 @@ func (b *LSM) Seal(version uint64) error {
 		b.memFrom = 1
 		b.boot, b.bootSet = nil, false
 	} else {
-		probe := &lsmView{mem: b.mem, runs: b.runs}
-		b.count = len(probe.appendMerged(0, ^core.Key(0), -1, nil))
+		b.count = 0
+		for r := (&lsmView{mem: b.mem, runs: b.runs}).scan(0, core.MaxKey); r.more; r.advance() {
+			b.count++
+		}
 	}
 	b.publish(version)
 	return nil

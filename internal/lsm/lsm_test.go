@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"path"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -197,9 +198,12 @@ func TestLSMReadPath(t *testing.T) {
 			t.Fatalf("AppendPairs[%d] = %+v, want key %d", i, all[i], k)
 		}
 	}
-	scan := s.Scan(40, 101, 3)
-	if len(scan) != 3 || scan[0].Key != 40 || scan[1].Key != 50 || scan[2].Key != 60 {
-		t.Fatalf("Scan(40,101,3) = %v", scan)
+	run, scan := s.Run(40, 101), make([]core.Pair, 3)
+	if n := run.NextPairs(scan); n != 3 || scan[0].Key != 40 || scan[1].Key != 50 || scan[2].Key != 60 || run.Done() {
+		t.Fatalf("Run(40, 101) filled %d: %v, done %v", n, scan, run.Done())
+	}
+	if n := run.NextPairs(scan); n != 3 || scan[0].Key != 70 || scan[2].Key != 101 || !run.Done() {
+		t.Fatalf("Run(40, 101) resumed with %d: %v, done %v", n, scan, run.Done())
 	}
 	keys := []core.Key{10, 30, 107}
 	tids := make([]core.TID, 3)
@@ -207,6 +211,46 @@ func TestLSMReadPath(t *testing.T) {
 	s.GetBatch(keys, tids, found)
 	if !found[0] || found[1] || !found[2] || tids[0] != 11 || tids[2] != 108 {
 		t.Fatalf("GetBatch = %v %v", tids, found)
+	}
+}
+
+// TestLSMScanReadsWhatItReturns: an open-ended 100-row scan of a view
+// whose memtable is full walks the memtable lazily, so it allocates in
+// proportion to the rows it returns, not to the memtable — each fill
+// used to copy the memtable's whole range.
+func TestLSMScanReadsWhatItReturns(t *testing.T) {
+	cfg, err := Config{}.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(cfg, nil, "")
+	if err := b.Bootstrap(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Seal(1); err != nil {
+		t.Fatal(err)
+	}
+	puts := make([]core.Pair, cfg.FlushKeys-1)
+	for i := range puts {
+		puts[i] = core.Pair{Key: core.Key(8 * (i + 1)), TID: core.TID(i + 1)}
+	}
+	apply(t, b, 2, 2, backend.Write{Puts: puts})
+	if st := b.Stats(); st.MemKeys != len(puts) {
+		t.Fatalf("memtable holds %d entries, want %d", st.MemKeys, len(puts))
+	}
+	s := b.Snapshot()
+	buf := make([]core.Pair, 100)
+	const scans = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scans; i++ {
+		if n := s.Run(8, core.MaxKey).NextPairs(buf); n != len(buf) || buf[99].Key != 800 {
+			t.Fatalf("scan returned %d rows, the last key %d", n, buf[99].Key)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / scans; per > 4096 {
+		t.Errorf("a 100-row scan over a %d-entry memtable allocates %d bytes, want O(rows)", len(puts), per)
 	}
 }
 

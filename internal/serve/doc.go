@@ -17,6 +17,11 @@
 //     through core.Tree.SearchBatch, the group-pipelined search whose
 //     node fetches overlap in memory (the simulated `mget` experiment
 //     of internal/exp); the server feeds it the reads of one burst.
+//   - Store.Scan, SCAN and the streaming cursors are one scan path
+//     (scan.go): a cursor opens every shard's scanner in one
+//     level-lockstep descent (core.OpenScans, through backend.Runs),
+//     keeps one resumable run per shard that each refill continues,
+//     and merges the shard runs without a data-dependent branch.
 //   - DurableStore layers per-shard write-ahead logs and checkpoints
 //     (wal.go, durable.go) under the Store so a crash loses nothing
 //     that was acknowledged.

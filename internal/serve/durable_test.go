@@ -4,9 +4,11 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"pbtree/internal/core"
 	"pbtree/internal/obs"
+	"pbtree/internal/workload"
 )
 
 // openDurable opens a 1-shard durable store on fs, failing the test on
@@ -24,6 +26,57 @@ func openDurable(t *testing.T, fs *MemFS, seed []core.Pair, every int) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// failDirFS fails the creation of one directory, so that the shard it
+// belongs to fails its recovery and the others recover.
+type failDirFS struct {
+	FS
+	dir string
+}
+
+func (f failDirFS) MkdirAll(dir string) error {
+	if dir == f.dir {
+		return errors.New("injected: no directory")
+	}
+	return f.FS.MkdirAll(dir)
+}
+
+// TestScanShardUnavailable: with one shard's recovery failed, SCAN
+// answers ERR naming the shard, as SCANOPEN does — not OK with no rows,
+// which would read as an empty range of the healthy shards too.
+func TestScanShardUnavailable(t *testing.T) {
+	st, err := Open(StoreConfig{Shards: 2, Durable: &DurableConfig{FS: failDirFS{NewMemFS(), shardDirName(1)}}},
+		workload.SortedPairs(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.WaitReady(); err == nil {
+		t.Fatal("shard 1 recovered without its directory")
+	}
+	srv := NewServer(st, ServerConfig{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(2 * time.Second)
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, req := range []*Request{
+		{Op: OpScan, Start: 0, End: core.MaxKey, Limit: 100},
+		{Op: OpScanOpen, Start: 0, End: core.MaxKey},
+	} {
+		rs, err := cl.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Status != StatusErr || !strings.Contains(rs.Err, "shard 1 unavailable") {
+			t.Errorf("op %d answered status %d %q, want ERR naming shard 1", req.Op, rs.Status, rs.Err)
+		}
+	}
 }
 
 func pairsEqual(a, b []core.Pair) bool {

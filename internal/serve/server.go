@@ -584,11 +584,14 @@ func metricOpOf(op Op) core.OpKind {
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
 	case OpScan:
-		pairs := s.st.Scan(req.Start, req.End, int(req.Limit))
+		pairs, err := s.st.scan(req.Start, req.End, int(req.Limit))
+		sp.Mark(obs.StageExec)
+		if err != nil {
+			return &Response{Status: StatusErr, Err: err.Error()}
+		}
 		if pairs == nil {
 			pairs = []core.Pair{}
 		}
-		sp.Mark(obs.StageExec)
 		return &Response{Status: StatusOK, Pairs: pairs}
 	case OpScanOpen, OpScanNext, OpScanClose:
 		resp := s.executeScan(req, cs)

@@ -319,6 +319,10 @@ type Store struct {
 	// called after a batch's WAL commit with the shard and its last
 	// LSN, before the batch is acknowledged (SetCommitGate).
 	gate atomic.Pointer[func(shard int, lsn uint64) error]
+
+	// spare is a closed cursor Scan reuses, so that a scan allocates
+	// only its result; a Scan that finds it taken makes its own.
+	spare atomic.Pointer[StoreCursor]
 }
 
 // Open builds a store from the given pairs (sorted by key, no

@@ -209,8 +209,8 @@ func TestStoreBackpressure(t *testing.T) {
 	}
 }
 
-// fakeSnap is a backend.Snapshot over a sorted slice that records the
-// row limit of every Scan it is asked for and counts the rows it
+// fakeSnap is a backend.Snapshot over a sorted slice whose runs record
+// the size of every fill they are asked for and count the rows they
 // returned.
 type fakeSnap struct {
 	backend.Snapshot
@@ -219,39 +219,54 @@ type fakeSnap struct {
 	read int
 }
 
-func (f *fakeSnap) Scan(start, end core.Key, limit int) []core.Pair {
-	f.asks = append(f.asks, limit)
-	var out []core.Pair
+func (f *fakeSnap) Run(start, end core.Key) backend.Run {
+	r := &fakeRun{snap: f}
 	for _, p := range f.rows {
-		if p.Key >= start && p.Key <= end && len(out) < limit {
-			out = append(out, p)
+		if p.Key >= start && p.Key <= end {
+			r.rows = append(r.rows, p)
 		}
 	}
-	f.read += len(out)
-	return out
+	return r
 }
 
 func (f *fakeSnap) Release() {}
 
+// fakeRun is a fakeSnap's run: the rows of its range not yet read.
+type fakeRun struct {
+	snap *fakeSnap
+	rows []core.Pair
+}
+
+func (r *fakeRun) NextPairs(buf []core.Pair) int {
+	r.snap.asks = append(r.snap.asks, len(buf))
+	n := copy(buf, r.rows)
+	r.rows = r.rows[n:]
+	r.snap.read += n
+	return n
+}
+
+func (r *fakeRun) Done() bool { return len(r.rows) == 0 }
+
 // fakeCursor builds a StoreCursor over [0, MaxUint32] with one fake
 // shard per run of keys.
 func fakeCursor(runs ...[]int) (*StoreCursor, []*fakeSnap) {
-	c := &StoreCursor{end: math.MaxUint32, runs: make([]cursorRun, len(runs)), open: true}
+	c := new(StoreCursor)
 	snaps := make([]*fakeSnap, len(runs))
 	for i, ks := range runs {
 		snaps[i] = &fakeSnap{}
 		for _, k := range ks {
 			snaps[i].rows = append(snaps[i].rows, core.Pair{Key: core.Key(k), TID: core.TID(k)})
 		}
-		c.runs[i].snap = snaps[i]
+		c.snaps = append(c.snaps, snaps[i])
 	}
+	c.openRuns(0, math.MaxUint32)
 	return c, snaps
 }
 
-// TestMergeRuns covers the one k-way merge (StoreCursor.take, under
-// Next): no runs, one run longer than the limit, interleaved runs, a
-// limit hit mid-run — and the first-fill rule that keeps a short scan
-// from reading shards x cursorRefill rows.
+// TestMergeRuns covers the one k-way merge (StoreCursor.merge, under
+// take and Next): no runs, one run longer than the limit, interleaved
+// runs, a limit hit mid-run — and the first-fill rule that keeps a
+// short scan from reading shards x cursorRefill rows.
 func TestMergeRuns(t *testing.T) {
 	keysOf := func(rows []core.Pair) []int {
 		out := make([]int, len(rows))
