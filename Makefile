@@ -1,13 +1,13 @@
 # Developer entry points. `make` (or `make check`) is the full gate,
-# and all CI runs: build + vet + tests + the race detector over every
-# package + the smoke tests (serve, recover, admin, failover) + the
-# benchmark harness's own tests and a quick pass of the benchmark
-# itself + a short fuzz of every Fuzz target + the documentation gate +
-# the charge gate + the cross-compile matrix.
+# and all CI runs besides `make golden-all`: build + vet + tests + the
+# race detector over every package + the smoke tests (serve, recover,
+# admin, failover) + the benchmark harness's own tests and a quick pass
+# of the benchmark itself + a short fuzz of every Fuzz target + the
+# documentation gate + the charge gate + the cross-compile matrix.
 
 GO ?= go
 
-.PHONY: check build test race vet conformance smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness docs-check charge-gate cross
+.PHONY: check build test race vet conformance smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-harness docs-check charge-gate cross golden-all
 
 check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover bench-harness fuzz-smoke docs-check charge-gate cross
 
@@ -103,3 +103,10 @@ cross:
 	GOARCH=386 $(GO) vet ./internal/core/
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego ./internal/memsys/ ./internal/core/ ./internal/serve/backendtest/
+
+# Full reproduction gate: regenerate every experiment at scale 0.1 and
+# require each table byte-identical, in order, in results_scale0.1.txt
+# (`make test` checks only a fast subset). About a minute; CI runs it
+# as its own job, outside `make check`.
+golden-all:
+	PBTREE_GOLDEN_ALL=1 $(GO) test -count=1 ./internal/exp/

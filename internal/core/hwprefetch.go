@@ -31,6 +31,16 @@ func (t *Tree) pfNode(n node) {
 	t.prefetchRange(t.addr(n), t.leafLay.size)
 }
 
+// hintSim asks the host for what a simulated tree reads next of a
+// node: its block and its simulated address in t.addrs. These are
+// real prefetch instructions issued for the simulator's own speed,
+// not the paper's prefetch: nothing is charged, no model verb is
+// called, and the charge sequence is the same with or without them.
+func (t *Tree) hintSim(n node) {
+	memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(n.w))), len(n.w)*fieldSize)
+	memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&t.addrs[n.id])))
+}
+
 // pfHint prefetches the jump-pointer chunk lines a leaf's hint points
 // at: the chunk header and the hinted slot (the Go chunk has no
 // separate header line, so the real prefetch is the slot entry).

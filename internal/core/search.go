@@ -10,13 +10,19 @@ import (
 // lines of the node are prefetched (section 2.1), then the keynum
 // field is read. The per-node visit overhead is charged here. The
 // block is prefetched before its first word is loaded, so the header
-// read already overlaps the other lines.
+// read already overlaps the other lines. A simulated tree first asks
+// the host for the block and its address entry (hintSim), so both
+// arrive while the simulator runs the charges.
 func (t *Tree) visit(id nodeID) (node, uint64) {
 	n := t.locate(id)
+	var addr uint64 // a native tree has none (addr)
+	if t.sim != nil {
+		t.hintSim(n)
+		addr = t.addrs[id]
+	}
 	if t.cfg.Prefetch {
 		t.pfNode(n)
 	}
-	addr := t.addr(n)
 	t.access(addr) // keynum
 	t.compute(t.cost.Visit)
 	return resolve(n), addr

@@ -125,14 +125,13 @@ func (c Config) Bandwidth() float64 {
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
-	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
-		return fmt.Errorf("memsys: line size %d is not a positive power of two", c.LineSize)
+	case c.LineSize < 2 || c.LineSize&(c.LineSize-1) != 0:
+		// The caches keep a flush generation in a tag's offset bits.
+		return fmt.Errorf("memsys: line size %d is not a power of two of at least 2", c.LineSize)
 	case c.L1Assoc <= 0 || c.L2Assoc <= 0:
 		return fmt.Errorf("memsys: associativity must be positive")
-	case c.L1Size <= 0 || c.L1Size%(c.LineSize*c.L1Assoc) != 0:
-		return fmt.Errorf("memsys: L1 size %d not divisible by line size x assoc", c.L1Size)
-	case c.L2Size <= 0 || c.L2Size%(c.LineSize*c.L2Assoc) != 0:
-		return fmt.Errorf("memsys: L2 size %d not divisible by line size x assoc", c.L2Size)
+	case !powerOfTwoSets(c.L1Size, c.LineSize*c.L1Assoc) || !powerOfTwoSets(c.L2Size, c.LineSize*c.L2Assoc):
+		return fmt.Errorf("memsys: L1 size %d or L2 size %d is not a power-of-two number of sets of line size x assoc", c.L1Size, c.L2Size)
 	case c.MemLatency == 0 || c.MemNext == 0:
 		return fmt.Errorf("memsys: memory latencies must be positive")
 	case c.MemNext > c.MemLatency:
@@ -141,4 +140,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memsys: need at least one miss handler")
 	}
 	return nil
+}
+
+// powerOfTwoSets reports whether size bytes are a power-of-two number
+// of sets of setBytes each, so a cache indexes its sets by mask.
+func powerOfTwoSets(size, setBytes int) bool {
+	n := size / setBytes
+	return size > 0 && size%setBytes == 0 && n&(n-1) == 0
 }

@@ -1,5 +1,7 @@
 package memsys
 
+import "math/bits"
+
 // inflightLine records an outstanding fill started by a prefetch.
 type inflightLine struct {
 	line  uint64
@@ -10,14 +12,24 @@ type inflightLine struct {
 // pipelined main memory. It is not safe for concurrent use; each
 // simulation owns one Hierarchy.
 type Hierarchy struct {
-	cfg      Config
-	lineMask uint64
+	cfg       Config
+	lineMask  uint64
+	lineShift uint // log2 of the line size
 
 	now     uint64 // simulated cycle clock
 	memFree uint64 // completion cycle of the most recent memory transfer
 
-	l1, l2   *cache
-	inflight []inflightLine // outstanding prefetch fills, small (<= MissHandlers)
+	l1, l2 *cache
+	// inflight holds the outstanding prefetch fills (at most
+	// MissHandlers) in issue order, the order collect installs them in,
+	// which is part of the LRU state. nextReady is at most the earliest
+	// of their ready cycles (^0 when none), and inMask has at least bit
+	// (line>>lineShift)&63 set for each of their lines, so an access
+	// that nothing in flight can satisfy skips both scans. A prefetch
+	// hit leaves both as they are; collect makes them exact again.
+	inflight  []inflightLine
+	nextReady uint64
+	inMask    uint64
 
 	stats Stats
 	probe Probe // optional observer, nil when detached (see probe.go)
@@ -31,10 +43,12 @@ func New(cfg Config) *Hierarchy {
 		panic(err)
 	}
 	return &Hierarchy{
-		cfg:      cfg,
-		lineMask: ^uint64(cfg.LineSize - 1),
-		l1:       newCache(cfg.L1Size, cfg.LineSize, cfg.L1Assoc),
-		l2:       newCache(cfg.L2Size, cfg.LineSize, cfg.L2Assoc),
+		cfg:       cfg,
+		lineMask:  ^uint64(cfg.LineSize - 1),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		l1:        newCache(cfg.L1Size, cfg.LineSize, cfg.L1Assoc),
+		l2:        newCache(cfg.L2Size, cfg.LineSize, cfg.L2Assoc),
+		nextReady: ^uint64(0),
 	}
 }
 
@@ -57,25 +71,34 @@ func (h *Hierarchy) Compute(c uint64) {
 }
 
 // collect installs any in-flight prefetched lines that have arrived by
-// the current cycle into the caches.
+// the current cycle into the caches, in issue order.
 func (h *Hierarchy) collect() {
-	if len(h.inflight) == 0 {
+	if h.now < h.nextReady {
 		return
 	}
 	kept := h.inflight[:0]
+	h.nextReady, h.inMask = ^uint64(0), 0
 	for _, f := range h.inflight {
 		if f.ready <= h.now {
 			h.l1.insert(f.line)
 			h.l2.insert(f.line)
 		} else {
 			kept = append(kept, f)
+			h.nextReady = min(h.nextReady, f.ready)
+			h.inMask |= h.inBit(f.line)
 		}
 	}
 	h.inflight = kept
 }
 
+// inBit is line's bit in inMask.
+func (h *Hierarchy) inBit(line uint64) uint64 { return 1 << (line >> (h.lineShift & 63) & 63) }
+
 // findInflight returns the index of line in the in-flight list, or -1.
 func (h *Hierarchy) findInflight(line uint64) int {
+	if h.inMask&h.inBit(line) == 0 {
+		return -1
+	}
 	for i, f := range h.inflight {
 		if f.line == line {
 			return i
@@ -179,6 +202,8 @@ func (h *Hierarchy) Prefetch(addr uint64) {
 		h.stats.PFMem++
 	}
 	h.inflight = append(h.inflight, inflightLine{line: line, ready: ready})
+	h.nextReady = min(h.nextReady, ready)
+	h.inMask |= h.inBit(line)
 	h.emit(EvPrefetchIssue, line, stall)
 }
 
@@ -186,44 +211,41 @@ func (h *Hierarchy) Prefetch(addr uint64) {
 // [addr, addr+size). A range whose end would wrap past the top of the
 // address space is clamped to the last representable line.
 func (h *Hierarchy) AccessRange(addr uint64, size int) {
-	if size <= 0 {
-		return
-	}
-	first, last := rangeBounds(addr, size, h.lineMask)
-	for line := first; ; line += uint64(h.cfg.LineSize) {
-		h.Access(line)
-		if line == last {
-			break
-		}
+	first, n := h.lineRange(addr, size)
+	for i := range n {
+		h.Access(first + i<<h.lineShift)
 	}
 }
 
 // PrefetchRange issues prefetches for every line overlapped by
 // [addr, addr+size). A range whose end would wrap past the top of the
-// address space is clamped to the last representable line.
+// address space is clamped to the last representable line. It first
+// asks the host for the L2 tag set of every line, so the sets' host
+// cache misses overlap each other instead of following one another.
 func (h *Hierarchy) PrefetchRange(addr uint64, size int) {
-	if size <= 0 {
-		return
+	first, n := h.lineRange(addr, size)
+	for i := range n {
+		h.l2.hint(first + i<<h.lineShift)
 	}
-	first, last := rangeBounds(addr, size, h.lineMask)
-	for line := first; ; line += uint64(h.cfg.LineSize) {
-		h.Prefetch(line)
-		if line == last {
-			break
-		}
+	for i := range n {
+		h.Prefetch(first + i<<h.lineShift)
 	}
 }
 
-// rangeBounds returns the first and last line of [addr, addr+size),
-// clamping a wrapping end to the last representable line so the range
-// loops terminate deterministically. size must be positive.
-func rangeBounds(addr uint64, size int, lineMask uint64) (first, last uint64) {
-	first = addr & lineMask
+// lineRange returns the first line of [addr, addr+size) and how many
+// lines the range overlaps (none if size <= 0), clamping a wrapping end
+// to the last representable line so the range loops terminate
+// deterministically.
+func (h *Hierarchy) lineRange(addr uint64, size int) (first, n uint64) {
+	if size <= 0 {
+		return 0, 0
+	}
 	end := addr + uint64(size) - 1
 	if end < addr {
 		end = ^uint64(0) // range wraps: clamp
 	}
-	return first, end & lineMask
+	first = addr & h.lineMask
+	return first, (end&h.lineMask-first)>>h.lineShift + 1
 }
 
 // FlushCaches empties both cache levels and abandons in-flight
@@ -233,6 +255,7 @@ func (h *Hierarchy) FlushCaches() {
 	h.l1.flush()
 	h.l2.flush()
 	h.inflight = h.inflight[:0]
+	h.nextReady, h.inMask = ^uint64(0), 0
 }
 
 // ResetStats zeroes the counters without touching cache contents or

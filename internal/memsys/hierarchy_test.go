@@ -14,13 +14,18 @@ func testConfig() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	for _, c := range []Config{DefaultConfig(), DiskConfig(), DefaultConfig().WithBandwidth(5), DiskConfig().WithBandwidth(100)} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("shipped config %+v invalid: %v", c, err)
+		}
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.LineSize = 48 },
 		func(c *Config) { c.LineSize = 0 },
+		func(c *Config) { c.LineSize = 1 },
 		func(c *Config) { c.L1Size = 1000 },
+		func(c *Config) { c.L1Size = 96 << 10 }, // 768 sets
+		func(c *Config) { c.L2Size = 3 << 20 },  // 49 152 sets
 		func(c *Config) { c.L2Size = 0 },
 		func(c *Config) { c.L1Assoc = 0 },
 		func(c *Config) { c.MemLatency = 0 },
