@@ -21,6 +21,8 @@
 package backend
 
 import (
+	"io"
+
 	"pbtree/internal/core"
 	"pbtree/internal/storage"
 )
@@ -244,6 +246,31 @@ func applyWrite(t *core.Tree, w Write) {
 	for _, k := range w.Dels {
 		t.Delete(k)
 	}
+}
+
+// WriteAtomic publishes the file name via tmp+fsync+rename, so a
+// readable name is always complete. Any failure after the tmp exists
+// removes it: a retry comes under a new name, and a full disk must not
+// collect one partial file per attempt.
+func WriteAtomic(fs storage.FS, name string, write func(io.Writer) error) error {
+	tmp := name + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, name)
+	}
+	if err != nil {
+		_ = fs.Remove(tmp)
+	}
+	return err
 }
 
 // RemoveTemp deletes leftover *.tmp files from a shard directory — an

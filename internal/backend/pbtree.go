@@ -13,6 +13,7 @@ package backend
 
 import (
 	"fmt"
+	"io"
 	"path"
 	"sort"
 	"strings"
@@ -286,24 +287,11 @@ func (b *PBTree) Checkpoint(lsn uint64) error {
 		return nil
 	}
 	tree := &b.snap.Load().tree // a published version never changes
-	final := path.Join(b.dir, CheckpointName(lsn))
-	tmp := final + ".tmp"
-	f, err := b.fs.Create(tmp)
+	err := WriteAtomic(b.fs, path.Join(b.dir, CheckpointName(lsn)), func(w io.Writer) error {
+		_, err := tree.WriteTo(w)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := tree.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := b.fs.Rename(tmp, final); err != nil {
 		return err
 	}
 	// Best-effort prune: leftover checkpoints are harmless (recovery

@@ -28,6 +28,15 @@ func validStream(tb testing.TB, n int, cfg Config) []byte {
 	return buf.Bytes()
 }
 
+// cutStreams returns a stream of loadChunkPairs+10 pairs cut at the
+// end of its first chunk, inside a pair of its second chunk, and inside
+// a pair of its first.
+func cutStreams(tb testing.TB) [][]byte {
+	s := validStream(tb, loadChunkPairs+10, Config{Width: 8, Prefetch: true})
+	chunkEnd := headerSize + pairSize*loadChunkPairs
+	return [][]byte{s[:chunkEnd], s[:chunkEnd+4], s[:headerSize+pairSize*100+3]}
+}
+
 // FuzzLoad feeds arbitrary bytes to the deserializer: it must either
 // return a structurally sound tree or an error — never panic and never
 // allocate proportionally to a hostile header field.
@@ -47,6 +56,9 @@ func FuzzLoad(f *testing.F) {
 	// The widest node the format admits and nothing in it: one 256 KB
 	// block (TestLoadWidestEmptyTreeIsBounded pins the allocation).
 	f.Add(wideEmptyStream(f))
+	for _, cut := range cutStreams(f) {
+		f.Add(cut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Load(bytes.NewReader(data), memsys.DefaultNative(), 1.0)

@@ -4,12 +4,18 @@ package core
 // configuration plus the sorted pairs) and is rebuilt by bulkloading
 // on load, the way production systems persist and rebuild main-memory
 // indexes. Simulated cache state is not part of the stream.
+//
+// The stream (PBT1) is little-endian: a 24-byte header — magic
+// "PBT1", width u16, jump-array kind u8, prefetch flag u8, prefetch
+// distance u32, chunk lines u32, pair count u64 — then count
+// (key u32, tid u32) pairs in key order.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"pbtree/internal/memsys"
 )
@@ -18,64 +24,100 @@ import (
 // on incompatible changes.
 var serializeMagic = [4]byte{'P', 'B', 'T', '1'}
 
-// header is the fixed-size stream prologue.
-type header struct {
-	Magic        [4]byte
-	Width        uint16
-	JumpArray    uint8
-	Prefetch     uint8
-	PrefetchDist uint32
-	ChunkLines   uint32
-	Count        uint64
+const (
+	headerSize = 24 // bytes of the stream prologue
+	pairSize   = 8  // bytes of one encoded (key, tid) pair
+
+	// writeChunk is the size of WriteTo's buffer and so of each of its
+	// writes but the last. It and headerSize are multiples of pairSize:
+	// WriteTo's loop relies on the pairs filling the buffer exactly.
+	writeChunk = 256 << 10
+)
+
+// writeBufs recycles WriteTo's buffer: a checkpoint allocates nothing
+// that grows with the tree.
+var writeBufs = sync.Pool{New: func() any { return new([writeChunk]byte) }}
+
+// putHeader encodes the stream prologue for a tree of the resolved
+// configuration cfg holding count pairs into b[:headerSize].
+func putHeader(b []byte, cfg Config, count uint64) {
+	copy(b, serializeMagic[:])
+	binary.LittleEndian.PutUint16(b[4:], uint16(cfg.Width))
+	b[6] = uint8(cfg.JumpArray)
+	b[7] = 0
+	if cfg.Prefetch {
+		b[7] = 1
+	}
+	binary.LittleEndian.PutUint32(b[8:], uint32(cfg.PrefetchDist))
+	binary.LittleEndian.PutUint32(b[12:], uint32(cfg.ChunkLines))
+	binary.LittleEndian.PutUint64(b[16:], count)
+}
+
+// putPairs encodes keys[i], tids[i] pairwise into b, which holds
+// len(keys) pairs: a pair is one little-endian word, key in the low
+// half.
+func putPairs(b []byte, keys, tids []uint32) {
+	tids = tids[:len(keys)]
+	for i, k := range keys {
+		binary.LittleEndian.PutUint64(b[:pairSize], uint64(k)|uint64(tids[i])<<32)
+		b = b[pairSize:]
+	}
 }
 
 // WriteTo serializes the tree's configuration and contents. It
 // implements io.WriterTo.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-	h := header{
-		Magic:        serializeMagic,
-		Width:        uint16(t.cfg.Width),
-		JumpArray:    uint8(t.cfg.JumpArray),
-		PrefetchDist: uint32(t.cfg.PrefetchDist),
-		ChunkLines:   uint32(t.cfg.ChunkLines),
-		Count:        uint64(t.count),
+	buf := writeBufs.Get().(*[writeChunk]byte)
+	defer writeBufs.Put(buf)
+	putHeader(buf[:], t.cfg, uint64(t.count))
+	off, written := headerSize, int64(0)
+	var err error
+	flush := func() bool {
+		var n int
+		n, err = w.Write(buf[:off])
+		if written += int64(n); err == nil && n < off {
+			err = io.ErrShortWrite
+		}
+		off = 0
+		return err == nil
 	}
-	if t.cfg.Prefetch {
-		h.Prefetch = 1
-	}
-	if err := binary.Write(cw, binary.LittleEndian, h); err != nil {
-		return cw.n, err
-	}
-	// Stream the pairs in key order.
-	buf := make([]uint32, 0, 2*512)
-	var werr error
+	// Stream the pairs in key order, filling the buffer to the brim: a
+	// leaf that does not fit is split across two writes.
 	t.eachLeaf(t.root, func(n node) bool {
-		tids := t.ptrs(n)
-		for i, k := range t.keys(n)[:n.count()] {
-			buf = append(buf, k, tids[i])
-			if len(buf) == cap(buf) {
-				if werr = binary.Write(cw, binary.LittleEndian, buf); werr != nil {
-					return false
-				}
-				buf = buf[:0]
+		keys, tids := t.keys(n)[:n.count()], t.ptrs(n)
+		for len(keys) > 0 {
+			if off == writeChunk && !flush() {
+				return false
 			}
+			m := min(len(keys), (writeChunk-off)/pairSize)
+			putPairs(buf[off:off+pairSize*m], keys[:m], tids)
+			off += pairSize * m
+			keys, tids = keys[m:], tids[m:]
 		}
 		return true
 	})
-	if werr != nil {
-		return cw.n, werr
+	if err == nil {
+		flush()
 	}
-	if len(buf) > 0 {
-		if err := binary.Write(cw, binary.LittleEndian, buf); err != nil {
-			return cw.n, err
-		}
+	return written, err
+}
+
+// EncodePairs returns the stream WriteTo writes for a tree of
+// configuration cfg holding exactly pairs (sorted by key, no
+// duplicates) — a stream records no tree shape — without the tree.
+func EncodePairs(cfg Config, pairs []Pair) ([]byte, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
+	buf := make([]byte, headerSize+pairSize*len(pairs))
+	putHeader(buf, cfg, uint64(len(pairs)))
+	b := buf[headerSize:]
+	for _, p := range pairs {
+		binary.LittleEndian.PutUint64(b[:pairSize], uint64(p.Key)|uint64(p.TID)<<32)
+		b = b[pairSize:]
 	}
-	return cw.n, nil
+	return buf, nil
 }
 
 // Stream-format sanity bounds. The writer never exceeds them; a reader
@@ -93,74 +135,69 @@ const (
 // bulkloading it at the given fill factor onto the supplied memory
 // model (nil selects a fresh default simulated hierarchy). Corrupt
 // streams are rejected with an error, never a panic or an unbounded
-// allocation.
+// allocation. Load reads exactly the stream's bytes from r.
 func Load(r io.Reader, mem memsys.Model, fill float64) (*Tree, error) {
-	br := bufio.NewReader(r)
-	var h header
-	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
+	var h [headerSize]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return nil, fmt.Errorf("core: reading header: %w", err)
 	}
-	if h.Magic != serializeMagic {
-		return nil, fmt.Errorf("core: bad magic %q", h.Magic[:])
+	le := binary.LittleEndian
+	width, jump, prefetch := le.Uint16(h[4:]), h[6], h[7]
+	dist, chunkLines, count := le.Uint32(h[8:]), le.Uint32(h[12:]), le.Uint64(h[16:])
+	if [4]byte(h[:4]) != serializeMagic {
+		return nil, fmt.Errorf("core: bad magic %q", string(h[:4]))
 	}
-	if h.JumpArray > uint8(JumpInternal) {
-		return nil, fmt.Errorf("core: unknown jump-array kind %d", h.JumpArray)
+	if jump > uint8(JumpInternal) {
+		return nil, fmt.Errorf("core: unknown jump-array kind %d", jump)
 	}
-	if h.Prefetch > 1 {
-		return nil, fmt.Errorf("core: bad prefetch flag %d", h.Prefetch)
+	if prefetch > 1 {
+		return nil, fmt.Errorf("core: bad prefetch flag %d", prefetch)
 	}
-	if h.Width > maxLoadWidth {
-		return nil, fmt.Errorf("core: width %d exceeds format bound %d", h.Width, maxLoadWidth)
+	if width > maxLoadWidth {
+		return nil, fmt.Errorf("core: width %d exceeds format bound %d", width, maxLoadWidth)
 	}
-	if h.PrefetchDist > maxLoadPrefetchDist {
-		return nil, fmt.Errorf("core: prefetch distance %d exceeds format bound %d", h.PrefetchDist, maxLoadPrefetchDist)
+	if dist > maxLoadPrefetchDist {
+		return nil, fmt.Errorf("core: prefetch distance %d exceeds format bound %d", dist, maxLoadPrefetchDist)
 	}
-	if h.ChunkLines > maxLoadChunkLines {
-		return nil, fmt.Errorf("core: chunk size %d exceeds format bound %d", h.ChunkLines, maxLoadChunkLines)
+	if chunkLines > maxLoadChunkLines {
+		return nil, fmt.Errorf("core: chunk size %d exceeds format bound %d", chunkLines, maxLoadChunkLines)
 	}
-	cfg := Config{
-		Width:        int(h.Width),
-		Prefetch:     h.Prefetch == 1,
-		JumpArray:    JumpArrayKind(h.JumpArray),
-		PrefetchDist: int(h.PrefetchDist),
-		ChunkLines:   int(h.ChunkLines),
+	t, err := New(Config{
+		Width:        int(width),
+		Prefetch:     prefetch == 1,
+		JumpArray:    JumpArrayKind(jump),
+		PrefetchDist: int(dist),
+		ChunkLines:   int(chunkLines),
 		Mem:          mem,
-	}
-	t, err := New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
 	// Stream the pairs in bounded chunks: memory stays proportional to
-	// what the reader actually delivers, so a huge Count in a truncated
+	// what the reader actually delivers, so a huge count in a truncated
 	// stream fails with an error instead of exhausting memory.
-	chunk := min(h.Count, loadChunkPairs)
+	chunk := min(count, loadChunkPairs)
 	pairs := make([]Pair, 0, chunk)
-	raw := make([]uint32, 0, 2*chunk)
-	for remaining := h.Count; remaining > 0; {
-		n := min(remaining, chunk)
-		raw = raw[:2*n]
-		if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
-			return nil, fmt.Errorf("core: reading %d pairs: %w", h.Count, err)
+	raw := make([]byte, pairSize*chunk)
+	for remaining := count; remaining > 0; {
+		b := raw[:pairSize*min(remaining, chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, fmt.Errorf("core: reading %d pairs: %w", count, err)
 		}
-		for i := uint64(0); i < n; i++ {
-			pairs = append(pairs, Pair{Key: Key(raw[2*i]), TID: TID(raw[2*i+1])})
+		remaining -= uint64(len(b) / pairSize)
+		if len(pairs)+len(b)/pairSize > cap(pairs) {
+			pairs = slices.Grow(pairs, len(pairs)) // double: at most twice what arrived
 		}
-		remaining -= n
+		for ; len(b) >= pairSize; b = b[pairSize:] {
+			v := le.Uint64(b)
+			pairs = append(pairs, Pair{Key: Key(v), TID: TID(v >> 32)})
+		}
 	}
 	if err := t.Bulkload(pairs, fill); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// countingWriter tracks bytes written for the io.WriterTo contract.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

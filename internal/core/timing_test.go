@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -362,5 +364,46 @@ func BenchmarkNativeInsert(b *testing.B) {
 			tr = next
 		}
 		nativeBench[benchForked].tr = tr
+	})
+}
+
+// codecBenchPairs is one write-mixed shard: the tree a shard writer
+// checkpoints and recovery loads.
+const codecBenchPairs = 3_000_000
+
+// BenchmarkTreeWriteTo times a checkpoint's encoding of a forked
+// 3M-pair tree to io.Discard, per pair, with its allocations:
+//
+//	go test -run '^$' -bench 'Tree(WriteTo|Load)' -benchmem ./internal/core/
+func BenchmarkTreeWriteTo(b *testing.B) {
+	b.Run("3M", func(b *testing.B) {
+		tr := forkedLineage(b, codecBenchPairs, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tr.WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/codecBenchPairs, "ns/pair")
+	})
+}
+
+// BenchmarkTreeLoad times recovery's half: decoding the same stream
+// and bulkloading a native tree from it at fill 0.8, per pair.
+func BenchmarkTreeLoad(b *testing.B) {
+	b.Run("3M", func(b *testing.B) {
+		var stream bytes.Buffer
+		if _, err := forkedLineage(b, codecBenchPairs, 0).WriteTo(&stream); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(bytes.NewReader(stream.Bytes()), memsys.DefaultNative(), 0.8); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/codecBenchPairs, "ns/pair")
 	})
 }

@@ -579,24 +579,11 @@ func mergeRunEntries(rs []*run, dropTombs bool) []memEntry {
 // its file name.
 func (b *LSM) writeRun(r *run) error {
 	name := runName(r.maxLSN, r.gen)
-	final := path.Join(b.dir, name)
-	tmp := final + ".tmp"
-	f, err := b.fs.Create(tmp)
+	err := backend.WriteAtomic(b.fs, path.Join(b.dir, name), func(w io.Writer) error {
+		_, err := w.Write(encodeRun(r))
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeRun(r)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := b.fs.Rename(tmp, final); err != nil {
 		return err
 	}
 	r.name = name

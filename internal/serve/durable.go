@@ -36,7 +36,6 @@ import (
 	"io"
 	"path"
 	"sort"
-	"strings"
 	"time"
 
 	"pbtree/internal/backend"
@@ -197,26 +196,16 @@ func writeManifest(fsys FS, m manifest) error {
 	if err != nil {
 		return err
 	}
-	f, err := fsys.Create(manifestName + ".tmp")
-	if err != nil {
+	return backend.WriteAtomic(fsys, manifestName, func(w io.Writer) error {
+		_, err := w.Write(blob)
 		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename(manifestName+".tmp", manifestName)
+	})
 }
 
 // listWALSegs returns a shard directory's WAL segment start LSNs,
-// ascending. Non-WAL names (engine artifacts) are left to the engine.
+// ascending. Non-WAL names are left to the engine, *.tmp files too:
+// WALTail lists from any goroutine, and a .tmp may be the checkpoint
+// the shard writer is writing (the engine's Recover reclaims strays).
 func listWALSegs(fsys FS, dir string) ([]uint64, error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -224,10 +213,6 @@ func listWALSegs(fsys FS, dir string) ([]uint64, error) {
 	}
 	var segs []uint64
 	for _, n := range names {
-		if strings.HasSuffix(n, ".tmp") {
-			_ = fsys.Remove(path.Join(dir, n))
-			continue
-		}
 		if lsn, ok := backend.ParseSeq(n, "wal-", ".log"); ok {
 			segs = append(segs, lsn)
 		}

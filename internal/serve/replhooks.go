@@ -313,18 +313,11 @@ func (st *Store) snapshotShard(sh *shard, q *snapReq) error {
 	s := sh.be.Snapshot()
 	pairs := s.AppendPairs(make([]core.Pair, 0, s.Count()))
 	s.Release()
-	t, err := core.New(st.cfg.Tree)
+	data, err := core.EncodePairs(st.cfg.Tree, pairs)
 	if err != nil {
 		return err
 	}
-	if err := t.Bulkload(pairs, st.cfg.Fill); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return err
-	}
-	q.lsn, q.data = sh.lsn, buf.Bytes()
+	q.lsn, q.data = sh.lsn, data
 	return nil
 }
 
