@@ -92,7 +92,7 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
 		fsyncInt  = flag.Duration("fsync-interval", 10*time.Millisecond, "sync period for -fsync interval")
-		ckptEvry  = flag.Int("checkpoint-every", 4096, "WAL records per shard between checkpoints")
+		ckptEvry  = flag.Int("checkpoint-every", 4096, "WAL records per shard segment, and the fewest between checkpoints (a pbtree shard also waits for as many WAL bytes as its last checkpoint)")
 		walKeep   = flag.Int("wal-retain", 0, "superseded WAL segments retained per shard for follower catch-up")
 		replicaOf = flag.String("replica-of", "", "primary serving address to follow (makes this node a read replica; requires -data-dir)")
 		epochFlag = flag.Uint64("epoch", 0, "minimum replication epoch to run at (0 = whatever the MANIFEST records)")

@@ -179,6 +179,12 @@ type Stats struct {
 	// MemKeys is the number of memtable entries, tombstones included
 	// (lsm only).
 	MemKeys int
+
+	// CheckpointBytes is the size of the newest checkpoint the engine
+	// wrote or recovered from, and so about what the next one costs.
+	// 0 on the lsm engine, whose checkpoint, a memtable flush, already
+	// costs in proportion to the log it retires.
+	CheckpointBytes int64
 }
 
 // Backend is one shard's storage engine. See the package comment for
@@ -198,7 +204,9 @@ type Backend interface {
 	Bootstrap(seed []core.Pair) error
 
 	// Replay applies one recovered WAL record. Cheaper than
-	// ApplyBatch: nothing is published until Seal.
+	// ApplyBatch: nothing is published until Seal. The engine keeps
+	// nothing of w's slices, which the store reuses for the next
+	// record.
 	Replay(w Write) error
 
 	// Seal builds and publishes the first snapshot at the given

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"pbtree/internal/core"
-	"pbtree/internal/memsys"
 	"pbtree/internal/storage"
 )
 
@@ -93,9 +92,15 @@ type PBTree struct {
 	// publication.
 	blocks, copied, retired, pinnedSince atomic.Int64
 
-	// Recovery-phase state, discarded at Seal.
-	rec  *core.Tree  // scratch replay tree (checkpoint + WAL tail)
-	boot []core.Pair // Bootstrap's seed pairs
+	// ckptBytes is the size of the newest checkpoint the engine wrote
+	// or recovered from (Stats.CheckpointBytes).
+	ckptBytes atomic.Int64
+
+	// Recovery-phase state, discarded at Seal: the pairs of the
+	// checkpoint Recover loaded or of Bootstrap's seed, and the WAL
+	// tail Replay logged after them.
+	base []core.Pair
+	log  replayLog
 }
 
 // NewPBTree builds a pB+-Tree engine. tree and fill must already be
@@ -136,8 +141,8 @@ func (b *PBTree) listCkpts() ([]uint64, error) {
 }
 
 // Recover implements Backend: the newest checkpoint that actually
-// loads wins; older ones are the fallback if its bytes were damaged at
-// rest.
+// decodes wins; older ones are the fallback if its bytes were damaged
+// at rest. Its pairs wait for Seal, which builds the tree once.
 func (b *PBTree) Recover() (uint64, bool, error) {
 	if b.fs == nil {
 		return 0, false, nil
@@ -151,10 +156,11 @@ func (b *PBTree) Recover() (uint64, bool, error) {
 		if err != nil {
 			continue
 		}
-		t, lerr := core.Load(f, memsys.DefaultNative(), b.fill)
+		pairs, lerr := core.ReadPairs(f)
 		f.Close()
 		if lerr == nil {
-			b.rec = t
+			b.base = pairs
+			b.ckptBytes.Store(core.EncodedSize(len(pairs)))
 			return lsn, true, nil
 		}
 	}
@@ -163,35 +169,23 @@ func (b *PBTree) Recover() (uint64, bool, error) {
 
 // Bootstrap implements Backend.
 func (b *PBTree) Bootstrap(seed []core.Pair) error {
-	b.boot = seed
+	b.base = seed
 	return nil
 }
 
-// Replay implements Backend, applying one WAL record onto the
-// recovery scratch tree.
+// Replay implements Backend: the record is only logged; Seal applies
+// the whole tail at once.
 func (b *PBTree) Replay(w Write) error {
-	if b.rec == nil {
-		// Scratch container for replay without a checkpoint; only its
-		// contents survive (Seal re-bulkloads with the engine's own
-		// tree configuration).
-		t, err := core.New(core.Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
-		if err != nil {
-			return err
-		}
-		b.rec = t
-	}
-	applyWrite(b.rec, w)
+	b.log.add(w)
 	return nil
 }
 
-// Seal implements Backend: bulkload the tree from whatever recovery or
-// Bootstrap produced, and publish its first version.
+// Seal implements Backend: merge the replayed tail into the recovered
+// or seed pairs, bulkload the tree from them, and publish its first
+// version. The bulkload rejects pairs that are not sorted and unique.
 func (b *PBTree) Seal(version uint64) error {
-	pairs := b.boot
-	if b.rec != nil {
-		pairs = b.rec.AppendPairs(make([]core.Pair, 0, b.rec.Len()))
-	}
-	b.rec, b.boot = nil, nil
+	pairs := b.log.merge(b.base)
+	b.base, b.log = nil, replayLog{}
 	t, err := core.New(b.tree)
 	if err != nil {
 		return err
@@ -287,13 +281,15 @@ func (b *PBTree) Checkpoint(lsn uint64) error {
 		return nil
 	}
 	tree := &b.snap.Load().tree // a published version never changes
-	err := WriteAtomic(b.fs, path.Join(b.dir, CheckpointName(lsn)), func(w io.Writer) error {
-		_, err := tree.WriteTo(w)
+	var n int64
+	err := WriteAtomic(b.fs, path.Join(b.dir, CheckpointName(lsn)), func(w io.Writer) (err error) {
+		n, err = tree.WriteTo(w)
 		return err
 	})
 	if err != nil {
 		return err
 	}
+	b.ckptBytes.Store(n)
 	// Best-effort prune: leftover checkpoints are harmless (recovery
 	// skips them) and reclaimed next time.
 	if ckpts, err := b.listCkpts(); err == nil {
@@ -319,6 +315,8 @@ func (b *PBTree) Stats() Stats {
 		Copied:      uint64(b.copied.Load()),
 		Retired:     int(b.retired.Load()),
 		PinnedSince: b.pinnedSince.Load(),
+
+		CheckpointBytes: b.ckptBytes.Load(),
 	}
 }
 

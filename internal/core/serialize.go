@@ -137,45 +137,93 @@ const (
 // streams are rejected with an error, never a panic or an unbounded
 // allocation. Load reads exactly the stream's bytes from r.
 func Load(r io.Reader, mem memsys.Model, fill float64) (*Tree, error) {
+	cfg, count, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Mem = mem
+	t, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := readPairs(r, count)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Bulkload(pairs, fill); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ReadPairs decodes the pairs of a stream produced by WriteTo without
+// building a tree: the half of Load before the bulkload, for a caller
+// that merges the pairs with more before building one. A stream whose
+// pairs are not sorted by key and unique is rejected, as Load rejects
+// it. ReadPairs reads exactly the stream's bytes from r.
+func ReadPairs(r io.Reader) ([]Pair, error) {
+	_, count, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := readPairs(r, count)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i].Key <= pairs[i-1].Key {
+			return nil, fmt.Errorf("core: stream pairs not sorted/unique at %d", i)
+		}
+	}
+	return pairs, nil
+}
+
+// EncodedSize is the length of the stream WriteTo writes for a tree of
+// n pairs.
+func EncodedSize(n int) int64 { return headerSize + pairSize*int64(n) }
+
+// readHeader decodes and bounds-checks the stream prologue, returning
+// the configuration it records (Mem unset) and the pair count.
+func readHeader(r io.Reader) (Config, uint64, error) {
 	var h [headerSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return nil, fmt.Errorf("core: reading header: %w", err)
+		return Config{}, 0, fmt.Errorf("core: reading header: %w", err)
 	}
 	le := binary.LittleEndian
 	width, jump, prefetch := le.Uint16(h[4:]), h[6], h[7]
 	dist, chunkLines, count := le.Uint32(h[8:]), le.Uint32(h[12:]), le.Uint64(h[16:])
 	if [4]byte(h[:4]) != serializeMagic {
-		return nil, fmt.Errorf("core: bad magic %q", string(h[:4]))
+		return Config{}, 0, fmt.Errorf("core: bad magic %q", string(h[:4]))
 	}
 	if jump > uint8(JumpInternal) {
-		return nil, fmt.Errorf("core: unknown jump-array kind %d", jump)
+		return Config{}, 0, fmt.Errorf("core: unknown jump-array kind %d", jump)
 	}
 	if prefetch > 1 {
-		return nil, fmt.Errorf("core: bad prefetch flag %d", prefetch)
+		return Config{}, 0, fmt.Errorf("core: bad prefetch flag %d", prefetch)
 	}
 	if width > maxLoadWidth {
-		return nil, fmt.Errorf("core: width %d exceeds format bound %d", width, maxLoadWidth)
+		return Config{}, 0, fmt.Errorf("core: width %d exceeds format bound %d", width, maxLoadWidth)
 	}
 	if dist > maxLoadPrefetchDist {
-		return nil, fmt.Errorf("core: prefetch distance %d exceeds format bound %d", dist, maxLoadPrefetchDist)
+		return Config{}, 0, fmt.Errorf("core: prefetch distance %d exceeds format bound %d", dist, maxLoadPrefetchDist)
 	}
 	if chunkLines > maxLoadChunkLines {
-		return nil, fmt.Errorf("core: chunk size %d exceeds format bound %d", chunkLines, maxLoadChunkLines)
+		return Config{}, 0, fmt.Errorf("core: chunk size %d exceeds format bound %d", chunkLines, maxLoadChunkLines)
 	}
-	t, err := New(Config{
+	return Config{
 		Width:        int(width),
 		Prefetch:     prefetch == 1,
 		JumpArray:    JumpArrayKind(jump),
 		PrefetchDist: int(dist),
 		ChunkLines:   int(chunkLines),
-		Mem:          mem,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Stream the pairs in bounded chunks: memory stays proportional to
-	// what the reader actually delivers, so a huge count in a truncated
-	// stream fails with an error instead of exhausting memory.
+	}, count, nil
+}
+
+// readPairs decodes the count pairs that follow the header. It streams
+// them in bounded chunks: memory stays proportional to what the reader
+// actually delivers, so a huge count in a truncated stream fails with
+// an error instead of exhausting memory.
+func readPairs(r io.Reader, count uint64) ([]Pair, error) {
 	chunk := min(count, loadChunkPairs)
 	pairs := make([]Pair, 0, chunk)
 	raw := make([]byte, pairSize*chunk)
@@ -192,12 +240,9 @@ func Load(r io.Reader, mem memsys.Model, fill float64) (*Tree, error) {
 			pairs = slices.Grow(pairs, len(pairs)) // double: at most twice what arrived
 		}
 		for ; len(b) >= pairSize; b = b[pairSize:] {
-			v := le.Uint64(b)
+			v := binary.LittleEndian.Uint64(b)
 			pairs = append(pairs, Pair{Key: Key(v), TID: TID(v >> 32)})
 		}
 	}
-	if err := t.Bulkload(pairs, fill); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return pairs, nil
 }

@@ -192,6 +192,8 @@ const (
 	Fsyncs
 	Checkpoints
 	CheckpointErrors
+	CheckpointBytes
+	CheckpointNS
 	WALReplayed
 	Recoveries
 	RecoveryMS
@@ -212,6 +214,7 @@ type counterDef struct {
 	help  string // HELP text, on the first row of a family
 	gauge bool   // TYPE gauge instead of counter
 	label string // fixed label of a multi-row family, e.g. `class="read"`
+	nanos bool   // the cell counts nanoseconds, exposed in seconds
 }
 
 // counterDefs declares every counter and gauge of the registry once.
@@ -259,6 +262,8 @@ var counterDefs = [numCounters]counterDef{
 	Fsyncs:           {name: "pbtree_fsyncs_total", help: "WAL and checkpoint fsyncs."},
 	Checkpoints:      {name: "pbtree_checkpoints_total", help: "Checkpoints completed."},
 	CheckpointErrors: {name: "pbtree_checkpoint_errors_total", help: "Checkpoint attempts that failed."},
+	CheckpointBytes:  {name: "pbtree_checkpoint_bytes_total", help: "Bytes of the checkpoints completed (pbtree engine images; the lsm engine's flushes count 0)."},
+	CheckpointNS:     {name: "pbtree_checkpoint_seconds_total", help: "Wall-clock seconds spent in checkpoint attempts.", nanos: true},
 	WALReplayed:      {name: "pbtree_wal_replayed_records_total", help: "WAL records replayed during recovery."},
 	Recoveries:       {name: "pbtree_recoveries_total", help: "Shard recoveries completed."},
 	RecoveryMS:       {name: "pbtree_recovery_ms_total", help: "Total wall-clock milliseconds spent recovering."},
@@ -323,13 +328,16 @@ func (m *Metrics) Cell(c Counter) *atomic.Int64 {
 	return &m.cells[c]
 }
 
-// Checkpoint records one checkpoint attempt.
-func (m *Metrics) Checkpoint(err error) {
+// Checkpoint records one checkpoint attempt: the time it took, and
+// either its failure or its bytes.
+func (m *Metrics) Checkpoint(bytes int64, d time.Duration, err error) {
+	m.Add(CheckpointNS, int64(d))
 	if err != nil {
 		m.Add(CheckpointErrors, 1)
 		return
 	}
 	m.Add(Checkpoints, 1)
+	m.Add(CheckpointBytes, bytes)
 }
 
 // Values reads every cell whose family starts with prefix, keyed by
@@ -481,7 +489,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 		samples = samples[:0]
 		for ; c < len(counterDefs) && counterDefs[c].name == def.name; c++ {
-			samples = append(samples, Sample{counterDefs[c].label, float64(m.Load(Counter(c)))})
+			v := float64(m.Load(Counter(c)))
+			if counterDefs[c].nanos {
+				v /= 1e9
+			}
+			samples = append(samples, Sample{counterDefs[c].label, v})
 		}
 		if err := WriteFamily(w, def.name, def.help, typ, samples...); err != nil {
 			return err

@@ -254,7 +254,11 @@ func TestCounterTableExposition(t *testing.T) {
 		if def.label != "" {
 			line += "{" + def.label + "}"
 		}
-		line += " " + strconv.Itoa(c+1000)
+		v := float64(c + 1000)
+		if def.nanos {
+			v /= 1e9 // a nanosecond cell is exposed in seconds
+		}
+		line += " " + strconv.FormatFloat(v, 'f', -1, 64)
 		n := 0
 		for _, s := range samples[def.name] {
 			if s == line {
@@ -303,7 +307,7 @@ func TestNilMetricsSafe(t *testing.T) {
 		"Add":         func() { m.Add(Rejected, 1) },
 		"Set":         func() { m.Set(PoolBusy, 1) },
 		"Cell":        func() { m.Cell(AdmInUseRead).Add(1) },
-		"Checkpoint":  func() { m.Checkpoint(nil); m.Checkpoint(io.EOF) },
+		"Checkpoint":  func() { m.Checkpoint(24, time.Millisecond, nil); m.Checkpoint(0, time.Millisecond, io.EOF) },
 		"Observe":     func() { m.Observe(core.OpSearch, time.Microsecond) },
 		"Time":        func() { m.Time(core.OpScan)() },
 		"ObserveSpan": func() { m.ObserveSpan(&sp, sp.Finalize()) },

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pbtree/internal/core"
+	"pbtree/internal/obs"
 )
 
 // shardKeys returns n distinct keys owned by the given shard, probing
@@ -166,8 +167,10 @@ func crashPoints(end int64, sc *crashScript) []int64 {
 // equal to j+1 (versions stay monotonic across the crash).
 func TestCrashRecoveryEveryPrefix(t *testing.T) {
 	fs := NewMemFS()
+	m := obs.NewMetrics()
 	cfg := StoreConfig{
 		Shards:  2,
+		Metrics: m,
 		Durable: &DurableConfig{FS: fs, Fsync: FsyncAlways, CheckpointEvery: 8},
 	}
 	st, err := Open(cfg, nil)
@@ -177,12 +180,18 @@ func TestCrashRecoveryEveryPrefix(t *testing.T) {
 	if err := st.WaitReady(); err != nil {
 		t.Fatal(err)
 	}
+	folds := m.Load(obs.Checkpoints) // each shard's empty bootstrap image
 	sc := runCrashScript(t, st, fs, 36)
 	st.Close()
 	end := fs.CrashPoints()
+	// The cut must land inside checkpoints and rotations too, not only
+	// inside WAL appends: the journal holds at least two of them.
+	if n := m.Load(obs.Checkpoints) - folds; n < 2 {
+		t.Fatalf("the script's journal holds %d checkpoint publications, want >= 2", n)
+	}
 
 	pts := crashPoints(end, sc)
-	t.Logf("journal holds %d crash points, testing %d", end, len(pts))
+	t.Logf("journal holds %d crash points and %d checkpoints, testing %d", end, m.Load(obs.Checkpoints)-folds, len(pts))
 	for _, p := range pts {
 		crashed := fs.CrashAt(p, true) // volatile disk cache lost too
 		st2, err := Open(StoreConfig{

@@ -30,10 +30,12 @@ package serve
 //     record or LSN gap, and truncates that tail.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path"
 	"sort"
 	"time"
@@ -61,9 +63,13 @@ type DurableConfig struct {
 	// 10ms.
 	FsyncInterval time.Duration
 
-	// CheckpointEvery is how many WAL records a shard accumulates
-	// before it asks its engine to checkpoint and rotates its segment.
-	// Zero selects 4096.
+	// CheckpointEvery is how many WAL records a shard writes to a
+	// segment before it rotates to a fresh one, and the fewest it
+	// accumulates before it asks its engine to checkpoint. The log
+	// since the last checkpoint must also hold as many bytes as that
+	// checkpoint wrote (a pbtree shard's image; nothing for lsm), so a
+	// large shard checkpoints once per image's worth of log and
+	// recovery replays at most about that much. Zero selects 4096.
 	CheckpointEvery int
 
 	// WALRetain keeps that many superseded WAL segments per shard
@@ -228,20 +234,19 @@ func listWALSegs(fsys FS, dir string) ([]uint64, error) {
 // interrupted rotation — and truncates that tail so the next open
 // starts clean. stats is updated in place.
 func replayWAL(fsys FS, dir string, segs []uint64, be backend.Backend, stats *RecoveryStats) error {
+	var rec walRecord // each record is decoded over the last: Replay keeps none
 	for _, seg := range segs {
 		segName := path.Join(dir, walSegName(seg))
-		f, err := fsys.Open(segName)
+		// A segment that cannot be read fails the recovery: skipping it
+		// would make the next segment's first LSN look like a gap and
+		// truncate acknowledged records that are still on disk.
+		blob, err := readWALSeg(fsys, segName)
 		if err != nil {
-			continue
-		}
-		blob, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("serve: reading %s: %w", segName, rerr)
+			return fmt.Errorf("serve: reading %s: %w", segName, err)
 		}
 		off := 0
 		for off < len(blob) {
-			rec, n, derr := decodeWALRecord(blob[off:])
+			n, derr := rec.decode(blob[off:])
 			if derr != nil {
 				// Torn tail: truncate it so the next open starts clean.
 				stats.TornBytes += int64(len(blob) - off)
@@ -267,6 +272,25 @@ func replayWAL(fsys FS, dir string, segs []uint64, be backend.Backend, stats *Re
 		}
 	}
 	return nil
+}
+
+// readWALSeg reads one WAL segment file, in one allocation when the
+// file knows its size (an *os.File does), as os.ReadFile does.
+func readWALSeg(fsys FS, name string) ([]byte, error) {
+	f, err := fsys.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size := 0
+	if s, ok := f.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := s.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 // pruneWAL removes WAL segments whose records are all covered by the

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"errors"
+	"io"
+	"path"
 	"strings"
 	"testing"
 	"time"
 
+	"pbtree/internal/backend"
 	"pbtree/internal/core"
 	"pbtree/internal/obs"
 	"pbtree/internal/workload"
@@ -178,21 +181,24 @@ func TestDurableCheckpointRotationAndPrune(t *testing.T) {
 	want := st.Dump()
 	st.Close()
 
-	// 20 synchronous puts with CheckpointEvery=4 yield 5 rotations; the
-	// pruner must leave exactly the newest checkpoint and the current
-	// (empty) segment.
+	// 20 synchronous puts with CheckpointEvery=4 rotate the segment at
+	// LSNs 4, 8, 12, 16 and 20. Four 32-byte records outweigh the image
+	// (24 + 8 bytes a pair) up to 13 pairs, so the 12-pair checkpoint at
+	// LSN 12 is followed by one at 16, but the 16-pair one at 16 is not
+	// followed at 20. The pruner must leave exactly the newest
+	// checkpoint, the segment it does not cover and the current one.
 	names, err := fs.ReadDir("shard-0000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != ckptName(20) || names[1] != walSegName(21) {
-		t.Fatalf("after rotation, shard dir = %v, want [%s %s]", names, ckptName(20), walSegName(21))
+	if want := []string{ckptName(16), walSegName(17), walSegName(21)}; strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("after rotation, shard dir = %v, want %v", names, want)
 	}
 
 	st2 := openDurable(t, fs, nil, 4)
 	defer st2.Close()
 	rs := st2.Recovery()[0]
-	if rs.CheckpointLSN != 20 || rs.Replayed != 0 || rs.Pairs != 20 {
+	if rs.CheckpointLSN != 16 || rs.Replayed != 4 || rs.Pairs != 20 {
 		t.Fatalf("recovery from checkpoint: %+v", rs)
 	}
 	if got := st2.Dump(); !pairsEqual(got, want) {
@@ -346,5 +352,157 @@ func TestMemFSWriteBudget(t *testing.T) {
 	}
 	if b, _ := fs.ReadFile("x"); string(b) != "hel" {
 		t.Fatalf("torn sector contents %q", b)
+	}
+}
+
+// TestCheckpointCadence: a pbtree shard checkpoints when the WAL since
+// its last checkpoint holds CheckpointEvery records and at least as
+// many bytes as that checkpoint wrote — not a record before, and in
+// the batch that gets there — while its segment still rotates every
+// CheckpointEvery records, on the writer path and on the follower
+// apply path. The shard starts from an n-pair seed, whose image is its
+// first checkpoint.
+func TestCheckpointCadence(t *testing.T) {
+	const n, every = 1000, 4
+	seed := workload.SortedPairs(n)
+	image := core.EncodedSize(n)
+	for _, replica := range []bool{false, true} {
+		name := map[bool]string{false: "writer", true: "follower"}[replica]
+		t.Run(name, func(t *testing.T) {
+			m, fs := obs.NewMetrics(), NewMemFS()
+			st, err := Open(StoreConfig{
+				Shards:  1,
+				Replica: replica,
+				Metrics: m,
+				Durable: &DurableConfig{FS: fs, CheckpointEvery: every},
+			}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.WaitReady(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Load(obs.CheckpointBytes); got != image {
+				t.Fatalf("bootstrap checkpoint wrote %d bytes, want the %d of an %d-pair image", got, image, n)
+			}
+			ckpts, walBase := m.Load(obs.Checkpoints), m.Load(obs.WALBytes)
+			key := seed[n-1].Key
+			for i := 1; ; i++ {
+				key += 8
+				if replica {
+					frame := appendWALRecord(nil, uint64(i), []core.Pair{{Key: key, TID: 1}}, nil)
+					if err := st.ReplicaApply(0, st.Epoch(), uint64(i), frame); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					if err := st.Put(key, 1); err != nil {
+						t.Fatal(err)
+					}
+					// The writer checkpoints after the ack; a request that
+					// goes through the writer waits for it.
+					if _, _, err := st.SnapshotShard(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				due := i >= every && m.Load(obs.WALBytes)-walBase >= image
+				done := m.Load(obs.Checkpoints) - ckpts
+				segs, err := listWALSegs(fs, shardDirName(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !due && done != 0 {
+					t.Fatalf("checkpointed at record %d with %d WAL bytes against a %d-byte image", i, m.Load(obs.WALBytes)-walBase, image)
+				}
+				if !due && len(segs) != i/every+1 {
+					t.Fatalf("after record %d the shard holds %d WAL segments, want one every %d records: %d", i, len(segs), every, i/every+1)
+				}
+				if due {
+					if len(segs) != 1 || segs[0] != uint64(i)+1 {
+						t.Fatalf("after the checkpoint at record %d the shard holds WAL segments %v, want only %d", i, segs, i+1)
+					}
+					if done != 1 {
+						t.Fatalf("record %d brought the segment to %d bytes: %d checkpoints, want 1", i, m.Load(obs.WALBytes)-walBase, done)
+					}
+					if got, want := m.Load(obs.CheckpointBytes)-image, core.EncodedSize(n+i); got != want {
+						t.Fatalf("second checkpoint wrote %d bytes, want %d", got, want)
+					}
+					break
+				}
+			}
+		})
+	}
+}
+
+// failOpenFS fails every Open of one file, as a segment whose inode
+// the file system cannot read.
+type failOpenFS struct {
+	*MemFS
+	name string
+}
+
+func (f failOpenFS) Open(name string) (File, error) {
+	if name == f.name {
+		return nil, errors.New("injected: unreadable file")
+	}
+	return f.MemFS.Open(name)
+}
+
+// TestReplayUnopenableSegment: a WAL segment recovery cannot open
+// fails the shard instead of being skipped — skipping it made the next
+// segment's first LSN look like a gap, and that segment was truncated
+// with acknowledged records in it. Reopened with the file readable
+// again, the store recovers every write.
+func TestReplayUnopenableSegment(t *testing.T) {
+	fs := NewMemFS()
+	open := func(fsys FS) (*Store, error) {
+		st, err := Open(StoreConfig{
+			Shards:  1,
+			Durable: &DurableConfig{FS: fsys, CheckpointEvery: 1 << 20, WALRetain: 1},
+		}, nil)
+		if err != nil {
+			return nil, err
+		}
+		return st, st.WaitReady()
+	}
+	// Two sessions of five puts: the reopen between them folds the first
+	// five into a checkpoint and keeps their segment (WALRetain).
+	var want []core.Pair
+	for s := 0; s < 2; s++ {
+		st, err := open(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 5; i++ {
+			k := core.Key(8 * (5*s + i))
+			if err := st.Put(k, core.TID(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = st.Dump()
+		st.Close()
+	}
+	dir := shardDirName(0)
+	// Damage the newest checkpoint: recovery falls back to replaying
+	// both segments from LSN 1.
+	if err := backend.WriteAtomic(fs, path.Join(dir, ckptName(5)), func(w io.Writer) error {
+		_, err := w.Write([]byte("not a checkpoint"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open(failOpenFS{fs, path.Join(dir, walSegName(1))}); err == nil {
+		t.Fatal("recovery skipped a segment it could not open")
+	}
+	st, err := open(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rs := st.Recovery()[0]; rs.Replayed != 10 || rs.TornBytes != 0 {
+		t.Fatalf("recovery after the failed open: %+v", rs)
+	}
+	if got := st.Dump(); !pairsEqual(got, want) {
+		t.Fatalf("contents = %v, want %v", got, want)
 	}
 }

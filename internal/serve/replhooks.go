@@ -29,7 +29,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"path"
 
 	"pbtree/internal/backend"
@@ -182,7 +181,7 @@ func (st *Store) replicaApply(sh *shard, r *replApply) error {
 	sh.wal.takeSyncNS()
 	sh.lsn += nrec
 	sh.applied.Store(sh.lsn)
-	sh.walBacklog.Add(nrec)
+	sh.noteCommit(nrec, len(r.frames))
 	for _, w := range ws {
 		sh.puts.Add(uint64(len(w.Puts)))
 		sh.dels.Add(uint64(len(w.Dels)))
@@ -196,9 +195,7 @@ func (st *Store) replicaApply(sh *shard, r *replApply) error {
 	}); err != nil {
 		sh.setDurErr(err)
 	}
-	if sh.wal.records >= uint64(st.cfg.Durable.CheckpointEvery) {
-		st.checkpoint(sh)
-	}
+	st.housekeepWAL(sh)
 	return ackErr
 }
 
@@ -243,11 +240,10 @@ func (st *Store) replicaInstall(sh *shard, r *replInstall) error {
 	}
 	// Equality still installs: a seeded primary with no writes yet
 	// snapshots at LSN 0, which a fresh follower (also at 0) needs.
-	t, err := core.Load(bytes.NewReader(r.data), st.cfg.Tree.Mem, st.cfg.Fill)
+	pairs, err := core.ReadPairs(bytes.NewReader(r.data))
 	if err != nil {
 		return fmt.Errorf("serve: shard %d checkpoint stream: %w", sh.idx, err)
 	}
-	pairs := t.AppendPairs(make([]core.Pair, 0, t.Len()))
 
 	// Delete-all + put-all + compact, as one publication. The deletes
 	// run in their own Write so they cannot shadow the incoming pairs.
@@ -273,12 +269,10 @@ func (st *Store) replicaInstall(sh *shard, r *replInstall) error {
 	if ackErr != nil {
 		return ackErr
 	}
-	if err := sh.be.Checkpoint(r.snapLSN); err != nil {
-		st.cfg.Metrics.Checkpoint(err)
+	if err := st.engineCheckpoint(sh, r.snapLSN); err != nil {
 		sh.setDurErr(err)
 		return err
 	}
-	st.cfg.Metrics.Checkpoint(nil)
 
 	// The old WAL timeline (records ≤ the old sh.lsn < snapLSN) is
 	// superseded by the new engine checkpoint; recovery would skip its
@@ -298,7 +292,7 @@ func (st *Store) replicaInstall(sh *shard, r *replInstall) error {
 	sh.wal, sh.walErr = w, nil // a fresh segment heals a fail-stopped log
 	sh.lsn = r.snapLSN
 	sh.applied.Store(sh.lsn)
-	sh.walBacklog.Store(0)
+	sh.clearBacklog()
 	pruneWAL(d.FS, dir, r.snapLSN, r.snapLSN+1, 0)
 	return nil
 }
@@ -463,16 +457,6 @@ func (st *Store) WALTail(shard int, after uint64, maxBytes int) ([]byte, uint64,
 		}
 	}
 	return out, n, nil
-}
-
-// readWALSeg reads one WAL segment file.
-func readWALSeg(fsys FS, name string) ([]byte, error) {
-	f, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }
 
 // ReplicaCursor reports one shard's replication cursor: its durably

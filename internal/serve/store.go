@@ -251,10 +251,12 @@ type shard struct {
 
 	// Gauge state for the admin plane's /metrics (WriteMetrics):
 	// lastPub is the obs.Nanotime of the last snapshot publication
-	// (snapshot age); walBacklog counts WAL records committed since the
-	// last engine checkpoint (recovery debt).
-	lastPub    atomic.Int64
-	walBacklog atomic.Uint64
+	// (snapshot age); walBacklog and walBacklogBytes count the WAL
+	// records and bytes committed since the last engine checkpoint
+	// (recovery debt, and one side of checkpointDue).
+	lastPub         atomic.Int64
+	walBacklog      atomic.Uint64
+	walBacklogBytes atomic.Int64
 
 	// applied is the shard's durably committed LSN, stored after every
 	// WAL group commit (and at recovery). It is the lock-free
@@ -269,6 +271,19 @@ type shard struct {
 	// conservatively, for any recovered prior incarnation; WALTail
 	// then redirects cursor-0 followers to checkpoint shipping.
 	lsn0Empty bool
+}
+
+// noteCommit adds one WAL group commit's records and bytes to the
+// backlog gauges.
+func (sh *shard) noteCommit(records uint64, bytes int) {
+	sh.walBacklog.Add(records)
+	sh.walBacklogBytes.Add(int64(bytes))
+}
+
+// clearBacklog zeroes the backlog gauges after an engine checkpoint.
+func (sh *shard) clearBacklog() {
+	sh.walBacklog.Store(0)
+	sh.walBacklogBytes.Store(0)
 }
 
 // markReady publishes the recovery outcome and unblocks readers.
@@ -483,10 +498,9 @@ func (st *Store) recoverAndPublish(sh *shard) error {
 		// recovers them; a replayed tail is folded now, so the
 		// segments it came from can be pruned and the next recovery is
 		// as short as this one.
-		if err := sh.be.Checkpoint(stats.LastLSN); err != nil {
+		if err := st.engineCheckpoint(sh, stats.LastLSN); err != nil {
 			return err
 		}
-		st.cfg.Metrics.Checkpoint(nil)
 	}
 	w, err := newWALWriter(d.FS, path.Join(dir, walSegName(stats.LastLSN+1)), d.Fsync, d.FsyncInterval, st.cfg.Metrics)
 	if err != nil {
@@ -525,8 +539,8 @@ func (st *Store) Shards() int { return len(st.shards) }
 //
 // For a durable store the writer first runs recovery (so other shards
 // serve while this one replays), then prepends a WAL group commit to
-// every batch, and asks the engine to checkpoint + rotates the log
-// when the segment accumulates CheckpointEvery records. If recovery
+// every batch, rotates the log every CheckpointEvery records and asks
+// the engine to checkpoint when checkpointDue says so. If recovery
 // fails the shard fail-stops: it publishes an empty snapshot so
 // readers never block forever, and acknowledges every write with the
 // recovery error.
@@ -647,6 +661,7 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 			// versions monotonic across restarts.
 			sh.wal.add(sh.lsn, m.puts, m.dels)
 		}
+		staged := len(sh.wal.buf)
 		if err := sh.wal.commit(); err != nil {
 			sh.walErr = fmt.Errorf("serve: shard %d WAL append: %w", sh.idx, err)
 			sh.setDurErr(err)
@@ -654,7 +669,7 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 			return
 		}
 		sh.applied.Store(sh.lsn)
-		sh.walBacklog.Add(uint64(len(batch)))
+		sh.noteCommit(uint64(len(batch)), staged)
 		if traced {
 			// Every member waited for the whole group commit, so each
 			// span gets the full append and fsync costs — that is the
@@ -689,8 +704,8 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 	if err != nil {
 		sh.setDurErr(err)
 	}
-	if sh.wal != nil && sh.wal.records >= uint64(st.cfg.Durable.CheckpointEvery) {
-		st.checkpoint(sh)
+	if sh.wal != nil {
+		st.housekeepWAL(sh)
 	}
 }
 
@@ -721,33 +736,76 @@ func (st *Store) acked(sh *shard, ackErr error) {
 	ackAll(sh.batch, ackErr)
 }
 
+// housekeepWAL is the log cadence of the writer and of the follower
+// apply path, run after each group commit. The shard checkpoints when
+// checkpointDue says so, rotating its segment with it, and otherwise
+// rotates its segment every CheckpointEvery records, so a segment
+// stays as small as the record floor makes it whatever the cadence of
+// checkpoints.
+func (st *Store) housekeepWAL(sh *shard) {
+	if st.checkpointDue(sh) {
+		st.checkpoint(sh)
+	} else if sh.wal.records >= uint64(st.cfg.Durable.CheckpointEvery) {
+		st.rotateWAL(sh)
+	}
+}
+
+// checkpointDue reports whether the WAL committed since the shard's
+// last engine checkpoint holds at least CheckpointEvery records and at
+// least as many bytes as that checkpoint wrote. So checkpoint bytes
+// never outgrow log bytes however large the shard is, and recovery
+// replays at most about one image's worth of log.
+func (st *Store) checkpointDue(sh *shard) bool {
+	return sh.walBacklog.Load() >= uint64(st.cfg.Durable.CheckpointEvery) &&
+		sh.walBacklogBytes.Load() >= sh.be.Stats().CheckpointBytes
+}
+
+// engineCheckpoint asks the engine to make everything through lsn
+// durable and records the attempt: its time, its bytes, its outcome.
+func (st *Store) engineCheckpoint(sh *shard, lsn uint64) error {
+	start := time.Now()
+	err := sh.be.Checkpoint(lsn)
+	var n int64
+	if err == nil {
+		n = sh.be.Stats().CheckpointBytes
+	}
+	st.cfg.Metrics.Checkpoint(n, time.Since(start), err)
+	return err
+}
+
 // checkpoint asks the engine to make everything through the current
-// LSN durable, rotates the WAL to a fresh segment, and prunes
-// superseded segments. Failures leave the current segment in place —
-// the shard keeps serving and retries once the next batch lands.
+// LSN durable, rotates the WAL to a fresh segment, and prunes the
+// segments the checkpoint covers. Failures leave the current segment
+// in place — the shard keeps serving and retries once the next batch
+// lands.
 func (st *Store) checkpoint(sh *shard) {
-	d := st.cfg.Durable
-	dir := shardDirName(sh.idx)
-	if err := sh.be.Checkpoint(sh.lsn); err != nil {
-		st.cfg.Metrics.Checkpoint(err)
+	if err := st.engineCheckpoint(sh, sh.lsn); err != nil {
 		sh.setDurErr(err)
 		return
 	}
-	w, err := newWALWriter(d.FS, path.Join(dir, walSegName(sh.lsn+1)), d.Fsync, d.FsyncInterval, st.cfg.Metrics)
+	sh.clearBacklog()
+	if st.rotateWAL(sh) {
+		d := st.cfg.Durable
+		pruneWAL(d.FS, shardDirName(sh.idx), sh.lsn, sh.lsn+1, d.WALRetain)
+	}
+}
+
+// rotateWAL closes the shard's WAL segment and opens a fresh one at
+// the next LSN, reporting whether it did. If the new segment cannot be
+// created the old one keeps growing; the next batch retries.
+func (st *Store) rotateWAL(sh *shard) bool {
+	d := st.cfg.Durable
+	w, err := newWALWriter(d.FS, path.Join(shardDirName(sh.idx), walSegName(sh.lsn+1)), d.Fsync, d.FsyncInterval, st.cfg.Metrics)
 	if err != nil {
-		// The old segment keeps growing; the new engine checkpoint
-		// already shortens the next recovery.
-		st.cfg.Metrics.Checkpoint(err)
+		st.cfg.Metrics.Add(obs.CheckpointErrors, 1)
 		sh.setDurErr(err)
-		return
+		return false
 	}
 	if err := sh.wal.close(); err != nil {
 		sh.setDurErr(err)
 	}
 	sh.wal = w
-	sh.walBacklog.Store(0)
-	pruneWAL(d.FS, dir, sh.lsn, sh.lsn+1, d.WALRetain)
-	st.cfg.Metrics.Checkpoint(nil)
+	return true
 }
 
 // enqueue submits a mutation to a shard with backpressure, stamping
@@ -1115,6 +1173,9 @@ func (st *Store) WriteMetrics(w io.Writer) error {
 		}},
 		{"pbtree_shard_wal_backlog_records", "WAL records committed since the shard's last checkpoint.", func(sh *shard, ready bool) (float64, bool) {
 			return float64(sh.walBacklog.Load()), true
+		}},
+		{"pbtree_shard_wal_backlog_bytes", "WAL bytes committed since the shard's last checkpoint; a pbtree shard checkpoints once they reach the size of its last checkpoint.", func(sh *shard, ready bool) (float64, bool) {
+			return float64(sh.walBacklogBytes.Load()), true
 		}},
 		{"pbtree_shard_keys", "Keys in the shard's published snapshot.", func(sh *shard, ready bool) (float64, bool) {
 			if !ready {

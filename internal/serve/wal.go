@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"pbtree/internal/core"
@@ -144,45 +145,53 @@ func binaryPatchU32(b []byte, v uint32) {
 // internally inconsistent. It never panics and never returns data from
 // a record that does not fully verify.
 func decodeWALRecord(b []byte) (walRecord, int, error) {
+	var rec walRecord
+	n, err := rec.decode(b)
+	if err != nil {
+		return walRecord{}, 0, err
+	}
+	return rec, n, nil
+}
+
+// decode is decodeWALRecord into rec, reusing its slices: recovery
+// hands each record to the engine and decodes the next over it. After
+// an error rec holds nothing to use.
+func (rec *walRecord) decode(b []byte) (int, error) {
 	if len(b) < walHeaderSize {
-		return walRecord{}, 0, fmt.Errorf("%w: %d-byte tail", errWALTorn, len(b))
+		return 0, fmt.Errorf("%w: %d-byte tail", errWALTorn, len(b))
 	}
 	length := getU32(b)
 	if length > maxWALPayload {
-		return walRecord{}, 0, fmt.Errorf("%w: length %d exceeds bound %d", errWALTorn, length, maxWALPayload)
+		return 0, fmt.Errorf("%w: length %d exceeds bound %d", errWALTorn, length, maxWALPayload)
 	}
 	if uint64(len(b)-walHeaderSize) < uint64(length) {
-		return walRecord{}, 0, fmt.Errorf("%w: payload %d, have %d", errWALTorn, length, len(b)-walHeaderSize)
+		return 0, fmt.Errorf("%w: payload %d, have %d", errWALTorn, length, len(b)-walHeaderSize)
 	}
 	payload := b[walHeaderSize : walHeaderSize+int(length)]
 	if crc32.Checksum(payload, crcTable) != getU32(b[4:]) {
-		return walRecord{}, 0, fmt.Errorf("%w: CRC mismatch", errWALTorn)
+		return 0, fmt.Errorf("%w: CRC mismatch", errWALTorn)
 	}
 	if len(payload) < 16 {
-		return walRecord{}, 0, fmt.Errorf("%w: payload %d below fixed fields", errWALTorn, len(payload))
+		return 0, fmt.Errorf("%w: payload %d below fixed fields", errWALTorn, len(payload))
 	}
-	rec := walRecord{lsn: getU64(payload)}
 	nputs := getU32(payload[8:])
 	ndels := getU32(payload[12:])
 	want := uint64(16) + 8*uint64(nputs) + 4*uint64(ndels)
 	if uint64(len(payload)) != want {
-		return walRecord{}, 0, fmt.Errorf("%w: counts %d/%d need %d payload bytes, have %d", errWALTorn, nputs, ndels, want, len(payload))
+		return 0, fmt.Errorf("%w: counts %d/%d need %d payload bytes, have %d", errWALTorn, nputs, ndels, want, len(payload))
 	}
+	rec.lsn = getU64(payload)
 	body := payload[16:]
-	if nputs > 0 {
-		rec.puts = make([]core.Pair, nputs)
-		for i := range rec.puts {
-			rec.puts[i] = core.Pair{Key: core.Key(getU32(body[8*i:])), TID: core.TID(getU32(body[8*i+4:]))}
-		}
-		body = body[8*nputs:]
+	rec.puts = slices.Grow(rec.puts[:0], int(nputs))[:nputs]
+	for i := range rec.puts {
+		rec.puts[i] = core.Pair{Key: core.Key(getU32(body[8*i:])), TID: core.TID(getU32(body[8*i+4:]))}
 	}
-	if ndels > 0 {
-		rec.dels = make([]core.Key, ndels)
-		for i := range rec.dels {
-			rec.dels[i] = core.Key(getU32(body[4*i:]))
-		}
+	body = body[8*nputs:]
+	rec.dels = slices.Grow(rec.dels[:0], int(ndels))[:ndels]
+	for i := range rec.dels {
+		rec.dels[i] = core.Key(getU32(body[4*i:]))
 	}
-	return rec, walHeaderSize + int(length), nil
+	return walHeaderSize + int(length), nil
 }
 
 // walWriter is one shard's open WAL segment. It is owned by the
