@@ -78,7 +78,9 @@ docs-check:
 # non-test file of internal/core other than charge.go calls a model
 # verb directly, or if the compiler stops inlining one of the five
 # charge helpers — the two ways the serving tree starts paying the
-# simulator's dispatch again without any test noticing.
+# simulator's dispatch again without any test noticing — or if one
+# compares an epoch with 0, which would let a tree's lineage pick its
+# shape again (DESIGN.md §16).
 charge-gate:
 	GO=$(GO) sh scripts/charge_gate.sh
 

@@ -111,17 +111,6 @@ func NewPBTree(tree core.Config, fill float64, fs storage.FS, dir string) *PBTre
 	return &PBTree{tree: tree, fill: fill, fs: fs, dir: dir}
 }
 
-// firstVersion returns the snapshot of the first version of a tree
-// nobody else has seen, which it lets go: every tree the engine serves
-// was made by Fork, so all of them scan, and are written, the same
-// way.
-func firstVersion(t *core.Tree, version uint64) *pbSnapshot {
-	s := &pbSnapshot{version: version}
-	t.ForkInto(&s.tree)
-	s.tree.Release(t)
-	return s
-}
-
 // listCkpts returns the checkpoint LSNs of the shard directory, newest
 // first, removing leftover .tmp files.
 func (b *PBTree) listCkpts() ([]uint64, error) {
@@ -193,7 +182,7 @@ func (b *PBTree) Seal(version uint64) error {
 	if err := t.Bulkload(pairs, b.fill); err != nil {
 		return err
 	}
-	b.publish(firstVersion(t, version))
+	b.publish(&pbSnapshot{tree: *t, version: version})
 	return nil
 }
 
@@ -224,7 +213,7 @@ func (b *PBTree) ApplyBatch(ws []Write, version, _ uint64, ack func(error)) erro
 	var cloneErr error
 	if compact {
 		if nt, err := next.tree.CloneFrozen(b.fill); err == nil {
-			next = firstVersion(nt, version)
+			next = &pbSnapshot{tree: *nt, version: version}
 		} else {
 			cloneErr = err // serve the uncompacted version; report via ack
 		}

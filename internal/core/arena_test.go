@@ -117,10 +117,15 @@ func TestArenaGrowth(t *testing.T) {
 // TestArenaRecyclesBlocks deletes a tree down to a lone leaf and
 // refills it: freed blocks must be reused before the arena grows, a
 // native tree's SpaceUsed must stay the carved byte count, and a
-// simulated tree must hand every recycled block a fresh address.
+// simulated tree must hand every recycled block a fresh address. The
+// simulated tree links its bottom nodes (p1iB+), the native one keeps
+// no link at all.
 func TestArenaRecyclesBlocks(t *testing.T) {
-	for _, mem := range []memsys.Model{memsys.Default(), memsys.DefaultNative()} {
-		tr := MustNew(Config{Width: 1, Prefetch: true, JumpArray: JumpInternal, Mem: mem})
+	for _, cfg := range []Config{
+		{Width: 1, Prefetch: true, JumpArray: JumpInternal, Mem: memsys.Default()},
+		{Width: 1, Prefetch: true, Mem: memsys.DefaultNative()},
+	} {
+		tr := MustNew(cfg)
 		pairs := sortedPairs(2000)
 		fill := func() {
 			for _, p := range pairs {

@@ -93,9 +93,9 @@ func fillCount(capacity int, fill float64) int {
 	return n
 }
 
-// buildLeaves lays the pairs into a linked list of leaves of per pairs
-// each, charging the writes to the simulated hierarchy, and returns
-// the first leaf.
+// buildLeaves lays the pairs into leaves of per pairs each — a linked
+// list of them on a simulated tree — charging the writes to the
+// simulated hierarchy, and returns the first leaf.
 func (t *Tree) buildLeaves(pairs []Pair, per int) nodeID {
 	first := t.ar.high + 1
 	var prev node
@@ -108,7 +108,7 @@ func (t *Tree) buildLeaves(pairs []Pair, per int) nodeID {
 		}
 		n.setCount(len(chunk))
 		t.chargeLeafWrite(n, 0, len(chunk))
-		if start > 0 {
+		if start > 0 && t.sim != nil {
 			t.setNext(prev, n.id)
 			t.access(t.leafLay.nextAddr(t.addr(prev)))
 		}

@@ -28,8 +28,9 @@ func shuffledKeys(r *rand.Rand, ps []Pair) []Key {
 }
 
 func TestBulkloadAndSearch(t *testing.T) {
-	for _, cfg := range testVariants() {
-		t.Run(cfg.name(), func(t *testing.T) {
+	for _, v := range testVariants() {
+		cfg := v.Config
+		t.Run(v.label, func(t *testing.T) {
 			tr := newTestTree(t, cfg)
 			pairs := sortedPairs(5000)
 			if err := tr.Bulkload(pairs, 1.0); err != nil {
@@ -104,8 +105,8 @@ func TestBulkloadRejectsBadInput(t *testing.T) {
 }
 
 func TestBulkloadEmpty(t *testing.T) {
-	for _, cfg := range testVariants() {
-		tr := newTestTree(t, cfg)
+	for _, v := range testVariants() {
+		tr := newTestTree(t, v.Config)
 		if err := tr.Bulkload(nil, 1.0); err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +123,9 @@ func TestBulkloadEmpty(t *testing.T) {
 }
 
 func TestInsertFromEmpty(t *testing.T) {
-	for _, cfg := range testVariants() {
-		t.Run(cfg.name(), func(t *testing.T) {
+	for _, v := range testVariants() {
+		cfg := v.Config
+		t.Run(v.label, func(t *testing.T) {
 			tr := newTestTree(t, cfg)
 			r := rand.New(rand.NewSource(42))
 			pairs := sortedPairs(3000)
@@ -166,8 +168,9 @@ func TestInsertDuplicateUpdates(t *testing.T) {
 }
 
 func TestInsertIntoBulkloaded(t *testing.T) {
-	for _, cfg := range testVariants() {
-		t.Run(cfg.name(), func(t *testing.T) {
+	for _, v := range testVariants() {
+		cfg := v.Config
+		t.Run(v.label, func(t *testing.T) {
 			tr := newTestTree(t, cfg)
 			pairs := sortedPairs(2000)
 			if err := tr.Bulkload(pairs, 1.0); err != nil {
@@ -201,8 +204,9 @@ func TestInsertIntoBulkloaded(t *testing.T) {
 }
 
 func TestDeleteBasic(t *testing.T) {
-	for _, cfg := range testVariants() {
-		t.Run(cfg.name(), func(t *testing.T) {
+	for _, v := range testVariants() {
+		cfg := v.Config
+		t.Run(v.label, func(t *testing.T) {
 			tr := newTestTree(t, cfg)
 			pairs := sortedPairs(2000)
 			if err := tr.Bulkload(pairs, 0.8); err != nil {
@@ -253,8 +257,9 @@ func TestDeleteAbsent(t *testing.T) {
 // TestMixedOperationsAgainstModel drives every variant with a random
 // mix of inserts, deletes and searches and compares against a map.
 func TestMixedOperationsAgainstModel(t *testing.T) {
-	for _, cfg := range testVariants() {
-		t.Run(cfg.name(), func(t *testing.T) {
+	for _, v := range testVariants() {
+		cfg := v.Config
+		t.Run(v.label, func(t *testing.T) {
 			tr := newTestTree(t, cfg)
 			model := map[Key]TID{}
 			r := rand.New(rand.NewSource(1234))

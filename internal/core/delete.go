@@ -11,12 +11,13 @@ func (t *Tree) Delete(key Key) bool {
 		t.trc.BeginOp(OpDelete)
 		defer t.trc.EndOp(OpDelete)
 	}
+	t.mustWrite()
 	t.compute(t.cost.Op)
 	leaf, ub, found := t.findLeaf(key)
 	if !found {
 		return false
 	}
-	if t.epoch != 0 {
+	if t.olderLive() {
 		leaf = t.ownPath(leaf.id)
 	}
 	t.stats.Deletes++
@@ -69,17 +70,18 @@ func (t *Tree) fixEmpty(n node, level int) {
 			ls = t.view(nodeID(t.ptrs(parent)[ci-1]))
 		}
 
-		// A forked tree owns the path, n included, but not n's
-		// siblings: the one about to be written is made its own first.
+		// While an older version is live the writer owns the path, n
+		// included, but not n's siblings: the one about to be written
+		// is made its own first.
 		switch {
 		case rs.id != 0 && rs.count() >= 2:
-			if t.epoch != 0 {
+			if t.olderLive() {
 				rs, n, parent = t.ownSibling(parent, ci+1, n)
 			}
 			t.redistributeFromRight(parent, ci, n, rs)
 			return
 		case ls.id != 0 && ls.count() >= 2:
-			if t.epoch != 0 {
+			if t.olderLive() {
 				ls, n, parent = t.ownSibling(parent, ci-1, n)
 			}
 			t.redistributeFromLeft(parent, ci, n, ls)
@@ -95,11 +97,11 @@ func (t *Tree) fixEmpty(n node, level int) {
 			// child that must survive.
 			switch {
 			case !n.leaf():
-				if t.epoch != 0 {
+				if t.olderLive() {
 					ls, n, parent = t.ownSibling(parent, ci-1, n)
 				}
 				t.mergeIntoLeft(ls, n, Key(t.keys(parent)[ci-1]))
-			case t.epoch == 0:
+			case t.sim != nil:
 				t.unlinkNode(ls, n)
 			}
 			t.removeChildAt(parent, ci)

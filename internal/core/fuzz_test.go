@@ -12,8 +12,7 @@ import (
 // input for the fuzzers.
 func validStream(tb testing.TB, n int, cfg Config) []byte {
 	tb.Helper()
-	cfg.Mem = memsys.DefaultNative()
-	tr := MustNew(cfg)
+	tr := MustNew(cfg) // the stream is the same on either model
 	pairs := make([]Pair, n)
 	for i := range pairs {
 		pairs[i] = Pair{Key: Key(8 * (i + 1)), TID: TID(i + 1)}
@@ -131,11 +130,12 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 // FuzzTreeOps drives one fuzzer-chosen insert/delete/search sequence
 // through a native tree, its simulated twin, a lineage of forked
 // versions (versionOracle) and a map oracle at once.
-// The two trees run different code — branchless search and real
-// prefetches against the paper's probe-per-key search on simulated
-// addresses — so every result must agree op by op, both must keep
-// their structural invariants as the ops run, and both must hold the
-// oracle's contents at the end.
+// The two trees run different code and have different shapes — a
+// link-free tree with branchless search and real prefetches against
+// the paper's linked tree, with a jump-pointer array, probe-per-key
+// search and simulated addresses — so every result must agree op by
+// op, both must keep their structural invariants as the ops run, and
+// both must hold the oracle's contents at the end.
 func FuzzTreeOps(f *testing.F) {
 	mk := func(ops ...byte) []byte { return ops }
 	f.Add(mk(), uint8(8), true)
@@ -180,16 +180,13 @@ func FuzzTreeOps(f *testing.F) {
 		if len(ops) > 3*4096 {
 			ops = ops[:3*4096] // bound invariant-check cost
 		}
-		cfg := Config{Width: int(width), Prefetch: true, JumpArray: JumpInternal}
+		// The native tree is link-free; its simulated twin links its
+		// leaves and keeps either jump-pointer array.
+		nat := MustNew(Config{Width: int(width), Prefetch: true, Mem: memsys.DefaultNative()})
+		cfg := Config{Width: int(width), Prefetch: true, JumpArray: JumpInternal, Mem: memsys.Default()}
 		if external {
 			cfg.JumpArray = JumpExternal
 		}
-		cfg.Mem = memsys.DefaultNative()
-		nat, err := New(cfg)
-		if err != nil {
-			return
-		}
-		cfg.Mem = memsys.Default()
 		sim := MustNew(cfg)
 		// A third tree takes the same ops as a lineage of versions: the
 		// op byte's top bit publishes one, at most four stay live, the

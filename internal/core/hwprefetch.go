@@ -6,8 +6,10 @@ import (
 	"pbtree/internal/memsys"
 )
 
-// Prefetch dispatch. Every prefetch the tree issues goes through one
-// of the pf* helpers below, and each does one of two things:
+// Prefetch dispatch. Every prefetch of a node or a return buffer goes
+// through one of the pf* helpers below (a jump-pointer array's are
+// charges: only a simulated tree has one), and each does one of two
+// things:
 //
 //   - a simulated tree charges its hierarchy with the *simulated*
 //     address of what is being prefetched (charge.go) — the paper's
@@ -39,39 +41,6 @@ func (t *Tree) pfNode(n node) {
 func (t *Tree) hintSim(n node) {
 	memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(n.w))), len(n.w)*fieldSize)
 	memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&t.addrs[n.id])))
-}
-
-// pfHint prefetches the jump-pointer chunk lines a leaf's hint points
-// at: the chunk header and the hinted slot (the Go chunk has no
-// separate header line, so the real prefetch is the slot entry).
-func (t *Tree) pfHint(h hintPos) {
-	if t.sim == nil {
-		if h.slot >= 0 && h.slot < len(h.chunk.slots) {
-			memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&h.chunk.slots[h.slot])))
-		}
-		return
-	}
-	t.prefetch(h.chunk.addr)
-	t.prefetch(h.chunk.slotAddr(h.slot))
-}
-
-// pfLeafHint prefetches the line holding a leaf's hint field.
-func (t *Tree) pfLeafHint(leaf node) {
-	if t.sim == nil {
-		memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&leaf.w[t.leafLay.hintOff/fieldSize])))
-		return
-	}
-	t.prefetch(t.leafLay.hintAddr(t.addr(leaf)))
-}
-
-// pfChunk prefetches all lines of an external jump-pointer array
-// chunk.
-func (t *Tree) pfChunk(ck *chunk) {
-	if t.sim == nil {
-		memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(ck.slots))), len(ck.slots)*fieldSize)
-		return
-	}
-	t.prefetchRange(ck.addr, t.chunkBytes())
 }
 
 // pfBuf prefetches sz bytes at offset off of the scanner's return

@@ -13,9 +13,10 @@ func (t *Tree) Insert(key Key, tid TID) bool {
 		t.trc.BeginOp(OpInsert)
 		defer t.trc.EndOp(OpInsert)
 	}
+	t.mustWrite()
 	t.compute(t.cost.Op)
 	leaf, ub, found := t.findLeaf(key)
-	if t.epoch != 0 {
+	if t.olderLive() {
 		leaf = t.ownPath(leaf.id)
 	}
 	if found {
@@ -69,9 +70,12 @@ func (t *Tree) splitLeaf(id nodeID, pos int, key Key, tid TID) {
 	n := t.view(id)
 	t.pfNode(right)
 	if t.cfg.JumpArray == JumpExternal {
-		// Prefetch the jump-pointer chunk lines the hint points at, so
-		// the fetch overlaps the key redistribution below.
-		t.pfHint(t.hint(n))
+		// Prefetch the jump-pointer chunk lines the hint points at (its
+		// header and the hinted slot), so the fetch overlaps the key
+		// redistribution below.
+		h := t.hint(n)
+		t.prefetch(h.chunk.addr)
+		t.prefetch(h.chunk.slotAddr(h.slot))
 	}
 
 	keys, tids, cnt := t.keys(n), t.ptrs(n), n.count()
@@ -93,7 +97,7 @@ func (t *Tree) splitLeaf(id nodeID, pos int, key Key, tid TID) {
 	right.setCount(copy(t.keys(right), sk[half:total]))
 	copy(t.ptrs(right), st[half:total])
 
-	if t.epoch == 0 {
+	if t.sim != nil {
 		t.setNext(right, t.next(n))
 		t.setNext(n, right.id)
 		t.access(t.leafLay.nextAddr(t.addr(n)))

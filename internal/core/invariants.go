@@ -4,13 +4,13 @@ import "fmt"
 
 // CheckInvariants verifies the structural invariants of the tree and
 // its jump-pointer array. It walks plain Go memory and charges nothing
-// to the simulated hierarchy, so tests can call it freely. On a tree
-// that was never forked it also closes the block accounting: every
-// carved block is reachable or free. Versions share their arena, so
-// for them that sum takes every live version at once (the version
-// oracle of the tests does it, from the marks of checkVersion and
-// checkFree); the newest version is still held to its own part, a
-// frozen one to its structure.
+// to the simulated hierarchy, so tests can call it freely. On the
+// writable version, with no older version live, it also closes the
+// block accounting: every carved block is reachable or free. Live
+// versions share their arena, so while there are several that sum
+// takes all of them at once (the version oracle of the tests does it,
+// from the marks of checkVersion and checkFree); the newest version is
+// still held to its own part, a frozen one to its structure.
 func (t *Tree) CheckInvariants() error {
 	a := t.ar
 	seen := make([]bool, a.high+1)
@@ -22,7 +22,7 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("retired block %d is reachable from the writable version", id)
 		}
 	}
-	if err := t.checkFree(seen); err != nil || a.epoch != 0 {
+	if err := t.checkFree(seen); err != nil || t.olderLive() {
 		return err
 	}
 	for id := nodeID(1); id <= a.high; id++ {
@@ -65,9 +65,9 @@ func (t *Tree) checkVersion(seen []bool) error {
 		return fmt.Errorf("count %d, tree reports %d", count, t.count)
 	}
 
-	// The leaf chain must visit exactly the in-order leaves; a forked
+	// The leaf chain must visit exactly the in-order leaves; a native
 	// tree keeps none.
-	if t.epoch == 0 {
+	if t.sim != nil {
 		i := 0
 		for id := t.leftmostLeaf(); id != 0; id = t.next(t.view(id)) {
 			if i >= len(leaves) || leaves[i] != id {

@@ -31,6 +31,13 @@ func (t *Tree) chunkBytes() int {
 	return (t.jpCap + chunkHeaderFields) * fieldSize
 }
 
+// pfChunk prefetches all lines of a chunk. Only a simulated tree has
+// a jump-pointer array, so this is a charge, like every prefetch of
+// one.
+func (t *Tree) pfChunk(ck *chunk) {
+	t.prefetchRange(ck.addr, t.chunkBytes())
+}
+
 // newChunk allocates an empty chunk.
 func (t *Tree) newChunk() *chunk {
 	ck := &chunk{
@@ -209,7 +216,7 @@ func (t *Tree) jpSplitChunk(ck *chunk, p int, newLeaf nodeID) {
 func (t *Tree) jpFill(ck *chunk, leaves []nodeID) {
 	ck.n = len(leaves)
 	for _, id := range leaves {
-		t.pfLeafHint(t.locate(id))
+		t.prefetch(t.leafLay.hintAddr(t.addr(t.locate(id))))
 	}
 	for j, id := range leaves {
 		slot := t.jpSlotFor(j, len(leaves))

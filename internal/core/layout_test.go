@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"pbtree/internal/memsys"
@@ -135,6 +137,27 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := New(Config{Width: 8, Prefetch: true, JumpArray: JumpExternal, ChunkLines: -2}); err == nil {
 		t.Error("negative chunk size accepted")
 	}
+	// A native tree keeps no jump-pointer array, however it is made.
+	for _, kind := range []JumpArrayKind{JumpExternal, JumpInternal} {
+		cfg := Config{Width: 8, Prefetch: true, JumpArray: kind, Mem: memsys.DefaultNative()}
+		_, want := New(cfg)
+		if want == nil || !strings.Contains(want.Error(), "jump-pointer array") {
+			t.Errorf("New of a native %s tree: err = %v", cfg.name(), want)
+			continue
+		}
+		cfg.Mem = memsys.Default()
+		sim := MustNew(cfg)
+		if err := sim.Bulkload(sortedPairs(100), 1); err != nil {
+			t.Fatal(err)
+		}
+		var stream bytes.Buffer
+		if _, err := sim.WriteTo(&stream); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&stream, memsys.DefaultNative(), 1); err == nil || err.Error() != want.Error() {
+			t.Errorf("Load of a %s stream onto a native model: err = %v, want %v", cfg.name(), err, want)
+		}
+	}
 }
 
 func TestVariantNames(t *testing.T) {
@@ -188,12 +211,23 @@ func newTestTree(tb testing.TB, cfg Config) *Tree {
 	return tr
 }
 
+// variant is one tree configuration of the correctness tests, with the
+// subtest name it runs under.
+type variant struct {
+	Config
+	label string
+}
+
 // testVariants are the tree configurations exercised by the
 // correctness tests: every layout on the simulated hierarchy (the
-// paper's search, modeled prefetches) and again on the native model
-// (branchless search, real prefetch instructions). Each Config gets a
-// private model.
-func testVariants() []Config {
+// paper's search, modeled prefetches, sibling links) and again on the
+// native model (branchless search, real prefetch instructions, no
+// links). A native tree keeps no jump-pointer array, so the native
+// twin of a p^w_e or p^w_i layout is the link-free tree of the same
+// width, which scans through its bottom non-leaf nodes; it runs under
+// the layout's name (go test suffixes the repeat with #01). Each
+// Config gets a private model.
+func testVariants() []variant {
 	layouts := []Config{
 		{Width: 1},                 // plain B+
 		{Width: 1, Prefetch: true}, // degenerate p1
@@ -208,14 +242,15 @@ func testVariants() []Config {
 		{Width: 8}, // wide without prefetch (the Figure 2(b) ablation)
 		{Width: 8, Prefetch: true, Ablation: Ablation{NoBufferPrefetch: true}},
 	}
-	out := make([]Config, 0, 2*len(layouts))
+	out := make([]variant, 0, 2*len(layouts))
 	for _, cfg := range layouts {
 		cfg.Mem = memsys.Default()
-		out = append(out, cfg)
+		out = append(out, variant{cfg, cfg.name()})
 	}
 	for _, cfg := range layouts {
-		cfg.Mem = memsys.DefaultNative()
-		out = append(out, cfg)
+		name := cfg.name()
+		cfg.Mem, cfg.JumpArray = memsys.DefaultNative(), JumpNone
+		out = append(out, variant{cfg, name})
 	}
 	return out
 }

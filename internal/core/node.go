@@ -142,8 +142,8 @@ type arena struct {
 
 	// epoch numbers the writable version; 0 until the first Fork. born
 	// (nil until then) holds the low word of the epoch that allocated
-	// each block — a version may write the blocks it made and must copy
-	// any other first.
+	// each block — while an older version is live, the writable one may
+	// write the blocks it made and must copy any other first.
 	epoch uint64
 	born  []uint32
 
@@ -229,11 +229,10 @@ func (t *Tree) allocBlock() nodeID {
 }
 
 // freeNode takes a block that is no longer reachable from the root out
-// of the tree: onto the free list if this version made it (always, in
-// a tree that was never forked), onto the retire queue if an older
-// version can still reach it.
+// of the tree: onto the retire queue if an older live version can
+// still reach it, else onto the free list.
 func (t *Tree) freeNode(id nodeID) {
-	if t.epoch != 0 && !t.owns(id) {
+	if t.olderLive() && !t.owns(id) {
 		t.retire(id)
 		return
 	}

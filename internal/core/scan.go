@@ -34,7 +34,7 @@ type Scanner struct {
 	bn    nodeID
 	bnIdx int
 
-	// A forked tree has no sibling links (version.go): its scanner
+	// A native tree has no sibling links (version.go): its scanner
 	// keeps the descent that found the first leaf, bottom non-leaf node
 	// last, and takes each next leaf from that node's child words —
 	// kids, with the separators between them in seps (nextLeaf). upBuf
@@ -95,7 +95,7 @@ func (t *Tree) newScan(start, end Key, noPrefetch bool) *Scanner {
 // descents expose about one miss a level between them instead of one
 // each. Each member records its own path and stops at its own leaf
 // level, so the trees may differ in height. An open Scanner must not be
-// copied (a forked tree's scanner points into itself); opening it again
+// copied (a native tree's scanner points into itself); opening it again
 // reuses it. NewScan is OpenScans of one tree, and charges a simulated
 // tree exactly what a lone descent does.
 func OpenScans(ss []Scanner, ts []*Tree, start, end Key) {
@@ -142,7 +142,7 @@ func openScans(ss []Scanner, ts []*Tree, start, end Key, noPrefetch bool) {
 			// The path goes into the scanner, never t.path, so that
 			// concurrent native scans write no shared tree state.
 			switch {
-			case t.epoch != 0:
+			case t.sim == nil:
 				s.up = append(s.up, scanStep{n.id, int32(idx)})
 			case t.cfg.JumpArray == JumpInternal:
 				s.bn, s.bnIdx = n.id, idx
@@ -505,13 +505,13 @@ type scanStep struct {
 }
 
 // nextLeaf returns the leaf after leaf in key order, 0 at the end: its
-// sibling link, or in a forked tree the next child word of the bottom
-// non-leaf node the scan came through. room is the rows the current
-// call still has room for, which bounds what is prefetched past the
-// new leaf.
+// sibling link in a simulated tree, in a native one the next child
+// word of the bottom non-leaf node the scan came through. room is the
+// rows the current call still has room for, which bounds what is
+// prefetched past the new leaf.
 func (s *Scanner) nextLeaf(leaf node, room int) nodeID {
 	t := s.t
-	if t.epoch == 0 {
+	if t.sim != nil {
 		return t.next(leaf)
 	}
 	if len(s.up) == 0 {
@@ -600,7 +600,7 @@ func (s *Scanner) visitLeafForScan(id nodeID, off int) {
 	n := t.locate(id)
 	t.traceNode(t.height-1, KindLeaf)
 	if t.cfg.Prefetch && !s.noPrefetch && t.cfg.JumpArray == JumpNone {
-		if t.epoch == 0 { // nextLeaf has asked for a forked tree's leaf
+		if t.sim != nil { // a native tree's nextLeaf asked already
 			t.pfNode(n)
 		}
 		if s.bufBytes > 0 && !t.cfg.Ablation.NoBufferPrefetch {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -24,8 +25,9 @@ func collectScan(s *Scanner, bufSize int) []TID {
 }
 
 func TestScanFullRange(t *testing.T) {
-	for _, cfg := range testVariants() {
-		t.Run(cfg.name(), func(t *testing.T) {
+	for _, v := range testVariants() {
+		cfg := v.Config
+		t.Run(v.label, func(t *testing.T) {
 			tr := newTestTree(t, cfg)
 			pairs := sortedPairs(3000)
 			if err := tr.Bulkload(pairs, 1.0); err != nil {
@@ -45,8 +47,8 @@ func TestScanFullRange(t *testing.T) {
 }
 
 func TestScanSubRange(t *testing.T) {
-	for _, cfg := range testVariants() {
-		tr := newTestTree(t, cfg)
+	for _, v := range testVariants() {
+		tr := newTestTree(t, v.Config)
 		pairs := sortedPairs(2000)
 		if err := tr.Bulkload(pairs, 0.8); err != nil {
 			t.Fatal(err)
@@ -129,8 +131,8 @@ func TestScanSegmented(t *testing.T) {
 }
 
 func TestScanEmptyAndEdges(t *testing.T) {
-	for _, cfg := range testVariants() {
-		tr := newTestTree(t, cfg)
+	for _, v := range testVariants() {
+		tr := newTestTree(t, v.Config)
 		// Empty tree.
 		if got := collectScan(tr.NewScan(0, MaxKey), 8); len(got) != 0 {
 			t.Fatalf("%s: scan of empty tree returned %d", tr.Name(), len(got))
@@ -254,8 +256,8 @@ func TestScanPrefetchDistances(t *testing.T) {
 // TestNextPairsMatchesNext checks that the pair-returning scan yields
 // exactly the keys and tupleIDs the tid-returning scan yields.
 func TestNextPairsMatchesNext(t *testing.T) {
-	for _, cfg := range testVariants() {
-		tr := newTestTree(t, cfg)
+	for _, v := range testVariants() {
+		tr := newTestTree(t, v.Config)
 		pairs := sortedPairs(2500)
 		if err := tr.Bulkload(pairs, 0.8); err != nil {
 			t.Fatal(err)
@@ -291,9 +293,11 @@ func TestNextPairsMatchesNext(t *testing.T) {
 // every way a run can end: start position in the leaf x buffer size
 // (one row, the rest of the leaf exactly, one more, three leaves) x
 // end key (inside the leaf, the leaf's last key, between two leaves,
-// MaxKey), for Next and NextPairs, on both models. Native rows =
-// simulated rows = the slice of the sorted input; resumed calls
-// concatenate to it; the two scanners agree on done after every call.
+// MaxKey), for Next and NextPairs, on both models: the linked
+// simulated tree of each layout against the link-free native one.
+// Native rows = simulated rows = the slice of the sorted input;
+// resumed calls concatenate to it; the two scanners agree on done
+// after every call.
 func TestLeafRunTable(t *testing.T) {
 	for i, layout := range []Config{
 		{Width: 2, Prefetch: true},
@@ -302,7 +306,7 @@ func TestLeafRunTable(t *testing.T) {
 		{Width: 2, Prefetch: true, JumpArray: JumpInternal},
 	} {
 		sim, nat := layout, layout
-		sim.Mem, nat.Mem = memsys.Default(), memsys.DefaultNative()
+		sim.Mem, nat.Mem, nat.JumpArray = memsys.Default(), memsys.DefaultNative(), JumpNone
 		st, nt := newTestTree(t, sim), newTestTree(t, nat)
 		per := st.LeafCapacity()
 		pairs := sortedPairs(8 * per) // fill 1: leaf i is pairs[i*per : (i+1)*per]
@@ -313,9 +317,9 @@ func TestLeafRunTable(t *testing.T) {
 		}
 		const leaf = 2
 		if i == 0 {
-			// The first layout's native tree is a forked version whose
-			// scans go through copied, link-free leaves: the leaf the
-			// runs start in and the one after it are rewritten in place.
+			// The first layout's native tree is a forked version, its
+			// predecessor still live, so the leaf the runs start in and
+			// the one after it are copies.
 			nt = nt.Fork()
 			nt.Insert(pairs[leaf*per].Key, pairs[leaf*per].TID)
 			nt.Insert(pairs[(leaf+1)*per].Key, pairs[(leaf+1)*per].TID)
@@ -484,6 +488,54 @@ func TestNativeScanLeavesSpaceUsedAlone(t *testing.T) {
 			t.Errorf("2000 native scans grew SpaceUsed from %d to %d", before, after)
 		} else if !native && after == before {
 			t.Errorf("simulated scans reserved no return-buffer region (SpaceUsed %d)", before)
+		}
+	}
+}
+
+// TestNativeTreeKeepsNoLinks: however a native tree is made — New and
+// inserts, Bulkload, Load, CloneFrozen — no leaf holds a sibling link
+// and a scan goes down through the bottom non-leaf nodes, as a
+// simulated tree's never does.
+func TestNativeTreeKeepsNoLinks(t *testing.T) {
+	built := MustNew(Config{Width: 2, Prefetch: true, Mem: memsys.DefaultNative()})
+	for _, p := range sortedPairs(2000) {
+		built.Insert(p.Key, p.TID)
+	}
+	bulk := MustNew(Config{Width: 2, Prefetch: true, Mem: memsys.DefaultNative()})
+	if err := bulk.Bulkload(sortedPairs(2000), 0.8); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if _, err := bulk.WriteTo(&stream); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&stream, memsys.DefaultNative(), 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := built.CloneFrozen(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := newTestTree(t, Config{Width: 2, Prefetch: true})
+	if err := sim.Bulkload(sortedPairs(2000), 0.8); err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Tree{"New+Insert": built, "Bulkload": bulk, "Load": loaded, "CloneFrozen": clone, "simulated": sim} {
+		links := 0
+		tr.eachLeaf(tr.root, func(leaf node) bool {
+			if tr.next(leaf) != 0 {
+				links++
+			}
+			return true
+		})
+		s := tr.NewScan(0, MaxKey)
+		native := tr.sim == nil
+		if native && (links != 0 || len(s.up) != tr.Height()-1) || !native && (links == 0 || len(s.up) != 0) {
+			t.Errorf("%s (height %d): %d leaves linked, the scan recorded %d levels", name, tr.Height(), links, len(s.up))
+		}
+		if got := collectScan(s, 64); len(got) != tr.Len() {
+			t.Errorf("%s: a full scan returned %d of %d rows", name, len(got), tr.Len())
 		}
 	}
 }

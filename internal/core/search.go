@@ -118,11 +118,13 @@ func (t *Tree) walk(key Key, rec func(n node, idx int)) (node, uint64) {
 // scratch makes it unsafe for concurrent readers.
 func (t *Tree) descend(key Key) (node, uint64) {
 	t.path = t.path[:0]
+	cow := t.olderLive()
 	return t.walk(key, func(n node, idx int) {
 		t.path = append(t.path, pathEntry{id: n.id, idx: idx})
-		if t.epoch != 0 {
-			// A forked tree asks who made the child before it writes it
-			// (version.go); the answer arrives with the child.
+		if cow {
+			// While an older version is live the writer asks who made
+			// the child before it writes it (version.go); the answer
+			// arrives with the child.
 			memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&t.ar.born[t.ptrs(n)[idx]])))
 		}
 	})

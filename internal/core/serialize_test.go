@@ -316,7 +316,11 @@ func TestWriteToMatchesReference(t *testing.T) {
 			if !bytes.Equal(enc, want.Bytes()) {
 				t.Fatal("EncodePairs differs from the reference stream")
 			}
-			back, err := Load(&got, memsys.DefaultNative(), 0.8)
+			mem := memsys.Model(memsys.DefaultNative())
+			if tr.sim != nil {
+				mem = memsys.Default() // a jump-pointer array loads onto a simulated tree only
+			}
+			back, err := Load(&got, mem, 0.8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -271,21 +271,21 @@ func TestScanStallMostlyHidden(t *testing.T) {
 //	go test -run '^$' -bench 'Native(Scan|Insert)' -benchtime 200000x ./internal/core/
 const nativeBenchKeys = 8 << 20
 
-// The three trees of the native benchmarks, each bulkloaded on first
-// use: made by New (sibling links, written in place), forked (the tree
-// a shard serves: link-free scans, copy-on-write), and forked with
-// every leaf rewritten once in random order, a version each — what the
-// serving tree looks like after a while, its leaves wherever the free
-// list put their copies.
+// The two trees of the native benchmarks, each bulkloaded on first
+// use: fresh, made by New and Bulkload (the shape every native tree
+// has: link-free scans, written in place while no older version is
+// live), and churned, a lineage of versions with every leaf rewritten
+// once in random order, a version each — what the serving tree looks
+// like after a while, its leaves wherever the free list put their
+// copies.
 const (
-	benchLinked = iota
-	benchForked
+	benchFresh = iota
 	benchChurned
 )
 
-var benchTreeNames = [...]string{"linked", "forked", "churned"}
+var benchTreeNames = [...]string{"fresh", "churned"}
 
-var nativeBench [3]struct {
+var nativeBench [2]struct {
 	once sync.Once
 	tr   *Tree
 }
@@ -294,16 +294,12 @@ func nativeBenchTree(b *testing.B, kind int) *Tree {
 	nb := &nativeBench[kind]
 	nb.once.Do(func() {
 		pairs := sortedPairs(nativeBenchKeys)
-		tr := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
-		if err := tr.Bulkload(pairs, 0.8); err != nil {
+		nb.tr = MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
+		if err := nb.tr.Bulkload(pairs, 0.8); err != nil {
 			b.Fatal(err)
 		}
-		if nb.tr = tr; kind != benchLinked {
-			nb.tr = tr.Fork()
-			nb.tr.Release(tr)
-		}
 		if kind == benchChurned {
-			per := fillCount(tr.LeafCapacity(), 0.8)
+			per := fillCount(nb.tr.LeafCapacity(), 0.8)
 			for _, leaf := range rand.New(rand.NewSource(3)).Perm(len(pairs) / per) {
 				prev := nb.tr
 				nb.tr = prev.Fork()
@@ -318,9 +314,8 @@ func nativeBenchTree(b *testing.B, kind int) *Tree {
 
 // benchNativeScan times rows-row scans from random keys, each a new
 // scanner copying pairs into one reused buffer, the way a backend
-// snapshot serves Store.Scan: over the sibling links of a tree made by
-// New, and over the bottom non-leaf nodes of a forked one, fresh and
-// churned.
+// snapshot serves Store.Scan: through the bottom non-leaf nodes of a
+// fresh tree and of a churned one.
 func benchNativeScan(b *testing.B, rows int) {
 	for kind, name := range benchTreeNames {
 		b.Run(name, func(b *testing.B) {
@@ -341,29 +336,30 @@ func BenchmarkNativeScan100(b *testing.B)  { benchNativeScan(b, 100) }
 func BenchmarkNativeScan2000(b *testing.B) { benchNativeScan(b, 2000) }
 
 // BenchmarkNativeInsert times inserts of new random keys (the gaps
-// sortedPairs leaves between multiples of eight) — in place, and the
-// way a shard applies a single-put batch: fork, insert into the copied
-// path, release the version before. The trees are shared with the scan
-// benchmarks, which do not mind the extra keys.
+// sortedPairs leaves between multiples of eight) into the fresh tree —
+// in place, and the way a shard applies a single-put batch: fork,
+// insert into the copied path, release the version before. The tree is
+// shared with the scan benchmarks, which do not mind the extra keys;
+// the forked run leaves its newest version in place of it.
 func BenchmarkNativeInsert(b *testing.B) {
 	key := func(r *rand.Rand) Key { return Key(8*(r.Intn(nativeBenchKeys)+1) + 1 + r.Intn(7)) }
 	b.Run("inplace", func(b *testing.B) {
 		r := rand.New(rand.NewSource(2))
-		tr := nativeBenchTree(b, benchLinked)
+		tr := nativeBenchTree(b, benchFresh)
 		for i := 0; i < b.N; i++ {
 			tr.Insert(key(r), 1)
 		}
 	})
 	b.Run("forked", func(b *testing.B) {
 		r := rand.New(rand.NewSource(2))
-		tr := nativeBenchTree(b, benchForked)
+		tr := nativeBenchTree(b, benchFresh)
 		for i := 0; i < b.N; i++ {
 			next := tr.Fork()
 			next.Insert(key(r), 1)
 			next.Release(tr)
 			tr = next
 		}
-		nativeBench[benchForked].tr = tr
+		nativeBench[benchFresh].tr = tr
 	})
 }
 

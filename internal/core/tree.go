@@ -42,11 +42,13 @@ type Tree struct {
 	// sim is the simulator the tree charges (charge.go), set once by
 	// New when Config.Mem is a *memsys.Hierarchy. A native tree — one
 	// whose Config.Mem is a *memsys.Native — holds none, and sim == nil
-	// is the only thing that selects a code path: a native tree charges
-	// nothing, searches nodes branchlessly (search.go) and issues real
-	// prefetch instructions for its real blocks (hwprefetch.go); a
-	// simulated tree runs the paper's probe-per-key binary search and
-	// only ever charges simulated addresses.
+	// alone selects its shape and code path: a native tree charges
+	// nothing, searches nodes branchlessly (search.go), issues real
+	// prefetch instructions for its real blocks (hwprefetch.go), keeps
+	// no sibling links and no jump-pointer array, and scans through its
+	// bottom non-leaf nodes (scan.go); a simulated tree runs the paper's
+	// probe-per-key binary search, links its leaves, and only ever
+	// charges simulated addresses.
 	sim *memsys.Hierarchy
 
 	leafLay, nlLay, bottomLay layout
@@ -63,13 +65,11 @@ type Tree struct {
 	ar         *arena
 	addrs      []uint64
 
-	// epoch is 0 in a tree made by New and the version number in one
-	// made by Fork (version.go). Being forked is the one thing that
-	// selects the copy-on-write paths: such a tree copies a block an
-	// older version can reach before writing it, retires what it
-	// replaces instead of freeing it, and neither keeps nor follows
-	// sibling links — its scans find the next leaf in the bottom
-	// non-leaf node. copied counts the blocks this version copied.
+	// epoch is the version number (version.go): the arena's while t is
+	// the writable version, behind it once Fork has frozen t, when
+	// Insert and Delete panic. It selects no code path; an older
+	// version still live (olderLive) alone selects copy-before-write.
+	// copied counts the blocks this version copied.
 	epoch  uint64
 	copied int
 

@@ -107,7 +107,7 @@ type Config struct {
 	Prefetch bool
 
 	// JumpArray selects the across-leaf scan prefetching structure.
-	// It requires Prefetch.
+	// It requires Prefetch and a simulated tree (see Mem).
 	JumpArray JumpArrayKind
 
 	// PrefetchDist is k, the number of leaf nodes to prefetch ahead
@@ -129,7 +129,9 @@ type Config struct {
 	// prefetches (where Prefetch asks for them) are issued as real CPU
 	// instructions against the nodes' blocks, and the intra-node search
 	// is an unrolled branch-free pass over the key array. Both return
-	// the same answers and build the same structure. Nil selects a
+	// the same answers from the same nodes, but a native tree keeps no
+	// sibling links or jump-pointer array: its scans find the next leaf
+	// in the bottom non-leaf node (scan.go, version.go). Nil selects a
 	// fresh memsys.Default() simulated hierarchy.
 	Mem memsys.Model
 
@@ -195,6 +197,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.JumpArray != JumpNone && !c.Prefetch {
 		return c, fmt.Errorf("core: jump-pointer arrays require Prefetch")
+	}
+	if _, native := c.Mem.(*memsys.Native); native && c.JumpArray != JumpNone {
+		return c, fmt.Errorf("core: a native tree keeps no jump-pointer array (its scans prefetch through the bottom non-leaf nodes)")
 	}
 	mc := c.Mem.Config()
 	if c.PrefetchDist == 0 {

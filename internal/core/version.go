@@ -5,14 +5,15 @@ import "slices"
 // Versions of one tree: copy-on-write publication on arena blocks.
 //
 // Fork freezes a tree and returns its successor, a writable version
-// over the same arena. The successor's Insert and Delete first make
-// every block they are about to write its own — a block an older
-// version can reach is copied into a fresh one and the copy patched
-// into its (already owned) parent, from the root down — so the frozen
-// version's header and blocks never change again and any number of
-// readers may use it while its successor is written. A version is a
-// root id, a height, a count and a view of the slab table; what the
-// versions share is the arena (node.go).
+// over the same arena. While an older version is live (not yet
+// released), the successor's Insert and Delete first make every block
+// they are about to write its own — a block an older version can reach
+// is copied into a fresh one and the copy patched into its (already
+// owned) parent, from the root down — so the frozen version's header
+// and blocks never change again and any number of readers may use it
+// while its successor is written; with none live they write in place.
+// A version is a root id, a height, a count and a view of the slab
+// table; what the versions share is the arena (node.go).
 //
 // A block the writer replaces or empties is retired, not freed: older
 // versions may still reach it. Release says a frozen version has no
@@ -23,19 +24,17 @@ import "slices"
 //
 // Sibling links cannot survive a path copy (a leaf's left neighbour
 // would have to be copied to point at the copy, and so on down the
-// chain), so a forked tree neither maintains nor follows them: scans
-// take the next leaf from the bottom non-leaf node's child words, as
-// the paper's internal jump-pointer array does (scan.go), and the
-// plumbing walks (AppendPairs, WriteTo, CheckInvariants) go through
-// the non-leaf levels on every tree.
+// chain), which is why no native tree has them: its scans take the
+// next leaf from the bottom non-leaf node's child words, as the
+// paper's internal jump-pointer array does (scan.go), and the plumbing
+// walks (AppendPairs, WriteTo, CheckInvariants) go through the
+// non-leaf levels on every tree.
 
 // Fork freezes t for good and returns the next version of it. Only a
-// native tree without a jump-pointer array has versions (a simulated
-// tree charges no copies, a jump-pointer array lives outside the
-// blocks); anything else, or a tree that already has a successor, is a
-// caller's bug and panics. Fork costs no more than the header copy —
-// the first one also allocates the arena's four-byte-a-block birth
-// table.
+// native tree has versions (a simulated tree charges no copies);
+// anything else, or a tree that already has a successor, is a caller's
+// bug and panics. Fork costs no more than the header copy — the first
+// one also allocates the arena's four-byte-a-block birth table.
 func (t *Tree) Fork() *Tree {
 	next := new(Tree)
 	t.ForkInto(next)
@@ -47,8 +46,8 @@ func (t *Tree) Fork() *Tree {
 func (t *Tree) ForkInto(next *Tree) {
 	a := t.ar
 	switch {
-	case t.sim != nil || t.cfg.JumpArray != JumpNone:
-		panic("core: Fork needs a native tree without a jump-pointer array")
+	case t.sim != nil:
+		panic("core: Fork needs a native tree")
 	case t.epoch != a.epoch:
 		panic("core: Fork of a version that already has a successor")
 	}
@@ -115,15 +114,21 @@ func (t *Tree) Retired() int { return len(t.ar.retired) }
 // Retired.
 func (t *Tree) Blocks() int { return int(t.ar.high) }
 
-// retire takes a block the writable version did not make out of the
-// tree: onto the retire queue, or straight onto the free list when no
-// older version is live to reach it.
+// olderLive reports whether a frozen version is still live: the one
+// thing that makes a write copy a block before writing it.
+func (t *Tree) olderLive() bool { return len(t.ar.live) > 0 }
+
+// mustWrite panics unless t is its lineage's writable version.
+func (t *Tree) mustWrite() {
+	if t.epoch != t.ar.epoch {
+		panic("core: write to a frozen version")
+	}
+}
+
+// retire queues a block the writable version did not make, and took
+// out of the tree, until no older version that can reach it is live.
 func (t *Tree) retire(id nodeID) {
 	a := t.ar
-	if len(a.live) == 0 {
-		t.recycle(id)
-		return
-	}
 	if n := len(a.marks); n == 0 || a.marks[n-1].epoch != a.epoch {
 		a.marks = append(a.marks, retireMark{epoch: a.epoch})
 	}
@@ -132,8 +137,8 @@ func (t *Tree) retire(id nodeID) {
 }
 
 // owns reports whether this version made the block, and so may write
-// it. Forked trees only: a tree that was never forked has no birth
-// table and owns everything.
+// it. It is asked only while an older version is live: otherwise the
+// writer owns everything.
 func (t *Tree) owns(id nodeID) bool { return t.ar.born[id] == uint32(t.epoch) }
 
 // own returns the block to write in the place of id, which is child
@@ -159,11 +164,9 @@ func (t *Tree) own(id, parent nodeID, idx int) nodeID {
 // ownPath makes the descent just recorded in t.path, and the leaf
 // under it, this version's own, top down — after the first write of a
 // version that is one birth-table look per level — and returns the
-// leaf. Insert and Delete of a forked tree call it before they write.
+// leaf. Insert and Delete call it before they write while an older
+// version is live.
 func (t *Tree) ownPath(leaf nodeID) node {
-	if t.epoch != t.ar.epoch {
-		panic("core: write to a frozen version")
-	}
 	parent, idx := nodeID(0), 0
 	for i := range t.path {
 		p := &t.path[i]

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -372,7 +373,7 @@ func TestVersionReadersBesideWriter(t *testing.T) {
 	}
 }
 
-// TestForkMisuse: the three calls only a bug makes.
+// TestForkMisuse: the calls only a bug makes.
 func TestForkMisuse(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -384,9 +385,6 @@ func TestForkMisuse(t *testing.T) {
 		f()
 	}
 	mustPanic("Fork of a simulated tree", func() { MustNew(Config{Width: 1}).Fork() })
-	mustPanic("Fork of a tree with a jump-pointer array", func() {
-		MustNew(Config{Width: 2, Prefetch: true, JumpArray: JumpInternal, Mem: memsys.DefaultNative()}).Fork()
-	})
 	tr := MustNew(Config{Width: 1, Mem: memsys.DefaultNative()})
 	v1 := tr.Fork()
 	mustPanic("a second Fork of one version", func() { tr.Fork() })
@@ -395,5 +393,86 @@ func TestForkMisuse(t *testing.T) {
 	v2.Insert(1, 1)
 	if _, ok := v1.Search(1); ok || v2.Len() != 1 {
 		t.Fatal("a write to the successor showed in the frozen version")
+	}
+}
+
+// TestWriteAfterForkPanics: the tree Fork froze is never written again,
+// epoch 0 or not, released or not — its blocks are its successor's
+// too. A write to it would change what the successor holds under it.
+func TestWriteAfterForkPanics(t *testing.T) {
+	tr := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
+	if err := tr.Bulkload(sortedPairs(1000), 1.0); err != nil {
+		t.Fatal(err)
+	}
+	next := tr.Fork()
+	for name, write := range map[string]func(){
+		"Insert": func() { tr.Insert(5, 5) },
+		"Delete": func() { tr.Delete(sortedPairs(1)[0].Key) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on the version Fork froze did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+	next.Release(tr)
+	if err := next.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := next.Search(5); ok || next.Len() != 1000 {
+		t.Fatalf("the successor holds %d pairs, key 5 found=%v", next.Len(), ok)
+	}
+}
+
+// TestReleasedLineageClosesAccounting: once every older version is
+// released the writable version is held to the whole block accounting
+// again — carved = reachable + free — however often it was forked.
+func TestReleasedLineageClosesAccounting(t *testing.T) {
+	tr := MustNew(Config{Width: 1, Prefetch: true, Mem: memsys.DefaultNative()})
+	if err := tr.Bulkload(sortedPairs(200), 1.0); err != nil {
+		t.Fatal(err)
+	}
+	next := tr.Fork()
+	for _, p := range sortedPairs(40) {
+		next.Delete(p.Key) // retires the leaves the frozen version shares
+	}
+	next.Release(tr)
+	if n := next.Retired(); n != 0 {
+		t.Fatalf("%d blocks still retired with no older version live", n)
+	}
+	if err := next.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	next.allocBlock() // leaked: neither reachable nor free
+	if err := next.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "neither reachable nor free") {
+		t.Fatalf("CheckInvariants after a leaked block = %v, want the accounting error", err)
+	}
+}
+
+// TestWritesInPlaceWithNoOlderVersionLive: a forked tree copies only
+// while an older version is live; once it is released the writer owns
+// every block and writes in place, as a tree made by New does.
+func TestWritesInPlaceWithNoOlderVersionLive(t *testing.T) {
+	tr := MustNew(Config{Width: 8, Prefetch: true, Mem: memsys.DefaultNative()})
+	if err := tr.Bulkload(sortedPairs(10_000), 0.8); err != nil {
+		t.Fatal(err)
+	}
+	next := tr.Fork()
+	next.Insert(3, 3)
+	if next.Copied() != next.Height() {
+		t.Fatalf("a write beside a live frozen version copied %d blocks, want its path of %d", next.Copied(), next.Height())
+	}
+	next.Release(tr)
+	copied, blocks := next.Copied(), next.Blocks()
+	next.Insert(8*9000+1, 5) // a path the first write did not copy
+	next.Delete(3)
+	if next.Copied() != copied || next.Blocks() != blocks {
+		t.Fatalf("writes with no older version live copied %d and carved %d blocks", next.Copied()-copied, next.Blocks()-blocks)
+	}
+	if err := next.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -94,8 +94,8 @@ func TestGoldenUnaffectedByHardwarePrefetch(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = core.Pair{Key: core.Key(2 * i), TID: core.TID(i)}
 	}
-	for _, jump := range []core.JumpArrayKind{core.JumpNone, core.JumpExternal, core.JumpInternal} {
-		tr := core.MustNew(core.Config{Width: 8, Prefetch: true, JumpArray: jump, Mem: memsys.DefaultNative()})
+	for _, width := range []int{1, 8} {
+		tr := core.MustNew(core.Config{Width: width, Prefetch: true, Mem: memsys.DefaultNative()})
 		if err := tr.Bulkload(pairs, 0.8); err != nil {
 			t.Fatal(err)
 		}

@@ -58,10 +58,10 @@ type StoreConfig struct {
 	// must be nil, since tracers are single-threaded. Serving trees
 	// are therefore always native trees: they search branchlessly and
 	// issue real prefetch instructions, with nothing to switch on.
-	// JumpArray must be JumpNone: a shard publishes copy-on-write
-	// versions of its tree, whose scans prefetch through the bottom
-	// non-leaf nodes and keep no jump-pointer array. The zero value
-	// serves on p8B+-Trees, the paper's sweet spot.
+	// JumpArray must be JumpNone, as on every native tree (New refuses
+	// anything else): scans prefetch through the bottom non-leaf
+	// nodes. The zero value serves on p8B+-Trees, the paper's sweet
+	// spot.
 	Tree core.Config
 
 	// LSM is the per-shard engine configuration for BackendLSM. The
@@ -140,9 +140,6 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	}
 	if c.Tree.Trace != nil {
 		return c, fmt.Errorf("serve: tree tracers are single-threaded; serving trees cannot carry one")
-	}
-	if c.Tree.JumpArray != core.JumpNone {
-		return c, fmt.Errorf("serve: a serving tree is published as copy-on-write versions, which keep no jump-pointer array (scans prefetch through the bottom non-leaf nodes instead)")
 	}
 	if _, bad := c.Tree.Mem.(*memsys.Hierarchy); bad {
 		return c, fmt.Errorf("serve: the simulated hierarchy is single-threaded; serve on a native model")

@@ -18,13 +18,16 @@ import (
 
 // buildNativeTree bulkloads n sequential even keys (2, 4, ..., 2n)
 // onto a fresh native model, with a heap table sharing its address
-// space. The returned tree is frozen: tests only read it.
+// space. A native tree keeps no jump-pointer array, so cfg's is
+// dropped: a p^w_e or p^w_i config builds the link-free p^w tree that
+// scans through its bottom non-leaf nodes. The returned tree is
+// frozen: tests only read it.
 func buildNativeTree(t testing.TB, cfg pbtree.Config, n int) (*pbtree.Tree, *pbtree.HeapTable) {
 	t.Helper()
 	mem := pbtree.DefaultNative()
 	space := pbtree.NewAddressSpace(mem.Config().LineSize)
 	tab := pbtree.MustNewHeap(mem, space, 64)
-	cfg.Mem = mem
+	cfg.Mem, cfg.JumpArray = mem, pbtree.JumpNone
 	cfg.Space = space
 	tree := pbtree.MustNew(cfg)
 	pairs := make([]pbtree.Pair, n)
@@ -38,8 +41,9 @@ func buildNativeTree(t testing.TB, cfg pbtree.Config, n int) (*pbtree.Tree, *pbt
 	return tree, tab
 }
 
-// nativeConfigs covers every read-path variant: plain, prefetched
-// wide nodes, and both jump-pointer arrays.
+// nativeConfigs covers every read-path variant of the simulated twin:
+// plain, prefetched wide nodes, and both jump-pointer arrays. Each
+// native tree is the link-free one of the same width.
 var nativeConfigs = []struct {
 	name string
 	cfg  pbtree.Config
@@ -51,7 +55,8 @@ var nativeConfigs = []struct {
 }
 
 // TestNativeMatchesSimulated checks that a native-model tree returns
-// exactly the same results as its simulated twin.
+// exactly the same results as its simulated twin, a linked tree with
+// the config's jump-pointer array.
 func TestNativeMatchesSimulated(t *testing.T) {
 	const n = 5000
 	for _, tc := range nativeConfigs {
@@ -129,7 +134,10 @@ func TestNativeMatchesSimulated(t *testing.T) {
 			if rows == 0 {
 				t.Fatal("pair scan returned nothing")
 			}
-			for i := 0; i < 200; i++ {
+			// The estimate reads node fan-outs, which a jump-pointer
+			// array changes: only a twin without one has the native
+			// tree's nodes.
+			for i := 0; i < 200 && tc.cfg.JumpArray == pbtree.JumpNone; i++ {
 				lo := pbtree.Key(r.Intn(3 * n))
 				hi := lo + pbtree.Key(r.Intn(n))
 				if got, want := native.EstimateRange(lo, hi), sim.EstimateRange(lo, hi); got != want {
@@ -216,7 +224,7 @@ func TestNativeConcurrentReads(t *testing.T) {
 // reach the simulator: an uncounted Native model records nothing, and
 // no *Hierarchy exists to accumulate stall cycles.
 func TestNativeHotPathIsSimulatorFree(t *testing.T) {
-	tree, _ := buildNativeTree(t, pbtree.Config{Width: 8, Prefetch: true, JumpArray: pbtree.JumpExternal}, 10000)
+	tree, _ := buildNativeTree(t, pbtree.Config{Width: 8, Prefetch: true}, 10000)
 	native, ok := tree.Mem().(*pbtree.Native)
 	if !ok {
 		t.Fatalf("tree.Mem() = %T, want *pbtree.Native", tree.Mem())
@@ -262,7 +270,7 @@ func BenchmarkNativeConcurrentSearch(b *testing.B) {
 // histograms must be safe under full read concurrency.
 func TestNativeMetricsConcurrent(t *testing.T) {
 	const n = 20000
-	tree, _ := buildNativeTree(t, pbtree.Config{Width: 8, Prefetch: true, JumpArray: pbtree.JumpExternal}, n)
+	tree, _ := buildNativeTree(t, pbtree.Config{Width: 8, Prefetch: true}, n)
 	m := pbtree.NewMetrics()
 
 	workers := 4 * runtime.GOMAXPROCS(0)
@@ -341,7 +349,7 @@ func BenchmarkNativeSearchMetered(b *testing.B) {
 // throughput (500 tupleIDs per scan) under concurrency.
 func BenchmarkNativeConcurrentScan(b *testing.B) {
 	const n = 1 << 20
-	tree, _ := buildNativeTree(b, pbtree.Config{Width: 8, Prefetch: true, JumpArray: pbtree.JumpInternal}, n)
+	tree, _ := buildNativeTree(b, pbtree.Config{Width: 8, Prefetch: true}, n)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		buf := make([]pbtree.TID, 500)

@@ -142,7 +142,9 @@ type (
 	QueryOptions = query.Options
 )
 
-// Jump-pointer array kinds.
+// Jump-pointer array kinds. JumpExternal and JumpInternal are for
+// simulated trees only: New refuses them on a *Native model, whose
+// scans take the next leaf from the bottom non-leaf node.
 const (
 	// JumpNone disables across-leaf scan prefetching.
 	JumpNone = core.JumpNone

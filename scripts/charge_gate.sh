@@ -1,11 +1,15 @@
 #!/bin/sh
 # Charge gate: the two ways a native tree quietly starts paying for a
-# memory model again (DESIGN.md §6).
+# memory model again (DESIGN.md §6), and the one way its shape could
+# start depending on its lineage again (DESIGN.md §16).
 #   - Only internal/core/charge.go may call a model verb on the tree's
 #     simulator; every other non-test file of the package goes through
 #     its five helpers, which do nothing on a native tree.
 #   - The compiler must report all five helpers as inlinable, or each
 #     of those call sites is a real call again.
+#   - No non-test file of the package compares an epoch with 0: t.sim
+#     alone picks a tree's shape, a live older version alone picks
+#     copy-before-write, and being forked picks nothing.
 set -eu
 
 direct=$(grep -nE '\.(mem|sim)\.(Access|AccessRange|Compute|Prefetch|PrefetchRange)\(' internal/core/*.go |
@@ -13,6 +17,16 @@ direct=$(grep -nE '\.(mem|sim)\.(Access|AccessRange|Compute|Prefetch|PrefetchRan
 if [ -n "$direct" ]; then
     echo "charge-gate: model verbs called outside internal/core/charge.go:" >&2
     echo "$direct" >&2
+    exit 1
+fi
+
+# (Fork's wrap check, uint32(a.epoch) == 0, tests the low word the
+# birth table stores, not the lineage, and is not matched.)
+lineage=$(grep -nE '[Ee]poch[[:space:]]*[!=]=[[:space:]]*0([^0-9xX.]|$)|(^|[^0-9A-Za-z_.])0[[:space:]]*[!=]=[[:space:]]*[A-Za-z_.]*[Ee]poch([^A-Za-z0-9_(]|$)' internal/core/*.go |
+    grep -vE '^internal/core/[a-z_]+_test\.go:' || true)
+if [ -n "$lineage" ]; then
+    echo "charge-gate: an epoch compared with 0 selects a path by lineage (use t.sim or t.olderLive()):" >&2
+    echo "$lineage" >&2
     exit 1
 fi
 
