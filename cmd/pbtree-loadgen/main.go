@@ -8,14 +8,14 @@
 //	    -skew zipf -get 70 -mget 15 -scan 5 -put 10
 //
 // -stream N gives N percent of draws to a full streaming scan: the
-// worker opens a cursor (SCANOPEN), pulls -stream-rows rows in
-// -stream-chunk chunks (SCANNEXT), and lets exhaustion close the
-// cursor — holding at most one chunk of scan row tokens at a time
-// (PROTOCOL.md §10).
+// worker opens a cursor (SCANOPEN), pulls 10 000 rows in 256-row
+// chunks (SCANNEXT), and lets exhaustion close the cursor — holding at
+// most one chunk of scan row tokens at a time (PROTOCOL.md §10). An
+// MGET asks for 16 keys and a SCAN for 100 rows; -skew zipf draws with
+// exponent 1.1.
 //
-// -replicas lists read-replica addresses; connections then
-// round-robin across -addr and the replicas (the mix must be
-// read-only), measuring a replica set's aggregate read throughput.
+// To read a follower, point -addr at it with a read-only mix: it
+// answers reads like any server and rejects writes.
 //
 // -window N keeps N calls outstanding per connection (closed loop:
 // total concurrency is conns x window); -window 1 is the classic one-round-trip-at-a-time
@@ -30,7 +30,6 @@ import (
 	"flag"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"pbtree"
@@ -40,58 +39,38 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pbtree-loadgen: ")
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7070", "server address")
-		replicas    = flag.String("replicas", "", "comma-separated replica addresses: connections round-robin across -addr and these (read-only mix required)")
-		conns       = flag.Int("conns", 4, "concurrent connections")
-		window      = flag.Int("window", 1, "outstanding calls per connection (pipelined when > 1)")
-		duration    = flag.Duration("duration", 2*time.Second, "run length")
-		keys        = flag.Int("keys", 1_000_000, "key-space size (match the server's -keys)")
-		getPct      = flag.Int("get", 0, "GET percent of the mix")
-		mgetPct     = flag.Int("mget", 0, "MGET percent of the mix")
-		scanPct     = flag.Int("scan", 0, "SCAN percent of the mix")
-		streamPct   = flag.Int("stream", 0, "streaming-scan percent of the mix (SCANOPEN/SCANNEXT cursors)")
-		putPct      = flag.Int("put", 0, "PUT percent of the mix")
-		delPct      = flag.Int("del", 0, "DEL percent of the mix")
-		batch       = flag.Int("batch", 16, "keys per MGET")
-		scanRows    = flag.Int("scanrows", 100, "row limit per SCAN")
-		streamRows  = flag.Int("stream-rows", 0, "target rows per streaming scan (0 = 10000)")
-		streamChunk = flag.Int("stream-chunk", 0, "rows per SCANNEXT chunk (0 = 256)")
-		skew        = flag.String("skew", "uniform", "key distribution: uniform|zipf|hotset")
-		zipfS       = flag.Float64("zipf-s", 1.1, "Zipf exponent (skew=zipf)")
-		hotFrac     = flag.Float64("hot-frac", 0.01, "hot key fraction (skew=hotset)")
-		hotProb     = flag.Float64("hot-prob", 0.9, "hot traffic share (skew=hotset)")
-		seed        = flag.Int64("seed", 1, "base RNG seed (conn i uses seed+i)")
-		timeout     = flag.Duration("timeout", time.Second, "per-request deadline")
+		addr      = flag.String("addr", "127.0.0.1:7070", "server address")
+		conns     = flag.Int("conns", 4, "concurrent connections")
+		window    = flag.Int("window", 1, "outstanding calls per connection (pipelined when > 1)")
+		duration  = flag.Duration("duration", 2*time.Second, "run length")
+		keys      = flag.Int("keys", 1_000_000, "key-space size (match the server's -keys)")
+		getPct    = flag.Int("get", 0, "GET percent of the mix")
+		mgetPct   = flag.Int("mget", 0, "MGET percent of the mix")
+		scanPct   = flag.Int("scan", 0, "SCAN percent of the mix")
+		streamPct = flag.Int("stream", 0, "streaming-scan percent of the mix (SCANOPEN/SCANNEXT cursors)")
+		putPct    = flag.Int("put", 0, "PUT percent of the mix")
+		delPct    = flag.Int("del", 0, "DEL percent of the mix")
+		skew      = flag.String("skew", "uniform", "key distribution: uniform|zipf")
+		seed      = flag.Int64("seed", 1, "base RNG seed (conn i uses seed+i)")
+		timeout   = flag.Duration("timeout", time.Second, "per-request deadline")
 	)
 	flag.Parse()
 
-	var reps []string
-	if *replicas != "" {
-		reps = strings.Split(*replicas, ",")
-	}
 	rep, err := pbtree.RunLoadgen(pbtree.LoadgenConfig{
-		Addr:        *addr,
-		Replicas:    reps,
-		Conns:       *conns,
-		Window:      *window,
-		Duration:    *duration,
-		Keys:        *keys,
-		GetPct:      *getPct,
-		MGetPct:     *mgetPct,
-		ScanPct:     *scanPct,
-		StreamPct:   *streamPct,
-		PutPct:      *putPct,
-		DelPct:      *delPct,
-		Batch:       *batch,
-		ScanLimit:   *scanRows,
-		StreamRows:  *streamRows,
-		StreamChunk: *streamChunk,
-		Skew:        *skew,
-		ZipfS:       *zipfS,
-		HotFrac:     *hotFrac,
-		HotProb:     *hotProb,
-		Seed:        *seed,
-		Timeout:     *timeout,
+		Addr:      *addr,
+		Conns:     *conns,
+		Window:    *window,
+		Duration:  *duration,
+		Keys:      *keys,
+		GetPct:    *getPct,
+		MGetPct:   *mgetPct,
+		ScanPct:   *scanPct,
+		StreamPct: *streamPct,
+		PutPct:    *putPct,
+		DelPct:    *delPct,
+		Skew:      *skew,
+		Seed:      *seed,
+		Timeout:   *timeout,
 	})
 	if err != nil {
 		log.Fatal(err)

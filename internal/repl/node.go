@@ -1,8 +1,9 @@
 // Package repl is the log-shipping replication subsystem (DESIGN.md
-// §13): read replicas that follow a primary by pulling its WAL over
-// the REPLICATE op class of the wire protocol, and epoch-fenced failover
+// §13): followers that track a primary by pulling its WAL over the
+// REPLICATE op class of the wire protocol, and epoch-fenced failover
 // that promotes a follower without ever letting two primaries
-// acknowledge the same write.
+// acknowledge the same write. A follower answers reads through the
+// ordinary server path, so any client can read it.
 //
 // Topology. Replication is pull-based and per shard. A follower dials
 // the primary's normal serving address and, for every shard, loops a

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -164,6 +165,47 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// leakCheck fails the test unless, after every deferred teardown, the
+// goroutine count comes back down to what it is now. Idle HTTP
+// keep-alive connections are closed first; everything else gets a
+// moment to exit before it is called a leak.
+func leakCheck(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(wait) {
+				buf := make([]byte, 1<<16)
+				t.Errorf("%d goroutines left, %d at the start:\n%s",
+					runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+				return
+			}
+		}
+	})
+}
+
+// dialClient opens an ordinary serving client, closed with the test.
+func dialClient(t *testing.T, addr string) *serve.Client {
+	t.Helper()
+	c, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	c.Timeout = 5 * time.Second
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// replStatus issues one REPLICATE STATUS request on a connection.
+func replStatus(t *testing.T, c *serve.Client) *serve.ReplResp {
+	t.Helper()
+	resp, err := c.Do(&serve.Request{Op: serve.OpReplicate, Repl: &serve.ReplReq{Kind: serve.ReplStatus}})
+	if err != nil || resp.Status != serve.StatusOK || resp.Repl == nil {
+		t.Fatalf("STATUS: %+v err=%v", resp, err)
+	}
+	return resp.Repl
+}
+
 // caughtUp reports whether the follower's cursors match the primary's.
 func caughtUp(p, f *serve.Store) bool {
 	pl, fl := p.AppliedLSNs(), f.AppliedLSNs()
@@ -204,6 +246,7 @@ func seedPairs(n int) []core.Pair {
 func TestReplicationCatchUp(t *testing.T) {
 	for _, backendName := range testBackends {
 		t.Run(backendName, func(t *testing.T) {
+			leakCheck(t)
 			p := newPrimary(t, backendName, seedPairs(64), false, 0)
 			defer p.close()
 
@@ -276,6 +319,7 @@ func TestReplicationCatchUp(t *testing.T) {
 // plan drops every 3rd exchange and delays every 2nd — the follower
 // must still converge, and the plan must have actually fired.
 func TestReplicationUnderFaults(t *testing.T) {
+	leakCheck(t)
 	plan := &storage.FaultPlan{DropEvery: 3, DelayEvery: 2, Delay: time.Millisecond}
 	p := newPrimary(t, serve.BackendPBTree, nil, false, 0)
 	defer p.close()
@@ -310,6 +354,7 @@ func TestReplicationUnderFaults(t *testing.T) {
 // crashed filesystem: the new incarnation must resume from its durable
 // cursor and converge.
 func TestFollowerRestartMidStream(t *testing.T) {
+	leakCheck(t)
 	p := newPrimary(t, serve.BackendPBTree, nil, false, 0)
 	defer p.close()
 
@@ -389,6 +434,7 @@ func primaryWALBytes(t *testing.T, fs *storage.MemFS) map[string][]byte {
 // verifies — byte by byte over the deposed primary's filesystem — that
 // no post-fence write extends its WAL timeline.
 func TestFencedPrimaryRejectsByteGranular(t *testing.T) {
+	leakCheck(t)
 	p := newPrimary(t, serve.BackendPBTree, nil, false, 0)
 	defer p.close()
 	f := newFollower(t, serve.BackendPBTree, storage.NewMemFS(), p, nil)
@@ -475,6 +521,7 @@ func TestFencedPrimaryRejectsByteGranular(t *testing.T) {
 // promotion epoch existed (which the sync gate guarantees were
 // follower-applied, hence also readable).
 func TestSyncPromotionNeverDualAcks(t *testing.T) {
+	leakCheck(t)
 	p := newPrimary(t, serve.BackendPBTree, nil, true, 500*time.Millisecond)
 	defer p.close()
 	f := newFollower(t, serve.BackendPBTree, storage.NewMemFS(), p, nil)
@@ -546,9 +593,11 @@ func TestSyncPromotionNeverDualAcks(t *testing.T) {
 }
 
 // TestOverTheWire runs the whole stack over real TCP: two serve.Server
-// instances with REPLICATE wired, the default dialed transport, a
-// ReplicaSet reading from the replica, and the admin endpoints.
+// instances with REPLICATE wired, the default dialed transport, an
+// ordinary client reading the follower, REPLICATE STATUS on both
+// nodes, and the admin endpoints.
 func TestOverTheWire(t *testing.T) {
+	leakCheck(t)
 	// Primary server.
 	pfs := storage.NewMemFS()
 	pst := openStore(t, serve.BackendPBTree, pfs, false, seedPairs(32))
@@ -590,38 +639,40 @@ func TestOverTheWire(t *testing.T) {
 
 	waitFor(t, 10*time.Second, "wire catch-up", func() bool { return caughtUp(pst, fst) })
 
-	// ReplicaSet: reads land (round-robining through the replica),
-	// writes go to the primary and replicate.
-	rs, err := DialReplicaSet(ReplicaSetConfig{
-		Primary:       paddr,
-		Replicas:      []string{faddr},
-		ProbeInterval: 5 * time.Millisecond,
-		Timeout:       2 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("DialReplicaSet: %v", err)
+	// A write through the primary's client reaches the follower, whose
+	// own connection then answers GET, MGET and SCAN and refuses writes.
+	pc := dialClient(t, paddr)
+	fc := dialClient(t, faddr)
+	if err := pc.Put(core.Pair{Key: 5, TID: 55}); err != nil {
+		t.Fatalf("primary put: %v", err)
 	}
-	defer rs.Close()
-	waitFor(t, 5*time.Second, "replica admitted", func() bool { return rs.Healthy() == 1 })
+	waitFor(t, 5*time.Second, "write read back from the follower", func() bool {
+		tid, ok, err := fc.Get(5)
+		return err == nil && ok && tid == 55
+	})
+	ls, err := fc.MGet([]core.Key{5, 999999})
+	if err != nil || len(ls) != 2 || !ls[0].Found || ls[0].TID != 55 || ls[1].Found {
+		t.Fatalf("follower mget: %+v err=%v", ls, err)
+	}
+	if ps, err := fc.Scan(0, core.Key(1<<31), 1000); err != nil || len(ps) != pst.Len() {
+		t.Fatalf("follower scan: %d pairs (primary holds %d), err=%v", len(ps), pst.Len(), err)
+	}
+	if err := fc.Put(core.Pair{Key: 6, TID: 66}); err == nil {
+		t.Fatal("follower accepted a client write")
+	}
 
-	if err := rs.Put(core.Pair{Key: 5, TID: 55}); err != nil {
-		t.Fatalf("replica-set put: %v", err)
-	}
-	waitFor(t, 5*time.Second, "write replicated", func() bool {
-		tid, ok := fst.Get(5)
-		return ok && tid == 55
+	// REPLICATE STATUS over TCP: each node reports its role at epoch
+	// 1, and once caught up both report the same per-shard LSNs.
+	waitFor(t, 5*time.Second, "STATUS LSNs to agree", func() bool {
+		ps, fs := replStatus(t, pc), replStatus(t, fc)
+		if ps.Role != serve.RolePrimary || fs.Role != serve.RoleReplica || ps.Epoch != 1 || fs.Epoch != 1 {
+			t.Fatalf("STATUS: primary %v/%d, follower %v/%d, want primary/1 and replica/1", ps.Role, ps.Epoch, fs.Role, fs.Epoch)
+		}
+		if len(ps.ShardLSNs) != 2 || len(fs.ShardLSNs) != 2 {
+			t.Fatalf("STATUS shard LSNs: primary %v, follower %v, want 2 each", ps.ShardLSNs, fs.ShardLSNs)
+		}
+		return ps.ShardLSNs[0] == fs.ShardLSNs[0] && ps.ShardLSNs[1] == fs.ShardLSNs[1]
 	})
-	tid, ok, err := rs.Get(5)
-	if err != nil || !ok || tid != 55 {
-		t.Fatalf("replica-set get: tid=%d ok=%v err=%v", tid, ok, err)
-	}
-	if ps, err := rs.Scan(0, core.Key(1<<31), 1000); err != nil || len(ps) == 0 {
-		t.Fatalf("replica-set scan: %d pairs, err=%v", len(ps), err)
-	}
-	ls, err := rs.MGet([]core.Key{5, 999999})
-	if err != nil || !ls[0].Found || ls[1].Found {
-		t.Fatalf("replica-set mget: %+v err=%v", ls, err)
-	}
 
 	// Admin plane on the follower: /replz reflects the replica role,
 	// POST /promote fails over, and the lag gauges render.
@@ -694,6 +745,7 @@ func TestOverTheWire(t *testing.T) {
 // TestStatusJSONShape pins the /replz document's field names — they
 // are operator-facing API.
 func TestStatusJSONShape(t *testing.T) {
+	leakCheck(t)
 	p := newPrimary(t, serve.BackendPBTree, seedPairs(4), false, 0)
 	defer p.close()
 	b, err := json.Marshal(p.node.Status())

@@ -42,8 +42,8 @@
 //   - Client mirrors the server: it multiplexes concurrent calls over
 //     one connection by request ID (Client.Go is the async form); Dial
 //     opens with a HELLO to learn the server's window.
-//   - Loadgen drives configurable read/write/scan mixes with uniform,
-//     Zipfian or hot-set key skew (internal/workload) across
+//   - Loadgen drives configurable read/write/scan mixes with uniform
+//     or Zipfian key skew (internal/workload) across
 //     Conns × Window concurrent streams and reports throughput and
 //     latency percentiles.
 package serve

@@ -13,17 +13,19 @@ import (
 	"pbtree/internal/workload"
 )
 
+// The load shape's fixed sizes: no caller sets them to anything else.
+const (
+	loadgenBatch       = 16     // keys per MGET
+	loadgenScanLimit   = 100    // row limit per SCAN
+	loadgenStreamRows  = 10_000 // rows one streaming scan targets
+	loadgenStreamChunk = 256    // rows per SCANNEXT chunk (≤ MaxScanChunk)
+	loadgenZipfS       = 1.1    // Zipf exponent of the "zipf" skew
+)
+
 // LoadgenConfig describes one load-generation run.
 type LoadgenConfig struct {
 	// Addr is the server address.
 	Addr string `json:"addr"`
-
-	// Replicas are additional server addresses: connections
-	// round-robin across Addr and Replicas, measuring a replica set's
-	// aggregate read throughput (DESIGN.md §13). Requires a read-only
-	// mix — writes belong on the primary, and a replica would reject
-	// them.
-	Replicas []string `json:"replicas,omitempty"`
 
 	// Conns is the number of concurrent connections. Zero selects 4.
 	Conns int `json:"conns"`
@@ -50,35 +52,13 @@ type LoadgenConfig struct {
 	PutPct    int `json:"put_pct"`    // PUT share
 	DelPct    int `json:"del_pct"`    // DEL share
 
-	// Batch is the MGET batch size. Zero selects 16.
-	Batch int `json:"batch"`
-
-	// ScanLimit is the SCAN row limit. Zero selects 100.
-	ScanLimit int `json:"scan_limit"`
-
-	// StreamRows is how many rows one streaming scan targets. Zero
-	// selects 10_000.
-	StreamRows int `json:"stream_rows"`
-
-	// StreamChunk is the SCANNEXT chunk size of a streaming scan. Zero
-	// selects 256.
-	StreamChunk int `json:"stream_chunk"`
-
 	// Keys is the preloaded key-space size n (keys of SortedPairs(n)).
 	// Zero selects 100_000.
 	Keys int `json:"keys"`
 
-	// Skew selects the key distribution: "uniform", "zipf" or
-	// "hotset". Empty selects uniform.
+	// Skew selects the key distribution: "uniform" or "zipf". Empty
+	// selects uniform.
 	Skew string `json:"skew"`
-
-	// ZipfS is the Zipf exponent (>1) when Skew is "zipf". Zero
-	// selects 1.1.
-	ZipfS float64 `json:"zipf_s"`
-
-	// HotFrac/HotProb parameterize "hotset". Zero selects 0.01/0.9.
-	HotFrac float64 `json:"hot_frac"` // fraction of keys that are hot
-	HotProb float64 `json:"hot_prob"` // probability an op targets a hot key
 
 	// Seed makes runs reproducible per connection (conn i uses
 	// Seed+i). Zero selects 1.
@@ -111,44 +91,17 @@ func (c LoadgenConfig) withDefaults() (LoadgenConfig, error) {
 		return c, fmt.Errorf("serve: op mix %d/%d/%d/%d/%d/%d invalid", c.GetPct, c.MGetPct, c.ScanPct, c.StreamPct, c.PutPct, c.DelPct)
 	}
 	c.GetPct += 100 - sum
-	if c.Batch == 0 {
-		c.Batch = 16
-	}
-	if c.ScanLimit == 0 {
-		c.ScanLimit = 100
-	}
-	if c.StreamRows == 0 {
-		c.StreamRows = 10_000
-	}
-	if c.StreamChunk == 0 {
-		c.StreamChunk = 256
-	}
-	if c.StreamChunk > MaxScanChunk {
-		return c, fmt.Errorf("serve: stream chunk %d exceeds %d", c.StreamChunk, MaxScanChunk)
-	}
 	if c.Keys == 0 {
 		c.Keys = 100_000
 	}
 	if c.Skew == "" {
 		c.Skew = "uniform"
 	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.1
-	}
-	if c.HotFrac == 0 {
-		c.HotFrac = 0.01
-	}
-	if c.HotProb == 0 {
-		c.HotProb = 0.9
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Timeout == 0 {
 		c.Timeout = time.Second
-	}
-	if len(c.Replicas) > 0 && (c.PutPct > 0 || c.DelPct > 0) {
-		return c, fmt.Errorf("serve: a replica-set run must be read-only (mix has put %d%%, del %d%%)", c.PutPct, c.DelPct)
 	}
 	return c, nil
 }
@@ -160,11 +113,9 @@ func (c LoadgenConfig) keyStream(seed int64) (workload.KeyStream, error) {
 	case "uniform":
 		return workload.NewUniformKeys(r, c.Keys), nil
 	case "zipf":
-		return workload.NewZipfKeys(r, c.Keys, c.ZipfS, 1)
-	case "hotset":
-		return workload.NewHotSetKeys(r, c.Keys, c.HotFrac, c.HotProb)
+		return workload.NewZipfKeys(r, c.Keys, loadgenZipfS, 1)
 	default:
-		return nil, fmt.Errorf("serve: unknown skew %q (want uniform, zipf or hotset)", c.Skew)
+		return nil, fmt.Errorf("serve: unknown skew %q (want uniform or zipf)", c.Skew)
 	}
 }
 
@@ -181,7 +132,7 @@ type OpReport struct {
 // LoadgenReport is the JSON result of a run.
 type LoadgenReport struct {
 	Config      LoadgenConfig `json:"config"`      // the defaulted config the run used
-	DurationMS  int64         `json:"duration_ms"` // measured run length
+	DurationMS  int64         `json:"duration_ms"` // measured run length, clock start to the last worker's exit
 	Concurrency int           `json:"concurrency"` // Conns x Window outstanding calls
 	Ops         uint64        `json:"ops"`         // completed operations
 	Rows        uint64        `json:"rows"`        // keys looked up / rows scanned / pairs written
@@ -205,16 +156,14 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	addrs := append([]string{cfg.Addr}, cfg.Replicas...)
 	clients := make([]*Client, cfg.Conns)
 	for i := range clients {
-		addr := addrs[i%len(addrs)]
-		cl, err := Dial(addr)
+		cl, err := Dial(cfg.Addr)
 		if err != nil {
 			for _, c := range clients[:i] {
 				c.Close()
 			}
-			return nil, fmt.Errorf("serve: dialing %s: %w", addr, err)
+			return nil, fmt.Errorf("serve: dialing %s: %w", cfg.Addr, err)
 		}
 		cl.Timeout = cfg.Timeout
 		clients[i] = cl
@@ -248,7 +197,12 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 		streams[w] = s
 	}
 
-	deadline := time.Now().Add(cfg.Duration)
+	// A worker checks the deadline only before each call, so an op in
+	// flight at the deadline (up to Timeout) or a back-off after a
+	// rejection runs past it; the report divides by the elapsed time,
+	// not the configured one.
+	begin := time.Now()
+	deadline := begin.Add(cfg.Duration)
 	var wg sync.WaitGroup
 	// Window workers share each connection: the pipelined client keeps
 	// their calls outstanding concurrently, so per-connection
@@ -259,7 +213,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 			wg.Add(1)
 			go func(cl *Client, stream workload.KeyStream, r *rand.Rand) {
 				defer wg.Done()
-				keys := make([]core.Key, cfg.Batch)
+				keys := make([]core.Key, loadgenBatch)
 				for time.Now().Before(deadline) {
 					dice := r.Intn(100)
 					var (
@@ -275,7 +229,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						op, n = core.OpSearch, 1
 						_, found, err = cl.Get(stream.Next())
 					case dice < cfg.GetPct+cfg.MGetPct:
-						op, n = core.OpSearch, uint64(cfg.Batch)
+						op, n = core.OpSearch, loadgenBatch
 						for j := range keys {
 							keys[j] = stream.Next()
 						}
@@ -284,7 +238,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						op, class = core.OpScan, admScan
 						startKey := stream.Next()
 						var pairs []core.Pair
-						pairs, err = cl.Scan(startKey, startKey+core.Key(8*cfg.ScanLimit), cfg.ScanLimit)
+						pairs, err = cl.Scan(startKey, startKey+8*loadgenScanLimit, loadgenScanLimit)
 						n = uint64(len(pairs))
 					case dice < cfg.GetPct+cfg.MGetPct+cfg.ScanPct+cfg.StreamPct:
 						// One full streaming scan per draw: the latency sample
@@ -293,7 +247,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						// the range sizes the target row count).
 						op, class = core.OpScan, admScan
 						startKey := stream.Next()
-						err = cl.StreamScan(startKey, startKey+core.Key(8*cfg.StreamRows), cfg.StreamChunk, func(rows []core.Pair) bool {
+						err = cl.StreamScan(startKey, startKey+8*loadgenStreamRows, loadgenStreamChunk, func(rows []core.Pair) bool {
 							n += uint64(len(rows))
 							return true
 						})
@@ -334,10 +288,11 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 		}
 	}
 	wg.Wait()
+	elapsed := time.Since(begin)
 
 	rep := &LoadgenReport{
 		Config:          cfg,
-		DurationMS:      cfg.Duration.Milliseconds(),
+		DurationMS:      elapsed.Milliseconds(),
 		Concurrency:     cfg.Conns * cfg.Window,
 		Ops:             ops.Load(),
 		Rows:            rows.Load(),
@@ -351,7 +306,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 	for c, name := range admClassNames {
 		rep.RejectedByClass[name] = rejByClass[c].Load()
 	}
-	rep.Throughput = float64(rep.Ops) / cfg.Duration.Seconds()
+	rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
 	for _, op := range []core.OpKind{core.OpSearch, core.OpScan, core.OpInsert, core.OpDelete} {
 		s := metrics.Snapshot(op)
 		if s.Count == 0 {

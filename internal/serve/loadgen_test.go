@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestLoadgenConfigRoundTrip(t *testing.T) {
 		Window:   8,
 		Duration: 1500 * time.Millisecond,
 		PutPct:   7,
-		Skew:     "hotset",
+		Skew:     "zipf",
 		Seed:     42,
 		Timeout:  250 * time.Millisecond,
 	}
@@ -52,8 +53,7 @@ func TestLoadgenConfigRoundTrip(t *testing.T) {
 	}
 	for _, field := range []string{
 		"addr", "conns", "window", "duration_ns", "get_pct", "mget_pct",
-		"scan_pct", "put_pct", "del_pct", "batch", "scan_limit", "keys",
-		"skew", "zipf_s", "hot_frac", "hot_prob", "seed", "timeout_ns",
+		"scan_pct", "put_pct", "del_pct", "keys", "skew", "seed", "timeout_ns",
 	} {
 		if _, ok := rawCfg[field]; !ok {
 			t.Errorf("report config is missing %q", field)
@@ -109,23 +109,6 @@ func TestLoadgenReportRoundTrip(t *testing.T) {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("report is missing %q", field)
 		}
-	}
-}
-
-// TestLoadgenReplicaSetReadOnly pins the replica fan-out contract: a
-// run spreading connections across replicas must use a read-only mix
-// (a replica rejects writes), and a read-only one resolves fine.
-func TestLoadgenReplicaSetReadOnly(t *testing.T) {
-	reps := []string{"127.0.0.1:1", "127.0.0.1:2"}
-	if _, err := (LoadgenConfig{Replicas: reps, GetPct: 90, PutPct: 10}).withDefaults(); err == nil {
-		t.Error("replica-set run with writes accepted")
-	}
-	cfg, err := (LoadgenConfig{Replicas: reps, GetPct: 100}).withDefaults()
-	if err != nil {
-		t.Fatalf("read-only replica-set run rejected: %v", err)
-	}
-	if !reflect.DeepEqual(cfg.Replicas, reps) {
-		t.Errorf("replicas not preserved: %v", cfg.Replicas)
 	}
 }
 
@@ -185,5 +168,49 @@ func TestLoadgenWindowed(t *testing.T) {
 	// A negative window is a setup error.
 	if _, err := RunLoadgen(LoadgenConfig{Addr: addr, Window: -1, Duration: time.Millisecond}); err == nil {
 		t.Fatal("negative window accepted")
+	}
+}
+
+// TestLoadgenMeasuresDuration pins the report's clock: duration_ms is
+// the elapsed run, from the clock start to the last worker's exit, and
+// ops_per_sec is ops over that same span. A scan budget smaller than
+// one SCAN rejects every scan, and each rejection backs off Timeout/100
+// — longer than the whole configured run — so the run outlasts its
+// Duration and the report must say so.
+func TestLoadgenMeasuresDuration(t *testing.T) {
+	_, addr := startServer(t, 10_000, ServerConfig{
+		Admission: AdmissionConfig{ScanRowTokens: loadgenScanLimit / 2},
+	})
+	cfg := LoadgenConfig{
+		Addr:     addr,
+		Conns:    2,
+		Window:   2,
+		Duration: 50 * time.Millisecond,
+		Keys:     10_000,
+		GetPct:   50,
+		ScanPct:  50,
+		Timeout:  20 * time.Second,
+	}
+	begin := time.Now()
+	rep, err := RunLoadgen(cfg)
+	wall := time.Since(begin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops == 0 || rep.Errors != 0 || rep.Rejected == 0 {
+		t.Fatalf("bad run: %d ops, %d errors, %d rejected", rep.Ops, rep.Errors, rep.Rejected)
+	}
+	if rep.Config.Duration != cfg.Duration {
+		t.Errorf("config echoes duration %v, want %v", rep.Config.Duration, cfg.Duration)
+	}
+	got := time.Duration(rep.DurationMS) * time.Millisecond
+	if backoff := cfg.Timeout / 100; got < backoff || got > wall {
+		t.Errorf("duration_ms %d outside [%v, %v]: the run backed off %v after a rejection",
+			rep.DurationMS, backoff, wall, backoff)
+	}
+	implied := rep.Throughput * float64(rep.DurationMS) / 1000
+	if math.Abs(implied-float64(rep.Ops)) > 0.02*float64(rep.Ops)+1 {
+		t.Errorf("ops_per_sec %.1f x duration_ms %d = %.1f ops, report has %d",
+			rep.Throughput, rep.DurationMS, implied, rep.Ops)
 	}
 }

@@ -218,7 +218,6 @@ func TestLoadgenAgainstServer(t *testing.T) {
 		Duration: 300 * time.Millisecond,
 		Keys:     10_000,
 		Skew:     "zipf",
-		Batch:    8,
 	})
 	if err != nil {
 		t.Fatal(err)

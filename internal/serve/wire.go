@@ -113,8 +113,8 @@ type ReplKind uint8
 // (the redirect to checkpoint shipping).
 const (
 	// ReplStatus asks any node for its role, epoch and per-shard
-	// applied LSNs — the probe behind bounded-staleness reads and
-	// failover tooling.
+	// applied LSNs — the probe behind operators' and failover
+	// tooling's checks.
 	ReplStatus ReplKind = 1
 
 	// ReplFetch asks a primary for the WAL records of one shard after

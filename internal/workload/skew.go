@@ -10,14 +10,10 @@ import (
 // Skewed request streams for the serving layer. The paper's
 // experiments draw keys uniformly; production read traffic is usually
 // heavily skewed, which changes what the caches (real or simulated)
-// see. Two standard skew models are provided, both deterministic for a
-// fixed seed and both emitting keys that exist in a SortedPairs(n)
-// tree:
-//
-//   - Zipfian: key popularity follows a Zipf(s, v) law over a fixed
-//     random permutation of the key space, the YCSB-style model.
-//   - Hot set: a fraction hotProb of requests goes to the hotFrac
-//     hottest keys, the simplest two-tier skew.
+// see. The Zipfian model is the one skew provided: key popularity
+// follows a Zipf(s, v) law over a fixed random permutation of the key
+// space, the YCSB-style model. It is deterministic for a fixed seed and
+// emits keys that exist in a SortedPairs(n) tree.
 //
 // KeyStream is the common shape; NewUniformKeys adapts the existing
 // uniform draw to it so load generators can switch models with a flag.
@@ -74,47 +70,4 @@ func NewZipfKeys(r *rand.Rand, n int, s, v float64) (KeyStream, error) {
 func (z *zipfKeys) Next() core.Key {
 	rank := z.z.Uint64()
 	return core.Key(keySpacing * (int(z.perm[rank]) + 1))
-}
-
-// hotSetKeys sends hotProb of the traffic to the first hot keys of a
-// fixed permutation and the rest to the cold remainder.
-type hotSetKeys struct {
-	r    *rand.Rand
-	perm []int32
-	hot  int
-	p    float64
-}
-
-// NewHotSetKeys returns a hot-set stream over the n existing keys of a
-// SortedPairs(n) tree: a hotFrac fraction of the keys (at least one)
-// receives hotProb of the requests, uniformly within each tier. The
-// hot keys are a random subset, so they spread across serving shards.
-func NewHotSetKeys(r *rand.Rand, n int, hotFrac, hotProb float64) (KeyStream, error) {
-	if hotFrac <= 0 || hotFrac > 1 || hotProb < 0 || hotProb > 1 {
-		return nil, fmt.Errorf("workload: hot set needs hotFrac in (0,1] and hotProb in [0,1], got %v/%v", hotFrac, hotProb)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("workload: hot set needs at least one key")
-	}
-	hot := int(hotFrac * float64(n))
-	if hot < 1 {
-		hot = 1
-	}
-	perm := make([]int32, n)
-	for i, p := range r.Perm(n) {
-		perm[i] = int32(p)
-	}
-	return &hotSetKeys{r: r, perm: perm, hot: hot, p: hotProb}, nil
-}
-
-func (h *hotSetKeys) Next() core.Key {
-	var i int
-	if h.r.Float64() < h.p {
-		i = h.r.Intn(h.hot)
-	} else if h.hot < len(h.perm) {
-		i = h.hot + h.r.Intn(len(h.perm)-h.hot)
-	} else {
-		i = h.r.Intn(h.hot)
-	}
-	return core.Key(keySpacing * (int(h.perm[i]) + 1))
 }

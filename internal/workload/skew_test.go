@@ -32,13 +32,6 @@ func TestSkewDeterminism(t *testing.T) {
 			}
 			return z
 		},
-		"hotset": func(seed int64) KeyStream {
-			h, err := NewHotSetKeys(rand.New(rand.NewSource(seed)), n, 0.01, 0.9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		},
 	}
 	for name, f := range mk {
 		a := drawn(f(42), cnt)
@@ -67,8 +60,7 @@ func TestSkewKeysExist(t *testing.T) {
 	const n = 1000
 	r := rand.New(rand.NewSource(1))
 	z, _ := NewZipfKeys(rand.New(rand.NewSource(2)), n, 1.2, 1)
-	h, _ := NewHotSetKeys(rand.New(rand.NewSource(3)), n, 0.05, 0.8)
-	for _, s := range []KeyStream{NewUniformKeys(r, n), z, h} {
+	for _, s := range []KeyStream{NewUniformKeys(r, n), z} {
 		for i := 0; i < 10_000; i++ {
 			k := s.Next()
 			if k == 0 || uint32(k)%keySpacing != 0 || int(k) > keySpacing*n {
@@ -78,8 +70,8 @@ func TestSkewKeysExist(t *testing.T) {
 	}
 }
 
-// TestSkewIsSkewed: the skewed generators must actually concentrate
-// traffic — their most popular key should receive far more than the
+// TestSkewIsSkewed: the Zipfian generator must actually concentrate
+// traffic — its most popular key should receive far more than the
 // uniform share of requests.
 func TestSkewIsSkewed(t *testing.T) {
 	const n, cnt = 10_000, 200_000
@@ -101,15 +93,8 @@ func TestSkewIsSkewed(t *testing.T) {
 	if best := top(z); best < 20*uniformShare {
 		t.Fatalf("zipf top key got %d requests, want >= %d", best, 20*uniformShare)
 	}
-	h, _ := NewHotSetKeys(rand.New(rand.NewSource(7)), n, 0.001, 0.9)
-	if best := top(h); best < 20*uniformShare {
-		t.Fatalf("hot-set top key got %d requests, want >= %d", best, 20*uniformShare)
-	}
 	// Invalid parameters are rejected.
 	if _, err := NewZipfKeys(rand.New(rand.NewSource(1)), n, 0.9, 1); err == nil {
 		t.Fatal("zipf accepted s <= 1")
-	}
-	if _, err := NewHotSetKeys(rand.New(rand.NewSource(1)), n, 0, 0.5); err == nil {
-		t.Fatal("hot set accepted hotFrac 0")
 	}
 }

@@ -295,9 +295,9 @@ type (
 	FsyncPolicy = serve.FsyncPolicy
 )
 
-// Replication layer (internal/repl): WAL shipping over the wire protocol,
-// read replicas with bounded staleness, and epoch-fenced failover
-// (DESIGN.md §13).
+// Replication layer (internal/repl): WAL shipping over the wire protocol
+// and epoch-fenced failover (DESIGN.md §13). A follower answers reads
+// through the ordinary server path, so an ordinary client reads it.
 type (
 	// ReplNode is one replication participant: it answers the
 	// REPLICATE op class for its store (ServerConfig.Repl) and, on a
@@ -306,24 +306,11 @@ type (
 
 	// ReplConfig configures a ReplNode.
 	ReplConfig = repl.Config
-
-	// ReplicaSet is a client over one primary and its read replicas:
-	// reads fan out across healthy replicas under a bounded-staleness
-	// contract, writes go to the primary.
-	ReplicaSet = repl.ReplicaSet
-
-	// ReplicaSetConfig configures DialReplicaSet.
-	ReplicaSetConfig = repl.ReplicaSetConfig
 )
 
 // NewReplNode builds a replication node over a store; call Start to
 // activate it (see ReplConfig).
 func NewReplNode(cfg ReplConfig) (*ReplNode, error) { return repl.New(cfg) }
-
-// DialReplicaSet connects a read-replica client: reads round-robin
-// across replicas whose probed lag stays within
-// ReplicaSetConfig.MaxLagRecords, writes go to the primary.
-func DialReplicaSet(cfg ReplicaSetConfig) (*ReplicaSet, error) { return repl.DialReplicaSet(cfg) }
 
 // BackendLSM names the write-optimized storage engine
 // (StoreConfig.Backend): memtable + sorted runs with bloom filters and

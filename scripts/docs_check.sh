@@ -14,15 +14,35 @@
 #     /metrics is in DESIGN.md's metric reference.
 #   - No stale terms: the two-tree engine's vocabulary ("ping-pong",
 #     "drainSpins", "spare tree") appears only where history is kept
-#     (CHANGES.md, EXPERIMENTS.md, ROADMAP.md, ISSUE.md) — a shard has
+#     (every Markdown file at the root other than README.md, DESIGN.md
+#     and PROTOCOL.md, the current reference) — a shard has
 #     one tree, published as copy-on-write versions (DESIGN.md §16).
+#     Likewise, case-sensitive, the deleted read-replica client
+#     ("ReplicaSet"), the loadgen's "-replicas" flag and its hot-set
+#     skew ("hotset", "HotSet"): an ordinary client reads a follower.
 set -eu
 
+history='--exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench'
+for f in *.md; do
+    case $f in
+    README.md | DESIGN.md | PROTOCOL.md) ;;
+    *) history="$history --exclude=$f" ;;
+    esac
+done
+
+# $history is left unquoted on purpose: it splits into grep options.
 stale=$(grep -rniE 'ping-pong|drainSpins|spare tree' --include='*.go' --include='*.md' --include='*.sh' \
-    --exclude=CHANGES.md --exclude=EXPERIMENTS.md --exclude=ROADMAP.md --exclude=ISSUE.md \
-    --exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench . || true)
+    $history . || true)
 if [ -n "$stale" ]; then
     echo "docs-check: the two-tree engine's terms are history only:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
+stale=$(grep -rnE 'ReplicaSet|hotset|HotSet|(^|[^[:alnum:]_-])-replicas([^[:alnum:]_-]|$)' \
+    --include='*.go' --include='*.md' --include='*.sh' $history . || true)
+if [ -n "$stale" ]; then
+    echo "docs-check: the read-replica client and the loadgen's replica and hot-set options are history only:" >&2
     echo "$stale" >&2
     exit 1
 fi
