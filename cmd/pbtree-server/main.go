@@ -2,10 +2,10 @@
 // the length-prefixed wire protocol of internal/serve (GET / MGET /
 // SCAN / PUT / DEL / STATS; normative spec in PROTOCOL.md).
 // Connections are full-duplex pipelines (every frame carries a request
-// ID): the requests one read delivers (up to -window) are a
-// burst whose GETs and MGETs are answered together on the spot, writes
-// and scans run on a worker pool, and responses return in completion
-// order. Admission is per op class, so overload rejects expensive
+// ID): the requests one read delivers (up to the window of 32 that
+// HELLO reports) are a burst whose GETs and MGETs are answered together
+// on the spot, writes and scans run on a worker pool, and responses
+// return in completion order. Admission is per op class, so overload rejects expensive
 // scans before cheap point ops.
 //
 // Usage:
@@ -26,8 +26,8 @@
 // histograms, admission and durability counters, per-shard gauges),
 // /healthz (503 until every shard has recovered), /statsz (the STATS
 // payload as JSON, read from the same cells as /metrics) and
-// /debug/pprof. -stages keeps the per-stage request-lifecycle
-// histograms on (near-zero cost); -slow-log logs any request slower
+// /debug/pprof. The per-stage request-lifecycle histograms are always
+// on (near-zero cost); -slow-log logs any request slower
 // than the given threshold with its full stage breakdown, at most ten
 // lines per second; -lifecycle-trace streams every traced request to
 // a Chrome trace file (load at ui.perfetto.dev).
@@ -86,12 +86,10 @@ func main() {
 		shards    = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
 		be        = flag.String("backend", "pbtree", "storage backend per shard: pbtree|lsm")
 		width     = flag.Int("width", 8, "tree node width in cache lines")
-		window    = flag.Int("window", 0, "pipeline depth per connection: requests per read burst and on the worker pool (0 = 32)")
-		cursorTmo = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s, <0 = never)")
+		cursorTmo = flag.Duration("cursor-timeout", 0, "reclaim idle streaming-scan cursors after this long (0 = 30s)")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
 		dataDir   = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
-		fsyncInt  = flag.Duration("fsync-interval", 10*time.Millisecond, "sync period for -fsync interval")
 		ckptEvry  = flag.Int("checkpoint-every", 4096, "WAL records per shard segment, and the fewest between checkpoints (a pbtree shard also waits for as many WAL bytes as its last checkpoint)")
 		walKeep   = flag.Int("wal-retain", 0, "superseded WAL segments retained per shard for follower catch-up")
 		replicaOf = flag.String("replica-of", "", "primary serving address to follow (makes this node a read replica; requires -data-dir)")
@@ -99,7 +97,6 @@ func main() {
 		replSync  = flag.Bool("repl-sync", false, "synchronous replication: acknowledge writes only after a follower ack")
 		replPoll  = flag.Duration("repl-poll", 50*time.Millisecond, "follower poll interval once caught up")
 		syncTmo   = flag.Duration("repl-sync-timeout", 2*time.Second, "how long a synchronous write waits for a follower ack")
-		stages    = flag.Bool("stages", true, "per-stage request-lifecycle histograms")
 		slowLog   = flag.Duration("slow-log", 0, "log requests slower than this with their stage breakdown (0 = off)")
 		lcTrace   = flag.String("lifecycle-trace", "", "write a Chrome trace of traced requests to this file")
 	)
@@ -134,7 +131,6 @@ func main() {
 		cfg.Durable = &pbtree.DurableConfig{
 			Dir:             *dataDir,
 			Fsync:           policy,
-			FsyncInterval:   *fsyncInt,
 			CheckpointEvery: *ckptEvry,
 			WALRetain:       *walKeep,
 		}
@@ -190,11 +186,7 @@ func main() {
 		fail("replication", fmt.Errorf("-replica-of and -repl-sync need -data-dir (epochs and WAL shipping are durable-only)"))
 	}
 
-	lc := pbtree.LifecycleConfig{
-		Enabled:       *stages || *slowLog > 0 || *lcTrace != "",
-		SlowThreshold: *slowLog,
-		Log:           logger,
-	}
+	lc := pbtree.LifecycleConfig{SlowThreshold: *slowLog}
 	var traceFile *os.File
 	if *lcTrace != "" {
 		traceFile, err = os.Create(*lcTrace)
@@ -205,7 +197,6 @@ func main() {
 	}
 	scfg := pbtree.ServerConfig{
 		Addr:          *addr,
-		Window:        *window,
 		CursorTimeout: *cursorTmo,
 		Metrics:       metrics,
 		Lifecycle:     lc,
@@ -245,7 +236,7 @@ func main() {
 
 	logger.Info("serving",
 		"keys", st.Len(), "addr", srv.Addr().String(), "shards", st.Shards(),
-		"backend", *be, "width", *width, "stages", lc.Enabled)
+		"backend", *be, "width", *width)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -153,12 +153,8 @@ func (s *Span) Begin(now int64) {
 
 // Mark attributes the time since the previous mark (or Begin) to st
 // and advances the clock. Single-goroutine use only — the owning
-// goroutine's sequential stage boundaries. A nil span (lifecycle
-// tracing off) marks nothing, so call sites need no guard.
+// goroutine's sequential stage boundaries.
 func (s *Span) Mark(st Stage) {
-	if s == nil {
-		return
-	}
 	now := Nanotime()
 	atomic.AddInt64(&s.stages[st], now-s.last)
 	s.last = now

@@ -109,10 +109,6 @@ type Config struct {
 	// (default DefaultPoll). While behind, fetches are back to back.
 	Poll time.Duration
 
-	// MaxFetchBytes is the per-FETCH payload budget (default
-	// serve.MaxReplBytes, which is also the cap).
-	MaxFetchBytes int
-
 	// Metrics receives the replication counters (may be nil).
 	Metrics *obs.Metrics
 
@@ -184,9 +180,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
-	}
-	if cfg.MaxFetchBytes <= 0 || cfg.MaxFetchBytes > serve.MaxReplBytes {
-		cfg.MaxFetchBytes = serve.MaxReplBytes
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = dialTransport
@@ -342,11 +335,11 @@ func (n *Node) HandleReplicate(r *serve.ReplReq) *serve.Response {
 	return errResp("repl: unknown REPLICATE kind %d", uint8(r.Kind))
 }
 
-// budget clamps a request's byte budget to the node's and the wire's.
+// budget clamps a request's byte budget to the wire's.
 func (n *Node) budget(max uint32) int {
 	b := int(max)
-	if b <= 0 || b > n.cfg.MaxFetchBytes {
-		b = n.cfg.MaxFetchBytes
+	if b <= 0 || b > serve.MaxReplBytes {
+		b = serve.MaxReplBytes
 	}
 	return b
 }
@@ -605,7 +598,7 @@ func (n *Node) syncShardOnce(shard int) (progress bool, err error) {
 		Shard:   uint32(shard),
 		After:   cursor,
 		Applied: cursor,
-		Max:     uint32(n.cfg.MaxFetchBytes),
+		Max:     serve.MaxReplBytes,
 	}})
 	if err != nil {
 		n.dropTransport(tr)
@@ -664,7 +657,7 @@ func (n *Node) snapshotSync(shard int, tr Transport, first *serve.ReplResp) erro
 			Shard:   uint32(shard),
 			SnapLSN: snapLSN,
 			Offset:  uint64(len(buf)),
-			Max:     uint32(n.cfg.MaxFetchBytes),
+			Max:     serve.MaxReplBytes,
 		}})
 		if err != nil {
 			n.dropTransport(tr)

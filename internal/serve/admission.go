@@ -1,69 +1,11 @@
 package serve
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
 	"pbtree/internal/obs"
 )
-
-// AdmissionConfig sets the per-op-class token budgets of a Server.
-// Admission replaces the old flat in-flight gate: each request class
-// draws tokens from its own budget while executing, so a burst of
-// expensive SCANs can exhaust only the scan budget — cheap GETs keep
-// being admitted — and the retry-after hint sent on rejection reflects
-// the class that is actually saturated (DESIGN.md §10, PROTOCOL.md §6).
-type AdmissionConfig struct {
-	// ReadTokens bounds concurrently executing GET/MGET requests; each
-	// holds one token from admission until its burst's search is done.
-	// Zero selects 4x the store's shard count or one pipeline window per
-	// core (at least two), whichever is larger: every core can have a
-	// full burst in hand without a healthy server refusing reads.
-	ReadTokens int
-
-	// WriteTokens bounds concurrently executing PUT/DEL requests; each
-	// holds one token. Zero selects 2x the store's shard count or the
-	// pipeline window, whichever is larger.
-	WriteTokens int
-
-	// ScanRowTokens bounds the total rows of concurrently executing
-	// scan work: a monolithic SCAN holds Limit tokens while it runs,
-	// and a streaming SCANNEXT holds its chunk's Max tokens only while
-	// that chunk executes — between chunks a cursor holds none. Zero
-	// selects 64k rows.
-	ScanRowTokens int
-
-	// RetryAfterRead/Write/Scan are the backoff hints sent with
-	// StatusRetry when the matching budget is exhausted. Zero selects
-	// the server's base RetryAfter for reads and writes and 4x the base
-	// for scans (an exhausted scan budget drains slower).
-	RetryAfterRead, RetryAfterWrite, RetryAfterScan time.Duration
-}
-
-// withDefaults resolves zero values against the store shape, the
-// server's pipeline window, and its base retry hint.
-func (c AdmissionConfig) withDefaults(shards, window int, baseRetry time.Duration) AdmissionConfig {
-	if c.ReadTokens <= 0 {
-		c.ReadTokens = max(4*shards, window*max(2, runtime.GOMAXPROCS(0)))
-	}
-	if c.WriteTokens <= 0 {
-		c.WriteTokens = max(2*shards, window)
-	}
-	if c.ScanRowTokens <= 0 {
-		c.ScanRowTokens = 64 << 10
-	}
-	if c.RetryAfterRead <= 0 {
-		c.RetryAfterRead = baseRetry
-	}
-	if c.RetryAfterWrite <= 0 {
-		c.RetryAfterWrite = baseRetry
-	}
-	if c.RetryAfterScan <= 0 {
-		c.RetryAfterScan = 4 * baseRetry
-	}
-	return c
-}
 
 // admClass indexes the per-op-class admission budgets (DESIGN.md §10):
 // cheap point ops and mutations each hold one token while executing,
@@ -82,6 +24,10 @@ const (
 
 // admClassNames are the classes' keys in STATS and loadgen reports.
 var admClassNames = [numAdmClasses]string{"read", "write", "scan"}
+
+// retryAfter is each class's backoff hint, sent with StatusRetry when
+// its budget is exhausted; an exhausted scan budget drains slower.
+var retryAfter = [numAdmClasses]time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
 
 // opClass maps a wire op onto its admission class; control-plane ops
 // (STATS, HELLO, SCANCLOSE) return false and bypass admission
@@ -121,20 +67,22 @@ func (b *tokenBudget) tryAcquire(n int64) bool {
 	}
 }
 
-// admission is the server's per-class admission controller.
+// admission is the server's per-class admission controller: each
+// request class draws tokens from its own budget while executing, so a
+// burst of expensive SCANs can exhaust only the scan budget — cheap
+// GETs keep being admitted — and the retry hint sent on rejection is
+// the saturated class's (DESIGN.md §10, PROTOCOL.md §6).
 type admission struct {
-	budgets    [numAdmClasses]tokenBudget
-	retryAfter [numAdmClasses]time.Duration
-	metrics    *obs.Metrics
+	budgets [numAdmClasses]tokenBudget
+	metrics *obs.Metrics
 }
 
-// newAdmission builds the controller from a resolved config.
-func newAdmission(cfg AdmissionConfig, metrics *obs.Metrics) *admission {
+// newAdmission builds the controller over the three class capacities:
+// concurrent GET/MGET requests, concurrent PUT/DEL requests, and rows
+// of concurrently executing scan work.
+func newAdmission(reads, writes, scanRows int, metrics *obs.Metrics) *admission {
 	a := &admission{metrics: metrics}
-	a.retryAfter[admRead] = cfg.RetryAfterRead
-	a.retryAfter[admWrite] = cfg.RetryAfterWrite
-	a.retryAfter[admScan] = cfg.RetryAfterScan
-	for c, capacity := range [numAdmClasses]int{cfg.ReadTokens, cfg.WriteTokens, cfg.ScanRowTokens} {
+	for c, capacity := range [numAdmClasses]int{reads, writes, scanRows} {
 		a.budgets[c] = tokenBudget{capacity: int64(capacity), used: metrics.Cell(obs.AdmInUseRead + obs.Counter(c))}
 		metrics.Set(obs.AdmCapacityRead+obs.Counter(c), int64(capacity))
 	}
@@ -168,7 +116,7 @@ type grant struct {
 
 // admit takes the request's tokens or reports the saturated class's
 // retry hint.
-func (a *admission) admit(req *Request) (g grant, retryAfter time.Duration, ok bool) {
+func (a *admission) admit(req *Request) (g grant, retry time.Duration, ok bool) {
 	class, metered := opClass(req.Op)
 	if !metered {
 		return grant{}, 0, true
@@ -176,7 +124,7 @@ func (a *admission) admit(req *Request) (g grant, retryAfter time.Duration, ok b
 	g = grant{class: class, n: cost(req)}
 	if !a.budgets[class].tryAcquire(g.n) {
 		a.metrics.Add(obs.AdmRejectsRead+obs.Counter(class), 1)
-		return grant{}, a.retryAfter[class], false
+		return grant{}, retryAfter[class], false
 	}
 	return g, 0, true
 }

@@ -146,21 +146,41 @@ func BenchmarkStoreCursor2000x256(b *testing.B) {
 
 // BenchmarkStorePut is the write side's number: one caller, two
 // shards, a million keys, every Put its own batch — a put's way
-// through the queue, the shard writer, one copy-on-write version of
-// the tree (fork, one insert into a copied path, publish) and back.
+// through the queue, the shard writer, the engine's publication (for
+// pbtree one copy-on-write version of the tree: fork, one insert into
+// a copied path, publish) and back. Each engine runs in memory (/mem)
+// and durable (/durable: a WAL with fsync never, in a temporary
+// directory), so the two engines' write paths compare like for like.
 func BenchmarkStorePut(b *testing.B) {
 	const keys = 1 << 20
-	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(keys))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Put(workload.ExistingKey(r, keys)+core.Key(1+r.Intn(7)), 1); err != nil {
-			b.Fatal(err)
+	for _, be := range []string{BackendPBTree, BackendLSM} {
+		for _, durable := range []bool{false, true} {
+			name := be + "/mem"
+			if durable {
+				name = be + "/durable"
+			}
+			b.Run(name, func(b *testing.B) {
+				cfg := StoreConfig{Shards: 2, Backend: be}
+				if durable {
+					cfg.Durable = &DurableConfig{Dir: b.TempDir(), Fsync: FsyncNever}
+				}
+				st, err := Open(cfg, workload.SortedPairs(keys))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer st.Close()
+				if err := st.WaitReady(); err != nil {
+					b.Fatal(err)
+				}
+				r := rand.New(rand.NewSource(1))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := st.Put(workload.ExistingKey(r, keys)+core.Key(1+r.Intn(7)), 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -59,12 +59,12 @@ func readResponses(t *testing.T, r io.Reader, n int) map[uint32]*Response {
 }
 
 // TestBurstMixedOps sends 40 GETs, 2 MGETs, a PUT and a SCAN in one
-// TCP write to a server whose window is smaller than the burst: every
+// TCP write, more than the server's window of 32: every
 // ID must be answered exactly once, with its own payload, whichever
 // goroutine executed it.
 func TestBurstMixedOps(t *testing.T) {
 	const n = 5000
-	_, addr := startServer(t, n, ServerConfig{Window: 8})
+	_, addr := startServer(t, n, ServerConfig{})
 	c := dialRaw(t, addr)
 
 	var buf []byte
@@ -134,10 +134,7 @@ func TestBurstMixedOps(t *testing.T) {
 // and refuses six, and the tokens are back once it is answered.
 func TestBurstAdmissionPerRequest(t *testing.T) {
 	metrics := obs.NewMetrics()
-	_, addr := startServer(t, 100, ServerConfig{
-		Admission: AdmissionConfig{ReadTokens: 4},
-		Metrics:   metrics,
-	})
+	_, addr := startServer(t, 100, ServerConfig{Metrics: metrics}, withBudgets(4, 0, 0))
 	c := dialRaw(t, addr)
 	var buf []byte
 	for id := uint32(1); id <= 10; id++ {

@@ -38,7 +38,7 @@
 //     separate token budgets, with SCAN charged by its requested row
 //     limit. Overload therefore rejects expensive work first, and the
 //     StatusRetry hint tells the client which class is saturated
-//     (AdmissionConfig; occupancy is exported via obs.Metrics).
+//     (admission.go; occupancy is exported via obs.Metrics).
 //   - Client mirrors the server: it multiplexes concurrent calls over
 //     one connection by request ID (Client.Go is the async form); Dial
 //     opens with a HELLO to learn the server's window.

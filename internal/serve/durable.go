@@ -27,7 +27,8 @@ package serve
 //     LSN.
 //   - Recovery lets the engine reload its artifacts, then replays WAL
 //     records L+1.. in LSN order, stops at the first torn/corrupt
-//     record or LSN gap, and truncates that tail.
+//     record or LSN gap, truncates that tail and removes every segment
+//     that starts past it.
 
 import (
 	"bytes"
@@ -59,10 +60,6 @@ type DurableConfig struct {
 	// FsyncAlways: acknowledged writes survive any crash.
 	Fsync FsyncPolicy
 
-	// FsyncInterval is the sync period for FsyncEvery. Zero selects
-	// 10ms.
-	FsyncInterval time.Duration
-
 	// CheckpointEvery is how many WAL records a shard writes to a
 	// segment before it rotates to a fresh one, and the fewest it
 	// accumulates before it asks its engine to checkpoint. The log
@@ -88,12 +85,6 @@ func (c DurableConfig) withDefaults() (DurableConfig, error) {
 			return c, errors.New("serve: durable store needs a data directory (or an explicit FS)")
 		}
 		c.FS = OSFS{Root: c.Dir}
-	}
-	if c.FsyncInterval == 0 {
-		c.FsyncInterval = 10 * time.Millisecond
-	}
-	if c.FsyncInterval < 0 {
-		return c, fmt.Errorf("serve: negative fsync interval %v", c.FsyncInterval)
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 4096
@@ -231,11 +222,11 @@ func listWALSegs(fsys FS, dir string) ([]uint64, error) {
 // hook, in LSN order, skipping records the engine's artifacts already
 // cover (LSN ≤ stats.LastLSN on entry). It stops at the first
 // torn/corrupt record or LSN gap — a stale segment surviving an
-// interrupted rotation — and truncates that tail so the next open
-// starts clean. stats is updated in place.
+// interrupted rotation — truncates that tail and removes the segments
+// past it, so the next open starts clean. stats is updated in place.
 func replayWAL(fsys FS, dir string, segs []uint64, be backend.Backend, stats *RecoveryStats) error {
 	var rec walRecord // each record is decoded over the last: Replay keeps none
-	for _, seg := range segs {
+	for i, seg := range segs {
 		segName := path.Join(dir, walSegName(seg))
 		// A segment that cannot be read fails the recovery: skipping it
 		// would make the next segment's first LSN look like a gap and
@@ -247,21 +238,16 @@ func replayWAL(fsys FS, dir string, segs []uint64, be backend.Backend, stats *Re
 		off := 0
 		for off < len(blob) {
 			n, derr := rec.decode(blob[off:])
-			if derr != nil {
-				// Torn tail: truncate it so the next open starts clean.
+			if derr != nil || rec.lsn > stats.LastLSN+1 {
+				// A torn tail or an LSN gap: nothing after it is
+				// replayable.
 				stats.TornBytes += int64(len(blob) - off)
 				_ = fsys.Truncate(segName, int64(off))
-				return nil
+				return removeSegsPast(fsys, dir, segs[i:], stats)
 			}
 			if rec.lsn <= stats.LastLSN {
 				off += n // already covered by the engine's artifacts
 				continue
-			}
-			if rec.lsn != stats.LastLSN+1 {
-				// LSN gap: nothing after it is replayable.
-				stats.TornBytes += int64(len(blob) - off)
-				_ = fsys.Truncate(segName, int64(off))
-				return nil
 			}
 			if err := be.Replay(backend.Write{Puts: rec.puts, Dels: rec.dels}); err != nil {
 				return err
@@ -269,6 +255,27 @@ func replayWAL(fsys FS, dir string, segs []uint64, be backend.Backend, stats *Re
 			stats.LastLSN = rec.lsn
 			stats.Replayed++
 			off += n
+		}
+	}
+	return nil
+}
+
+// removeSegsPast removes the segments that start past the last
+// replayed record, counting their bytes as torn. The writer starts a
+// new timeline at LastLSN+1: a record left in such a segment would be
+// replayed by a later recovery, or shipped by WALTail, in place of the
+// acknowledged record that reuses its LSN.
+func removeSegsPast(fsys FS, dir string, segs []uint64, stats *RecoveryStats) error {
+	for _, seg := range segs {
+		if seg <= stats.LastLSN {
+			continue
+		}
+		name := path.Join(dir, walSegName(seg))
+		if blob, err := readWALSeg(fsys, name); err == nil {
+			stats.TornBytes += int64(len(blob))
+		}
+		if err := fsys.Remove(name); err != nil {
+			return fmt.Errorf("serve: removing %s past the replayed log: %w", name, err)
 		}
 	}
 	return nil

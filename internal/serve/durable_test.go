@@ -506,3 +506,73 @@ func TestReplayUnopenableSegment(t *testing.T) {
 		t.Fatalf("contents = %v, want %v", got, want)
 	}
 }
+
+// TestReplayRemovesSegmentsPastStop: a replay that stops at a corrupt
+// record must not leave the segments after it on disk. The writer
+// starts a new timeline where replay stopped; once that timeline's
+// LSNs reach a stale segment's, the next recovery replayed the stale
+// records over acknowledged ones.
+func TestReplayRemovesSegmentsPastStop(t *testing.T) {
+	fs := NewMemFS()
+	// A checkpoint this large keeps the size rule from folding the log,
+	// so segments rotate every four records and stay on disk.
+	st := openDurable(t, fs, workload.SortedPairs(100_000), 4)
+	for i := 1; i <= 12; i++ { // LSNs 1..12: wal-1, wal-5, wal-9
+		if err := st.Put(core.Key(5_000_000+i), core.TID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	// Corrupt the third record of wal-5 (LSN 7): replay stops after
+	// LSN 6, with wal-9 (LSNs 9..12) still ahead of it.
+	seg := path.Join(shardDirName(0), walSegName(5))
+	blob, err := fs.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec walRecord
+	off := 0
+	for r := 0; r < 2; r++ {
+		n, err := rec.decode(blob[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += n
+	}
+	blob[off+walHeaderSize] ^= 0xff
+	if err := backend.WriteAtomic(fs, seg, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openDurable(t, fs, nil, 4)
+	if rs := st.Recovery()[0]; rs.LastLSN != 6 || rs.TornBytes == 0 {
+		t.Fatalf("recovery past the corrupt record: %+v", rs)
+	}
+	for i := 1; i <= 8; i++ { // LSNs 7..14, over where wal-9 stood
+		if err := st.Put(core.Key(6_000_000+i), core.TID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := st.Dump()
+	st.Close()
+
+	st = openDurable(t, fs, nil, 4)
+	defer st.Close()
+	if got := st.Dump(); !pairsEqual(got, want) {
+		for i := 7; i <= 12; i++ {
+			if _, ok := st.Get(core.Key(5_000_000 + i)); ok {
+				t.Errorf("key %d, lost to the corruption, came back", 5_000_000+i)
+			}
+		}
+		for i := 1; i <= 8; i++ {
+			if _, ok := st.Get(core.Key(6_000_000 + i)); !ok {
+				t.Errorf("acknowledged key %d lost", 6_000_000+i)
+			}
+		}
+		t.Fatalf("contents after the second reopen differ from the acknowledged writes (%d pairs, want %d)", len(got), len(want))
+	}
+}

@@ -2,25 +2,23 @@ package serve
 
 // Request-lifecycle tracing for the serving pipeline (DESIGN.md §12).
 //
-// When ServerConfig.Lifecycle.Enabled is set, every request carries a
-// pooled obs.Span that is stamped at the fixed pipeline stages (frame
-// read, decode, admission, shard-queue wait, WAL
+// Every request carries a pooled obs.Span that is stamped at the fixed
+// pipeline stages (frame read, decode, admission, shard-queue wait, WAL
 // append, WAL fsync, backend apply, read execution, response-writer
 // queue, connection write). The deltas feed three sinks:
 //
 //   - per-stage × per-op-class histograms in the shared obs.Metrics
 //     (Prometheus via the admin endpoint, and the STATS payload) —
-//     always on while lifecycle tracing is enabled;
+//     always on;
 //   - a sampled slow-request log: requests whose server-side total
-//     crosses SlowThreshold are logged through log/slog with the full
-//     stage breakdown, rate-limited to SlowPerSec lines per second;
+//     crosses SlowThreshold are logged through slog.Default() with the
+//     full stage breakdown, at most slowPerSec lines per second;
 //   - an optional Chrome trace (obs.TraceWriter): each request
 //     renders as back-to-back stage slices on its connection's
 //     timeline, loadable at ui.perfetto.dev.
 //
 // The hot path allocates nothing (spans are pooled) and a stage stamp
-// is one monotonic clock read plus one atomic add; with Enabled false
-// the serving path takes a single nil check per stage site.
+// is one monotonic clock read plus one atomic add.
 
 import (
 	"io"
@@ -33,59 +31,36 @@ import (
 	"pbtree/internal/obs"
 )
 
-// LifecycleConfig configures request-lifecycle tracing
-// (ServerConfig.Lifecycle). The zero value disables it entirely.
+// LifecycleConfig configures the optional sinks of request-lifecycle
+// tracing (ServerConfig.Lifecycle). The zero value records the stage
+// histograms only.
 type LifecycleConfig struct {
-	// Enabled turns on per-stage span stamping and the stage
-	// histograms. Everything below is inert without it.
-	Enabled bool
-
 	// SlowThreshold, when positive, enables the slow-request log:
 	// requests whose server-side total (decode through connection
 	// write) meets the threshold are logged with their full stage
 	// breakdown.
 	SlowThreshold time.Duration
 
-	// SlowPerSec bounds the slow-request log rate in lines per
-	// second. Zero selects 10.
-	SlowPerSec int
-
-	// Log receives slow-request records. Nil selects slog.Default().
-	Log *slog.Logger
-
 	// Trace, when non-nil, receives a Chrome trace-event stream of
 	// every traced request (one slice per stage, one timeline per
 	// connection). The stream is terminated when the server shuts
 	// down; the caller owns and closes the underlying writer.
 	Trace io.Writer
-
-	// TraceEvents bounds the number of trace events emitted, so an
-	// unattended server cannot grow the trace without bound. Zero
-	// selects 100_000.
-	TraceEvents int
 }
 
-// withDefaults resolves the zero values.
-func (c LifecycleConfig) withDefaults() LifecycleConfig {
-	if c.SlowPerSec <= 0 {
-		c.SlowPerSec = 10
-	}
-	if c.TraceEvents <= 0 {
-		c.TraceEvents = 100_000
-	}
-	if c.Log == nil {
-		c.Log = slog.Default()
-	}
-	return c
-}
+const (
+	// slowPerSec bounds the slow-request log rate in lines per second.
+	slowPerSec = 10
+
+	// traceEvents bounds the number of trace events emitted, so an
+	// unattended server cannot grow the trace without bound.
+	traceEvents = 100_000
+)
 
 // lifecycle is the server's span clock: it owns the span pool, the
-// slow-request logger and the optional Chrome trace. A nil *lifecycle
-// means tracing is disabled; every serving-path call site guards with
-// one nil check.
+// slow-request logger and the optional Chrome trace.
 type lifecycle struct {
 	metrics *obs.Metrics
-	cfg     LifecycleConfig
 	slowNS  int64
 	conns   atomic.Uint64
 	pool    sync.Pool
@@ -103,21 +78,16 @@ type lifecycle struct {
 	traceBase int64
 }
 
-// newLifecycle builds the span clock, or returns nil when disabled.
+// newLifecycle builds the span clock.
 func newLifecycle(cfg LifecycleConfig, m *obs.Metrics) *lifecycle {
-	if !cfg.Enabled {
-		return nil
-	}
-	cfg = cfg.withDefaults()
 	lc := &lifecycle{
 		metrics: m,
-		cfg:     cfg,
 		slowNS:  int64(cfg.SlowThreshold),
 	}
 	lc.pool.New = func() any { return new(obs.Span) }
 	if cfg.Trace != nil {
 		lc.trace = obs.NewTraceWriter(cfg.Trace)
-		lc.traceLeft = cfg.TraceEvents
+		lc.traceLeft = traceEvents
 		lc.traceBase = obs.Nanotime()
 	}
 	return lc
@@ -135,15 +105,9 @@ func (lc *lifecycle) span(conn uint64, startNS int64) *obs.Span {
 	return sp
 }
 
-// drop returns an unobserved span to the pool (control-plane ops,
-// connection upgrades, dead connections). Nil-receiver and nil-span
-// safe, so call sites need no guards.
-func (lc *lifecycle) drop(sp *obs.Span) {
-	if lc == nil || sp == nil {
-		return
-	}
-	lc.pool.Put(sp)
-}
+// drop returns an unobserved span to the pool (requests refused
+// before they execute).
+func (lc *lifecycle) drop(sp *obs.Span) { lc.pool.Put(sp) }
 
 // finish closes the span of a request whose response has just been
 // written: it stamps the write stage, finalizes the span, feeds the
@@ -152,9 +116,6 @@ func (lc *lifecycle) drop(sp *obs.Span) {
 // requests) are dropped unobserved so completed-request attribution
 // stays clean.
 func (lc *lifecycle) finish(sp *obs.Span) {
-	if lc == nil || sp == nil {
-		return
-	}
 	if sp.Op == core.OpNone {
 		lc.pool.Put(sp)
 		return
@@ -171,7 +132,7 @@ func (lc *lifecycle) finish(sp *obs.Span) {
 	lc.pool.Put(sp)
 }
 
-// allowSlow is the slow-log rate limiter: at most SlowPerSec lines
+// allowSlow is the slow-log rate limiter: at most slowPerSec lines
 // per one-second window, decided lock-free.
 func (lc *lifecycle) allowSlow() bool {
 	now := obs.Nanotime()
@@ -182,7 +143,7 @@ func (lc *lifecycle) allowSlow() bool {
 			lc.slowCount.Store(0)
 		}
 	}
-	return lc.slowCount.Add(1) <= int64(lc.cfg.SlowPerSec)
+	return lc.slowCount.Add(1) <= slowPerSec
 }
 
 // logSlow emits one structured slow-request record with the stage
@@ -200,7 +161,7 @@ func (lc *lifecycle) logSlow(sp *obs.Span, total int64) {
 			attrs = append(attrs, slog.Int64(st.String()+"_us", ns/1e3))
 		}
 	}
-	lc.cfg.Log.Warn("slow request", attrs...)
+	slog.Warn("slow request", attrs...)
 }
 
 // emitTrace renders one request as Chrome trace slices: an enclosing
@@ -235,7 +196,7 @@ func (lc *lifecycle) emitTrace(sp *obs.Span, total int64) {
 // closeTrace terminates the Chrome trace stream (called once, at
 // server shutdown). The underlying writer stays open for the caller.
 func (lc *lifecycle) closeTrace() error {
-	if lc == nil || lc.trace == nil {
+	if lc.trace == nil {
 		return nil
 	}
 	lc.traceMu.Lock()

@@ -178,9 +178,7 @@ func TestLoadgenWindowed(t *testing.T) {
 // — longer than the whole configured run — so the run outlasts its
 // Duration and the report must say so.
 func TestLoadgenMeasuresDuration(t *testing.T) {
-	_, addr := startServer(t, 10_000, ServerConfig{
-		Admission: AdmissionConfig{ScanRowTokens: loadgenScanLimit / 2},
-	})
+	_, addr := startServer(t, 10_000, ServerConfig{}, withBudgets(0, 0, loadgenScanLimit/2))
 	cfg := LoadgenConfig{
 		Addr:     addr,
 		Conns:    2,

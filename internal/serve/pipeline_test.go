@@ -19,15 +19,15 @@ import (
 // appears, a peer that speaks less is refused in-band, and a legacy
 // un-ID'd opener loses its connection and nothing else.
 func TestHello(t *testing.T) {
-	_, addr := startServer(t, 100, ServerConfig{Window: 7})
+	_, addr := startServer(t, 100, ServerConfig{})
 
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Window() != 7 {
-		t.Fatalf("Dial learned window %d, want 7", cl.Window())
+	if cl.Window() != window {
+		t.Fatalf("Dial learned window %d, want %d", cl.Window(), window)
 	}
 	if tid, ok, err := cl.Get(8); err != nil || !ok || tid != 1 {
 		t.Fatalf("Get(8) = (%d, %v, %v)", tid, ok, err)
@@ -45,8 +45,8 @@ func TestHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := readResponses(t, c, 3)
-	if rs := got[42]; rs == nil || rs.Status != StatusOK || rs.Version != ProtoVersion || rs.Window != 7 {
-		t.Fatalf("mid-stream HELLO answered %+v, want OK version %d window 7", rs, ProtoVersion)
+	if rs := got[42]; rs == nil || rs.Status != StatusOK || rs.Version != ProtoVersion || rs.Window != window {
+		t.Fatalf("mid-stream HELLO answered %+v, want OK version %d window %d", rs, ProtoVersion, window)
 	}
 	if rs := got[43]; rs == nil || rs.Status != StatusErr {
 		t.Fatalf("HELLO max_version 1 answered %+v, want ERR", rs)
@@ -105,7 +105,7 @@ func TestDialHandshakeDeadline(t *testing.T) {
 // is a correctness failure, not just a race report.
 func TestPipelinedOutOfOrder(t *testing.T) {
 	const n = 5000
-	_, addr := startServer(t, n, ServerConfig{Window: 16})
+	_, addr := startServer(t, n, ServerConfig{})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +198,7 @@ func TestClientGo(t *testing.T) {
 
 func TestAdmissionBudgets(t *testing.T) {
 	metrics := obs.NewMetrics()
-	_, addr := startServer(t, 1000, ServerConfig{
-		RetryAfter: 5 * time.Millisecond,
-		Admission:  AdmissionConfig{ScanRowTokens: 50},
-		Metrics:    metrics,
-	})
+	_, addr := startServer(t, 1000, ServerConfig{Metrics: metrics}, withBudgets(0, 0, 50))
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +206,7 @@ func TestAdmissionBudgets(t *testing.T) {
 	defer cl.Close()
 
 	// A SCAN wanting more rows than the whole scan budget can never
-	// be admitted; the hint is the scan class's (4x base = 20ms).
+	// be admitted; the hint is the scan class's (20ms).
 	_, err = cl.Scan(8, MaxFrame, 100)
 	var re *RetryError
 	if !errors.As(err, &re) {

@@ -3,9 +3,9 @@ package serve
 // The worker pool (DESIGN.md §15). Requests that can block for
 // milliseconds — PUT, DEL, the scans, REPLICATE — leave their
 // connection's read goroutine for one server-wide bounded pool, so
-// execution concurrency is a constant the operator sizes
-// (ServerConfig.PoolSize) instead of conns x Window goroutines.
-// Per-connection fairness comes from the Window slots, and the pool
+// execution concurrency is a constant, max(16, 4 x GOMAXPROCS)
+// workers, instead of conns x window goroutines.
+// Per-connection fairness comes from the window slots, and the pool
 // queue is the explicit backpressure point: when every worker is busy
 // and the queue is full, read loops block in submit and stop reading.
 
@@ -22,7 +22,7 @@ type poolTask struct {
 	id      uint32    // v2 request ID
 	req     *Request  // decoded request
 	arrived time.Time // frame arrival, for deadline checks
-	sp      *obs.Span // lifecycle span (nil when tracing is off)
+	sp      *obs.Span // lifecycle span
 }
 
 // workerPool is the shared bounded executor.

@@ -279,7 +279,7 @@ func (st *Store) replicaInstall(sh *shard, r *replInstall) error {
 	// records anyway. Restart the log at snapLSN+1.
 	d := st.cfg.Durable
 	dir := shardDirName(sh.idx)
-	w, err := newWALWriter(d.FS, path.Join(dir, walSegName(r.snapLSN+1)), d.Fsync, d.FsyncInterval, st.cfg.Metrics)
+	w, err := newWALWriter(d.FS, path.Join(dir, walSegName(r.snapLSN+1)), d.Fsync, st.cfg.Metrics)
 	if err != nil {
 		sh.setDurErr(err)
 		return err

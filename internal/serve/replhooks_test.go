@@ -16,7 +16,7 @@ func treeStream(t *testing.T, st *Store, pairs []core.Pair) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Bulkload(pairs, st.cfg.Fill); err != nil {
+	if err := tr.Bulkload(pairs, fill); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -60,7 +60,7 @@ func TestSnapshotShardStream(t *testing.T) {
 				if want := treeStream(t, st, pairs); !bytes.Equal(data, want) {
 					t.Fatalf("shard %d at LSN %d: shipped %d bytes, the tree stream is %d", shard, lsn, len(data), len(want))
 				}
-				back, err := core.Load(bytes.NewReader(data), st.cfg.Tree.Mem, st.cfg.Fill)
+				back, err := core.Load(bytes.NewReader(data), st.cfg.Tree.Mem, fill)
 				if err != nil {
 					t.Fatal(err)
 				}

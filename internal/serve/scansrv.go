@@ -144,21 +144,17 @@ type CursorStats struct {
 	Opened   uint64 `json:"opened"`   // cursors ever opened
 	Timeouts uint64 `json:"timeouts"` // cursors reclaimed by the idle reaper
 	MaxConn  int    `json:"max_conn"` // per-connection cursor cap
-	IdleMS   int64  `json:"idle_ms"`  // reaper timeout (0 = reaper disabled)
+	IdleMS   int64  `json:"idle_ms"`  // reaper timeout
 }
 
 // cursorStats snapshots the cursor counters for STATS.
 func (s *Server) cursorStats() CursorStats {
-	idle := int64(0)
-	if s.cfg.CursorTimeout > 0 {
-		idle = s.cfg.CursorTimeout.Milliseconds()
-	}
 	return CursorStats{
 		Open:     s.cfg.Metrics.Load(obs.CursorsOpen),
 		Opened:   uint64(s.cfg.Metrics.Load(obs.CursorsOpened)),
 		Timeouts: uint64(s.cfg.Metrics.Load(obs.CursorTimeouts)),
 		MaxConn:  maxConnCursors,
-		IdleMS:   idle,
+		IdleMS:   s.cfg.CursorTimeout.Milliseconds(),
 	}
 }
 
@@ -179,9 +175,7 @@ func (s *Server) executeScan(req *Request, cs *connCursors) *Response {
 		id := cs.open(c)
 		if id == 0 {
 			sc.Close()
-			s.cfg.Metrics.Add(obs.Rejected, 1)
-			retry := s.cfg.Admission.RetryAfterScan
-			return &Response{Status: StatusRetry, RetryAfterMS: uint32(retry / time.Millisecond)}
+			return s.retry(retryAfter[admScan])
 		}
 		s.cfg.Metrics.Add(obs.CursorsOpen, 1)
 		s.cfg.Metrics.Add(obs.CursorsOpened, 1)

@@ -22,33 +22,10 @@ type ServerConfig struct {
 	// free port (see Server.Addr).
 	Addr string
 
-	// Admission sets the per-op-class token budgets; a request whose
-	// class budget is exhausted is rejected with StatusRetry and the
-	// class's retry-after hint instead of queueing without bound.
-	Admission AdmissionConfig
-
-	// RetryAfter is the base backoff hint the class-specific hints in
-	// Admission default from. Zero selects 5ms.
-	RetryAfter time.Duration
-
-	// Window is the pipeline depth of one connection: the server takes
-	// up to this many requests per read burst and keeps up to this many
-	// blocking requests (writes, scans) on the worker pool, answering in
-	// completion order. Zero selects 32.
-	Window int
-
-	// PoolSize is the worker count of the shared pool that executes the
-	// requests that can block (PUT, DEL, the scans, REPLICATE, STATS);
-	// GET and MGET run on their connection's read goroutine instead
-	// (DESIGN.md §8). Zero selects max(16, 4 x GOMAXPROCS).
-	PoolSize int
-
 	// CursorTimeout reclaims streaming-scan cursors (PROTOCOL.md §10)
 	// that have not seen a SCANNEXT/SCANCLOSE for this long: the
 	// snapshots they pin are released and later requests against the
-	// cursor answer StatusNotFound. Zero selects 30s; negative disables
-	// the reaper (cursors then live until closed or their connection
-	// ends).
+	// cursor answer StatusNotFound. Zero selects 30s.
 	CursorTimeout time.Duration
 
 	// Metrics is the registry the server records into: per-operation
@@ -59,10 +36,10 @@ type ServerConfig struct {
 	// to see the durability counters beside them.
 	Metrics *obs.Metrics
 
-	// Lifecycle configures request-lifecycle stage tracing: per-stage
-	// latency histograms (recorded into Metrics), the sampled
-	// slow-request log, and the optional Chrome trace export. The
-	// zero value disables all three (lifecycle.go, DESIGN.md §12).
+	// Lifecycle configures the sinks of request-lifecycle stage
+	// tracing beyond the per-stage latency histograms, which are always
+	// recorded into Metrics: the slow-request log and the Chrome trace
+	// export (lifecycle.go, DESIGN.md §12).
 	Lifecycle LifecycleConfig
 
 	// Repl, when non-nil, handles REPLICATE requests (the replication
@@ -83,16 +60,23 @@ type ReplHandler interface {
 	HandleReplicate(r *ReplReq) *Response
 }
 
+// window is the pipeline depth of one connection: the server takes up
+// to this many requests per read burst and keeps up to this many
+// blocking requests (writes, scans) on the worker pool, answering in
+// completion order. HELLO and STATS report it.
+const window = 32
+
 // Server serves a Store over TCP with the wire protocol of wire.go
 // (normative spec: PROTOCOL.md).
 type Server struct {
 	st  *Store
 	cfg ServerConfig
 
-	ln   net.Listener
-	adm  *admission
-	lc   *lifecycle // nil when lifecycle tracing is disabled
-	pool *workerPool
+	ln       net.Listener
+	adm      *admission
+	lc       *lifecycle
+	pool     *workerPool
+	poolSize int // workers executing blocking requests (DESIGN.md §15)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -126,8 +110,7 @@ type ServerStats struct {
 	Store    StoreStats             `json:"store"`        // per-shard store counters
 
 	// Stages and StageTotals carry the request-lifecycle attribution
-	// when lifecycle tracing is enabled (empty maps otherwise, never
-	// null, so the payload's shape does not depend on configuration).
+	// (empty maps before the first traced request, never null).
 	// Stages is keyed by op class then stage name.
 	Stages map[string]map[string]StageStats `json:"server_stages"`
 
@@ -145,32 +128,32 @@ type StageStats struct {
 }
 
 // NewServer wraps a store; call Start to begin listening.
+//
+// Each admission budget lets a healthy server take its steady load
+// without refusing it: reads get 4x the shard count or one window per
+// core (at least two), whichever is larger, so every core can have a
+// full burst in hand; writes get 2x the shard count or one window;
+// scans get 64 Ki rows. The shared worker pool has max(16,
+// 4 x GOMAXPROCS) workers; GET and MGET run on their connection's read
+// goroutine instead (DESIGN.md §8).
 func NewServer(st *Store, cfg ServerConfig) *Server {
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Millisecond
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 32
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = max(16, 4*runtime.GOMAXPROCS(0))
-	}
-	if cfg.CursorTimeout == 0 {
+	if cfg.CursorTimeout <= 0 {
 		cfg.CursorTimeout = 30 * time.Second
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
-	cfg.Admission = cfg.Admission.withDefaults(st.Shards(), cfg.Window, cfg.RetryAfter)
-	s := &Server{
-		st:      st,
-		cfg:     cfg,
-		adm:     newAdmission(cfg.Admission, cfg.Metrics),
-		lc:      newLifecycle(cfg.Lifecycle, cfg.Metrics),
-		conns:   make(map[net.Conn]struct{}),
-		curSets: make(map[*connCursors]struct{}),
+	procs := runtime.GOMAXPROCS(0)
+	reads, writes := max(4*st.Shards(), window*max(2, procs)), max(2*st.Shards(), window)
+	return &Server{
+		st:       st,
+		cfg:      cfg,
+		adm:      newAdmission(reads, writes, 64<<10, cfg.Metrics),
+		lc:       newLifecycle(cfg.Lifecycle, cfg.Metrics),
+		poolSize: max(16, 4*procs),
+		conns:    make(map[net.Conn]struct{}),
+		curSets:  make(map[*connCursors]struct{}),
 	}
-	return s
 }
 
 // Start binds the listener and launches the accept loop.
@@ -181,12 +164,10 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = time.Now()
-	s.pool = newWorkerPool(s.cfg.PoolSize, s.cfg.Metrics)
-	if s.cfg.CursorTimeout > 0 {
-		s.reaperStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.reapCursors()
-	}
+	s.pool = newWorkerPool(s.poolSize, s.cfg.Metrics)
+	s.reaperStop = make(chan struct{})
+	s.wg.Add(1)
+	go s.reapCursors()
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return nil
@@ -234,9 +215,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		c.SetReadDeadline(now)
 	}
 	s.mu.Unlock()
-	if s.reaperStop != nil {
-		close(s.reaperStop)
-	}
+	close(s.reaperStop)
 	err := s.ln.Close()
 
 	done := make(chan struct{})
@@ -270,11 +249,7 @@ func (s *Server) serveConn(c net.Conn) {
 	}()
 	cs := s.registerCursors()
 	defer s.releaseCursors(cs)
-	var connID uint64
-	if s.lc != nil {
-		connID = s.lc.nextConn()
-	}
-	s.servePipelined(c, connID, cs)
+	s.servePipelined(c, s.lc.nextConn(), cs)
 }
 
 // connBufSize is the fixed size of a connection's read and write
@@ -332,7 +307,7 @@ type pconn struct {
 func newPconn(s *Server, w io.Writer, connID uint64, cs *connCursors) *pconn {
 	return &pconn{
 		s: s, cs: cs, connID: connID,
-		slots: make(chan struct{}, s.cfg.Window),
+		slots: make(chan struct{}, window),
 		bw:    bufio.NewWriterSize(w, connBufSize),
 	}
 }
@@ -405,18 +380,15 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 	}
 	if req.Op == OpHello { // a version check, wherever it appears
 		s.cfg.Metrics.Add(obs.ReqHello, 1)
-		pc.reply(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: uint32(s.cfg.Window)})
+		pc.reply(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: window})
 		return true
 	}
-	var sp *obs.Span
-	if s.lc != nil {
-		// Every span of a burst starts when the burst arrived, so the
-		// time a request spent behind the ones decoded before it counts.
-		sp = s.lc.span(pc.connID, startNS)
-		sp.Req = id
-		sp.Add(obs.StageRead, readNS)
-		sp.Mark(obs.StageDecode)
-	}
+	// Every span of a burst starts when the burst arrived, so the time
+	// a request spent behind the ones decoded before it counts.
+	sp := s.lc.span(pc.connID, startNS)
+	sp.Req = id
+	sp.Add(obs.StageRead, readNS)
+	sp.Mark(obs.StageDecode)
 	if req.Op != OpGet && req.Op != OpMGet {
 		// The slot wait and the pool's queue are attributed to the
 		// admission stage by handle's first Mark. Reads already in hand
@@ -479,7 +451,7 @@ func (pc *pconn) runReads(arrived time.Time) {
 
 // servePipelined runs the request loop one burst at a time: block
 // for a frame, take every further frame the same read delivered (up to
-// Window), answer the burst's reads with one group search on this
+// window), answer the burst's reads with one group search on this
 // goroutine, flush once, and only then block again. No wait is added to
 // find more work: a lone GET costs one read(2), one write(2) and no
 // goroutine hand-off; a deep pipeline is grouped by its own depth.
@@ -499,7 +471,7 @@ func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
 		readNS := startNS - waitStart
 		for n := 1; frame != nil; n++ {
 			ok = pc.dispatch(frame, arrived, startNS, readNS)
-			if !ok || n == s.cfg.Window {
+			if !ok || n == window {
 				break
 			}
 			readNS = 0
@@ -513,7 +485,7 @@ func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
 	// Reclaim every slot: this blocks until the pool has answered all
 	// of this connection's requests, so nothing writes to c after the
 	// caller closes it.
-	for i := 0; i < s.cfg.Window; i++ {
+	for i := 0; i < window; i++ {
 		pc.slots <- struct{}{}
 	}
 }
@@ -522,14 +494,12 @@ func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
 // either path: admission tokens, deadline, the op counter and the
 // span's op class. A non-nil response (StatusRetry, StatusDeadline)
 // ends the request there with no tokens held; such a request leaves
-// the span's Op at OpNone so it is dropped unobserved. sp may be nil
-// (lifecycle tracing off).
+// the span's Op at OpNone so it is dropped unobserved.
 func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *Response) {
-	g, retryAfter, ok := s.adm.admit(req)
+	g, retry, ok := s.adm.admit(req)
 	sp.Mark(obs.StageAdmission)
 	if !ok {
-		s.cfg.Metrics.Add(obs.Rejected, 1)
-		return g, &Response{Status: StatusRetry, RetryAfterMS: uint32(retryAfter / time.Millisecond)}
+		return g, s.retry(retry)
 	}
 	// Deadline: don't burn work on an answer the client has abandoned.
 	if req.DeadlineMS != 0 && time.Since(arrived) > time.Duration(req.DeadlineMS)*time.Millisecond {
@@ -538,7 +508,7 @@ func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *R
 		return grant{}, &Response{Status: StatusDeadline}
 	}
 	s.cfg.Metrics.Add(reqCounter(req.Op), 1)
-	if sp != nil && req.Op != OpStats && req.Op != OpReplicate {
+	if req.Op != OpStats && req.Op != OpReplicate {
 		sp.Op = metricOpOf(req.Op)
 	}
 	return g, nil
@@ -597,48 +567,25 @@ func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response 
 		resp := s.executeScan(req, cs)
 		sp.Mark(obs.StageExec)
 		return resp
-	case OpPut:
-		var callStart, stamped0 int64
-		if sp != nil {
-			callStart, stamped0 = obs.Nanotime(), sp.StoreStagesNS()
+	case OpPut, OpDel:
+		callStart, stamped0 := obs.Nanotime(), sp.StoreStagesNS()
+		var err error
+		if req.Op == OpPut {
+			err = s.st.putBatch(req.Pairs, sp)
+		} else {
+			for _, k := range req.Keys {
+				if derr := s.st.delete(k, sp); derr != nil && err == nil {
+					err = derr
+				}
+			}
 		}
-		err := s.st.putBatch(req.Pairs, sp)
-		if sp != nil {
-			// The shard writers stamped queue/WAL/apply via Add; fold
-			// the unstamped residual of the blocking call (partition
-			// setup, ack wakeup latency) into apply and advance the
-			// clock past it.
-			residual := obs.Nanotime() - callStart - (sp.StoreStagesNS() - stamped0)
-			sp.Add(obs.StageApply, residual)
-			sp.Touch()
-		}
+		// The shard writers stamped queue/WAL/apply via Add; fold the
+		// unstamped residual of the blocking call (partition setup, ack
+		// wakeup latency) into apply and advance the clock past it.
+		sp.Add(obs.StageApply, obs.Nanotime()-callStart-(sp.StoreStagesNS()-stamped0))
+		sp.Touch()
 		if errResp := s.writeResult(err); errResp != nil {
-			if sp != nil {
-				sp.Op = core.OpNone // rejected/failed: drop unobserved
-			}
-			return errResp
-		}
-		return &Response{Status: StatusOK}
-	case OpDel:
-		var callStart, stamped0 int64
-		if sp != nil {
-			callStart, stamped0 = obs.Nanotime(), sp.StoreStagesNS()
-		}
-		var first error
-		for _, k := range req.Keys {
-			if err := s.st.delete(k, sp); err != nil && first == nil {
-				first = err
-			}
-		}
-		if sp != nil {
-			residual := obs.Nanotime() - callStart - (sp.StoreStagesNS() - stamped0)
-			sp.Add(obs.StageApply, residual)
-			sp.Touch()
-		}
-		if errResp := s.writeResult(first); errResp != nil {
-			if sp != nil {
-				sp.Op = core.OpNone
-			}
+			sp.Op = core.OpNone // rejected/failed: drop unobserved
 			return errResp
 		}
 		return &Response{Status: StatusOK}
@@ -668,15 +615,15 @@ func (s *Server) writeResult(err error) *Response {
 	case err == nil:
 		return nil
 	case errors.Is(err, ErrOverloaded):
-		s.cfg.Metrics.Add(obs.Rejected, 1)
-		retry := s.cfg.Admission.RetryAfterWrite
-		if retry <= 0 {
-			retry = s.cfg.RetryAfter
-		}
-		return &Response{Status: StatusRetry, RetryAfterMS: uint32(retry / time.Millisecond)}
-	default:
-		return &Response{Status: StatusErr, Err: err.Error()}
+		return s.retry(retryAfter[admWrite])
 	}
+	return &Response{Status: StatusErr, Err: err.Error()}
+}
+
+// retry counts a rejection and answers it StatusRetry with the hint.
+func (s *Server) retry(after time.Duration) *Response {
+	s.cfg.Metrics.Add(obs.Rejected, 1)
+	return &Response{Status: StatusRetry, RetryAfterMS: uint32(after / time.Millisecond)}
 }
 
 // Stats assembles the payload a STATS request returns — the admin
@@ -718,8 +665,8 @@ func (s *Server) Stats() ServerStats {
 		Expired:     uint64(m.Load(obs.Expired)),
 		BadReqs:     uint64(m.Load(obs.BadRequests)),
 		Conns:       nconns,
-		Window:      s.cfg.Window,
-		PoolSize:    s.cfg.PoolSize,
+		Window:      window,
+		PoolSize:    s.poolSize,
 		Cursors:     s.cursorStats(),
 		Budgets:     s.adm.stats(),
 		Store:       s.st.Stats(),

@@ -18,7 +18,7 @@ import (
 // startServer boots a store and server on a free port. Its cleanup
 // shuts both down and checks that every goroutine they (and the test's
 // clients) started is gone.
-func startServer(t *testing.T, n int, cfg ServerConfig) (*Server, string) {
+func startServer(t *testing.T, n int, cfg ServerConfig, opts ...func(*Server)) (*Server, string) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(n))
@@ -27,6 +27,9 @@ func startServer(t *testing.T, n int, cfg ServerConfig) (*Server, string) {
 	}
 	cfg.Addr = "127.0.0.1:0"
 	srv := NewServer(st, cfg)
+	for _, opt := range opts {
+		opt(srv)
+	}
 	if err := srv.Start(); err != nil {
 		st.Close()
 		t.Fatal(err)
@@ -37,6 +40,21 @@ func startServer(t *testing.T, n int, cfg ServerConfig) (*Server, string) {
 		waitGoroutines(t, baseline)
 	})
 	return srv, srv.Addr().String()
+}
+
+// withBudgets is a startServer option that replaces the server's
+// admission budgets before it starts; a zero keeps the class's default
+// capacity.
+func withBudgets(reads, writes, scanRows int) func(*Server) {
+	return func(s *Server) {
+		caps := [numAdmClasses]int{reads, writes, scanRows}
+		for c := range caps {
+			if caps[c] == 0 {
+				caps[c] = int(s.adm.budgets[c].capacity)
+			}
+		}
+		s.adm = newAdmission(caps[admRead], caps[admWrite], caps[admScan], s.cfg.Metrics)
+	}
 }
 
 // waitGoroutines fails the test unless the goroutine count comes back
@@ -245,9 +263,7 @@ func TestLoadgenAgainstServer(t *testing.T) {
 // named stages must cover at least 90% of each op's server-side time
 // (the acceptance bar for the instrumentation being complete).
 func TestLoadgenStageAttribution(t *testing.T) {
-	srv, addr := startServer(t, 10_000, ServerConfig{
-		Lifecycle: LifecycleConfig{Enabled: true},
-	})
+	srv, addr := startServer(t, 10_000, ServerConfig{})
 	rep, err := RunLoadgen(LoadgenConfig{
 		Addr:     addr,
 		Conns:    2,
@@ -287,9 +303,9 @@ func TestLoadgenStageAttribution(t *testing.T) {
 func TestWriteOverloadMapsToRetry(t *testing.T) {
 	// Direct unit check of the error mapping (driving a real server
 	// into sustained overload is too timing-dependent for CI).
-	s := &Server{cfg: ServerConfig{RetryAfter: 7 * time.Millisecond}}
+	s := &Server{}
 	rs := s.writeResult(ErrOverloaded)
-	if rs == nil || rs.Status != StatusRetry || rs.RetryAfterMS != 7 {
+	if rs == nil || rs.Status != StatusRetry || rs.RetryAfterMS != 5 {
 		t.Fatalf("overload mapped to %+v", rs)
 	}
 	if rs := s.writeResult(nil); rs != nil {

@@ -68,19 +68,6 @@ type StoreConfig struct {
 	// zero value selects the package lsm defaults.
 	LSM lsm.Config
 
-	// Fill is the bulkload/rebuild fill factor in (0, 1]. Zero selects
-	// 0.8, leaving slack for inserts.
-	Fill float64
-
-	// MaxBatch bounds how many queued mutations one snapshot
-	// publication absorbs. Zero selects 256.
-	MaxBatch int
-
-	// QueueLen bounds each shard's mutation queue; a full queue makes
-	// writes fail fast with ErrOverloaded (backpressure, not
-	// buffering). Zero selects 1024.
-	QueueLen int
-
 	// Durable, when non-nil, persists every shard with a write-ahead
 	// log + engine checkpoints under Durable.Dir and recovers the
 	// contents on Open. Recovery runs per shard inside the shard's
@@ -126,18 +113,6 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	default:
 		return c, fmt.Errorf("serve: unknown backend %q (want %q or %q)", c.Backend, BackendPBTree, BackendLSM)
 	}
-	if c.Fill == 0 {
-		c.Fill = 0.8
-	}
-	if c.Fill < 0 || c.Fill > 1 {
-		return c, fmt.Errorf("serve: fill factor %v outside (0, 1]", c.Fill)
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
-	}
-	if c.QueueLen == 0 {
-		c.QueueLen = 1024
-	}
 	if c.Tree.Trace != nil {
 		return c, fmt.Errorf("serve: tree tracers are single-threaded; serving trees cannot carry one")
 	}
@@ -171,6 +146,21 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	}
 	return c, nil
 }
+
+const (
+	// fill is the pbtree engine's bulkload/rebuild fill factor, leaving
+	// slack for inserts.
+	fill = 0.8
+
+	// maxBatch bounds how many queued mutations one snapshot
+	// publication absorbs.
+	maxBatch = 256
+
+	// queueLen bounds each shard's mutation queue; a full queue makes
+	// writes fail fast with ErrOverloaded (backpressure, not
+	// buffering).
+	queueLen = 1024
+)
 
 // Lookup is the result of one point lookup in a batch.
 type Lookup struct {
@@ -384,7 +374,7 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 		sh := &shard{
 			idx:     i,
 			be:      st.newBackend(i),
-			ops:     make(chan mutation, cfg.QueueLen),
+			ops:     make(chan mutation, queueLen),
 			drained: make(chan struct{}),
 			ready:   make(chan struct{}),
 		}
@@ -422,7 +412,7 @@ func (st *Store) newBackend(idx int) backend.Backend {
 	if st.cfg.Backend == BackendLSM {
 		return lsm.New(st.cfg.LSM, fsys, dir)
 	}
-	return backend.NewPBTree(st.cfg.Tree, st.cfg.Fill, fsys, dir)
+	return backend.NewPBTree(st.cfg.Tree, fill, fsys, dir)
 }
 
 // WaitReady blocks until every shard has published its first snapshot
@@ -499,7 +489,7 @@ func (st *Store) recoverAndPublish(sh *shard) error {
 			return err
 		}
 	}
-	w, err := newWALWriter(d.FS, path.Join(dir, walSegName(stats.LastLSN+1)), d.Fsync, d.FsyncInterval, st.cfg.Metrics)
+	w, err := newWALWriter(d.FS, path.Join(dir, walSegName(stats.LastLSN+1)), d.Fsync, st.cfg.Metrics)
 	if err != nil {
 		return err
 	}
@@ -563,7 +553,7 @@ func (st *Store) writer(sh *shard) {
 			return
 		}
 	}
-	batch := make([]mutation, 0, st.cfg.MaxBatch)
+	batch := make([]mutation, 0, maxBatch)
 	for m := range sh.ops {
 		// Replication mutations run alone, outside the group-commit
 		// batch: their LSN/epoch validation and engine swaps don't
@@ -575,7 +565,7 @@ func (st *Store) writer(sh *shard) {
 		batch = append(batch[:0], m)
 		var special *mutation
 	drain:
-		for len(batch) < st.cfg.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case m2, ok := <-sh.ops:
 				if !ok {
@@ -792,7 +782,7 @@ func (st *Store) checkpoint(sh *shard) {
 // created the old one keeps growing; the next batch retries.
 func (st *Store) rotateWAL(sh *shard) bool {
 	d := st.cfg.Durable
-	w, err := newWALWriter(d.FS, path.Join(shardDirName(sh.idx), walSegName(sh.lsn+1)), d.Fsync, d.FsyncInterval, st.cfg.Metrics)
+	w, err := newWALWriter(d.FS, path.Join(shardDirName(sh.idx), walSegName(sh.lsn+1)), d.Fsync, st.cfg.Metrics)
 	if err != nil {
 		st.cfg.Metrics.Add(obs.CheckpointErrors, 1)
 		sh.setDurErr(err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"pbtree/internal/backend"
 	"pbtree/internal/core"
@@ -185,27 +186,47 @@ func TestStoreClosedAndConfig(t *testing.T) {
 	if _, err := Open(StoreConfig{Shards: -1}, nil); err == nil {
 		t.Fatal("Open accepted negative shard count")
 	}
-	if _, err := Open(StoreConfig{Fill: 1.5}, nil); err == nil {
-		t.Fatal("Open accepted fill > 1")
-	}
 }
 
 func TestStoreBackpressure(t *testing.T) {
-	// A tiny queue with a stalled writer must reject, not block.
-	st, err := Open(StoreConfig{Shards: 1, QueueLen: 1, MaxBatch: 1}, workload.SortedPairs(10))
+	// A full queue behind a stalled writer must reject, not block.
+	st, err := Open(StoreConfig{Shards: 1}, workload.SortedPairs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// Saturate: fire async writes until one rejects. The writer drains
-	// continuously, so loop a bounded number of times.
-	saw := false
-	for i := 0; i < 10_000 && !saw; i++ {
-		err := st.enqueue(st.shards[0], mutation{puts: []core.Pair{{Key: 8, TID: 1}}})
-		saw = errors.Is(err, ErrOverloaded)
+	// The writer stalls acknowledging the first mutation: nobody reads
+	// its unbuffered done until the test ends, before Close.
+	sh := st.shards[0]
+	published := sh.published.Load()
+	done := make(chan error)
+	if err := st.enqueue(sh, mutation{puts: []core.Pair{{Key: 8, TID: 1}}, done: done}); err != nil {
+		t.Fatal(err)
 	}
-	if !saw {
-		t.Fatal("queue of length 1 never reported ErrOverloaded under 10k async writes")
+	defer func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	// Once the batch is published the writer is in its acknowledgement,
+	// with the queue empty behind it.
+	for deadline := time.Now().Add(5 * time.Second); sh.published.Load() == published; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never published the first mutation")
+		}
+	}
+	accepted := 0
+	for ; accepted <= queueLen; accepted++ {
+		err := st.enqueue(sh, mutation{puts: []core.Pair{{Key: 16, TID: 2}}})
+		if errors.Is(err, ErrOverloaded) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if accepted != queueLen {
+		t.Fatalf("queue of %d took %d writes behind a stalled writer before ErrOverloaded", queueLen, accepted)
 	}
 }
 

@@ -10,6 +10,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -152,7 +153,7 @@ func TestStreamScanSnapshotIsolation(t *testing.T) {
 // survive interleaving with other in-flight requests (run with -race).
 func TestStreamScanInterleaved(t *testing.T) {
 	const n = 20_000
-	_, addr := startServer(t, n, ServerConfig{Window: 16})
+	_, addr := startServer(t, n, ServerConfig{})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +295,7 @@ func TestConnCloseReleasesCursors(t *testing.T) {
 func TestStreamScanTokenOccupancy(t *testing.T) {
 	const n = 120_000
 	metrics := obs.NewMetrics()
-	srv, addr := startServer(t, n, ServerConfig{
-		Metrics:   metrics,
-		Admission: AdmissionConfig{ScanRowTokens: 512},
-	})
+	srv, addr := startServer(t, n, ServerConfig{Metrics: metrics}, withBudgets(0, 0, 512))
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +335,7 @@ func TestStreamScanTokenOccupancy(t *testing.T) {
 // stream gives up with the refusal instead of retrying forever, and
 // still closes its cursor.
 func TestStreamScanRetryBounded(t *testing.T) {
-	srv, addr := startServer(t, 1000, ServerConfig{Admission: AdmissionConfig{ScanRowTokens: 128}})
+	srv, addr := startServer(t, 1000, ServerConfig{}, withBudgets(0, 0, 128))
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +364,7 @@ func TestStreamScanRetryBounded(t *testing.T) {
 // pool_size field and the cursor table are reported.
 func TestPoolPlaneStats(t *testing.T) {
 	const n = 100
-	srv, addr := startServer(t, n, ServerConfig{PoolSize: 7})
+	srv, addr := startServer(t, n, ServerConfig{})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -377,8 +375,8 @@ func TestPoolPlaneStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := srv.Stats()
-	if ss.PoolSize != 7 {
-		t.Fatalf("stats pool size = %d, want 7", ss.PoolSize)
+	if want := max(16, 4*runtime.GOMAXPROCS(0)); ss.PoolSize != want {
+		t.Fatalf("stats pool size = %d, want %d", ss.PoolSize, want)
 	}
 	if ss.Cursors.MaxConn != maxConnCursors {
 		t.Fatalf("stats cursor cap = %d, want %d", ss.Cursors.MaxConn, maxConnCursors)

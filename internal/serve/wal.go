@@ -38,7 +38,7 @@ const (
 	// survives any crash.
 	FsyncAlways FsyncPolicy = iota
 
-	// FsyncEvery syncs at most once per interval (group-commit
+	// FsyncEvery syncs at most once per fsyncInterval (group-commit
 	// batches in between are only buffered in the OS): a crash can
 	// lose up to one interval of acked writes, never tear a record.
 	FsyncEvery
@@ -47,6 +47,9 @@ const (
 	// fastest, weakest.
 	FsyncNever
 )
+
+// fsyncInterval is FsyncEvery's sync period.
+const fsyncInterval = 10 * time.Millisecond
 
 // String implements fmt.Stringer (the -fsync flag values).
 func (p FsyncPolicy) String() string {
@@ -202,7 +205,6 @@ type walWriter struct {
 	f        File
 	buf      []byte // group-commit staging
 	policy   FsyncPolicy
-	interval time.Duration
 	lastSync time.Time
 	records  uint64 // records appended to this segment
 	syncNS   int64  // fsync time since takeSyncNS (lifecycle attribution)
@@ -210,12 +212,12 @@ type walWriter struct {
 }
 
 // newWALWriter creates (truncating) a fresh segment.
-func newWALWriter(fsys FS, name string, policy FsyncPolicy, interval time.Duration, m *obs.Metrics) (*walWriter, error) {
+func newWALWriter(fsys FS, name string, policy FsyncPolicy, m *obs.Metrics) (*walWriter, error) {
 	f, err := fsys.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &walWriter{fs: fsys, name: name, f: f, policy: policy, interval: interval, metrics: m}, nil
+	return &walWriter{fs: fsys, name: name, f: f, policy: policy, metrics: m}, nil
 }
 
 // add stages one record for the current group commit.
@@ -253,7 +255,7 @@ func (w *walWriter) commit() error {
 	case FsyncAlways:
 		return w.sync()
 	case FsyncEvery:
-		if now := time.Now(); now.Sub(w.lastSync) >= w.interval {
+		if now := time.Now(); now.Sub(w.lastSync) >= fsyncInterval {
 			w.lastSync = now
 			return w.sync()
 		}

@@ -282,9 +282,9 @@ type (
 	// LoadgenReport is the JSON result of a load-generation run.
 	LoadgenReport = serve.LoadgenReport
 
-	// LifecycleConfig enables request-lifecycle tracing on a Server:
-	// per-stage latency histograms, a sampled slow-request log and an
-	// optional Chrome trace (DESIGN.md §12).
+	// LifecycleConfig configures a Server's request-lifecycle sinks
+	// beside the always-on per-stage latency histograms: a sampled
+	// slow-request log and an optional Chrome trace (DESIGN.md §12).
 	LifecycleConfig = serve.LifecycleConfig
 
 	// DurableConfig enables per-shard WAL + checkpoint persistence for

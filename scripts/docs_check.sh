@@ -20,6 +20,11 @@
 #     Likewise, case-sensitive, the deleted read-replica client
 #     ("ReplicaSet"), the loadgen's "-replicas" flag and its hot-set
 #     skew ("hotset", "HotSet"): an ordinary client reads a follower.
+#     And the serving knobs that became constants: the admission
+#     config and its fields, the lifecycle's rate and event caps, the
+#     follower's fetch budget, the WAL's fsync interval and the
+#     server's "-fsync-interval" and "-stages" flags (stage tracing is
+#     always on).
 set -eu
 
 history='--exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench'
@@ -43,6 +48,14 @@ stale=$(grep -rnE 'ReplicaSet|hotset|HotSet|(^|[^[:alnum:]_-])-replicas([^[:alnu
     --include='*.go' --include='*.md' --include='*.sh' $history . || true)
 if [ -n "$stale" ]; then
     echo "docs-check: the read-replica client and the loadgen's replica and hot-set options are history only:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
+stale=$(grep -rnE 'AdmissionConfig|ReadTokens|WriteTokens|ScanRowTokens|RetryAfter(Read|Write|Scan)|SlowPerSec|TraceEvents|MaxFetchBytes|FsyncInterval|(^|[^[:alnum:]_-])-(fsync-interval|stages)([^[:alnum:]_-]|$)' \
+    --include='*.go' --include='*.md' --include='*.sh' $history . || true)
+if [ -n "$stale" ]; then
+    echo "docs-check: the serving knobs that became constants are history only:" >&2
     echo "$stale" >&2
     exit 1
 fi
