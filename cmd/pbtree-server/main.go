@@ -95,7 +95,6 @@ func main() {
 		replicaOf = flag.String("replica-of", "", "primary serving address to follow (makes this node a read replica; requires -data-dir)")
 		epochFlag = flag.Uint64("epoch", 0, "minimum replication epoch to run at (0 = whatever the MANIFEST records)")
 		replSync  = flag.Bool("repl-sync", false, "synchronous replication: acknowledge writes only after a follower ack")
-		replPoll  = flag.Duration("repl-poll", 50*time.Millisecond, "follower poll interval once caught up")
 		syncTmo   = flag.Duration("repl-sync-timeout", 2*time.Second, "how long a synchronous write waits for a follower ack")
 		slowLog   = flag.Duration("slow-log", 0, "log requests slower than this with their stage breakdown (0 = off)")
 		lcTrace   = flag.String("lifecycle-trace", "", "write a Chrome trace of traced requests to this file")
@@ -167,7 +166,6 @@ func main() {
 			Primary:     *replicaOf,
 			Sync:        *replSync,
 			SyncTimeout: *syncTmo,
-			Poll:        *replPoll,
 			Metrics:     metrics,
 			Logf: func(format string, args ...any) {
 				logger.Info(fmt.Sprintf(format, args...))

@@ -70,6 +70,10 @@ type Snapshot interface {
 	// surviving restarts (recovery seals at last LSN + 1).
 	Version() uint64
 
+	// LSN is the highest WAL LSN the view covers: the lsn its
+	// ApplyBatch was given, or version − 1 for the view Seal made.
+	LSN() uint64
+
 	// Count reports the number of live keys, exactly, on both engines
 	// (LSM resolves every put/delete against its runs to keep the
 	// running count true across flush and compaction).
@@ -210,7 +214,8 @@ type Backend interface {
 	Replay(w Write) error
 
 	// Seal builds and publishes the first snapshot at the given
-	// version, ending the recovery phase. Reads may begin afterwards.
+	// version, covering LSN version − 1, ending the recovery phase.
+	// Reads may begin afterwards.
 	Seal(version uint64) error
 
 	// ApplyBatch applies the writes in order as one publication: it

@@ -49,10 +49,10 @@ func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 // knows when the version's blocks may be reused; nothing waits on the
 // count.
 type pbSnapshot struct {
-	tree    core.Tree
-	version uint64
-	refs    atomic.Int64
-	since   int64 // writer-owned: when a superseded version was first found still held
+	tree         core.Tree
+	version, lsn uint64
+	refs         atomic.Int64
+	since        int64 // writer-owned: when a superseded version was first found still held
 }
 
 func (s *pbSnapshot) Get(k core.Key) (core.TID, bool) { return s.tree.Search(k) }
@@ -68,6 +68,8 @@ func (s *pbSnapshot) Run(start, end core.Key) Run { return s.tree.NewScan(start,
 func (s *pbSnapshot) AppendPairs(dst []core.Pair) []core.Pair { return s.tree.AppendPairs(dst) }
 
 func (s *pbSnapshot) Version() uint64 { return s.version }
+
+func (s *pbSnapshot) LSN() uint64 { return s.lsn }
 
 func (s *pbSnapshot) Count() int { return s.tree.Len() }
 
@@ -182,7 +184,7 @@ func (b *PBTree) Seal(version uint64) error {
 	if err := t.Bulkload(pairs, b.fill); err != nil {
 		return err
 	}
-	b.publish(&pbSnapshot{tree: *t, version: version})
+	b.publish(&pbSnapshot{tree: *t, version: version, lsn: version - 1})
 	return nil
 }
 
@@ -200,9 +202,9 @@ func (b *PBTree) publish(s *pbSnapshot) {
 // to the garbage collector with its last reader; a failed rebuild
 // degrades to serving the uncompacted version and is reported through
 // ack.
-func (b *PBTree) ApplyBatch(ws []Write, version, _ uint64, ack func(error)) error {
+func (b *PBTree) ApplyBatch(ws []Write, version, lsn uint64, ack func(error)) error {
 	cur := b.snap.Load()
-	next := &pbSnapshot{version: version}
+	next := &pbSnapshot{version: version, lsn: lsn}
 	cur.tree.ForkInto(&next.tree)
 	compact := false
 	for _, w := range ws {
@@ -213,7 +215,7 @@ func (b *PBTree) ApplyBatch(ws []Write, version, _ uint64, ack func(error)) erro
 	var cloneErr error
 	if compact {
 		if nt, err := next.tree.CloneFrozen(b.fill); err == nil {
-			next = &pbSnapshot{tree: *nt, version: version}
+			next = &pbSnapshot{tree: *nt, version: version, lsn: lsn}
 		} else {
 			cloneErr = err // serve the uncompacted version; report via ack
 		}

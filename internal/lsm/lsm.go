@@ -71,6 +71,7 @@ type lsmView struct {
 	mem     *memNode
 	runs    []*run // newest first
 	version uint64
+	lsn     uint64
 	count   int
 	memKeys int
 }
@@ -206,6 +207,9 @@ func (v *lsmView) AppendPairs(dst []core.Pair) []core.Pair {
 // Version implements backend.Snapshot.
 func (v *lsmView) Version() uint64 { return v.version }
 
+// LSN implements backend.Snapshot.
+func (v *lsmView) LSN() uint64 { return v.lsn }
+
 // Count implements backend.Snapshot. The count is exact: Seal
 // computes it with a full merge, and every put/delete afterwards
 // resolves the key's prior liveness against the memtable and the
@@ -234,6 +238,7 @@ type LSM struct {
 	count   int    // exact live-key count (see lsmView.Count)
 	gen     uint32 // highest generation in use
 	version uint64 // last published version
+	lsn     uint64 // the LSN it covers
 	boot    []core.Pair
 	bootSet bool
 }
@@ -248,11 +253,11 @@ func New(cfg Config, fs storage.FS, dir string) *LSM {
 }
 
 // publish installs a fresh view. Housekeeping (flush, compaction)
-// republishes under the same version: the contents are equivalent,
-// only the layout changed.
-func (b *LSM) publish(version uint64) {
-	b.version = version
-	b.snap.Store(&lsmView{mem: b.mem, runs: b.runs, version: version, count: b.count, memKeys: b.memKeys})
+// republishes under the same version and LSN: the contents are
+// equivalent, only the layout changed.
+func (b *LSM) publish(version, lsn uint64) {
+	b.version, b.lsn = version, lsn
+	b.snap.Store(&lsmView{mem: b.mem, runs: b.runs, version: version, lsn: lsn, count: b.count, memKeys: b.memKeys})
 }
 
 // Recover implements backend.Backend: reload the run files, drop the
@@ -375,7 +380,7 @@ func (b *LSM) Seal(version uint64) error {
 			b.count++
 		}
 	}
-	b.publish(version)
+	b.publish(version, version-1)
 	return nil
 }
 
@@ -442,7 +447,7 @@ func (b *LSM) ApplyBatch(ws []backend.Write, version, lsn uint64, ack func(error
 		b.applyWrite(w)
 		compact = compact || w.Compact
 	}
-	b.publish(version)
+	b.publish(version, lsn)
 	ack(nil)
 	if compact {
 		return b.foldAll(lsn)
@@ -477,7 +482,7 @@ func (b *LSM) flush(upto uint64) error {
 	}
 	b.runs = append([]*run{r}, b.runs...)
 	b.mem, b.memKeys, b.memFrom = nil, 0, upto+1
-	b.publish(b.version)
+	b.publish(b.version, b.lsn)
 	return nil
 }
 
@@ -525,7 +530,7 @@ func (b *LSM) compactOnce(take int) error {
 		}
 	}
 	b.runs = append([]*run{out}, b.runs[take:]...)
-	b.publish(b.version)
+	b.publish(b.version, b.lsn)
 	return nil
 }
 

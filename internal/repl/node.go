@@ -7,17 +7,22 @@
 //
 // Topology. Replication is pull-based and per shard. A follower dials
 // the primary's normal serving address and, for every shard, loops a
-// FETCH carrying its cursor (the shard's durably applied LSN): the
-// primary answers with the raw WAL frames after that LSN, straight
-// from its segment files, and the follower persists them verbatim and
-// applies them through the engine-agnostic replay path — the two WAL
-// timelines stay byte-identical. The FETCH also carries the
-// follower's applied LSN, which doubles as the acknowledgement for
-// lag tracking and synchronous replication. When a follower's cursor
-// has fallen below the primary's retained WAL, the primary redirects
-// it to checkpoint shipping: an LSN-consistent serialized tree is
-// streamed in chunks and installed wholesale, and WAL shipping
-// resumes from the checkpoint's LSN.
+// FETCH carrying its cursor (the shard's applied LSN: durable in its
+// WAL and readable): the primary answers with the raw WAL frames after
+// that LSN, straight from its segment files, and the follower persists
+// them verbatim and applies them through the engine-agnostic replay
+// path — the two WAL timelines stay byte-identical. The FETCH also
+// carries the follower's applied LSN, which doubles as the
+// acknowledgement for lag tracking and synchronous replication. A
+// caught-up FETCH is held at the primary for up to 50 ms, released
+// early when a synchronous write waits for a record past the
+// follower's cursor: that hold, not a sleep on the follower, is an
+// idle follower's pacing. Each shard loop owns its own connection, so
+// a held FETCH delays no other shard. When a follower's cursor has
+// fallen below the primary's retained WAL, the primary redirects it to
+// checkpoint shipping: a serialized tree of the shard's published
+// version, labelled with the LSN it covers, is streamed in chunks and
+// installed wholesale, and WAL shipping resumes from that LSN.
 //
 // Fencing. Every store persists a monotone epoch in its MANIFEST.
 // Promotion picks a higher epoch and persists it before it takes
@@ -32,7 +37,10 @@
 // primary: a write is acknowledged only after some follower reports
 // the write's LSN durably applied (or the gate times out and the
 // client gets an error while the write stands locally — the same
-// contract as a crash between commit and ack). With one follower this
+// contract as a crash between commit and ack). The writing caller
+// waits in the gate; the shard writer does not, and the FETCH that
+// brings the ack runs on the primary's connection read goroutine, so
+// the follower's round trip is the only wait. With one follower this
 // is strict primary+1 durability; with several it is "at least the
 // fastest follower", so promotion of the most-caught-up follower
 // preserves every acknowledged write.
@@ -49,11 +57,16 @@ import (
 	"pbtree/internal/serve"
 )
 
-// Defaults for the zero Config values.
+// DefaultSyncTimeout is what a zero Config.SyncTimeout selects.
+const DefaultSyncTimeout = 2 * time.Second
+
 const (
-	DefaultPoll        = 50 * time.Millisecond
-	DefaultSyncTimeout = 2 * time.Second
 	defaultCallTimeout = 10 * time.Second
+
+	// fetchHold is how long the primary holds a caught-up FETCH, and
+	// how long a follower waits after a failed exchange before it
+	// redials.
+	fetchHold = 50 * time.Millisecond
 )
 
 // ErrSyncTimeout reports that a synchronously replicated write was not
@@ -105,10 +118,6 @@ type Config struct {
 	// follower ack (default DefaultSyncTimeout).
 	SyncTimeout time.Duration
 
-	// Poll is the follower's idle poll interval once caught up
-	// (default DefaultPoll). While behind, fetches are back to back.
-	Poll time.Duration
-
 	// Metrics receives the replication counters (may be nil).
 	Metrics *obs.Metrics
 
@@ -133,19 +142,17 @@ type Node struct {
 	cfg Config
 	st  *serve.Store
 
-	// Commit-gate state (primary, Sync): acked[shard] is the highest
-	// LSN any follower has reported durably applied.
+	// Commit-gate state (primary): acked[shard] is the highest LSN any
+	// follower has reported durably applied, wanted[shard] the highest
+	// a synchronous write waits for. Held FETCHes wait on the same cond.
 	gateMu   sync.Mutex
 	gateCond *sync.Cond
 	acked    []uint64
+	wanted   []uint64
 
 	// Checkpoint-stream cache, one entry per shard.
 	snapMu sync.Mutex
 	snaps  map[int]*snapEntry
-
-	// The shared transport to the primary (follower side).
-	trMu sync.Mutex
-	tr   Transport
 
 	// primaryLSNs[shard] is the primary's last LSN from the most
 	// recent FETCH answer — the follower's lag gauge.
@@ -153,14 +160,14 @@ type Node struct {
 
 	// lastInstalled[shard] is 1 + the LSN of the last checkpoint
 	// stream installed (0 = never): it stops a follower from
-	// re-installing the same stream every poll while the primary sits
+	// re-installing the same stream every FETCH while the primary sits
 	// at the stream's LSN (a seeded primary with no writes yet).
 	lastInstalled []atomic.Uint64
 
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	stopOnce sync.Once
+	stop     chan struct{} // closed when the pull loops must stop
+	closed   atomic.Bool   // Close ran: gate waits and held FETCHes end
+	wg       sync.WaitGroup
 }
 
 // New builds a Node over the store. Call Start to install the sync
@@ -178,9 +185,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.SyncTimeout <= 0 {
 		cfg.SyncTimeout = DefaultSyncTimeout
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = DefaultPoll
-	}
 	if cfg.Dial == nil {
 		cfg.Dial = dialTransport
 	}
@@ -188,6 +192,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:           cfg,
 		st:            cfg.Store,
 		acked:         make([]uint64, cfg.Store.Shards()),
+		wanted:        make([]uint64, cfg.Store.Shards()),
 		snaps:         make(map[int]*snapEntry),
 		primaryLSNs:   make([]atomic.Uint64, cfg.Store.Shards()),
 		lastInstalled: make([]atomic.Uint64, cfg.Store.Shards()),
@@ -214,23 +219,15 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// Close stops the pull loops, removes the commit gate and closes the
-// primary transport.
+// Close stops the pull loops (each closes its own connection),
+// removes the commit gate and releases gate waiters and held FETCHes.
 func (n *Node) Close() error {
-	n.closeOnce.Do(func() {
+	if !n.closed.Swap(true) {
 		n.stopLoops()
 		n.st.SetCommitGate(nil)
-		n.gateMu.Lock()
-		n.gateCond.Broadcast() // release gate waiters into their timeout check
-		n.gateMu.Unlock()
+		n.broadcast()
 		n.wg.Wait()
-		n.trMu.Lock()
-		if n.tr != nil {
-			n.tr.Close()
-			n.tr = nil
-		}
-		n.trMu.Unlock()
-	})
+	}
 	return nil
 }
 
@@ -242,19 +239,6 @@ func (n *Node) stopped() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// sleep waits d or until the node stops; it reports whether the node
-// is still running.
-func (n *Node) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-n.stop:
-		return false
-	case <-t.C:
-		return true
 	}
 }
 
@@ -288,8 +272,10 @@ func errResp(format string, args ...any) *serve.Response {
 }
 
 // HandleReplicate answers one REPLICATE request (PROTOCOL.md §9). It
-// runs on the server's connection goroutines; everything it touches
-// is lock-free or under the node's own short-held mutexes.
+// runs on the server's connection read goroutines and never waits on a
+// shard writer: everything it touches is lock-free, a pinned version,
+// or under the node's own mutexes — where a caught-up FETCH is held
+// for up to fetchHold.
 func (n *Node) HandleReplicate(r *serve.ReplReq) *serve.Response {
 	switch r.Kind {
 	case serve.ReplStatus:
@@ -344,31 +330,47 @@ func (n *Node) budget(max uint32) int {
 	return b
 }
 
-// handleFetch serves WAL frames after the follower's cursor, records
-// the follower's ack, and redirects to checkpoint shipping when the
-// cursor predates the retained WAL.
+// handleFetch records the follower's ack and answers its FETCH. An
+// answer that would not move the follower past its cursor is held
+// first: until a synchronous write waits for a later LSN (syncGate),
+// fetchHold passes or the node closes. Commits alone do not release
+// it — every FETCH re-reads the shard's WAL segment.
 func (n *Node) handleFetch(r *serve.ReplReq) *serve.Response {
 	shard := int(r.Shard)
 	if shard >= n.st.Shards() {
 		return errResp("repl: shard %d out of range (%d shards)", shard, n.st.Shards())
 	}
 	n.recordAck(shard, r.Applied)
+	resp, caughtUp := n.fetch(shard, r)
+	if caughtUp {
+		n.gateMu.Lock()
+		n.await(fetchHold, func() bool { return n.wanted[shard] > r.After })
+		n.gateMu.Unlock()
+		resp, _ = n.fetch(shard, r)
+	}
+	return resp
+}
+
+// fetch serves WAL frames after the follower's cursor, or redirects to
+// checkpoint shipping when the cursor predates the retained WAL, and
+// reports whether the answer leaves the follower where it is.
+func (n *Node) fetch(shard int, r *serve.ReplReq) (*serve.Response, bool) {
 	frames, count, err := n.st.WALTail(shard, r.After, n.budget(r.Max))
 	var retired serve.WALRetiredError
 	if errors.As(err, &retired) {
 		ent, serr := n.snapshotFor(shard, r.After)
 		if serr != nil {
-			return errResp("repl: shard %d checkpoint: %v", shard, serr)
+			return errResp("repl: shard %d checkpoint: %v", shard, serr), false
 		}
 		return okResp(&serve.ReplResp{
 			Kind:     serve.ReplSnap,
 			Epoch:    n.st.Epoch(),
 			SnapLSN:  ent.lsn,
 			SnapSize: uint64(len(ent.data)),
-		})
+		}), ent.lsn <= r.After
 	}
 	if err != nil {
-		return errResp("repl: shard %d WAL tail: %v", shard, err)
+		return errResp("repl: shard %d WAL tail: %v", shard, err), false
 	}
 	n.cfg.Metrics.Add(obs.ReplShippedRecords, int64(count))
 	n.cfg.Metrics.Add(obs.ReplShippedBytes, int64(len(frames)))
@@ -378,7 +380,7 @@ func (n *Node) handleFetch(r *serve.ReplReq) *serve.Response {
 		PrimaryLSN: n.st.ReplicaCursor(shard),
 		Count:      uint32(count),
 		Records:    frames,
-	})
+	}), count == 0
 }
 
 // handleSnapFetch serves one chunk of a shard checkpoint stream.
@@ -465,85 +467,80 @@ func (n *Node) recordAck(shard int, applied uint64) {
 }
 
 // syncGate is the synchronous-replication commit gate
-// (serve.Store.SetCommitGate): it holds a batch's acknowledgement
-// until some follower reports the batch's LSN durably applied. It
-// blocks the shard's writer goroutine, but never the followers — they
-// fetch from WAL segment files the group commit has already written.
+// (serve.Store.SetCommitGate): the writing caller waits in it until
+// some follower reports the write's LSN durably applied. Raising the
+// shard's wanted LSN releases a held FETCH to ship the write.
 func (n *Node) syncGate(shard int, lsn uint64) error {
-	deadline := time.Now().Add(n.cfg.SyncTimeout)
-	wake := time.AfterFunc(n.cfg.SyncTimeout, func() {
-		n.gateMu.Lock()
-		n.gateCond.Broadcast()
-		n.gateMu.Unlock()
-	})
-	defer wake.Stop()
 	n.gateMu.Lock()
 	defer n.gateMu.Unlock()
-	for n.acked[shard] < lsn {
-		if n.stopped() && n.cfg.Primary == "" {
-			return fmt.Errorf("repl: shard %d LSN %d: node closed: %w", shard, lsn, ErrSyncTimeout)
-		}
-		if !time.Now().Before(deadline) {
-			return fmt.Errorf("repl: shard %d LSN %d unacknowledged after %v: %w",
-				shard, lsn, n.cfg.SyncTimeout, ErrSyncTimeout)
+	if lsn > n.wanted[shard] {
+		n.wanted[shard] = lsn
+		n.gateCond.Broadcast()
+	}
+	if n.await(n.cfg.SyncTimeout, func() bool { return n.acked[shard] >= lsn }) {
+		return nil
+	}
+	if n.closed.Load() {
+		return fmt.Errorf("repl: shard %d LSN %d: node closed: %w", shard, lsn, ErrSyncTimeout)
+	}
+	return fmt.Errorf("repl: shard %d LSN %d unacknowledged after %v: %w",
+		shard, lsn, n.cfg.SyncTimeout, ErrSyncTimeout)
+}
+
+// await waits on the gate's cond until ok holds, d passes or the node
+// closes, and reports whether ok held. The caller holds gateMu.
+func (n *Node) await(d time.Duration, ok func() bool) bool {
+	deadline := time.Now().Add(d)
+	wake := time.AfterFunc(d, n.broadcast)
+	defer wake.Stop()
+	for !ok() {
+		if n.closed.Load() || !time.Now().Before(deadline) {
+			return false
 		}
 		n.gateCond.Wait()
 	}
-	return nil
+	return true
+}
+
+// broadcast wakes every gate waiter and held FETCH to recheck.
+func (n *Node) broadcast() {
+	n.gateMu.Lock()
+	n.gateCond.Broadcast()
+	n.gateMu.Unlock()
 }
 
 // ---------------------------------------------------------------------
 // Follower side: the pull loops.
 
-// transport returns the shared connection to the primary, dialing on
-// demand.
-func (n *Node) transport() (Transport, error) {
-	n.trMu.Lock()
-	defer n.trMu.Unlock()
-	if n.tr != nil {
-		return n.tr, nil
-	}
-	tr, err := n.cfg.Dial(n.cfg.Primary)
-	if err != nil {
-		return nil, err
-	}
-	n.tr = tr
-	return tr, nil
-}
-
-// dropTransport discards a failed connection so the next loop redials.
-func (n *Node) dropTransport(tr Transport) {
-	n.trMu.Lock()
-	if n.tr == tr {
-		n.tr = nil
-		tr.Close()
-	}
-	n.trMu.Unlock()
-}
-
-// shardLoop pulls one shard from the primary until the node stops or
-// is promoted.
+// shardLoop pulls one shard from the primary, over a connection of
+// its own, until the node stops or is promoted. Exchanges run back to
+// back: the primary holds a caught-up FETCH. A failed exchange drops
+// the connection, and the loop redials after fetchHold.
 func (n *Node) shardLoop(shard int) {
 	defer n.wg.Done()
-	for {
-		if n.stopped() || !n.st.IsReplica() {
-			return
+	var tr Transport
+	for !n.stopped() && n.st.IsReplica() {
+		var err error
+		if tr == nil {
+			tr, err = n.cfg.Dial(n.cfg.Primary)
 		}
-		progress, err := n.syncShardOnce(shard)
-		switch {
-		case err != nil:
+		if err == nil {
+			err = n.syncShardOnce(shard, tr)
+		}
+		if err != nil {
 			n.logf("repl: shard %d: %v", shard, err)
-			if !n.sleep(10 * n.cfg.Poll) {
-				return
+			if tr != nil {
+				tr.Close()
+				tr = nil
 			}
-		case progress:
-			// Behind: fetch again immediately.
-		default:
-			// Caught up: idle poll.
-			if !n.sleep(n.cfg.Poll) {
-				return
+			select {
+			case <-n.stop:
+			case <-time.After(fetchHold):
 			}
 		}
+	}
+	if tr != nil {
+		tr.Close()
 	}
 }
 
@@ -583,13 +580,8 @@ func (n *Node) replPayload(resp *serve.Response, epoch uint64) (*serve.ReplResp,
 	return rp, nil
 }
 
-// syncShardOnce performs one FETCH round trip and applies its result;
-// progress reports whether another immediate fetch is worthwhile.
-func (n *Node) syncShardOnce(shard int) (progress bool, err error) {
-	tr, err := n.transport()
-	if err != nil {
-		return false, err
-	}
+// syncShardOnce performs one FETCH round trip and applies its result.
+func (n *Node) syncShardOnce(shard int, tr Transport) error {
 	cursor := n.st.ReplicaCursor(shard)
 	epoch := n.st.Epoch()
 	resp, err := tr.Do(&serve.Request{Op: serve.OpReplicate, Repl: &serve.ReplReq{
@@ -601,39 +593,34 @@ func (n *Node) syncShardOnce(shard int) (progress bool, err error) {
 		Max:     serve.MaxReplBytes,
 	}})
 	if err != nil {
-		n.dropTransport(tr)
-		return false, err
+		return err
 	}
 	rp, err := n.replPayload(resp, epoch)
-	if err != nil {
-		return false, err
-	}
 	if rp == nil {
-		return true, nil // epoch adopted; refetch under it
+		return err // nil after an adopted epoch: refetch under it
 	}
 	switch rp.Kind {
 	case serve.ReplFetch:
 		n.primaryLSNs[shard].Store(rp.PrimaryLSN)
 		if rp.Count == 0 {
-			return false, nil // caught up
+			return nil // caught up; the primary held the FETCH
 		}
 		if err := n.st.ReplicaApply(shard, epoch, cursor+1, rp.Records); err != nil {
 			var gap serve.CursorGapError
 			if errors.As(err, &gap) {
-				return true, nil // cursor moved underneath; refetch from it
+				return nil // cursor moved underneath; refetch from it
 			}
-			return false, err
+			return err
 		}
 		n.cfg.Metrics.Add(obs.ReplAppliedRecords, int64(rp.Count))
-		return true, nil
+		return nil
 	case serve.ReplSnap:
-		// Cursor retired: switch to checkpoint shipping. No immediate
-		// refetch afterwards — either the install moved the cursor and
-		// one poll later the FETCH streams from it, or the primary is
-		// still sitting at the installed LSN and there is nothing new.
-		return false, n.snapshotSync(shard, tr, rp)
+		// Cursor retired: switch to checkpoint shipping. A stream
+		// already installed is skipped, and the primary held the FETCH
+		// that offered it again.
+		return n.snapshotSync(shard, tr, rp)
 	}
-	return false, fmt.Errorf("repl: unexpected REPLICATE answer kind %d", uint8(rp.Kind))
+	return fmt.Errorf("repl: unexpected REPLICATE answer kind %d", uint8(rp.Kind))
 }
 
 // snapshotSync accumulates a checkpoint stream chunk by chunk and
@@ -660,7 +647,6 @@ func (n *Node) snapshotSync(shard int, tr Transport, first *serve.ReplResp) erro
 			Max:     serve.MaxReplBytes,
 		}})
 		if err != nil {
-			n.dropTransport(tr)
 			return err
 		}
 		rp, err := n.replPayload(resp, epoch)
@@ -729,15 +715,15 @@ func (n *Node) Promote(newEpoch uint64) error {
 // epoch guarantee, only widens the deposed primary's unacknowledged
 // window.
 func (n *Node) fenceOldPrimary(epoch uint64) {
-	tr, err := n.transport()
-	if err != nil {
-		n.logf("repl: fencing old primary: %v", err)
-		return
+	tr, err := n.cfg.Dial(n.cfg.Primary)
+	if err == nil {
+		_, err = tr.Do(&serve.Request{Op: serve.OpReplicate, Repl: &serve.ReplReq{
+			Kind:  serve.ReplFence,
+			Epoch: epoch,
+		}})
+		tr.Close()
 	}
-	if _, err := tr.Do(&serve.Request{Op: serve.OpReplicate, Repl: &serve.ReplReq{
-		Kind:  serve.ReplFence,
-		Epoch: epoch,
-	}}); err != nil {
+	if err != nil {
 		n.logf("repl: fencing old primary: %v", err)
 	}
 }

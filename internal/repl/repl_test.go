@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,15 +131,13 @@ func newPrimary(t *testing.T, backendName string, seed []core.Pair, sync bool, s
 }
 
 // newFollower opens a follower store over fs and a node pulling from
-// the primary node's handler through plan. Poll is aggressive so the
-// tests converge fast.
+// the primary node's handler through plan.
 func newFollower(t *testing.T, backendName string, fs *storage.MemFS, primary *testNode, plan *storage.FaultPlan) *testNode {
 	t.Helper()
 	st := openStore(t, backendName, fs, true, nil)
 	node, err := New(Config{
 		Store:   st,
 		Primary: "primary:test",
-		Poll:    time.Millisecond,
 		Metrics: obs.NewMetrics(),
 		Logf:    t.Logf,
 		Dial:    dialTo(primary.node.HandleReplicate, plan),
@@ -592,6 +591,95 @@ func TestSyncPromotionNeverDualAcks(t *testing.T) {
 	}
 }
 
+// TestSyncUnderPipelinedLoad drives a seeded synchronous primary over
+// loopback with twice as many writes in flight as its worker pool has
+// workers (and at least two windows' worth), against a follower that
+// starts at cursor 0. Every write must ack: the FETCH that brings the
+// follower's ack is answered on the connection's read goroutine, not
+// behind pool workers waiting in the gate, and the gate holds the
+// writing caller, not the shard writer. FETCHes stay few per acked
+// write, and an idle follower is paced by the primary's held FETCH,
+// not by a spin.
+func TestSyncUnderPipelinedLoad(t *testing.T) {
+	leakCheck(t)
+	cfg := storeCfg(serve.BackendPBTree, storage.NewMemFS(), false)
+	cfg.Durable.CheckpointEvery = 1024
+	pst, err := serve.Open(cfg, seedPairs(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pst.Close()
+	if err := pst.WaitReady(); err != nil {
+		t.Fatal(err)
+	}
+	pnode, err := New(Config{Store: pst, Sync: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pnode.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pnode.Close()
+	m := obs.NewMetrics()
+	psrv := serve.NewServer(pst, serve.ServerConfig{Addr: "127.0.0.1:0", Metrics: m, Repl: pnode})
+	if err := psrv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer psrv.Shutdown(time.Second)
+
+	fst := openStore(t, serve.BackendPBTree, storage.NewMemFS(), true, nil)
+	defer fst.Close()
+	fnode, err := New(Config{Store: fst, Primary: psrv.Addr().String(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fnode.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer fnode.Close()
+
+	window := int(dialClient(t, psrv.Addr().String()).Window())
+	inflight := max(2*window, 2*psrv.Stats().PoolSize)
+	clients := make([]*serve.Client, inflight/window)
+	for i := range clients {
+		clients[i] = dialClient(t, psrv.Addr().String())
+	}
+	const perWriter = 20
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < inflight; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := clients[g%len(clients)]
+			for i := 0; i < perWriter; i++ {
+				k := core.Key(100_000 + g*perWriter + i)
+				if err := c.Put(core.Pair{Key: k, TID: 1}); err != nil {
+					t.Errorf("sync write of key %d: %v", k, err)
+					return
+				}
+				acked.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	fetches := m.Load(obs.ReqReplicate)
+	t.Logf("%d sync writes in flight acked %d times with %d REPLICATE requests", inflight, acked.Load(), fetches)
+	if n := acked.Load(); fetches > 2*n {
+		t.Fatalf("%d REPLICATE requests for %d acked sync writes, want at most 2 a write", fetches, n)
+	}
+
+	const idle = 500 * time.Millisecond
+	time.Sleep(idle)
+	most := int64(pst.Shards() * (int(idle/fetchHold) + 2))
+	if got := m.Load(obs.ReqReplicate) - fetches; got > most {
+		t.Fatalf("an idle follower sent %d REPLICATE requests in %v, want at most %d: caught-up FETCHes are not held", got, idle, most)
+	}
+}
+
 // TestOverTheWire runs the whole stack over real TCP: two serve.Server
 // instances with REPLICATE wired, the default dialed transport, an
 // ordinary client reading the follower, REPLICATE STATUS on both
@@ -622,7 +710,7 @@ func TestOverTheWire(t *testing.T) {
 	ffs := storage.NewMemFS()
 	fst := openStore(t, serve.BackendPBTree, ffs, true, nil)
 	defer fst.Close()
-	fnode, err := New(Config{Store: fst, Primary: paddr, Poll: time.Millisecond, Metrics: obs.NewMetrics(), Logf: t.Logf})
+	fnode, err := New(Config{Store: fst, Primary: paddr, Metrics: obs.NewMetrics(), Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("follower node: %v", err)
 	}

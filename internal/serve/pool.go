@@ -1,8 +1,8 @@
 package serve
 
 // The worker pool (DESIGN.md §15). Requests that can block for
-// milliseconds — PUT, DEL, the scans, REPLICATE — leave their
-// connection's read goroutine for one server-wide bounded pool, so
+// milliseconds — PUT, DEL, the scans — leave their connection's read
+// goroutine for one server-wide bounded pool, so
 // execution concurrency is a constant, max(16, 4 x GOMAXPROCS)
 // workers, instead of conns x window goroutines.
 // Per-connection fairness comes from the window slots, and the pool

@@ -102,33 +102,22 @@ type replInstall struct {
 	data    []byte // core tree stream (the ckpt-*.pbt format)
 }
 
-// snapReq is the special mutation producing an LSN-consistent
-// checkpoint stream of a primary shard (SnapshotShard). The writer
-// goroutine fills the results before signalling done.
-type snapReq struct {
-	lsn  uint64 // out: the LSN the stream covers
-	data []byte // out: core tree stream
-}
-
 // isSpecial reports whether the mutation is a replication operation
 // that must run alone in the shard writer, outside group commit.
 func (m *mutation) isSpecial() bool {
-	return m.repl != nil || m.install != nil || m.snap != nil
+	return m.repl != nil || m.install != nil
 }
 
 // applySpecial runs one replication mutation in the shard writer.
 func (st *Store) applySpecial(sh *shard, m mutation) {
 	var err error
-	switch {
-	case m.snap != nil:
-		err = st.snapshotShard(sh, m.snap)
-	case m.repl != nil:
+	if m.repl != nil {
 		err = st.replicaApply(sh, m.repl)
-	case m.install != nil:
+	} else {
 		err = st.replicaInstall(sh, m.install)
 	}
 	if m.done != nil {
-		m.done <- err
+		m.done <- result{err: err}
 	}
 }
 
@@ -180,7 +169,6 @@ func (st *Store) replicaApply(sh *shard, r *replApply) error {
 	}
 	sh.wal.takeSyncNS()
 	sh.lsn += nrec
-	sh.applied.Store(sh.lsn)
 	sh.noteCommit(nrec, len(r.frames))
 	for _, w := range ws {
 		sh.puts.Add(uint64(len(w.Puts)))
@@ -195,6 +183,10 @@ func (st *Store) replicaApply(sh *shard, r *replApply) error {
 	}); err != nil {
 		sh.setDurErr(err)
 	}
+	// The cursor moves once the records are readable here, not at the
+	// WAL commit: an ack or a STATUS answer never counts a record a
+	// read on this follower cannot see yet.
+	sh.applied.Store(sh.lsn)
 	st.housekeepWAL(sh)
 	return ackErr
 }
@@ -297,24 +289,6 @@ func (st *Store) replicaInstall(sh *shard, r *replInstall) error {
 	return nil
 }
 
-// snapshotShard serializes one shard in the core tree stream (the
-// ckpt-*.pbt format), labeled with the shard's exact current LSN. It
-// runs in the shard writer so no batch is in flight: the stream
-// covers records 1..lsn, nothing more, nothing less. Shard writes
-// queue behind the serialization; checkpoint shipping is the slow
-// path and followers cache the result.
-func (st *Store) snapshotShard(sh *shard, q *snapReq) error {
-	s := sh.be.Snapshot()
-	pairs := s.AppendPairs(make([]core.Pair, 0, s.Count()))
-	s.Release()
-	data, err := core.EncodePairs(st.cfg.Tree, pairs)
-	if err != nil {
-		return err
-	}
-	q.lsn, q.data = sh.lsn, data
-	return nil
-}
-
 // ReplicaApply ships WAL frames into a follower shard: the frames are
 // verified (framing, CRC, LSN contiguity from `from`), persisted
 // verbatim to the follower's own WAL, and applied through the engine
@@ -329,11 +303,11 @@ func (st *Store) ReplicaApply(shard int, epoch, from uint64, frames []byte) erro
 	if err := sh.waitReady(); err != nil {
 		return err
 	}
-	done := make(chan error, 1)
+	done := make(chan result, 1)
 	if err := st.enqueue(sh, mutation{repl: &replApply{epoch: epoch, from: from, frames: frames}, done: done}); err != nil {
 		return err
 	}
-	return <-done
+	return (<-done).err
 }
 
 // ReplicaInstall replaces a follower shard's contents with a shipped
@@ -348,30 +322,30 @@ func (st *Store) ReplicaInstall(shard int, epoch, snapLSN uint64, data []byte) e
 	if err := sh.waitReady(); err != nil {
 		return err
 	}
-	done := make(chan error, 1)
+	done := make(chan result, 1)
 	if err := st.enqueue(sh, mutation{install: &replInstall{epoch: epoch, snapLSN: snapLSN, data: data}, done: done}); err != nil {
 		return err
 	}
-	return <-done
+	return (<-done).err
 }
 
 // SnapshotShard produces an LSN-consistent checkpoint stream of one
-// shard in the core tree stream format, for shipping to a follower
-// whose cursor fell below the retained WAL.
+// shard in the core tree stream format (the ckpt-*.pbt format), for
+// shipping to a follower whose cursor fell below the retained WAL. It
+// pins the published version and encodes it on the caller's
+// goroutine, beside the shard writer: the stream covers exactly the
+// records 1..lsn that version covers.
 func (st *Store) SnapshotShard(shard int) (lsn uint64, data []byte, err error) {
 	sh := st.shards[shard]
 	if err := sh.waitReady(); err != nil {
 		return 0, nil, err
 	}
-	q := &snapReq{}
-	done := make(chan error, 1)
-	if err := st.enqueue(sh, mutation{snap: q, done: done}); err != nil {
-		return 0, nil, err
-	}
-	if err := <-done; err != nil {
-		return 0, nil, err
-	}
-	return q.lsn, q.data, nil
+	s := sh.be.Snapshot()
+	pairs := s.AppendPairs(make([]core.Pair, 0, s.Count()))
+	lsn = s.LSN()
+	s.Release()
+	data, err = core.EncodePairs(st.cfg.Tree, pairs)
+	return lsn, data, err
 }
 
 // WALTail reads raw WAL frames for one shard's records with LSN in
@@ -460,7 +434,7 @@ func (st *Store) WALTail(shard int, after uint64, maxBytes int) ([]byte, uint64,
 }
 
 // ReplicaCursor reports one shard's replication cursor: its durably
-// committed LSN. Lock-free.
+// committed LSN (on a follower, durable and readable). Lock-free.
 func (st *Store) ReplicaCursor(shard int) uint64 {
 	return st.shards[shard].applied.Load()
 }
@@ -561,12 +535,13 @@ func (st *Store) persistEpoch(epoch uint64) error {
 }
 
 // SetCommitGate installs (or, with nil, removes) the synchronous-
-// replication commit gate: a hook called after every durable batch's
-// WAL commit and publication, with the shard index and the batch's
-// last LSN, before the batch is acknowledged. A non-nil return fails
-// the acknowledgement — the write is in the local WAL and visible,
-// but the client is told nothing, the same contract as a crash
-// between commit and ack.
+// replication commit gate: a hook every durable write's caller calls
+// once its shard writer has committed and published the write, with
+// the shard index and the write's LSN, before the write is
+// acknowledged. The shard writer never calls it. A non-nil return
+// fails the acknowledgement — the write is in the local WAL and
+// visible, but the client is told nothing, the same contract as a
+// crash between commit and ack.
 func (st *Store) SetCommitGate(gate func(shard int, lsn uint64) error) {
 	if gate == nil {
 		st.gate.Store(nil)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"pbtree/internal/core"
@@ -94,5 +95,50 @@ func TestWALTailLeavesTmp(t *testing.T) {
 	}
 	if _, err := fs.Open(tmp); err != nil {
 		t.Fatalf("WALTail removed the writer's %s: %v", tmp, err)
+	}
+}
+
+// TestFollowerCursorReadable: a follower's replication cursor never
+// runs ahead of what a read there sees. While single-put frames go
+// through ReplicaApply, a reader checks that the key of the record at
+// ReplicaCursor is readable — the cursor is what STATUS, /replz and a
+// synchronous primary's ack count as applied.
+func TestFollowerCursorReadable(t *testing.T) {
+	for _, be := range []string{BackendPBTree, BackendLSM} {
+		t.Run(be, func(t *testing.T) {
+			st, err := Open(StoreConfig{Shards: 1, Backend: be, Replica: true, Durable: &DurableConfig{FS: NewMemFS()}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.WaitReady(); err != nil {
+				t.Fatal(err)
+			}
+			const n = 20_000
+			var done atomic.Bool
+			stale := make(chan int, 1)
+			go func() {
+				bad := 0
+				for !done.Load() {
+					if c := st.ReplicaCursor(0); c > 0 {
+						if _, ok := st.Get(core.Key(c)); !ok {
+							bad++
+						}
+					}
+				}
+				stale <- bad
+			}()
+			for i := uint64(1); i <= n; i++ {
+				frame := appendWALRecord(nil, i, []core.Pair{{Key: core.Key(i), TID: core.TID(i)}}, nil)
+				if err := st.ReplicaApply(0, st.Epoch(), i, frame); err != nil {
+					done.Store(true)
+					t.Fatal(err)
+				}
+			}
+			done.Store(true)
+			if bad := <-stale; bad > 0 {
+				t.Fatalf("%d reads missed the record at the follower's cursor", bad)
+			}
+		})
 	}
 }

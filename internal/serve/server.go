@@ -49,10 +49,11 @@ type ServerConfig struct {
 }
 
 // ReplHandler answers one decoded REPLICATE exchange. REPLICATE
-// requests bypass admission (replication must make progress exactly
-// when the data plane is saturated) and the op-latency metrics (the
-// follower's poll cadence would pollute the client histograms); they
-// still count in the STATS op table.
+// requests run on the connection's read goroutine and bypass
+// admission (replication must make progress exactly when the data
+// plane is saturated) and the op-latency metrics (a held FETCH would
+// pollute the client histograms); they still count in the STATS op
+// table.
 type ReplHandler interface {
 	// HandleReplicate executes one replication request and returns the
 	// full wire response (so fencing can answer StatusFenced with the
@@ -279,8 +280,8 @@ func (w stallWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// pconn is one connection. Its read goroutine answers GET and MGET
-// itself, everything that can block goes to the worker pool, and both
+// pconn is one connection. Its read goroutine answers GET, MGET and
+// REPLICATE itself, everything else goes to the worker pool, and both
 // complete through the mutex-guarded writer.
 type pconn struct {
 	s      *Server
@@ -365,8 +366,9 @@ func (pc *pconn) reply(id uint32, resp *Response) {
 }
 
 // dispatch routes one frame of a burst: reads queue for the burst's
-// group search, blocking ops go to the pool. It reports false on a
-// frame too short to answer, which is connection-fatal (PROTOCOL.md §5).
+// group search, REPLICATE is answered in place, blocking ops go to the
+// pool. It reports false on a frame too short to answer, which is
+// connection-fatal (PROTOCOL.md §5).
 func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64) bool {
 	s := pc.s
 	if len(frame) < 4 {
@@ -389,6 +391,21 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 	sp.Req = id
 	sp.Add(obs.StageRead, readNS)
 	sp.Mark(obs.StageDecode)
+	if req.Op == OpReplicate {
+		// Answered here, as reads are, never on the pool: a follower's
+		// FETCH is what releases the pool workers that synchronous
+		// writes hold. No REPLICATE waits on a shard writer; a caught-up
+		// FETCH may be held briefly, which delays only this connection
+		// (a follower keeps one per shard), so the reads already in hand
+		// are answered first.
+		pc.runReads(arrived)
+		resp := s.handle(req, arrived, sp, pc.cs)
+		pc.mu.Lock()
+		pc.write(id, resp)
+		pc.unlock()
+		s.lc.drop(sp)
+		return true
+	}
 	if req.Op != OpGet && req.Op != OpMGet {
 		// The slot wait and the pool's queue are attributed to the
 		// admission stage by handle's first Mark. Reads already in hand
@@ -545,12 +562,13 @@ func metricOpOf(op Op) core.OpKind {
 	}
 }
 
-// execute runs a decoded, admitted request against the store on a
-// pool worker; GET and MGET never come here (dispatch answers them
-// through runReads). The scans mark StageExec themselves; write ops are
-// stamped by the shard writers (queue_wait, wal_append, wal_fsync,
-// apply) via the span handed into the store, so execute only advances
-// the clock past the blocking call with Touch.
+// execute runs a decoded, admitted request against the store, on a
+// pool worker or (REPLICATE) the read goroutine; GET and MGET never
+// come here (dispatch answers them through runReads). The scans mark
+// StageExec themselves; write ops are stamped by the shard writers
+// (queue_wait, wal_append, wal_fsync, apply) via the span handed into
+// the store, so execute only advances the clock past the blocking call
+// with Touch.
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
 	case OpScan:
@@ -569,19 +587,11 @@ func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response 
 		return resp
 	case OpPut, OpDel:
 		callStart, stamped0 := obs.Nanotime(), sp.StoreStagesNS()
-		var err error
-		if req.Op == OpPut {
-			err = s.st.putBatch(req.Pairs, sp)
-		} else {
-			for _, k := range req.Keys {
-				if derr := s.st.delete(k, sp); derr != nil && err == nil {
-					err = derr
-				}
-			}
-		}
+		err := s.st.write(nil, req.Pairs, req.Keys, sp)
 		// The shard writers stamped queue/WAL/apply via Add; fold the
 		// unstamped residual of the blocking call (partition setup, ack
-		// wakeup latency) into apply and advance the clock past it.
+		// wakeup latency, a synchronous follower wait) into apply and
+		// advance the clock past it.
 		sp.Add(obs.StageApply, obs.Nanotime()-callStart-(sp.StoreStagesNS()-stamped0))
 		sp.Touch()
 		if errResp := s.writeResult(err); errResp != nil {

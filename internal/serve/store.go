@@ -170,18 +170,18 @@ type Lookup struct {
 
 // mutation is one queued write. A mutation's puts and deletes are
 // applied atomically: they land in the same published snapshot.
-// Exactly one of the replication fields (repl, install, snap) may be
-// set instead of puts/dels/compact; such a mutation runs alone in the
+// Exactly one of the replication fields (repl, install) may be set
+// instead of puts/dels/compact; such a mutation runs alone in the
 // shard writer, outside the group-commit batch (replhooks.go).
 type mutation struct {
 	puts    []core.Pair
 	dels    []core.Key
 	compact bool
-	done    chan error
+	done    chan result
+	lsn     uint64 // writer-owned: the LSN of the mutation's WAL record
 
 	repl    *replApply   // follower: apply shipped WAL frames
 	install *replInstall // follower: install a shipped checkpoint
-	snap    *snapReq     // primary: produce an LSN-consistent checkpoint stream
 
 	// Lifecycle attribution (DESIGN.md §12): when sp is non-nil the
 	// shard writer stamps queue_wait, wal_append, wal_fsync and apply
@@ -191,6 +191,13 @@ type mutation struct {
 	// before it reads the span.
 	sp  *obs.Span
 	enq int64
+}
+
+// result is the shard writer's answer to one mutation: its outcome
+// and the LSN of its WAL record (0 on a store that is not durable).
+type result struct {
+	err error
+	lsn uint64
 }
 
 // shard is one hash partition: a storage engine publishing immutable
@@ -223,13 +230,11 @@ type shard struct {
 
 	// The batch being applied, for ack — the callback the engine gets
 	// on every ApplyBatch, made once per shard: its mutations, whether
-	// any of them is traced, when the apply began and the LSN the batch
-	// reaches.
+	// any of them is traced and when the apply began.
 	ack        func(error)
 	batch      []mutation
 	traced     bool
 	applyStart int64
-	batchLSN   uint64
 
 	durErr atomic.Pointer[string] // last durability error, for Stats
 
@@ -246,9 +251,10 @@ type shard struct {
 	walBacklogBytes atomic.Int64
 
 	// applied is the shard's durably committed LSN, stored after every
-	// WAL group commit (and at recovery). It is the lock-free
-	// replication cursor: what a follower reports upstream, and what
-	// STATUS probes read.
+	// WAL group commit (and at recovery); on a follower, only once the
+	// records are also published, so a read there sees all it covers.
+	// It is the lock-free replication cursor: what a follower reports
+	// upstream, and what STATUS probes read.
 	applied atomic.Uint64
 
 	// lsn0Empty reports that this incarnation's state at LSN 0 was
@@ -318,8 +324,9 @@ type Store struct {
 	manMu    sync.Mutex
 
 	// gate, when non-nil, is the synchronous-replication commit gate:
-	// called after a batch's WAL commit with the shard and its last
-	// LSN, before the batch is acknowledged (SetCommitGate).
+	// called by a writing caller, once the shard writer has answered,
+	// with the shard and the LSN of the caller's WAL record
+	// (SetCommitGate, replicated).
 	gate atomic.Pointer[func(shard int, lsn uint64) error]
 
 	// spare is a closed cursor Scan reuses, so that a scan allocates
@@ -597,11 +604,12 @@ func (st *Store) writer(sh *shard) {
 	}
 }
 
-// ackAll delivers one result to every waiter of a batch.
+// ackAll delivers one outcome to every waiter of a batch, each with
+// its own LSN.
 func ackAll(batch []mutation, err error) {
 	for _, m := range batch {
 		if m.done != nil {
-			m.done <- err
+			m.done <- result{err: err, lsn: m.lsn}
 		}
 	}
 }
@@ -641,12 +649,13 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 	}
 	if sh.wal != nil {
 		walStart := now
-		for _, m := range batch {
+		for i, m := range batch {
 			sh.lsn++
 			// Compact-only mutations log an empty record: every
 			// acknowledged mutation owns an LSN, which keeps published
 			// versions monotonic across restarts.
 			sh.wal.add(sh.lsn, m.puts, m.dels)
+			batch[i].lsn = sh.lsn
 		}
 		staged := len(sh.wal.buf)
 		if err := sh.wal.commit(); err != nil {
@@ -682,7 +691,7 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 	if sh.wal == nil {
 		lsn = sh.version // non-durable: versions double as artifact labels
 	}
-	sh.batch, sh.traced, sh.applyStart, sh.batchLSN = batch, traced, obs.Nanotime(), lsn
+	sh.batch, sh.traced, sh.applyStart = batch, traced, obs.Nanotime()
 	err := sh.be.ApplyBatch(sh.ws, sh.version, lsn, sh.ack)
 	bs := sh.be.Stats()
 	st.cfg.Metrics.Add(obs.SnapBlocksCopied, int64(bs.Copied-sh.copied))
@@ -698,7 +707,8 @@ func (st *Store) applyBatch(sh *shard, batch []mutation) {
 
 // acked runs inside the engine's ApplyBatch, as soon as the batch
 // noted in sh is visible to new readers: it stamps the apply stage and
-// answers every waiter.
+// answers every waiter. The writer moves on; a synchronously
+// replicated write's caller waits for the follower (replicated).
 func (st *Store) acked(sh *shard, ackErr error) {
 	sh.published.Add(1)
 	sh.lastPub.Store(obs.Nanotime())
@@ -708,16 +718,6 @@ func (st *Store) acked(sh *shard, ackErr error) {
 			if m.sp != nil {
 				m.sp.Add(obs.StageApply, d)
 			}
-		}
-	}
-	// Synchronous replication: hold the acknowledgement until a
-	// follower has durably applied through this batch's LSN. The
-	// write is already in the local WAL and published either way —
-	// a gate failure means "not acked", the same contract as a
-	// crash between commit and ack.
-	if ackErr == nil && sh.wal != nil {
-		if gp := st.gate.Load(); gp != nil {
-			ackErr = (*gp)(sh.idx, sh.batchLSN)
 		}
 	}
 	ackAll(sh.batch, ackErr)
@@ -818,7 +818,23 @@ func (st *Store) enqueue(sh *shard, m mutation) error {
 // published (visible to every subsequent read), or ErrOverloaded if
 // the shard's queue is full.
 func (st *Store) Put(k core.Key, tid core.TID) error {
-	return st.put(k, tid, nil)
+	w := waiters.Get().(*waiter)
+	w.pair[0] = core.Pair{Key: k, TID: tid}
+	return st.write(w, w.pair[:], nil, nil)
+}
+
+// Delete removes one key (a no-op if absent), with Put's semantics.
+func (st *Store) Delete(k core.Key) error {
+	w := waiters.Get().(*waiter)
+	w.key[0] = k
+	return st.write(w, nil, w.key[:], nil)
+}
+
+// PutBatch applies all pairs as one atomic unit per shard: pairs that
+// land in the same shard appear in the same published snapshot, so a
+// same-shard MGet sees either none or all of them.
+func (st *Store) PutBatch(pairs []core.Pair) error {
+	return st.write(nil, pairs, nil, nil)
 }
 
 // writable rejects client mutations on a store that must not extend
@@ -835,101 +851,115 @@ func (st *Store) writable() error {
 	return nil
 }
 
-// waiter is what a single-key write waits on: the completion channel
-// and the one-element slice its mutation carries, pooled together so a
-// Put allocates neither. The shard writer is done with the slice
-// before it sends on the channel.
+// waiter is what a write within one shard waits on: the completion
+// channel and the one-element slices Put and Delete hand in, pooled
+// together so neither allocates. The shard writer is done with the
+// slices before it sends on the channel.
 type waiter struct {
-	done chan error
+	done chan result
 	pair [1]core.Pair
 	key  [1]core.Key
 }
 
-var waiters = sync.Pool{New: func() any { return &waiter{done: make(chan error, 1)} }}
+var waiters = sync.Pool{New: func() any { return &waiter{done: make(chan result, 1)} }}
 
-// write enqueues a single-key mutation built on w, counts it on the
-// shard's counter n once it is queued, and waits for the shard
-// writer's answer.
-func (st *Store) write(sh *shard, w *waiter, m mutation, n *atomic.Uint64) error {
+// write applies one request's puts and deletes as one mutation per
+// shard they fall in (atomic per shard, as PutBatch), with an optional
+// lifecycle span for the shard writers to stamp. A request within one
+// shard waits on w (nil takes one from the pool), which goes back to
+// the pool; a wider one fans out. Either way the caller, not the shard
+// writer, then waits for the follower (replicated).
+func (st *Store) write(w *waiter, puts []core.Pair, dels []core.Key, sp *obs.Span) error {
+	if w == nil {
+		w = waiters.Get().(*waiter)
+	}
 	defer waiters.Put(w)
-	m.done = w.done
-	if err := st.enqueue(sh, m); err != nil {
-		return err
-	}
-	n.Add(1)
-	return <-w.done
-}
-
-// put is Put with an optional lifecycle span for the shard writer to
-// stamp.
-func (st *Store) put(k core.Key, tid core.TID, sp *obs.Span) error {
 	if err := st.writable(); err != nil {
 		return err
 	}
-	sh := st.shards[st.ShardOf(k)]
-	w := waiters.Get().(*waiter)
-	w.pair[0] = core.Pair{Key: k, TID: tid}
-	return st.write(sh, w, mutation{puts: w.pair[:], sp: sp}, &sh.puts)
-}
-
-// Delete removes one key (a no-op if absent), with Put's semantics.
-func (st *Store) Delete(k core.Key) error {
-	return st.delete(k, nil)
-}
-
-// delete is Delete with an optional lifecycle span for the shard
-// writer to stamp.
-func (st *Store) delete(k core.Key, sp *obs.Span) error {
-	if err := st.writable(); err != nil {
-		return err
+	home := -1
+	for _, p := range puts {
+		home = st.sameShard(home, p.Key)
 	}
-	sh := st.shards[st.ShardOf(k)]
-	w := waiters.Get().(*waiter)
-	w.key[0] = k
-	return st.write(sh, w, mutation{dels: w.key[:], sp: sp}, &sh.dels)
-}
-
-// PutBatch applies all pairs as one atomic unit per shard: pairs that
-// land in the same shard appear in the same published snapshot, so a
-// same-shard MGet sees either none or all of them.
-func (st *Store) PutBatch(pairs []core.Pair) error {
-	return st.putBatch(pairs, nil)
-}
-
-// putBatch is PutBatch with an optional lifecycle span. A multi-shard
-// batch is stamped by several shard writers concurrently (Span.Add is
-// atomic); the final receive on every done channel orders the stamps
-// before the caller reads the span.
-func (st *Store) putBatch(pairs []core.Pair, sp *obs.Span) error {
-	if err := st.writable(); err != nil {
-		return err
+	for _, k := range dels {
+		home = st.sameShard(home, k)
 	}
-	parts := make(map[int][]core.Pair, len(st.shards))
-	for _, p := range pairs {
-		s := st.ShardOf(p.Key)
-		parts[s] = append(parts[s], p)
-	}
-	dones := make([]chan error, 0, len(parts))
-	for s, ps := range parts {
-		sh := st.shards[s]
-		done := make(chan error, 1)
-		if err := st.enqueue(sh, mutation{puts: ps, done: done, sp: sp}); err != nil {
-			// Abandon the rest: callers treat ErrOverloaded as retry.
-			for _, d := range dones {
-				<-d
-			}
+	if home >= 0 {
+		sh := st.shards[home]
+		if err := st.enqueue(sh, mutation{puts: puts, dels: dels, done: w.done, sp: sp}); err != nil {
 			return err
 		}
-		sh.puts.Add(uint64(len(ps)))
-		dones = append(dones, done)
+		sh.puts.Add(uint64(len(puts)))
+		sh.dels.Add(uint64(len(dels)))
+		return st.replicated(home, <-w.done)
 	}
+	ms := make([]mutation, len(st.shards))
+	for _, p := range puts {
+		m := &ms[st.ShardOf(p.Key)]
+		m.puts = append(m.puts, p)
+	}
+	for _, k := range dels {
+		m := &ms[st.ShardOf(k)]
+		m.dels = append(m.dels, k)
+	}
+	return st.fanOut(ms, sp)
+}
+
+// sameShard folds k into a request's home shard: -1 before the first
+// key, the shard every key so far falls in, or -2 once they differ.
+func (st *Store) sameShard(home int, k core.Key) int {
+	if s := st.ShardOf(k); home == -1 || home == s {
+		return s
+	}
+	return -2
+}
+
+// fanOut enqueues ms[s] to shard s wherever it holds work, then waits
+// for every shard writer and, past the first failure only draining,
+// for the follower. A multi-shard request's span is stamped by several
+// writers concurrently (Span.Add is atomic); the receives order the
+// stamps before the caller reads it.
+func (st *Store) fanOut(ms []mutation, sp *obs.Span) error {
+	dones := make([]chan result, len(ms))
 	var first error
-	for _, d := range dones {
-		if err := <-d; err != nil && first == nil {
-			first = err
+	for s, m := range ms {
+		if len(m.puts) == 0 && len(m.dels) == 0 && !m.compact {
+			continue
+		}
+		sh := st.shards[s]
+		m.done, m.sp = make(chan result, 1), sp
+		if first = st.enqueue(sh, m); first != nil {
+			break // abandon the rest: callers treat ErrOverloaded as retry
+		}
+		sh.puts.Add(uint64(len(m.puts)))
+		sh.dels.Add(uint64(len(m.dels)))
+		dones[s] = m.done
+	}
+	for s, d := range dones {
+		if d == nil {
+			continue
+		}
+		if r := <-d; first == nil {
+			first = st.replicated(s, r)
 		}
 	}
 	return first
+}
+
+// replicated finishes a write the shard writer has answered: on a
+// synchronously replicating primary it waits in the commit gate until
+// a follower has applied the write's LSN. The write is in the local
+// WAL and published either way — a gate failure means "not acked",
+// the same contract as a crash between commit and ack. Whether to wait
+// is read from the configuration, never from writer-owned state.
+func (st *Store) replicated(shard int, r result) error {
+	if r.err != nil || st.cfg.Durable == nil {
+		return r.err
+	}
+	if gp := st.gate.Load(); gp != nil {
+		return (*gp)(shard, r.lsn)
+	}
+	return nil
 }
 
 // Compact asks every shard to restore its engine's read-side layout —
@@ -940,24 +970,11 @@ func (st *Store) Compact() error {
 	if err := st.writable(); err != nil {
 		return err
 	}
-	dones := make([]chan error, 0, len(st.shards))
-	for _, sh := range st.shards {
-		done := make(chan error, 1)
-		if err := st.enqueue(sh, mutation{compact: true, done: done}); err != nil {
-			for _, d := range dones {
-				<-d
-			}
-			return err
-		}
-		dones = append(dones, done)
+	ms := make([]mutation, len(st.shards))
+	for i := range ms {
+		ms[i].compact = true
 	}
-	var first error
-	for _, d := range dones {
-		if err := <-d; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return st.fanOut(ms, nil)
 }
 
 // Get looks up one key against the owning shard's current snapshot.

@@ -199,13 +199,13 @@ func TestStoreBackpressure(t *testing.T) {
 	// its unbuffered done until the test ends, before Close.
 	sh := st.shards[0]
 	published := sh.published.Load()
-	done := make(chan error)
+	done := make(chan result)
 	if err := st.enqueue(sh, mutation{puts: []core.Pair{{Key: 8, TID: 1}}, done: done}); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := <-done; err != nil {
-			t.Error(err)
+		if r := <-done; r.err != nil {
+			t.Error(r.err)
 		}
 	}()
 	// Once the batch is published the writer is in its acknowledgement,
@@ -459,10 +459,11 @@ func TestStoreMGetPaths(t *testing.T) {
 	}
 }
 
-// TestStorePutAllocates: a Put allocates once — the new version of the
-// shard's tree, in the shard writer — and nothing in the caller: the
-// completion channel and the one-element slice are pooled, the ack
-// callback is made once per shard.
+// TestStorePutAllocates: a Put, a Delete and a one-key DEL request each
+// allocate once — the new version of the shard's tree, in the shard
+// writer — and nothing in the caller: the completion channel and the
+// one-element slice are pooled, the ack callback is made once per
+// shard.
 func TestStorePutAllocates(t *testing.T) {
 	st := openTest(t, 10_000, 2)
 	k := core.Key(8)
@@ -481,5 +482,17 @@ func TestStorePutAllocates(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("Delete allocates %v times, want <= 1", n)
+	}
+	// A one-key DEL request takes the same pooled waiter through the
+	// write call that serves every PUT and DEL request.
+	keys := make([]core.Key, 1)
+	if n := testing.AllocsPerRun(200, func() {
+		k -= 8
+		keys[0] = k
+		if err := st.write(nil, nil, keys, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("a one-key DEL request allocates %v times, want <= 1", n)
 	}
 }

@@ -24,7 +24,8 @@
 #     config and its fields, the lifecycle's rate and event caps, the
 #     follower's fetch budget, the WAL's fsync interval and the
 #     server's "-fsync-interval" and "-stages" flags (stage tracing is
-#     always on).
+#     always on), and the follower's poll interval ("DefaultPoll",
+#     "-repl-poll": the primary holds a caught-up FETCH instead).
 set -eu
 
 history='--exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench'
@@ -52,7 +53,7 @@ if [ -n "$stale" ]; then
     exit 1
 fi
 
-stale=$(grep -rnE 'AdmissionConfig|ReadTokens|WriteTokens|ScanRowTokens|RetryAfter(Read|Write|Scan)|SlowPerSec|TraceEvents|MaxFetchBytes|FsyncInterval|(^|[^[:alnum:]_-])-(fsync-interval|stages)([^[:alnum:]_-]|$)' \
+stale=$(grep -rnE 'AdmissionConfig|ReadTokens|WriteTokens|ScanRowTokens|RetryAfter(Read|Write|Scan)|SlowPerSec|TraceEvents|MaxFetchBytes|FsyncInterval|DefaultPoll|(^|[^[:alnum:]_-])-(fsync-interval|stages|repl-poll)([^[:alnum:]_-]|$)' \
     --include='*.go' --include='*.md' --include='*.sh' $history . || true)
 if [ -n "$stale" ]; then
     echo "docs-check: the serving knobs that became constants are history only:" >&2

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Failover smoke test (DESIGN.md §13): boot a synchronous primary and
-# a read replica following it, drive put-heavy load, kill -9 the
-# primary mid-load, promote the replica over the admin plane, and
-# assert that (a) the replica was really following (/replz role),
+# a read replica following it, check that pipelined synchronous writes
+# neither expire nor fail, drive put-heavy load, kill -9 the primary
+# mid-load, promote the replica over the admin plane, and assert that
+# (a) the replica was really following (/replz role),
 # (b) promotion answers with the primary role and a higher epoch,
 # (c) the whole acked key space is served by the new primary
 # (not_found == 0 under a GET-only sweep — synchronous replication
@@ -61,7 +62,7 @@ psrv=$!
 # Follower: same backend, its own directory, pulling from the primary.
 "$tmp/pbtree-server" -addr "$faddr" -admin "$fadmin" -shards 4 \
     -backend "$backend" -data-dir "$tmp/follower" -fsync always \
-    -replica-of "$paddr" -repl-poll 5ms >"$tmp/follower.log" 2>&1 &
+    -replica-of "$paddr" >"$tmp/follower.log" 2>&1 &
 fsrv=$!
 
 # The follower's admin plane is up once /replz answers with the
@@ -92,6 +93,15 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ "$ok" = 1 ] || { echo "smoke-failover: synchronous writes never started flowing"; cat "$tmp/primary.log"; cat "$tmp/follower.log"; exit 1; }
+
+# Pipelined synchronous load: a write waits only for the follower's
+# ack, so 32 calls in flight with a 1 s deadline must all complete.
+"$tmp/pbtree-loadgen" -addr "$paddr" -keys "$keys" -conns 2 -window 16 \
+    -duration 2s -put 50 -get 50 -timeout 1s >"$tmp/sync.json" 2>&1 || true
+expired=$(sed -n 's/^  "deadline_expired": \([0-9]*\),$/\1/p' "$tmp/sync.json")
+errors=$(sed -n 's/^  "errors": \([0-9]*\),$/\1/p' "$tmp/sync.json")
+[ "$expired" = 0 ] && [ "$errors" = 0 ] \
+    || { echo "smoke-failover: pipelined sync load: ${expired:-?} deadlines expired, ${errors:-?} errors:"; cat "$tmp/sync.json"; exit 1; }
 
 # Put-heavy load, then a hard kill mid-load: the moment of failover.
 "$tmp/pbtree-loadgen" -addr "$paddr" -keys "$keys" -conns 4 \
