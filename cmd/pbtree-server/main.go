@@ -3,9 +3,10 @@
 // SCAN / PUT / DEL / STATS; normative spec in PROTOCOL.md).
 // Connections are full-duplex pipelines (every frame carries a request
 // ID): the requests one read delivers (up to the window of 32 that
-// HELLO reports) are a burst whose GETs and MGETs are answered together
-// on the spot, writes and scans run on a worker pool, and responses
-// return in completion order. Admission is per op class, so overload rejects expensive
+// HELLO reports) are a burst, answered by the connection's goroutine
+// before it reads again — its GETs and MGETs together, then its PUTs
+// and DELs once their group commits complete — so responses return out
+// of order. Admission is per op class, so overload rejects expensive
 // scans before cheap point ops.
 //
 // Usage:

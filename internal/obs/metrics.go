@@ -176,10 +176,6 @@ const (
 	AdmRejectsWrite
 	AdmRejectsScan
 
-	PoolBusy
-	PoolQueue
-	PoolTasks
-
 	CursorsOpen
 	CursorsOpened
 	CursorTimeouts
@@ -245,10 +241,6 @@ var counterDefs = [numCounters]counterDef{
 	AdmRejectsRead:   {name: "pbtree_admission_rejects_total", help: "Requests rejected by the admission budget.", label: `class="read"`},
 	AdmRejectsWrite:  {name: "pbtree_admission_rejects_total", label: `class="write"`},
 	AdmRejectsScan:   {name: "pbtree_admission_rejects_total", label: `class="scan"`},
-
-	PoolBusy:  {name: "pbtree_pool_workers_busy", help: "Worker-pool workers executing a request.", gauge: true},
-	PoolQueue: {name: "pbtree_pool_queue_depth", help: "Worker-pool tasks waiting for a worker.", gauge: true},
-	PoolTasks: {name: "pbtree_pool_tasks_total", help: "Worker-pool tasks executed."},
 
 	CursorsOpen:    {name: "pbtree_scan_cursors_open", help: "Streaming-scan cursors currently open.", gauge: true},
 	CursorsOpened:  {name: "pbtree_scan_cursors_opened_total", help: "Streaming-scan cursors ever opened."},

@@ -54,20 +54,20 @@ const (
 	StageWALFsync
 
 	// StageApply is the storage engine applying the mutation batch and
-	// publishing the snapshot that makes it visible, plus the
-	// acknowledgement propagating back to the requesting goroutine
-	// (the requester attributes the unstamped residual of the blocking
-	// store call here — see Span.StoreStagesNS).
+	// publishing the snapshot that makes it visible, up to the shard
+	// writer's acknowledgement.
 	StageApply
+
+	// StageAckWait is a write's wait from its shard writers'
+	// acknowledgement until its connection collects the outcome: behind
+	// the burst's reads and earlier writes, and for a synchronous
+	// follower. It is the write's elapsed time past admission less the
+	// writer-stamped stages (Span.MarkResidual).
+	StageAckWait
 
 	// StageExec is read-path execution: snapshot lookups, the group
 	// search of a burst's GETs and MGETs, scans and merges.
 	StageExec
-
-	// StageRespQueue is the wait of a pool-executed request for its
-	// connection's writer lock: from request completion to its turn to
-	// write.
-	StageRespQueue
 
 	// StageWrite is response encoding plus the connection write (and
 	// the flush, when this response triggered one).
@@ -94,7 +94,7 @@ const (
 // stageNames are the metric label values, in Stage order.
 var stageNames = [NumStages]string{
 	"read", "decode", "admission", "queue_wait",
-	"wal_append", "wal_fsync", "apply", "exec", "resp_queue",
+	"wal_append", "wal_fsync", "apply", "ack_wait", "exec",
 	"write", "other",
 }
 
@@ -160,11 +160,16 @@ func (s *Span) Mark(st Stage) {
 	s.last = now
 }
 
-// Touch advances the clock without attributing the elapsed time to
-// any stage — used after a blocking call whose components were
-// already stamped by another goroutine via Add (the shard writer),
-// so Mark on the next boundary does not double-count them.
-func (s *Span) Touch() { s.last = Nanotime() }
+// MarkResidual attributes to st the time since the previous mark less
+// what the shard writers stamped with Add into the store stages (queue
+// wait, WAL append, WAL fsync, apply) — all of it stamped since that
+// mark, for a write enqueued right after admission — and advances the
+// clock, so no stage counts the writers' time twice.
+func (s *Span) MarkResidual(st Stage) {
+	now := Nanotime()
+	s.Add(st, now-s.last-s.StageNS(StageQueueWait)-s.StageNS(StageWALAppend)-s.StageNS(StageWALFsync)-s.StageNS(StageApply))
+	s.last = now
+}
 
 // Add atomically attributes ns nanoseconds to st without touching the
 // clock. Safe from any goroutine.
@@ -177,18 +182,6 @@ func (s *Span) Add(st Stage, ns int64) {
 // StageNS reads the accumulated nanoseconds of one stage.
 func (s *Span) StageNS(st Stage) int64 {
 	return atomic.LoadInt64(&s.stages[st])
-}
-
-// StoreStagesNS sums the writer-stamped store stages (queue wait, WAL
-// append, WAL fsync, apply). The serving layer samples it around a
-// blocking store call: the call's elapsed time minus the growth of
-// this sum is the coordination residual (ack wakeup latency), which
-// it folds into StageApply so write attribution stays complete.
-func (s *Span) StoreStagesNS() int64 {
-	return atomic.LoadInt64(&s.stages[StageQueueWait]) +
-		atomic.LoadInt64(&s.stages[StageWALAppend]) +
-		atomic.LoadInt64(&s.stages[StageWALFsync]) +
-		atomic.LoadInt64(&s.stages[StageApply])
 }
 
 // StartNS reports the span's Begin timestamp (a Nanotime value).

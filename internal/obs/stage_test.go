@@ -66,7 +66,8 @@ func TestSpanLifecycle(t *testing.T) {
 	sp.Add(StageQueueWait, 1000)
 	sp.Add(StageQueueWait, 500)
 	sp.Add(StageApply, -5) // non-positive adds are dropped
-	sp.Touch()
+	time.Sleep(time.Millisecond)
+	sp.MarkResidual(StageAckWait)
 	sp.Mark(StageWrite)
 	total := sp.Finalize()
 
@@ -79,8 +80,12 @@ func TestSpanLifecycle(t *testing.T) {
 	if total < sp.StageNS(StageDecode)+sp.StageNS(StageWrite) {
 		t.Errorf("total %d below the marked stages", total)
 	}
-	// Other absorbs the Touch gap, never below zero even though the
-	// cross-goroutine adds (1500ns) are not covered by the clock.
+	// The residual mark takes the sleep less the 1500ns stamped from
+	// outside the clock, so nothing is counted twice.
+	if w := sp.StageNS(StageAckWait); w < int64(time.Millisecond)-1500 || w+1500+sp.StageNS(StageDecode)+sp.StageNS(StageWrite) > total {
+		t.Errorf("ack_wait = %d of total %d, want the sleep less the 1500ns stamped", w, total)
+	}
+	// Other never goes below zero.
 	if sp.StageNS(StageOther) < 0 {
 		t.Errorf("other = %d, want >= 0", sp.StageNS(StageOther))
 	}

@@ -54,7 +54,7 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	}
 
 	// A doc may name a family, one of a histogram's series, or a
-	// family prefix ending in "_" (written `pbtree_pool_*`).
+	// family prefix ending in "_" (written `pbtree_repl_*`).
 	named := func(file string) map[string]bool {
 		text, err := os.ReadFile("../../" + file)
 		if err != nil {

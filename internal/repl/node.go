@@ -39,8 +39,8 @@
 // client gets an error while the write stands locally — the same
 // contract as a crash between commit and ack). The writing caller
 // waits in the gate; the shard writer does not, and the FETCH that
-// brings the ack runs on the primary's connection read goroutine, so
-// the follower's round trip is the only wait. With one follower this
+// brings the ack runs on the goroutine of the follower's own connection
+// to the primary, so the follower's round trip is the only wait. With one follower this
 // is strict primary+1 durability; with several it is "at least the
 // fastest follower", so promotion of the most-caught-up follower
 // preserves every acknowledged write.
@@ -272,8 +272,8 @@ func errResp(format string, args ...any) *serve.Response {
 }
 
 // HandleReplicate answers one REPLICATE request (PROTOCOL.md §9). It
-// runs on the server's connection read goroutines and never waits on a
-// shard writer: everything it touches is lock-free, a pinned version,
+// runs on the goroutine of the server connection it came on and never
+// waits on a shard writer: everything it touches is lock-free, a pinned version,
 // or under the node's own mutexes — where a caught-up FETCH is held
 // for up to fetchHold.
 func (n *Node) HandleReplicate(r *serve.ReplReq) *serve.Response {

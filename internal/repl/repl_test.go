@@ -592,12 +592,12 @@ func TestSyncPromotionNeverDualAcks(t *testing.T) {
 }
 
 // TestSyncUnderPipelinedLoad drives a seeded synchronous primary over
-// loopback with twice as many writes in flight as its worker pool has
-// workers (and at least two windows' worth), against a follower that
-// starts at cursor 0. Every write must ack: the FETCH that brings the
-// follower's ack is answered on the connection's read goroutine, not
-// behind pool workers waiting in the gate, and the gate holds the
-// writing caller, not the shard writer. FETCHes stay few per acked
+// loopback with at least 64 writes in flight (two windows' worth at
+// least), against a follower that starts at cursor 0. Every write must
+// ack: the FETCH that brings the follower's ack is answered on its own
+// connection's goroutine, not behind the writing connections waiting
+// in the gate, and the gate holds the writing connection, not the
+// shard writer. FETCHes stay few per acked
 // write, and an idle follower is paced by the primary's held FETCH,
 // not by a spin.
 func TestSyncUnderPipelinedLoad(t *testing.T) {
@@ -639,7 +639,7 @@ func TestSyncUnderPipelinedLoad(t *testing.T) {
 	defer fnode.Close()
 
 	window := int(dialClient(t, psrv.Addr().String()).Window())
-	inflight := max(2*window, 2*psrv.Stats().PoolSize)
+	inflight := max(2*window, 64)
 	clients := make([]*serve.Client, inflight/window)
 	for i := range clients {
 		clients[i] = dialClient(t, psrv.Addr().String())
@@ -725,7 +725,10 @@ func TestOverTheWire(t *testing.T) {
 	defer fsrv.Shutdown(time.Second)
 	faddr := fsrv.Addr().String()
 
-	waitFor(t, 10*time.Second, "wire catch-up", func() bool { return caughtUp(pst, fst) })
+	// Both sides sit at LSN 0 until the follower installs the seeded
+	// primary's bootstrap checkpoints, so catch-up is the LSNs and the
+	// contents agreeing.
+	waitFor(t, 10*time.Second, "wire catch-up", func() bool { return caughtUp(pst, fst) && fst.Len() == pst.Len() })
 
 	// A write through the primary's client reaches the follower, whose
 	// own connection then answers GET, MGET and SCAN and refuses writes.

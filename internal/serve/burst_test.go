@@ -60,8 +60,7 @@ func readResponses(t *testing.T, r io.Reader, n int) map[uint32]*Response {
 
 // TestBurstMixedOps sends 40 GETs, 2 MGETs, a PUT and a SCAN in one
 // TCP write, more than the server's window of 32: every
-// ID must be answered exactly once, with its own payload, whichever
-// goroutine executed it.
+// ID must be answered exactly once, with its own payload.
 func TestBurstMixedOps(t *testing.T) {
 	const n = 5000
 	_, addr := startServer(t, n, ServerConfig{})
@@ -177,8 +176,6 @@ func TestBurstDeadline(t *testing.T) {
 		}
 	}
 	pc.runReads(arrived)
-	pc.mu.Lock()
-	pc.unlock()
 	got := readResponses(t, &out, 2)
 	if got[0].Status != StatusDeadline {
 		t.Fatalf("expired GET answered %+v", got[0])
@@ -188,6 +185,84 @@ func TestBurstDeadline(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Expired != 1 || st.Budgets["read"].InUse != 0 {
 		t.Fatalf("expired = %d, read tokens in use = %d; want 1, 0", st.Expired, st.Budgets["read"].InUse)
+	}
+}
+
+// countingWriter counts the writes a connection makes: each is one
+// flush of its buffered responses.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestBurstReadsBeforeWrites drives one burst of writes followed by
+// reads through the connection's burst loop: every request is
+// answered, every read before any write, and the burst leaves in two
+// writes to the socket — the reads' flush, then the writes' once their
+// shard writers answered — or in one when it has only reads or only
+// writes.
+func TestBurstReadsBeforeWrites(t *testing.T) {
+	srv, _ := startServer(t, 100, ServerConfig{})
+	for _, tc := range []struct{ writes, reads, flushes int }{{3, 5, 2}, {0, 5, 1}, {3, 0, 1}} {
+		var out countingWriter
+		pc := newPconn(srv, &out, 1, nil)
+		var reqs []*Request
+		for i := 0; i < tc.writes; i++ {
+			req := &Request{Op: OpDel, Keys: []core.Key{core.Key(8 * (50 + i))}}
+			if i%2 == 0 { // two pairs, most likely in two shards: a fanned-out write
+				req = &Request{Op: OpPut, Pairs: []core.Pair{{Key: core.Key(1001 + i), TID: 1}, {Key: core.Key(2001 + i), TID: 2}}}
+			}
+			reqs = append(reqs, req)
+		}
+		for i := 0; i < tc.reads; i++ {
+			reqs = append(reqs, &Request{Op: OpGet, Keys: []core.Key{core.Key(8 * (i + 1))}})
+		}
+		arrived := time.Now()
+		for id, req := range reqs {
+			frame, _ := AppendRequest(nil, uint32(id), req)
+			if !pc.dispatch(frame, arrived, obs.Nanotime(), 0) {
+				t.Fatal("well-formed frame reported fatal")
+			}
+		}
+		pc.runReads(arrived)
+		pc.runWrites(arrived)
+		var frame []byte
+		seen := map[uint32]bool{}
+		for len(seen) < len(reqs) {
+			var err error
+			if frame, err = ReadFrame(&out, frame); err != nil {
+				t.Fatalf("%+v: after %d of %d responses: %v", tc, len(seen), len(reqs), err)
+			}
+			id, rs, err := DecodeResponse(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[id] || int(id) >= len(reqs) {
+				t.Fatalf("%+v: response to unknown or answered request %d", tc, id)
+			}
+			seen[id] = true
+			if rs.Status != StatusOK {
+				t.Fatalf("%+v: %s answered %+v", tc, reqs[id].Op, rs)
+			}
+			if reqs[id].Op == OpGet {
+				for w := 0; w < tc.writes; w++ {
+					if seen[uint32(w)] {
+						t.Fatalf("%+v: GET %d answered after write %d", tc, id, w)
+					}
+				}
+			}
+		}
+		if out.writes != tc.flushes {
+			t.Fatalf("%+v: the burst left in %d writes, want %d", tc, out.writes, tc.flushes)
+		}
+		if st := srv.Stats(); st.Budgets["read"].InUse != 0 || st.Budgets["write"].InUse != 0 {
+			t.Fatalf("%+v: tokens in use after the burst: %+v", tc, st.Budgets)
+		}
 	}
 }
 
@@ -242,8 +317,8 @@ func (c *deadConn) Write([]byte) (int, error)          { return 0, io.ErrClosedP
 func (c *deadConn) Close() error                       { c.closed = true; return nil }
 
 // TestStallWriter pins what keeps a peer that stopped reading from
-// pinning pool workers: every write carries a deadline, and a failed
-// one closes the connection so its read loop ends too.
+// holding its connection's goroutine: every write carries a deadline,
+// and a failed one closes the connection so its read loop ends too.
 func TestStallWriter(t *testing.T) {
 	c := &deadConn{}
 	if _, err := (stallWriter{c}).Write([]byte("x")); err == nil {

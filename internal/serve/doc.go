@@ -29,10 +29,12 @@
 //     protocol specified in PROTOCOL.md (GET / MGET / SCAN / PUT /
 //     DEL / STATS / HELLO, and the streaming SCANOPEN / SCANNEXT /
 //     SCANCLOSE). A connection is a full-duplex pipeline: every frame
-//     carries a request ID, the requests one read delivers are a burst
-//     whose GETs and MGETs the connection's read goroutine answers
-//     together while writes and scans run on a worker pool, and
-//     responses are written in completion order, not arrival order.
+//     carries a request ID, and the requests one read delivers are a
+//     burst that the connection's goroutine answers before it reads
+//     again — its GETs and MGETs together with one group search, its
+//     scans in place, then its PUTs and DELs, enqueued to their shard
+//     writers as they arrived and awaited together — so responses are
+//     not written in arrival order.
 //   - Admission control is per op class rather than a flat in-flight
 //     cap: reads (GET/MGET), writes (PUT/DEL) and scans draw from
 //     separate token budgets, with SCAN charged by its requested row

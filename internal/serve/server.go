@@ -9,7 +9,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pbtree/internal/core"
@@ -49,11 +48,11 @@ type ServerConfig struct {
 }
 
 // ReplHandler answers one decoded REPLICATE exchange. REPLICATE
-// requests run on the connection's read goroutine and bypass
-// admission (replication must make progress exactly when the data
-// plane is saturated) and the op-latency metrics (a held FETCH would
-// pollute the client histograms); they still count in the STATS op
-// table.
+// requests run on their connection's goroutine, as every request does,
+// and bypass admission (replication must make progress exactly when
+// the data plane is saturated) and the op-latency metrics (a held
+// FETCH would pollute the client histograms); they still count in the
+// STATS op table.
 type ReplHandler interface {
 	// HandleReplicate executes one replication request and returns the
 	// full wire response (so fencing can answer StatusFenced with the
@@ -61,10 +60,10 @@ type ReplHandler interface {
 	HandleReplicate(r *ReplReq) *Response
 }
 
-// window is the pipeline depth of one connection: the server takes up
-// to this many requests per read burst and keeps up to this many
-// blocking requests (writes, scans) on the worker pool, answering in
-// completion order. HELLO and STATS report it.
+// window is the most frames the server takes from one read: a burst.
+// A connection's goroutine answers its burst before it reads again, so
+// the window is also the most requests of one connection the server
+// holds at once. HELLO and STATS report it.
 const window = 32
 
 // Server serves a Store over TCP with the wire protocol of wire.go
@@ -73,11 +72,9 @@ type Server struct {
 	st  *Store
 	cfg ServerConfig
 
-	ln       net.Listener
-	adm      *admission
-	lc       *lifecycle
-	pool     *workerPool
-	poolSize int // workers executing blocking requests (DESIGN.md §15)
+	ln  net.Listener
+	adm *admission
+	lc  *lifecycle
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -104,8 +101,7 @@ type ServerStats struct {
 	Expired  uint64                 `json:"expired"`      // requests whose deadline passed before execution
 	BadReqs  uint64                 `json:"bad_requests"` // malformed frames answered StatusErr
 	Conns    int                    `json:"conns"`        // currently open connections
-	Window   int                    `json:"window"`       // per-connection pipeline depth
-	PoolSize int                    `json:"pool_size"`    // workers executing blocking requests
+	Window   int                    `json:"window"`       // frames taken per read of a connection
 	Cursors  CursorStats            `json:"cursors"`      // streaming-scan cursor occupancy
 	Budgets  map[string]BudgetStats `json:"budgets"`      // admission occupancy per class
 	Store    StoreStats             `json:"store"`        // per-shard store counters
@@ -131,12 +127,11 @@ type StageStats struct {
 // NewServer wraps a store; call Start to begin listening.
 //
 // Each admission budget lets a healthy server take its steady load
-// without refusing it: reads get 4x the shard count or one window per
-// core (at least two), whichever is larger, so every core can have a
-// full burst in hand; writes get 2x the shard count or one window;
-// scans get 64 Ki rows. The shared worker pool has max(16,
-// 4 x GOMAXPROCS) workers; GET and MGET run on their connection's read
-// goroutine instead (DESIGN.md §8).
+// without refusing it: reads and writes each get 4x the shard count or
+// one window per core (at least two), whichever is larger, so every
+// core can have a full burst of either in hand — a burst's writes hold
+// their tokens until their group commits answer; scans get 64 Ki rows.
+// Every request runs on its connection's goroutine (DESIGN.md §8).
 func NewServer(st *Store, cfg ServerConfig) *Server {
 	if cfg.CursorTimeout <= 0 {
 		cfg.CursorTimeout = 30 * time.Second
@@ -144,16 +139,14 @@ func NewServer(st *Store, cfg ServerConfig) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
-	procs := runtime.GOMAXPROCS(0)
-	reads, writes := max(4*st.Shards(), window*max(2, procs)), max(2*st.Shards(), window)
+	points := max(4*st.Shards(), window*max(2, runtime.GOMAXPROCS(0)))
 	return &Server{
-		st:       st,
-		cfg:      cfg,
-		adm:      newAdmission(reads, writes, 64<<10, cfg.Metrics),
-		lc:       newLifecycle(cfg.Lifecycle, cfg.Metrics),
-		poolSize: max(16, 4*procs),
-		conns:    make(map[net.Conn]struct{}),
-		curSets:  make(map[*connCursors]struct{}),
+		st:      st,
+		cfg:     cfg,
+		adm:     newAdmission(points, points, 64<<10, cfg.Metrics),
+		lc:      newLifecycle(cfg.Lifecycle, cfg.Metrics),
+		conns:   make(map[net.Conn]struct{}),
+		curSets: make(map[*connCursors]struct{}),
 	}
 }
 
@@ -165,7 +158,6 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = time.Now()
-	s.pool = newWorkerPool(s.poolSize, s.cfg.Metrics)
 	s.reaperStop = make(chan struct{})
 	s.wg.Add(1)
 	go s.reapCursors()
@@ -232,7 +224,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		<-done
 		err = errors.Join(err, fmt.Errorf("serve: shutdown forced after %v", timeout))
 	}
-	s.pool.close()
 	err = errors.Join(err, s.lc.closeTrace())
 	return err
 }
@@ -263,8 +254,8 @@ const connBufSize = 8 << 10
 const maxGroupKeys = 4096
 
 // writeStall is how long a peer may accept no response bytes before its
-// connection is dropped. Responses are flushed by whichever goroutine
-// finished them, so a peer that stops reading must not pin pool workers.
+// connection is dropped, so a peer that stops reading cannot hold its
+// connection's goroutine, and the tokens and cursors it holds, for good.
 const writeStall = 10 * time.Second
 
 // stallWriter is a connection whose every write(2) is bounded by
@@ -280,37 +271,30 @@ func (w stallWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// pconn is one connection. Its read goroutine answers GET, MGET and
-// REPLICATE itself, everything else goes to the worker pool, and both
-// complete through the mutex-guarded writer.
+// pconn is one connection, owned by its goroutine: the goroutine
+// answers every request of the connection and is the only writer of
+// its socket. The one hand-off is a write's, to its shard writers.
 type pconn struct {
 	s      *Server
 	cs     *connCursors
 	connID uint64
 
-	// Read-goroutine state: the admitted reads of the burst in hand,
-	// waiting for one group search, and the scratch they reuse.
+	// The burst in hand: the admitted reads waiting for one group
+	// search and the scratch they reuse, and the writes enqueued to
+	// their shard writers, awaited once the reads are answered.
 	reads   []burstRead
 	keys    []core.Key // the reads' keys, concatenated in request order
 	lookups []Lookup   // aligned with keys
 	scratch mgetScratch
+	writes  []burstWrite
 
-	// slots bounds this connection's requests on the worker pool.
-	slots chan struct{}
-
-	mu      sync.Mutex // guards bw, enc, dead
-	bw      *bufio.Writer
-	enc     []byte       // response encoding scratch
-	dead    bool         // a write failed: responses are dropped from here on
-	waiting atomic.Int32 // pool completions queued on mu
+	bw   *bufio.Writer
+	enc  []byte // response encoding scratch
+	dead bool   // a write failed: responses are dropped from here on
 }
 
 func newPconn(s *Server, w io.Writer, connID uint64, cs *connCursors) *pconn {
-	return &pconn{
-		s: s, cs: cs, connID: connID,
-		slots: make(chan struct{}, window),
-		bw:    bufio.NewWriterSize(w, connBufSize),
-	}
+	return &pconn{s: s, cs: cs, connID: connID, bw: bufio.NewWriterSize(w, connBufSize)}
 }
 
 // burstRead is one admitted GET or MGET awaiting its burst's search.
@@ -321,8 +305,16 @@ type burstRead struct {
 	sp    *obs.Span
 }
 
-// write appends one response frame to the connection's buffer. Callers
-// hold pc.mu.
+// burstWrite is one admitted PUT or DEL its shard writers hold.
+type burstWrite struct {
+	id  uint32
+	g   grant
+	p   pending
+	err error // the outcome, once awaited
+	sp  *obs.Span
+}
+
+// write appends one response frame to the connection's buffer.
 func (pc *pconn) write(id uint32, resp *Response) {
 	if pc.dead {
 		return
@@ -335,39 +327,17 @@ func (pc *pconn) write(id uint32, resp *Response) {
 	pc.dead = WriteFrame(pc.bw, payload) != nil
 }
 
-// unlock ends a writer's turn: it flushes unless a pool completion is
-// already queued on the lock, whose own unlock then flushes for both —
-// so responses that finish together share one write(2), and nothing
-// buffered is ever left without a flusher.
-func (pc *pconn) unlock() {
-	if pc.waiting.Load() == 0 && !pc.dead && pc.bw.Buffered() > 0 {
+// flush sends whatever is buffered, in one write(2) when it fits.
+func (pc *pconn) flush() {
+	if !pc.dead && pc.bw.Buffered() > 0 {
 		pc.dead = pc.bw.Flush() != nil
 	}
-	pc.mu.Unlock()
 }
 
-// complete answers a request executed on the worker pool.
-func (pc *pconn) complete(id uint32, resp *Response, sp *obs.Span) {
-	pc.waiting.Add(1)
-	pc.mu.Lock()
-	pc.waiting.Add(-1)
-	sp.Mark(obs.StageRespQueue)
-	pc.write(id, resp)
-	pc.unlock()
-	pc.s.lc.finish(sp)
-}
-
-// reply answers a request from the read goroutine without executing
-// it (malformed, HELLO, refused, expired). The burst's end flushes.
-func (pc *pconn) reply(id uint32, resp *Response) {
-	pc.mu.Lock()
-	pc.write(id, resp)
-	pc.mu.Unlock()
-}
-
-// dispatch routes one frame of a burst: reads queue for the burst's
-// group search, REPLICATE is answered in place, blocking ops go to the
-// pool. It reports false on a frame too short to answer, which is
+// dispatch admits and routes one frame of a burst: reads queue for the
+// burst's group search, writes are enqueued to their shard writers and
+// awaited at the burst's end, everything else runs here and now. It
+// reports false on a frame too short to answer, which is
 // connection-fatal (PROTOCOL.md §5).
 func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64) bool {
 	s := pc.s
@@ -377,12 +347,12 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 	id, req, err := DecodeRequest(frame)
 	if err != nil {
 		s.cfg.Metrics.Add(obs.BadRequests, 1)
-		pc.reply(id, &Response{Status: StatusErr, Err: err.Error()})
+		pc.write(id, &Response{Status: StatusErr, Err: err.Error()})
 		return true
 	}
 	if req.Op == OpHello { // a version check, wherever it appears
 		s.cfg.Metrics.Add(obs.ReqHello, 1)
-		pc.reply(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: window})
+		pc.write(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: window})
 		return true
 	}
 	// Every span of a burst starts when the burst arrived, so the time
@@ -391,52 +361,50 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 	sp.Req = id
 	sp.Add(obs.StageRead, readNS)
 	sp.Mark(obs.StageDecode)
-	if req.Op == OpReplicate {
-		// Answered here, as reads are, never on the pool: a follower's
-		// FETCH is what releases the pool workers that synchronous
-		// writes hold. No REPLICATE waits on a shard writer; a caught-up
-		// FETCH may be held briefly, which delays only this connection
-		// (a follower keeps one per shard), so the reads already in hand
-		// are answered first.
-		pc.runReads(arrived)
-		resp := s.handle(req, arrived, sp, pc.cs)
-		pc.mu.Lock()
+	g, resp := s.begin(req, arrived, sp)
+	if resp != nil {
 		pc.write(id, resp)
-		pc.unlock()
 		s.lc.drop(sp)
 		return true
 	}
-	if req.Op != OpGet && req.Op != OpMGet {
-		// The slot wait and the pool's queue are attributed to the
-		// admission stage by handle's first Mark. Reads already in hand
-		// are answered before waiting for a slot, not after.
-		select {
-		case pc.slots <- struct{}{}:
-		default:
+	switch req.Op {
+	case OpGet, OpMGet:
+		if len(pc.reads) > 0 && len(pc.keys)+len(req.Keys) > maxGroupKeys {
 			pc.runReads(arrived)
-			pc.slots <- struct{}{}
 		}
-		s.pool.submit(poolTask{pc: pc, id: id, req: req, arrived: arrived, sp: sp})
-		return true
+		pc.reads = append(pc.reads, burstRead{id: id, nkeys: len(req.Keys), get: req.Op == OpGet, sp: sp})
+		pc.keys = append(pc.keys, req.Keys...)
+	case OpPut, OpDel:
+		pc.writes = append(pc.writes, burstWrite{id: id, g: g, p: s.st.submit(nil, req.Pairs, req.Keys, sp), sp: sp})
+	default: // SCAN, the streaming-scan ops, STATS, REPLICATE
+		if req.Op == OpReplicate {
+			// A caught-up FETCH may be held briefly, which delays only
+			// this connection (a follower keeps one per shard): the
+			// reads already in hand leave first, the answer right after.
+			pc.runReads(arrived)
+		}
+		start := time.Now()
+		resp := s.execute(req, sp, pc.cs)
+		s.adm.release(g)
+		if sp.Op != core.OpNone {
+			s.cfg.Metrics.Observe(sp.Op, time.Since(start))
+		}
+		pc.write(id, resp)
+		s.lc.finish(sp)
+		if req.Op == OpReplicate {
+			pc.flush()
+		}
 	}
-	if _, resp := s.begin(req, arrived, sp); resp != nil {
-		pc.reply(id, resp)
-		s.lc.drop(sp)
-		return true
-	}
-	if len(pc.reads) > 0 && len(pc.keys)+len(req.Keys) > maxGroupKeys {
-		pc.runReads(arrived)
-	}
-	pc.reads = append(pc.reads, burstRead{id: id, nkeys: len(req.Keys), get: req.Op == OpGet, sp: sp})
-	pc.keys = append(pc.keys, req.Keys...)
 	return true
 }
 
 // runReads executes the queued reads as one pass over the store — keys
 // grouped by shard, one snapshot and one group search per shard — and
-// buffers their responses. Each read held one token since begin.
+// answers them, flushing with them whatever else is buffered. Each
+// read held one token since begin.
 func (pc *pconn) runReads(arrived time.Time) {
 	if len(pc.reads) == 0 {
+		pc.flush()
 		return
 	}
 	s := pc.s
@@ -444,7 +412,6 @@ func (pc *pconn) runReads(arrived time.Time) {
 	s.st.mget(pc.keys, pc.lookups, &pc.scratch)
 	s.adm.release(grant{class: admRead, n: int64(len(pc.reads))})
 	took := time.Since(arrived)
-	pc.mu.Lock()
 	off := 0
 	for _, r := range pc.reads {
 		r.sp.Mark(obs.StageExec)
@@ -455,7 +422,7 @@ func (pc *pconn) runReads(arrived time.Time) {
 		off += r.nkeys
 		pc.write(r.id, &resp)
 	}
-	pc.unlock()
+	pc.flush()
 	for _, r := range pc.reads {
 		s.lc.finish(r.sp)
 		s.cfg.Metrics.Observe(core.OpSearch, took)
@@ -466,12 +433,45 @@ func (pc *pconn) runReads(arrived time.Time) {
 	}
 }
 
+// runWrites awaits the burst's writes in request order, once its reads
+// have left, and answers them in one flush. Each write held one token
+// since begin.
+func (pc *pconn) runWrites(arrived time.Time) {
+	if len(pc.writes) == 0 {
+		return
+	}
+	s := pc.s
+	for i := range pc.writes {
+		w := &pc.writes[i]
+		w.err = s.st.await(w.p)
+		s.adm.release(w.g)
+	}
+	took := time.Since(arrived)
+	for _, w := range pc.writes {
+		w.sp.MarkResidual(obs.StageAckWait)
+		resp := s.writeResult(w.err)
+		if resp == nil {
+			resp = &Response{Status: StatusOK}
+			s.cfg.Metrics.Observe(w.sp.Op, took)
+		} else {
+			w.sp.Op = core.OpNone // rejected/failed: drop unobserved
+		}
+		pc.write(w.id, resp)
+	}
+	pc.flush()
+	for _, w := range pc.writes {
+		s.lc.finish(w.sp)
+	}
+	pc.writes = pc.writes[:0]
+}
+
 // servePipelined runs the request loop one burst at a time: block
 // for a frame, take every further frame the same read delivered (up to
-// window), answer the burst's reads with one group search on this
-// goroutine, flush once, and only then block again. No wait is added to
-// find more work: a lone GET costs one read(2), one write(2) and no
-// goroutine hand-off; a deep pipeline is grouped by its own depth.
+// window), answer the burst's reads with one group search and flush,
+// then await its writes and flush, and only then block again. No wait
+// is added to find more work: a lone GET costs one read(2), one
+// write(2) and no goroutine hand-off; a deep pipeline is grouped by
+// its own depth.
 func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
 	pc := newPconn(s, stallWriter{c}, connID, cs)
 	fr := frameReader{br: bufio.NewReaderSize(c, connBufSize)}
@@ -496,20 +496,12 @@ func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
 			ok = err == nil
 		}
 		pc.runReads(arrived)
-		pc.mu.Lock() // replies buffered since the last flush, if any, leave now
-		pc.unlock()
-	}
-	// Reclaim every slot: this blocks until the pool has answered all
-	// of this connection's requests, so nothing writes to c after the
-	// caller closes it.
-	for i := 0; i < window; i++ {
-		pc.slots <- struct{}{}
+		pc.runWrites(arrived)
 	}
 }
 
-// begin is the gate every request passes before it executes, on
-// either path: admission tokens, deadline, the op counter and the
-// span's op class. A non-nil response (StatusRetry, StatusDeadline)
+// begin is the gate every request passes before it executes:
+// admission tokens, deadline, the op counter and the span's op class. A non-nil response (StatusRetry, StatusDeadline)
 // ends the request there with no tokens held; such a request leaves
 // the span's Op at OpNone so it is dropped unobserved.
 func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *Response) {
@@ -531,21 +523,6 @@ func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *R
 	return g, nil
 }
 
-// handle admits and executes one decoded request, holding its tokens
-// until the response is ready. cs is the owning connection's
-// streaming-scan cursor set.
-func (s *Server) handle(req *Request, arrived time.Time, sp *obs.Span, cs *connCursors) *Response {
-	g, resp := s.begin(req, arrived, sp)
-	if resp != nil {
-		return resp
-	}
-	defer s.adm.release(g)
-	if req.Op != OpReplicate {
-		defer s.cfg.Metrics.Time(metricOpOf(req.Op))()
-	}
-	return s.execute(req, sp, cs)
-}
-
 // metricOpOf maps wire ops onto the index-operation metrics. The
 // streaming-scan ops record as OpScan: each SCANNEXT is one scan-class
 // unit of work in the histograms.
@@ -562,13 +539,8 @@ func metricOpOf(op Op) core.OpKind {
 	}
 }
 
-// execute runs a decoded, admitted request against the store, on a
-// pool worker or (REPLICATE) the read goroutine; GET and MGET never
-// come here (dispatch answers them through runReads). The scans mark
-// StageExec themselves; write ops are stamped by the shard writers
-// (queue_wait, wal_append, wal_fsync, apply) via the span handed into
-// the store, so execute only advances the clock past the blocking call
-// with Touch.
+// execute runs an admitted request that neither reads a point nor
+// writes: the scans, STATS and REPLICATE. The scans mark StageExec.
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
 	case OpScan:
@@ -585,20 +557,6 @@ func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response 
 		resp := s.executeScan(req, cs)
 		sp.Mark(obs.StageExec)
 		return resp
-	case OpPut, OpDel:
-		callStart, stamped0 := obs.Nanotime(), sp.StoreStagesNS()
-		err := s.st.write(nil, req.Pairs, req.Keys, sp)
-		// The shard writers stamped queue/WAL/apply via Add; fold the
-		// unstamped residual of the blocking call (partition setup, ack
-		// wakeup latency, a synchronous follower wait) into apply and
-		// advance the clock past it.
-		sp.Add(obs.StageApply, obs.Nanotime()-callStart-(sp.StoreStagesNS()-stamped0))
-		sp.Touch()
-		if errResp := s.writeResult(err); errResp != nil {
-			sp.Op = core.OpNone // rejected/failed: drop unobserved
-			return errResp
-		}
-		return &Response{Status: StatusOK}
 	case OpStats:
 		blob, err := json.Marshal(s.Stats())
 		if err != nil {
@@ -676,7 +634,6 @@ func (s *Server) Stats() ServerStats {
 		BadReqs:     uint64(m.Load(obs.BadRequests)),
 		Conns:       nconns,
 		Window:      window,
-		PoolSize:    s.poolSize,
 		Cursors:     s.cursorStats(),
 		Budgets:     s.adm.stats(),
 		Store:       s.st.Stats(),

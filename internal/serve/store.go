@@ -332,6 +332,9 @@ type Store struct {
 	// spare is a closed cursor Scan reuses, so that a scan allocates
 	// only its result; a Scan that finds it taken makes its own.
 	spare atomic.Pointer[StoreCursor]
+
+	// waiters is the free list of one-shard writes' waiters (getWaiter).
+	waiters chan *waiter
 }
 
 // Open builds a store from the given pairs (sorted by key, no
@@ -348,7 +351,7 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	st := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards), waiters: make(chan *waiter, 8*window)}
 
 	// Partition the (sorted) pairs; each partition stays sorted. The
 	// seed is as large as a shard's tree, so a part is sized by a
@@ -818,23 +821,23 @@ func (st *Store) enqueue(sh *shard, m mutation) error {
 // published (visible to every subsequent read), or ErrOverloaded if
 // the shard's queue is full.
 func (st *Store) Put(k core.Key, tid core.TID) error {
-	w := waiters.Get().(*waiter)
+	w := st.getWaiter()
 	w.pair[0] = core.Pair{Key: k, TID: tid}
-	return st.write(w, w.pair[:], nil, nil)
+	return st.await(st.submit(w, w.pair[:], nil, nil))
 }
 
 // Delete removes one key (a no-op if absent), with Put's semantics.
 func (st *Store) Delete(k core.Key) error {
-	w := waiters.Get().(*waiter)
+	w := st.getWaiter()
 	w.key[0] = k
-	return st.write(w, nil, w.key[:], nil)
+	return st.await(st.submit(w, nil, w.key[:], nil))
 }
 
 // PutBatch applies all pairs as one atomic unit per shard: pairs that
 // land in the same shard appear in the same published snapshot, so a
 // same-shard MGet sees either none or all of them.
 func (st *Store) PutBatch(pairs []core.Pair) error {
-	return st.write(nil, pairs, nil, nil)
+	return st.await(st.submit(nil, pairs, nil, nil))
 }
 
 // writable rejects client mutations on a store that must not extend
@@ -852,7 +855,7 @@ func (st *Store) writable() error {
 }
 
 // waiter is what a write within one shard waits on: the completion
-// channel and the one-element slices Put and Delete hand in, pooled
+// channel and the one-element slices Put and Delete hand in, reused
 // together so neither allocates. The shard writer is done with the
 // slices before it sends on the channel.
 type waiter struct {
@@ -861,21 +864,47 @@ type waiter struct {
 	key  [1]core.Key
 }
 
-var waiters = sync.Pool{New: func() any { return &waiter{done: make(chan result, 1)} }}
-
-// write applies one request's puts and deletes as one mutation per
-// shard they fall in (atomic per shard, as PutBatch), with an optional
-// lifecycle span for the shard writers to stamp. A request within one
-// shard waits on w (nil takes one from the pool), which goes back to
-// the pool; a wider one fans out. Either way the caller, not the shard
-// writer, then waits for the follower (replicated).
-func (st *Store) write(w *waiter, puts []core.Pair, dels []core.Key, sp *obs.Span) error {
-	if w == nil {
-		w = waiters.Get().(*waiter)
+// getWaiter takes a waiter from the store's free list, or makes one.
+// The list is a channel rather than a sync.Pool so that a waiter handed
+// back is the next one taken, whatever the garbage collector or the
+// race detector did in between; it holds eight connections' full
+// bursts of writes.
+func (st *Store) getWaiter() *waiter {
+	select {
+	case w := <-st.waiters:
+		return w
+	default:
+		return &waiter{done: make(chan result, 1)}
 	}
-	defer waiters.Put(w)
+}
+
+// putWaiter hands a waiter back, dropping it when the list is full.
+func (st *Store) putWaiter(w *waiter) {
+	select {
+	case st.waiters <- w:
+	default:
+	}
+}
+
+// pending is a write its shard writers hold: the waiter of a write
+// within one shard, or one channel per shard of a wider one (nil where
+// the shard got no work). err is what stopped the submission; nothing
+// past it was enqueued.
+type pending struct {
+	w     *waiter
+	shard int
+	dones []chan result
+	err   error
+}
+
+// submit enqueues one request's puts and deletes as one mutation per
+// shard they fall in (atomic per shard, as PutBatch), with an optional
+// lifecycle span for the shard writers to stamp, and returns without
+// waiting. A write within one shard waits on w (nil takes one from the
+// free list); a wider one fans out. await collects the outcome.
+func (st *Store) submit(w *waiter, puts []core.Pair, dels []core.Key, sp *obs.Span) pending {
 	if err := st.writable(); err != nil {
-		return err
+		return pending{w: w, err: err}
 	}
 	home := -1
 	for _, p := range puts {
@@ -884,25 +913,28 @@ func (st *Store) write(w *waiter, puts []core.Pair, dels []core.Key, sp *obs.Spa
 	for _, k := range dels {
 		home = st.sameShard(home, k)
 	}
-	if home >= 0 {
-		sh := st.shards[home]
-		if err := st.enqueue(sh, mutation{puts: puts, dels: dels, done: w.done, sp: sp}); err != nil {
-			return err
+	if home < 0 {
+		ms := make([]mutation, len(st.shards))
+		for _, p := range puts {
+			m := &ms[st.ShardOf(p.Key)]
+			m.puts = append(m.puts, p)
 		}
-		sh.puts.Add(uint64(len(puts)))
-		sh.dels.Add(uint64(len(dels)))
-		return st.replicated(home, <-w.done)
+		for _, k := range dels {
+			m := &ms[st.ShardOf(k)]
+			m.dels = append(m.dels, k)
+		}
+		return st.fanOut(ms, sp)
 	}
-	ms := make([]mutation, len(st.shards))
-	for _, p := range puts {
-		m := &ms[st.ShardOf(p.Key)]
-		m.puts = append(m.puts, p)
+	if w == nil {
+		w = st.getWaiter()
 	}
-	for _, k := range dels {
-		m := &ms[st.ShardOf(k)]
-		m.dels = append(m.dels, k)
+	sh := st.shards[home]
+	if err := st.enqueue(sh, mutation{puts: puts, dels: dels, done: w.done, sp: sp}); err != nil {
+		return pending{w: w, err: err}
 	}
-	return st.fanOut(ms, sp)
+	sh.puts.Add(uint64(len(puts)))
+	sh.dels.Add(uint64(len(dels)))
+	return pending{w: w, shard: home}
 }
 
 // sameShard folds k into a request's home shard: -1 before the first
@@ -914,28 +946,45 @@ func (st *Store) sameShard(home int, k core.Key) int {
 	return -2
 }
 
-// fanOut enqueues ms[s] to shard s wherever it holds work, then waits
-// for every shard writer and, past the first failure only draining,
-// for the follower. A multi-shard request's span is stamped by several
-// writers concurrently (Span.Add is atomic); the receives order the
-// stamps before the caller reads it.
-func (st *Store) fanOut(ms []mutation, sp *obs.Span) error {
-	dones := make([]chan result, len(ms))
-	var first error
+// fanOut enqueues ms[s] to shard s wherever it holds work. A
+// multi-shard request's span is stamped by several writers
+// concurrently (Span.Add is atomic); await's receives order the stamps
+// before the caller reads it.
+func (st *Store) fanOut(ms []mutation, sp *obs.Span) pending {
+	p := pending{dones: make([]chan result, len(ms))}
 	for s, m := range ms {
 		if len(m.puts) == 0 && len(m.dels) == 0 && !m.compact {
 			continue
 		}
 		sh := st.shards[s]
 		m.done, m.sp = make(chan result, 1), sp
-		if first = st.enqueue(sh, m); first != nil {
+		if p.err = st.enqueue(sh, m); p.err != nil {
 			break // abandon the rest: callers treat ErrOverloaded as retry
 		}
 		sh.puts.Add(uint64(len(m.puts)))
 		sh.dels.Add(uint64(len(m.dels)))
-		dones[s] = m.done
+		p.dones[s] = m.done
 	}
-	for s, d := range dones {
+	return p
+}
+
+// await waits for every shard writer a submitted write reached and,
+// past the first failure only draining, for the follower (replicated):
+// the caller, not the shard writer, waits for replication. A
+// one-shard write's waiter goes back to the free list.
+func (st *Store) await(p pending) error {
+	if p.dones == nil {
+		if p.w == nil { // refused before it took a waiter
+			return p.err
+		}
+		defer st.putWaiter(p.w)
+		if p.err != nil {
+			return p.err
+		}
+		return st.replicated(p.shard, <-p.w.done)
+	}
+	first := p.err
+	for s, d := range p.dones {
 		if d == nil {
 			continue
 		}
@@ -974,7 +1023,7 @@ func (st *Store) Compact() error {
 	for i := range ms {
 		ms[i].compact = true
 	}
-	return st.fanOut(ms, nil)
+	return st.await(st.fanOut(ms, nil))
 }
 
 // Get looks up one key against the owning shard's current snapshot.

@@ -462,8 +462,8 @@ func TestStoreMGetPaths(t *testing.T) {
 // TestStorePutAllocates: a Put, a Delete and a one-key DEL request each
 // allocate once — the new version of the shard's tree, in the shard
 // writer — and nothing in the caller: the completion channel and the
-// one-element slice are pooled, the ack callback is made once per
-// shard.
+// one-element slice come from the waiter free list, the ack callback
+// is made once per shard.
 func TestStorePutAllocates(t *testing.T) {
 	st := openTest(t, 10_000, 2)
 	k := core.Key(8)
@@ -483,13 +483,13 @@ func TestStorePutAllocates(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("Delete allocates %v times, want <= 1", n)
 	}
-	// A one-key DEL request takes the same pooled waiter through the
-	// write call that serves every PUT and DEL request.
+	// A one-key DEL request takes a waiter from the same free list
+	// through the submit and await that serve every PUT and DEL request.
 	keys := make([]core.Key, 1)
 	if n := testing.AllocsPerRun(200, func() {
 		k -= 8
 		keys[0] = k
-		if err := st.write(nil, nil, keys, nil); err != nil {
+		if err := st.await(st.submit(nil, nil, keys, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {

@@ -1,6 +1,6 @@
 package serve
 
-// Tests for the streaming-scan ops and the pool data plane: end-to-end
+// Tests for the streaming-scan ops and their STATS surface: end-to-end
 // cursor correctness, snapshot isolation under interleaved writes on
 // one pipelined connection (run with -race), idle-cursor reclamation,
 // and the per-chunk admission contract — a stream of 100k+ rows
@@ -10,7 +10,6 @@ package serve
 import (
 	"errors"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -360,9 +359,9 @@ func TestStreamScanRetryBounded(t *testing.T) {
 	}
 }
 
-// TestPoolPlaneStats pins the STATS surface of the worker pool: the
-// pool_size field and the cursor table are reported.
-func TestPoolPlaneStats(t *testing.T) {
+// TestCursorPlaneStats pins the STATS surface of a connection's
+// pipeline: the window and the cursor table are reported.
+func TestCursorPlaneStats(t *testing.T) {
 	const n = 100
 	srv, addr := startServer(t, n, ServerConfig{})
 	cl, err := Dial(addr)
@@ -375,8 +374,8 @@ func TestPoolPlaneStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := srv.Stats()
-	if want := max(16, 4*runtime.GOMAXPROCS(0)); ss.PoolSize != want {
-		t.Fatalf("stats pool size = %d, want %d", ss.PoolSize, want)
+	if ss.Window != window {
+		t.Fatalf("stats window = %d, want %d", ss.Window, window)
 	}
 	if ss.Cursors.MaxConn != maxConnCursors {
 		t.Fatalf("stats cursor cap = %d, want %d", ss.Cursors.MaxConn, maxConnCursors)

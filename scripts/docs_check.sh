@@ -26,6 +26,9 @@
 #     server's "-fsync-interval" and "-stages" flags (stage tracing is
 #     always on), and the follower's poll interval ("DefaultPoll",
 #     "-repl-poll": the primary holds a caught-up FETCH instead).
+#     And the deleted worker pool ("workerPool", STATS "pool_size",
+#     the "pbtree_pool_" metric families, the "resp_queue" stage): one
+#     goroutine answers a connection.
 set -eu
 
 history='--exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench'
@@ -57,6 +60,14 @@ stale=$(grep -rnE 'AdmissionConfig|ReadTokens|WriteTokens|ScanRowTokens|RetryAft
     --include='*.go' --include='*.md' --include='*.sh' $history . || true)
 if [ -n "$stale" ]; then
     echo "docs-check: the serving knobs that became constants are history only:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
+stale=$(grep -rnE 'workerPool|pool_size|pbtree_pool_|resp_queue' \
+    --include='*.go' --include='*.md' --include='*.sh' $history . || true)
+if [ -n "$stale" ]; then
+    echo "docs-check: the worker pool is history only:" >&2
     echo "$stale" >&2
     exit 1
 fi
