@@ -6,8 +6,8 @@
 // HELLO reports) are a burst, answered by the connection's goroutine
 // before it reads again — its GETs and MGETs together, then its PUTs
 // and DELs once their group commits complete — so responses return out
-// of order. Admission is per op class, so overload rejects expensive
-// scans before cheap point ops.
+// of order. There is no admission control: the window bounds what a
+// connection holds, and a SCAN asks for at most one chunk of rows.
 //
 // Usage:
 //
@@ -24,7 +24,7 @@
 //
 // -admin mounts the operational HTTP plane on a second address:
 // /metrics (Prometheus text format: per-op and per-stage latency
-// histograms, admission and durability counters, per-shard gauges),
+// histograms, request and durability counters, per-shard gauges),
 // /healthz (503 until every shard has recovered), /statsz (the STATS
 // payload as JSON, read from the same cells as /metrics) and
 // /debug/pprof. The per-stage request-lifecycle histograms are always

@@ -163,19 +163,6 @@ const (
 	Expired
 	BadRequests
 
-	// Admission budgets, three rows each in the serving layer's class
-	// order: the cell of class c is AdmCapacityRead + Counter(c), and
-	// so on.
-	AdmCapacityRead
-	AdmCapacityWrite
-	AdmCapacityScan
-	AdmInUseRead
-	AdmInUseWrite
-	AdmInUseScan
-	AdmRejectsRead
-	AdmRejectsWrite
-	AdmRejectsScan
-
 	CursorsOpen
 	CursorsOpened
 	CursorTimeouts
@@ -216,7 +203,7 @@ type counterDef struct {
 // counterDefs declares every counter and gauge of the registry once.
 // Rows of one labelled family are adjacent.
 var counterDefs = [numCounters]counterDef{
-	ReqGet:       {name: "pbtree_requests_total", help: "Requests past the admission gate, by wire op.", label: `op="get"`},
+	ReqGet:       {name: "pbtree_requests_total", help: "Requests past the deadline check, by wire op.", label: `op="get"`},
 	ReqMGet:      {name: "pbtree_requests_total", label: `op="mget"`},
 	ReqScan:      {name: "pbtree_requests_total", label: `op="scan"`},
 	ReqPut:       {name: "pbtree_requests_total", label: `op="put"`},
@@ -228,19 +215,9 @@ var counterDefs = [numCounters]counterDef{
 	ReqScanNext:  {name: "pbtree_requests_total", label: `op="scannext"`},
 	ReqScanClose: {name: "pbtree_requests_total", label: `op="scanclose"`},
 
-	Rejected:    {name: "pbtree_rejected_total", help: "Requests answered with a retry hint (admission budget, cursor cap or shard queue full)."},
+	Rejected:    {name: "pbtree_rejected_total", help: "Requests answered with a retry hint (shard queue full or cursor cap)."},
 	Expired:     {name: "pbtree_expired_total", help: "Requests whose deadline passed before execution."},
 	BadRequests: {name: "pbtree_bad_requests_total", help: "Malformed request frames."},
-
-	AdmCapacityRead:  {name: "pbtree_admission_capacity", help: "Configured admission token budget.", gauge: true, label: `class="read"`},
-	AdmCapacityWrite: {name: "pbtree_admission_capacity", gauge: true, label: `class="write"`},
-	AdmCapacityScan:  {name: "pbtree_admission_capacity", gauge: true, label: `class="scan"`},
-	AdmInUseRead:     {name: "pbtree_admission_tokens_in_use", help: "Admission tokens currently held.", gauge: true, label: `class="read"`},
-	AdmInUseWrite:    {name: "pbtree_admission_tokens_in_use", gauge: true, label: `class="write"`},
-	AdmInUseScan:     {name: "pbtree_admission_tokens_in_use", gauge: true, label: `class="scan"`},
-	AdmRejectsRead:   {name: "pbtree_admission_rejects_total", help: "Requests rejected by the admission budget.", label: `class="read"`},
-	AdmRejectsWrite:  {name: "pbtree_admission_rejects_total", label: `class="write"`},
-	AdmRejectsScan:   {name: "pbtree_admission_rejects_total", label: `class="scan"`},
 
 	CursorsOpen:    {name: "pbtree_scan_cursors_open", help: "Streaming-scan cursors currently open.", gauge: true},
 	CursorsOpened:  {name: "pbtree_scan_cursors_opened_total", help: "Streaming-scan cursors ever opened."},
@@ -308,16 +285,6 @@ func (m *Metrics) Load(c Counter) int64 {
 		return 0
 	}
 	return m.cells[c].Load()
-}
-
-// Cell exposes a cell for callers that need more than Add — the
-// admission budget's compare-and-swap runs on the gauge /metrics
-// prints. A nil registry hands out a detached cell.
-func (m *Metrics) Cell(c Counter) *atomic.Int64 {
-	if m == nil {
-		return new(atomic.Int64)
-	}
-	return &m.cells[c]
 }
 
 // Checkpoint records one checkpoint attempt: the time it took, and

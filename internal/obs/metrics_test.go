@@ -199,11 +199,11 @@ func parseExposition(t *testing.T, body string) (order []string, typ map[string]
 
 // parentFamilies is every family internal/obs exposed before the
 // counters moved into one table: nothing may disappear from /metrics
-// but the worker pool's three families, deleted with the pool.
+// but the worker pool's and the admission budgets' three families each,
+// deleted with the pool and the budgets.
 var parentFamilies = []string{
 	"pbtree_op_latency_seconds", "pbtree_stage_latency_seconds", "pbtree_request_latency_seconds",
 	"pbtree_ops_total",
-	"pbtree_admission_capacity", "pbtree_admission_tokens_in_use", "pbtree_admission_rejects_total",
 	"pbtree_wal_appends_total", "pbtree_wal_bytes_total", "pbtree_fsyncs_total",
 	"pbtree_checkpoints_total", "pbtree_checkpoint_errors_total", "pbtree_wal_replayed_records_total",
 	"pbtree_recoveries_total", "pbtree_recovery_ms_total",
@@ -290,7 +290,7 @@ func TestValuesView(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Values(pbtree_repl_) = %v, want %v", got, want)
 	}
-	if v := m.Values("pbtree_admission_"); len(v) != 9 || v[`capacity{class="scan"}`] != 0 {
+	if v := m.Values("pbtree_requests"); len(v) != 11 || v[`{op="scan"}`] != 0 {
 		t.Errorf("labelled rows must keep distinct keys: %v", v)
 	}
 }
@@ -306,7 +306,6 @@ func TestNilMetricsSafe(t *testing.T) {
 	for name, call := range map[string]func(){
 		"Add":         func() { m.Add(Rejected, 1) },
 		"Set":         func() { m.Set(CursorsOpen, 1) },
-		"Cell":        func() { m.Cell(AdmInUseRead).Add(1) },
 		"Checkpoint":  func() { m.Checkpoint(24, time.Millisecond, nil); m.Checkpoint(0, time.Millisecond, io.EOF) },
 		"Observe":     func() { m.Observe(core.OpSearch, time.Microsecond) },
 		"Time":        func() { m.Time(core.OpScan)() },
@@ -320,7 +319,7 @@ func TestNilMetricsSafe(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) { call() }) // a nil dereference panics the subtest
 	}
-	if m.Load(Rejected) != 0 || m.Cell(AdmInUseRead).Load() != 0 || len(m.Values("pbtree_")) != int(numCounters) {
+	if m.Load(Rejected) != 0 || len(m.Values("pbtree_")) != int(numCounters) {
 		t.Error("a nil registry must read as empty")
 	}
 	if s := m.Snapshot(core.OpSearch); s.Count != 0 {

@@ -7,7 +7,7 @@ package obs
 // simulator side does that in cycles (Collector, the per-level stall
 // tables); this file does it one layer up, in wall-clock nanoseconds,
 // for the serving pipeline: every request carries a Span that is
-// stamped at fixed pipeline stages (decode, admission,
+// stamped at fixed pipeline stages (burst wait, decode,
 // shard-queue wait, WAL append, WAL fsync, backend apply, ...), and
 // the per-stage deltas feed per-stage × per-op-class Histograms in
 // Metrics. The instrumentation is allocation-free past the pooled
@@ -35,12 +35,13 @@ const (
 	// request's server-side total and the attribution table.
 	StageRead Stage = iota
 
+	// StageBurstWait is the time from the arrival of a request's burst
+	// until its connection's goroutine takes up its frame: the wait
+	// behind the frames of the burst dispatched before it.
+	StageBurstWait
+
 	// StageDecode is wire-frame decoding.
 	StageDecode
-
-	// StageAdmission is the admission-control gate (token acquisition;
-	// with the lock-free budgets this measures CAS contention).
-	StageAdmission
 
 	// StageQueueWait is the time a mutation sat in its shard's
 	// mutation queue before the shard writer picked it up.
@@ -61,7 +62,7 @@ const (
 	// StageAckWait is a write's wait from its shard writers'
 	// acknowledgement until its connection collects the outcome: behind
 	// the burst's reads and earlier writes, and for a synchronous
-	// follower. It is the write's elapsed time past admission less the
+	// follower. It is the write's elapsed time past decoding less the
 	// writer-stamped stages (Span.MarkResidual).
 	StageAckWait
 
@@ -93,7 +94,7 @@ const (
 
 // stageNames are the metric label values, in Stage order.
 var stageNames = [NumStages]string{
-	"read", "decode", "admission", "queue_wait",
+	"read", "burst_wait", "decode", "queue_wait",
 	"wal_append", "wal_fsync", "apply", "ack_wait", "exec",
 	"write", "other",
 }
@@ -163,7 +164,7 @@ func (s *Span) Mark(st Stage) {
 // MarkResidual attributes to st the time since the previous mark less
 // what the shard writers stamped with Add into the store stages (queue
 // wait, WAL append, WAL fsync, apply) — all of it stamped since that
-// mark, for a write enqueued right after admission — and advances the
+// mark, for a write enqueued right after decoding — and advances the
 // clock, so no stage counts the writers' time twice.
 func (s *Span) MarkResidual(st Stage) {
 	now := Nanotime()
@@ -194,7 +195,7 @@ func (s *Span) StartNS() int64 { return s.start }
 func (s *Span) Finalize() int64 {
 	total := s.last - s.start
 	var named int64
-	for st := StageDecode; st < StageOther; st++ {
+	for st := StageBurstWait; st < StageOther; st++ {
 		named += atomic.LoadInt64(&s.stages[st])
 	}
 	if other := total - named; other > 0 {

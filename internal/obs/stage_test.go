@@ -113,6 +113,23 @@ func TestSpanOtherClamp(t *testing.T) {
 	}
 }
 
+// TestFinalizeNamesBurstWait pins that a request's wait behind its
+// burst is a named stage: Finalize leaves none of it in Other.
+func TestFinalizeNamesBurstWait(t *testing.T) {
+	var sp Span
+	sp.Begin(Nanotime())
+	time.Sleep(2 * time.Millisecond)
+	sp.Mark(StageBurstWait)
+	sp.Mark(StageDecode)
+	total := sp.Finalize()
+	if w := sp.StageNS(StageBurstWait); w < int64(2*time.Millisecond) || w > total {
+		t.Errorf("burst_wait = %d of total %d, want the 2ms sleep", w, total)
+	}
+	if other := sp.StageNS(StageOther); other > int64(time.Millisecond) {
+		t.Errorf("other = %d: Finalize counted burst_wait as unattributed", other)
+	}
+}
+
 func TestObserveSpanSkipsOpNone(t *testing.T) {
 	m := NewMetrics()
 	var sp Span

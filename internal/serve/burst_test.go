@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -128,39 +129,66 @@ func TestBurstMixedOps(t *testing.T) {
 	}
 }
 
-// TestBurstAdmissionPerRequest pins that a burst is admitted request
-// by request: with four read tokens, a burst of ten GETs answers four
-// and refuses six, and the tokens are back once it is answered.
-func TestBurstAdmissionPerRequest(t *testing.T) {
-	metrics := obs.NewMetrics()
-	_, addr := startServer(t, 100, ServerConfig{Metrics: metrics}, withBudgets(4, 0, 0))
-	c := dialRaw(t, addr)
-	var buf []byte
-	for id := uint32(1); id <= 10; id++ {
-		buf = appendFrame(t, buf, id, &Request{Op: OpGet, Keys: []core.Key{core.Key(8 * id)}})
-	}
-	if _, err := c.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	got := readResponses(t, c, 10)
-	for id := uint32(1); id <= 10; id++ {
-		rs := got[id]
-		if id <= 4 {
-			if rs.Status != StatusOK || rs.Lookups[0].TID != core.TID(id) {
-				t.Fatalf("GET %d answered %+v, want tid %d", id, rs, id)
+// TestManyFullBursts pins that a connection's window is its only
+// bound: more full bursts of GETs in hand at once than one window per
+// core, each on its own connection, are every one answered.
+func TestManyFullBursts(t *testing.T) {
+	srv, _ := startServer(t, 100, ServerConfig{})
+	perCore := max(4*srv.st.Shards(), window*max(2, runtime.GOMAXPROCS(0)))
+	outs := make([]bytes.Buffer, (perCore+window-1)/window+1)
+	pcs := make([]*pconn, len(outs))
+	arrived := time.Now()
+	for i := range pcs {
+		pcs[i] = newPconn(srv, &outs[i], uint64(i+1), nil)
+		for id := uint32(0); id < window; id++ {
+			frame, _ := AppendRequest(nil, id, &Request{Op: OpGet, Keys: []core.Key{core.Key(8 * (id + 1))}})
+			if !pcs[i].dispatch(frame, arrived, obs.Nanotime(), 0) {
+				t.Fatal("well-formed frame reported fatal")
 			}
-		} else if rs.Status != StatusRetry || rs.RetryAfterMS == 0 {
-			t.Fatalf("GET %d answered %+v, want StatusRetry with a hint", id, rs)
 		}
 	}
-	if inUse, rejects := metrics.Load(obs.AdmInUseRead), metrics.Load(obs.AdmRejectsRead); inUse != 0 || rejects != 6 {
-		t.Fatalf("read budget after the burst: %d in use, %d rejects, want 0 and 6", inUse, rejects)
+	for i, pc := range pcs {
+		pc.runReads(arrived)
+		for id, rs := range readResponses(t, &outs[i], window) {
+			if rs.Status != StatusOK || rs.Lookups[0].TID != core.TID(id+1) {
+				t.Fatalf("connection %d: GET %d answered %+v", i, id, rs)
+			}
+		}
+	}
+}
+
+// TestBurstWaitAttribution pins what decode measures: a GET behind a
+// large SCAN in its burst spends the scan's time in burst_wait, and
+// only its own decoding in decode.
+func TestBurstWaitAttribution(t *testing.T) {
+	const n = 70_000
+	metrics := obs.NewMetrics()
+	srv, _ := startServer(t, n, ServerConfig{Metrics: metrics})
+	var out bytes.Buffer
+	pc := newPconn(srv, &out, 1, nil)
+	arrived, startNS := time.Now(), obs.Nanotime()
+	for id, req := range []*Request{
+		{Op: OpScan, Start: 0, End: core.Key(8 * n), Limit: MaxScanRows},
+		{Op: OpGet, Keys: []core.Key{8}},
+	} {
+		frame, _ := AppendRequest(nil, uint32(id), req)
+		if !pc.dispatch(frame, arrived, startNS, 0) {
+			t.Fatal("well-formed frame reported fatal")
+		}
+	}
+	pc.runReads(arrived)
+	readResponses(t, &out, 2)
+	wait := stageSnapshot(metrics, core.OpSearch, obs.StageBurstWait)
+	decode := stageSnapshot(metrics, core.OpSearch, obs.StageDecode)
+	scan := stageSnapshot(metrics, core.OpScan, obs.StageExec)
+	if wait.Count != 1 || wait.SumNS < scan.SumNS || wait.SumNS <= decode.SumNS {
+		t.Fatalf("GET behind a %dns scan: burst_wait %+v, decode %+v", scan.SumNS, wait, decode)
 	}
 }
 
 // TestBurstDeadline drives the burst path with an arrival time in the
-// past: the expired read answers StatusDeadline and gives its token
-// back, the one without a deadline is still served.
+// past: the expired read answers StatusDeadline, the one without a
+// deadline is still served.
 func TestBurstDeadline(t *testing.T) {
 	srv, _ := startServer(t, 100, ServerConfig{})
 	var out bytes.Buffer
@@ -183,8 +211,8 @@ func TestBurstDeadline(t *testing.T) {
 	if got[1].Status != StatusOK || got[1].Lookups[0].TID != 2 {
 		t.Fatalf("GET without a deadline answered %+v", got[1])
 	}
-	if st := srv.Stats(); st.Expired != 1 || st.Budgets["read"].InUse != 0 {
-		t.Fatalf("expired = %d, read tokens in use = %d; want 1, 0", st.Expired, st.Budgets["read"].InUse)
+	if st := srv.Stats(); st.Expired != 1 {
+		t.Fatalf("expired = %d, want 1", st.Expired)
 	}
 }
 
@@ -259,9 +287,6 @@ func TestBurstReadsBeforeWrites(t *testing.T) {
 		}
 		if out.writes != tc.flushes {
 			t.Fatalf("%+v: the burst left in %d writes, want %d", tc, out.writes, tc.flushes)
-		}
-		if st := srv.Stats(); st.Budgets["read"].InUse != 0 || st.Budgets["write"].InUse != 0 {
-			t.Fatalf("%+v: tokens in use after the burst: %+v", tc, st.Budgets)
 		}
 	}
 }

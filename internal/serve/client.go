@@ -394,11 +394,7 @@ var ErrCursorGone = errors.New("serve: scan cursor gone")
 
 // StreamScan runs a whole streaming scan: it opens a cursor over
 // [start, end], pulls chunks of chunkRows, calls yield for each, and
-// closes the cursor (also on error or when yield returns false). It
-// retries chunk-level StatusRetry rejections after the server's hint,
-// so a stream survives transient scan-budget exhaustion; with a Timeout
-// set, a chunk refused for longer than that returns the *RetryError (a
-// chunk costing more than the whole scan budget is refused every time).
+// closes the cursor (also on error or when yield returns false).
 func (c *Client) StreamScan(start, end core.Key, chunkRows int, yield func(rows []core.Pair) bool) error {
 	cur, err := c.ScanOpen(start, end)
 	if err != nil {
@@ -410,23 +406,11 @@ func (c *Client) StreamScan(start, end core.Key, chunkRows int, yield func(rows 
 			c.ScanClose(cur)
 		}
 	}()
-	var refused time.Time // when the chunk in hand was first refused
 	for {
 		rows, done, err := c.ScanNext(cur, chunkRows)
-		var retry *RetryError
-		if errors.As(err, &retry) {
-			if refused.IsZero() {
-				refused = time.Now()
-			}
-			if c.Timeout <= 0 || time.Since(refused)+retry.After <= c.Timeout {
-				time.Sleep(retry.After)
-				continue
-			}
-		}
 		if err != nil {
 			return err
 		}
-		refused = time.Time{}
 		if len(rows) > 0 && !yield(rows) {
 			return c.closeOnce(cur, &closed)
 		}

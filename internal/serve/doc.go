@@ -35,12 +35,11 @@
 //     scans in place, then its PUTs and DELs, enqueued to their shard
 //     writers as they arrived and awaited together — so responses are
 //     not written in arrival order.
-//   - Admission control is per op class rather than a flat in-flight
-//     cap: reads (GET/MGET), writes (PUT/DEL) and scans draw from
-//     separate token budgets, with SCAN charged by its requested row
-//     limit. Overload therefore rejects expensive work first, and the
-//     StatusRetry hint tells the client which class is saturated
-//     (admission.go; occupancy is exported via obs.Metrics).
+//   - There is no admission control: a connection's burst (at most
+//     window frames) is its own bound on what it asks of the server,
+//     and a SCAN is at most one chunk's rows (MaxScanRows). StatusRetry
+//     comes only from a full shard queue, refused before any part of
+//     the write was enqueued, or from the per-connection cursor cap.
 //   - Client mirrors the server: it multiplexes concurrent calls over
 //     one connection by request ID (Client.Go is the async form); Dial
 //     opens with a HELLO to learn the server's window.

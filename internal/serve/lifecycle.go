@@ -3,9 +3,9 @@ package serve
 // Request-lifecycle tracing for the serving pipeline (DESIGN.md §12).
 //
 // Every request carries a pooled obs.Span that is stamped at the fixed
-// pipeline stages (frame read, decode, admission, shard-queue wait, WAL
-// append, WAL fsync, backend apply, read execution, response-writer
-// queue, connection write). The deltas feed three sinks:
+// pipeline stages (frame read, burst wait, decode, shard-queue wait,
+// WAL append, WAL fsync, backend apply, ack wait, read execution,
+// connection write). The deltas feed three sinks:
 //
 //   - per-stage × per-op-class histograms in the shared obs.Metrics
 //     (Prometheus via the admin endpoint, and the STATS payload) —

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -158,8 +157,8 @@ func TestLifecyclePipelinedAndStats(t *testing.T) {
 		}
 	}
 	for st := range stats.Stages["search"] {
-		if strings.Contains(st, "wait") {
-			t.Fatalf("search/%s in STATS stages: reads wait for no batch or queue", st)
+		if strings.Contains(st, "wait") && st != "burst_wait" {
+			t.Fatalf("search/%s in STATS stages: reads wait for nothing but their burst", st)
 		}
 	}
 	if stats.StageTotals["search"].Count < 100 {
@@ -323,20 +322,17 @@ func TestAdminEndpoints(t *testing.T) {
 
 // TestStatszAgreesWithMetrics scripts the events that used to be
 // counted twice — once in the server's own atomics for STATS, once in
-// the registry for /metrics: a cursor opened and reaped idle, a scan
-// refused by its budget, a cursor cap hit. Both views now read one
-// cell, so they must agree to the unit.
+// the registry for /metrics: a cursor opened and reaped idle, a cursor
+// cap hit. Both views now read one cell, so they must agree to the
+// unit.
 func TestStatszAgreesWithMetrics(t *testing.T) {
-	srv, addr := startServer(t, 1000, ServerConfig{CursorTimeout: 20 * time.Millisecond}, withBudgets(0, 0, 50))
+	srv, addr := startServer(t, 1000, ServerConfig{CursorTimeout: 20 * time.Millisecond})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	cl.Timeout = 5 * time.Second
-	if _, err := cl.Scan(8, 8000, 51); !errors.As(err, new(*RetryError)) {
-		t.Fatalf("over-budget scan: %v, want a retry", err)
-	}
 	for i := 0; i <= maxConnCursors; i++ { // the last one hits the per-connection cap
 		if _, err := cl.ScanOpen(0, 8000); err != nil && i < maxConnCursors {
 			t.Fatal(err)
@@ -355,20 +351,17 @@ func TestStatszAgreesWithMetrics(t *testing.T) {
 	if err := json.Unmarshal([]byte(statsz), &ss); err != nil {
 		t.Fatal(err)
 	}
-	if ss.Cursors.Opened != maxConnCursors || ss.Cursors.Timeouts != maxConnCursors ||
-		ss.Budgets["scan"].Rejected != 1 || ss.Rejected != 2 {
-		t.Fatalf("/statsz after the script: cursors %+v, scan budget %+v, rejected %d", ss.Cursors, ss.Budgets["scan"], ss.Rejected)
+	if ss.Cursors.Opened != maxConnCursors || ss.Cursors.Timeouts != maxConnCursors || ss.Rejected != 1 {
+		t.Fatalf("/statsz after the script: cursors %+v, rejected %d", ss.Cursors, ss.Rejected)
 	}
 	for sample, want := range map[string]uint64{
-		"pbtree_scan_cursors_opened_total":             ss.Cursors.Opened,
-		"pbtree_scan_cursor_timeouts_total":            ss.Cursors.Timeouts,
-		"pbtree_scan_cursors_open":                     uint64(ss.Cursors.Open),
-		`pbtree_admission_rejects_total{class="scan"}`: ss.Budgets["scan"].Rejected,
-		`pbtree_admission_capacity{class="scan"}`:      uint64(ss.Budgets["scan"].Capacity),
-		"pbtree_rejected_total":                        ss.Rejected,
-		"pbtree_expired_total":                         ss.Expired,
-		"pbtree_bad_requests_total":                    ss.BadReqs,
-		`pbtree_requests_total{op="scanopen"}`:         ss.Ops["scanopen"],
+		"pbtree_scan_cursors_opened_total":     ss.Cursors.Opened,
+		"pbtree_scan_cursor_timeouts_total":    ss.Cursors.Timeouts,
+		"pbtree_scan_cursors_open":             uint64(ss.Cursors.Open),
+		"pbtree_rejected_total":                ss.Rejected,
+		"pbtree_expired_total":                 ss.Expired,
+		"pbtree_bad_requests_total":            ss.BadReqs,
+		`pbtree_requests_total{op="scanopen"}`: ss.Ops["scanopen"],
 	} {
 		if line := fmt.Sprintf("\n%s %d\n", sample, want); !strings.Contains(metrics, line) {
 			t.Errorf("/metrics lacks %q, the value /statsz reports", strings.TrimSpace(line))
@@ -376,10 +369,9 @@ func TestStatszAgreesWithMetrics(t *testing.T) {
 	}
 }
 
-// TestRegistryRowOrder pins the two places the serving layer reaches a
-// registry cell by arithmetic: a wire op's request counter and an
-// admission class's budget cells must land on the table row whose
-// label names them.
+// TestRegistryRowOrder pins the one place the serving layer reaches a
+// registry cell by arithmetic: a wire op's request counter must land
+// on the table row whose label names it.
 func TestRegistryRowOrder(t *testing.T) {
 	m := obs.NewMetrics()
 	for op := OpGet; op <= OpScanClose; op++ {
@@ -389,12 +381,6 @@ func TestRegistryRowOrder(t *testing.T) {
 	for op := OpGet; op <= OpScanClose; op++ {
 		if got := reqs[fmt.Sprintf("{op=%q}", op)]; got != int64(op) || len(reqs) != int(OpScanClose) {
 			t.Errorf("request row of %v holds %d (of %d rows), want %d", op, got, len(reqs), op)
-		}
-	}
-	newAdmission(1, 2, 3, m)
-	for c, name := range admClassNames {
-		if got := m.Values("pbtree_admission_capacity")[fmt.Sprintf("{class=%q}", name)]; got != int64(c)+1 {
-			t.Errorf("capacity row of class %s holds %d, want %d", name, got, c+1)
 		}
 	}
 }

@@ -131,20 +131,17 @@ type OpReport struct {
 
 // LoadgenReport is the JSON result of a run.
 type LoadgenReport struct {
-	Config      LoadgenConfig `json:"config"`      // the defaulted config the run used
-	DurationMS  int64         `json:"duration_ms"` // measured run length, clock start to the last worker's exit
-	Concurrency int           `json:"concurrency"` // Conns x Window outstanding calls
-	Ops         uint64        `json:"ops"`         // completed operations
-	Rows        uint64        `json:"rows"`        // keys looked up / rows scanned / pairs written
-	Throughput  float64       `json:"ops_per_sec"` // Ops over the measured duration
-	Rejected    uint64        `json:"rejected"`    // StatusRetry rejections (all classes)
-	// RejectedByClass splits Rejected by admission class ("read",
-	// "write", "scan"), so a report shows which budget saturated.
-	RejectedByClass map[string]uint64   `json:"rejected_by_class"`
-	Deadline        uint64              `json:"deadline_expired"` // calls that hit their deadline
-	Errors          uint64              `json:"errors"`           // hard (non-backpressure) failures
-	NotFound        uint64              `json:"not_found"`        // GETs answered StatusNotFound
-	PerOp           map[string]OpReport `json:"per_op"`           // latency breakdown per op name
+	Config      LoadgenConfig       `json:"config"`           // the defaulted config the run used
+	DurationMS  int64               `json:"duration_ms"`      // measured run length, clock start to the last worker's exit
+	Concurrency int                 `json:"concurrency"`      // Conns x Window outstanding calls
+	Ops         uint64              `json:"ops"`              // completed operations
+	Rows        uint64              `json:"rows"`             // keys looked up / rows scanned / pairs written
+	Throughput  float64             `json:"ops_per_sec"`      // Ops over the measured duration
+	Rejected    uint64              `json:"rejected"`         // StatusRetry rejections
+	Deadline    uint64              `json:"deadline_expired"` // calls that hit their deadline
+	Errors      uint64              `json:"errors"`           // hard (non-backpressure) failures
+	NotFound    uint64              `json:"not_found"`        // GETs answered StatusNotFound
+	PerOp       map[string]OpReport `json:"per_op"`           // latency breakdown per op name
 }
 
 // RunLoadgen drives the configured mix against a running server and
@@ -175,14 +172,13 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 	}()
 
 	var (
-		metrics    = obs.NewMetrics() // wall-clock latency per op class
-		ops        atomic.Uint64
-		rows       atomic.Uint64
-		rejected   atomic.Uint64
-		rejByClass [numAdmClasses]atomic.Uint64
-		expired    atomic.Uint64
-		errs       atomic.Uint64
-		notFound   atomic.Uint64
+		metrics  = obs.NewMetrics() // wall-clock latency per op class
+		ops      atomic.Uint64
+		rows     atomic.Uint64
+		rejected atomic.Uint64
+		expired  atomic.Uint64
+		errs     atomic.Uint64
+		notFound atomic.Uint64
 	)
 	// Build every worker's key stream before starting the clock: a
 	// skewed stream carries an O(keys) permutation, and Conns×Window of
@@ -218,7 +214,6 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 					dice := r.Intn(100)
 					var (
 						op    core.OpKind
-						class = admRead
 						n     uint64
 						err   error
 						found = true
@@ -235,7 +230,7 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						}
 						_, err = cl.MGet(keys)
 					case dice < cfg.GetPct+cfg.MGetPct+cfg.ScanPct:
-						op, class = core.OpScan, admScan
+						op = core.OpScan
 						startKey := stream.Next()
 						var pairs []core.Pair
 						pairs, err = cl.Scan(startKey, startKey+8*loadgenScanLimit, loadgenScanLimit)
@@ -245,18 +240,18 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						// covers open → every chunk → close, rows counts what
 						// the chunks actually returned (keys are 8 apart, so
 						// the range sizes the target row count).
-						op, class = core.OpScan, admScan
+						op = core.OpScan
 						startKey := stream.Next()
 						err = cl.StreamScan(startKey, startKey+8*loadgenStreamRows, loadgenStreamChunk, func(rows []core.Pair) bool {
 							n += uint64(len(rows))
 							return true
 						})
 					case dice < cfg.GetPct+cfg.MGetPct+cfg.ScanPct+cfg.StreamPct+cfg.PutPct:
-						op, class, n = core.OpInsert, admWrite, 1
+						op, n = core.OpInsert, 1
 						k := stream.Next()
 						err = cl.Put(core.Pair{Key: k, TID: core.TID(k)})
 					default:
-						op, class, n = core.OpDelete, admWrite, 1
+						op, n = core.OpDelete, 1
 						// Delete then restore, so the key space stays stable
 						// across long runs.
 						k := stream.Next()
@@ -275,7 +270,6 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 						}
 					case errors.As(err, new(*RetryError)):
 						rejected.Add(1)
-						rejByClass[class].Add(1)
 						time.Sleep(cfg.Timeout / 100)
 					case errors.As(err, new(*DeadlineError)):
 						expired.Add(1)
@@ -291,20 +285,16 @@ func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) {
 	elapsed := time.Since(begin)
 
 	rep := &LoadgenReport{
-		Config:          cfg,
-		DurationMS:      elapsed.Milliseconds(),
-		Concurrency:     cfg.Conns * cfg.Window,
-		Ops:             ops.Load(),
-		Rows:            rows.Load(),
-		Rejected:        rejected.Load(),
-		RejectedByClass: map[string]uint64{},
-		Deadline:        expired.Load(),
-		Errors:          errs.Load(),
-		NotFound:        notFound.Load(),
-		PerOp:           map[string]OpReport{},
-	}
-	for c, name := range admClassNames {
-		rep.RejectedByClass[name] = rejByClass[c].Load()
+		Config:      cfg,
+		DurationMS:  elapsed.Milliseconds(),
+		Concurrency: cfg.Conns * cfg.Window,
+		Ops:         ops.Load(),
+		Rows:        rows.Load(),
+		Rejected:    rejected.Load(),
+		Deadline:    expired.Load(),
+		Errors:      errs.Load(),
+		NotFound:    notFound.Load(),
+		PerOp:       map[string]OpReport{},
 	}
 	rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
 	for _, op := range []core.OpKind{core.OpSearch, core.OpScan, core.OpInsert, core.OpDelete} {

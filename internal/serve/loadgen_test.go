@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -75,17 +77,14 @@ func TestLoadgenConfigRoundTrip(t *testing.T) {
 }
 
 // TestLoadgenReportRoundTrip pins the report fields that un-conflate
-// connection count from concurrency: window, concurrency, and the
-// per-class reject split must survive a JSON round trip by name.
+// connection count from concurrency: window, concurrency and the
+// reject count must survive a JSON round trip by name.
 func TestLoadgenReportRoundTrip(t *testing.T) {
 	rep := LoadgenReport{
 		Config:      LoadgenConfig{Conns: 4, Window: 16},
 		Concurrency: 64,
 		Ops:         10,
 		Rejected:    5,
-		RejectedByClass: map[string]uint64{
-			"read": 1, "write": 1, "scan": 3,
-		},
 	}
 	blob, err := json.Marshal(&rep)
 	if err != nil {
@@ -95,17 +94,14 @@ func TestLoadgenReportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Concurrency != 64 || back.Config.Window != 16 {
-		t.Fatalf("concurrency/window did not round-trip: %+v", back)
-	}
-	if back.RejectedByClass["scan"] != 3 || back.RejectedByClass["read"] != 1 {
-		t.Fatalf("per-class rejects did not round-trip: %+v", back.RejectedByClass)
+	if back.Concurrency != 64 || back.Config.Window != 16 || back.Rejected != 5 {
+		t.Fatalf("concurrency/window/rejected did not round-trip: %+v", back)
 	}
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"concurrency", "rejected_by_class"} {
+	for _, field := range []string{"concurrency", "rejected"} {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("report is missing %q", field)
 		}
@@ -162,9 +158,6 @@ func TestLoadgenWindowed(t *testing.T) {
 	if rep.Concurrency != 16 || rep.Config.Window != 8 {
 		t.Fatalf("report concurrency = %d (window %d), want 16 (8)", rep.Concurrency, rep.Config.Window)
 	}
-	if rep.RejectedByClass == nil {
-		t.Fatal("rejected_by_class missing from report")
-	}
 	// A negative window is a setup error.
 	if _, err := RunLoadgen(LoadgenConfig{Addr: addr, Window: -1, Duration: time.Millisecond}); err == nil {
 		t.Fatal("negative window accepted")
@@ -173,12 +166,12 @@ func TestLoadgenWindowed(t *testing.T) {
 
 // TestLoadgenMeasuresDuration pins the report's clock: duration_ms is
 // the elapsed run, from the clock start to the last worker's exit, and
-// ops_per_sec is ops over that same span. A scan budget smaller than
-// one SCAN rejects every scan, and each rejection backs off Timeout/100
-// — longer than the whole configured run — so the run outlasts its
-// Duration and the report must say so.
+// ops_per_sec is ops over that same span. The server refuses every
+// scan, and each rejection backs off Timeout/100 — longer than the
+// whole configured run — so the run outlasts its Duration and the
+// report must say so.
 func TestLoadgenMeasuresDuration(t *testing.T) {
-	_, addr := startServer(t, 10_000, ServerConfig{}, withBudgets(0, 0, loadgenScanLimit/2))
+	addr := scanRefusingServer(t)
 	cfg := LoadgenConfig{
 		Addr:     addr,
 		Conns:    2,
@@ -211,4 +204,55 @@ func TestLoadgenMeasuresDuration(t *testing.T) {
 		t.Errorf("ops_per_sec %.1f x duration_ms %d = %.1f ops, report has %d",
 			rep.Throughput, rep.DurationMS, implied, rep.Ops)
 	}
+}
+
+// scanRefusingServer answers HELLO, every SCAN with StatusRetry and
+// every other request with StatusNotFound (a GET miss), on a free port,
+// until the test ends.
+func scanRefusingServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	serve := func(c net.Conn) {
+		defer wg.Done()
+		defer c.Close()
+		var frame, out []byte
+		for {
+			var err error
+			if frame, err = ReadFrame(c, frame); err != nil {
+				return
+			}
+			id, req, err := DecodeRequest(frame)
+			if err != nil {
+				return
+			}
+			resp := &Response{Status: StatusNotFound}
+			switch req.Op {
+			case OpHello:
+				resp = &Response{Status: StatusOK, Version: ProtoVersion, Window: window}
+			case OpScan:
+				resp = &Response{Status: StatusRetry, RetryAfterMS: 1}
+			}
+			if out, err = AppendResponse(out[:0], id, resp); err != nil || WriteFrame(c, out) != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go serve(c)
+		}
+	}()
+	return ln.Addr().String()
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"pbtree/internal/core"
-	"pbtree/internal/obs"
 )
 
 // TestHello pins HELLO as a version check on the one protocol: Dial
@@ -193,95 +191,5 @@ func TestClientGo(t *testing.T) {
 	<-call.Done
 	if call.Err == nil {
 		t.Fatal("Go on a closed client succeeded")
-	}
-}
-
-func TestAdmissionBudgets(t *testing.T) {
-	metrics := obs.NewMetrics()
-	_, addr := startServer(t, 1000, ServerConfig{Metrics: metrics}, withBudgets(0, 0, 50))
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// A SCAN wanting more rows than the whole scan budget can never
-	// be admitted; the hint is the scan class's (20ms).
-	_, err = cl.Scan(8, MaxFrame, 100)
-	var re *RetryError
-	if !errors.As(err, &re) {
-		t.Fatalf("oversized scan returned %v, want RetryError", err)
-	}
-	if re.After != 20*time.Millisecond {
-		t.Fatalf("scan retry hint = %v, want 20ms (class-specific)", re.After)
-	}
-
-	// The read and write budgets are untouched: cheap ops still flow.
-	if _, ok, err := cl.Get(8); err != nil || !ok {
-		t.Fatalf("Get during scan saturation: (%v, %v)", ok, err)
-	}
-	if err := cl.Put(core.Pair{Key: 8, TID: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A scan inside the budget is admitted and releases its tokens.
-	for i := 0; i < 3; i++ {
-		if _, err := cl.Scan(8, 400, 40); err != nil {
-			t.Fatalf("in-budget scan %d: %v", i, err)
-		}
-	}
-
-	// The rejection is attributed to the scan class in metrics and in
-	// the server's own STATS budgets.
-	if rejects, capacity := metrics.Load(obs.AdmRejectsScan), metrics.Load(obs.AdmCapacityScan); rejects == 0 || capacity != 50 {
-		t.Fatalf("scan admission cells: %d rejects, capacity %d", rejects, capacity)
-	}
-	if rejects := metrics.Load(obs.AdmRejectsRead); rejects != 0 {
-		t.Fatalf("read class charged a scan rejection: %d", rejects)
-	}
-	var ss ServerStats
-	if err := getStats(cl, &ss); err != nil {
-		t.Fatal(err)
-	}
-	if ss.Budgets["scan"].Rejected == 0 || ss.Budgets["scan"].Capacity != 50 {
-		t.Fatalf("STATS budgets = %+v", ss.Budgets)
-	}
-	if ss.Budgets["read"].Capacity == 0 || ss.Budgets["write"].Capacity == 0 {
-		t.Fatalf("defaulted budgets missing: %+v", ss.Budgets)
-	}
-}
-
-// getStats fetches and decodes the server stats blob.
-func getStats(cl *Client, into *ServerStats) error {
-	blob, err := cl.Stats()
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(blob, into)
-}
-
-// TestAdmissionTokensDrain pins that tokens release after execution:
-// the same in-budget request admits repeatedly, and occupancy returns
-// to zero when idle.
-func TestAdmissionTokensDrain(t *testing.T) {
-	metrics := obs.NewMetrics()
-	_, addr := startServer(t, 1000, ServerConfig{Metrics: metrics})
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 20; i++ {
-		if _, _, err := cl.Get(8); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Scan(8, 800, 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range []obs.Counter{obs.AdmInUseRead, obs.AdmInUseScan} {
-		if inUse := metrics.Load(c); inUse != 0 {
-			t.Fatalf("admission cell %d leaked %d tokens", c, inUse)
-		}
 	}
 }

@@ -54,7 +54,7 @@ func TestProtocolSpecFrames(t *testing.T) {
 			Op: OpPut, Pairs: []core.Pair{{Key: 8, TID: 1}},
 		}),
 		"empty-ok-response": resp(4, &Response{Status: StatusOK}),
-		"retry-response":    resp(5, &Response{Status: StatusRetry, RetryAfterMS: 20}),
+		"retry-response":    resp(5, &Response{Status: StatusRetry, RetryAfterMS: 5}),
 		"err-response":      resp(6, &Response{Status: StatusErr, Err: "bad frame"}),
 		"get-request":       req(7, &Request{Op: OpGet, Keys: []core.Key{8}}),
 		"get-ok-response": resp(7, &Response{

@@ -4,11 +4,11 @@ package serve
 // StoreCursor pins one refcounted snapshot per shard at open and opens
 // a resumable run of each — on the pbtree engine as one descent for all
 // shards, level by level in lockstep (backend.Runs) — then serves the
-// merged key range in bounded chunks, so a scan of any size holds
-// admission tokens only while a chunk executes. A run is refilled from
-// where its last fill stopped. Store.Scan is a cursor drained once;
-// both see each shard's view frozen at open, paid for with snapshot
-// lifetime instead of row tokens.
+// merged key range in bounded chunks, so a scan of any size holds its
+// connection's goroutine only while a chunk executes. A run is refilled
+// from where its last fill stopped. Store.Scan is a cursor drained
+// once; both see each shard's view frozen at open, paid for with
+// snapshot lifetime.
 
 import (
 	"fmt"

@@ -17,8 +17,7 @@ import (
 )
 
 // maxConnCursors bounds the streaming-scan cursors one connection may
-// hold open; SCANOPEN past the cap is answered StatusRetry with the
-// scan class's hint. The bound keeps a single misbehaving client from
+// hold open; SCANOPEN past the cap is answered StatusRetry. The bound keeps a single misbehaving client from
 // pinning an unbounded number of snapshots.
 const maxConnCursors = 64
 
@@ -158,7 +157,7 @@ func (s *Server) cursorStats() CursorStats {
 	}
 }
 
-// executeScan runs one admitted streaming-scan op against the
+// executeScan runs one streaming-scan op against the
 // connection's cursor set.
 func (s *Server) executeScan(req *Request, cs *connCursors) *Response {
 	if cs == nil {
@@ -175,7 +174,7 @@ func (s *Server) executeScan(req *Request, cs *connCursors) *Response {
 		id := cs.open(c)
 		if id == 0 {
 			sc.Close()
-			return s.retry(retryAfter[admScan])
+			return s.retry()
 		}
 		s.cfg.Metrics.Add(obs.CursorsOpen, 1)
 		s.cfg.Metrics.Add(obs.CursorsOpened, 1)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -49,10 +48,8 @@ type ServerConfig struct {
 
 // ReplHandler answers one decoded REPLICATE exchange. REPLICATE
 // requests run on their connection's goroutine, as every request does,
-// and bypass admission (replication must make progress exactly when
-// the data plane is saturated) and the op-latency metrics (a held
-// FETCH would pollute the client histograms); they still count in the
-// STATS op table.
+// and stay out of the op-latency metrics (a held FETCH would pollute
+// the client histograms); they still count in the STATS op table.
 type ReplHandler interface {
 	// HandleReplicate executes one replication request and returns the
 	// full wire response (so fencing can answer StatusFenced with the
@@ -63,8 +60,13 @@ type ReplHandler interface {
 // window is the most frames the server takes from one read: a burst.
 // A connection's goroutine answers its burst before it reads again, so
 // the window is also the most requests of one connection the server
-// holds at once. HELLO and STATS report it.
+// holds at once — the bound on what a connection can ask of the server
+// (DESIGN.md §10). HELLO and STATS report it.
 const window = 32
+
+// retryAfter is the backoff hint sent with every StatusRetry: a full
+// shard queue or the per-connection cursor cap.
+const retryAfter = 5 * time.Millisecond
 
 // Server serves a Store over TCP with the wire protocol of wire.go
 // (normative spec: PROTOCOL.md).
@@ -72,9 +74,8 @@ type Server struct {
 	st  *Store
 	cfg ServerConfig
 
-	ln  net.Listener
-	adm *admission
-	lc  *lifecycle
+	ln net.Listener
+	lc *lifecycle
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -95,16 +96,15 @@ func reqCounter(op Op) obs.Counter { return obs.ReqGet + obs.Counter(op-OpGet) }
 
 // ServerStats is the JSON payload of a STATS response.
 type ServerStats struct {
-	UptimeMS int64                  `json:"uptime_ms"`    // ms since the server started
-	Ops      map[string]uint64      `json:"ops"`          // completed requests per op name
-	Rejected uint64                 `json:"rejected"`     // admission rejections (all classes)
-	Expired  uint64                 `json:"expired"`      // requests whose deadline passed before execution
-	BadReqs  uint64                 `json:"bad_requests"` // malformed frames answered StatusErr
-	Conns    int                    `json:"conns"`        // currently open connections
-	Window   int                    `json:"window"`       // frames taken per read of a connection
-	Cursors  CursorStats            `json:"cursors"`      // streaming-scan cursor occupancy
-	Budgets  map[string]BudgetStats `json:"budgets"`      // admission occupancy per class
-	Store    StoreStats             `json:"store"`        // per-shard store counters
+	UptimeMS int64             `json:"uptime_ms"`    // ms since the server started
+	Ops      map[string]uint64 `json:"ops"`          // completed requests per op name
+	Rejected uint64            `json:"rejected"`     // requests answered StatusRetry (shard queue full, cursor cap)
+	Expired  uint64            `json:"expired"`      // requests whose deadline passed before execution
+	BadReqs  uint64            `json:"bad_requests"` // malformed frames answered StatusErr
+	Conns    int               `json:"conns"`        // currently open connections
+	Window   int               `json:"window"`       // frames taken per read of a connection
+	Cursors  CursorStats       `json:"cursors"`      // streaming-scan cursor occupancy
+	Store    StoreStats        `json:"store"`        // per-shard store counters
 
 	// Stages and StageTotals carry the request-lifecycle attribution
 	// (empty maps before the first traced request, never null).
@@ -124,14 +124,8 @@ type StageStats struct {
 	P99NS int64  `json:"p99_ns"` // p99 latency (bucket midpoint)
 }
 
-// NewServer wraps a store; call Start to begin listening.
-//
-// Each admission budget lets a healthy server take its steady load
-// without refusing it: reads and writes each get 4x the shard count or
-// one window per core (at least two), whichever is larger, so every
-// core can have a full burst of either in hand — a burst's writes hold
-// their tokens until their group commits answer; scans get 64 Ki rows.
-// Every request runs on its connection's goroutine (DESIGN.md §8).
+// NewServer wraps a store; call Start to begin listening. Every
+// request runs on its connection's goroutine (DESIGN.md §8).
 func NewServer(st *Store, cfg ServerConfig) *Server {
 	if cfg.CursorTimeout <= 0 {
 		cfg.CursorTimeout = 30 * time.Second
@@ -139,11 +133,9 @@ func NewServer(st *Store, cfg ServerConfig) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
-	points := max(4*st.Shards(), window*max(2, runtime.GOMAXPROCS(0)))
 	return &Server{
 		st:      st,
 		cfg:     cfg,
-		adm:     newAdmission(points, points, 64<<10, cfg.Metrics),
 		lc:      newLifecycle(cfg.Lifecycle, cfg.Metrics),
 		conns:   make(map[net.Conn]struct{}),
 		curSets: make(map[*connCursors]struct{}),
@@ -255,7 +247,7 @@ const maxGroupKeys = 4096
 
 // writeStall is how long a peer may accept no response bytes before its
 // connection is dropped, so a peer that stops reading cannot hold its
-// connection's goroutine, and the tokens and cursors it holds, for good.
+// connection's goroutine, and the cursors it holds, for good.
 const writeStall = 10 * time.Second
 
 // stallWriter is a connection whose every write(2) is bounded by
@@ -279,8 +271,7 @@ type pconn struct {
 	cs     *connCursors
 	connID uint64
 
-	// The burst in hand: the admitted reads waiting for one group
-	// search and the scratch they reuse, and the writes enqueued to
+	// The burst in hand: the reads waiting for one group search and the scratch they reuse, and the writes enqueued to
 	// their shard writers, awaited once the reads are answered.
 	reads   []burstRead
 	keys    []core.Key // the reads' keys, concatenated in request order
@@ -297,7 +288,7 @@ func newPconn(s *Server, w io.Writer, connID uint64, cs *connCursors) *pconn {
 	return &pconn{s: s, cs: cs, connID: connID, bw: bufio.NewWriterSize(w, connBufSize)}
 }
 
-// burstRead is one admitted GET or MGET awaiting its burst's search.
+// burstRead is one GET or MGET awaiting its burst's search.
 type burstRead struct {
 	id    uint32
 	nkeys int
@@ -305,10 +296,9 @@ type burstRead struct {
 	sp    *obs.Span
 }
 
-// burstWrite is one admitted PUT or DEL its shard writers hold.
+// burstWrite is one PUT or DEL its shard writers hold.
 type burstWrite struct {
 	id  uint32
-	g   grant
 	p   pending
 	err error // the outcome, once awaited
 	sp  *obs.Span
@@ -334,35 +324,38 @@ func (pc *pconn) flush() {
 	}
 }
 
-// dispatch admits and routes one frame of a burst: reads queue for the
-// burst's group search, writes are enqueued to their shard writers and
-// awaited at the burst's end, everything else runs here and now. It
-// reports false on a frame too short to answer, which is
-// connection-fatal (PROTOCOL.md §5).
+// dispatch routes one frame of a burst: reads queue for the burst's
+// group search, writes are enqueued to their shard writers and awaited
+// at the burst's end, everything else runs here and now. It reports
+// false on a frame too short to answer, which is connection-fatal
+// (PROTOCOL.md §5).
 func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64) bool {
 	s := pc.s
 	if len(frame) < 4 {
 		return false
 	}
+	// Every span of a burst starts when the burst arrived: the time a
+	// request spent behind the frames dispatched before it is its
+	// burst_wait, and decode is its own decoding only.
+	sp := s.lc.span(pc.connID, startNS)
+	sp.Add(obs.StageRead, readNS)
+	sp.Mark(obs.StageBurstWait)
 	id, req, err := DecodeRequest(frame)
 	if err != nil {
+		s.lc.drop(sp)
 		s.cfg.Metrics.Add(obs.BadRequests, 1)
 		pc.write(id, &Response{Status: StatusErr, Err: err.Error()})
 		return true
 	}
 	if req.Op == OpHello { // a version check, wherever it appears
+		s.lc.drop(sp)
 		s.cfg.Metrics.Add(obs.ReqHello, 1)
 		pc.write(id, &Response{Status: StatusOK, Version: ProtoVersion, Window: window})
 		return true
 	}
-	// Every span of a burst starts when the burst arrived, so the time
-	// a request spent behind the ones decoded before it counts.
-	sp := s.lc.span(pc.connID, startNS)
 	sp.Req = id
-	sp.Add(obs.StageRead, readNS)
 	sp.Mark(obs.StageDecode)
-	g, resp := s.begin(req, arrived, sp)
-	if resp != nil {
+	if resp := s.begin(req, arrived, sp); resp != nil {
 		pc.write(id, resp)
 		s.lc.drop(sp)
 		return true
@@ -375,7 +368,7 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 		pc.reads = append(pc.reads, burstRead{id: id, nkeys: len(req.Keys), get: req.Op == OpGet, sp: sp})
 		pc.keys = append(pc.keys, req.Keys...)
 	case OpPut, OpDel:
-		pc.writes = append(pc.writes, burstWrite{id: id, g: g, p: s.st.submit(nil, req.Pairs, req.Keys, sp), sp: sp})
+		pc.writes = append(pc.writes, burstWrite{id: id, p: s.st.submit(nil, req.Pairs, req.Keys, sp), sp: sp})
 	default: // SCAN, the streaming-scan ops, STATS, REPLICATE
 		if req.Op == OpReplicate {
 			// A caught-up FETCH may be held briefly, which delays only
@@ -385,7 +378,6 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 		}
 		start := time.Now()
 		resp := s.execute(req, sp, pc.cs)
-		s.adm.release(g)
 		if sp.Op != core.OpNone {
 			s.cfg.Metrics.Observe(sp.Op, time.Since(start))
 		}
@@ -400,8 +392,7 @@ func (pc *pconn) dispatch(frame []byte, arrived time.Time, startNS, readNS int64
 
 // runReads executes the queued reads as one pass over the store — keys
 // grouped by shard, one snapshot and one group search per shard — and
-// answers them, flushing with them whatever else is buffered. Each
-// read held one token since begin.
+// answers them, flushing with them whatever else is buffered.
 func (pc *pconn) runReads(arrived time.Time) {
 	if len(pc.reads) == 0 {
 		pc.flush()
@@ -410,7 +401,6 @@ func (pc *pconn) runReads(arrived time.Time) {
 	s := pc.s
 	pc.lookups = grow(pc.lookups, len(pc.keys))
 	s.st.mget(pc.keys, pc.lookups, &pc.scratch)
-	s.adm.release(grant{class: admRead, n: int64(len(pc.reads))})
 	took := time.Since(arrived)
 	off := 0
 	for _, r := range pc.reads {
@@ -434,17 +424,14 @@ func (pc *pconn) runReads(arrived time.Time) {
 }
 
 // runWrites awaits the burst's writes in request order, once its reads
-// have left, and answers them in one flush. Each write held one token
-// since begin.
+// have left, and answers them in one flush.
 func (pc *pconn) runWrites(arrived time.Time) {
 	if len(pc.writes) == 0 {
 		return
 	}
 	s := pc.s
 	for i := range pc.writes {
-		w := &pc.writes[i]
-		w.err = s.st.await(w.p)
-		s.adm.release(w.g)
+		pc.writes[i].err = s.st.await(pc.writes[i].p)
 	}
 	took := time.Since(arrived)
 	for _, w := range pc.writes {
@@ -500,27 +487,21 @@ func (s *Server) servePipelined(c net.Conn, connID uint64, cs *connCursors) {
 	}
 }
 
-// begin is the gate every request passes before it executes:
-// admission tokens, deadline, the op counter and the span's op class. A non-nil response (StatusRetry, StatusDeadline)
-// ends the request there with no tokens held; such a request leaves
-// the span's Op at OpNone so it is dropped unobserved.
-func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) (grant, *Response) {
-	g, retry, ok := s.adm.admit(req)
-	sp.Mark(obs.StageAdmission)
-	if !ok {
-		return g, s.retry(retry)
-	}
+// begin is the gate every request passes before it executes: the
+// deadline, the op counter and the span's op class. A non-nil response
+// (StatusDeadline) ends the request there; such a request leaves the
+// span's Op at OpNone so it is dropped unobserved.
+func (s *Server) begin(req *Request, arrived time.Time, sp *obs.Span) *Response {
 	// Deadline: don't burn work on an answer the client has abandoned.
 	if req.DeadlineMS != 0 && time.Since(arrived) > time.Duration(req.DeadlineMS)*time.Millisecond {
-		s.adm.release(g)
 		s.cfg.Metrics.Add(obs.Expired, 1)
-		return grant{}, &Response{Status: StatusDeadline}
+		return &Response{Status: StatusDeadline}
 	}
 	s.cfg.Metrics.Add(reqCounter(req.Op), 1)
 	if req.Op != OpStats && req.Op != OpReplicate {
 		sp.Op = metricOpOf(req.Op)
 	}
-	return g, nil
+	return nil
 }
 
 // metricOpOf maps wire ops onto the index-operation metrics. The
@@ -539,8 +520,7 @@ func metricOpOf(op Op) core.OpKind {
 	}
 }
 
-// execute runs an admitted request that neither reads a point nor
-// writes: the scans, STATS and REPLICATE. The scans mark StageExec.
+// execute runs a request that neither reads a point nor writes: the scans, STATS and REPLICATE. The scans mark StageExec.
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
 	case OpScan:
@@ -575,23 +555,24 @@ func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response 
 	return &Response{Status: StatusErr, Err: fmt.Sprintf("serve: unhandled op %s", req.Op)}
 }
 
-// writeResult maps store write errors onto wire statuses: overload
-// becomes a retryable rejection with the write class's hint,
-// everything else an error.
+// writeResult maps store write errors onto wire statuses: a write
+// refused before any part of it was enqueued (ErrOverloaded) had no
+// effect and is retryable; everything else, a partly enqueued write
+// (ErrPartialWrite) included, is an error.
 func (s *Server) writeResult(err error) *Response {
 	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, ErrOverloaded):
-		return s.retry(retryAfter[admWrite])
+		return s.retry()
 	}
 	return &Response{Status: StatusErr, Err: err.Error()}
 }
 
 // retry counts a rejection and answers it StatusRetry with the hint.
-func (s *Server) retry(after time.Duration) *Response {
+func (s *Server) retry() *Response {
 	s.cfg.Metrics.Add(obs.Rejected, 1)
-	return &Response{Status: StatusRetry, RetryAfterMS: uint32(after / time.Millisecond)}
+	return &Response{Status: StatusRetry, RetryAfterMS: uint32(retryAfter / time.Millisecond)}
 }
 
 // Stats assembles the payload a STATS request returns — the admin
@@ -635,7 +616,6 @@ func (s *Server) Stats() ServerStats {
 		Conns:       nconns,
 		Window:      window,
 		Cursors:     s.cursorStats(),
-		Budgets:     s.adm.stats(),
 		Store:       s.st.Stats(),
 		Stages:      stages,
 		StageTotals: totals,

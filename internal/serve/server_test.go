@@ -18,7 +18,7 @@ import (
 // startServer boots a store and server on a free port. Its cleanup
 // shuts both down and checks that every goroutine they (and the test's
 // clients) started is gone.
-func startServer(t *testing.T, n int, cfg ServerConfig, opts ...func(*Server)) (*Server, string) {
+func startServer(t *testing.T, n int, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(n))
@@ -27,9 +27,6 @@ func startServer(t *testing.T, n int, cfg ServerConfig, opts ...func(*Server)) (
 	}
 	cfg.Addr = "127.0.0.1:0"
 	srv := NewServer(st, cfg)
-	for _, opt := range opts {
-		opt(srv)
-	}
 	if err := srv.Start(); err != nil {
 		st.Close()
 		t.Fatal(err)
@@ -40,21 +37,6 @@ func startServer(t *testing.T, n int, cfg ServerConfig, opts ...func(*Server)) (
 		waitGoroutines(t, baseline)
 	})
 	return srv, srv.Addr().String()
-}
-
-// withBudgets is a startServer option that replaces the server's
-// admission budgets before it starts; a zero keeps the class's default
-// capacity.
-func withBudgets(reads, writes, scanRows int) func(*Server) {
-	return func(s *Server) {
-		caps := [numAdmClasses]int{reads, writes, scanRows}
-		for c := range caps {
-			if caps[c] == 0 {
-				caps[c] = int(s.adm.budgets[c].capacity)
-			}
-		}
-		s.adm = newAdmission(caps[admRead], caps[admWrite], caps[admScan], s.cfg.Metrics)
-	}
 }
 
 // waitGoroutines fails the test unless the goroutine count comes back
@@ -302,8 +284,12 @@ func TestLoadgenStageAttribution(t *testing.T) {
 
 func TestWriteOverloadMapsToRetry(t *testing.T) {
 	// Direct unit check of the error mapping (driving a real server
-	// into sustained overload is too timing-dependent for CI).
+	// into sustained overload is too timing-dependent for CI); a
+	// partly enqueued write is not "no effect", so it is no retry.
 	s := &Server{}
+	if rs := s.writeResult(ErrPartialWrite); rs == nil || rs.Status != StatusErr {
+		t.Fatalf("partial write mapped to %+v", rs)
+	}
 	rs := s.writeResult(ErrOverloaded)
 	if rs == nil || rs.Status != StatusRetry || rs.RetryAfterMS != 5 {
 		t.Fatalf("overload mapped to %+v", rs)

@@ -17,9 +17,17 @@ import (
 	"pbtree/internal/obs"
 )
 
-// ErrOverloaded is returned when a shard's mutation queue is full: the
-// caller should back off and retry rather than queue without bound.
+// ErrOverloaded is returned when a shard's mutation queue is full
+// before any part of the write was enqueued, so the write had no
+// effect: the caller should back off and retry rather than queue
+// without bound.
 var ErrOverloaded = errors.New("serve: shard mutation queue full")
+
+// ErrPartialWrite is returned when a shard's mutation queue was full
+// after another shard had taken its part of a multi-shard write: that
+// part applies, the rest does not. It is not ErrOverloaded, because a
+// retry is no longer a write that had no effect.
+var ErrPartialWrite = errors.New("serve: shard mutation queue full after part of the write was enqueued")
 
 // ErrClosed is returned for operations on a closed store.
 var ErrClosed = errors.New("serve: store is closed")
@@ -835,7 +843,9 @@ func (st *Store) Delete(k core.Key) error {
 
 // PutBatch applies all pairs as one atomic unit per shard: pairs that
 // land in the same shard appear in the same published snapshot, so a
-// same-shard MGet sees either none or all of them.
+// same-shard MGet sees either none or all of them. A full shard queue
+// fails it with ErrOverloaded when no shard took its part, and with
+// ErrPartialWrite when some did.
 func (st *Store) PutBatch(pairs []core.Pair) error {
 	return st.await(st.submit(nil, pairs, nil, nil))
 }
@@ -952,6 +962,7 @@ func (st *Store) sameShard(home int, k core.Key) int {
 // before the caller reads it.
 func (st *Store) fanOut(ms []mutation, sp *obs.Span) pending {
 	p := pending{dones: make([]chan result, len(ms))}
+	enqueued := false
 	for s, m := range ms {
 		if len(m.puts) == 0 && len(m.dels) == 0 && !m.compact {
 			continue
@@ -959,8 +970,12 @@ func (st *Store) fanOut(ms []mutation, sp *obs.Span) pending {
 		sh := st.shards[s]
 		m.done, m.sp = make(chan result, 1), sp
 		if p.err = st.enqueue(sh, m); p.err != nil {
-			break // abandon the rest: callers treat ErrOverloaded as retry
+			if enqueued && errors.Is(p.err, ErrOverloaded) {
+				p.err = ErrPartialWrite // the parts already enqueued apply
+			}
+			break // abandon the rest
 		}
+		enqueued = true
 		sh.puts.Add(uint64(len(m.puts)))
 		sh.dels.Add(uint64(len(m.dels)))
 		p.dones[s] = m.done

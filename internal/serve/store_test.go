@@ -230,6 +230,55 @@ func TestStoreBackpressure(t *testing.T) {
 	}
 }
 
+// TestPartialWriteIsNoRetry: a write that reached one shard's queue
+// before another's was full is not "no effect" — its first part
+// applies — so it must fail with an error the server answers StatusErr,
+// not ErrOverloaded, whose StatusRetry promises nothing happened.
+func TestPartialWriteIsNoRetry(t *testing.T) {
+	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// Shard 1's writer stalls acknowledging a mutation (as in
+	// TestStoreBackpressure), and its queue is filled behind it.
+	sh := st.shards[1]
+	published := sh.published.Load()
+	done := make(chan result)
+	if err := st.enqueue(sh, mutation{done: done}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { <-done }()
+	for deadline := time.Now().Add(5 * time.Second); sh.published.Load() == published; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never published the stalling mutation")
+		}
+	}
+	for i := 0; i < queueLen; i++ {
+		if err := st.enqueue(sh, mutation{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var k0, k1 core.Key
+	for k := core.Key(1000); k0 == 0 || k1 == 0; k++ {
+		if st.ShardOf(k) == 0 {
+			k0 = k
+		} else {
+			k1 = k
+		}
+	}
+	err = st.PutBatch([]core.Pair{{Key: k0, TID: 7}, {Key: k1, TID: 7}})
+	if err == nil || errors.Is(err, ErrOverloaded) {
+		t.Fatalf("PutBatch half enqueued: %v, want an error that is not ErrOverloaded", err)
+	}
+	if rs := (&Server{}).writeResult(err); rs == nil || rs.Status != StatusErr {
+		t.Fatalf("partial write answered %+v, want StatusErr", rs)
+	}
+	if tid, ok := st.Get(k0); !ok || tid != 7 {
+		t.Fatalf("shard 0's part of the write: (%d, %v), want it applied", tid, ok)
+	}
+}
+
 // fakeSnap is a backend.Snapshot over a sorted slice whose runs record
 // the size of every fill they are asked for and count the rows they
 // returned.

@@ -3,19 +3,16 @@ package serve
 // Tests for the streaming-scan ops and their STATS surface: end-to-end
 // cursor correctness, snapshot isolation under interleaved writes on
 // one pipelined connection (run with -race), idle-cursor reclamation,
-// and the per-chunk admission contract — a stream of 100k+ rows
-// completes under a scan budget far smaller than the stream, which a
-// monolithic SCAN of the same size cannot.
+// and the scan bound — a SCAN asks for at most one chunk's rows, a
+// stream of 100k+ rows completes.
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"pbtree/internal/core"
-	"pbtree/internal/obs"
 )
 
 // collectStream pulls a whole stream through the raw cursor ops.
@@ -286,15 +283,12 @@ func TestConnCloseReleasesCursors(t *testing.T) {
 	}
 }
 
-// TestStreamScanTokenOccupancy is the admission contract's proof: with
-// a scan budget of 512 row tokens, a monolithic SCAN of 120k rows is
-// rejected outright (it would hold 120k tokens), while a streaming
-// scan of the same 120k rows completes in 256-row chunks — it never
-// holds more than one chunk's tokens at a time.
-func TestStreamScanTokenOccupancy(t *testing.T) {
+// TestStreamScanPastScanLimit: a stream of 120k rows, nearly twice
+// what one SCAN may ask for, completes in 256-row chunks and leaves no
+// cursor open.
+func TestStreamScanPastScanLimit(t *testing.T) {
 	const n = 120_000
-	metrics := obs.NewMetrics()
-	srv, addr := startServer(t, n, ServerConfig{Metrics: metrics}, withBudgets(0, 0, 512))
+	srv, addr := startServer(t, n, ServerConfig{})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -302,21 +296,9 @@ func TestStreamScanTokenOccupancy(t *testing.T) {
 	defer cl.Close()
 	cl.Timeout = 30 * time.Second
 
-	if _, err := cl.Scan(0, core.Key(8*n), n); err == nil {
-		t.Fatal("monolithic SCAN of 120k rows fit a 512-token budget")
-	} else if !errors.As(err, new(*RetryError)) {
-		t.Fatalf("monolithic SCAN: %v, want RetryError", err)
-	}
-
 	total := 0
 	if err := cl.StreamScan(0, core.Key(8*n), 256, func(rows []core.Pair) bool {
 		total += len(rows)
-		// The scan budget can never hold more than this chunk's tokens
-		// (no other scan traffic exists in this test).
-		if inUse := metrics.Load(obs.AdmInUseScan); inUse > 256 {
-			t.Errorf("scan tokens in use = %d mid-stream, want <= 256", inUse)
-			return false
-		}
 		return true
 	}); err != nil {
 		t.Fatalf("StreamScan: %v", err)
@@ -329,33 +311,30 @@ func TestStreamScanTokenOccupancy(t *testing.T) {
 	}
 }
 
-// TestStreamScanRetryBounded: a chunk that costs more than the whole
-// scan budget is refused every time it is sent. With a Timeout the
-// stream gives up with the refusal instead of retrying forever, and
-// still closes its cursor.
-func TestStreamScanRetryBounded(t *testing.T) {
-	srv, addr := startServer(t, 1000, ServerConfig{}, withBudgets(0, 0, 128))
+// TestScanLimitIsOneChunk pins the one SCAN bound: a SCAN may ask for
+// at most one chunk's rows. A larger one fails at once with an error
+// that is not a retry — no attempt could ever run it — and one of
+// exactly MaxScanRows rows is served.
+func TestScanLimitIsOneChunk(t *testing.T) {
+	const n = 70_000
+	_, addr := startServer(t, n, ServerConfig{})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Timeout = 200 * time.Millisecond
+	cl.Timeout = 10 * time.Second
 
-	errc := make(chan error, 1)
-	go func() {
-		errc <- cl.StreamScan(0, math.MaxUint32, 256, func([]core.Pair) bool { return true })
-	}()
-	select {
-	case err := <-errc:
-		if !errors.As(err, new(*RetryError)) {
-			t.Fatalf("StreamScan: %v, want the last RetryError", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("StreamScan still retrying a chunk no budget can admit")
+	begin := time.Now()
+	if _, err := cl.Scan(0, core.Key(8*n), 100_000); err == nil || errors.As(err, new(*RetryError)) {
+		t.Fatalf("SCAN of 100000 rows: %v, want an error that is not a retry", err)
 	}
-	if open := srv.cursorStats().Open; open != 0 {
-		t.Fatalf("cursors open after the abandoned stream = %d, want 0", open)
+	if took := time.Since(begin); took > time.Second {
+		t.Fatalf("SCAN of 100000 rows took %v to fail", took)
+	}
+	pairs, err := cl.Scan(0, core.Key(8*n), MaxScanChunk)
+	if err != nil || len(pairs) != MaxScanChunk {
+		t.Fatalf("SCAN of %d rows: %d rows, %v", MaxScanChunk, len(pairs), err)
 	}
 }
 

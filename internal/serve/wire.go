@@ -183,7 +183,7 @@ type Status uint8
 const (
 	StatusOK       Status = 0
 	StatusNotFound Status = 1
-	StatusRetry    Status = 2 // server overloaded; retry after the hint
+	StatusRetry    Status = 2 // refused with no effect; retry after the hint
 	StatusErr      Status = 3
 	StatusDeadline Status = 4 // request deadline expired before execution
 
@@ -199,7 +199,7 @@ const (
 const (
 	MaxFrame      = 16 << 20 // bytes of payload per frame
 	MaxMGetKeys   = 1 << 16  // keys per MGET / DEL, pairs per PUT
-	MaxScanRows   = 1 << 20  // row limit per SCAN
+	MaxScanRows   = 1 << 16  // row limit per SCAN: one chunk; stream more
 	MaxScanChunk  = 1 << 16  // rows per SCANNEXT chunk
 	MaxReplBytes  = 1 << 20  // WAL-record / checkpoint-chunk bytes per REPLICATE frame
 	MaxReplShards = 1 << 16  // per-shard LSNs per STATUS response

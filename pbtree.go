@@ -379,8 +379,9 @@ const (
 	// StatusNotFound reports a GET miss.
 	StatusNotFound = serve.StatusNotFound
 
-	// StatusRetry reports admission rejection; back off by the
-	// response's retry-after hint.
+	// StatusRetry reports a request refused with no effect (a full
+	// shard queue or the cursor cap); back off by the response's
+	// retry-after hint.
 	StatusRetry = serve.StatusRetry
 
 	// StatusErr carries an error message.
@@ -402,9 +403,13 @@ const FsyncAlways = serve.FsyncAlways
 
 // Serving-layer errors.
 var (
-	// ErrOverloaded reports a full shard mutation queue: back off and
-	// retry.
+	// ErrOverloaded reports a full shard mutation queue before any
+	// part of the write was enqueued: back off and retry.
 	ErrOverloaded = serve.ErrOverloaded
+
+	// ErrPartialWrite reports a full shard mutation queue after
+	// another shard took its part of the write, which applies.
+	ErrPartialWrite = serve.ErrPartialWrite
 
 	// ErrClosed reports a write to a closed store.
 	ErrClosed = serve.ErrClosed

@@ -29,6 +29,10 @@
 #     And the deleted worker pool ("workerPool", STATS "pool_size",
 #     the "pbtree_pool_" metric families, the "resp_queue" stage): one
 #     goroutine answers a connection.
+#     And the deleted admission budgets ("newAdmission", the test-only
+#     "withBudgets", the "pbtree_admission_" metric families, STATS
+#     "BudgetStats", the loadgen's "rejected_by_class"): a connection's
+#     burst is its own bound.
 set -eu
 
 history='--exclude=docs_check.sh --exclude-dir=.bench_build --exclude-dir=bench'
@@ -68,6 +72,14 @@ stale=$(grep -rnE 'workerPool|pool_size|pbtree_pool_|resp_queue' \
     --include='*.go' --include='*.md' --include='*.sh' $history . || true)
 if [ -n "$stale" ]; then
     echo "docs-check: the worker pool is history only:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
+stale=$(grep -rnE 'newAdmission|withBudgets|pbtree_admission_|rejected_by_class|BudgetStats' \
+    --include='*.go' --include='*.md' --include='*.sh' $history . || true)
+if [ -n "$stale" ]; then
+    echo "docs-check: the admission budgets are history only:" >&2
     echo "$stale" >&2
     exit 1
 fi

@@ -4,7 +4,7 @@
 # data path is busy: /healthz says ok, /metrics carries the per-op,
 # per-stage and per-shard families plus one family from each group of
 # the registry's counter table, and /statsz returns the STATS JSON with
-# the budgets and cursors it reads from the same cells.
+# the cursors it reads from the same cells.
 set -eu
 
 tmp=$(mktemp -d)
@@ -60,7 +60,7 @@ wait "$load" || { echo "smoke-admin: loadgen failed"; exit 1; }
 
 for family in pbtree_op_latency_seconds pbtree_stage_latency_seconds \
     pbtree_request_latency_seconds pbtree_shard_queue_depth pbtree_shard_ready \
-    pbtree_wal_appends_total pbtree_admission_tokens_in_use \
+    pbtree_wal_appends_total pbtree_rejected_total \
     pbtree_scan_cursors_open pbtree_repl_shipped_records_total; do
     grep -q "$family" "$tmp/metrics" \
         || { echo "smoke-admin: /metrics missing $family"; head -40 "$tmp/metrics"; exit 1; }
@@ -69,10 +69,8 @@ grep -q 'stage="wal_fsync"\|stage="exec"' "$tmp/metrics" \
     || { echo "smoke-admin: no per-stage samples in /metrics"; exit 1; }
 grep -q '"server_stages"' "$tmp/statsz" \
     || { echo "smoke-admin: /statsz missing server_stages"; head -20 "$tmp/statsz"; exit 1; }
-for key in '"budgets"' '"cursors"'; do
-    grep -q "$key" "$tmp/statsz" \
-        || { echo "smoke-admin: /statsz missing $key"; head -20 "$tmp/statsz"; exit 1; }
-done
+grep -q '"cursors"' "$tmp/statsz" \
+    || { echo "smoke-admin: /statsz missing cursors"; head -20 "$tmp/statsz"; exit 1; }
 
 kill -TERM "$srv"
 wait "$srv" || { echo "smoke-admin: server exited nonzero:"; cat "$tmp/server.log"; exit 1; }
