@@ -77,7 +77,7 @@ func TestCheckpointFailureRemovesTmp(t *testing.T) {
 	if _, _, err := b.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	b.Bootstrap(seed)
+	b.Bootstrap(All(seed))
 	if err := b.Seal(1); err != nil {
 		t.Fatal(err)
 	}

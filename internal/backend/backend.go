@@ -14,7 +14,7 @@
 // never need their own write locks; Snapshot and the snapshots it
 // returns must be safe for any number of concurrent readers.
 //
-// Lifecycle, driven by the store:
+// Lifecycle, driven by the store from the shard's writer goroutine:
 //
 //	durable:     Recover → [Bootstrap] → Replay* → Seal → {ApplyBatch | Checkpoint}* → Close
 //	non-durable: Bootstrap → Seal → ApplyBatch* → Close
@@ -41,6 +41,32 @@ type Write struct {
 	// rebuild at the configured fill factor; lsm: fold the sorted runs
 	// together). The effects of Puts/Dels still apply first.
 	Compact bool
+}
+
+// Seed is the bootstrap contents of one shard: its selection of a seed
+// that every shard of a store reads in place.
+type Seed struct {
+	Pairs []core.Pair // the shared seed, sorted by key with no duplicates
+	Shard []uint8     // one byte per pair, the pair's shard; nil: every pair is this shard's
+	ID    uint8       // this shard's byte in Shard
+	N     int         // how many pairs are this shard's
+}
+
+// All is the seed of every one of pairs.
+func All(pairs []core.Pair) Seed { return Seed{Pairs: pairs, N: len(pairs)} }
+
+// Selected returns the seed's pairs, copied out unless every pair is:
+// without a branch, as core.Tree.BulkloadSelected takes them.
+func (s Seed) Selected() []core.Pair {
+	if s.Shard == nil {
+		return s.Pairs
+	}
+	out, k := make([]core.Pair, s.N+1), 0 // the last pair written may be unselected
+	for i, p := range s.Pairs {
+		out[k] = p
+		k += int((uint32(s.Shard[i]^s.ID) - 1) >> 31)
+	}
+	return out[:k]
 }
 
 // Snapshot is one pinned, immutable read view of a backend. All
@@ -203,9 +229,9 @@ type Backend interface {
 	// Replay before Seal.
 	Recover() (lastLSN uint64, hadState bool, err error)
 
-	// Bootstrap seeds an empty engine from sorted, duplicate-free
-	// pairs (the Bulkload contract). Called at most once, before Seal.
-	Bootstrap(seed []core.Pair) error
+	// Bootstrap seeds an empty engine from its selection of a shared
+	// seed, read until Seal returns. Called at most once, before Seal.
+	Bootstrap(seed Seed) error
 
 	// Replay applies one recovered WAL record. Cheaper than
 	// ApplyBatch: nothing is published until Seal. The engine keeps

@@ -101,7 +101,7 @@ type PBTree struct {
 	// Recovery-phase state, discarded at Seal: the pairs of the
 	// checkpoint Recover loaded or of Bootstrap's seed, and the WAL
 	// tail Replay logged after them.
-	base []core.Pair
+	base Seed
 	log  replayLog
 }
 
@@ -150,7 +150,7 @@ func (b *PBTree) Recover() (uint64, bool, error) {
 		pairs, lerr := core.ReadPairs(f)
 		f.Close()
 		if lerr == nil {
-			b.base = pairs
+			b.base = All(pairs)
 			b.ckptBytes.Store(core.EncodedSize(len(pairs)))
 			return lsn, true, nil
 		}
@@ -159,7 +159,7 @@ func (b *PBTree) Recover() (uint64, bool, error) {
 }
 
 // Bootstrap implements Backend.
-func (b *PBTree) Bootstrap(seed []core.Pair) error {
+func (b *PBTree) Bootstrap(seed Seed) error {
 	b.base = seed
 	return nil
 }
@@ -173,15 +173,20 @@ func (b *PBTree) Replay(w Write) error {
 
 // Seal implements Backend: merge the replayed tail into the recovered
 // or seed pairs, bulkload the tree from them, and publish its first
-// version. The bulkload rejects pairs that are not sorted and unique.
+// version. A seed with no tail is read in place; otherwise the
+// bulkload rejects pairs that are not sorted and unique.
 func (b *PBTree) Seal(version uint64) error {
-	pairs := b.log.merge(b.base)
-	b.base, b.log = nil, replayLog{}
 	t, err := core.New(b.tree)
 	if err != nil {
 		return err
 	}
-	if err := t.Bulkload(pairs, b.fill); err != nil {
+	if s := b.base; s.Shard != nil && len(b.log.words) == 0 {
+		err = t.BulkloadSelected(s.Pairs, s.Shard, s.ID, s.N, b.fill)
+	} else {
+		err = t.Bulkload(b.log.merge(s.Selected()), b.fill)
+	}
+	b.base, b.log = Seed{}, replayLog{}
+	if err != nil {
 		return err
 	}
 	b.publish(&pbSnapshot{tree: *t, version: version, lsn: version - 1})

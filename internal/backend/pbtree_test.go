@@ -14,7 +14,7 @@ import (
 func newTestPBTree(t *testing.T, width int, pairs []core.Pair) *PBTree {
 	t.Helper()
 	b := NewPBTree(core.Config{Width: width, Prefetch: true, Mem: memsys.DefaultNative()}, 0.8, nil, "")
-	if err := b.Bootstrap(pairs); err != nil {
+	if err := b.Bootstrap(All(pairs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Seal(1); err != nil {

@@ -94,7 +94,7 @@ func recoverReplaySeal(t *testing.T, ckpt bool, base []core.Pair, ws []Write) []
 			room += len(w.Puts) + len(w.Dels)
 		}
 		seed = append(make([]core.Pair, 0, room), base...)
-		if err := b.Bootstrap(seed); err != nil {
+		if err := b.Bootstrap(All(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}

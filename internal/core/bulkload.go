@@ -11,13 +11,20 @@ import (
 // array chunk) is filled to round(fill * capacity) entries, except the
 // rightmost node of each level and the root.
 func (t *Tree) Bulkload(pairs []Pair, fill float64) error {
-	if fill <= 0 || fill > 1 {
-		return fmt.Errorf("core: bulkload factor %v outside (0, 1]", fill)
-	}
 	for i := 1; i < len(pairs); i++ {
 		if pairs[i].Key <= pairs[i-1].Key {
 			return fmt.Errorf("core: bulkload input not sorted/unique at %d", i)
 		}
+	}
+	return t.BulkloadSelected(pairs, nil, 0, len(pairs), fill)
+}
+
+// BulkloadSelected is Bulkload of the n pairs whose byte in sel is id
+// (pairs[:n] when sel is nil), read in place and not checked: the
+// caller checked the whole seed, which several shards share, once.
+func (t *Tree) BulkloadSelected(pairs []Pair, sel []uint8, id uint8, n int, fill float64) error {
+	if fill <= 0 || fill > 1 {
+		return fmt.Errorf("core: bulkload factor %v outside (0, 1]", fill)
 	}
 
 	// Reset all structure and size the arena up front: the leaves,
@@ -28,11 +35,11 @@ func (t *Tree) Bulkload(pairs []Pair, fill float64) error {
 	t.chunks = nil
 	t.firstBottom = 0
 	t.stats = UpdateStats{}
-	t.count = len(pairs)
+	t.count = n
 	t.height = 1
 
 	per := fillCount(t.leafLay.maxKeys, fill)
-	nLeaves := max(1, (len(pairs)+per-1)/per)
+	nLeaves := max(1, (n+per-1)/per)
 	var levels [][]int // children per node of each non-leaf level, bottom-up
 	blocks := nLeaves
 	for n := nLeaves; n > 1; n = len(levels[len(levels)-1]) {
@@ -46,7 +53,7 @@ func (t *Tree) Bulkload(pairs []Pair, fill float64) error {
 	}
 	t.resetArena(blocks)
 
-	if len(pairs) == 0 {
+	if n == 0 {
 		t.root = t.newNode(leafFlag)
 		if t.cfg.JumpArray == JumpExternal {
 			t.jpBulkload(t.root, 1, fill)
@@ -56,13 +63,10 @@ func (t *Tree) Bulkload(pairs []Pair, fill float64) error {
 
 	// A fresh arena hands out consecutive ids, so a level is an id
 	// range: first is its leftmost node.
-	first := t.buildLeaves(pairs, per)
+	mins := make([]Key, nLeaves)
+	first := t.buildLeaves(pairs, sel, id, n, per, mins)
 	if t.cfg.JumpArray == JumpExternal {
 		t.jpBulkload(first, nLeaves, fill)
-	}
-	mins := make([]Key, nLeaves)
-	for i := range mins {
-		mins[i] = pairs[i*per].Key
 	}
 	for i, counts := range levels {
 		first, mins = t.buildNonLeafLevel(first, counts, mins, i == 0), mins[:len(counts)]
@@ -93,28 +97,49 @@ func fillCount(capacity int, fill float64) int {
 	return n
 }
 
-// buildLeaves lays the pairs into leaves of per pairs each — a linked
+// buildLeaves lays the n pairs into leaves of per pairs each — a linked
 // list of them on a simulated tree — charging the writes to the
-// simulated hierarchy, and returns the first leaf.
-func (t *Tree) buildLeaves(pairs []Pair, per int) nodeID {
+// simulated hierarchy, notes each leaf's first key in mins, and returns
+// the first leaf.
+func (t *Tree) buildLeaves(pairs []Pair, sel []uint8, id uint8, n, per int, mins []Key) nodeID {
 	first := t.ar.high + 1
 	var prev node
-	for start := 0; start < len(pairs); start += per {
-		chunk := pairs[start:min(start+per, len(pairs))]
-		n := t.view(t.newNode(leafFlag))
-		keys, tids := t.keys(n), t.ptrs(n)
-		for i, p := range chunk {
-			keys[i], tids[i] = uint32(p.Key), uint32(p.TID)
+	j := 0 // the next pair of a selection to look at
+	for leaf, start := 0, 0; start < n; leaf, start = leaf+1, start+per {
+		cnt := min(per, n-start)
+		nd := t.view(t.newNode(leafFlag))
+		keys, tids := t.keys(nd)[:cnt], t.ptrs(nd)[:cnt]
+		if sel == nil {
+			for i, p := range pairs[start : start+cnt] {
+				keys[i], tids[i] = uint32(p.Key), uint32(p.TID)
+			}
+		} else {
+			j = fillSelected(keys, tids, pairs, sel, id, j)
 		}
-		n.setCount(len(chunk))
-		t.chargeLeafWrite(n, 0, len(chunk))
+		mins[leaf] = Key(keys[0])
+		nd.setCount(cnt)
+		t.chargeLeafWrite(nd, 0, cnt)
 		if start > 0 && t.sim != nil {
-			t.setNext(prev, n.id)
+			t.setNext(prev, nd.id)
 			t.access(t.leafLay.nextAddr(t.addr(prev)))
 		}
-		prev = n
+		prev = nd
 	}
 	return first
+}
+
+// fillSelected fills a leaf with the next pairs from pairs[j:] whose
+// sel byte is id and returns the index past the last, branch-free (a
+// branch mispredicts on half the pairs); inlined, its loop spills.
+//
+//go:noinline
+func fillSelected(keys, tids []uint32, pairs []Pair, sel []uint8, id uint8, j int) int {
+	for s := 0; s < len(keys); j++ {
+		p := pairs[j]
+		keys[s], tids[s] = uint32(p.Key), uint32(p.TID)
+		s += int((uint32(sel[j]^id) - 1) >> 31) // 1 when sel[j] == id
+	}
+	return j
 }
 
 // buildNonLeafLevel groups the children first, first+1, ... into

@@ -50,7 +50,7 @@ func TestLSMFlushFailureRemovesTmp(t *testing.T) {
 	if _, _, err := b.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	b.Bootstrap(pairs(10, 20, 30))
+	b.Bootstrap(backend.All(pairs(10, 20, 30)))
 	b.Seal(1)
 	if err := b.Checkpoint(0); err != nil {
 		t.Fatal(err)

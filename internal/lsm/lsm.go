@@ -239,8 +239,7 @@ type LSM struct {
 	gen     uint32 // highest generation in use
 	version uint64 // last published version
 	lsn     uint64 // the LSN it covers
-	boot    []core.Pair
-	bootSet bool
+	boot    *backend.Seed
 }
 
 // New builds an LSM engine. cfg must already be resolved with
@@ -348,8 +347,8 @@ func supersedes(c, a *run) bool {
 }
 
 // Bootstrap implements backend.Backend.
-func (b *LSM) Bootstrap(seed []core.Pair) error {
-	b.boot, b.bootSet = seed, true
+func (b *LSM) Bootstrap(seed backend.Seed) error {
+	b.boot = &seed
 	return nil
 }
 
@@ -365,15 +364,15 @@ func (b *LSM) Replay(w backend.Write) error {
 // seed into the bottom run [0, 0]; a recovered one computes the exact
 // live count across runs + replayed memtable.
 func (b *LSM) Seal(version uint64) error {
-	if b.bootSet {
-		entries := make([]memEntry, 0, len(b.boot))
-		for _, p := range b.boot {
+	if b.boot != nil {
+		entries := make([]memEntry, 0, b.boot.N)
+		for _, p := range b.boot.Selected() {
 			entries = append(entries, memEntry{key: p.Key, tid: p.TID})
 		}
 		b.runs = []*run{newRun(entries, 0, 0, 0)}
 		b.count = len(entries)
 		b.memFrom = 1
-		b.boot, b.bootSet = nil, false
+		b.boot = nil
 	} else {
 		b.count = 0
 		for r := (&lsmView{mem: b.mem, runs: b.runs}).scan(0, core.MaxKey); r.more; r.advance() {

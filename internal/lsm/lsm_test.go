@@ -155,7 +155,7 @@ func TestLSMReadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := New(cfg, nil, "")
-	if err := b.Bootstrap(pairs(10, 20, 30, 40, 50)); err != nil {
+	if err := b.Bootstrap(backend.All(pairs(10, 20, 30, 40, 50))); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Seal(1); err != nil {
@@ -224,7 +224,7 @@ func TestLSMScanReadsWhatItReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := New(cfg, nil, "")
-	if err := b.Bootstrap(nil); err != nil {
+	if err := b.Bootstrap(backend.Seed{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Seal(1); err != nil {
@@ -257,7 +257,7 @@ func TestLSMScanReadsWhatItReturns(t *testing.T) {
 func TestLSMCountStaysExact(t *testing.T) {
 	cfg, _ := Config{FlushKeys: 4, MaxRuns: 4}.WithDefaults()
 	b := New(cfg, nil, "")
-	b.Bootstrap(pairs(1, 2, 3))
+	b.Bootstrap(backend.All(pairs(1, 2, 3)))
 	b.Seal(1)
 	// Overwrites of run-resident keys must not inflate the count, and
 	// deletes of run-resident (or absent) keys must not deflate it.
@@ -316,7 +316,7 @@ func TestLSMDurableRecovery(t *testing.T) {
 	if last, had, err := b.Recover(); err != nil || had || last != 0 {
 		t.Fatalf("fresh Recover = %d %v %v", last, had, err)
 	}
-	b.Bootstrap(pairs(10, 20, 30))
+	b.Bootstrap(backend.All(pairs(10, 20, 30)))
 	b.Seal(1)
 	if err := b.Checkpoint(0); err != nil { // bootstrap run [0,0]
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestLSMRecoverySupersededRuns(t *testing.T) {
 	fs.MkdirAll("shard")
 	cfg, _ := Config{FlushKeys: 2, MaxRuns: 2}.WithDefaults()
 	b := New(cfg, fs, "shard")
-	b.Bootstrap(pairs(1, 2))
+	b.Bootstrap(backend.All(pairs(1, 2)))
 	b.Seal(1)
 	b.Checkpoint(0)
 	for i := 0; i < 6; i++ {
@@ -404,7 +404,7 @@ func TestLSMRecoveryRejectsCorruptRun(t *testing.T) {
 	fs.MkdirAll("shard")
 	cfg, _ := Config{}.WithDefaults()
 	b := New(cfg, fs, "shard")
-	b.Bootstrap(pairs(1, 2, 3))
+	b.Bootstrap(backend.All(pairs(1, 2, 3)))
 	b.Seal(1)
 	if err := b.Checkpoint(0); err != nil {
 		t.Fatal(err)
@@ -436,7 +436,7 @@ func TestLSMRecoveryRejectsChainGap(t *testing.T) {
 	fs.MkdirAll("shard")
 	cfg, _ := Config{FlushKeys: 2, MaxRuns: 100}.WithDefaults() // no compaction
 	b := New(cfg, fs, "shard")
-	b.Bootstrap(pairs(1))
+	b.Bootstrap(backend.All(pairs(1)))
 	b.Seal(1)
 	b.Checkpoint(0)
 	for i := 0; i < 6; i++ {

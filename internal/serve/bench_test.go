@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pbtree/internal/core"
@@ -32,12 +34,15 @@ func benchStore(b *testing.B) *Store {
 	return st
 }
 
-// openBenchStore opens a two-shard store of the given number of keys;
-// the caller closes it.
+// openBenchStore opens a two-shard store of the given number of keys
+// and waits until it serves; the caller closes it.
 func openBenchStore(b *testing.B, keys int) *Store {
 	b.Helper()
 	st, err := Open(StoreConfig{Shards: 2}, workload.SortedPairs(keys))
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.WaitReady(); err != nil {
 		b.Fatal(err)
 	}
 	return st
@@ -141,6 +146,56 @@ func BenchmarkStoreCursor2000x256(b *testing.B) {
 			got += len(rows)
 		}
 		cur.Close()
+	}
+}
+
+// BenchmarkStoreOpen is the store's start: Open and WaitReady over a
+// 4 M-pair seed made beforehand, on both engines, in memory (/mem) and
+// durable (/durable: fsync never, a fresh temporary directory each
+// time, so every shard bootstraps and writes its first checkpoint),
+// on 2 and 8 shards. ns/key is the time per seed pair and B/key what
+// the start allocates per seed pair, the shards' engines included.
+// Every shard reads the whole seed and takes its own pairs; run it at
+// GOMAXPROCS=1 to see that reading on one core.
+func BenchmarkStoreOpen(b *testing.B) {
+	const keys = 4 << 20
+	seed := workload.SortedPairs(keys)
+	for _, be := range []string{BackendPBTree, BackendLSM} {
+		for _, durable := range []bool{false, true} {
+			for _, shards := range []int{2, 8} {
+				name := fmt.Sprintf("%s/mem/shards%d", be, shards)
+				if durable {
+					name = fmt.Sprintf("%s/durable/shards%d", be, shards)
+				}
+				b.Run(name, func(b *testing.B) {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for i := 0; i < b.N; i++ {
+						cfg := StoreConfig{Shards: shards, Backend: be}
+						if durable {
+							b.StopTimer()
+							cfg.Durable = &DurableConfig{Dir: b.TempDir(), Fsync: FsyncNever}
+							b.StartTimer()
+						}
+						st, err := Open(cfg, seed)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := st.WaitReady(); err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						st.Close()
+						b.StartTimer()
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					n := float64(b.N) * keys
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/key")
+					b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/key")
+				})
+			}
+		}
 	}
 }
 

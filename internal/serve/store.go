@@ -49,8 +49,8 @@ const (
 // StoreConfig configures a sharded store.
 type StoreConfig struct {
 	// Shards is the number of hash partitions, each an independent
-	// storage engine with its own single-writer goroutine. Zero
-	// selects GOMAXPROCS.
+	// storage engine with its own single-writer goroutine, at most
+	// MaxShards. Zero selects GOMAXPROCS, capped at MaxShards.
 	Shards int
 
 	// Backend selects the per-shard storage engine, BackendPBTree or
@@ -109,10 +109,10 @@ type StoreConfig struct {
 // withDefaults resolves and validates the configuration.
 func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	if c.Shards == 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
+		c.Shards = min(runtime.GOMAXPROCS(0), MaxShards)
 	}
-	if c.Shards < 1 {
-		return c, fmt.Errorf("serve: shard count %d must be positive", c.Shards)
+	if c.Shards < 1 || c.Shards > MaxShards {
+		return c, fmt.Errorf("serve: shard count %d outside [1, %d]", c.Shards, MaxShards)
 	}
 	switch c.Backend {
 	case "":
@@ -133,6 +133,9 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 	}
 	if memsys.IsNil(c.Tree.Mem) {
 		c.Tree.Mem = memsys.DefaultNative()
+	}
+	if _, err := core.New(c.Tree); err != nil {
+		return c, err // refused here, not by every shard's writer
 	}
 	l, err := c.LSM.WithDefaults()
 	if err != nil {
@@ -156,6 +159,9 @@ func (c StoreConfig) withDefaults() (StoreConfig, error) {
 }
 
 const (
+	// MaxShards bounds StoreConfig.Shards: Open notes a pair's shard in a byte.
+	MaxShards = 256
+
 	// fill is the pbtree engine's bulkload/rebuild fill factor, leaving
 	// slack for inserts.
 	fill = 0.8
@@ -226,7 +232,6 @@ type shard struct {
 
 	// Writer-owned state.
 	idx       int             // shard index (directory name)
-	seed      []core.Pair     // bootstrap contents for a fresh directory
 	version   uint64          // last published snapshot version
 	wal       *walWriter      // nil when the store is not durable
 	lsn       uint64          // last LSN appended to the WAL
@@ -346,14 +351,14 @@ type Store struct {
 }
 
 // Open builds a store from the given pairs (sorted by key, no
-// duplicates — the Bulkload contract) and starts the shard writers.
+// duplicates, which it checks) and starts the shard writers.
 //
-// With cfg.Durable set, the pairs only seed a fresh data directory; an
+// Every shard starts in its own writer goroutine, reading pairs in
+// place: the caller must not modify them until WaitReady returns, which
+// blocks until every shard is up and reports the first failure. With
+// cfg.Durable set, the pairs only seed a fresh data directory; an
 // existing directory is recovered instead (engine artifacts + WAL
-// tail), per shard, inside the shard writer goroutines. Open returns
-// immediately; reads and writes to a shard block until its recovery
-// finishes. WaitReady blocks until every shard is up and reports the
-// first recovery failure.
+// tail).
 func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -361,20 +366,16 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 	}
 	st := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards), waiters: make(chan *waiter, 8*window)}
 
-	// Partition the (sorted) pairs; each partition stays sorted. The
-	// seed is as large as a shard's tree, so a part is sized by a
-	// counting pass and allocated once, not grown.
-	sizes := make([]int, cfg.Shards)
-	for _, p := range pairs {
-		sizes[st.ShardOf(p.Key)]++
-	}
-	parts := make([][]core.Pair, cfg.Shards)
-	for i, n := range sizes {
-		parts[i] = make([]core.Pair, 0, n)
-	}
-	for _, p := range pairs {
+	// One pass over the seed: check it, and note each pair's shard in a
+	// byte and each shard's count. No shard's pairs are copied out.
+	sel, counts := make([]uint8, len(pairs)), make([]int, cfg.Shards)
+	for i, p := range pairs {
+		if i > 0 && p.Key <= pairs[i-1].Key {
+			return nil, fmt.Errorf("serve: seed not sorted/unique at %d", i)
+		}
 		s := st.ShardOf(p.Key)
-		parts[s] = append(parts[s], p)
+		sel[i] = uint8(s)
+		counts[s]++
 	}
 	st.epoch.Store(1)
 	st.replica.Store(cfg.Replica)
@@ -397,23 +398,8 @@ func Open(cfg StoreConfig, pairs []core.Pair) (*Store, error) {
 			ready:   make(chan struct{}),
 		}
 		sh.ack = func(err error) { st.acked(sh, err) }
-		if cfg.Durable != nil {
-			// The writer goroutine recovers and publishes the first
-			// snapshot; this shard serves as soon as it is done.
-			sh.seed = parts[i]
-		} else {
-			if err := sh.be.Bootstrap(parts[i]); err != nil {
-				return nil, err
-			}
-			if err := sh.be.Seal(1); err != nil {
-				return nil, err
-			}
-			parts[i] = nil // the tree holds it now
-			sh.version = 1
-			sh.markReady(nil)
-		}
 		st.shards[i] = sh
-		go st.writer(sh)
+		go st.writer(sh, backend.Seed{Pairs: pairs, Shard: sel, ID: uint8(i), N: counts[i]})
 	}
 	return st, nil
 }
@@ -466,7 +452,7 @@ func (st *Store) Recovery() []RecoveryStats {
 // bootstrap a fresh directory from the seed pairs, fold the recovered
 // tail into a fresh engine checkpoint, open a fresh WAL segment,
 // publish the first snapshot.
-func (st *Store) recoverAndPublish(sh *shard) error {
+func (st *Store) recoverAndPublish(sh *shard, seed backend.Seed) error {
 	start := time.Now()
 	d := st.cfg.Durable
 	dir := shardDirName(sh.idx)
@@ -484,13 +470,12 @@ func (st *Store) recoverAndPublish(sh *shard) error {
 		return err
 	}
 	if !hadState && len(segs) == 0 {
-		if err := sh.be.Bootstrap(sh.seed); err != nil {
+		if err := sh.be.Bootstrap(seed); err != nil {
 			return err
 		}
 		stats.Bootstrapped = true
 	}
-	sh.lsn0Empty = !hadState && (!stats.Bootstrapped || len(sh.seed) == 0)
-	sh.seed = nil
+	sh.lsn0Empty = !hadState && (!stats.Bootstrapped || seed.N == 0)
 	if err := replayWAL(d.FS, dir, segs, sh.be, &stats); err != nil {
 		return err
 	}
@@ -522,8 +507,9 @@ func (st *Store) recoverAndPublish(sh *shard) error {
 	return nil
 }
 
-// ShardOf reports which shard owns a key (a splitmix64-style hash of
-// the key, so adjacent keys scatter).
+// ShardOf reports which shard owns a key: a splitmix64-style hash of
+// the key, so adjacent keys scatter, modulo the shard count — a mask
+// when the count is a power of two.
 func (st *Store) ShardOf(k core.Key) int {
 	x := uint64(k)
 	x ^= x >> 30
@@ -531,7 +517,10 @@ func (st *Store) ShardOf(k core.Key) int {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x % uint64(len(st.shards)))
+	if n := uint64(len(st.shards)); n&(n-1) != 0 {
+		return int(x % n)
+	}
+	return int(x & uint64(len(st.shards)-1))
 }
 
 // Shards reports the number of shards.
@@ -542,35 +531,34 @@ func (st *Store) Shards() int { return len(st.shards) }
 // publishes one snapshot per batch and acks as soon as the writes are
 // visible to new readers.
 //
-// For a durable store the writer first runs recovery (so other shards
-// serve while this one replays), then prepends a WAL group commit to
-// every batch, rotates the log every CheckpointEvery records and asks
-// the engine to checkpoint when checkpointDue says so. If recovery
-// fails the shard fail-stops: it publishes an empty snapshot so
-// readers never block forever, and acknowledges every write with the
-// recovery error.
-func (st *Store) writer(sh *shard) {
+// The writer first brings the shard up — a durable one recovers, an
+// in-memory one bootstraps from its seed — so other shards serve while
+// this one bulkloads or replays. For a durable store it then prepends a WAL group commit to every batch, rotates the log every
+// CheckpointEvery records and asks the engine to checkpoint when
+// checkpointDue says so. If the start fails the shard fail-stops: it
+// publishes an empty snapshot so readers never block forever, and
+// acknowledges every write with the error.
+func (st *Store) writer(sh *shard, seed backend.Seed) {
 	defer close(sh.drained)
+	var err error
 	if st.cfg.Durable != nil {
-		err := st.recoverAndPublish(sh)
-		if err != nil {
-			sh.setDurErr(err)
-			fb := st.newBackend(sh.idx)
-			if berr := fb.Bootstrap(nil); berr == nil {
-				if serr := fb.Seal(1); serr == nil {
-					sh.be, sh.version = fb, 1
-				}
-			}
-			err = fmt.Errorf("serve: shard %d recovery: %w", sh.idx, err)
-		}
-		sh.markReady(err)
-		if err != nil {
-			for m := range sh.ops {
-				ackAll([]mutation{m}, err)
-			}
-			return
-		}
+		err = st.recoverAndPublish(sh, seed)
+	} else if err = sh.be.Bootstrap(seed); err == nil {
+		sh.version, err = 1, sh.be.Seal(1)
 	}
+	if err != nil {
+		sh.setDurErr(err)
+		if fb := st.newBackend(sh.idx); fb.Seal(1) == nil { // empty
+			sh.be, sh.version = fb, 1
+		}
+		err = fmt.Errorf("serve: shard %d recovery: %w", sh.idx, err)
+		sh.markReady(err)
+		for m := range sh.ops {
+			ackAll([]mutation{m}, err)
+		}
+		return
+	}
+	sh.markReady(nil)
 	batch := make([]mutation, 0, maxBatch)
 	for m := range sh.ops {
 		// Replication mutations run alone, outside the group-commit

@@ -14,7 +14,8 @@ import (
 	"pbtree/internal/workload"
 )
 
-// openTest builds a small store over SortedPairs(n).
+// openTest builds a small store over SortedPairs(n) and waits until it
+// serves.
 func openTest(t *testing.T, n, shards int) *Store {
 	t.Helper()
 	st, err := Open(StoreConfig{Shards: shards}, workload.SortedPairs(n))
@@ -22,6 +23,9 @@ func openTest(t *testing.T, n, shards int) *Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
+	if err := st.WaitReady(); err != nil {
+		t.Fatal(err)
+	}
 	return st
 }
 

@@ -415,8 +415,9 @@ var (
 	ErrClosed = serve.ErrClosed
 )
 
-// OpenStore builds a sharded store from sorted pairs and starts its
-// shard writers.
+// OpenStore builds a sharded store from sorted, duplicate-free pairs
+// and starts its shard writers, which read the pairs in place: the
+// caller must not modify them until WaitReady returns.
 func OpenStore(cfg StoreConfig, pairs []Pair) (*Store, error) {
 	return serve.Open(cfg, pairs)
 }

@@ -14,6 +14,7 @@ tmp=$(mktemp -d)
 port=$((18000 + $$ % 1000))
 addr="127.0.0.1:$port"
 keys=20000
+shards=4
 data="$tmp/data"
 
 cleanup() {
@@ -26,7 +27,7 @@ go build -o "$tmp/pbtree-server" ./cmd/pbtree-server
 go build -o "$tmp/pbtree-loadgen" ./cmd/pbtree-loadgen
 
 start_server() {
-    "$tmp/pbtree-server" -addr "$addr" -keys "$keys" -shards 4 \
+    "$tmp/pbtree-server" -addr "$addr" -keys "$keys" -shards "$shards" \
         -backend "$backend" -data-dir "$data" -fsync always >"$1" 2>&1 &
     srv=$!
     ok=0
@@ -44,7 +45,7 @@ start_server() {
 
 # Boot 1: fresh directory, put-heavy load, then a hard kill mid-load.
 start_server "$tmp/server1.log"
-grep -q "bootstrapped" "$tmp/server1.log" \
+[ "$(grep -c "shard bootstrapped" "$tmp/server1.log")" = "$shards" ] \
     || { echo "smoke-recover: fresh directory not bootstrapped:"; cat "$tmp/server1.log"; exit 1; }
 "$tmp/pbtree-loadgen" -addr "$addr" -keys "$keys" -conns 4 \
     -duration 5s -put 90 -del 0 >/dev/null 2>&1 &
@@ -54,10 +55,14 @@ kill -9 "$srv"
 srv=
 wait "$load" 2>/dev/null || true  # loadgen dies with the connection; expected
 
-# Boot 2: same directory. The WAL tail must be replayed.
+# Boot 2: same directory, same -keys seed. Every shard must recover
+# it; none may bootstrap again (the seed only fills fresh shards).
 start_server "$tmp/server2.log"
-grep -q "recovered" "$tmp/server2.log" \
-    || { echo "smoke-recover: no recovery after kill -9:"; cat "$tmp/server2.log"; exit 1; }
+[ "$(grep -c "shard recovered" "$tmp/server2.log")" = "$shards" ] \
+    || { echo "smoke-recover: not every shard recovered after kill -9:"; cat "$tmp/server2.log"; exit 1; }
+if grep -q "bootstrapped" "$tmp/server2.log"; then
+    echo "smoke-recover: a shard bootstrapped from the seed on restart:"; cat "$tmp/server2.log"; exit 1
+fi
 grep -Eq "replayed=[1-9][0-9]*" "$tmp/server2.log" \
     || { echo "smoke-recover: nothing replayed from the WAL:"; cat "$tmp/server2.log"; exit 1; }
 
