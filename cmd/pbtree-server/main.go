@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -146,6 +147,8 @@ func main() {
 	if err := st.WaitReady(); err != nil {
 		fail("recovery", err)
 	}
+	// The seed (64 MB at 8 M keys) is dead now: collect it before it sizes the next GC target.
+	runtime.GC()
 	for _, rs := range st.Recovery() {
 		if rs.Bootstrapped {
 			logger.Info("shard bootstrapped", "shard", rs.Shard, "pairs", rs.Pairs, "dir", *dataDir)

@@ -29,11 +29,11 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // appendFrame appends one framed request to buf.
 func appendFrame(t *testing.T, buf []byte, id uint32, req *Request) []byte {
 	t.Helper()
-	payload, err := AppendRequest(nil, id, req)
+	buf, err := appendRequestFrame(buf, id, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(appendU32(buf, uint32(len(payload))), payload...)
+	return buf
 }
 
 // readResponses reads n response frames and returns them by ID,

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pbtree/internal/core"
@@ -58,7 +58,9 @@ func (c *Call) finish() {
 // full-duplex pipeline: any number of goroutines may issue calls
 // concurrently (Go, or the synchronous wrappers), the client tags each
 // with a request ID, and a reader goroutine matches responses — which
-// the server may send in any order — back to their callers.
+// the server may send in any order — back to their callers. A writer
+// goroutine sends the frames: whatever calls queued while it was busy
+// leave together, in one write(2).
 type Client struct {
 	// Timeout, when nonzero, bounds each call: it is sent as the
 	// request deadline and bounds the local wait for the response.
@@ -69,15 +71,16 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader // owned by readLoop
 
-	// Concurrent senders serialize on sendMu; readLoop completes the
-	// pending calls.
-	sendMu  sync.Mutex
-	out     []byte
-	bw      *bufio.Writer
-	nextID  atomic.Uint32
-	pending sync.Map // uint32 -> *Call
-	failed  atomic.Pointer[error]
-	closed  atomic.Bool
+	// mu guards what is queued and what is outstanding. fail takes it
+	// too, so a call is either registered before the failure, and
+	// failed by it, or sees the sticky error.
+	mu      sync.Mutex
+	queued  []byte // frames for the writer's next write(2)
+	nqueued int    // frames in queued
+	nextID  uint32
+	pending map[uint32]*Call
+	err     error         // sticky failure; pending is nil once set
+	wake    chan struct{} // queued became non-empty; closed by fail
 }
 
 // handshakeTimeout bounds Dial's HELLO exchange, so a peer that accepts
@@ -91,15 +94,11 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	go c.readLoop()
+	c := newClient(conn)
 	// HELLO is an ordinary call; the connection deadline fails it, and
 	// with it the read loop, if no answer comes.
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	rs, err := c.call(&Request{Op: OpHello, MaxVersion: ProtoVersion})
-	if err == nil {
-		err = statusErr(rs)
-	}
+	rs, err := c.callOK(&Request{Op: OpHello, MaxVersion: ProtoVersion})
 	if err == nil && rs.Version != ProtoVersion {
 		err = fmt.Errorf("serve: server speaks protocol version %d, want %d", rs.Version, ProtoVersion)
 	}
@@ -112,14 +111,22 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
+// newClient starts the reader and the writer of a connection.
+func newClient(conn net.Conn) *Client {
+	c := &Client{conn: conn, br: bufio.NewReader(conn), pending: make(map[uint32]*Call), wake: make(chan struct{}, 1)}
+	go c.readLoop()
+	go c.writeLoop()
+	return c
+}
+
 // Window reports the server's per-connection pipeline depth.
 func (c *Client) Window() uint32 { return c.window }
 
-// Close closes the connection; in-flight calls fail with
+// Close closes the connection; in-flight and later calls fail with
 // ErrClientClosed.
 func (c *Client) Close() error {
-	c.closed.Store(true)
-	return c.conn.Close()
+	c.fail(ErrClientClosed)
+	return nil
 }
 
 // Go issues req asynchronously and returns its Call; the call is
@@ -130,47 +137,54 @@ func (c *Client) Go(req *Request, done chan *Call) *Call {
 		done = make(chan *Call, 1)
 	}
 	call := &Call{Req: req, Done: done}
-	if err := c.broken(); err != nil {
-		call.Err = err
-		call.finish()
-		return call
-	}
 	if c.Timeout > 0 {
 		req.DeadlineMS = uint32(c.Timeout / time.Millisecond)
 	}
-	id := c.nextID.Add(1)
-	call.id = id
-	c.pending.Store(id, call)
-	c.sendMu.Lock()
-	payload, err := AppendRequest(c.out[:0], id, req)
+	c.mu.Lock()
+	err := c.err
 	if err == nil {
-		c.out = payload
-		if c.Timeout > 0 {
-			c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
-		}
-		if err = WriteFrame(c.bw, payload); err == nil {
-			err = c.bw.Flush()
+		c.nextID++
+		call.id = c.nextID
+		empty := c.nqueued == 0
+		if c.queued, err = appendRequestFrame(c.queued, call.id, req); err == nil {
+			c.pending[call.id] = call
+			c.nqueued++
+			if empty {
+				c.wake <- struct{}{} // cannot block: one wake per emptied queue
+			}
 		}
 	}
-	c.sendMu.Unlock()
+	c.mu.Unlock()
 	if err != nil {
-		if _, loaded := c.pending.LoadAndDelete(id); loaded {
-			call.Err = err
-			call.finish()
-		}
+		call.Err = err
+		call.finish()
 	}
 	return call
 }
 
-// broken reports the sticky transport error, if any.
-func (c *Client) broken() error {
-	if c.closed.Load() {
-		return ErrClientClosed
+// writeLoop sends everything queued in one write(2) until fail closes
+// wake. Holding one frame it first yields once, so that on one P the
+// callers whose answers just came queue theirs behind it (DESIGN.md §10).
+func (c *Client) writeLoop() {
+	var out []byte
+	for range c.wake {
+		c.mu.Lock()
+		if c.nqueued == 1 {
+			c.mu.Unlock()
+			runtime.Gosched()
+			c.mu.Lock()
+		}
+		out, c.queued = c.queued, out[:0]
+		c.nqueued = 0
+		timeout := c.Timeout
+		c.mu.Unlock()
+		if timeout > 0 {
+			c.conn.SetWriteDeadline(time.Now().Add(timeout))
+		}
+		if _, err := c.conn.Write(out); err != nil {
+			c.fail(err)
+		}
 	}
-	if p := c.failed.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // readLoop is the response dispatcher: it matches response
@@ -180,38 +194,45 @@ func (c *Client) readLoop() {
 	var buf []byte
 	var err error
 	for {
-		var frame []byte
-		frame, err = ReadFrame(c.br, buf)
-		if err != nil {
+		if buf, err = ReadFrame(c.br, buf); err != nil {
 			break
 		}
-		buf = frame
-		id, rs, derr := DecodeResponse(frame)
+		id, rs, derr := DecodeResponse(buf)
 		if derr != nil {
 			err = derr
 			break
 		}
-		if v, ok := c.pending.LoadAndDelete(id); ok {
-			call := v.(*Call)
+		c.mu.Lock()
+		call := c.pending[id]
+		delete(c.pending, id)
+		c.mu.Unlock()
+		// An unknown ID answers an abandoned (timed-out) call: drop it.
+		if call != nil {
 			call.Resp = rs
 			call.finish()
 		}
-		// An unknown ID is a response to an abandoned (timed-out)
-		// call: drop it.
 	}
-	if c.closed.Load() {
-		err = ErrClientClosed
+	c.fail(err)
+}
+
+// fail makes err the sticky failure, closes the connection, stops the
+// writer and fails every pending call. Only the first failure counts.
+func (c *Client) fail(err error) {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
 	}
-	c.failed.Store(&err)
+	c.err = err
+	pending := c.pending
+	c.pending = nil
+	close(c.wake)
+	c.mu.Unlock()
 	c.conn.Close()
-	c.pending.Range(func(k, v any) bool {
-		if _, ok := c.pending.LoadAndDelete(k); ok {
-			call := v.(*Call)
-			call.Err = err
-			call.finish()
-		}
-		return true
-	})
+	for _, call := range pending {
+		call.Err = err
+		call.finish()
+	}
 }
 
 // call runs one request synchronously.
@@ -231,9 +252,21 @@ func (c *Client) call(req *Request) (*Response, error) {
 		return call.Resp, call.Err
 	case <-timer.C:
 		// Abandon: the reader drops the late response by its ID.
-		c.pending.Delete(call.id)
+		c.mu.Lock()
+		delete(c.pending, call.id)
+		c.mu.Unlock()
 		return nil, &DeadlineError{}
 	}
+}
+
+// callOK is call with a non-OK status as its error; StatusNotFound
+// is left to the caller.
+func (c *Client) callOK(req *Request) (*Response, error) {
+	rs, err := c.call(req)
+	if err == nil {
+		err = statusErr(rs)
+	}
+	return rs, err
 }
 
 // statusErr maps non-OK statuses onto errors; StatusNotFound is left
@@ -253,11 +286,8 @@ func statusErr(rs *Response) error {
 
 // Get looks up one key.
 func (c *Client) Get(k core.Key) (core.TID, bool, error) {
-	rs, err := c.call(&Request{Op: OpGet, Keys: []core.Key{k}})
+	rs, err := c.callOK(&Request{Op: OpGet, Keys: []core.Key{k}})
 	if err != nil {
-		return 0, false, err
-	}
-	if err := statusErr(rs); err != nil {
 		return 0, false, err
 	}
 	if rs.Status == StatusNotFound {
@@ -271,11 +301,8 @@ func (c *Client) Get(k core.Key) (core.TID, bool, error) {
 
 // MGet looks up a batch of keys; the result aligns with keys.
 func (c *Client) MGet(keys []core.Key) ([]Lookup, error) {
-	rs, err := c.call(&Request{Op: OpMGet, Keys: keys})
+	rs, err := c.callOK(&Request{Op: OpMGet, Keys: keys})
 	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(rs); err != nil {
 		return nil, err
 	}
 	if len(rs.Lookups) != len(keys) {
@@ -286,11 +313,8 @@ func (c *Client) MGet(keys []core.Key) ([]Lookup, error) {
 
 // Scan returns up to limit pairs with keys in [start, end].
 func (c *Client) Scan(start, end core.Key, limit int) ([]core.Pair, error) {
-	rs, err := c.call(&Request{Op: OpScan, Start: start, End: end, Limit: uint32(limit)})
+	rs, err := c.callOK(&Request{Op: OpScan, Start: start, End: end, Limit: uint32(limit)})
 	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(rs); err != nil {
 		return nil, err
 	}
 	return rs.Pairs, nil
@@ -298,20 +322,14 @@ func (c *Client) Scan(start, end core.Key, limit int) ([]core.Pair, error) {
 
 // Put upserts the pairs (one atomic unit per shard).
 func (c *Client) Put(pairs ...core.Pair) error {
-	rs, err := c.call(&Request{Op: OpPut, Pairs: pairs})
-	if err != nil {
-		return err
-	}
-	return statusErr(rs)
+	_, err := c.callOK(&Request{Op: OpPut, Pairs: pairs})
+	return err
 }
 
 // Del deletes the keys.
 func (c *Client) Del(keys ...core.Key) error {
-	rs, err := c.call(&Request{Op: OpDel, Keys: keys})
-	if err != nil {
-		return err
-	}
-	return statusErr(rs)
+	_, err := c.callOK(&Request{Op: OpDel, Keys: keys})
+	return err
 }
 
 // Do performs one raw request/response exchange — the escape hatch
@@ -324,11 +342,8 @@ func (c *Client) Do(req *Request) (*Response, error) {
 
 // Stats fetches the server's JSON stats blob.
 func (c *Client) Stats() ([]byte, error) {
-	rs, err := c.call(&Request{Op: OpStats})
+	rs, err := c.callOK(&Request{Op: OpStats})
 	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(rs); err != nil {
 		return nil, err
 	}
 	return rs.Stats, nil
@@ -339,11 +354,8 @@ func (c *Client) Stats() ([]byte, error) {
 // snapshot of every shard until ScanClose, exhaustion, connection
 // close, or the server's idle timeout.
 func (c *Client) ScanOpen(start, end core.Key) (uint64, error) {
-	rs, err := c.call(&Request{Op: OpScanOpen, Start: start, End: end})
+	rs, err := c.callOK(&Request{Op: OpScanOpen, Start: start, End: end})
 	if err != nil {
-		return 0, err
-	}
-	if err := statusErr(rs); err != nil {
 		return 0, err
 	}
 	if rs.Cursor == 0 {

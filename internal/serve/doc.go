@@ -40,9 +40,9 @@
 //     and a SCAN is at most one chunk's rows (MaxScanRows). StatusRetry
 //     comes only from a full shard queue, refused before any part of
 //     the write was enqueued, or from the per-connection cursor cap.
-//   - Client mirrors the server: it multiplexes concurrent calls over
-//     one connection by request ID (Client.Go is the async form); Dial
-//     opens with a HELLO to learn the server's window.
+//   - Client mirrors the server: calls share one connection by request
+//     ID (Client.Go is the async form), one writer sends what they
+//     queued in one write, and Dial opens with a HELLO for the window.
 //   - Loadgen drives configurable read/write/scan mixes with uniform
 //     or Zipfian key skew (internal/workload) across
 //     Conns × Window concurrent streams and reports throughput and

@@ -237,7 +237,10 @@ func scanRefusingServer(t *testing.T) string {
 			case OpScan:
 				resp = &Response{Status: StatusRetry, RetryAfterMS: 1}
 			}
-			if out, err = AppendResponse(out[:0], id, resp); err != nil || WriteFrame(c, out) != nil {
+			if out, err = appendResponseFrame(out[:0], id, resp); err != nil {
+				return
+			}
+			if _, err = c.Write(out); err != nil {
 				return
 			}
 		}

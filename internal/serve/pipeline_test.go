@@ -59,7 +59,7 @@ func TestHello(t *testing.T) {
 	// A legacy opener has no ID to be answered under: the connection is
 	// closed, and the server goes on serving others.
 	legacy := dialRaw(t, addr)
-	if err := WriteFrame(legacy, []byte{byte(OpHello), 2}); err != nil {
+	if err := writeFrame(legacy, []byte{byte(OpHello), 2}); err != nil {
 		t.Fatal(err)
 	}
 	if frame, err := ReadFrame(legacy, nil); err != io.EOF {

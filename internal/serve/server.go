@@ -280,7 +280,7 @@ type pconn struct {
 	writes  []burstWrite
 
 	bw   *bufio.Writer
-	enc  []byte // response encoding scratch
+	enc  []byte // response frame scratch
 	dead bool   // a write failed: responses are dropped from here on
 }
 
@@ -309,12 +309,13 @@ func (pc *pconn) write(id uint32, resp *Response) {
 	if pc.dead {
 		return
 	}
-	payload, err := AppendResponse(pc.enc[:0], id, resp)
+	frame, err := appendResponseFrame(pc.enc[:0], id, resp)
 	if err != nil { // response exceeded wire bounds; report instead
-		payload, _ = AppendResponse(pc.enc[:0], id, &Response{Status: StatusErr, Err: err.Error()})
+		frame, _ = appendResponseFrame(pc.enc[:0], id, &Response{Status: StatusErr, Err: err.Error()})
 	}
-	pc.enc = payload
-	pc.dead = WriteFrame(pc.bw, payload) != nil
+	pc.enc = frame
+	_, err = pc.bw.Write(frame)
+	pc.dead = err != nil
 }
 
 // flush sends whatever is buffered, in one write(2) when it fits.

@@ -162,7 +162,7 @@ func TestServerRejectsAndBadFrames(t *testing.T) {
 	// A malformed body behind a readable ID gets StatusErr under that
 	// ID, and the connection survives.
 	conn := dialRaw(t, addr)
-	if err := WriteFrame(conn, []byte{9, 0, 0, 0, 0xEE}); err != nil {
+	if err := writeFrame(conn, []byte{9, 0, 0, 0, 0xEE}); err != nil {
 		t.Fatal(err)
 	}
 	if rs := readResponses(t, conn, 1)[9]; rs == nil || rs.Status != StatusErr {
@@ -175,7 +175,7 @@ func TestServerRejectsAndBadFrames(t *testing.T) {
 		t.Fatalf("valid request after bad frame: %+v", rs)
 	}
 	// A frame too short to carry an ID cannot be answered: closed.
-	if err := WriteFrame(conn, []byte{0xEE}); err != nil {
+	if err := writeFrame(conn, []byte{0xEE}); err != nil {
 		t.Fatal(err)
 	}
 	if frame, err := ReadFrame(conn, nil); err != io.EOF {

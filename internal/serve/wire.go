@@ -955,28 +955,42 @@ func decodeReplResp(rd *reader) (*ReplResp, error) {
 	return rp, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds %d", len(payload), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// appendRequestFrame appends r as one length-prefixed frame; on an
+// error dst comes back as it was.
+func appendRequestFrame(dst []byte, id uint32, r *Request) ([]byte, error) {
+	out, err := AppendRequest(append(dst, 0, 0, 0, 0), id, r)
+	return sealFrame(dst, out, err)
 }
 
-// ReadFrame reads one length-prefixed frame, reusing buf when it is
-// large enough. It refuses frames larger than MaxFrame.
+// appendResponseFrame appends rs as one length-prefixed frame; on an
+// error dst comes back as it was.
+func appendResponseFrame(dst []byte, id uint32, rs *Response) ([]byte, error) {
+	out, err := AppendResponse(append(dst, 0, 0, 0, 0), id, rs)
+	return sealFrame(dst, out, err)
+}
+
+// sealFrame fills in the length prefix of the frame that out appended
+// to dst, or returns dst on an encoding error. The encoders bound every
+// payload well under MaxFrame.
+func sealFrame(dst, out []byte, err error) ([]byte, error) {
+	if err != nil {
+		return dst, err
+	}
+	binary.LittleEndian.PutUint32(out[len(dst):], uint32(len(out)-len(dst)-4))
+	return out, nil
+}
+
+// ReadFrame reads one length-prefixed frame, reusing buf, for the
+// length prefix too, when it is large enough. It refuses frames larger
+// than MaxFrame.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("serve: frame of %d bytes exceeds %d", n, MaxFrame)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -100,12 +101,19 @@ func TestWireResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// writeFrame writes one length-prefixed frame, as a hand-rolled peer
+// would.
+func writeFrame(w io.Writer, payload []byte) error {
+	_, err := w.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+	return err
+}
+
 func TestWireFrames(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteFrame(&b, []byte("hello")); err != nil {
+	if err := writeFrame(&b, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&b, nil); err != nil {
+	if err := writeFrame(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(b.Bytes())

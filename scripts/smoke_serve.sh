@@ -1,8 +1,10 @@
 #!/bin/sh
 # Server smoke test: boot pbtree-server, drive ~2s of mixed load with
-# pbtree-loadgen, then SIGTERM and assert a clean graceful drain.
-# Exits nonzero if the server fails to start, the loadgen completes
-# zero operations (its own exit contract), or the drain is not clean.
+# pbtree-loadgen, then ~2s of pipelined mixed load, then SIGTERM and
+# assert a clean graceful drain. Exits nonzero if the server fails to
+# start, the loadgen completes zero operations (its own exit contract),
+# the pipelined pass has an error or an expired deadline, or the drain
+# is not clean.
 set -eu
 
 tmp=$(mktemp -d)
@@ -39,6 +41,16 @@ done
 # The real run: 2s of the default mixed workload with Zipf skew.
 "$tmp/pbtree-loadgen" -addr "$addr" -keys "$keys" -conns 4 \
     -duration 2s -skew zipf >"$tmp/loadgen.json"
+
+# A pipelined pass: 16 calls in flight on each of 2 connections, so the
+# client's writer sends batches of frames and the server answers them
+# in bursts. Every call must complete: no error, no expired deadline.
+"$tmp/pbtree-loadgen" -addr "$addr" -keys "$keys" -conns 2 -window 16 \
+    -duration 2s -get 50 -mget 15 -scan 10 -put 15 -del 10 >"$tmp/pipelined.json" 2>&1 || true
+expired=$(sed -n 's/^  "deadline_expired": \([0-9]*\),$/\1/p' "$tmp/pipelined.json")
+errors=$(sed -n 's/^  "errors": \([0-9]*\),$/\1/p' "$tmp/pipelined.json")
+[ "$expired" = 0 ] && [ "$errors" = 0 ] \
+    || { echo "smoke-serve: pipelined load: ${expired:-?} deadlines expired, ${errors:-?} errors:"; cat "$tmp/pipelined.json"; exit 1; }
 
 # Graceful drain.
 kill -TERM "$srv"
