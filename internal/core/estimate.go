@@ -29,18 +29,14 @@ func (t *Tree) EstimateRange(start, end Key) int {
 // estimation stays safe for concurrent native-mode readers.
 func (t *Tree) fracPos(key Key) float64 {
 	t.compute(t.cost.Op)
-	var stack [24]struct{ idx, fanout int } // deeper than any realistic tree
-	path := stack[:0]
-	leaf, addr := t.walk(key, func(n node, idx int) {
-		path = append(path, struct{ idx, fanout int }{idx, n.count() + 1})
-	})
-	ub, _ := t.searchKeys(leaf, addr, key)
+	var stack [24]pathEntry // deeper than any realistic tree
+	leaf, ub, _, path := t.find(key, stack[:0], false)
 	frac := 0.0
 	if leaf.count() > 0 {
 		frac = float64(ub) / float64(leaf.count())
 	}
 	for i := len(path) - 1; i >= 0; i-- {
-		frac = (float64(path[i].idx) + frac) / float64(path[i].fanout)
+		frac = (float64(path[i].idx) + frac) / float64(t.locate(path[i].id).count()+1)
 	}
 	return frac
 }

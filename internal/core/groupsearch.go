@@ -58,6 +58,12 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 	nodes = nodes[:len(keys)]
 	for i := range nodes {
 		nodes[i] = t.root
+	}
+	if t.sim == nil {
+		t.searchBatchNative(keys, tids, found, nodes)
+		return
+	}
+	for range nodes {
 		t.compute(t.cost.Op)
 	}
 	for level := 0; ; level++ {
@@ -102,5 +108,33 @@ func (t *Tree) SearchBatch(keys []Key, tids []TID, found []bool) {
 		}
 		t.access(t.leafLay.ptrAddr(addr, ub-1))
 		tids[i] = TID(t.ptrs(n)[ub-1])
+	}
+}
+
+// searchBatchNative is the native descent kernel (search.go) for a
+// group whose cursors stand at the root. A level asks for every
+// member's node, once for a run of members on one, before it counts.
+func (t *Tree) searchBatchNative(keys []Key, tids []TID, found []bool, nodes []nodeID) {
+	for level := 1; ; level++ {
+		for i, id := range nodes {
+			if t.cfg.Prefetch && (i == 0 || id != nodes[i-1]) {
+				pfBlock(t.locate(id).w)
+			}
+		}
+		if level == t.height {
+			break
+		}
+		for i, id := range nodes {
+			w := t.locate(id).w
+			nodes[i] = nodeID(w[len(w)/2+countLess(w, uint64(keys[i])+1)])
+		}
+	}
+	for i, id := range nodes {
+		w := t.locate(id).w
+		lb, ok := leafFind(w, keys[i])
+		found[i], tids[i] = ok, 0
+		if ok {
+			tids[i] = TID(w[len(w)/2+lb])
+		}
 	}
 }

@@ -35,22 +35,25 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	} {
 		tr := buildBatchTree(t, cfg, 10_000)
 		r := rand.New(rand.NewSource(7))
-		keys := make([]Key, 64)
-		for i := range keys {
-			if i%3 == 0 {
-				keys[i] = Key(8*r.Intn(10_000) + 1 + r.Intn(7)) // absent
-			} else {
-				keys[i] = Key(8 * (r.Intn(10_000) + 1)) // present
+		// 64 keys fill the stack cursor; 100 take one from the heap.
+		for _, m := range []int{64, 100} {
+			keys := make([]Key, m)
+			for i := range keys {
+				if i%3 == 0 {
+					keys[i] = Key(8*r.Intn(10_000) + 1 + r.Intn(7)) // absent
+				} else {
+					keys[i] = Key(8 * (r.Intn(10_000) + 1)) // present
+				}
 			}
-		}
-		tids := make([]TID, len(keys))
-		found := make([]bool, len(keys))
-		tr.SearchBatch(keys, tids, found)
-		for i, k := range keys {
-			wantTID, wantOK := tr.Search(k)
-			if found[i] != wantOK || (wantOK && tids[i] != wantTID) {
-				t.Fatalf("%s: batch key %d: got (%d,%v), want (%d,%v)",
-					tr.Name(), k, tids[i], found[i], wantTID, wantOK)
+			tids := make([]TID, len(keys))
+			found := make([]bool, len(keys))
+			tr.SearchBatch(keys, tids, found)
+			for i, k := range keys {
+				wantTID, wantOK := tr.Search(k)
+				if found[i] != wantOK || (wantOK && tids[i] != wantTID) {
+					t.Fatalf("%s: batch of %d, key %d: got (%d,%v), want (%d,%v)",
+						tr.Name(), m, k, tids[i], found[i], wantTID, wantOK)
+				}
 			}
 		}
 	}

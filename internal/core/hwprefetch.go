@@ -27,10 +27,15 @@ import (
 // reads none of the block.
 func (t *Tree) pfNode(n node) {
 	if t.sim == nil {
-		memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(n.w))), len(n.w)*fieldSize)
+		pfBlock(n.w)
 		return
 	}
 	t.prefetchRange(t.addr(n), t.leafLay.size)
+}
+
+// pfBlock issues the real prefetch of every line of block w.
+func pfBlock(w []uint32) {
+	memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(w))), len(w)*fieldSize)
 }
 
 // hintSim asks the host for what a simulated tree reads next of a
@@ -39,7 +44,7 @@ func (t *Tree) pfNode(n node) {
 // not the paper's prefetch: nothing is charged, no model verb is
 // called, and the charge sequence is the same with or without them.
 func (t *Tree) hintSim(n node) {
-	memsys.HardwarePrefetchRange(uintptr(unsafe.Pointer(unsafe.SliceData(n.w))), len(n.w)*fieldSize)
+	pfBlock(n.w)
 	memsys.HardwarePrefetch(uintptr(unsafe.Pointer(&t.addrs[n.id])))
 }
 

@@ -137,6 +137,15 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := New(Config{Width: 8, Prefetch: true, JumpArray: JumpExternal, ChunkLines: -2}); err == nil {
 		t.Error("negative chunk size accepted")
 	}
+	// A native node is at least 16 words: its key count reads 8-key runs.
+	small := memsys.DefaultConfig()
+	small.LineSize = 32
+	if _, err := New(Config{Width: 1, Mem: memsys.NewNative(small)}); err == nil {
+		t.Error("an 8-word native node accepted")
+	}
+	if _, err := New(Config{Width: 2, Mem: memsys.NewNative(small)}); err != nil {
+		t.Errorf("a 16-word native node refused: %v", err)
+	}
 	// A native tree keeps no jump-pointer array, however it is made.
 	for _, kind := range []JumpArrayKind{JumpExternal, JumpInternal} {
 		cfg := Config{Width: 8, Prefetch: true, JumpArray: kind, Mem: memsys.DefaultNative()}

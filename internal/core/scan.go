@@ -126,28 +126,40 @@ func openScans(ss []Scanner, ts []*Tree, start, end Key, noPrefetch bool) {
 		for i := range ss {
 			s := &ss[i]
 			t := s.t
-			if level >= t.height {
+			switch {
+			case level >= t.height:
+				continue
+			case t.sim == nil:
+				// The native descent kernel (search.go). The path goes
+				// into the scanner, never t.path, so that concurrent
+				// native scans write no shared tree state.
+				n := t.locate(s.leaf)
+				if level == t.height-1 {
+					s.position(node{n.w, n.id, KindLeaf}, 0, countLess(n.w, uint64(start)))
+					continue
+				}
+				idx := countLess(n.w, uint64(start)+1)
+				s.up = append(s.up, scanStep{n.id, int32(idx)})
+				s.leaf, more = nodeID(n.w[len(n.w)/2+idx]), true
 				continue
 			}
 			n := t.view(s.leaf)
 			addr := t.addr(n)
 			t.access(addr) // keynum
 			t.compute(t.cost.Visit)
+			ub, found := t.searchKeys(n, addr, start)
 			if level == t.height-1 {
-				s.position(n, addr, start)
+				if found {
+					ub--
+				}
+				s.position(n, addr, ub)
 				continue
 			}
-			idx, _ := t.searchKeys(n, addr, start)
-			t.access(t.lay(n).ptrAddr(addr, idx))
-			// The path goes into the scanner, never t.path, so that
-			// concurrent native scans write no shared tree state.
-			switch {
-			case t.sim == nil:
-				s.up = append(s.up, scanStep{n.id, int32(idx)})
-			case t.cfg.JumpArray == JumpInternal:
-				s.bn, s.bnIdx = n.id, idx
+			t.access(t.lay(n).ptrAddr(addr, ub))
+			if t.cfg.JumpArray == JumpInternal {
+				s.bn, s.bnIdx = n.id, ub
 			}
-			s.leaf = nodeID(t.ptrs(n)[idx])
+			s.leaf = nodeID(t.ptrs(n)[ub])
 			more = true
 		}
 	}
@@ -159,18 +171,14 @@ func openScans(ss []Scanner, ts []*Tree, start, end Key, noPrefetch bool) {
 }
 
 // position ends a scanner's descent at leaf, whose simulated address
-// is addr: on the first pair at or after start, or done, and then the
-// jump-pointer array's startup prefetches.
-func (s *Scanner) position(leaf node, addr uint64, start Key) {
+// is addr, on its pair idx — the first at or after the start key — or
+// done, and then the jump-pointer array's startup prefetches.
+func (s *Scanner) position(leaf node, addr uint64, idx int) {
 	t := s.t
 	if len(s.up) > 0 {
 		s.enter(t.view(s.up[len(s.up)-1].id))
 	}
-	ub, found := t.searchKeys(leaf, addr, start)
-	s.idx = ub
-	if found {
-		s.idx = ub - 1
-	}
+	s.idx = idx
 
 	// The starting position may be one past the last key of this leaf.
 	if s.idx >= leaf.count() {

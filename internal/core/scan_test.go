@@ -420,9 +420,19 @@ func TestOpenScansMatchesNewScan(t *testing.T) {
 				churned.Insert(k, TID(k))
 			}
 		}
+		// shrunk has lost a level where churned has one to lose: keys
+		// are deleted from the left until its root collapses.
+		shrunk := churned.Fork()
+		for k := Key(0); n >= 3_000 && shrunk.Height() >= churned.Height(); k++ {
+			if k > Key(8*n+64) {
+				t.Fatalf("%d keys: deleting every key left the tree %d levels high", n, shrunk.Height())
+			}
+			shrunk.Delete(k)
+		}
 		sets["fresh"] = append(sets["fresh"], tr)
 		sets["forked"] = append(sets["forked"], forked)
 		sets["churned"] = append(sets["churned"], churned)
+		sets["shrunk"] = append(sets["shrunk"], shrunk)
 	}
 	drain := func(s *Scanner, chunk int) (rows []Pair) {
 		buf := make([]Pair, chunk)

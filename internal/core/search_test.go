@@ -8,11 +8,13 @@ import (
 	"pbtree/internal/memsys"
 )
 
-// TestLowerBoundBranchlessMatchesSort cross-checks the unrolled
-// branchless lower bound against sort.Search on hand-built nodes of
-// every occupancy from empty through the widest node layout,
-// including duplicate-heavy key sets and the 0 / MaxKey sentinels.
-func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
+// TestCountLessMatchesSort cross-checks the native descent's two-step
+// count against sort.Search on hand-built nodes of every occupancy from
+// empty through the widest node layout, including duplicate-heavy key
+// sets and the 0 / MaxKey sentinels, as a lower bound (a leaf's) and
+// as an upper bound (a non-leaf node's). The words past the count are
+// zero, the value a count that forgot its mask would take for keys.
+func TestCountLessMatchesSort(t *testing.T) {
 	tr := MustNew(Config{Width: 16, Prefetch: true, Mem: memsys.DefaultNative()})
 	maxW := tr.LeafCapacity()
 	r := rand.New(rand.NewSource(41))
@@ -33,6 +35,7 @@ func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
 					keys[i] = r.Uint32()
 				}
 			}
+			clear(keys[width:])
 			sort.Slice(keys[:width], func(i, j int) bool { return keys[i] < keys[j] })
 			n.setCount(width)
 
@@ -41,10 +44,16 @@ func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
 				probes = append(probes, Key(keys[i]), Key(keys[i]-1), Key(keys[i]+1))
 			}
 			for _, p := range probes {
-				got := lowerBoundBranchless(keys[:width], p)
+				got := countLess(n.w, uint64(p))
 				want := sort.Search(width, func(i int) bool { return Key(keys[i]) >= p })
 				if got != want {
-					t.Fatalf("width %d: lowerBoundBranchless(%d) = %d, want %d (keys %v)",
+					t.Fatalf("width %d: countLess(%d) = %d, want %d (keys %v)",
+						width, p, got, want, keys[:width])
+				}
+				got = countLess(n.w, uint64(p)+1)
+				want = sort.Search(width, func(i int) bool { return Key(keys[i]) > p })
+				if got != want {
+					t.Fatalf("width %d: countLess(%d+1) = %d, want %d (keys %v)",
 						width, p, got, want, keys[:width])
 				}
 			}
@@ -52,12 +61,21 @@ func TestLowerBoundBranchlessMatchesSort(t *testing.T) {
 	}
 }
 
-// searchOracle verifies one searchKeys result against the leaf's
-// entries: a hit must return the matching position, a miss a valid
-// lower bound.
+// searchOracle verifies one leaf search — searchKeys on a simulated
+// tree, the native kernel's leafFind on a native one — against the
+// leaf's entries: a hit must return the matching position, a miss a
+// valid lower bound.
 func searchOracle(t *testing.T, tr *Tree, n node, key Key) {
 	t.Helper()
-	ub, found := tr.searchKeys(n, tr.addr(n), key)
+	var ub int
+	var found bool
+	if tr.sim == nil {
+		if ub, found = leafFind(n.w, key); found {
+			ub++
+		}
+	} else {
+		ub, found = tr.searchKeys(n, tr.addr(n), key)
+	}
 	keys := tr.keys(n)[:n.count()]
 	lb := sort.Search(len(keys), func(i int) bool { return Key(keys[i]) >= key })
 	inLeaf := lb < len(keys) && Key(keys[lb]) == key
@@ -75,7 +93,7 @@ func searchOracle(t *testing.T, tr *Tree, n node, key Key) {
 // TestSearchKeysPropertyAllLayouts drives randomized insert/delete
 // churn through every node width on both memory models — the
 // simulated tree's probe-per-key binary search and the native tree's
-// branchless pass — then probes searchKeys on every leaf: present
+// two-step count — then probes both on every leaf: present
 // keys, their neighbors, the sentinels and the empty tree.
 func TestSearchKeysPropertyAllLayouts(t *testing.T) {
 	r := rand.New(rand.NewSource(42))

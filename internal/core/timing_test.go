@@ -335,6 +335,35 @@ func benchNativeScan(b *testing.B, rows int) {
 func BenchmarkNativeScan100(b *testing.B)  { benchNativeScan(b, 100) }
 func BenchmarkNativeScan2000(b *testing.B) { benchNativeScan(b, 2000) }
 
+// BenchmarkNativeDescent splits a native descent's cost into
+// instruction work and misses: Search and 8-key SearchBatch groups on
+// the fresh tree, from a set of 16 keys whose paths stay cached and
+// from a set of 64 Ki random keys whose paths mostly miss.
+func BenchmarkNativeDescent(b *testing.B) {
+	sets := map[string]int{"cached": 16, "random": 64 << 10}
+	for _, op := range []string{"search", "batch8"} {
+		for _, set := range []string{"cached", "random"} {
+			b.Run(op+"/"+set, func(b *testing.B) {
+				r := rand.New(rand.NewSource(4))
+				keys := make([]Key, sets[set])
+				for i := range keys {
+					keys[i] = Key(8 * (r.Intn(nativeBenchKeys) + 1))
+				}
+				tids, found := make([]TID, 8), make([]bool, 8)
+				tr := nativeBenchTree(b, benchFresh)
+				for i := 0; i < b.N; i++ {
+					if op == "search" {
+						tr.Search(keys[i%len(keys)])
+					} else {
+						j := 8 * i % len(keys)
+						tr.SearchBatch(keys[j:j+8], tids, found)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkNativeInsert times inserts of new random keys (the gaps
 // sortedPairs leaves between multiples of eight) into the fresh tree —
 // in place, and the way a shard applies a single-put batch: fork,

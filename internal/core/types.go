@@ -128,7 +128,7 @@ type Config struct {
 	// and charges nothing, running at real wall-clock speed: the same
 	// prefetches (where Prefetch asks for them) are issued as real CPU
 	// instructions against the nodes' blocks, and the intra-node search
-	// is an unrolled branch-free pass over the key array. Both return
+	// is a two-step branch-free count of the keys. Both return
 	// the same answers from the same nodes, but a native tree keeps no
 	// sibling links or jump-pointer array: its scans find the next leaf
 	// in the bottom non-leaf node (scan.go, version.go). Nil selects a
@@ -217,6 +217,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if mc.LineSize < 4*fieldSize {
 		return c, fmt.Errorf("core: line size %d too small for a node", mc.LineSize)
+	}
+	if _, native := c.Mem.(*memsys.Native); native && c.Width*mc.LineSize < 16*fieldSize {
+		return c, fmt.Errorf("core: a native node is %d bytes, want at least %d (its search reads 8-key runs)", c.Width*mc.LineSize, 16*fieldSize)
 	}
 	return c, nil
 }

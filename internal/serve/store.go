@@ -1044,10 +1044,17 @@ func (st *Store) Get(k core.Key) (core.TID, bool) {
 // each group runs as one batched lookup against a single snapshot of
 // its shard (snapshot-consistent per shard; on the pbtree backend the
 // group is a software-pipelined group search). Results line up with
-// keys; out must be at least len(keys) long.
+// keys; out must be at least len(keys) long. A batch of up to 64 keys
+// allocates nothing.
 func (st *Store) MGet(keys []core.Key, out []Lookup) {
-	st.mget(keys, out, new(mgetScratch))
+	sc := mgetPool.Get().(*mgetScratch)
+	st.mget(keys, out, sc)
+	if len(keys) <= 64 { // a pooled scratch stays small
+		mgetPool.Put(sc)
+	}
 }
+
+var mgetPool = sync.Pool{New: func() any { return new(mgetScratch) }}
 
 // mgetScratch is the working memory of one mget pass. A caller on a
 // hot path (the server's read bursts) keeps one and reuses it, so a

@@ -512,6 +512,27 @@ func TestStoreMGetPaths(t *testing.T) {
 	}
 }
 
+// TestStoreMGetAllocates: an in-process MGet of 16 keys over two
+// shards allocates nothing — its scratch comes from a pool.
+func TestStoreMGetAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items")
+	}
+	st := openTest(t, 10_000, 2)
+	keys, out := make([]core.Key, 16), make([]Lookup, 16)
+	for i := range keys {
+		keys[i] = core.Key(8 * (1 + i*613%10_000))
+	}
+	if n := testing.AllocsPerRun(200, func() { st.MGet(keys, out) }); n != 0 {
+		t.Errorf("MGet(16 keys, 2 shards) allocates %v times, want 0", n)
+	}
+	for i, k := range keys {
+		if tid, ok := st.Get(k); out[i] != (Lookup{TID: tid, Found: ok}) || !ok {
+			t.Fatalf("key %d = %+v, Get = (%d, %v)", k, out[i], tid, ok)
+		}
+	}
+}
+
 // TestStorePutAllocates: a Put, a Delete and a one-key DEL request each
 // allocate once — the new version of the shard's tree, in the shard
 // writer — and nothing in the caller: the completion channel and the

@@ -83,8 +83,7 @@ func TestNativeMatchesSimulated(t *testing.T) {
 
 			// Churn both trees with the same seeded inserts and
 			// deletes (splits, redistributions, node removals), then
-			// compare every read path: group search, a pair scan and
-			// range estimation.
+			// compare every read path.
 			r := rand.New(rand.NewSource(19))
 			for i := 0; i < 4*n; i++ {
 				k := pbtree.Key(r.Intn(3 * n))
@@ -96,55 +95,76 @@ func TestNativeMatchesSimulated(t *testing.T) {
 					t.Fatalf("Insert(%d): native %v != simulated %v", k, a, b)
 				}
 			}
-			for _, tr := range []*pbtree.Tree{native, sim} {
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatal(err)
+			estimate := tc.cfg.JumpArray == pbtree.JumpNone
+			compareReads(t, native, sim, r, 0, 3*n+2, estimate)
+
+			// Then delete keys from the left until the native tree has
+			// lost a level — its roots' left children emptied and
+			// collapsed — and compare again above the deleted keys.
+			height, from := native.Height(), pbtree.Key(0)
+			for ; native.Height() >= height && from < 3*n; from++ {
+				if a, b := native.Delete(from), sim.Delete(from); a != b {
+					t.Fatalf("Delete(%d): native %v != simulated %v", from, a, b)
 				}
 			}
-			keys := make([]pbtree.Key, 100) // above SearchBatch's stack cursor too
-			ntids, stids := make([]pbtree.TID, len(keys)), make([]pbtree.TID, len(keys))
-			nfound, sfound := make([]bool, len(keys)), make([]bool, len(keys))
-			for _, group := range []int{1, 16, 64, len(keys)} {
-				for i := range keys[:group] {
-					keys[i] = pbtree.Key(r.Intn(3*n + 2))
-				}
-				native.SearchBatch(keys[:group], ntids, nfound)
-				sim.SearchBatch(keys[:group], stids, sfound)
-				for i, k := range keys[:group] {
-					tid, ok := sim.Search(k)
-					if ntids[i] != tid || nfound[i] != ok || stids[i] != tid || sfound[i] != ok {
-						t.Fatalf("SearchBatch(%d keys)[%d]=%d: native (%d, %v), simulated (%d, %v), Search (%d, %v)",
-							group, i, k, ntids[i], nfound[i], stids[i], sfound[i], tid, ok)
-					}
-				}
+			if native.Height() >= height {
+				t.Fatalf("deleting every key left the tree %d levels high", native.Height())
 			}
-			nbuf, sbuf := make([]pbtree.Pair, 97), make([]pbtree.Pair, 97)
-			ns, ss := native.NewScan(100, pbtree.Key(2*n)), sim.NewScan(100, pbtree.Key(2*n))
-			rows := 0
-			for {
-				got, want := ns.NextPairs(nbuf), ss.NextPairs(sbuf)
-				if got != want || !slices.Equal(nbuf[:got], sbuf[:want]) {
-					t.Fatalf("NextPairs after %d rows: native %d rows != simulated %d rows, or contents differ", rows, got, want)
-				}
-				if got == 0 {
-					break
-				}
-				rows += got
-			}
-			if rows == 0 {
-				t.Fatal("pair scan returned nothing")
-			}
-			// The estimate reads node fan-outs, which a jump-pointer
-			// array changes: only a twin without one has the native
-			// tree's nodes.
-			for i := 0; i < 200 && tc.cfg.JumpArray == pbtree.JumpNone; i++ {
-				lo := pbtree.Key(r.Intn(3 * n))
-				hi := lo + pbtree.Key(r.Intn(n))
-				if got, want := native.EstimateRange(lo, hi), sim.EstimateRange(lo, hi); got != want {
-					t.Fatalf("EstimateRange(%d, %d): native %d != simulated %d", lo, hi, got, want)
-				}
-			}
+			compareReads(t, native, sim, r, from, 3*n+2, estimate)
 		})
+	}
+}
+
+// compareReads checks every read path of a churned native tree against
+// its simulated twin over keys in [lo, hi): group search, a pair scan
+// and — when the twin has no jump-pointer array, which changes node
+// fan-outs — range estimation.
+func compareReads(t *testing.T, native, sim *pbtree.Tree, r *rand.Rand, lo, hi pbtree.Key, estimate bool) {
+	t.Helper()
+	for _, tr := range []*pbtree.Tree{native, sim} {
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]pbtree.Key, 100) // above SearchBatch's stack cursor too
+	ntids, stids := make([]pbtree.TID, len(keys)), make([]pbtree.TID, len(keys))
+	nfound, sfound := make([]bool, len(keys)), make([]bool, len(keys))
+	for _, group := range []int{1, 16, 64, len(keys)} {
+		for i := range keys[:group] {
+			keys[i] = lo + pbtree.Key(r.Intn(int(hi-lo)))
+		}
+		native.SearchBatch(keys[:group], ntids, nfound)
+		sim.SearchBatch(keys[:group], stids, sfound)
+		for i, k := range keys[:group] {
+			tid, ok := sim.Search(k)
+			if ntids[i] != tid || nfound[i] != ok || stids[i] != tid || sfound[i] != ok {
+				t.Fatalf("SearchBatch(%d keys)[%d]=%d: native (%d, %v), simulated (%d, %v), Search (%d, %v)",
+					group, i, k, ntids[i], nfound[i], stids[i], sfound[i], tid, ok)
+			}
+		}
+	}
+	nbuf, sbuf := make([]pbtree.Pair, 97), make([]pbtree.Pair, 97)
+	ns, ss := native.NewScan(lo+100, lo+(hi-lo-2)*2/3), sim.NewScan(lo+100, lo+(hi-lo-2)*2/3)
+	rows := 0
+	for {
+		got, want := ns.NextPairs(nbuf), ss.NextPairs(sbuf)
+		if got != want || !slices.Equal(nbuf[:got], sbuf[:want]) {
+			t.Fatalf("NextPairs after %d rows: native %d rows != simulated %d rows, or contents differ", rows, got, want)
+		}
+		if got == 0 {
+			break
+		}
+		rows += got
+	}
+	if rows == 0 {
+		t.Fatal("pair scan returned nothing")
+	}
+	for i := 0; i < 200 && estimate; i++ {
+		a := lo + pbtree.Key(r.Intn(int(hi-lo-2)))
+		b := a + pbtree.Key(r.Intn(int(hi-lo-2)/3))
+		if got, want := native.EstimateRange(a, b), sim.EstimateRange(a, b); got != want {
+			t.Fatalf("EstimateRange(%d, %d): native %d != simulated %d", a, b, got, want)
+		}
 	}
 }
 

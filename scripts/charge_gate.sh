@@ -10,6 +10,10 @@
 #   - No non-test file of the package compares an epoch with 0: t.sim
 #     alone picks a tree's shape, a live older version alone picks
 #     copy-before-write, and being forked picks nothing.
+#   - The compiler must report the native descent kernel's per-level
+#     helpers (DESIGN.md §14) as inlinable too — the block locate, its
+#     prefetch and the two steps of the key count — or a native
+#     descent pays a call for each of them at every level again.
 set -eu
 
 direct=$(grep -nE '\.(mem|sim)\.(Access|AccessRange|Compute|Prefetch|PrefetchRange)\(' internal/core/*.go |
@@ -31,10 +35,20 @@ if [ -n "$lineage" ]; then
 fi
 
 # (The go command replays a cached compile's diagnostics, so no -a.)
-inl=$(${GO:-go} build -gcflags=-m ./internal/core 2>&1 | grep -E 'charge\.go:[0-9]+:[0-9]+: can inline ' || true)
+m=$(${GO:-go} build -gcflags=-m ./internal/core 2>&1) || {
+    echo "$m" >&2
+    exit 1
+}
+inl=$(echo "$m" | grep -E 'charge\.go:[0-9]+:[0-9]+: can inline ' || true)
 for verb in compute access accessRange prefetch prefetchRange; do
     if ! echo "$inl" | grep -q "can inline (\*Tree)\.$verb\$"; then
         echo "charge-gate: (*Tree).$verb is no longer inlinable" >&2
+        exit 1
+    fi
+done
+for helper in locate pfBlock runsBelow countRun; do
+    if ! echo "$m" | grep -qE "\.go:[0-9]+:[0-9]+: can inline (\(\*Tree\)\.)?$helper\$"; then
+        echo "charge-gate: the native descent's $helper is no longer inlinable" >&2
         exit 1
     fi
 done
